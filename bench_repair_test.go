@@ -13,8 +13,9 @@ import (
 
 // BenchmarkTopologyRepair pins the cost model of topology deltas on a
 // warmed 72-GPU cluster-a100 store: a health event (MarkUnhealthy +
-// Restore) is an O(posting list) walk over the live views, a link
-// degradation repairs exactly the candidates containing both endpoints,
+// Restore, every view consulted after each so neither cancels) is an
+// O(posting list) walk per live view, a link degradation repairs
+// exactly the candidates containing both endpoints,
 // and both must sit orders of magnitude under the full rebuild
 // (universe enumeration + score-table fill) they replace. CI exports
 // this through cmd/benchjson into BENCH_matcher.json next to the build
@@ -25,19 +26,26 @@ func BenchmarkTopologyRepair(b *testing.B) {
 	warmed := matchcache.NewStore(top, 0)
 	warmed.Warm(8, shapes...)
 	views := warmed.NewViews()
-	// Instantiate the live views the deltas will walk: serve each
-	// warmed shape once, the way a real decision would.
-	for _, shape := range shapes {
-		ok := views.SelectLive(shape, top.Graph, 0, 1, func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {})
-		if !ok {
-			b.Fatalf("warmed %d-GPU shape not view-served", shape.NumVertices())
+	// consult serves each warmed shape once, the way a real decision
+	// would: the first round instantiates the live views, later rounds
+	// make them catch up with the deltas published since.
+	consult := func(avail *graph.Graph) {
+		for _, shape := range shapes {
+			ok := views.SelectLive(shape, avail, 0, 1, func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {})
+			if !ok {
+				b.Fatalf("warmed %d-GPU shape not view-served", shape.NumVertices())
+			}
 		}
 	}
+	consult(top.Graph)
 
 	b.Run("health-event", func(b *testing.B) {
+		degraded := top.Graph.Without([]int{0})
 		for i := 0; i < b.N; i++ {
 			views.MarkUnhealthy([]int{0})
+			consult(degraded)
 			views.RestoreHealth([]int{0})
+			consult(top.Graph)
 		}
 	})
 

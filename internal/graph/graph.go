@@ -56,6 +56,11 @@ func (e Edge) Other(v int) int {
 // from the map-backed representation).
 type Graph struct {
 	adj map[int]map[int]Edge
+	// spare holds the emptied adjacency maps of removed vertices for
+	// AddVertex to reuse. An availability graph loses and regains the
+	// same few vertices for as long as it lives, and a fresh map per
+	// return was most of the garbage a simulated placement made.
+	spare []map[int]Edge
 
 	fpMemo   atomic.Pointer[string]
 	vsetMemo atomic.Pointer[Bitset]
@@ -80,7 +85,11 @@ func (g *Graph) AddVertex(v int) {
 		panic(fmt.Sprintf("graph: negative vertex id %d", v))
 	}
 	if _, ok := g.adj[v]; !ok {
-		g.adj[v] = make(map[int]Edge)
+		if n := len(g.spare); n > 0 {
+			g.adj[v], g.spare = g.spare[n-1], g.spare[:n-1]
+		} else {
+			g.adj[v] = make(map[int]Edge)
+		}
 		g.invalidate()
 	}
 }
@@ -125,13 +134,16 @@ func (g *Graph) RemoveEdge(u, v int) {
 // RemoveVertex deletes v and all incident edges. Removing an absent
 // vertex is a no-op.
 func (g *Graph) RemoveVertex(v int) {
-	if _, ok := g.adj[v]; !ok {
+	nbrs, ok := g.adj[v]
+	if !ok {
 		return
 	}
-	for u := range g.adj[v] {
+	for u := range nbrs {
 		delete(g.adj[u], v)
 	}
 	delete(g.adj, v)
+	clear(nbrs)
+	g.spare = append(g.spare, nbrs)
 	g.invalidate()
 }
 

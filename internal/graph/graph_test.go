@@ -110,6 +110,33 @@ func TestRemoveEdgeAndVertex(t *testing.T) {
 	g.RemoveEdge(42, 43)
 }
 
+// TestReAddedVertexStartsClean pins the adjacency-map recycling: a
+// vertex added after a removal — the same ID or another — carries no
+// edge of the removed one, and a remove/re-add cycle allocates nothing.
+func TestReAddedVertexStartsClean(t *testing.T) {
+	g := triangle()
+	g.RemoveVertex(2)
+	g.AddVertex(7)
+	if g.Degree(7) != 0 || g.HasEdge(7, 0) || g.HasEdge(7, 1) || g.NumEdges() != 1 {
+		t.Fatalf("vertex added after a removal inherited edges: %v", g)
+	}
+	g.MustAddEdge(7, 0, 3, 0)
+	g.RemoveVertex(7)
+	g.AddVertex(2)
+	if g.Degree(2) != 0 || g.HasEdge(0, 7) || g.NumEdges() != 1 {
+		t.Fatalf("re-added vertex inherited edges: %v", g)
+	}
+	if !g.Equal(func() *Graph { h := New(); h.MustAddEdge(0, 1, 50, 1); h.AddVertex(2); return h }()) {
+		t.Fatalf("graph after remove/re-add cycles = %v", g)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		g.RemoveVertex(1)
+		g.MustAddEdge(1, 0, 50, 1)
+	}); allocs != 0 {
+		t.Fatalf("a remove/re-add cycle allocates %v times, want 0", allocs)
+	}
+}
+
 func triangle() *Graph {
 	g := New()
 	g.MustAddEdge(0, 1, 50, 1)

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mapa/internal/graph"
 )
@@ -518,6 +519,51 @@ func (lv *LiveView) RestoreHealth(gpus []int) {
 			lv.unblock(g)
 		}
 	}
+}
+
+// Sync moves the view to the availability state given as two masks —
+// free (allocation state) and unhealthy (set bit = unhealthy), both
+// indexed by data vertex ID — and returns the number of posting-list
+// entries it walked. The blocked counters are a pure function of the
+// usable set (free AND healthy), so the view lands in exactly the
+// state replaying the intervening Allocate/Release/MarkUnhealthy/
+// RestoreHealth deltas one by one would have produced, while walking
+// posting lists only for vertices whose usability differs from the
+// view's: deltas that cancelled since the last Sync (an allocation
+// released again, a lease released on a failed GPU) cost nothing.
+// Vertices beyond the universe's capacity are ignored; missing mask
+// words read as empty. Sync allocates nothing. Weighted views keep
+// per-delta accounting and cannot be synced.
+func (lv *LiveView) Sync(free, unhealthy graph.Bitset) (walked int) {
+	if lv.bw != nil {
+		panic("match: LiveView.Sync on a weighted view")
+	}
+	capacity := len(lv.postings)
+	for w := range lv.avail {
+		inCap := ^uint64(0)
+		if rem := capacity - w*64; rem < 64 {
+			inCap = 1<<uint(rem) - 1
+		}
+		var f, h uint64 = 0, inCap
+		if w < len(free) {
+			f = free[w] & inCap
+		}
+		if w < len(unhealthy) {
+			h &^= unhealthy[w]
+		}
+		was, is := lv.avail[w]&lv.healthy[w], f&h
+		lv.avail[w], lv.healthy[w] = f, h
+		for d := was ^ is; d != 0; d &= d - 1 {
+			g := w*64 + bits.TrailingZeros64(d)
+			if is&(1<<uint(g%64)) != 0 {
+				lv.unblock(g)
+			} else {
+				lv.block(g)
+			}
+			walked += len(lv.postings[g])
+		}
+	}
+	return walked
 }
 
 // block walks g's posting list for a usable→unusable transition.

@@ -181,7 +181,9 @@ func TestLiveViewSparseVertexIDs(t *testing.T) {
 // sequences against two oracles: a LiveView recomputed from scratch at
 // the current mask, and Universe.Filter. After every delta the
 // incrementally maintained candidate list must equal both, unlimited
-// and capped.
+// and capped. A third view sees none of the deltas and catches up by
+// Sync at input-chosen points; whenever it does it must equal the
+// delta-maintained view.
 func FuzzLiveViewDelta(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(8), uint8(200), uint8(1), []byte{0, 3, 5, 0, 3})
 	f.Add(int64(2), uint8(4), uint8(9), uint8(255), uint8(2), []byte{1, 1, 2, 2, 7, 7})
@@ -205,6 +207,8 @@ func FuzzLiveViewDelta(f *testing.F) {
 		u := BuildUniverse(pattern, data, 0, 1)
 		free := data.VertexBitset()
 		lv := NewLiveView(u, free)
+		synced := NewLiveView(u, free)
+		unhealthy := graph.NewBitset(u.Capacity())
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
@@ -216,6 +220,10 @@ func FuzzLiveViewDelta(f *testing.F) {
 			} else {
 				free.Set(v)
 				lv.Release([]int{v})
+			}
+			if (int(op)/dataN)%2 == 0 {
+				synced.Sync(free, unhealthy)
+				sameViewState(t, "sync leg", synced, lv)
 			}
 			oracle := NewLiveView(u, free)
 			for _, max := range []int{0, u.Len() / 2} {

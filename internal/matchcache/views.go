@@ -1,6 +1,7 @@
 package matchcache
 
 import (
+	"fmt"
 	"sync"
 
 	"mapa/internal/graph"
@@ -41,25 +42,35 @@ type viewSlot struct {
 	// refilled under the view lock by Entry; it never escapes the lock's
 	// critical section.
 	scratch []int
+	// gen is the stream generation the view was last synced to.
+	gen uint64
 }
 
 // Views is tier 0 of the match pipeline: per-shape live candidate
-// views over one availability-state stream, maintained incrementally
-// from the GPU-set deltas of each Allocate and Release. Where tier 1
-// answers a miss by mask-filtering the idle-state universe — an
-// O(|universe|) subset scan — a live view already holds the surviving
-// candidate list and only pays the delta on each state change, so
-// steady-state decisions for warmed shapes run zero full-universe
-// scans (pinned by the match.Filters counter).
+// views over one availability-state stream. Where tier 1 answers a
+// miss by mask-filtering the idle-state universe — an O(|universe|)
+// subset scan — a live view already holds the surviving candidate
+// list, so steady-state decisions for warmed shapes run zero
+// full-universe scans (pinned by the match.Filters counter).
 //
 // A Views is bound to one availability stream (one mapa.System, or one
 // sched.Engine run): the publisher calls Allocate/Release with exactly
-// the GPU-set deltas it applies to its availability graph. Entry
-// cross-checks the request's free mask against the tracked stream and
-// declines to serve on any mismatch, so a mis-published stream degrades
-// to the filter path instead of corrupting decisions. The shared Store
-// stays stream-agnostic — engines comparing policies on one topology
-// share universes while each keeps its own view set.
+// the GPU-set deltas it applies to its availability graph. A delta
+// updates only the stream's masks and its shared Eq. 3 accounting; a
+// shape's view catches up when a decision next consults it
+// (match.LiveView.Sync), walking the posting lists of exactly the GPUs
+// whose usability changed since that shape was last consulted. A view's
+// counters are a pure function of the masks, so this is state-identical
+// to replaying every delta into every view, while a stream nobody
+// consults costs nothing per delta and a decision pays for one shape,
+// not for all of them. Entry cross-checks the request's free mask
+// against the tracked stream and declines to serve on any mismatch, so
+// a mis-published stream degrades to the filter path instead of
+// corrupting decisions; a delta that contradicts the tracked masks
+// (allocating a busy GPU, releasing a free one, a repeated health
+// event) panics. The shared Store stays stream-agnostic — engines
+// comparing policies on one topology share universes while each keeps
+// its own view set.
 //
 // Views built for a shape that is first warmed mid-stream initialize
 // from the current mask, not the idle machine, so late-warmed shapes
@@ -77,6 +88,11 @@ type Views struct {
 	usable    graph.Bitset // free AND healthy, maintained incrementally
 	slots     map[string]*viewSlot
 	stats     ViewStats
+	// gen counts deltas published on the stream; a slot whose gen lags
+	// syncs before it serves. walked totals the posting-list entries
+	// those syncs visited.
+	gen    uint64
+	walked uint64
 
 	// bw is the stream's shared Eq. 3 bandwidth accounting, maintained
 	// once per delta and read by every shape's table-served selection —
@@ -111,9 +127,7 @@ func (v *Views) Bound(top *topology.Topology) bool {
 }
 
 // Allocate publishes an allocation delta: the given GPUs left the free
-// set. Each live view deactivates exactly the embeddings on the
-// GPUs' posting lists. Nil view sets ignore the call, so publishers
-// need no nil checks.
+// set. Nil view sets ignore the call, so publishers need no nil checks.
 func (v *Views) Allocate(gpus []int) {
 	if v == nil {
 		return
@@ -121,15 +135,16 @@ func (v *Views) Allocate(gpus []int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, g := range gpus {
+		if !v.free.Has(g) {
+			panic(fmt.Sprintf("matchcache: Views.Allocate(%d): GPU already unavailable", g))
+		}
 		v.free.Unset(g)
 		v.usable.Unset(g)
 	}
 	if v.bw != nil {
 		v.bw.Allocate(gpus)
 	}
-	for _, sl := range v.slots {
-		sl.lv.Allocate(gpus)
-	}
+	v.gen++
 }
 
 // Release publishes a release delta: the given GPUs returned to the
@@ -141,6 +156,9 @@ func (v *Views) Release(gpus []int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, g := range gpus {
+		if v.free.Has(g) {
+			panic(fmt.Sprintf("matchcache: Views.Release(%d): GPU already available", g))
+		}
 		v.free.Set(g)
 		if !v.unhealthy.Has(g) {
 			v.usable.Set(g)
@@ -149,16 +167,12 @@ func (v *Views) Release(gpus []int) {
 	if v.bw != nil {
 		v.bw.Release(gpus)
 	}
-	for _, sl := range v.slots {
-		sl.lv.Release(gpus)
-	}
+	v.gen++
 }
 
 // MarkUnhealthy publishes a health delta: the given GPUs failed. They
 // keep their free/allocated state — unhealthy GPUs stay visible but
-// unallocatable — and every live view blocks their posting lists, the
-// same O(posting list) walk an allocation delta pays. Nil view sets
-// ignore the call.
+// unallocatable. Nil view sets ignore the call.
 func (v *Views) MarkUnhealthy(gpus []int) {
 	if v == nil {
 		return
@@ -166,15 +180,16 @@ func (v *Views) MarkUnhealthy(gpus []int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, g := range gpus {
+		if v.unhealthy.Has(g) {
+			panic(fmt.Sprintf("matchcache: Views.MarkUnhealthy(%d): GPU already unhealthy", g))
+		}
 		v.unhealthy.Set(g)
 		v.usable.Unset(g)
 	}
 	if v.bw != nil {
 		v.bw.MarkUnhealthy(gpus)
 	}
-	for _, sl := range v.slots {
-		sl.lv.MarkUnhealthy(gpus)
-	}
+	v.gen++
 }
 
 // RestoreHealth publishes a recovery delta: the given GPUs are healthy
@@ -187,6 +202,9 @@ func (v *Views) RestoreHealth(gpus []int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, g := range gpus {
+		if !v.unhealthy.Has(g) {
+			panic(fmt.Sprintf("matchcache: Views.RestoreHealth(%d): GPU already healthy", g))
+		}
 		v.unhealthy.Unset(g)
 		if v.free.Has(g) {
 			v.usable.Set(g)
@@ -195,9 +213,7 @@ func (v *Views) RestoreHealth(gpus []int) {
 	if v.bw != nil {
 		v.bw.RestoreHealth(gpus)
 	}
-	for _, sl := range v.slots {
-		sl.lv.RestoreHealth(gpus)
-	}
+	v.gen++
 }
 
 // UpdateEdge publishes a link-degradation delta: edge (u,g) of the
@@ -276,33 +292,33 @@ func (v *Views) Entry(pattern, avail *graph.Graph, maxCandidates, workers int) (
 	return ent, order, true
 }
 
-// ensureSlot returns the canonical shape's live view slot, creating it
-// (and, on first sight, building the shape's universe) under the view
-// lock. ok is false when the universe overflowed its capacity. Slots
-// are unweighted: the stream's Eq. 3 bandwidth accounting is
-// shape-independent and lives once on the Views (v.bw), not per slot.
+// ensureSlot returns the canonical shape's live view slot, synced to
+// the stream's current masks; on first sight it creates the slot (and
+// builds the shape's universe) under the view lock. ok is false when
+// the universe overflowed its capacity. Slots are unweighted: the
+// stream's Eq. 3 bandwidth accounting is shape-independent and lives
+// once on the Views (v.bw), not per slot.
 func (v *Views) ensureSlot(ci *canonInfo, pattern *graph.Graph, workers int) (*viewSlot, bool) {
 	sl, seen := v.slots[ci.canon]
-	if seen {
-		return sl, true
+	if !seen {
+		usl := v.store.universe(ci, pattern, workers)
+		if !usl.u.Complete() {
+			return nil, false
+		}
+		// A shape first served mid-stream is built on the current free
+		// mask; the sync below adds the current health state.
+		sl = &viewSlot{
+			lv:        match.NewLiveView(usl.u, v.free),
+			patternFP: usl.patternFP,
+			usl:       usl,
+		}
+		v.slots[ci.canon] = sl
+		v.stats.Views++
 	}
-	usl := v.store.universe(ci, pattern, workers)
-	if !usl.u.Complete() {
-		return nil, false
+	if sl.gen != v.gen {
+		v.walked += uint64(sl.lv.Sync(v.free, v.unhealthy))
+		sl.gen = v.gen
 	}
-	lv := match.NewLiveView(usl.u, v.free)
-	if v.unhealthy.Any() {
-		// A shape first served mid-stream inherits the current health
-		// state, not just the current free mask.
-		lv.MarkUnhealthy(v.unhealthy.Members())
-	}
-	sl = &viewSlot{
-		lv:        lv,
-		patternFP: usl.patternFP,
-		usl:       usl,
-	}
-	v.slots[ci.canon] = sl
-	v.stats.Views++
 	return sl, true
 }
 

@@ -182,3 +182,118 @@ func TestViewsBuildsMidStream(t *testing.T) {
 	}
 	entriesEqual(t, got, want, "mid-stream build")
 }
+
+// TestViewsWalkPostingsOnlyOnConsult pins the cost model of the lazy
+// views by count: deltas alone walk no posting list, however many
+// shapes are materialized; a consult walks the postings of the GPUs
+// whose usability changed since that shape's previous consult — for
+// that shape only; and an allocation released again before the next
+// consult costs nothing.
+func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
+	top := topology.DGXV100()
+	views := NewStore(top, 0).NewViews()
+	ring3, ring4 := ringN(3), ringN(4)
+	consult := func(pattern, avail *graph.Graph) {
+		t.Helper()
+		if _, _, ok := views.Entry(pattern, avail, 0, 1); !ok {
+			t.Fatal("in-sync consult was rejected")
+		}
+	}
+	// postings is what one GPU's usability change costs a shape's view.
+	postings := func(pattern *graph.Graph, gpus ...int) (n uint64) {
+		lv := views.slots[canon.info(pattern).canon].lv
+		for i := 0; i < lv.Universe().Len(); i++ {
+			for _, g := range gpus {
+				if lv.Universe().Set(i).Has(g) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+
+	// A stream nobody consults walks nothing, with or without views.
+	views.Allocate([]int{0, 1})
+	views.MarkUnhealthy([]int{5})
+	views.Release([]int{0, 1})
+	views.RestoreHealth([]int{5})
+	if views.walked != 0 {
+		t.Fatalf("unconsulted stream walked %d postings", views.walked)
+	}
+	consult(ring3, top.Graph)
+	consult(ring4, top.Graph)
+	if views.walked != 0 {
+		t.Fatalf("consulting idle views walked %d postings", views.walked)
+	}
+	for i := 0; i < 50; i++ {
+		views.Allocate([]int{2, 3, 4})
+		views.MarkUnhealthy([]int{6})
+		views.RestoreHealth([]int{6})
+		views.Release([]int{2, 3, 4})
+	}
+	if views.walked != 0 {
+		t.Fatalf("200 deltas over two materialized views walked %d postings", views.walked)
+	}
+	// ...and neither does a consult after deltas that cancelled.
+	consult(ring3, top.Graph)
+	consult(ring4, top.Graph)
+	if views.walked != 0 {
+		t.Fatalf("consults after cancelled deltas walked %d postings", views.walked)
+	}
+
+	// A consult pays for its own shape's net change, once.
+	views.Allocate([]int{0, 7})
+	views.Allocate([]int{3})
+	views.Release([]int{7})
+	busy := top.Graph.Without([]int{0, 3})
+	consult(ring3, busy)
+	want := postings(ring3, 0, 3)
+	if want == 0 || views.walked != want {
+		t.Fatalf("ring-3 consult walked %d postings, GPUs 0 and 3 hold %d", views.walked, want)
+	}
+	consult(ring3, busy)
+	if views.walked != want {
+		t.Fatalf("a second consult on an unchanged stream walked %d more postings", views.walked-want)
+	}
+	consult(ring4, busy)
+	if want += postings(ring4, 0, 3); views.walked != want {
+		t.Fatalf("after the ring-4 consult %d postings walked, want %d", views.walked, want)
+	}
+}
+
+// TestViewsInconsistentDeltaPanics pins the stream-divergence guard at
+// the Views level, where it must live now that deltas no longer reach
+// the per-shape views: a delta contradicting the tracked masks fails
+// loudly — with score tables off too, when no bandwidth accounting
+// stands behind the masks to notice.
+func TestViewsInconsistentDeltaPanics(t *testing.T) {
+	for _, tables := range []bool{true, false} {
+		store := NewStore(topology.DGXV100(), 0)
+		store.SetScoreTables(tables)
+		for _, tc := range []struct {
+			name string
+			do   func(v *Views)
+		}{
+			{"allocate a busy GPU", func(v *Views) { v.Allocate([]int{2}); v.Allocate([]int{1, 2}) }},
+			{"release a free GPU", func(v *Views) { v.Release([]int{4}) }},
+			{"mark an unhealthy GPU", func(v *Views) { v.MarkUnhealthy([]int{6}); v.MarkUnhealthy([]int{6}) }},
+			{"restore a healthy GPU", func(v *Views) { v.RestoreHealth([]int{6}) }},
+			{"allocate an unknown GPU", func(v *Views) { v.Allocate([]int{64}) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("tables=%v: %s must panic", tables, tc.name)
+					}
+				}()
+				tc.do(store.NewViews())
+			}()
+		}
+		// The legal orders of the same events do not.
+		v := store.NewViews()
+		v.Allocate([]int{1, 2})
+		v.MarkUnhealthy([]int{2, 6})
+		v.Release([]int{1, 2})
+		v.RestoreHealth([]int{2, 6})
+	}
+}

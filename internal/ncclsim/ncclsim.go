@@ -252,11 +252,10 @@ func PeakEffectiveBandwidth(top *topology.Topology, gpus []int) float64 {
 	return Decompose(top, gpus).PeakEffBW
 }
 
-// EffectiveBandwidth returns the effective bandwidth (GB/s) achieved by
-// all-reducing messages of msgBytes over the allocation, including the
-// small-transfer ramp of Fig. 2a.
-func EffectiveBandwidth(top *topology.Topology, gpus []int, msgBytes float64) float64 {
-	res := Decompose(top, gpus)
+// EffectiveBandwidth returns the effective bandwidth (GB/s) the
+// decomposition achieves all-reducing messages of msgBytes, including
+// the small-transfer ramp of Fig. 2a.
+func (res Result) EffectiveBandwidth(msgBytes float64) float64 {
 	var bw float64
 	for _, r := range res.Rings {
 		bw += r.Bottleneck * linkmodel.Ramp(r.BottleneckLink, msgBytes)
@@ -265,15 +264,17 @@ func EffectiveBandwidth(top *topology.Topology, gpus []int, msgBytes float64) fl
 }
 
 // AllReduceTime returns the seconds one ring all-reduce of msgBytes
-// takes on the allocation: t = 2(k-1)/k * S / effBW(S), plus per-step
-// startup latency. Allocations of fewer than two GPUs take no
-// communication time.
-func AllReduceTime(top *topology.Topology, gpus []int, msgBytes float64) float64 {
-	k := len(gpus)
+// takes over the decomposition of a k-GPU allocation:
+// t = 2(k-1)/k * S / effBW(S), plus per-step startup latency.
+// Allocations of fewer than two GPUs take no communication time. A
+// decomposition is a pure function of the GPU set, so callers placing
+// many jobs on few distinct sets keep the Result and pay only this
+// arithmetic per job.
+func (res Result) AllReduceTime(k int, msgBytes float64) float64 {
 	if k < 2 || msgBytes <= 0 {
 		return 0
 	}
-	bw := EffectiveBandwidth(top, gpus, msgBytes)
+	bw := res.EffectiveBandwidth(msgBytes)
 	if bw <= 0 {
 		// No usable path even over PCIe; should not happen on complete
 		// hardware graphs, but avoid dividing by zero.
@@ -282,6 +283,18 @@ func AllReduceTime(top *topology.Topology, gpus []int, msgBytes float64) float64
 	steps := float64(2 * (k - 1))
 	factor := steps / float64(k)
 	return factor*msgBytes/(bw*1e9) + steps*linkmodel.StartupLatency
+}
+
+// EffectiveBandwidth is Result.EffectiveBandwidth of the allocation's
+// decomposition.
+func EffectiveBandwidth(top *topology.Topology, gpus []int, msgBytes float64) float64 {
+	return Decompose(top, gpus).EffectiveBandwidth(msgBytes)
+}
+
+// AllReduceTime is Result.AllReduceTime of the allocation's
+// decomposition.
+func AllReduceTime(top *topology.Topology, gpus []int, msgBytes float64) float64 {
+	return Decompose(top, gpus).AllReduceTime(len(gpus), msgBytes)
 }
 
 // EdgeCapacities reports the NVLink capacity (GB/s) between every GPU

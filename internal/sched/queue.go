@@ -67,62 +67,127 @@ func estimateDuration(j jobs.Job) (float64, error) {
 	return w.ExecTimeAtBandwidth(FixedReferenceBW, j.NumGPUs, j.Iters), nil
 }
 
-// queue holds pending jobs under one discipline.
+// queue holds pending jobs under one discipline. It indexes the
+// caller's job list instead of copying it, and every operation the
+// engine performs per placement is O(1) (FIFO, Backfill) or O(log n)
+// (SJF) in the queue length.
 type queue struct {
 	discipline Discipline
-	jobs       []jobs.Job
-	estimates  []float64
+	jobs       []jobs.Job // submission order; shared with the caller, never mutated
+	n          int        // jobs still queued
+	// head is the lowest queued index under FIFO and Backfill
+	// (len(jobs) once drained).
+	head int
+	// next and prev link the queued indices in submission order under
+	// Backfill, so a job placed from the middle leaves in O(1).
+	next, prev []int
+	// estimates and heap order the queue under SJF: a binary min-heap
+	// of queued indices on (estimate, submission index).
+	estimates []float64
+	heap      []int
 }
 
 func newQueue(d Discipline, jobList []jobs.Job) (*queue, error) {
-	q := &queue{discipline: d}
-	for _, j := range jobList {
-		est, err := estimateDuration(j)
-		if err != nil {
-			return nil, err
+	q := &queue{discipline: d, jobs: jobList, n: len(jobList)}
+	switch d {
+	case SJF:
+		q.estimates = make([]float64, len(jobList))
+		q.heap = make([]int, len(jobList))
+		for i, j := range jobList {
+			est, err := estimateDuration(j)
+			if err != nil {
+				return nil, err
+			}
+			q.estimates[i] = est
+			q.heap[i] = i
 		}
-		q.jobs = append(q.jobs, j)
-		q.estimates = append(q.estimates, est)
+		for i := len(q.heap)/2 - 1; i >= 0; i-- {
+			q.siftDown(i)
+		}
+	case Backfill:
+		q.next = make([]int, len(jobList))
+		q.prev = make([]int, len(jobList))
+		for i := range jobList {
+			q.next[i], q.prev[i] = i+1, i-1
+		}
 	}
 	return q, nil
 }
 
-func (q *queue) empty() bool { return len(q.jobs) == 0 }
-func (q *queue) len() int    { return len(q.jobs) }
+func (q *queue) empty() bool { return q.n == 0 }
+func (q *queue) len() int    { return q.n }
 
-// candidates returns the indices the engine may try to place next, in
-// priority order. FIFO exposes only the head; SJF exposes only the
-// shortest job; Backfill exposes the head first and then every later
-// job as a backfill candidate.
-func (q *queue) candidates() []int {
-	if q.empty() {
-		return nil
+// first returns the index of the job the engine must try to place
+// next, or -1 when the queue is empty: the head under FIFO and
+// Backfill, the shortest job (lowest index among equals) under SJF.
+func (q *queue) first() int {
+	if q.n == 0 {
+		return -1
 	}
-	switch q.discipline {
-	case FIFO:
-		return []int{0}
-	case SJF:
-		best := 0
-		for i := 1; i < len(q.jobs); i++ {
-			if q.estimates[i] < q.estimates[best] {
-				best = i
-			}
-		}
-		return []int{best}
-	case Backfill:
-		idx := make([]int, len(q.jobs))
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
+	if q.discipline == SJF {
+		return q.heap[0]
 	}
-	return []int{0}
+	return q.head
 }
 
-// remove pops the job at index i, preserving submission order.
+// after returns the candidate to try when the job at index i could not
+// be placed, or -1 when the discipline allows none: only Backfill
+// looks past a blocked job, at every later queued job in turn.
+func (q *queue) after(i int) int {
+	if q.discipline != Backfill || q.next[i] == len(q.jobs) {
+		return -1
+	}
+	return q.next[i]
+}
+
+// remove takes the job at index i — one first or after returned — off
+// the queue.
 func (q *queue) remove(i int) jobs.Job {
-	j := q.jobs[i]
-	q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
-	q.estimates = append(q.estimates[:i], q.estimates[i+1:]...)
-	return j
+	q.n--
+	switch q.discipline {
+	case SJF:
+		last := len(q.heap) - 1
+		q.heap[0] = q.heap[last]
+		q.heap = q.heap[:last]
+		q.siftDown(0)
+	case Backfill:
+		nx, pv := q.next[i], q.prev[i]
+		if pv >= 0 {
+			q.next[pv] = nx
+		} else {
+			q.head = nx
+		}
+		if nx < len(q.jobs) {
+			q.prev[nx] = pv
+		}
+	default:
+		q.head++
+	}
+	return q.jobs[i]
+}
+
+// shorter orders queued indices by (estimate, submission index).
+func (q *queue) shorter(a, b int) bool {
+	if q.estimates[a] != q.estimates[b] {
+		return q.estimates[a] < q.estimates[b]
+	}
+	return a < b
+}
+
+func (q *queue) siftDown(i int) {
+	h := q.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && q.shorter(h[c+1], h[c]) {
+			c++
+		}
+		if !q.shorter(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

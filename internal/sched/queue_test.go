@@ -24,57 +24,108 @@ func TestDisciplineNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// candidateOrder lists what the engine would try in one admission
+// round: first, then after until the discipline allows no more.
+func candidateOrder(q *queue) []int {
+	var out []int
+	for i := q.first(); i >= 0; i = q.after(i) {
+		out = append(out, i)
+	}
+	return out
+}
+
 func TestQueueCandidatesFIFO(t *testing.T) {
-	q, err := newQueue(FIFO, smallMix(5, 1))
+	jl := smallMix(5, 1)
+	q, err := newQueue(FIFO, jl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.candidates(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("FIFO candidates = %v", got)
+	for want := 0; want < len(jl); want++ {
+		if got := candidateOrder(q); len(got) != 1 || got[0] != want {
+			t.Fatalf("FIFO candidates = %v, want [%d]", got, want)
+		}
+		if got := q.remove(want); got.ID != jl[want].ID {
+			t.Fatalf("remove(%d) returned job %d", want, got.ID)
+		}
+		if q.len() != len(jl)-want-1 {
+			t.Fatalf("len = %d", q.len())
+		}
 	}
-	first := q.jobs[0].ID
-	if got := q.remove(0); got.ID != first {
-		t.Fatalf("remove(0) returned job %d", got.ID)
-	}
-	if q.len() != 4 {
-		t.Fatalf("len = %d", q.len())
+	if !q.empty() || q.first() != -1 {
+		t.Fatal("drained FIFO queue still offers a job")
 	}
 }
 
 func TestQueueCandidatesSJF(t *testing.T) {
-	// Craft a queue where job 2 is clearly shortest (fewest iters).
-	jl := []jobs.Job{
-		{ID: 1, Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 6500},
-		{ID: 2, Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 10},
-		{ID: 3, Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 6500},
+	// Job 2 is clearly shortest (fewest iters); jobs 1, 3 and 4 tie, so
+	// they leave in submission order.
+	long := jobs.Job{Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 6500}
+	jl := []jobs.Job{long, long, long, long}
+	jl[1].Iters = 10
+	for i := range jl {
+		jl[i].ID = i + 1
 	}
 	q, err := newQueue(SJF, jl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.candidates(); len(got) != 1 || q.jobs[got[0]].ID != 2 {
-		t.Fatalf("SJF should pick job 2, got %v", got)
+	for _, want := range []int{2, 1, 3, 4} {
+		got := candidateOrder(q)
+		if len(got) != 1 || jl[got[0]].ID != want {
+			t.Fatalf("SJF should pick job %d, got %v", want, got)
+		}
+		q.remove(got[0])
+	}
+	if !q.empty() {
+		t.Fatal("SJF queue not drained")
 	}
 }
 
 func TestQueueCandidatesBackfill(t *testing.T) {
-	q, err := newQueue(Backfill, smallMix(4, 1))
+	q, err := newQueue(Backfill, smallMix(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := q.candidates()
-	if len(got) != 4 || got[0] != 0 {
-		t.Fatalf("backfill candidates = %v", got)
+	// Jobs leave from the middle, the tail and the head; what remains
+	// is always offered head first, in submission order.
+	for _, step := range []struct {
+		remove int
+		want   []int
+	}{
+		{-1, []int{0, 1, 2, 3, 4}},
+		{2, []int{0, 1, 3, 4}},
+		{4, []int{0, 1, 3}},
+		{0, []int{1, 3}},
+		{1, []int{3}},
+		{3, nil},
+	} {
+		if step.remove >= 0 {
+			q.remove(step.remove)
+		}
+		got := candidateOrder(q)
+		if len(got) != len(step.want) {
+			t.Fatalf("after remove(%d): candidates = %v, want %v", step.remove, got, step.want)
+		}
+		for i := range got {
+			if got[i] != step.want[i] {
+				t.Fatalf("after remove(%d): candidates = %v, want %v", step.remove, got, step.want)
+			}
+		}
+		if q.len() != len(step.want) {
+			t.Fatalf("after remove(%d): len = %d", step.remove, q.len())
+		}
 	}
 }
 
 func TestQueueEmpty(t *testing.T) {
-	q, err := newQueue(FIFO, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.empty() || q.candidates() != nil {
-		t.Fatal("empty queue misbehaves")
+	for _, d := range Disciplines() {
+		q, err := newQueue(d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.empty() || q.first() != -1 {
+			t.Fatalf("%s: empty queue misbehaves", d)
+		}
 	}
 }
 

@@ -208,38 +208,43 @@ func MeasuredEffBWs(records []Record) []float64 {
 	return out
 }
 
-// FilterSensitive splits records by the job's bandwidth sensitivity.
-func FilterSensitive(records []Record, sensitive bool) []Record {
-	var out []Record
-	for _, r := range records {
-		if r.Job.Sensitive == sensitive {
-			out = append(out, r)
+// filter returns the records keep accepts, in order. It counts before
+// it copies: reports filter 20,000-record logs several times per
+// replay, and growing the result by append made five times the
+// result's size in garbage each time.
+func filter(records []Record, keep func(*Record) bool) []Record {
+	n := 0
+	for i := range records {
+		if keep(&records[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	for i := range records {
+		if keep(&records[i]) {
+			out = append(out, records[i])
 		}
 	}
 	return out
 }
 
+// FilterSensitive splits records by the job's bandwidth sensitivity.
+func FilterSensitive(records []Record, sensitive bool) []Record {
+	return filter(records, func(r *Record) bool { return r.Job.Sensitive == sensitive })
+}
+
 // FilterWorkload keeps records of one workload.
 func FilterWorkload(records []Record, name string) []Record {
-	var out []Record
-	for _, r := range records {
-		if r.Job.Workload == name {
-			out = append(out, r)
-		}
-	}
-	return out
+	return filter(records, func(r *Record) bool { return r.Job.Workload == name })
 }
 
 // FilterMultiGPU keeps records of jobs that use at least two GPUs —
 // the jobs for which allocation quality is defined.
 func FilterMultiGPU(records []Record) []Record {
-	var out []Record
-	for _, r := range records {
-		if r.Job.NumGPUs >= 2 {
-			out = append(out, r)
-		}
-	}
-	return out
+	return filter(records, func(r *Record) bool { return r.Job.NumGPUs >= 2 })
 }
 
 // SpeedupSummary is one row of Table 3: quartiles of per-quantile

@@ -16,8 +16,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
 	"mapa/internal/graph"
 	"mapa/internal/jobs"
@@ -214,7 +214,11 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	policy.AttachViews(e.Alloc, e.Views)
 
 	avail := e.Top.Graph.Clone()
-	var pending []event // running jobs + recoveries, kept sorted by time
+	verts := e.Top.Graph.Vertices()
+	// pending holds running jobs and recoveries in descending time
+	// order, so the next event pops off the end; events at equal times
+	// pop in the order they were pushed.
+	var pending []event
 	records := make([]Record, 0, len(jobList))
 	now := 0.0
 	q, err := newQueue(e.Queue, jobList)
@@ -232,21 +236,38 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	}
 
 	popNext := func() event {
-		ev := pending[0]
-		pending = pending[1:]
+		ev := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
 		return ev
 	}
 	push := func(ev event) {
-		pending = append(pending, ev)
-		sort.Slice(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+		i := len(pending)
+		for i > 0 && pending[i-1].at <= ev.at {
+			i--
+		}
+		pending = append(pending, event{})
+		copy(pending[i+1:], pending[i:])
+		pending[i] = ev
 	}
+
+	// A run places thousands of jobs drawn from a handful of shapes
+	// onto a machine with few distinct GPU sets, and both the pattern
+	// and the placement physics are pure functions of those, so each is
+	// computed once per run.
+	patterns := make(map[patternKey]*graph.Graph)
+	memo := newPhysicsMemo(e.Top, model)
 
 	// place tries to allocate and start job j now; it reports whether
 	// placement succeeded, or a hard error.
 	place := func(j jobs.Job) (bool, error) {
-		pat, err := j.Pattern()
-		if err != nil {
-			return false, err
+		pk := patternKey{j.Shape, j.NumGPUs}
+		pat, ok := patterns[pk]
+		if !ok {
+			var err error
+			if pat, err = j.Pattern(); err != nil {
+				return false, err
+			}
+			patterns[pk] = pat
 		}
 		alloc, err := e.Alloc.Allocate(avail, e.Top, policy.Request{Pattern: pat, Sensitive: j.Sensitive})
 		if err != nil {
@@ -256,15 +277,13 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		if err != nil {
 			return false, err
 		}
-		res := ncclsim.Decompose(e.Top, alloc.GPUs)
-		measured := res.PeakEffBW
-		predicted := model.Predict(effbw.MixFromDecomposition(e.Top, res))
+		ph := memo.of(alloc.GPUs)
 		var exec float64
 		switch e.Mode {
 		case ModeRealRun:
-			exec = w.ExecTime(e.Top, alloc.GPUs, j.Iters)
+			exec = w.ExecTimeOn(ph.rings, len(alloc.GPUs), j.Iters)
 		case ModeProxy:
-			exec = w.ExecTimeAtBandwidth(predicted, len(alloc.GPUs), j.Iters)
+			exec = w.ExecTimeAtBandwidth(ph.predicted, len(alloc.GPUs), j.Iters)
 		case ModeFixed:
 			exec = w.ExecTimeAtBandwidth(FixedReferenceBW, len(alloc.GPUs), j.Iters)
 		default:
@@ -276,12 +295,14 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 			Start:          now,
 			End:            now + exec,
 			ExecTime:       exec,
-			PredictedEffBW: predicted,
-			MeasuredEffBW:  measured,
+			PredictedEffBW: ph.predicted,
+			MeasuredEffBW:  ph.rings.PeakEffBW,
 			AggBW:          alloc.Scores.AggBW,
 			PreservedBW:    alloc.Scores.PreservedBW,
 		})
-		avail = avail.Without(alloc.GPUs)
+		for _, g := range alloc.GPUs {
+			avail.RemoveVertex(g)
+		}
 		e.Views.Allocate(alloc.GPUs)
 		push(event{at: now + exec, job: j.ID, gpus: alloc.GPUs})
 		return true, nil
@@ -291,7 +312,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		// Admit queued jobs in discipline order until nothing fits.
 		for placed := true; placed && !q.empty(); {
 			placed = false
-			for _, idx := range q.candidates() {
+			for idx := q.first(); idx >= 0; idx = q.after(idx) {
 				ok, err := place(q.jobs[idx])
 				if err != nil {
 					return RunResult{}, err
@@ -305,7 +326,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		}
 		if len(pending) == 0 {
 			if !q.empty() {
-				j := q.jobs[q.candidates()[0]]
+				j := q.jobs[q.first()]
 				return RunResult{}, fmt.Errorf("sched: job %d (%d GPUs) cannot be placed on an idle %s",
 					j.ID, j.NumGPUs, e.Top.Name)
 			}
@@ -317,7 +338,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		ev := popNext()
 		now = ev.at
 		for _, g := range ev.gpus {
-			restore(avail, e.Top, g)
+			restore(avail, e.Top, verts, g)
 		}
 		if ev.recover {
 			e.Views.RestoreHealth(ev.gpus)
@@ -352,10 +373,11 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 
 // restore re-adds GPU g to the available graph along with its links to
 // every currently-free GPU, undoing the removal done at allocation.
-func restore(avail *graph.Graph, top *topology.Topology, g int) {
+// verts lists the topology's vertices.
+func restore(avail *graph.Graph, top *topology.Topology, verts []int, g int) {
 	avail.AddVertex(g)
-	for _, v := range avail.Vertices() {
-		if v == g {
+	for _, v := range verts {
+		if v == g || !avail.HasVertex(v) {
 			continue
 		}
 		e, ok := top.Graph.EdgeBetween(g, v)
@@ -364,4 +386,56 @@ func restore(avail *graph.Graph, top *topology.Topology, g int) {
 		}
 		avail.MustAddEdge(g, v, e.Weight, e.Label)
 	}
+}
+
+// patternKey identifies a job's application graph.
+type patternKey struct {
+	shape appgraph.Shape
+	n     int
+}
+
+// physics is what a placement's log entry and duration need from the
+// chosen GPU set: its ring decomposition (which carries the measured
+// EffBW and prices an all-reduce of any size) and the Eq. 2
+// prediction.
+type physics struct {
+	rings     ncclsim.Result
+	predicted float64
+}
+
+// physicsMemo keeps the physics of every GPU set a run has placed a
+// job on. The key is the set's membership bitmap as bytes, so machines
+// of any size work.
+type physicsMemo struct {
+	top   *topology.Topology
+	model *effbw.Model
+	key   []byte
+	seen  map[string]*physics
+}
+
+func newPhysicsMemo(top *topology.Topology, model *effbw.Model) *physicsMemo {
+	return &physicsMemo{
+		top:   top,
+		model: model,
+		key:   make([]byte, (graph.Capacity(top.Graph)+7)/8),
+		seen:  make(map[string]*physics),
+	}
+}
+
+// of returns the physics of the GPU set, computing it on first sight.
+// ncclsim.Decompose sorts the set, so the order of gpus is immaterial.
+func (m *physicsMemo) of(gpus []int) *physics {
+	for i := range m.key {
+		m.key[i] = 0
+	}
+	for _, g := range gpus {
+		m.key[g/8] |= 1 << (g % 8)
+	}
+	if ph, ok := m.seen[string(m.key)]; ok {
+		return ph
+	}
+	res := ncclsim.Decompose(m.top, gpus)
+	ph := &physics{rings: res, predicted: m.model.Predict(effbw.MixFromDecomposition(m.top, res))}
+	m.seen[string(m.key)] = ph
+	return ph
 }

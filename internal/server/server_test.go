@@ -261,6 +261,42 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsCountTenantDecisions pins that the served-tier counters
+// on /metrics cover tenant streams: every decision below is made on a
+// named tenant's stream for a warmed shape, so all of them are
+// table-served and the counter must equal the number of grants.
+func TestMetricsCountTenantDecisions(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	granted := 0
+	for round := 0; round < 3; round++ {
+		var held []ReleaseRequest
+		for i, n := range []int{1, 2, 3, 2} {
+			tenant := []string{"alice", "bob"}[i%2]
+			var ar AllocateResponse
+			if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{Tenant: tenant, NumGPUs: n}, &ar); code != 200 {
+				t.Fatalf("allocate %d for %s: code %d", n, tenant, code)
+			}
+			held = append(held, ReleaseRequest{Tenant: tenant, LeaseID: ar.LeaseID})
+			granted++
+		}
+		for _, rr := range held {
+			if code := post(t, ts.URL+"/v1/release", rr, nil); code != 200 {
+				t.Fatalf("release %d: code %d", rr.LeaseID, code)
+			}
+		}
+	}
+	body := scrape(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"mapad_tenants 2",
+		fmt.Sprintf("mapad_decisions_table_served_total %d\n", granted),
+		fmt.Sprintf("mapad_decisions_view_served_total %d\n", granted),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 func TestTenantStreamsServeIdenticalDecisions(t *testing.T) {
 	// Two servers over identical systems, one serving via distinct
 	// tenant streams, one via the default stream only: the allocation

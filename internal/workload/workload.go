@@ -176,15 +176,17 @@ func (w Workload) BytesPerIter() float64 {
 // iterations on the given allocation. Single-GPU allocations have no
 // inter-GPU communication.
 func (w Workload) ExecTime(top *topology.Topology, gpus []int, iters int) float64 {
+	return w.ExecTimeOn(ncclsim.Decompose(top, gpus), len(gpus), iters)
+}
+
+// ExecTimeOn is ExecTime given the ring decomposition of a k-GPU
+// allocation, for callers that keep decompositions across jobs.
+func (w Workload) ExecTimeOn(res ncclsim.Result, k, iters int) float64 {
 	if iters <= 0 {
 		return 0
 	}
-	compute := w.ComputeSecPerIter
-	if len(gpus) < 2 {
-		return float64(iters) * compute
-	}
-	comm := w.CollectivesPerIter * ncclsim.AllReduceTime(top, gpus, w.MsgBytes)
-	return float64(iters) * (compute + comm)
+	comm := w.CollectivesPerIter * res.AllReduceTime(k, w.MsgBytes)
+	return float64(iters) * (w.ComputeSecPerIter + comm)
 }
 
 // ExecTimeAtBandwidth returns the modeled execution time given an

@@ -25,6 +25,7 @@ package mapa
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -153,9 +154,12 @@ type System struct {
 
 	// tenants are the live per-tenant serving handles (see NewTenant);
 	// every state delta fans out to each tenant's view stream. Guarded
-	// by mu, like the Tenant fields themselves.
-	tenants      map[int]*Tenant
-	nextTenantID int
+	// by mu, like the Tenant fields themselves. closedViewStats keeps
+	// the tier-0 counters of tenants closed since, so CacheStats'
+	// totals never run backwards.
+	tenants         map[int]*Tenant
+	nextTenantID    int
+	closedViewStats matchcache.ViewStats
 
 	// Test hooks. prewarmGate runs during Allocate's unlocked prewarm
 	// phase (keyed by request size) so tests can hold a cold build in
@@ -439,13 +443,27 @@ func (s *System) CacheStats() CacheStats {
 		out.Repairs, out.RepairedCandidates = ss.Repairs, ss.RepairedCandidates
 		out.RepairTime = ss.RepairTime
 	}
-	if s.views != nil {
-		vs := s.views.Stats()
-		out.LiveViews = vs.Views
-		out.ViewServed, out.ViewRejected = vs.Served, vs.Rejected
-		out.TableServed = vs.TableServed
+	// A decision is counted on the stream that served it, so the tier-0
+	// counters are summed over the System's own stream, every bound
+	// tenant's, and the tenants closed so far.
+	s.mu.Lock()
+	vs := addViewStats(s.closedViewStats, s.views.Stats())
+	for _, t := range s.tenants {
+		vs = addViewStats(vs, t.views.Stats())
 	}
+	s.mu.Unlock()
+	out.LiveViews = vs.Views
+	out.ViewServed, out.ViewRejected = vs.Served, vs.Rejected
+	out.TableServed = vs.TableServed
 	return out
+}
+
+func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
+	a.Views += b.Views
+	a.Served += b.Served
+	a.Rejected += b.Rejected
+	a.TableServed += b.TableServed
+	return a
 }
 
 // Topology returns the system's topology name.
@@ -966,12 +984,13 @@ func (s *System) UnhealthyGPUs() []int {
 // bandwidth accounting absorbs the weight delta in O(degree), and the
 // tier-2 cache — which stores scores, not structure — is dropped.
 //
-// Integral bandwidths are recommended (matching the built-in link
-// catalog); they keep repaired scores bit-identical to a from-scratch
-// rebuild. For MIG machines, degrading a physical NVLink port edge
-// writes through to the base machine and survives repartitioning;
-// degraded on-die and PCIe fallback paths are re-derived at catalog
-// bandwidth for GPUs that are later re-cut, as in hardware.
+// bw must be finite and non-negative. Integral bandwidths are
+// recommended (matching the built-in link catalog); they keep repaired
+// scores bit-identical to a from-scratch rebuild. For MIG machines,
+// degrading a physical NVLink port edge writes through to the base
+// machine and survives repartitioning; degraded on-die and PCIe
+// fallback paths are re-derived at catalog bandwidth for GPUs that are
+// later re-cut, as in hardware.
 func (s *System) DegradeLink(u, v int, bw float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -979,8 +998,8 @@ func (s *System) DegradeLink(u, v int, bw float64) error {
 }
 
 func (s *System) degradeLinkLocked(u, v int, bw float64) error {
-	if bw < 0 {
-		return fmt.Errorf("mapa: negative link bandwidth %v", bw)
+	if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+		return fmt.Errorf("mapa: link bandwidth %v is not a finite non-negative number", bw)
 	}
 	e, ok := s.top.Graph.EdgeBetween(u, v)
 	if !ok {

@@ -126,6 +126,42 @@ func TestTableServedDecisionsDuringColdBuild(t *testing.T) {
 	<-coldDone
 }
 
+// TestCacheStatsCoversTenantStreams pins that the served-tier counters
+// count decisions wherever they were made — the System's own stream or
+// a tenant's — and that closing a tenant keeps what it served.
+func TestCacheStatsCoversTenantStreams(t *testing.T) {
+	s, err := NewSystem("dgx-a100", "preserve", WithWarmShapes(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.NewTenant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.NewTenant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := []func(JobRequest) (*Lease, error){s.Allocate, a.Allocate, b.Allocate, a.Allocate}
+	for i, allocate := range decide {
+		l, err := allocate(JobRequest{NumGPUs: 2 + i%2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) || st.ViewServed != uint64(len(decide)) {
+		t.Fatalf("served counters = table %d, view %d; want %d decisions", st.TableServed, st.ViewServed, len(decide))
+	}
+	a.Close()
+	a.Close()
+	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) {
+		t.Fatalf("TableServed = %d after closing a tenant, want %d", st.TableServed, len(decide))
+	}
+}
+
 // TestLeaseGPUsDoNotAliasInternalRecord pins the aliasing fix: the
 // slice returned in Lease.GPUs must not share a backing array with the
 // System's internal lease record. A caller scrambling it — sorting,

@@ -2,6 +2,7 @@ package mapa
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -512,6 +513,9 @@ func TestSystemFailedMutationsLeaveStateIdentical(t *testing.T) {
 		{"atomic batch: one bad member", func() error { return subject.MarkUnhealthy(1, 7) }},
 		{"degrade missing link", func() error { return subject.DegradeLink(0, 99, 5) }},
 		{"degrade negative bw", func() error { return subject.DegradeLink(0, 1, -3) }},
+		{"degrade NaN bw", func() error { return subject.DegradeLink(0, 1, math.NaN()) }},
+		{"degrade +Inf bw", func() error { return subject.DegradeLink(0, 1, math.Inf(1)) }},
+		{"degrade -Inf bw", func() error { return subject.DegradeLink(0, 1, math.Inf(-1)) }},
 		{"repartition unknown GPU", func() error { return subject.Repartition(map[int]int{42: 2}) }},
 		{"repartition out of range", func() error { return subject.Repartition(map[int]int{0: 9}) }},
 		{"repartition leased GPU", func() error {

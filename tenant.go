@@ -40,7 +40,8 @@ type Tenant struct {
 // view set inherits the current allocation and health state, so a
 // tenant joining mid-traffic serves correctly from its first decision.
 // Close the tenant when its client disconnects for good, or its view
-// stream keeps absorbing every delta.
+// stream keeps absorbing every delta (two mask updates and the Eq. 3
+// accounting each; its shape views only catch up when it decides).
 func (s *System) NewTenant() (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -104,7 +105,11 @@ func (t *Tenant) Renew(id int, ttl time.Duration) (int64, error) { return t.s.Re
 // filter path by the Views.Entry cross-check rather than serving
 // wrong candidates.
 func (t *Tenant) Close() {
-	t.s.mu.Lock()
-	delete(t.s.tenants, t.id)
-	t.s.mu.Unlock()
+	s := t.s
+	s.mu.Lock()
+	if _, bound := s.tenants[t.id]; bound {
+		delete(s.tenants, t.id)
+		s.closedViewStats = addViewStats(s.closedViewStats, t.views.Stats())
+	}
+	s.mu.Unlock()
 }
