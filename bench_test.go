@@ -689,29 +689,14 @@ func BenchmarkAblationMatchDedup(b *testing.B) {
 	})
 }
 
-// BenchmarkAllocationDecision measures one Preserve decision on a
-// half-busy DGX-V — the steady-state scheduling cost. Variants cover
-// the embedding-cached path (recurring availability state, the
-// scheduler steady state) and the worker-pool parallel matcher.
+// BenchmarkAllocationDecision measures one Preserve decision by fresh
+// search on a half-busy DGX-V — what a decision costs when the view
+// layer declines. BenchmarkAllocationDecisionParallel covers the
+// worker-pool matcher.
 func BenchmarkAllocationDecision(b *testing.B) {
 	top := topology.DGXV100()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
 	p := policy.NewPreserve(scorer)
-	avail := top.Graph.Without([]int{1, 6})
-	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Allocate(avail, top, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAllocationDecisionCached(b *testing.B) {
-	top := topology.DGXV100()
-	scorer := score.NewScorer(effbw.TrainedFor(top))
-	p := policy.NewPreserve(scorer)
-	policy.AttachCache(p, matchcache.New(top, 0))
 	avail := top.Graph.Without([]int{1, 6})
 	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
 	b.ResetTimer()
@@ -783,9 +768,8 @@ func BenchmarkUniverseBuildCluster(b *testing.B) {
 }
 
 // coldMissStates returns every 2-busy availability state of the
-// topology, the rotation used by the cold-miss benchmarks: each
-// decision sees a different free-GPU mask, so a tier-2 cache could
-// never hit and the miss path itself is what gets timed.
+// topology, the rotation used by the cold-miss benchmark: each decision
+// sees a different free-GPU mask.
 func coldMissStates(top *topology.Topology) []*graph.Graph {
 	var out []*graph.Graph
 	gpus := top.GPUs()
@@ -798,10 +782,10 @@ func coldMissStates(top *topology.Topology) []*graph.Graph {
 }
 
 // BenchmarkAllocationDecisionColdMissSearch measures a Preserve
-// decision on a never-before-seen availability state with the
-// pre-universe pipeline: every miss runs a full subgraph-isomorphism
-// enumeration (the PR 1 uncached path, ~176 µs on the reference
-// container's DGX-A100).
+// decision on a never-before-seen availability state by the bare
+// policy: a full subgraph-isomorphism enumeration, scoring and
+// selection (~176 µs on the reference container's DGX-A100). It is the
+// cost record of the fallback a declined table-served decision takes.
 func BenchmarkAllocationDecisionColdMissSearch(b *testing.B) {
 	top := topology.DGXA100()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
@@ -816,48 +800,18 @@ func BenchmarkAllocationDecisionColdMissSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocationDecisionColdMissFiltered is the same cold-miss
-// rotation served by the two-tier pipeline's tier 1: the shape's
-// idle-state universe is warmed once before timing, and each decision
-// derives its candidate list by bitmask-filtering the universe — no
-// search. The scorer's ring-channel memoization is shared with the
-// search variant's setup, so the delta isolates the matcher.
-func BenchmarkAllocationDecisionColdMissFiltered(b *testing.B) {
-	top := topology.DGXA100()
-	scorer := score.NewScorer(effbw.TrainedFor(top))
-	p := policy.NewPreserve(scorer)
-	pattern := appgraph.Ring(3)
-	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
-	policy.AttachUniverses(p, store)
-	states := coldMissStates(top)
-	req := policy.Request{Pattern: pattern, Sensitive: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Allocate(states[i%len(states)], top, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAllocationDecisionScored measures the steady-state warmed
 // allocation decision on the 72-GPU cluster — Ring(3), whose idle
 // universe holds 59,640 candidate classes, with 2 GPUs busy so ~57k
-// candidates stay live — for each MAPA selection order, in two modes:
-//
-//	table    decisions served by the precomputed score table over the
-//	         live view: per candidate, pure lookups plus O(k) Eq. 3
-//	         delta arithmetic; zero dynamic Scorer evaluations
-//	         (score.Evaluations), zero searches, zero universe scans.
-//	dynamic  score tables disabled: each decision materializes the live
-//	         candidate entry and scores every candidate dynamically —
-//	         the pre-table behavior this PR replaces.
+// candidates stay live — for each MAPA selection order, served by the
+// precomputed score table over the live view: per candidate, pure
+// lookups plus O(k) Eq. 3 delta arithmetic; zero dynamic Scorer
+// evaluations (score.Evaluations), zero searches, zero universe scans.
 //
 // The four policy variants cover all four table selection strategies
 // (fully static order, EffBW-primary group, PreservedBW-primary
-// streaming argmax, AggBW-primary group). Decisions are byte-identical
-// across modes; CI archives the numbers in BENCH_matcher.json via
-// cmd/benchjson.
+// streaming argmax, AggBW-primary group). CI archives the numbers in
+// BENCH_matcher.json via cmd/benchjson.
 func BenchmarkAllocationDecisionScored(b *testing.B) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
@@ -874,43 +828,38 @@ func BenchmarkAllocationDecisionScored(b *testing.B) {
 		{"preserve-insensitive", func() policy.Allocator { return policy.NewPreserve(scorer) }, false},
 		{"preserve-aggbw-sensitive", func() policy.Allocator { return policy.NewPreserveAggBW(scorer) }, true},
 	}
-	for _, mode := range []string{"table", "dynamic"} {
-		store := matchcache.NewStore(top, 0)
-		if mode == "dynamic" {
-			store.SetScoreTables(false)
-		}
-		store.Warm(1, pattern)
-		views := store.NewViews()
-		views.Allocate(busy)
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("mode=%s/policy=%s", mode, v.name), func(b *testing.B) {
-				p := v.mk()
-				policy.AttachUniverses(p, store)
-				policy.AttachViews(p, views)
-				req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
-				// Pay the one-time per-(table, model) order sort and
-				// per-state memoizations before timing: steady state is
-				// the regime under measurement. A reused result buffer
-				// (AllocateInto) keeps the table-served loop at 0
-				// allocs/op — the discipline mapad's serving loop uses.
-				var buf policy.Allocation
+	store := matchcache.NewStore(top, 0)
+	store.Warm(1, pattern)
+	views := store.NewViews()
+	views.Allocate(busy)
+	for _, v := range variants {
+		b.Run("mode=table/policy="+v.name, func(b *testing.B) {
+			p := v.mk()
+			policy.AttachUniverses(p, store)
+			policy.AttachViews(p, views)
+			req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
+			// Pay the one-time per-(table, model) order sort and
+			// per-state memoizations before timing: steady state is
+			// the regime under measurement. A reused result buffer
+			// (AllocateInto) keeps the table-served loop at 0
+			// allocs/op — the discipline mapad's serving loop uses.
+			var buf policy.Allocation
+			if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
+				b.Fatal(err)
+			}
+			evals := score.Evaluations()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
 					b.Fatal(err)
 				}
-				evals := score.Evaluations()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if d := score.Evaluations() - evals; mode == "table" && d != 0 {
-					b.Fatalf("table mode ran %d dynamic score evaluations, want 0", d)
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if d := score.Evaluations() - evals; d != 0 {
+				b.Fatalf("table-served decisions ran %d dynamic score evaluations, want 0", d)
+			}
+		})
 	}
 }
 
@@ -921,82 +870,5 @@ func BenchmarkNCCLDecompose(b *testing.B) {
 	gpus := []int{0, 2, 3, 6, 7}
 	for i := 0; i < b.N; i++ {
 		ncclsim.Decompose(top, gpus)
-	}
-}
-
-// clusterChurnStates returns a sliding 10-GPU free window over the
-// 72-GPU cluster: state i has GPUs {i..i+9 mod 72} free, so
-// consecutive states differ by a 2-GPU delta (GPU i leaves the free
-// set, GPU i+10 enters). This is the mostly-busy multi-node regime the
-// live views exist for: candidate output is small while the idle-state
-// universe — which the filter path must scan in full per decision —
-// holds tens of thousands of embeddings.
-func clusterChurnStates(top *topology.Topology) []*graph.Graph {
-	const window = 10
-	n := top.NumGPUs()
-	states := make([]*graph.Graph, n)
-	for i := 0; i < n; i++ {
-		free := make([]int, window)
-		for j := range free {
-			free[j] = (i + j) % n
-		}
-		states[i] = top.Graph.InducedSubgraph(free)
-	}
-	return states
-}
-
-// BenchmarkFilteredMiss measures deriving one miss's candidate entry on
-// the 72-GPU cluster via the tier-1 path: every decision mask-filters
-// the shape's idle-state universe — an O(|universe|) subset scan
-// (59,640 Ring(3) classes) regardless of how little changed.
-func BenchmarkFilteredMiss(b *testing.B) {
-	top := topology.ClusterA100(9)
-	pattern := appgraph.Ring(3)
-	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
-	states := clusterChurnStates(top)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := store.FilteredEntry(pattern, states[i%len(states)], 0, 1); !ok {
-			b.Fatal("filtered entry rejected")
-		}
-	}
-}
-
-// BenchmarkLiveViewMiss measures the same rotation served by the
-// tier-0 live view: each state change publishes its 2-GPU delta
-// (walking just those GPUs' posting lists) and the candidate list is
-// read from the maintained live set — cost proportional to the delta
-// and the output, not to |universe|. Output is byte-identical to
-// BenchmarkFilteredMiss's entries.
-func BenchmarkLiveViewMiss(b *testing.B) {
-	top := topology.ClusterA100(9)
-	pattern := appgraph.Ring(3)
-	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
-	views := store.NewViews()
-	states := clusterChurnStates(top)
-	n := top.NumGPUs()
-	const window = 10
-	// Enter state 0: everything outside the initial window is busy.
-	var busy []int
-	for g := window; g < n; g++ {
-		busy = append(busy, g)
-	}
-	views.Allocate(busy)
-	// Build the view (and pay its one-time posting-list construction)
-	// before timing, mirroring the warmed store above.
-	if _, _, ok := views.Entry(pattern, states[0], 0, 1); !ok {
-		b.Fatal("view entry rejected")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := views.Entry(pattern, states[i%len(states)], 0, 1); !ok {
-			b.Fatal("view entry rejected")
-		}
-		// Publish the delta to the next state: GPU i leaves the free
-		// window, GPU i+window enters it.
-		views.Allocate([]int{i % n})
-		views.Release([]int{(i + window) % n})
 	}
 }

@@ -12,12 +12,12 @@ import (
 	"mapa/internal/topology"
 )
 
-// clusterTrace runs a small job mix on the 72-GPU cluster under one
-// match-pipeline configuration. The candidate cap is tightened because
-// candidate sets on a 72-GPU complete hardware graph are combinatorial
-// while the score separation is not — this is exactly the regime the
-// cap exists for.
-func clusterTrace(t *testing.T, jobList []jobs.Job, cached, universes, liveviews bool) ([]string, *sched.Engine) {
+// clusterTrace runs a small job mix on the 72-GPU cluster through the
+// table-served pipeline, or (universes false) the bare policy's fresh
+// search. The candidate cap is tightened because candidate sets on a
+// 72-GPU complete hardware graph are combinatorial while the score
+// separation is not — this is exactly the regime the cap exists for.
+func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool, workers int) ([]string, *sched.Engine) {
 	t.Helper()
 	top, err := topology.ByName("cluster-a100")
 	if err != nil {
@@ -29,12 +29,9 @@ func clusterTrace(t *testing.T, jobList []jobs.Job, cached, universes, liveviews
 		t.Fatal(err)
 	}
 	policy.SetMaxCandidates(p, 400)
+	policy.SetParallelism(p, workers)
 	e := sched.NewEngine(top, p)
 	e.Mode = sched.ModeFixed
-	e.DisableLiveViews = !liveviews
-	if !cached {
-		e.Cache = nil
-	}
 	if !universes {
 		e.Universes = nil
 	}
@@ -50,16 +47,16 @@ func clusterTrace(t *testing.T, jobList []jobs.Job, cached, universes, liveviews
 }
 
 // TestClusterEndToEndMultiWordParity is the multi-node end-to-end
-// check: on a >64-GPU machine — availability masks, universe bitsets,
-// and cache keys all spanning multiple uint64 words — the two-tier
-// pipeline must replay the sequential allocation trace byte for byte,
-// with misses actually served by mask filtering.
+// check: on a >64-GPU machine — availability masks, universe bitsets
+// and live sets all spanning multiple uint64 words, every live set
+// truncated by the cap — the table-served pipeline must replay the
+// sequential search's allocation trace byte for byte.
 func TestClusterEndToEndMultiWordParity(t *testing.T) {
 	jobList, err := jobs.Generate(jobs.GenerateConfig{N: 10, MaxGPUs: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, _ := clusterTrace(t, jobList, false, false, false)
+	sequential, _ := clusterTrace(t, jobList, false, 1)
 	compare := func(name string, got []string) {
 		t.Helper()
 		if len(got) != len(sequential) {
@@ -71,14 +68,11 @@ func TestClusterEndToEndMultiWordParity(t *testing.T) {
 			}
 		}
 	}
-	filtered, fe := clusterTrace(t, jobList, true, true, false)
-	compare("two-tier (no views)", filtered)
-	if st := fe.Universes.Stats(); st.Universes == 0 || st.FilterServed == 0 {
-		t.Fatalf("cluster run was not filter-served: %+v", st)
-	}
-	viewed, ve := clusterTrace(t, jobList, true, true, true)
-	compare("live-view pipeline", viewed)
-	if vs := ve.Views.Stats(); vs.Served == 0 {
-		t.Fatalf("cluster run was not view-served: %+v", vs)
+	for _, workers := range []int{1, 4} {
+		viewed, ve := clusterTrace(t, jobList, true, workers)
+		compare(fmt.Sprintf("table-served pipeline (workers %d)", workers), viewed)
+		if vs := ve.Views.Stats(); vs.TableServed == 0 || vs.Rejected != 0 {
+			t.Fatalf("cluster run (workers %d) was not table-served: %+v", workers, vs)
+		}
 	}
 }

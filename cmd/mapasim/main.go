@@ -40,10 +40,7 @@ type options struct {
 	maxGPUs      int
 	workers      int
 	buildWorkers int
-	cache        bool
 	universes    bool
-	liveviews    bool
-	scoretables  bool
 	warm         bool
 	cacheStats   bool
 	verbose      bool
@@ -65,12 +62,9 @@ func main() {
 	flag.IntVar(&o.maxGPUs, "max-gpus", 5, "max GPUs per generated job")
 	flag.IntVar(&o.workers, "workers", 1, "parallel matcher/scoring workers for MAPA policies (<2 sequential)")
 	flag.IntVar(&o.buildWorkers, "buildworkers", 0, "workers for idle-state universe builds (cost-partitioned work stealing; 0 uses -workers)")
-	flag.BoolVar(&o.cache, "cache", true, "reuse candidate lists across recurring free-GPU states (tier 2)")
-	flag.BoolVar(&o.universes, "universes", true, "derive new-state candidates by filtering idle-state universes (tier 1)")
-	flag.BoolVar(&o.liveviews, "liveviews", true, "maintain per-shape candidate views incrementally from allocate/release deltas (tier 0)")
-	flag.BoolVar(&o.scoretables, "scoretables", true, "precompute per-shape score tables so warmed decisions select by table lookups + O(k) arithmetic")
+	flag.BoolVar(&o.universes, "universes", true, "serve decisions from precomputed per-shape universes and score tables; false runs the paper's fresh search per decision (the reference path)")
 	flag.BoolVar(&o.warm, "warm", false, "prewarm idle-state universes for every shape up to -max-gpus before scheduling")
-	flag.BoolVar(&o.cacheStats, "cachestats", false, "print match-pipeline hit/miss/eviction/filter counters per policy")
+	flag.BoolVar(&o.cacheStats, "cachestats", false, "print table-served/declined decision counters per policy and the store's universe builds")
 	flag.Float64Var(&o.faultProb, "faults", 0, "per-completion probability a free GPU faults (0 disables fault churn)")
 	flag.Float64Var(&o.faultDown, "fault-down", 300, "seconds a faulted GPU stays unallocatable before recovering")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the fault/recovery process")
@@ -161,13 +155,10 @@ func run(o options) error {
 		policies = sched.PaperPolicies()
 	}
 	cfg := sched.CompareConfig{
-		Mode:               sched.ModeRealRun,
-		Workers:            o.workers,
-		BuildWorkers:       o.buildWorkers,
-		DisableCache:       !o.cache,
-		DisableUniverses:   !o.universes,
-		DisableLiveViews:   !o.liveviews,
-		DisableScoreTables: !o.scoretables,
+		Mode:             sched.ModeRealRun,
+		Workers:          o.workers,
+		BuildWorkers:     o.buildWorkers,
+		DisableUniverses: !o.universes,
 	}
 	if o.warm && o.universes {
 		cfg.WarmPatterns = warmPatterns(top, o.maxGPUs)
@@ -192,12 +183,9 @@ func run(o options) error {
 			name, top.Name, len(res.Records), res.Makespan, res.Throughput)
 		if o.cacheStats {
 			if ps, ok := pipeStats[name]; ok {
-				cs := ps.Cache
-				fmt.Printf("  match cache: %d hits, %d misses, %d evictions, %d entries in %d shards\n",
-					cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Shards)
 				vs := ps.Views
-				fmt.Printf("  live views: %d views, %d misses view-served (%d by score table), %d rejected\n",
-					vs.Views, vs.Served, vs.TableServed, vs.Rejected)
+				fmt.Printf("  live views: %d views, %d decisions table-served, %d declined to a search\n",
+					vs.Views, vs.TableServed, vs.Rejected)
 			}
 		}
 		if o.verbose {
@@ -220,8 +208,8 @@ func run(o options) error {
 	}
 
 	if o.cacheStats && storeStats != nil {
-		fmt.Printf("universe store (shared): %d universes (%d incomplete), %d misses filter-served, %d rejected\n",
-			storeStats.Universes, storeStats.Incomplete, storeStats.FilterServed, storeStats.FilterRejected)
+		fmt.Printf("universe store (shared): %d universes (%d incomplete)\n",
+			storeStats.Universes, storeStats.Incomplete)
 		if len(storeStats.Builds) > 0 {
 			fmt.Printf("universe builds: %d shapes in %v total; %d score tables in %v\n",
 				len(storeStats.Builds), storeStats.BuildTime, storeStats.Tables, storeStats.TableTime)

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// opts returns a baseline options value for tests; the two-tier match
-// pipeline is on, matching the CLI defaults.
+// opts returns a baseline options value for tests; decisions are
+// table-served, matching the CLI defaults.
 func opts() options {
 	return options{
 		topoName:   "dgx-v100",
@@ -16,7 +16,6 @@ func opts() options {
 		seed:       1,
 		maxGPUs:    5,
 		workers:    1,
-		cache:      true,
 		universes:  true,
 	}
 }
@@ -46,7 +45,6 @@ func TestRunParallelUncached(t *testing.T) {
 	o.seed = 3
 	o.maxGPUs = 4
 	o.workers = 4
-	o.cache = false
 	o.universes = false
 	if err := run(o); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Allocation-discipline regression gates: the table-served decision
-// path must stay 0 allocs/op, and the tier-0 live-view delta path must
+// path must stay 0 allocs/op, and the live-view delta path must
 // stay within a small fixed budget. These are tests, not benchmarks —
 // a regression fails CI outright instead of silently shifting a curve.
 package mapa
@@ -91,7 +91,7 @@ func TestTableServedDecisionZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLiveViewDeltaAllocBudget caps the tier-0 delta path: publishing
+// TestLiveViewDeltaAllocBudget caps the view delta path: publishing
 // an allocate/release GPU-set delta to a warmed view set walks posting
 // lists and updates counters in place, so it must stay within a small
 // fixed budget per delta pair (0 today; the cap leaves headroom for

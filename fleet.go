@@ -79,7 +79,6 @@ type FleetSystem struct {
 	// Flat fallback pipeline for node-spanning patterns; nil fields on
 	// fleets above FleetFlattenLimit.
 	avail *graph.Graph
-	cache *matchcache.Cache
 	store *matchcache.Store
 	views *matchcache.Views
 
@@ -97,9 +96,7 @@ type FleetSystem struct {
 // NewFleetSystem builds a FleetSystem of nodes instances of the named
 // node-template topology (e.g. "dgx-a100"), with the given policy.
 // Options are the System options; WithWarmShapes warms the class
-// templates (cost per class, not per node), and the cache/universe/
-// live-view disable knobs apply to the flat fallback pipeline only —
-// the template path requires its tiers and always builds them.
+// templates (cost per class, not per node).
 func NewFleetSystem(templateName string, nodes int, policyName string, opts ...SystemOption) (*FleetSystem, error) {
 	tmpl, err := topology.ByName(templateName)
 	if err != nil {
@@ -162,22 +159,11 @@ func NewFleetSystemFor(f *topology.Fleet, policyName string, opts ...SystemOptio
 	policy.AttachFleet(alloc, s.fviews)
 	if flat != nil {
 		s.avail = flat.Graph.Clone()
-		if !cfg.disableCache {
-			s.cache = matchcache.New(flat, matchcache.DefaultShardCapacity)
-			policy.AttachCache(alloc, s.cache)
+		s.store = matchcache.NewStore(flat, matchcache.DefaultUniverseCapacity)
+		if cfg.buildWorkers > 1 {
+			s.store.SetBuildWorkers(cfg.buildWorkers)
 		}
-		if !cfg.disableUniverses {
-			s.store = matchcache.NewStore(flat, matchcache.DefaultUniverseCapacity)
-			if cfg.buildWorkers > 1 {
-				s.store.SetBuildWorkers(cfg.buildWorkers)
-			}
-			if cfg.disableScoreTables || cfg.disableLiveViews {
-				s.store.SetScoreTables(false)
-			}
-			if !cfg.disableLiveViews {
-				s.views = s.store.NewViews()
-			}
-		}
+		s.views = s.store.NewViews()
 		policy.AttachUniverses(alloc, s.store)
 		policy.AttachViews(alloc, s.views)
 	}

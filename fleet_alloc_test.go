@@ -60,7 +60,7 @@ func TestFleetDecisionZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFleetViewDeltaAllocBudget caps the fleet tier-0 delta path: a
+// TestFleetViewDeltaAllocBudget caps the fleet view delta path: a
 // global-ID allocate/release delta pair splits into node-local
 // single-GPU deltas through reused buffers, so it stays within the
 // same small budget as the flat stream.

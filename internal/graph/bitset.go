@@ -200,7 +200,8 @@ func Capacity(g *Graph) int {
 
 // VertexBitset returns the graph's vertex set as a bitset indexed by
 // vertex ID. For an availability subgraph of a hardware topology this
-// is the available-GPU bitmask used to key the embedding cache.
+// is the available-GPU bitmask the live views cross-check a request
+// against.
 func (g *Graph) VertexBitset() Bitset {
 	b := NewBitset(Capacity(g))
 	for v := range g.adj {

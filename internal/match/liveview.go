@@ -43,18 +43,6 @@ import (
 //
 // A LiveView tracks one availability-state stream and is not safe for
 // concurrent use; callers (matchcache.Views) serialize access.
-//
-// A weighted view (NewWeightedLiveView) additionally maintains the
-// state side of the Eq. 3 delta decomposition on the same deltas: the
-// total edge weight of the current free set and, per GPU, the weight of
-// its edges into the free set, so
-//
-//	PreservedBW(S) = totalFree − Σ_{g∈S} incident[g] + internal(S)
-//
-// is O(k) arithmetic per candidate with zero graph walks (internal(S)
-// is the candidate's static constant, precomputed in score.Table). All
-// link bandwidths are integral, so the incrementally maintained sums
-// are exact and allocate/release are exact inverses.
 type LiveView struct {
 	u        *Universe
 	postings [][]int32    // data vertex ID -> ascending embedding indices containing it
@@ -63,12 +51,6 @@ type LiveView struct {
 	healthy  graph.Bitset // health mask (topology state); usable = avail AND healthy
 	live     graph.Bitset // embedding indices with blocked == 0
 	liveLen  int
-
-	// bw is the view's own bandwidth accounting (weighted views only).
-	// The accounting is shape-independent, so callers maintaining many
-	// views over one availability stream (matchcache.Views) keep ONE
-	// shared BandwidthAccounting beside unweighted views instead.
-	bw *BandwidthAccounting
 }
 
 // wedge is one weighted adjacency entry of the bandwidth accounting.
@@ -146,7 +128,8 @@ func NewBandwidthAccounting(data *graph.Graph, free graph.Bitset, capacity int) 
 // (incident[g] never includes g itself — graphs have no self-loops)
 // and removes g from its neighbors' incident sums. Out-of-capacity
 // vertices are ignored; allocating an already-unavailable vertex
-// panics, mirroring LiveView.
+// panics, mirroring LiveView. An unhealthy vertex already left the sums
+// when it failed, so only its free bit changes.
 func (a *BandwidthAccounting) Allocate(gpus []int) {
 	for _, g := range gpus {
 		if g < 0 || g >= len(a.wadj) {
@@ -155,18 +138,10 @@ func (a *BandwidthAccounting) Allocate(gpus []int) {
 		if !a.avail.Has(g) {
 			panic(fmt.Sprintf("match: BandwidthAccounting.Allocate(%d): vertex already unavailable", g))
 		}
-		a.allocateOne(g)
-	}
-}
-
-// allocateOne applies one vertex's allocation delta; the caller has
-// already validated g's range and availability. The weight delta fires
-// only when g was usable — an unhealthy vertex already left the sums
-// when it failed.
-func (a *BandwidthAccounting) allocateOne(g int) {
-	a.avail.Unset(g)
-	if a.healthy.Has(g) {
-		a.dropUsable(g)
+		a.avail.Unset(g)
+		if a.healthy.Has(g) {
+			a.dropUsable(g)
+		}
 	}
 }
 
@@ -192,7 +167,9 @@ func (a *BandwidthAccounting) addUsable(g int) {
 
 // Release marks the given vertices available again — the exact inverse
 // of Allocate: incident[g] was maintained all along, so adding it back
-// restores the total bit for bit before the neighbors regain g.
+// restores the total bit for bit before the neighbors regain g. A
+// released-but-unhealthy vertex rejoins only the free mask, not the
+// sums.
 func (a *BandwidthAccounting) Release(gpus []int) {
 	for _, g := range gpus {
 		if g < 0 || g >= len(a.wadj) {
@@ -201,18 +178,10 @@ func (a *BandwidthAccounting) Release(gpus []int) {
 		if a.avail.Has(g) {
 			panic(fmt.Sprintf("match: BandwidthAccounting.Release(%d): vertex already available", g))
 		}
-		a.releaseOne(g)
-	}
-}
-
-// releaseOne applies one vertex's release delta — the exact inverse of
-// allocateOne; the caller has already validated g's range and
-// unavailability. A released-but-unhealthy vertex rejoins only the
-// free mask, not the sums.
-func (a *BandwidthAccounting) releaseOne(g int) {
-	a.avail.Set(g)
-	if a.healthy.Has(g) {
-		a.addUsable(g)
+		a.avail.Set(g)
+		if a.healthy.Has(g) {
+			a.addUsable(g)
+		}
 	}
 }
 
@@ -230,16 +199,10 @@ func (a *BandwidthAccounting) MarkUnhealthy(gpus []int) {
 		if !a.healthy.Has(g) {
 			panic(fmt.Sprintf("match: BandwidthAccounting.MarkUnhealthy(%d): vertex already unhealthy", g))
 		}
-		a.markUnhealthyOne(g)
-	}
-}
-
-// markUnhealthyOne applies one vertex's failure delta; the caller has
-// already validated g's range and health.
-func (a *BandwidthAccounting) markUnhealthyOne(g int) {
-	a.healthy.Unset(g)
-	if a.avail.Has(g) {
-		a.dropUsable(g)
+		a.healthy.Unset(g)
+		if a.avail.Has(g) {
+			a.dropUsable(g)
+		}
 	}
 }
 
@@ -254,16 +217,10 @@ func (a *BandwidthAccounting) RestoreHealth(gpus []int) {
 		if a.healthy.Has(g) {
 			panic(fmt.Sprintf("match: BandwidthAccounting.RestoreHealth(%d): vertex already healthy", g))
 		}
-		a.restoreOne(g)
-	}
-}
-
-// restoreOne applies one vertex's recovery delta; the caller has
-// already validated g's range and unhealthiness.
-func (a *BandwidthAccounting) restoreOne(g int) {
-	a.healthy.Set(g)
-	if a.avail.Has(g) {
-		a.addUsable(g)
+		a.healthy.Set(g)
+		if a.avail.Has(g) {
+			a.addUsable(g)
+		}
 	}
 }
 
@@ -397,19 +354,6 @@ func NewLiveView(u *Universe, free graph.Bitset) *LiveView {
 	return lv
 }
 
-// NewWeightedLiveView is NewLiveView with its own bandwidth
-// accounting: data must be the graph the universe was built on (the
-// full machine's hardware graph), supplying the edge weights the view
-// maintains incrementally. Building additionally costs one pass over
-// data's edges. Callers tracking many shapes on one availability
-// stream should instead keep one shared NewBandwidthAccounting beside
-// unweighted views — the accounting is shape-independent.
-func NewWeightedLiveView(u *Universe, free graph.Bitset, data *graph.Graph) *LiveView {
-	lv := NewLiveView(u, free)
-	lv.bw = NewBandwidthAccounting(data, free, u.Capacity())
-	return lv
-}
-
 // Universe returns the universe the view is maintained over.
 func (lv *LiveView) Universe() *Universe { return lv.u }
 
@@ -444,9 +388,6 @@ func (lv *LiveView) Allocate(gpus []int) {
 			panic(fmt.Sprintf("match: LiveView.Allocate(%d): vertex already unavailable", g))
 		}
 		lv.avail.Unset(g)
-		if lv.bw != nil {
-			lv.bw.allocateOne(g)
-		}
 		if lv.healthy.Has(g) {
 			lv.block(g)
 		}
@@ -467,9 +408,6 @@ func (lv *LiveView) Release(gpus []int) {
 			panic(fmt.Sprintf("match: LiveView.Release(%d): vertex already available", g))
 		}
 		lv.avail.Set(g)
-		if lv.bw != nil {
-			lv.bw.releaseOne(g)
-		}
 		if lv.healthy.Has(g) {
 			lv.unblock(g)
 		}
@@ -491,9 +429,6 @@ func (lv *LiveView) MarkUnhealthy(gpus []int) {
 			panic(fmt.Sprintf("match: LiveView.MarkUnhealthy(%d): vertex already unhealthy", g))
 		}
 		lv.healthy.Unset(g)
-		if lv.bw != nil {
-			lv.bw.markUnhealthyOne(g)
-		}
 		if lv.avail.Has(g) {
 			lv.block(g)
 		}
@@ -512,9 +447,6 @@ func (lv *LiveView) RestoreHealth(gpus []int) {
 			panic(fmt.Sprintf("match: LiveView.RestoreHealth(%d): vertex already healthy", g))
 		}
 		lv.healthy.Set(g)
-		if lv.bw != nil {
-			lv.bw.restoreOne(g)
-		}
 		if lv.avail.Has(g) {
 			lv.unblock(g)
 		}
@@ -532,12 +464,8 @@ func (lv *LiveView) RestoreHealth(gpus []int) {
 // view's: deltas that cancelled since the last Sync (an allocation
 // released again, a lease released on a failed GPU) cost nothing.
 // Vertices beyond the universe's capacity are ignored; missing mask
-// words read as empty. Sync allocates nothing. Weighted views keep
-// per-delta accounting and cannot be synced.
+// words read as empty. Sync allocates nothing.
 func (lv *LiveView) Sync(free, unhealthy graph.Bitset) (walked int) {
-	if lv.bw != nil {
-		panic("match: LiveView.Sync on a weighted view")
-	}
 	capacity := len(lv.postings)
 	for w := range lv.avail {
 		inCap := ^uint64(0)
@@ -610,27 +538,6 @@ func (lv *LiveView) Candidates(max int) (idx []int, truncated bool) {
 	return idx, truncated
 }
 
-// AppendLive appends the live embedding indices to dst in enumeration
-// order, truncated to the first max (max <= 0: unlimited); truncated
-// reports whether further live embeddings exist beyond the cap. It is
-// Candidates with a caller-supplied buffer — pass dst[:0] to reuse
-// scratch across decisions without allocating (beyond buffer growth).
-func (lv *LiveView) AppendLive(dst []int, max int) (idx []int, truncated bool) {
-	n := lv.liveLen
-	if max > 0 && n > max {
-		n, truncated = max, true
-	}
-	if n == 0 {
-		return dst, truncated
-	}
-	start := len(dst)
-	lv.live.ForEach(func(i int) bool {
-		dst = append(dst, i)
-		return len(dst)-start < n
-	})
-	return dst, truncated
-}
-
 // ForEachLive invokes fn for every live embedding index in enumeration
 // order. Return false from fn to stop early.
 func (lv *LiveView) ForEachLive(fn func(i int) bool) {
@@ -644,28 +551,3 @@ func (lv *LiveView) LiveSet() graph.Bitset { return lv.live }
 
 // Live reports whether embedding index i is currently live.
 func (lv *LiveView) Live(i int) bool { return lv.live.Has(i) }
-
-// Weighted reports whether the view maintains its own bandwidth
-// accounting.
-func (lv *LiveView) Weighted() bool { return lv.bw != nil }
-
-// FreeWeight returns the total edge weight of the tracked free set —
-// the availability graph's TotalWeight, maintained incrementally.
-// Weighted views only.
-func (lv *LiveView) FreeWeight() float64 { return lv.bw.FreeWeight() }
-
-// FreeIncidentWeight returns the summed weight of GPU g's hardware
-// edges into the tracked free set. Weighted views only; out-of-capacity
-// vertices report zero.
-func (lv *LiveView) FreeIncidentWeight(g int) float64 {
-	return lv.bw.FreeIncidentWeight(g)
-}
-
-// PreservedBW evaluates Eq. 3 for allocating the given GPU set out of
-// the tracked free state: the candidate's static internal-edge weight
-// plus the view's delta-maintained state terms, O(k) arithmetic in
-// total. The GPU set must lie inside the free set (candidates served
-// from the live set always do). Weighted views only.
-func (lv *LiveView) PreservedBW(internal float64, gpus []int) float64 {
-	return lv.bw.PreservedBW(internal, gpus)
-}

@@ -16,16 +16,17 @@ func ringPatternBW(k int) *graph.Graph {
 	return g
 }
 
-// checkBWOracle asserts the weighted view's delta-maintained accounting
-// against a from-scratch recomputation on the induced free subgraph:
+// checkBWOracle asserts the delta-maintained accounting kept beside a
+// live view (as matchcache.Views keeps one per stream) against a
+// from-scratch recomputation on the induced free subgraph:
 // FreeWeight must equal the induced subgraph's total weight, every
 // vertex's FreeIncidentWeight its summed edges into the free set, and
 // PreservedBW the exact remainder weight after removing a candidate.
 // All weights are integral, so every comparison is exact equality.
-func checkBWOracle(t *testing.T, lv *LiveView, data *graph.Graph, free []int, step string) {
+func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *graph.Graph, free []int, step string) {
 	t.Helper()
 	avail := data.InducedSubgraph(free)
-	if got, want := lv.FreeWeight(), avail.TotalWeight(); got != want {
+	if got, want := bw.FreeWeight(), avail.TotalWeight(); got != want {
 		t.Fatalf("%s: FreeWeight = %g, induced subgraph weighs %g", step, got, want)
 	}
 	inFree := make(map[int]bool, len(free))
@@ -39,7 +40,7 @@ func checkBWOracle(t *testing.T, lv *LiveView, data *graph.Graph, free []int, st
 				want += e.Weight
 			}
 		}
-		if got := lv.FreeIncidentWeight(v); got != want {
+		if got := bw.FreeIncidentWeight(v); got != want {
 			t.Fatalf("%s: FreeIncidentWeight(%d) = %g, want %g", step, v, got, want)
 		}
 	}
@@ -52,16 +53,16 @@ func checkBWOracle(t *testing.T, lv *LiveView, data *graph.Graph, free []int, st
 				internal += data.Weight(g, h)
 			}
 		}
-		if got, want := lv.PreservedBW(internal, gpus), avail.WeightWithout(gpus); got != want {
+		if got, want := bw.PreservedBW(internal, gpus), avail.WeightWithout(gpus); got != want {
 			t.Fatalf("%s: PreservedBW(%v) = %g, want %g", step, gpus, got, want)
 		}
 		return true
 	})
 }
 
-// TestWeightedLiveViewChurnOracle churns a weighted view through seeded
-// allocate/release interleavings and cross-checks the bandwidth
-// accounting against the from-scratch oracle after every step,
+// TestWeightedLiveViewChurnOracle churns a live view and the bandwidth
+// accounting beside it through seeded allocate/release interleavings
+// and cross-checks the accounting against the from-scratch oracle after every step,
 // finishing with a drain that must restore the idle sums bit for bit.
 func TestWeightedLiveViewChurnOracle(t *testing.T) {
 	data := graph.New()
@@ -75,9 +76,10 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 	data.MustAddEdge(3, 8, 20, 0)
 	pattern := ringPatternBW(3)
 	u := BuildUniverse(pattern, data, 0, 1)
-	lv := NewWeightedLiveView(u, data.VertexBitset(), data)
+	lv := NewLiveView(u, data.VertexBitset())
+	bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
 
-	idleTotal := lv.FreeWeight()
+	idleTotal := bw.FreeWeight()
 	if idleTotal != data.TotalWeight() {
 		t.Fatalf("idle FreeWeight = %g, want %g", idleTotal, data.TotalWeight())
 	}
@@ -96,40 +98,28 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 			}
 			deltas = append(deltas, d)
 			lv.Allocate(d)
+			bw.Allocate(d)
 		} else if len(deltas) > 0 {
 			i := rng.Intn(len(deltas))
 			d := deltas[i]
 			deltas[i] = deltas[len(deltas)-1]
 			deltas = deltas[:len(deltas)-1]
 			lv.Release(d)
+			bw.Release(d)
 			free = append(free, d...)
 		}
-		checkBWOracle(t, lv, data, free, "churn step")
+		checkBWOracle(t, lv, bw, data, free, "churn step")
 	}
 	for _, d := range deltas {
 		lv.Release(d)
+		bw.Release(d)
 		free = append(free, d...)
 	}
-	if lv.FreeWeight() != idleTotal {
+	if bw.FreeWeight() != idleTotal {
 		t.Fatalf("drained FreeWeight = %g, want idle %g (delta accounting must invert exactly)",
-			lv.FreeWeight(), idleTotal)
+			bw.FreeWeight(), idleTotal)
 	}
-	checkBWOracle(t, lv, data, free, "after drain")
-}
-
-// TestUnweightedLiveViewReportsUnweighted pins the constructor split:
-// NewLiveView maintains no bandwidth accounting.
-func TestUnweightedLiveViewReportsUnweighted(t *testing.T) {
-	data := graph.New()
-	data.MustAddEdge(0, 1, 25, 0)
-	data.MustAddEdge(1, 2, 12, 0)
-	u := BuildUniverse(ringPatternBW(3), data, 0, 1)
-	if lv := NewLiveView(u, data.VertexBitset()); lv.Weighted() {
-		t.Fatal("NewLiveView must not enable bandwidth accounting")
-	}
-	if lv := NewWeightedLiveView(u, data.VertexBitset(), data); !lv.Weighted() {
-		t.Fatal("NewWeightedLiveView must enable bandwidth accounting")
-	}
+	checkBWOracle(t, lv, bw, data, free, "after drain")
 }
 
 // FuzzLiveViewBandwidth fuzzes the freeIncidentWeight delta accounting
@@ -157,9 +147,9 @@ func FuzzLiveViewBandwidth(f *testing.F) {
 			t.Skip("too sparse")
 		}
 		k := int(kRaw%3) + 2
-		pattern := ringPatternBW(k)
-		u := BuildUniverse(pattern, data, 0, 1)
-		lv := NewWeightedLiveView(u, data.VertexBitset(), data)
+		u := BuildUniverse(ringPatternBW(k), data, 0, 1)
+		lv := NewLiveView(u, data.VertexBitset())
+		bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
 
 		verts := data.Vertices()
 		freeSet := make(map[int]bool, len(verts))
@@ -175,33 +165,17 @@ func FuzzLiveViewBandwidth(f *testing.F) {
 			}
 			return out
 		}
-		check := func(step string) {
-			avail := data.InducedSubgraph(freeList())
-			if got, want := lv.FreeWeight(), avail.TotalWeight(); got != want {
-				t.Fatalf("%s: FreeWeight = %g, want %g", step, got, want)
-			}
-			for _, v := range verts {
-				var want float64
-				for _, e := range data.IncidentEdges(v) {
-					if freeSet[e.Other(v)] {
-						want += e.Weight
-					}
-				}
-				if got := lv.FreeIncidentWeight(v); got != want {
-					t.Fatalf("%s: FreeIncidentWeight(%d) = %g, want %g", step, v, got, want)
-				}
-			}
-		}
 		for _, op := range ops {
-			v := verts[int(op)%len(verts)]
-			if freeSet[v] {
-				lv.Allocate([]int{v})
-				freeSet[v] = false
+			v := []int{verts[int(op)%len(verts)]}
+			if freeSet[v[0]] {
+				lv.Allocate(v)
+				bw.Allocate(v)
 			} else {
-				lv.Release([]int{v})
-				freeSet[v] = true
+				lv.Release(v)
+				bw.Release(v)
 			}
-			check("after op")
+			freeSet[v[0]] = !freeSet[v[0]]
+			checkBWOracle(t, lv, bw, data, freeList(), "after op")
 		}
 	})
 }

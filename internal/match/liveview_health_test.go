@@ -115,26 +115,33 @@ func TestLiveViewHealthMatchesFilterUsable(t *testing.T) {
 func TestLiveViewHealthCommutes(t *testing.T) {
 	u := BuildUniverse(ringPattern(3), completeData(6), 0, 1)
 	idle := u.Len()
-	orders := [][]func(lv *LiveView){
-		{func(lv *LiveView) { lv.Allocate([]int{2}) }, func(lv *LiveView) { lv.MarkUnhealthy([]int{2}) },
-			func(lv *LiveView) { lv.Release([]int{2}) }, func(lv *LiveView) { lv.RestoreHealth([]int{2}) }},
-		{func(lv *LiveView) { lv.Allocate([]int{2}) }, func(lv *LiveView) { lv.MarkUnhealthy([]int{2}) },
-			func(lv *LiveView) { lv.RestoreHealth([]int{2}) }, func(lv *LiveView) { lv.Release([]int{2}) }},
-		{func(lv *LiveView) { lv.MarkUnhealthy([]int{2}) }, func(lv *LiveView) { lv.Allocate([]int{2}) },
-			func(lv *LiveView) { lv.Release([]int{2}) }, func(lv *LiveView) { lv.RestoreHealth([]int{2}) }},
-		{func(lv *LiveView) { lv.MarkUnhealthy([]int{2}) }, func(lv *LiveView) { lv.Allocate([]int{2}) },
-			func(lv *LiveView) { lv.RestoreHealth([]int{2}) }, func(lv *LiveView) { lv.Release([]int{2}) }},
+	// Each delta goes to the view and to the accounting kept beside it,
+	// as matchcache.Views publishes them.
+	type stream struct {
+		lv *LiveView
+		bw *BandwidthAccounting
+	}
+	alloc := func(s stream) { s.lv.Allocate([]int{2}); s.bw.Allocate([]int{2}) }
+	release := func(s stream) { s.lv.Release([]int{2}); s.bw.Release([]int{2}) }
+	fail := func(s stream) { s.lv.MarkUnhealthy([]int{2}); s.bw.MarkUnhealthy([]int{2}) }
+	recov := func(s stream) { s.lv.RestoreHealth([]int{2}); s.bw.RestoreHealth([]int{2}) }
+	orders := [][]func(stream){
+		{alloc, fail, release, recov},
+		{alloc, fail, recov, release},
+		{fail, alloc, release, recov},
+		{fail, alloc, recov, release},
 	}
 	for oi, ops := range orders {
-		lv := NewWeightedLiveView(u, completeData(6).VertexBitset(), completeData(6))
-		want := lv.FreeWeight()
+		data := completeData(6)
+		s := stream{NewLiveView(u, data.VertexBitset()), NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())}
+		want := s.bw.FreeWeight()
 		for _, op := range ops {
-			op(lv)
+			op(s)
 		}
-		if lv.Len() != idle {
-			t.Fatalf("order %d: %d live embeddings after round trip, want %d", oi, lv.Len(), idle)
+		if s.lv.Len() != idle {
+			t.Fatalf("order %d: %d live embeddings after round trip, want %d", oi, s.lv.Len(), idle)
 		}
-		if got := lv.FreeWeight(); got != want {
+		if got := s.bw.FreeWeight(); got != want {
 			t.Fatalf("order %d: free weight %v after round trip, want %v", oi, got, want)
 		}
 	}

@@ -133,17 +133,3 @@ func TestLiveViewSyncDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Sync allocates %v times per call pair, want 0", allocs)
 	}
 }
-
-// TestLiveViewSyncWeightedPanics: a weighted view's accounting is
-// maintained per delta, so jumping its masks would leave it stale.
-func TestLiveViewSyncWeightedPanics(t *testing.T) {
-	data := completeData(5)
-	u := BuildUniverse(ringPattern(3), data, 0, 1)
-	lv := NewWeightedLiveView(u, data.VertexBitset(), data)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sync on a weighted view must panic")
-		}
-	}()
-	lv.Sync(data.VertexBitset(), graph.NewBitset(5))
-}

@@ -13,8 +13,9 @@ var filters atomic.Uint64
 // Filters returns the cumulative number of full-universe mask scans
 // (Universe.Filter calls) this process has run. Together with
 // Searches it lets tests prove a decision path's cost class: a
-// live-view-served decision advances neither counter, a filter-served
-// miss advances only Filters, and a cold search advances Searches.
+// live-view-served decision advances neither counter, a Filter call
+// (the reference the live views are tested against) advances only
+// Filters, and a search advances Searches.
 func Filters() uint64 { return filters.Load() }
 
 // Universe is the complete deduplicated enumeration of one pattern on

@@ -12,7 +12,7 @@
 // O(nodes × shapes)); FleetViews layers per-node live state on top —
 // free/health masks, a node-local Eq. 3 bandwidth accounting, and
 // lazy per-shape live views over the *shared* class universe — all
-// maintained from the same tier-0 deltas the flat pipeline publishes.
+// maintained from the same deltas the flat pipeline publishes.
 //
 // The decision path is hierarchical: the inter-node level works on the
 // quotient graph of node classes using cheap per-node aggregates (the
@@ -57,7 +57,7 @@ import (
 	"mapa/internal/topology"
 )
 
-// FleetStore is the tier-1 template store of a fleet: one ordinary
+// FleetStore is the template store of a fleet: one ordinary
 // Store per distinct node class, each building universes and score
 // tables on its class template in node-local IDs. It is safe for
 // concurrent use.
@@ -89,15 +89,6 @@ func (fs *FleetStore) Bound(f *topology.Fleet) bool {
 func (fs *FleetStore) SetBuildWorkers(n int) {
 	for _, s := range fs.stores {
 		s.SetBuildWorkers(n)
-	}
-}
-
-// SetScoreTables enables or disables score-table precomputation on
-// every class store. The hierarchical decision path requires tables;
-// with them off FleetViews.SelectNodes declines every decision.
-func (fs *FleetStore) SetScoreTables(enabled bool) {
-	for _, s := range fs.stores {
-		s.SetScoreTables(enabled)
 	}
 }
 
@@ -143,8 +134,6 @@ func (fs *FleetStore) Stats() StoreStats {
 		ss := s.Stats()
 		out.Universes += ss.Universes
 		out.Incomplete += ss.Incomplete
-		out.FilterServed += ss.FilterServed
-		out.FilterRejected += ss.FilterRejected
 		out.Builds = append(out.Builds, ss.Builds...)
 		out.BuildTime += ss.BuildTime
 		out.Tables += ss.Tables
@@ -164,9 +153,8 @@ type FleetViewStats struct {
 	Nodes, NodeViews int
 	// Served counts decisions answered hierarchically (template path);
 	// every one of them is table-served by construction. Rejected
-	// counts decisions the fleet layer declined (incomplete universe,
-	// tables disabled, or a binding candidate cap) and handed to the
-	// caller's fallback.
+	// counts decisions the fleet layer declined (incomplete universe or
+	// a binding candidate cap) and handed to the caller's fallback.
 	Served, Rejected uint64
 }
 
@@ -192,7 +180,7 @@ type fleetNode struct {
 	slots     map[string]*fleetSlot
 }
 
-// FleetViews is the tier-0 layer of the fleet pipeline: per-node live
+// FleetViews is the live layer of the fleet pipeline: per-node live
 // state over one availability-state stream, fed the same global-ID
 // GPU-set deltas a flat Views receives and split internally into
 // node-local deltas. It is bound to one stream, like Views, and is
@@ -397,11 +385,11 @@ type NodeDecision struct {
 // on exact global scores and resolves ties to the first node seen.
 //
 // SelectNodes returns false — without counting a decision — when the
-// fleet layer cannot answer soundly: score tables disabled, a class
-// universe incomplete or overflowed, or a candidate cap that would
-// truncate some node's live list (class universes are tiny, so a
-// binding cap means a misconfigured caller; declining keeps the same
-// soundness rule as the flat tiers). On true the decision counts as
+// fleet layer cannot answer soundly: a class universe overflowed the
+// store capacity, or a candidate cap would truncate some node's live
+// list (class universes are tiny, so a binding cap means a
+// misconfigured caller; declining keeps the same soundness rule as the
+// flat path). On true the decision counts as
 // Served even when no node could host the pattern (sel ran zero
 // times): the hierarchy answered "no feasible single-node placement".
 func (fv *FleetViews) SelectNodes(pattern *graph.Graph, maxCandidates, workers int, sel func(nd *NodeDecision)) bool {
@@ -473,13 +461,13 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, maxCandidates, workers i
 // ensureSlot returns the node's live-view slot for the canonical
 // shape, creating it — and, on first sight fleet-wide, building the
 // class universe and score table — under the view lock. ok is false
-// when the universe is incomplete or tables are unavailable. A slot
+// when the universe is incomplete. A slot
 // created mid-stream initializes from the node's current free mask and
 // inherits its health state, like Views.ensureSlot.
 func (fv *FleetViews) ensureSlot(nd *fleetNode, ci *canonInfo, pattern *graph.Graph, workers int) (*fleetSlot, bool) {
 	sl, seen := nd.slots[ci.canon]
 	if seen {
-		return sl, sl.tbl != nil
+		return sl, true
 	}
 	st := fv.fs.stores[nd.class]
 	usl := st.universe(ci, pattern, workers)
@@ -487,9 +475,6 @@ func (fv *FleetViews) ensureSlot(nd *fleetNode, ci *canonInfo, pattern *graph.Gr
 		return nil, false
 	}
 	tbl := st.ensureTable(usl, workers)
-	if tbl == nil {
-		return nil, false
-	}
 	lv := match.NewLiveView(usl.u, nd.free)
 	if nd.unhealthy.Any() {
 		lv.MarkUnhealthy(nd.unhealthy.Members())

@@ -1,352 +1,35 @@
-// Package matchcache is the incremental match pipeline behind the
-// MAPA allocation hot path.
+// Package matchcache is what the MAPA allocation hot path precomputes
+// and keeps current so that a decision needs no subgraph-isomorphism
+// search.
 //
-// Tier 0 (Views) holds per-shape live candidate views over one
-// availability-state stream: per-GPU posting lists and per-embedding
-// blocked counters maintained incrementally from each Allocate and
-// Release delta, so a miss decision reads an already-current candidate
-// list instead of scanning the universe (see match.LiveView).
+// A Store holds one idle-state universe per (topology, canonical
+// pattern): the complete deduplicated enumeration of the shape on the
+// full machine, each embedding paired with its GPU bitset, plus the
+// shape's score table (the state-independent Eq. 1 / Eq. 2 metrics and
+// the static part of Eq. 3 per embedding). Both are computed once —
+// optionally warmed at construction, like an allocator precomputing
+// pair scores at init — and shared by every engine bound to the
+// topology.
 //
-// Tier 1 (Store) holds one idle-state universe per (topology,
-// canonical pattern): the complete deduplicated enumeration of the
-// shape on the full machine, each embedding paired with its GPU
-// bitset. It is computed once — optionally warmed at construction,
-// like an allocator precomputing pair scores at init — and shared by
-// every engine bound to the topology.
-//
-// Tier 2 (Cache) holds filtered views: the candidate list of one
-// (canonical pattern, free-GPU bitmask) availability state, with
-// lazily computed scores. A recurring state hits and runs only the
-// selection comparator. A new state misses, but the miss is served by
-// word-wise AND-filtering the universe against the free-GPU mask — an
-// O(|universe|) bitset scan instead of a fresh subgraph-isomorphism
-// search. Entries are sharded per canonical pattern with one LRU per
-// shard, so mask churn on one shape cannot evict another shape's
-// warm entries.
+// A Views tracks one availability-state stream over a Store: the free
+// and health masks, one shared Eq. 3 bandwidth accounting, and per
+// shape a live candidate view (match.LiveView) that catches up to the
+// masks when a decision consults it. SelectLive hands a policy the
+// live view, the accounting and the score table, so the decision is
+// table lookups plus O(k) arithmetic; when it declines — the stream is
+// out of sync, the universe overflowed the store capacity, or a
+// candidate cap truncates the list for a structurally different build
+// of the shape — the policy runs a fresh search on the availability
+// graph instead.
 //
 // Patterns are keyed canonically (up to isomorphism, via
 // graph.CanonicalForm), so structurally different builds of the same
 // shape — a Ring(4) assembled 0-1-2-3-0 by one frontend and 0-2-1-3-0
-// by another — share universes and cached views; embeddings are
-// re-expressed in each requester's own vertex IDs through the
-// composed canonical labelings.
+// by another — share universes, tables and views; embeddings are
+// re-expressed in each requester's own vertex IDs through the composed
+// canonical labelings.
 //
-// Allocate and free events rotate the availability bitmask, so a state
-// change invalidates by construction: the next lookup misses (and is
-// filter-served), while entries for recurring states stay warm. Both
-// tiers are bound to one topology; rebinding or reconfiguring hardware
-// requires fresh instances.
+// A Store and its Views are bound to one topology; rebinding or
+// reconfiguring hardware requires fresh instances. FleetStore and
+// FleetViews are the per-node-class counterparts for fleets.
 package matchcache
-
-import (
-	"container/list"
-	"sort"
-	"sync"
-
-	"mapa/internal/graph"
-	"mapa/internal/match"
-	"mapa/internal/score"
-	"mapa/internal/topology"
-)
-
-// DefaultShardCapacity is the default bound on cached availability
-// states per pattern shard. An 8-GPU machine has at most 256
-// availability states, so the default keeps every state of every
-// concurrently active shape warm on the paper's machines; larger
-// machines churn within a shape without touching other shapes.
-const DefaultShardCapacity = 256
-
-// Key returns the exact-shape cache key for matching pattern against
-// the avail induced subgraph: the pattern's structural fingerprint
-// plus the available-GPU bitmask. The sharded cache keys shapes
-// canonically instead, but the soundness contract is the same and this
-// form remains for diagnostics and tests.
-//
-// The key encodes only the free vertex set, not avail's edges: it is
-// sound precisely because Allocator.Allocate requires avail to be the
-// induced subgraph of the bound topology's hardware graph over the
-// free GPUs, which makes the edge set a function of the vertex set.
-// An availability graph that violates that contract (e.g. links
-// removed by hand) must not share a cache with conforming callers.
-func Key(pattern, avail *graph.Graph) string {
-	return pattern.Fingerprint() + "@" + avail.VertexBitsetView().String()
-}
-
-// Entry is one cached candidate list: the deduplicated matches of a
-// pattern on one availability state, in sequential enumeration order,
-// with their canonical keys, GPU sets, and (lazily computed) MAPA
-// scores. Matches, keys, and GPU sets are shared across lookups —
-// treat them as read-only.
-type Entry struct {
-	matches []match.Match
-	keys    []string
-
-	// gpusArena holds every match's ascending GPU set in one backing
-	// array with fixed stride k (the pattern size): match i occupies
-	// [i*k, (i+1)*k). One allocation per entry instead of one per
-	// match.
-	gpusArena []int
-	k         int
-
-	// order is the Pattern slice the matches are expressed in;
-	// patternFP is the structural fingerprint of the pattern they were
-	// enumerated for. Lookups for an isomorphic-but-not-identical
-	// request shape use both to translate matches into the requester's
-	// vertex IDs.
-	order     []int
-	patternFP string
-	// truncated records that a candidate cap cut the list off. A
-	// truncated list is the *enumeration-order prefix of the pattern it
-	// was enumerated for*; an isomorphic-but-structurally-different
-	// shape enumerates in a different order, so serving it a foreign
-	// truncated prefix would break sequential parity — the cache treats
-	// such lookups as misses.
-	truncated bool
-
-	mu       sync.Mutex
-	scores   []score.Scores
-	scored   bool
-	scoredBy any
-}
-
-// NewEntry builds an entry from deduplicated matches (already capped
-// and in enumeration order) and their canonical keys, as returned by
-// match.FindAllDedupedCappedKeys. keys may be nil when no caller
-// needs per-match identities.
-func NewEntry(matches []match.Match, keys []string) *Entry {
-	e := &Entry{matches: matches, keys: keys}
-	if keys == nil {
-		e.keys = make([]string, len(matches))
-	}
-	if len(matches) > 0 {
-		e.order = matches[0].Pattern
-		e.k = len(matches[0].Data)
-	}
-	e.gpusArena = make([]int, len(matches)*e.k)
-	for i, m := range matches {
-		g := e.gpusArena[i*e.k : (i+1)*e.k]
-		copy(g, m.Data)
-		sort.Ints(g)
-	}
-	return e
-}
-
-// MarkTruncated records that the entry's candidate list was cut off by
-// a candidate cap. Truncated entries are served only to requests whose
-// pattern is structurally identical to the one they were enumerated
-// for (see Cache.GetFor).
-func (e *Entry) MarkTruncated() { e.truncated = true }
-
-// Matches returns the cached matches in enumeration order. Read-only.
-func (e *Entry) Matches() []match.Match { return e.matches }
-
-// Key returns the canonical key of match i — its equivalence-class
-// identity, used as the final deterministic tie-break when selecting
-// among equally scored candidates.
-func (e *Entry) Key(i int) string { return e.keys[i] }
-
-// GPUs returns the ascending GPU set of match i as a view into the
-// entry's arena. Read-only.
-func (e *Entry) GPUs(i int) []int {
-	return e.gpusArena[i*e.k : (i+1)*e.k : (i+1)*e.k]
-}
-
-// Len returns the number of cached matches.
-func (e *Entry) Len() int { return len(e.matches) }
-
-// Scores returns the per-match MAPA scores, computing them with
-// compute on first use; workers > 1 parallelizes the fill. scorer
-// identifies the scoring model the values come from (the policy's
-// *score.Scorer): calls with the scorer that filled the entry return
-// the cached slice, while a different scorer recomputes, so swapping
-// a policy's bandwidth model under a warm cache never serves another
-// model's scores. Safe for concurrent use; the returned slice is
-// read-only.
-//
-// The scores of a match are functions of its data-side image (GPU set
-// and used links), which isomorphic request shapes agree on, so a
-// fill by one build of a shape is valid for every isomorphic build.
-func (e *Entry) Scores(scorer any, workers int, compute func(i int, m match.Match) score.Scores) []score.Scores {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.scored && e.scoredBy == scorer {
-		return e.scores
-	}
-	out := make([]score.Scores, len(e.matches))
-	if workers > len(e.matches) {
-		workers = len(e.matches)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				for i := start; i < len(e.matches); i += workers {
-					out[i] = compute(i, e.matches[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i, m := range e.matches {
-			out[i] = compute(i, m)
-		}
-	}
-	e.scores = out
-	e.scored = true
-	e.scoredBy = scorer
-	return out
-}
-
-// Stats is a snapshot of cache effectiveness counters.
-type Stats struct {
-	Hits, Misses, Evictions uint64
-	// Entries is the total cached view count across shards; Shards is
-	// the number of distinct canonical pattern shapes with a shard.
-	Entries, Shards int
-}
-
-type item struct {
-	mask string
-	ent  *Entry
-}
-
-// shard is one canonical pattern's LRU of availability-state views.
-type shard struct {
-	entries map[string]*list.Element // free-GPU mask -> element
-	lru     *list.List               // front = most recently used
-}
-
-// Cache is the tier-2 filtered-view cache, bound to one topology:
-// candidate lists keyed by (canonical pattern, free-GPU bitmask),
-// sharded per pattern with an independent LRU per shard. It is safe
-// for concurrent use.
-type Cache struct {
-	mu       sync.Mutex
-	top      *topology.Topology
-	shardCap int
-	shards   map[string]*shard // canonical fingerprint -> shard
-	stats    Stats
-}
-
-// New returns a cache for the given topology. capacity bounds each
-// pattern shard's entry count; <= 0 uses DefaultShardCapacity.
-func New(top *topology.Topology, capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultShardCapacity
-	}
-	return &Cache{
-		top:      top,
-		shardCap: capacity,
-		shards:   make(map[string]*shard),
-	}
-}
-
-// Bound reports whether the cache was built for exactly this topology
-// value. Policies bypass the cache on a mismatch, so a policy attached
-// to one machine never serves another machine's embeddings.
-func (c *Cache) Bound(top *topology.Topology) bool {
-	return c != nil && c.top == top
-}
-
-// GetFor returns the cached entry for the request pattern on the given
-// availability state, along with the Pattern order that expresses the
-// entry's matches in the request's vertex IDs (nil when the entry was
-// enumerated for a structurally identical shape). The lookup is
-// canonical: isomorphic builds of one shape share entries — except
-// cap-truncated ones, which are valid only for the exact shape they
-// were enumerated for (a truncated prefix of another build's
-// enumeration order is not this build's prefix) and so miss for any
-// other build.
-func (c *Cache) GetFor(pattern, avail *graph.Graph) (*Entry, []int, bool) {
-	ci := canon.info(pattern)
-	mask := avail.VertexBitsetView().String()
-	c.mu.Lock()
-	sh, ok := c.shards[ci.canon]
-	if !ok {
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	el, ok := sh.entries[mask]
-	if !ok {
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	ent := el.Value.(*item).ent
-	if ent.truncated && ent.patternFP != ci.exact {
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	sh.lru.MoveToFront(el)
-	c.stats.Hits++
-	c.mu.Unlock()
-	return ent, canon.remap(ent.patternFP, ci, ent.order), true
-}
-
-// PutFor stores ent as the view for (pattern, avail) and returns the
-// canonical entry for that state with its order remap, exactly like
-// GetFor: if another goroutine stored an entry first, the existing one
-// wins so every caller scores and selects over the same slice.
-// Insertion may evict the shard's least recently used view; other
-// shards are untouched.
-func (c *Cache) PutFor(pattern, avail *graph.Graph, ent *Entry) (*Entry, []int) {
-	ci := canon.info(pattern)
-	if ent.patternFP == "" {
-		ent.patternFP = ci.exact
-	}
-	mask := avail.VertexBitsetView().String()
-	c.mu.Lock()
-	sh, ok := c.shards[ci.canon]
-	if !ok {
-		sh = &shard{entries: make(map[string]*list.Element), lru: list.New()}
-		c.shards[ci.canon] = sh
-	}
-	if el, ok := sh.entries[mask]; ok {
-		existing := el.Value.(*item).ent
-		if !(existing.truncated && existing.patternFP != ci.exact) {
-			sh.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return existing, canon.remap(existing.patternFP, ci, existing.order)
-		}
-		// The stored entry is another build's truncated prefix —
-		// unusable for this shape (see GetFor) — so the caller's freshly
-		// derived entry replaces it.
-		sh.lru.MoveToFront(el)
-		el.Value.(*item).ent = ent
-		c.mu.Unlock()
-		return ent, canon.remap(ent.patternFP, ci, ent.order)
-	}
-	sh.entries[mask] = sh.lru.PushFront(&item{mask: mask, ent: ent})
-	for sh.lru.Len() > c.shardCap {
-		last := sh.lru.Back()
-		sh.lru.Remove(last)
-		delete(sh.entries, last.Value.(*item).mask)
-		c.stats.Evictions++
-	}
-	c.mu.Unlock()
-	return ent, canon.remap(ent.patternFP, ci, ent.order)
-}
-
-// Clear drops every entry (topology reconfiguration, tests). Counters
-// survive.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shards = make(map[string]*shard)
-}
-
-// Stats returns a snapshot of the effectiveness counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Shards = len(c.shards)
-	for _, sh := range c.shards {
-		s.Entries += sh.lru.Len()
-	}
-	return s
-}

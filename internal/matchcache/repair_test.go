@@ -109,7 +109,7 @@ func TestRepairEdgeAffectedSetIsExact(t *testing.T) {
 	}
 }
 
-// TestViewsUpdateEdgePreservedBW checks the tier-0 half of a
+// TestViewsUpdateEdgePreservedBW checks the view-stream half of a
 // degradation event: after Views.UpdateEdge the stream's bandwidth
 // accounting must price Eq. 3 exactly as a fresh accounting over the
 // mutated graph.

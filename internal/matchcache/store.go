@@ -13,10 +13,9 @@ import (
 
 // DefaultUniverseCapacity bounds how many equivalence classes an
 // idle-state universe may hold. A shape whose idle enumeration exceeds
-// the bound is marked incomplete and never filtered — decisions for it
-// fall back to searching, exactly the pre-universe behavior — so the
-// bound caps both the one-time build cost and resident memory on large
-// machines.
+// the bound is marked incomplete and never viewed — decisions for it
+// run a fresh search each time — so the bound caps both the one-time
+// build cost and resident memory on large machines.
 const DefaultUniverseCapacity = 200000
 
 // ShapeBuild records one universe build: the shape's size, the
@@ -59,14 +58,6 @@ type StoreStats struct {
 	// on demand); Incomplete counts shapes whose enumeration overflowed
 	// the capacity and were marked unusable.
 	Universes, Incomplete int
-	// FilterServed counts miss decisions answered by mask-filtering a
-	// universe — each one a subgraph-isomorphism search avoided.
-	// FilterRejected counts miss decisions the store declined
-	// (incomplete universe, or a cap-truncated filter for a pattern
-	// that is isomorphic but not structurally identical to the
-	// universe's — the one case where filtering could reorder the
-	// truncated candidate prefix).
-	FilterServed, FilterRejected uint64
 	// Builds records every universe enumeration in completion order;
 	// BuildTime is their summed wall time.
 	Builds    []ShapeBuild
@@ -97,25 +88,22 @@ type universeSlot struct {
 
 	// table is the shape's precomputed static score table, built at
 	// most once — during Warm, or on first use by the table-served
-	// selection path — and only for complete universes with tables
-	// enabled. nil otherwise.
+	// selection path — and only for complete universes. nil otherwise.
 	tableOnce sync.Once
 	table     *score.Table
 }
 
-// Store is the tier-1 idle-state universe store: one complete
-// deduplicated enumeration per (topology, canonical pattern), computed
-// once — optionally warmed at construction time — and shared by every
-// cache and policy bound to the topology. It is safe for concurrent
-// use and is designed to be shared across engines comparing policies
-// on the same machine.
+// Store is the idle-state universe store: one complete deduplicated
+// enumeration per (topology, canonical pattern), computed once —
+// optionally warmed at construction time — and shared by every policy
+// bound to the topology. It is safe for concurrent use and is designed
+// to be shared across engines comparing policies on the same machine.
 type Store struct {
 	mu           sync.Mutex
 	top          *topology.Topology
 	graphFP      string // structural fingerprint of top.Graph, for calibration keys
 	capacity     int
 	buildWorkers int
-	tablesOff    bool
 	universes    map[string]*universeSlot // canonical fingerprint -> slot
 	builtTables  []*universeSlot          // slots whose score table is built, for RepairEdge
 	stats        StoreStats
@@ -140,7 +128,8 @@ func NewStore(top *topology.Topology, capacity int) *Store {
 }
 
 // Bound reports whether the store was built for exactly this topology
-// value, mirroring Cache.Bound: policies bypass an unbound store.
+// value: policies bypass an unbound store, so a policy attached to one
+// machine never serves another machine's embeddings.
 func (s *Store) Bound(top *topology.Topology) bool {
 	return s != nil && s.top == top
 }
@@ -168,36 +157,11 @@ func (s *Store) effectiveWorkers(workers int) int {
 	return workers
 }
 
-// SetScoreTables enables or disables score-table precomputation (on by
-// default). With tables off, no slot ever builds one and the
-// table-served selection path declines, so policies fall back to the
-// entry-materializing tiers — the knob behind mapa.WithoutScoreTables
-// and the table-vs-dynamic benchmarks. Intended to be set before the
-// store serves decisions; a table already built stays built but is no
-// longer handed out.
-func (s *Store) SetScoreTables(enabled bool) {
-	s.mu.Lock()
-	s.tablesOff = !enabled
-	s.mu.Unlock()
-}
-
-// scoreTablesEnabled reports whether the store may build and serve
-// score tables.
-func (s *Store) scoreTablesEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.tablesOff
-}
-
 // ensureTable returns the slot's score table, building it on first use
-// with up to `workers` goroutines. It returns nil — and the table-served
-// path falls back — when tables are disabled or the slot's universe is
+// with up to `workers` goroutines; nil when the slot's universe is
 // incomplete. The build runs outside the store lock; concurrent callers
 // for one shape converge on a single build via the slot's once.
 func (s *Store) ensureTable(sl *universeSlot, workers int) *score.Table {
-	if !s.scoreTablesEnabled() {
-		return nil
-	}
 	sl.tableOnce.Do(func() {
 		if !sl.u.Complete() {
 			return
@@ -264,9 +228,9 @@ func (s *Store) slot(ci *canonInfo, pattern *graph.Graph) *universeSlot {
 
 // universe returns the built universe for the canonical shape,
 // building it on first use with the given worker count subject to the
-// store's build-worker floor. Decision paths (FilteredEntry,
-// Views.Entry) come through here; Warm resolves the floor once for its
-// whole budget and uses universeWith directly.
+// store's build-worker floor. Decision paths (Views.SelectLive) and
+// Ensure come through here; Warm resolves the floor once for its whole
+// budget and uses universeWith directly.
 func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *universeSlot {
 	return s.universeWith(ci, pattern, s.effectiveWorkers(workers))
 }
@@ -329,7 +293,7 @@ func (s *Store) universeWith(ci *canonInfo, pattern *graph.Graph, workers int) *
 // needed), so the dominant shape starts at t=0 instead of landing on
 // the tail after the budget has drained to a single sequential worker.
 // The store stays fully usable while warming runs — a concurrent
-// FilteredEntry or Views.Entry for a shape being warmed blocks only on
+// Ensure or Views.SelectLive for a shape being warmed blocks only on
 // that shape's build (sync.Once), and any other shape is unaffected —
 // so callers may serve decisions before Warm returns.
 func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
@@ -404,11 +368,9 @@ func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 	// so one shape at a time with the full budget utilizes it best, and
 	// link mixes shared across shapes (same GPU sets) are decomposed
 	// once via the process-wide memo.
-	if s.scoreTablesEnabled() {
-		for _, i := range uniq {
-			if sl := s.universeWith(infos[i], patterns[i], 1); sl.u.Complete() {
-				s.ensureTable(sl, workers)
-			}
+	for _, i := range uniq {
+		if sl := s.universeWith(infos[i], patterns[i], 1); sl.u.Complete() {
+			s.ensureTable(sl, workers)
 		}
 	}
 	// Count per requested pattern (duplicates included), preserving the
@@ -423,74 +385,21 @@ func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 	return n
 }
 
-// Ensure builds the pattern's idle-state universe — and, when score
-// tables are enabled and the universe is complete, its score table —
-// if either is missing, with up to `workers` goroutines (subject to
-// the SetBuildWorkers floor). Already-built shapes return immediately
-// after a memoized fingerprint lookup, so Ensure is cheap enough to
-// call per request: it is the prewarm hook mapa.System runs *outside*
-// its state lock, so a cold shape's enumeration never stalls
-// concurrent decisions, releases, or health events. Concurrent Ensure
-// calls for one shape converge on a single build via the slot's once.
+// Ensure builds the pattern's idle-state universe — and, when the
+// universe is complete, its score table — if either is missing, with up
+// to `workers` goroutines (subject to the SetBuildWorkers floor).
+// Already-built shapes return immediately after a memoized fingerprint
+// lookup, so Ensure is cheap enough to call per request: it is the
+// prewarm hook mapa.System runs *outside* its state lock, so a cold
+// shape's enumeration never stalls concurrent decisions, releases, or
+// health events. Concurrent Ensure calls for one shape converge on a
+// single build via the slot's once.
 func (s *Store) Ensure(pattern *graph.Graph, workers int) {
 	ci := canon.info(pattern)
 	sl := s.universe(ci, pattern, workers)
 	if sl.u.Complete() {
 		s.ensureTable(sl, workers)
 	}
-}
-
-// FilteredEntry derives the candidate entry for (pattern, avail) by
-// mask-filtering the shape's idle-state universe: each stored
-// embedding survives exactly when its GPU bitset is a subset of the
-// free-GPU mask. The returned entry is byte-identical to a fresh
-// capped sequential enumeration on avail (see match.Universe), and
-// order carries the request pattern's vertex IDs for the entry's
-// matches when the universe was built from an isomorphic-but-not-
-// identical shape (nil otherwise).
-//
-// ok is false when the store cannot answer soundly — the universe
-// overflowed its capacity, or the filter was truncated by maxCandidates
-// for a structurally different request shape — and the caller must
-// fall back to searching. The universe is built on first use for the
-// shape, so even unwarmed shapes pay the idle enumeration once, not
-// per availability state.
-//
-// Like the cache key, filtering relies on the Allocator.Allocate
-// contract that avail is the induced subgraph of the bound topology
-// over the free GPUs.
-func (s *Store) FilteredEntry(pattern, avail *graph.Graph, maxCandidates, workers int) (ent *Entry, order []int, ok bool) {
-	ci := canon.info(pattern)
-	sl := s.universe(ci, pattern, workers)
-	reject := func() (*Entry, []int, bool) {
-		s.mu.Lock()
-		s.stats.FilterRejected++
-		s.mu.Unlock()
-		return nil, nil, false
-	}
-	if !sl.u.Complete() {
-		return reject()
-	}
-	idx, truncated := sl.u.Filter(avail.VertexBitsetView(), maxCandidates)
-	if truncated && sl.patternFP != ci.exact {
-		return reject()
-	}
-	ms := make([]match.Match, len(idx))
-	keys := make([]string, len(idx))
-	for j, i := range idx {
-		ms[j] = sl.u.Match(i)
-		keys[j] = sl.u.Key(i)
-	}
-	ent = NewEntry(ms, keys)
-	ent.patternFP = sl.patternFP
-	if truncated {
-		ent.MarkTruncated()
-	}
-	order = canon.remap(sl.patternFP, ci, sl.u.Order())
-	s.mu.Lock()
-	s.stats.FilterServed++
-	s.mu.Unlock()
-	return ent, order, true
 }
 
 // Stats returns a snapshot of the store's counters. The Builds slice

@@ -1,13 +1,63 @@
 package matchcache
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mapa/internal/appgraph"
 	"mapa/internal/graph"
 	"mapa/internal/match"
+	"mapa/internal/score"
 	"mapa/internal/topology"
 )
+
+// liveList is what SelectLive hands a policy for one decision, copied
+// out from under the view lock: the live candidates in enumeration
+// order, capped like a policy's maxCandidates, and the order remap.
+type liveList struct {
+	keys      []string
+	matches   []match.Match
+	order     []int
+	truncated bool
+}
+
+// selectLive consults v for (pattern, avail) under the given cap.
+func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out liveList, ok bool) {
+	ok = v.SelectLive(pattern, avail, maxCandidates, 1,
+		func(lv *match.LiveView, _ *match.BandwidthAccounting, _ *score.Table, order []int, truncated bool) {
+			idx, _ := lv.Candidates(maxCandidates)
+			for _, i := range idx {
+				out.keys = append(out.keys, lv.Universe().Key(i))
+				out.matches = append(out.matches, lv.Universe().Match(i))
+			}
+			out.order, out.truncated = order, truncated
+		})
+	return out, ok
+}
+
+// candidatesOn reads the store's candidates for pattern on the machine
+// with the given GPUs busy, through a fresh view stream advanced to
+// that state — the one way a decision reaches a universe.
+func candidatesOn(s *Store, pattern *graph.Graph, busy []int, maxCandidates int) (liveList, bool) {
+	v := s.NewViews()
+	v.Allocate(busy)
+	return selectLive(v, pattern, s.top.Graph.Without(busy), maxCandidates)
+}
+
+// sameKeys fails unless got lists exactly the wanted canonical keys in
+// order.
+func sameKeys(t *testing.T, step string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", step, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s candidate %d: key %q, want %q", step, i, got[i], want[i])
+		}
+	}
+}
 
 // ring0213 is a 4-ring assembled in a different vertex order than
 // appgraph.Ring(4): isomorphic but structurally different.
@@ -20,32 +70,31 @@ func ring0213() *graph.Graph {
 	return g
 }
 
-// TestFilteredEntryMatchesSequentialEnumeration is the tier-1
+// TestServedCandidatesMatchSequentialEnumeration is the store's
 // soundness contract: for any availability state and candidate cap,
-// the filter-derived entry must be byte-identical to a fresh capped
-// sequential enumeration on the induced subgraph.
-func TestFilteredEntryMatchesSequentialEnumeration(t *testing.T) {
+// the candidate list a view over the store serves must be
+// byte-identical to a fresh capped sequential enumeration on the
+// induced subgraph.
+func TestServedCandidatesMatchSequentialEnumeration(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
 	pattern := appgraph.Ring(3)
 	states := [][]int{nil, {0}, {1, 6}, {0, 2, 4}, {1, 3, 5, 7}, {0, 1, 2, 3, 4}}
 	for _, busy := range states {
-		avail := top.Graph.Without(busy)
 		for _, cap := range []int{0, 5} {
-			ent, order, ok := s.FilteredEntry(pattern, avail, cap, 1)
+			step := fmt.Sprintf("busy=%v cap=%d", busy, cap)
+			got, ok := candidatesOn(s, pattern, busy, cap)
 			if !ok {
-				t.Fatalf("busy=%v cap=%d: store declined a complete universe", busy, cap)
+				t.Fatalf("%s: view declined a complete universe", step)
 			}
-			if order != nil {
-				t.Fatalf("busy=%v: identical shape needs no remap", busy)
+			if got.order != nil {
+				t.Fatalf("%s: identical shape needs no remap", step)
 			}
-			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, avail, cap)
-			if ent.Len() != len(wantMs) {
-				t.Fatalf("busy=%v cap=%d: filtered %d candidates, sequential %d", busy, cap, ent.Len(), len(wantMs))
-			}
-			for i := range wantMs {
-				if ent.Key(i) != wantKeys[i] {
-					t.Fatalf("busy=%v cap=%d cand %d: key %q want %q", busy, cap, i, ent.Key(i), wantKeys[i])
+			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, top.Graph.Without(busy), cap)
+			sameKeys(t, step, got.keys, wantKeys)
+			for i, m := range wantMs {
+				if !reflect.DeepEqual(got.matches[i], m) {
+					t.Fatalf("%s candidate %d: match %v, want %v", step, i, got.matches[i], m)
 				}
 			}
 		}
@@ -56,8 +105,9 @@ func TestFilteredEntryMatchesSequentialEnumeration(t *testing.T) {
 }
 
 // TestWarmedShapeFiltersWithoutSearching is the zero-search proof: for
-// a warmed shape, a previously-unseen availability state is served by
-// mask filtering with zero calls into the subgraph-isomorphism search.
+// a warmed shape, a previously-unseen availability state is served off
+// the universe with zero calls into the subgraph-isomorphism search and
+// zero full-universe scans.
 func TestWarmedShapeFiltersWithoutSearching(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
@@ -65,19 +115,18 @@ func TestWarmedShapeFiltersWithoutSearching(t *testing.T) {
 	if n := s.Warm(1, pattern); n != 1 {
 		t.Fatalf("Warm built %d universes, want 1", n)
 	}
-	before := match.Searches()
+	searches, filters := match.Searches(), match.Filters()
 	for _, busy := range [][]int{{0}, {3, 5}, {1, 2, 6}} {
-		avail := top.Graph.Without(busy)
-		ent, _, ok := s.FilteredEntry(pattern, avail, 0, 1)
-		if !ok || ent.Len() == 0 {
-			t.Fatalf("busy=%v: warmed shape must filter-serve a non-empty entry", busy)
+		got, ok := candidatesOn(s, pattern, busy, 0)
+		if !ok || len(got.keys) == 0 {
+			t.Fatalf("busy=%v: warmed shape must serve a non-empty candidate list", busy)
 		}
 	}
-	if after := match.Searches(); after != before {
-		t.Fatalf("filter-served states ran %d searches, want 0", after-before)
+	if d := match.Searches() - searches; d != 0 {
+		t.Fatalf("view-served states ran %d searches, want 0", d)
 	}
-	if st := s.Stats(); st.FilterServed != 3 {
-		t.Fatalf("want 3 filter-served decisions, stats %+v", st)
+	if d := match.Filters() - filters; d != 0 {
+		t.Fatalf("view-served states ran %d universe scans, want 0", d)
 	}
 }
 
@@ -88,13 +137,15 @@ func TestIncompleteUniverseFallsBack(t *testing.T) {
 	if n := s.Warm(1, appgraph.Ring(3)); n != 0 {
 		t.Fatalf("Warm claimed %d complete universes under an overflowing cap", n)
 	}
-	_, _, ok := s.FilteredEntry(appgraph.Ring(3), top.Graph, 0, 1)
-	if ok {
-		t.Fatal("an incomplete universe must not serve filters")
+	v := s.NewViews()
+	if _, ok := selectLive(v, appgraph.Ring(3), top.Graph, 0); ok {
+		t.Fatal("an incomplete universe must not be served")
 	}
-	st := s.Stats()
-	if st.Incomplete != 1 || st.FilterRejected != 1 || st.FilterServed != 0 {
-		t.Fatalf("stats %+v, want 1 incomplete, 1 rejected, 0 served", st)
+	if st := s.Stats(); st.Incomplete != 1 || st.Universes != 0 || st.Tables != 0 {
+		t.Fatalf("store stats %+v, want 1 incomplete, no universe, no table", st)
+	}
+	if vs := v.Stats(); vs.Rejected != 1 || vs.TableServed != 0 {
+		t.Fatalf("view stats %+v, want the decision rejected", vs)
 	}
 }
 
@@ -110,14 +161,14 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 
 	avail := top.Graph.Without([]int{2})
 	before := match.Searches()
-	ent, order, ok := s.FilteredEntry(ringB, avail, 0, 1)
+	got, ok := candidatesOn(s, ringB, []int{2}, 0)
 	if !ok {
 		t.Fatal("isomorphic shape must share the warmed universe")
 	}
 	if match.Searches() != before {
 		t.Fatal("isomorphic lookup must not search")
 	}
-	if order == nil {
+	if got.order == nil {
 		t.Fatal("structurally different build needs an order remap")
 	}
 	if st := s.Stats(); st.Universes != 1 {
@@ -131,16 +182,16 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 	for _, k := range keys {
 		wantKeys[k] = true
 	}
-	if ent.Len() != len(keys) {
-		t.Fatalf("filtered %d candidates, direct enumeration %d", ent.Len(), len(keys))
+	if len(got.keys) != len(keys) {
+		t.Fatalf("served %d candidates, direct enumeration %d", len(got.keys), len(keys))
 	}
-	for i, m := range ent.Matches() {
-		rm := match.Match{Pattern: order, Data: m.Data}
+	for i, m := range got.matches {
+		rm := match.Match{Pattern: got.order, Data: m.Data}
 		if !match.IsEmbedding(ringB, avail, rm) {
 			t.Fatalf("candidate %d is not a valid embedding of the requester's pattern", i)
 		}
-		if !wantKeys[ent.Key(i)] {
-			t.Fatalf("candidate %d key %q not in the direct enumeration", i, ent.Key(i))
+		if !wantKeys[got.keys[i]] {
+			t.Fatalf("candidate %d key %q not in the direct enumeration", i, got.keys[i])
 		}
 	}
 }
@@ -148,7 +199,7 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 // TestTruncatedFilterRejectedForRemappedShape: cap truncation is only
 // safe when the request shape is structurally identical to the
 // universe's — a remapped shape enumerates in a different order, so
-// the store must decline and let the policy search.
+// the view must decline and let the policy search.
 func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
@@ -157,17 +208,17 @@ func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	s.Warm(1, ringA)
 
 	// Identical shape: truncation is fine (sequential prefix).
-	if _, _, ok := s.FilteredEntry(ringA, top.Graph, 2, 1); !ok {
-		t.Fatal("truncated filter for the identical shape must be served")
+	if got, ok := candidatesOn(s, ringA, nil, 2); !ok || !got.truncated || len(got.keys) != 2 {
+		t.Fatalf("truncated list for the identical shape must be served (ok=%v, %+v)", ok, got)
 	}
 	// Isomorphic-but-different shape: must be declined under a cap that
 	// truncates…
-	if _, _, ok := s.FilteredEntry(ringB, top.Graph, 2, 1); ok {
-		t.Fatal("truncated filter for a remapped shape must be declined")
+	if _, ok := candidatesOn(s, ringB, nil, 2); ok {
+		t.Fatal("truncated list for a remapped shape must be declined")
 	}
 	// …but served when the cap does not bind.
-	if _, _, ok := s.FilteredEntry(ringB, top.Graph, 0, 1); !ok {
-		t.Fatal("uncapped filter for a remapped shape must be served")
+	if _, ok := candidatesOn(s, ringB, nil, 0); !ok {
+		t.Fatal("uncapped list for a remapped shape must be served")
 	}
 }
 
@@ -198,28 +249,20 @@ func TestWarmConcurrentShapesMatchSequential(t *testing.T) {
 		if p.NumVertices() > avail.NumVertices() {
 			continue
 		}
-		a, _, okA := seq.FilteredEntry(p, avail, 0, 1)
-		b, _, okB := con.FilteredEntry(p, avail, 0, 1)
+		a, okA := candidatesOn(seq, p, []int{1, 6}, 0)
+		b, okB := candidatesOn(con, p, []int{1, 6}, 0)
 		if okA != okB {
 			t.Fatalf("shape %dv: serve disagreement seq=%v con=%v", p.NumVertices(), okA, okB)
 		}
-		if !okA {
-			continue
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("shape %dv: %d vs %d candidates", p.NumVertices(), a.Len(), b.Len())
-		}
-		for i := 0; i < a.Len(); i++ {
-			if a.Key(i) != b.Key(i) {
-				t.Fatalf("shape %dv candidate %d: keys diverge", p.NumVertices(), i)
-			}
+		if okA {
+			sameKeys(t, fmt.Sprintf("shape %dv", p.NumVertices()), b.keys, a.keys)
 		}
 	}
 }
 
 // TestWarmRacesWithReaders interleaves a concurrent Warm with
-// FilteredEntry and NewViews/Entry readers on the same store — the
-// new concurrent-warm contract: the store serves soundly at every
+// NewViews/SelectLive readers on the same store — the concurrent-warm
+// contract: the store serves soundly at every
 // point while warming is in flight (a reader needing a shape mid-build
 // blocks on that shape only), and Warm's return still means every
 // requested universe is resident. Run under -race in CI.
@@ -229,7 +272,7 @@ func TestWarmRacesWithReaders(t *testing.T) {
 	shapes := appgraph.AllShapes(5)
 	pattern := appgraph.Ring(3)
 	avail := top.Graph.Without([]int{0, 5})
-	wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
+	_, wantKeys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
 
 	done := make(chan struct{})
 	go func() {
@@ -237,23 +280,13 @@ func TestWarmRacesWithReaders(t *testing.T) {
 		s.Warm(4, shapes...)
 	}()
 	for i := 0; i < 20; i++ {
-		ent, _, ok := s.FilteredEntry(pattern, avail, 0, 1)
+		got, ok := candidatesOn(s, pattern, []int{0, 5}, 0)
 		if !ok {
-			t.Errorf("iter %d: FilteredEntry declined during warm", i)
+			t.Errorf("iter %d: SelectLive declined during warm", i)
 			break
 		}
-		if ent.Len() != len(wantMs) {
-			t.Errorf("iter %d: %d candidates, want %d", i, ent.Len(), len(wantMs))
-			break
-		}
-		views := s.NewViews()
-		vent, _, ok := views.Entry(pattern, top.Graph, 0, 1)
-		if !ok {
-			t.Errorf("iter %d: Views.Entry declined during warm", i)
-			break
-		}
-		if vent.Len() == 0 {
-			t.Errorf("iter %d: empty view entry", i)
+		if len(got.keys) != len(wantKeys) {
+			t.Errorf("iter %d: %d candidates, want %d", i, len(got.keys), len(wantKeys))
 			break
 		}
 		if i%5 == 0 {
@@ -265,18 +298,13 @@ func TestWarmRacesWithReaders(t *testing.T) {
 	// builds for any of them.
 	universes := s.Stats().Universes
 	for _, p := range shapes {
-		s.FilteredEntry(p, top.Graph, 0, 1)
+		candidatesOn(s, p, nil, 0)
 	}
 	if got := s.Stats().Universes; got != universes {
 		t.Fatalf("post-warm reads built %d more universes", got-universes)
 	}
-	for i, k := range wantKeys {
-		ent, _, _ := s.FilteredEntry(pattern, avail, 0, 1)
-		if ent.Key(i) != k {
-			t.Fatalf("candidate %d key diverged after warm", i)
-		}
-		break
-	}
+	got, _ := candidatesOn(s, pattern, []int{0, 5}, 0)
+	sameKeys(t, "after warm", got.keys, wantKeys)
 }
 
 // TestSetBuildWorkersFloorsOnDemandBuilds: a store with a build-worker
@@ -288,8 +316,9 @@ func TestSetBuildWorkersFloorsOnDemandBuilds(t *testing.T) {
 	s.SetBuildWorkers(4)
 	pattern := appgraph.Ring(3)
 	// workers=1 caller (a sequential decision path) triggers the build.
-	if _, _, ok := s.FilteredEntry(pattern, top.Graph, 0, 1); !ok {
-		t.Fatal("store declined")
+	got, ok := candidatesOn(s, pattern, nil, 0)
+	if !ok {
+		t.Fatal("view declined")
 	}
 	st := s.Stats()
 	if len(st.Builds) != 1 {
@@ -305,16 +334,8 @@ func TestSetBuildWorkersFloorsOnDemandBuilds(t *testing.T) {
 		t.Fatalf("plan imbalance %.3f < 1", st.Builds[0].PlanImbalance)
 	}
 	// The floored build must stay byte-identical to sequential.
-	wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, top.Graph, 0)
-	ent, _, _ := s.FilteredEntry(pattern, top.Graph, 0, 1)
-	if ent.Len() != len(wantMs) {
-		t.Fatalf("%d candidates, want %d", ent.Len(), len(wantMs))
-	}
-	for i := range wantKeys {
-		if ent.Key(i) != wantKeys[i] {
-			t.Fatalf("candidate %d key diverged", i)
-		}
-	}
+	_, wantKeys := match.FindAllDedupedCappedKeys(pattern, top.Graph, 0)
+	sameKeys(t, "floored build", got.keys, wantKeys)
 }
 
 func TestStoreBound(t *testing.T) {

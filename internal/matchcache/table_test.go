@@ -52,44 +52,41 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 	if !ok || !called {
 		t.Fatalf("SelectLive declined a warmed shape (ok=%v called=%v)", ok, called)
 	}
-	if vs := v.Stats(); vs.Served != 1 || vs.TableServed != 1 {
+	if vs := v.Stats(); vs.TableServed != 1 || vs.Rejected != 0 {
 		t.Fatalf("SelectLive counters: %+v", vs)
 	}
 }
 
-// TestSelectLiveDisabledAndOutOfSync: tables off, or a mask that
-// disagrees with the tracked stream, must decline without touching the
-// Served/Rejected counters (the caller falls through to Entry, which
-// applies and counts the same rules).
+// TestSelectLiveDisabledAndOutOfSync: a policy with no view set
+// attached (nil) is declined without counting anything; a mask that
+// disagrees with the tracked stream is declined and counted Rejected —
+// SelectLive is the only place left that can count it.
 func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	top := topology.DGXV100()
 	ring := tableRing(3)
+	sel := func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {
+		t.Error("a declined SelectLive must not run the selection")
+	}
 
-	off := NewStore(top, 0)
-	off.SetScoreTables(false)
-	off.Warm(1, ring)
-	if st := off.Stats(); st.Tables != 0 {
-		t.Fatalf("tables-disabled store built %d tables", st.Tables)
+	var none *Views
+	if none.SelectLive(ring, top.Graph, 0, 1, sel) {
+		t.Fatal("SelectLive must decline on a nil view set")
 	}
-	v := off.NewViews()
-	if v.SelectLive(ring, top.Graph, 0, 1, func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {}) {
-		t.Fatal("SelectLive must decline with tables disabled")
-	}
-	if vs := v.Stats(); vs.Served != 0 || vs.Rejected != 0 {
-		t.Fatalf("declined SelectLive must not count: %+v", vs)
+	if vs := none.Stats(); vs != (ViewStats{}) {
+		t.Fatalf("a nil view set must count nothing: %+v", vs)
 	}
 
 	on := NewStore(top, 0)
 	on.Warm(1, ring)
-	v2 := on.NewViews()
+	v := on.NewViews()
 	// Mask out of sync: the view tracks an idle machine but the request
 	// claims GPU 0 is busy.
 	stale := top.Graph.Without([]int{0})
-	if v2.SelectLive(ring, stale, 0, 1, func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {}) {
+	if v.SelectLive(ring, stale, 0, 1, sel) {
 		t.Fatal("SelectLive must decline an out-of-sync mask")
 	}
-	if vs := v2.Stats(); vs.Served != 0 || vs.Rejected != 0 {
-		t.Fatalf("declined SelectLive must not count: %+v", vs)
+	if vs := v.Stats(); vs.TableServed != 0 || vs.Rejected != 1 {
+		t.Fatalf("declined SelectLive must count one rejection: %+v", vs)
 	}
 }
 

@@ -15,43 +15,36 @@ type ViewStats struct {
 	// Views counts live views materialized: one per canonical shape
 	// actually served on this availability stream.
 	Views int
-	// Served counts miss decisions answered from a delta-maintained
-	// live candidate list — zero full-universe scans and zero searches.
-	// Rejected counts decisions the view layer declined (availability
-	// stream out of sync, incomplete universe, or a cap-truncated list
-	// for a structurally different build of the shape) and handed down
-	// to the filter path.
-	Served, Rejected uint64
-	// TableServed counts the subset of Served decisions answered by the
-	// table-served selection path (SelectLive): candidate scores read
-	// from the shape's precomputed score table plus O(k) delta
-	// arithmetic, with zero dynamic score.Scorer evaluations.
+	// TableServed counts decisions answered by SelectLive: candidates
+	// read off a live view, scores from the shape's precomputed score
+	// table plus O(k) delta arithmetic — zero searches, zero universe
+	// scans, zero dynamic score.Scorer evaluations.
 	TableServed uint64
+	// Rejected counts decisions SelectLive declined (availability
+	// stream out of sync, incomplete universe, or a candidate cap that
+	// truncates the list for a structurally different build of the
+	// shape); each one cost the policy a fresh search.
+	Rejected uint64
 }
 
 // viewSlot is one canonical shape's live view, tagged with the
-// structural fingerprint of the pattern its universe was built from so
-// truncated candidate lists obey the same serving rule as Filter, and
-// carrying its universe slot so the table path can reach the shape's
-// score table.
+// structural fingerprint of the pattern its universe was built from —
+// a cap-truncated candidate list is that build's enumeration-order
+// prefix and is served to no other — and carrying its universe slot so
+// SelectLive can reach the shape's score table.
 type viewSlot struct {
 	lv        *match.LiveView
 	patternFP string
 	usl       *universeSlot
-	// scratch is the slot's reusable live-candidate index buffer,
-	// refilled under the view lock by Entry; it never escapes the lock's
-	// critical section.
-	scratch []int
 	// gen is the stream generation the view was last synced to.
 	gen uint64
 }
 
-// Views is tier 0 of the match pipeline: per-shape live candidate
-// views over one availability-state stream. Where tier 1 answers a
-// miss by mask-filtering the idle-state universe — an O(|universe|)
-// subset scan — a live view already holds the surviving candidate
-// list, so steady-state decisions for warmed shapes run zero
-// full-universe scans (pinned by the match.Filters counter).
+// Views holds per-shape live candidate views over one
+// availability-state stream. A live view already holds the candidates
+// that survive on the current state, so decisions for resident shapes
+// run no search and no O(|universe|) scan (pinned by the
+// match.Searches and match.Filters counters).
 //
 // A Views is bound to one availability stream (one mapa.System, or one
 // sched.Engine run): the publisher calls Allocate/Release with exactly
@@ -63,9 +56,9 @@ type viewSlot struct {
 // counters are a pure function of the masks, so this is state-identical
 // to replaying every delta into every view, while a stream nobody
 // consults costs nothing per delta and a decision pays for one shape,
-// not for all of them. Entry cross-checks the request's free mask
+// not for all of them. SelectLive cross-checks the request's free mask
 // against the tracked stream and declines to serve on any mismatch, so
-// a mis-published stream degrades to the filter path instead of
+// a mis-published stream degrades to a fresh search instead of
 // corrupting decisions; a delta that contradicts the tracked masks
 // (allocating a busy GPU, releasing a free one, a repeated health
 // event) panics. The shared Store stays stream-agnostic — engines
@@ -77,7 +70,7 @@ type viewSlot struct {
 // serve correctly. Incomplete (capacity-overflowed) universes are
 // never viewed, and cap-truncated candidate lists are served only to
 // the exact pattern build they were enumerated for — the same
-// soundness rules as Universe.Filter and Store.FilteredEntry.
+// soundness rules as Universe.Filter.
 //
 // Views is safe for concurrent use.
 type Views struct {
@@ -97,8 +90,7 @@ type Views struct {
 	// bw is the stream's shared Eq. 3 bandwidth accounting, maintained
 	// once per delta and read by every shape's table-served selection —
 	// the accounting is shape-independent, so it lives here rather than
-	// inside each slot's view. nil when the store was created with
-	// score tables disabled (nothing would read it).
+	// inside each slot's view.
 	bw *match.BandwidthAccounting
 }
 
@@ -107,21 +99,18 @@ type Views struct {
 // machine free.
 func (s *Store) NewViews() *Views {
 	free := s.top.Graph.VertexBitset()
-	v := &Views{
+	return &Views{
 		store:     s,
 		free:      free,
 		unhealthy: graph.NewBitset(graph.Capacity(s.top.Graph)),
 		usable:    free.Clone(),
 		slots:     make(map[string]*viewSlot),
+		bw:        match.NewBandwidthAccounting(s.top.Graph, free, graph.Capacity(s.top.Graph)),
 	}
-	if s.scoreTablesEnabled() {
-		v.bw = match.NewBandwidthAccounting(s.top.Graph, free, graph.Capacity(s.top.Graph))
-	}
-	return v
 }
 
 // Bound reports whether the view set serves exactly this topology
-// value; policies bypass unbound view sets, mirroring Cache.Bound.
+// value; policies bypass unbound view sets, mirroring Store.Bound.
 func (v *Views) Bound(top *topology.Topology) bool {
 	return v != nil && v.store.Bound(top)
 }
@@ -141,9 +130,7 @@ func (v *Views) Allocate(gpus []int) {
 		v.free.Unset(g)
 		v.usable.Unset(g)
 	}
-	if v.bw != nil {
-		v.bw.Allocate(gpus)
-	}
+	v.bw.Allocate(gpus)
 	v.gen++
 }
 
@@ -164,9 +151,7 @@ func (v *Views) Release(gpus []int) {
 			v.usable.Set(g)
 		}
 	}
-	if v.bw != nil {
-		v.bw.Release(gpus)
-	}
+	v.bw.Release(gpus)
 	v.gen++
 }
 
@@ -186,9 +171,7 @@ func (v *Views) MarkUnhealthy(gpus []int) {
 		v.unhealthy.Set(g)
 		v.usable.Unset(g)
 	}
-	if v.bw != nil {
-		v.bw.MarkUnhealthy(gpus)
-	}
+	v.bw.MarkUnhealthy(gpus)
 	v.gen++
 }
 
@@ -210,9 +193,7 @@ func (v *Views) RestoreHealth(gpus []int) {
 			v.usable.Set(g)
 		}
 	}
-	if v.bw != nil {
-		v.bw.RestoreHealth(gpus)
-	}
+	v.bw.RestoreHealth(gpus)
 	v.gen++
 }
 
@@ -229,67 +210,7 @@ func (v *Views) UpdateEdge(u, g int, w float64) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.bw != nil {
-		v.bw.UpdateEdge(u, g, w)
-	}
-}
-
-// Entry serves the candidate entry for (pattern, avail) from the
-// shape's live view: byte-identical to Store.FilteredEntry — and so to
-// a fresh sequential search on avail — but derived without scanning
-// the universe. The shape's view (and, on first sight, its universe)
-// is built on demand, so a shape first requested mid-stream still
-// serves correctly from its next decision on.
-//
-// ok is false when the view layer cannot answer soundly — avail's free
-// mask does not match the tracked stream, the universe overflowed its
-// capacity, or the candidate cap truncated the list for a structurally
-// different build of the shape — and the caller falls back to the
-// filter path.
-func (v *Views) Entry(pattern, avail *graph.Graph, maxCandidates, workers int) (ent *Entry, order []int, ok bool) {
-	if v == nil {
-		return nil, nil, false
-	}
-	ci := canon.info(pattern)
-	mask := avail.VertexBitsetView()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	reject := func() (*Entry, []int, bool) {
-		v.stats.Rejected++
-		return nil, nil, false
-	}
-	// Mutual subset = equal membership; the masks may differ in word
-	// length when the highest-numbered GPUs are busy. The request mask
-	// is compared against the usable set (free AND healthy): the
-	// publisher's availability graph excludes unhealthy GPUs, so in
-	// degraded mode the usable set is exactly what a decision sees.
-	if !mask.SubsetOf(v.usable) || !v.usable.SubsetOf(mask) {
-		return reject()
-	}
-	sl, ok2 := v.ensureSlot(ci, pattern, workers)
-	if !ok2 {
-		return reject()
-	}
-	idx, truncated := sl.lv.AppendLive(sl.scratch[:0], maxCandidates)
-	sl.scratch = idx
-	if truncated && sl.patternFP != ci.exact {
-		return reject()
-	}
-	u := sl.lv.Universe()
-	ms := make([]match.Match, len(idx))
-	keys := make([]string, len(idx))
-	for j, i := range idx {
-		ms[j] = u.Match(i)
-		keys[j] = u.Key(i)
-	}
-	ent = NewEntry(ms, keys)
-	ent.patternFP = sl.patternFP
-	if truncated {
-		ent.MarkTruncated()
-	}
-	order = canon.remap(sl.patternFP, ci, u.Order())
-	v.stats.Served++
-	return ent, order, true
+	v.bw.UpdateEdge(u, g, w)
 }
 
 // ensureSlot returns the canonical shape's live view slot, synced to
@@ -323,48 +244,56 @@ func (v *Views) ensureSlot(ci *canonInfo, pattern *graph.Graph, workers int) (*v
 }
 
 // SelectLive serves a decision straight off the shape's live view and
-// precomputed score table, without materializing a candidate entry: sel
-// runs under the view lock with the delta-maintained live view, the
-// stream's shared Eq. 3 bandwidth accounting (current for the tracked
-// state), the shape's score table, the order remap for isomorphic
-// builds (nil when the request shape is structurally identical), and
-// whether the candidate cap truncates the live set — everything a
-// policy needs to run its selection as table lookups plus O(k)
-// arithmetic.
+// precomputed score table: sel runs under the view lock with the live
+// view (caught up to the stream's masks), the stream's shared Eq. 3
+// bandwidth accounting, the shape's score table, the order remap for
+// isomorphic builds (nil when the request shape is structurally
+// identical), and whether the candidate cap truncates the live set —
+// everything a policy needs to run its selection as table lookups plus
+// O(k) arithmetic. The shape's view (and, on first sight, its universe
+// and table) is built on demand, so a shape first requested mid-stream
+// serves from its first decision on. A served decision counts as
+// TableServed.
 //
-// SelectLive returns false — without invoking sel, and without counting
-// a rejection, since the caller falls through to Entry which applies
-// (and counts) the same rules — when the view layer cannot answer:
-// score tables disabled, availability stream out of sync, incomplete
-// universe, or a truncating cap for a structurally different build of
-// the shape (a foreign enumeration-order prefix, the same soundness
-// rule as Entry and Filter). On true, the decision is counted as
-// Served and TableServed.
+// SelectLive returns false without invoking sel, counting a Rejected
+// (a nil view set declines too, and counts nothing), when it cannot
+// answer soundly and the caller must search instead:
+//
+//   - avail's vertex set differs from the tracked usable set (free AND
+//     healthy — the publisher's availability graph excludes unhealthy
+//     GPUs, so in degraded mode that is exactly what a decision sees);
+//   - the shape's universe overflowed the store capacity;
+//   - the candidate cap truncates the live set and the request is a
+//     structurally different build of the shape: a truncated list is
+//     the enumeration-order prefix of the build the universe was
+//     enumerated for, not of this one (the same rule as
+//     Universe.Filter).
 func (v *Views) SelectLive(pattern, avail *graph.Graph, maxCandidates, workers int, sel func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool)) bool {
-	if v == nil || v.bw == nil || !v.store.scoreTablesEnabled() {
+	if v == nil {
 		return false
 	}
 	ci := canon.info(pattern)
 	mask := avail.VertexBitsetView()
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	// Mutual subset = equal membership; the masks may differ in word
+	// length when the highest-numbered GPUs are busy.
 	if !mask.SubsetOf(v.usable) || !v.usable.SubsetOf(mask) {
+		v.stats.Rejected++
 		return false
 	}
 	sl, ok := v.ensureSlot(ci, pattern, workers)
 	if !ok {
+		v.stats.Rejected++
 		return false
 	}
 	truncated := maxCandidates > 0 && sl.lv.Len() > maxCandidates
 	if truncated && sl.patternFP != ci.exact {
+		v.stats.Rejected++
 		return false
 	}
 	tbl := v.store.ensureTable(sl.usl, workers)
-	if tbl == nil {
-		return false
-	}
 	order := canon.remap(sl.patternFP, ci, sl.lv.Universe().Order())
-	v.stats.Served++
 	v.stats.TableServed++
 	sel(sl.lv, v.bw, tbl, order, truncated)
 	return true

@@ -1,6 +1,7 @@
 package matchcache
 
 import (
+	"reflect"
 	"testing"
 
 	"mapa/internal/graph"
@@ -17,31 +18,26 @@ func ringN(k int) *graph.Graph {
 	return g
 }
 
-// entriesEqual compares two entries' candidate lists byte-wise:
-// matches (pattern and data slices), keys, and GPU sets.
-func entriesEqual(t *testing.T, got, want *Entry, step string) {
+// filtered is the reference a served candidate list is compared
+// against: Universe.Filter over the same universe on avail's vertex
+// set, itself pinned byte-identical to a fresh search by the match
+// package's tests.
+func filtered(t *testing.T, pattern, data, avail *graph.Graph) (keys []string, matches []match.Match) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: entry has %d candidates, want %d", step, got.Len(), want.Len())
+	u := match.BuildUniverse(pattern, data, 0, 1)
+	idx, _ := u.Filter(avail.VertexBitsetView(), 0)
+	for _, i := range idx {
+		keys = append(keys, u.Key(i))
+		matches = append(matches, u.Match(i))
 	}
-	for i := 0; i < want.Len(); i++ {
-		if got.Key(i) != want.Key(i) {
-			t.Fatalf("%s candidate %d: key %q, want %q", step, i, got.Key(i), want.Key(i))
-		}
-		g, w := got.Matches()[i], want.Matches()[i]
-		for j := range w.Data {
-			if g.Data[j] != w.Data[j] || g.Pattern[j] != w.Pattern[j] {
-				t.Fatalf("%s candidate %d: match %v->%v, want %v->%v",
-					step, i, g.Pattern, g.Data, w.Pattern, w.Data)
-			}
-		}
-	}
+	return keys, matches
 }
 
-// TestViewsEntryMatchesFilteredEntryUnderChurn drives allocate/release
-// deltas through a view set and checks every serve against the store's
-// filter path (itself pinned byte-identical to a fresh search).
-func TestViewsEntryMatchesFilteredEntryUnderChurn(t *testing.T) {
+// TestViewsMatchFilterUnderChurn drives allocate/release
+// deltas through a view set and checks every served candidate list —
+// keys and representative embeddings — against Universe.Filter on the
+// same state.
+func TestViewsMatchFilterUnderChurn(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := ringN(3)
 	store := NewStore(top, 0)
@@ -65,17 +61,17 @@ func TestViewsEntryMatchesFilteredEntryUnderChurn(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		avail := top.Graph.InducedSubgraph(free)
-		got, gotOrder, ok := views.Entry(pattern, avail, 0, 1)
+		got, ok := selectLive(views, pattern, avail, 0)
 		if !ok {
-			t.Fatalf("%s: view entry rejected", step)
+			t.Fatalf("%s: view declined", step)
 		}
-		want, wantOrder, ok := store.FilteredEntry(pattern, avail, 0, 1)
-		if !ok {
-			t.Fatalf("%s: filtered entry rejected", step)
+		if got.order != nil {
+			t.Fatalf("%s: identical shape needs no remap, got %v", step, got.order)
 		}
-		entriesEqual(t, got, want, step)
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("%s: order %v, want %v", step, gotOrder, wantOrder)
+		wantKeys, wantMs := filtered(t, pattern, top.Graph, avail)
+		sameKeys(t, step, got.keys, wantKeys)
+		if !reflect.DeepEqual(got.matches, wantMs) {
+			t.Fatalf("%s: served representatives differ from Filter's", step)
 		}
 	}
 
@@ -87,7 +83,7 @@ func TestViewsEntryMatchesFilteredEntryUnderChurn(t *testing.T) {
 	views.Release([]int{3})
 	free = append(free, 3)
 	check("release {3}")
-	if vs := views.Stats(); vs.Views != 1 || vs.Served != 4 || vs.Rejected != 0 {
+	if vs := views.Stats(); vs.Views != 1 || vs.TableServed != 4 || vs.Rejected != 0 {
 		t.Fatalf("view stats = %+v, want 1 view, 4 served, 0 rejected", vs)
 	}
 }
@@ -102,14 +98,14 @@ func TestViewsRejectsOutOfSyncStream(t *testing.T) {
 	views.Allocate([]int{0, 1})
 	// Caller presents the idle machine although the stream says 0 and 1
 	// are busy.
-	if _, _, ok := views.Entry(pattern, top.Graph, 0, 1); ok {
+	if _, ok := selectLive(views, pattern, top.Graph, 0); ok {
 		t.Fatal("out-of-sync avail was served from the live view")
 	}
-	if vs := views.Stats(); vs.Rejected != 1 || vs.Served != 0 {
+	if vs := views.Stats(); vs.Rejected != 1 || vs.TableServed != 0 {
 		t.Fatalf("view stats = %+v, want the mismatch rejected", vs)
 	}
 	// The matching state must serve.
-	if _, _, ok := views.Entry(pattern, top.Graph.Without([]int{0, 1}), 0, 1); !ok {
+	if _, ok := selectLive(views, pattern, top.Graph.Without([]int{0, 1}), 0); !ok {
 		t.Fatal("in-sync avail was rejected")
 	}
 }
@@ -120,7 +116,7 @@ func TestViewsRejectsIncompleteUniverse(t *testing.T) {
 	top := topology.DGXV100()
 	store := NewStore(top, 2) // triangle universe on a DGX-V is far larger
 	views := store.NewViews()
-	if _, _, ok := views.Entry(ringN(3), top.Graph, 0, 1); ok {
+	if _, ok := selectLive(views, ringN(3), top.Graph, 0); ok {
 		t.Fatal("incomplete universe was served from a live view")
 	}
 	if vs := views.Stats(); vs.Views != 0 || vs.Rejected != 1 {
@@ -128,38 +124,81 @@ func TestViewsRejectsIncompleteUniverse(t *testing.T) {
 	}
 }
 
-// TestViewsTruncatedNotServedToIsomorphicBuild mirrors the cache and
-// store rule: a cap-truncated candidate list is the enumeration-order
-// prefix of the build it was derived for, so a structurally different
-// isomorphic build must be declined.
+// TestViewsTruncatedNotServedToIsomorphicBuild: a cap-truncated
+// candidate list is the enumeration-order prefix of the build it was
+// derived for, so a structurally different isomorphic build must be
+// declined (and counted).
 func TestViewsTruncatedNotServedToIsomorphicBuild(t *testing.T) {
 	top := topology.DGXV100()
-	ringA := ringN(4)    // 0-1-2-3-0
-	ringB := graph.New() // 0-2-1-3-0: isomorphic, different fingerprint
-	ringB.MustAddEdge(0, 2, 1, 0)
-	ringB.MustAddEdge(2, 1, 1, 0)
-	ringB.MustAddEdge(1, 3, 1, 0)
-	ringB.MustAddEdge(3, 0, 1, 0)
+	ringA := ringN(4) // 0-1-2-3-0
+	ringB := ring0213()
 	views := NewStore(top, 0).NewViews()
 
-	ent, _, ok := views.Entry(ringA, top.Graph, 2, 1)
-	if !ok || !ent.truncated {
+	got, ok := selectLive(views, ringA, top.Graph, 2)
+	if !ok || !got.truncated {
 		t.Fatalf("build A must be served its own truncated prefix (ok=%v)", ok)
 	}
-	if _, _, ok := views.Entry(ringB, top.Graph, 2, 1); ok {
+	if _, ok := selectLive(views, ringB, top.Graph, 2); ok {
 		t.Fatal("foreign truncated prefix was served to an isomorphic build")
 	}
+	if vs := views.Stats(); vs.Rejected != 1 {
+		t.Fatalf("view stats = %+v, want the foreign prefix counted rejected", vs)
+	}
 	// Untruncated serves cross builds fine, remapped.
-	entB, orderB, ok := views.Entry(ringB, top.Graph, 0, 1)
+	gotB, ok := selectLive(views, ringB, top.Graph, 0)
 	if !ok {
 		t.Fatal("untruncated view must serve the isomorphic build")
 	}
-	if orderB == nil {
+	if gotB.order == nil {
 		t.Fatal("isomorphic build must receive an order remap")
 	}
-	m := match.Match{Pattern: orderB, Data: entB.Matches()[0].Data}
+	m := match.Match{Pattern: gotB.order, Data: gotB.matches[0].Data}
 	if !match.IsEmbedding(ringB, top.Graph, m) {
 		t.Fatal("remapped live-view match is not an embedding of the requester's build")
+	}
+}
+
+// TestCanonicalKeysShareEntriesAcrossIsomorphicBuilds: two structurally
+// different builds of the 4-ring land on one view slot, one universe
+// and one score table, and each is served every candidate as a valid
+// embedding of its own pattern.
+func TestCanonicalKeysShareEntriesAcrossIsomorphicBuilds(t *testing.T) {
+	top := topology.DGXV100()
+	store := NewStore(top, 0)
+	views := store.NewViews()
+	for _, ring := range []*graph.Graph{ringN(4), ring0213()} {
+		got, ok := selectLive(views, ring, top.Graph, 0)
+		if !ok {
+			t.Fatal("view declined an uncapped build of the ring")
+		}
+		for i, m := range got.matches {
+			if got.order != nil {
+				m = match.Match{Pattern: got.order, Data: m.Data}
+			}
+			if !match.IsEmbedding(ring, top.Graph, m) {
+				t.Fatalf("candidate %d (%v->%v) is not an embedding of the requester's build", i, m.Pattern, m.Data)
+			}
+		}
+	}
+	if vs, st := views.Stats(), store.Stats(); vs.Views != 1 || st.Universes != 1 || st.Tables != 1 {
+		t.Fatalf("isomorphic builds must share one slot, universe and table: views %+v store %+v", vs, st)
+	}
+}
+
+// TestBound: policies consult Views.Bound before every decision, on
+// whatever view set is attached — including none.
+func TestBound(t *testing.T) {
+	top := topology.DGXV100()
+	v := NewStore(top, 0).NewViews()
+	if !v.Bound(top) {
+		t.Fatal("view set not bound to its own topology")
+	}
+	if v.Bound(topology.DGXV100()) {
+		t.Fatal("view set bound to a different topology value")
+	}
+	var none *Views
+	if none.Bound(top) {
+		t.Fatal("nil view set reported bound")
 	}
 }
 
@@ -168,19 +207,16 @@ func TestViewsTruncatedNotServedToIsomorphicBuild(t *testing.T) {
 // the current mask, not the idle machine.
 func TestViewsBuildsMidStream(t *testing.T) {
 	top := topology.DGXV100()
-	store := NewStore(top, 0)
-	views := store.NewViews()
+	views := NewStore(top, 0).NewViews()
 	views.Allocate([]int{2, 6, 7})
-	avail := top.Graph.Without([]int{2, 6, 7})
-	got, _, ok := views.Entry(ringN(3), avail, 0, 1)
+	views.MarkUnhealthy([]int{4})
+	avail := top.Graph.Without([]int{2, 4, 6, 7})
+	got, ok := selectLive(views, ringN(3), avail, 0)
 	if !ok {
 		t.Fatal("mid-stream first request was rejected")
 	}
-	want, _, ok := store.FilteredEntry(ringN(3), avail, 0, 1)
-	if !ok {
-		t.Fatal("filtered entry rejected")
-	}
-	entriesEqual(t, got, want, "mid-stream build")
+	wantKeys, _ := filtered(t, ringN(3), top.Graph, avail)
+	sameKeys(t, "mid-stream build", got.keys, wantKeys)
 }
 
 // TestViewsWalkPostingsOnlyOnConsult pins the cost model of the lazy
@@ -195,7 +231,7 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 	ring3, ring4 := ringN(3), ringN(4)
 	consult := func(pattern, avail *graph.Graph) {
 		t.Helper()
-		if _, _, ok := views.Entry(pattern, avail, 0, 1); !ok {
+		if _, ok := selectLive(views, pattern, avail, 0); !ok {
 			t.Fatal("in-sync consult was rejected")
 		}
 	}
@@ -264,36 +300,32 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 // TestViewsInconsistentDeltaPanics pins the stream-divergence guard at
 // the Views level, where it must live now that deltas no longer reach
 // the per-shape views: a delta contradicting the tracked masks fails
-// loudly — with score tables off too, when no bandwidth accounting
-// stands behind the masks to notice.
+// loudly.
 func TestViewsInconsistentDeltaPanics(t *testing.T) {
-	for _, tables := range []bool{true, false} {
-		store := NewStore(topology.DGXV100(), 0)
-		store.SetScoreTables(tables)
-		for _, tc := range []struct {
-			name string
-			do   func(v *Views)
-		}{
-			{"allocate a busy GPU", func(v *Views) { v.Allocate([]int{2}); v.Allocate([]int{1, 2}) }},
-			{"release a free GPU", func(v *Views) { v.Release([]int{4}) }},
-			{"mark an unhealthy GPU", func(v *Views) { v.MarkUnhealthy([]int{6}); v.MarkUnhealthy([]int{6}) }},
-			{"restore a healthy GPU", func(v *Views) { v.RestoreHealth([]int{6}) }},
-			{"allocate an unknown GPU", func(v *Views) { v.Allocate([]int{64}) }},
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("tables=%v: %s must panic", tables, tc.name)
-					}
-				}()
-				tc.do(store.NewViews())
+	store := NewStore(topology.DGXV100(), 0)
+	for _, tc := range []struct {
+		name string
+		do   func(v *Views)
+	}{
+		{"allocate a busy GPU", func(v *Views) { v.Allocate([]int{2}); v.Allocate([]int{1, 2}) }},
+		{"release a free GPU", func(v *Views) { v.Release([]int{4}) }},
+		{"mark an unhealthy GPU", func(v *Views) { v.MarkUnhealthy([]int{6}); v.MarkUnhealthy([]int{6}) }},
+		{"restore a healthy GPU", func(v *Views) { v.RestoreHealth([]int{6}) }},
+		{"allocate an unknown GPU", func(v *Views) { v.Allocate([]int{64}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", tc.name)
+				}
 			}()
-		}
-		// The legal orders of the same events do not.
-		v := store.NewViews()
-		v.Allocate([]int{1, 2})
-		v.MarkUnhealthy([]int{2, 6})
-		v.Release([]int{1, 2})
-		v.RestoreHealth([]int{2, 6})
+			tc.do(store.NewViews())
+		}()
 	}
+	// The legal orders of the same events do not.
+	v := store.NewViews()
+	v.Allocate([]int{1, 2})
+	v.MarkUnhealthy([]int{2, 6})
+	v.Release([]int{1, 2})
+	v.RestoreHealth([]int{2, 6})
 }

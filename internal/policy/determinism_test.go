@@ -11,11 +11,12 @@ import (
 
 // TestAllocationMatchRepresentativeDeterministic pins the full
 // Allocation — including the Match's exact pattern-to-GPU assignment,
-// which rank-placement consumers read — across the sequential,
-// parallel, cached, and cached+parallel strategies. Equivalence
-// classes with identical GPU sets and scores differ only in their
-// representative embedding, so this catches any strategy that claims
-// a class at a different raw occurrence than the sequential scan.
+// which rank-placement consumers read — across the sequential search,
+// the parallel search, and the table-served path (built sequentially
+// and with four workers). Equivalence classes with identical GPU sets
+// and scores differ only in their representative embedding, so this
+// catches any strategy that claims a class at a different raw
+// occurrence than the sequential scan.
 func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 	tops := []*topology.Topology{topology.DGXV100(), topology.Torus2D()}
 	for _, top := range tops {
@@ -35,15 +36,15 @@ func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 					SetParallelism(p, 4)
 					return p
 				},
-				"cached": func() Allocator {
+				"table-served": func() Allocator {
 					p := NewPreserve(nil)
-					AttachCache(p, matchcache.New(top, 0))
+					served(p, matchcache.NewStore(top, 0), top, []int{1})
 					return p
 				},
-				"cached+parallel": func() Allocator {
+				"table-served+parallel": func() Allocator {
 					p := NewPreserve(nil)
 					SetParallelism(p, 4)
-					AttachCache(p, matchcache.New(top, 0))
+					served(p, matchcache.NewStore(top, 0), top, []int{1})
 					return p
 				},
 			} {

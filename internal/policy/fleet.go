@@ -60,11 +60,11 @@ func FleetOf(a Allocator) *matchcache.FleetViews {
 
 // AllocateFleetInto runs the hierarchical two-level fleet decision
 // into a caller-supplied buffer. served is false when a's policy does
-// not support the fleet path or the fleet layer declined (tables
-// disabled, incomplete class universe, binding candidate cap) — the
-// caller falls back to its flat path. With served true, err is either
-// nil (buf holds the winner) or ErrNoAllocation (no node can host the
-// pattern; a flat fallback may still find a node-spanning placement).
+// not support the fleet path or the fleet layer declined (incomplete
+// class universe, binding candidate cap) — the caller falls back to its
+// flat path. With served true, err is either nil (buf holds the winner)
+// or ErrNoAllocation (no node can host the pattern; a flat fallback may
+// still find a node-spanning placement).
 func AllocateFleetInto(a Allocator, buf *Allocation, req Request) (served bool, err error) {
 	mp, ok := a.(*mapaPolicy)
 	if !ok {

@@ -3,71 +3,34 @@ package policy
 import (
 	"runtime"
 
-	"mapa/internal/graph"
 	"mapa/internal/matchcache"
 	"mapa/internal/score"
-	"mapa/internal/topology"
 )
 
 // SetParallelism configures a MAPA policy (greedy, preserve, and the
 // ablations) to enumerate and score candidate matches with n worker
-// goroutines. The paper notes the scoring stage "is a data parallel
-// problem" (Sec. 5.4) whose parallelization reins in the overhead of
-// Fig. 19; this is that optimization. n < 2 restores single-threaded
-// matching. Baseline and Topo-aware do not score candidate sets and
-// ignore the setting.
+// goroutines when a decision has to search. The paper notes the
+// scoring stage "is a data parallel problem" (Sec. 5.4) whose
+// parallelization reins in the overhead of Fig. 19; this is that
+// optimization. n < 2 restores single-threaded matching. Baseline and
+// Topo-aware do not score candidate sets and ignore the setting.
 //
 // The selected allocation is byte-identical to the sequential one,
-// candidate cap included: parallel enumeration materializes the exact
-// sequential candidate prefix and the comparator is a strict total
-// order over it.
+// candidate cap included: workers enumerate and deduplicate disjoint
+// subtrees of the first pattern vertex's candidates, the in-root-order
+// merge reproduces the exact sequential candidate prefix, and the
+// comparator is a strict total order over it.
 func SetParallelism(a Allocator, n int) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.workers = n
 	}
 }
 
-// AttachCache wires an embedding cache into a MAPA policy: decisions
-// on a (pattern, free-GPU bitmask) state the cache has seen reuse the
-// prior enumeration and scores. The cache must be bound to the
-// topology the policy allocates on; it is bypassed for any other
-// topology. Baseline and Topo-aware do not enumerate and ignore it.
-// Pass nil to detach.
-//
-// Cached decisions rely on the Allocator.Allocate contract that avail
-// is the induced subgraph of top.Graph over the free GPUs: the cache
-// key carries only the free vertex set, so callers that hand-craft
-// availability graphs with missing or altered links must not attach a
-// cache.
-func AttachCache(a Allocator, c *matchcache.Cache) {
-	if mp, ok := a.(*mapaPolicy); ok {
-		mp.cache = c
-	}
-}
-
-// CacheOf returns the embedding cache attached to a MAPA policy, or
-// nil.
-func CacheOf(a Allocator) *matchcache.Cache {
-	if mp, ok := a.(*mapaPolicy); ok {
-		return mp.cache
-	}
-	return nil
-}
-
-// AttachUniverses wires an idle-state universe store (tier 1 of the
-// match pipeline) into a MAPA policy: cache misses — and, when no
-// cache is attached, every decision — are answered by mask-filtering
-// the shape's precomputed idle-machine enumeration instead of running
-// a fresh subgraph-isomorphism search. The store must be bound to the
-// topology the policy allocates on; it is bypassed for any other
-// topology. A store is designed to be shared: engines comparing
-// policies on one machine should attach the same store so each shape's
-// universe is enumerated once in total. Baseline and Topo-aware do not
-// enumerate and ignore it. Pass nil to detach.
-//
-// Filtering relies on the same Allocator.Allocate contract as the
-// cache key: avail must be the induced subgraph of top.Graph over the
-// free GPUs.
+// AttachUniverses records the idle-state universe store a MAPA
+// policy's view set was created from. Decisions reach the store only
+// through the attached views (AttachViews); the attachment is what
+// UniversesOf reports. Baseline and Topo-aware ignore it. Pass nil to
+// detach.
 func AttachUniverses(a Allocator, s *matchcache.Store) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.store = s
@@ -83,17 +46,18 @@ func UniversesOf(a Allocator) *matchcache.Store {
 	return nil
 }
 
-// AttachViews wires a live-view set (tier 0 of the match pipeline)
-// into a MAPA policy: miss decisions are answered from delta-maintained
-// per-shape candidate views before any universe filtering is tried, so
-// steady-state decisions for warmed shapes run zero full-universe
-// scans. The view set must be bound to the topology the policy
-// allocates on and must be fed the exact GPU-set deltas of the
-// availability stream the policy decides over (mapa.System and
-// sched.Engine publish them); a view set whose stream diverges from
-// avail declines to serve and the decision falls back to the filter
-// path. Baseline and Topo-aware do not enumerate and ignore it. Pass
-// nil to detach.
+// AttachViews wires a live-view set into a MAPA policy: decisions are
+// table-served off delta-maintained per-shape candidate views and the
+// store's precomputed score tables — no search, no universe scan, no
+// dynamic score evaluation. The view set must be bound to the topology
+// the policy allocates on (it is bypassed for any other) and must be
+// fed the exact GPU-set deltas of the availability stream the policy
+// decides over (mapa.System and sched.Engine publish them); a view set
+// whose stream diverges from avail declines to serve and the decision
+// is a fresh search. It relies on the Allocator.Allocate contract that
+// avail is the induced subgraph of top.Graph over the usable GPUs.
+// Baseline and Topo-aware do not enumerate and ignore it. Pass nil to
+// detach.
 func AttachViews(a Allocator, v *matchcache.Views) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.views = v
@@ -164,15 +128,4 @@ func (p *mapaPolicy) beats(req Request, a, b Allocation) bool {
 		return false
 	}
 	return b.key < a.key
-}
-
-// allocateParallel is the worker-pool variant of Allocate. The search
-// is partitioned on the candidates of the first pattern vertex (the
-// match.FindAllParallel scheme): workers enumerate and deduplicate
-// disjoint subtrees, the in-root-order merge reproduces the exact
-// sequential candidate prefix (cap included), and scoring fans out
-// over the same pool. Every output field — GPUs, scores, and the
-// Match representative — is byte-identical to the sequential path.
-func (p *mapaPolicy) allocateParallel(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	return p.selectFromEntry(p.enumerateEntry(avail, req), nil, avail, top, req)
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"mapa/internal/graph"
 	"mapa/internal/match"
@@ -59,8 +60,8 @@ type Allocation struct {
 
 	// key is the candidate's canonical match key (vertex set + used
 	// edge set). It is the final tie-break of the selection order, so
-	// every enumeration strategy — sequential, cached, parallel —
-	// resolves equally scored same-GPU candidates identically.
+	// the table-served selection and the search — sequential or
+	// parallel — resolve equally scored same-GPU candidates identically.
 	key string
 }
 
@@ -233,7 +234,6 @@ type mapaPolicy struct {
 	scorer        *score.Scorer
 	maxCandidates int
 	workers       int
-	cache         *matchcache.Cache
 	store         *matchcache.Store
 	views         *matchcache.Views
 	fleet         *matchcache.FleetViews
@@ -254,27 +254,19 @@ func (p *mapaPolicy) better(req Request, a, b score.Scores) bool {
 func (p *mapaPolicy) Name() string { return p.name }
 
 func (p *mapaPolicy) Allocate(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if err := validate(avail, req); err != nil {
-		return Allocation{}, err
-	}
-	// Warmed fast path: the shape's live view plus its precomputed
-	// score table answer the decision with table lookups and O(k)
-	// arithmetic — no entry materialization, no dynamic score
-	// evaluations — byte-identical to every path below.
-	if p.views.Bound(top) {
-		if alloc, err, served := p.allocateScored(avail, top, req); served {
-			return alloc, err
-		}
-	}
-	return p.allocateSlow(avail, top, req)
+	var alloc Allocation
+	err := p.AllocateInto(&alloc, avail, top, req)
+	return alloc, err
 }
 
 // AllocateInto is Allocate writing the decision into a caller-supplied
-// buffer: buf's slices are truncated and refilled in place, so a caller
-// reusing one buffer across decisions pays zero allocations on the
-// table-served fast path (the entry-materializing fallbacks still
-// allocate and are copied into buf). On error buf's contents are
-// unspecified.
+// buffer. A decision is made one of two ways, byte-identical by
+// construction and by test: table-served off the shape's live view
+// (buf's slices are truncated and refilled in place, so a caller
+// reusing one buffer pays zero allocations), or — when no view set is
+// attached or it declines (see matchcache.Views.SelectLive) — by a
+// fresh search on avail, whose result replaces buf. On error buf's
+// contents are unspecified.
 func (p *mapaPolicy) AllocateInto(buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) error {
 	if err := validate(avail, req); err != nil {
 		return err
@@ -284,7 +276,7 @@ func (p *mapaPolicy) AllocateInto(buf *Allocation, avail *graph.Graph, top *topo
 			return err
 		}
 	}
-	al, err := p.allocateSlow(avail, top, req)
+	al, err := p.allocateSearch(avail, top, req)
 	if err != nil {
 		return err
 	}
@@ -308,177 +300,54 @@ func AllocateInto(a Allocator, buf *Allocation, avail *graph.Graph, top *topolog
 	return nil
 }
 
-// allocateSlow is every decision tier below the table-served fast
-// path, in cost order: tier-2 cached entries, tier-0/1 filtered
-// entries, parallel enumeration, sequential enumeration.
-func (p *mapaPolicy) allocateSlow(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if p.cache.Bound(top) {
-		return p.allocateCached(avail, top, req)
+// allocateSearch is the paper's per-decision pipeline (Fig. 7 /
+// Algorithm 1) run from scratch on the availability graph: enumerate
+// the pattern's deduplicated matches (capped at maxCandidates, with
+// p.workers goroutines when more than one is configured — the parallel
+// enumeration materializes the exact sequential candidate prefix),
+// score them, select under the policy's total order. It is the only
+// path below the table-served one, the decision a policy with nothing
+// attached makes, and the reference every parity test compares
+// against; its cost is what Fig. 19 measures.
+func (p *mapaPolicy) allocateSearch(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
+	ms, keys := match.FindAllDedupedParallelKeys(req.Pattern, avail, p.workers, p.maxCandidates)
+	if len(ms) == 0 {
+		return Allocation{}, ErrNoAllocation
 	}
-	if p.views.Bound(top) || p.store.Bound(top) {
-		return p.allocateFiltered(avail, top, req)
-	}
-	if p.workers > 1 {
-		return p.allocateParallel(avail, top, req)
-	}
-	sr := match.NewSearcher(req.Pattern, avail)
-	ky := match.NewKeyer(req.Pattern, sr.Order())
+	// One pooled bandwidth ledger prices Eq. 3 for the whole candidate
+	// list: candidates share the availability graph, so each one costs
+	// O(k²) arithmetic instead of an O(V+E) graph sweep.
 	led := score.BorrowLedger(avail)
 	defer led.Recycle()
-	seen := make(map[string]bool)
+	scores := make([]score.Scores, len(ms))
+	scoreFrom := func(start, stride int) {
+		for i := start; i < len(ms); i += stride {
+			scores[i] = p.scorer.ScoreLedger(top, req.Pattern, avail, ms[i], led)
+		}
+	}
+	// Scoring "is a data parallel problem" (Sec. 5.4): fan it out over
+	// the same worker count.
+	if workers := min(p.workers, len(ms)); workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				scoreFrom(w, workers)
+			}(w)
+		}
+		wg.Wait()
+	} else {
+		scoreFrom(0, 1)
+	}
 	var best Allocation
-	found := false
-	candidates := 0
-	sr.Enumerate(func(m match.Match) bool {
-		key := ky.KeyOf(m)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		mc := m.Clone()
-		cand := Allocation{
-			GPUs:   mc.DataVertices(),
-			Match:  mc,
-			Scores: p.scorer.ScoreLedger(top, req.Pattern, avail, mc, led),
-			key:    key,
-		}
-		if !found || p.beats(req, best, cand) {
+	for i, m := range ms {
+		cand := Allocation{GPUs: m.DataVertices(), Match: m, Scores: scores[i], key: keys[i]}
+		if i == 0 || p.beats(req, best, cand) {
 			best = cand
-			found = true
 		}
-		candidates++
-		return p.maxCandidates == 0 || candidates < p.maxCandidates
-	})
-	if !found {
-		return Allocation{}, ErrNoAllocation
 	}
 	return best, nil
-}
-
-// allocateCached serves the decision from the two-tier pipeline: on a
-// tier-2 hit the prior candidate list (and its scores) are reused and
-// only the comparator runs. On a miss the list is derived by
-// mask-filtering the shape's idle-state universe when one is usable —
-// no search at all — and only otherwise enumerated afresh (in parallel
-// when workers are configured); either way it is stored for the next
-// time this (pattern, free-GPU) state recurs. The selected allocation
-// is identical to the sequential path's: every fill strategy
-// materializes the sequential candidate prefix and the comparator is a
-// strict total order.
-func (p *mapaPolicy) allocateCached(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	ent, order, ok := p.cache.GetFor(req.Pattern, avail)
-	if !ok {
-		ent, order = p.cache.PutFor(req.Pattern, avail, p.missEntry(avail, top, req))
-	}
-	return p.selectFromEntry(ent, order, avail, top, req)
-}
-
-// allocateFiltered is the store-without-cache path: every decision is
-// a cold miss answered in cost order — from the shape's delta-
-// maintained live view when one can serve (tier 0, no universe scan),
-// by mask-filtering the idle-state universe otherwise (tier 1), and
-// only as a last resort by a fresh enumeration.
-func (p *mapaPolicy) allocateFiltered(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if p.views.Bound(top) {
-		if ent, order, ok := p.views.Entry(req.Pattern, avail, p.maxCandidates, p.workers); ok {
-			return p.selectFromEntry(ent, order, avail, top, req)
-		}
-	}
-	var ent *matchcache.Entry
-	var order []int
-	ok := false
-	if p.store.Bound(top) {
-		ent, order, ok = p.store.FilteredEntry(req.Pattern, avail, p.maxCandidates, p.workers)
-	}
-	if !ok {
-		ent, order = p.enumerateEntry(avail, req), nil
-	}
-	return p.selectFromEntry(ent, order, avail, top, req)
-}
-
-// missEntry fills a tier-2 miss in the same cost order as
-// allocateFiltered: live view, then universe filter, then enumeration.
-// The entry carries its origin pattern's fingerprint, so the cache
-// recomputes the order remap on lookups from isomorphic builds.
-func (p *mapaPolicy) missEntry(avail *graph.Graph, top *topology.Topology, req Request) *matchcache.Entry {
-	if p.views.Bound(top) {
-		if ent, _, ok := p.views.Entry(req.Pattern, avail, p.maxCandidates, p.workers); ok {
-			return ent
-		}
-	}
-	if p.store.Bound(top) {
-		if ent, _, ok := p.store.FilteredEntry(req.Pattern, avail, p.maxCandidates, p.workers); ok {
-			return ent
-		}
-	}
-	return p.enumerateEntry(avail, req)
-}
-
-// enumerateEntry runs the deduplicated (capped) enumeration — in
-// parallel when workers are configured — and packages it as a cache
-// entry. Both strategies materialize the exact sequential candidate
-// prefix, so entries are byte-identical however they were built. An
-// entry that reached the candidate cap is marked truncated: it is a
-// prefix of *this* pattern's enumeration order, and the cache must not
-// serve it to an isomorphic build that enumerates in a different
-// order. (Reaching the cap exactly is conservatively treated as
-// truncated.)
-func (p *mapaPolicy) enumerateEntry(avail *graph.Graph, req Request) *matchcache.Entry {
-	var ms []match.Match
-	var keys []string
-	if p.workers > 1 {
-		ms, keys = match.FindAllDedupedParallelKeys(req.Pattern, avail, p.workers, p.maxCandidates)
-	} else {
-		ms, keys = match.FindAllDedupedCappedKeys(req.Pattern, avail, p.maxCandidates)
-	}
-	ent := matchcache.NewEntry(ms, keys)
-	if p.maxCandidates > 0 && len(ms) >= p.maxCandidates {
-		ent.MarkTruncated()
-	}
-	return ent
-}
-
-// selectFromEntry scores an entry's candidates (reusing cached scores
-// when the entry came from the cache) and picks the winner under the
-// policy's total order. order, when non-nil, re-expresses the entry's
-// matches in the request pattern's vertex IDs — the case where the
-// entry was enumerated for an isomorphic-but-not-identical build of
-// the shape. The entry's matches are shared; the winning match is
-// cloned so the caller owns its Allocation.
-func (p *mapaPolicy) selectFromEntry(ent *matchcache.Entry, order []int, avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if ent.Len() == 0 {
-		return Allocation{}, ErrNoAllocation
-	}
-	// One pooled bandwidth ledger prices Eq. 3 for the whole fill:
-	// candidates share the availability graph, so each one costs O(k²)
-	// arithmetic instead of an O(V+E) graph sweep, and the ledger's
-	// incident map is recycled across decisions.
-	led := score.BorrowLedger(avail)
-	defer led.Recycle()
-	scores := ent.Scores(p.scorer, p.workers, func(_ int, m match.Match) score.Scores {
-		if order != nil {
-			m = match.Match{Pattern: order, Data: m.Data}
-		}
-		return p.scorer.ScoreLedger(top, req.Pattern, avail, m, led)
-	})
-	best := 0
-	for i := 1; i < ent.Len(); i++ {
-		a := Allocation{GPUs: ent.GPUs(best), Scores: scores[best], key: ent.Key(best)}
-		b := Allocation{GPUs: ent.GPUs(i), Scores: scores[i], key: ent.Key(i)}
-		if p.beats(req, a, b) {
-			best = i
-		}
-	}
-	m := ent.Matches()[best]
-	if order != nil {
-		m = match.Match{Pattern: order, Data: m.Data}
-	}
-	return Allocation{
-		GPUs:   append([]int(nil), ent.GPUs(best)...),
-		Match:  m.Clone(),
-		Scores: scores[best],
-		key:    ent.Key(best),
-	}, nil
 }
 
 // lexLess orders GPU sets for deterministic tie-breaking.

@@ -1,11 +1,11 @@
-// Table-served selection: the warmed fast path of the MAPA policies.
+// Table-served selection: the fast path of the MAPA policies.
 //
-// With a live view (tier 0) and the shape's precomputed score table in
-// place, a steady-state decision never materializes a candidate entry
-// and never calls score.Scorer dynamically. Eq. 1 (AggBW) and Eq. 2
-// (EffBW) are state-independent — pure table lookups — and Eq. 3
-// decomposes into the view's delta-maintained state terms plus the
-// candidate's static internal-edge constant, O(k) arithmetic:
+// With the shape's live view and precomputed score table in place, a
+// decision never enumerates candidates and never calls score.Scorer
+// dynamically. Eq. 1 (AggBW) and Eq. 2 (EffBW) are state-independent —
+// pure table lookups — and Eq. 3 decomposes into the view's
+// delta-maintained state terms plus the candidate's static
+// internal-edge constant, O(k) arithmetic:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
 //
@@ -26,8 +26,8 @@
 //     secondary metric only on primary ties.
 //
 // Every strategy applies the same total order as the dynamic comparator
-// — primary, secondary, lexicographic GPU set, canonical key — so
-// decisions are byte-identical to the scoring paths (all link
+// (beats) — primary, secondary, lexicographic GPU set, canonical key —
+// so decisions are byte-identical to allocateSearch's (all link
 // bandwidths are integral, making the delta-maintained sums exact).
 //
 // The whole path allocates nothing: candidates are table lookups,
@@ -46,20 +46,12 @@ import (
 	"mapa/internal/topology"
 )
 
-// allocateScored serves the decision from the shape's live view and
-// score table. served is false when the view layer cannot answer —
-// tables disabled, stream out of sync, incomplete universe, or a
-// truncating cap for a foreign build of the shape — and the caller
-// falls through to the entry-materializing tiers.
-func (p *mapaPolicy) allocateScored(avail *graph.Graph, top *topology.Topology, req Request) (alloc Allocation, err error, served bool) {
-	err, served = p.allocateScoredInto(&alloc, avail, top, req)
-	return alloc, err, served
-}
-
-// allocateScoredInto is allocateScored writing the winner into a
-// caller-supplied buffer: buf's slices are truncated and refilled in
-// place, so a caller reusing one buffer across decisions allocates
-// nothing once the slices have grown to the request size.
+// allocateScoredInto serves the decision from the shape's live view and
+// score table, writing the winner into buf: its slices are truncated
+// and refilled in place, so a caller reusing one buffer across
+// decisions allocates nothing once the slices have grown to the request
+// size. served is false when the view set declines (see
+// matchcache.Views.SelectLive) and the caller must search.
 func (p *mapaPolicy) allocateScoredInto(buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) (err error, served bool) {
 	served = p.views.SelectLive(req.Pattern, avail, p.maxCandidates, p.workers,
 		func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
@@ -83,8 +75,8 @@ func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccountin
 	mt := tbl.ForModel(p.scorer.Model)
 	if truncated {
 		// A binding cap admits only the first maxCandidates live
-		// candidates in enumeration order — the exact prefix the entry
-		// paths would materialize — so the static orders (which ignore
+		// candidates in enumeration order — the exact prefix a capped
+		// search would materialize — so the static orders (which ignore
 		// enumeration order) do not apply; stream the capped prefix.
 		return p.scoredArgmax(lv, bw, tbl, mt, req, p.maxCandidates), true
 	}
@@ -160,8 +152,8 @@ func scoredTieBreak(tbl *score.Table, i, best int) bool {
 }
 
 // scoredArgmax streams the live candidates in enumeration order —
-// truncated to the first max when max > 0, matching the entry paths'
-// capped prefix — and returns the argmax under the policy's total
+// truncated to the first max when max > 0, matching a capped search's
+// prefix — and returns the argmax under the policy's total
 // order. The selection order is resolved once, the live bitset is
 // walked word-wise, and each candidate pays one primary-metric
 // evaluation; the secondary metric is computed only on primary ties
@@ -287,20 +279,12 @@ func (p *mapaPolicy) scoredGroupArgmax(lv *match.LiveView, bw *match.BandwidthAc
 	return best
 }
 
-// scoredAllocation packages the winning candidate exactly like
-// selectFromEntry, into a fresh caller-owned Allocation.
-func (p *mapaPolicy) scoredAllocation(bw *match.BandwidthAccounting, tbl *score.Table, order []int, best int) Allocation {
-	var out Allocation
-	p.scoredAllocationInto(&out, bw, tbl, order, best)
-	return out
-}
-
 // scoredAllocationInto packages the winning candidate into buf by
 // truncate-and-append: GPU set, match pattern (re-expressed through the
 // isomorphic order remap when present), and match data land in buf's
 // reused backing arrays, scores are assembled from the table and the
 // view's bandwidth accounting. The values written are identical to
-// selectFromEntry's clone-and-return packaging.
+// what allocateSearch returns for the same candidate.
 func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAccounting, tbl *score.Table, order []int, best int) {
 	u := tbl.Universe()
 	m := u.Match(best)

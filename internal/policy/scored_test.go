@@ -27,7 +27,7 @@ func fourPolicies(s *score.Scorer) map[string]func() Allocator {
 }
 
 // fullAllocString renders every decision field that must match byte for
-// byte across the table-served and dynamic-scoring paths, including the
+// byte between the table-served path and the search, including the
 // representative embedding.
 func fullAllocString(a Allocation) string {
 	return fmt.Sprintf("gpus=%v agg=%v eff=%v pres=%v mix=%+v match=%v->%v",
@@ -38,12 +38,11 @@ func fullAllocString(a Allocation) string {
 // TestTableServedChurnParityAllPolicies is the acceptance suite for the
 // score-annotated universes: on the DGX-A100 and the 72-GPU
 // cluster-a100 (multi-word masks, 59,640-class Ring(3) universe), all
-// four MAPA selection orders run a seeded allocate/release churn twice
-// — once table-served, once with score tables disabled so every
-// decision materializes candidates and scores them dynamically — and
-// every decision must agree byte for byte while the table-served side
-// performs ZERO dynamic score evaluations, zero searches, and zero
-// full-universe scans.
+// four MAPA selection orders run a seeded allocate/release churn, every
+// decision made twice — table-served, and by a bare policy's fresh
+// search that scores every candidate dynamically — and the two must
+// agree byte for byte while the table-served side performs ZERO dynamic
+// score evaluations, zero searches, and zero full-universe scans.
 func TestTableServedChurnParityAllPolicies(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -52,8 +51,8 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 		freeLow, freeHigh int
 	}{
 		// The DGX churns across its whole range; the cluster churns in a
-		// mostly-busy window so the dynamic-scoring oracle stays
-		// tractable while masks straddle the 64-bit word boundary.
+		// mostly-busy window so the search oracle stays tractable while
+		// masks straddle the 64-bit word boundary.
 		{"dgx-a100", topology.DGXA100(), 120, 3, 8},
 		{"cluster-a100", topology.ClusterA100(9), 60, 8, 14},
 	}
@@ -62,14 +61,9 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 			pattern := appgraph.Ring(3)
 			scorer := score.NewScorer(nil)
 
-			// One warmed store per path, shared across the four
-			// policies: tables on for the fast side, off for the
-			// dynamic-scoring oracle.
+			// One warmed store shared across the four policies.
 			tabledStore := matchcache.NewStore(tc.top, 0)
 			tabledStore.Warm(2, pattern)
-			dynStore := matchcache.NewStore(tc.top, 0)
-			dynStore.SetScoreTables(false)
-			dynStore.Warm(2, pattern)
 
 			for name, mk := range fourPolicies(scorer) {
 				t.Run(name, func(t *testing.T) {
@@ -78,10 +72,7 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 					fastViews := tabledStore.NewViews()
 					AttachViews(fast, fastViews)
 
-					slow := mk()
-					AttachUniverses(slow, dynStore)
-					slowViews := dynStore.NewViews()
-					AttachViews(slow, slowViews)
+					slow := mk() // nothing attached: a fresh search per decision
 
 					rng := rand.New(rand.NewSource(321))
 					avail := tc.top.Graph.Clone()
@@ -97,7 +88,6 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 							}
 						}
 						fastViews.Release(gpus)
-						slowViews.Release(gpus)
 					}
 					var leases [][]int
 					// Drain into the churn window first.
@@ -118,7 +108,6 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 							avail.RemoveVertex(g)
 						}
 						fastViews.Allocate(take)
-						slowViews.Allocate(take)
 						leases = append(leases, take)
 					}
 
@@ -151,7 +140,7 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 							t.Fatal(err)
 						}
 						if fullAllocString(got) != fullAllocString(want) {
-							t.Fatalf("step %d (sensitive=%v): table-served decision diverged from dynamic scoring:\n got %s\nwant %s",
+							t.Fatalf("step %d (sensitive=%v): table-served decision diverged from the search:\n got %s\nwant %s",
 								step, req.Sensitive, fullAllocString(got), fullAllocString(want))
 						}
 						if !match.IsEmbedding(pattern, avail, got.Match) {
@@ -161,24 +150,17 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 							avail.RemoveVertex(g)
 						}
 						fastViews.Allocate(got.GPUs)
-						slowViews.Allocate(got.GPUs)
 						leases = append(leases, got.GPUs)
 						decisions++
 					}
 					vs := fastViews.Stats()
-					if decisions == 0 || vs.TableServed != uint64(decisions) || vs.TableServed != vs.Served {
+					if decisions == 0 || vs.TableServed != uint64(decisions) || vs.Rejected != 0 {
 						t.Fatalf("%d decisions but fast view stats %+v — every decision must be table-served", decisions, vs)
-					}
-					if svs := slowViews.Stats(); svs.TableServed != 0 {
-						t.Fatalf("dynamic oracle was table-served: %+v", svs)
 					}
 				})
 			}
 			if st := tabledStore.Stats(); st.Tables == 0 || st.TableTime <= 0 {
 				t.Fatalf("warmed store built no score tables: %+v", st)
-			}
-			if st := dynStore.Stats(); st.Tables != 0 {
-				t.Fatalf("tables-disabled store built score tables: %+v", st)
 			}
 		})
 	}
@@ -187,7 +169,7 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 // TestScoredTruncationParity pins the capped regime: with a binding
 // candidate cap the table path may only consider the first
 // maxCandidates live candidates in enumeration order — the exact prefix
-// the entry paths materialize — so the capped streaming argmax must
+// a capped search materializes — so the capped streaming argmax must
 // match the plain sequential capped decision.
 func TestScoredTruncationParity(t *testing.T) {
 	top := topology.DGXA100()
@@ -237,7 +219,7 @@ func TestScoredTruncationParity(t *testing.T) {
 // TestScoredIsomorphicBuild: a structurally different build of a warmed
 // ring must be table-served through the canonical order remap — and
 // with a binding cap it must NOT be served a foreign truncated prefix,
-// falling back to paths that enumerate its own order.
+// falling back to a search that enumerates its own order.
 func TestScoredIsomorphicBuild(t *testing.T) {
 	top := topology.DGXV100()
 	ringA := appgraph.Ring(4) // 0-1-2-3-0
@@ -275,9 +257,8 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	}
 
 	// With a binding cap, the truncated live prefix belongs to ringA's
-	// enumeration order: ringB must be declined by the table path (and
-	// every other truncating tier) and still match its own sequential
-	// decision.
+	// enumeration order: ringB must be declined by the table path and
+	// still match its own sequential decision.
 	capped := NewPreserve(nil)
 	SetMaxCandidates(capped, 2)
 	AttachUniverses(capped, store)
@@ -287,7 +268,7 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := cviews.Stats(); vs.TableServed != 0 {
+	if vs := cviews.Stats(); vs.TableServed != 0 || vs.Rejected != 1 {
 		t.Fatalf("foreign truncated prefix was table-served: %+v", vs)
 	}
 	cv := NewPreserve(nil)
@@ -303,7 +284,7 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 }
 
 // TestScoredPathExhaustion: undersized availability is rejected by
-// validation before any tier runs — the table path never sees the
+// validation before either path runs — the view layer never sees the
 // request and its counters stay clean. (An empty live set with k ≤
 // free cannot occur on the paper's topologies: their hardware graphs
 // are fully connected, so pickScored's no-candidate branch is purely
@@ -327,7 +308,7 @@ func TestScoredPathExhaustion(t *testing.T) {
 	if _, err := p.Allocate(avail, top, Request{Pattern: pattern, Sensitive: true}); err == nil {
 		t.Fatal("expected ErrNoAllocation with only 2 free GPUs")
 	}
-	if vs := views.Stats(); vs.Served != 0 || vs.TableServed != 0 {
-		t.Fatalf("undersized request must not reach the view tiers: %+v", vs)
+	if vs := views.Stats(); vs.TableServed != 0 || vs.Rejected != 0 {
+		t.Fatalf("undersized request must not reach the view layer: %+v", vs)
 	}
 }

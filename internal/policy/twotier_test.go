@@ -13,31 +13,38 @@ import (
 )
 
 // allocString renders the decision fields that must be invariant
-// across match-pipeline configurations.
+// between the table-served path and the search.
 func allocString(a Allocation) string {
 	return fmt.Sprintf("gpus=%v agg=%.6f eff=%.6f pres=%.6f", a.GPUs, a.Scores.AggBW, a.Scores.EffBW, a.Scores.PreservedBW)
 }
 
+// served attaches store and a fresh view stream over it, advanced to
+// the state with the given GPUs busy, to p — the pipeline a System or
+// Engine wires — and returns the stream and the matching availability
+// graph.
+func served(p Allocator, store *matchcache.Store, top *topology.Topology, busy []int) (*matchcache.Views, *graph.Graph) {
+	views := store.NewViews()
+	views.Allocate(busy)
+	AttachUniverses(p, store)
+	AttachViews(p, views)
+	return views, top.Graph.Without(busy)
+}
+
 // TestWarmedShapeAllocatesNewStateWithoutSearch is the acceptance
-// check for the two-tier pipeline: with a warmed idle-state universe,
-// a Preserve decision on a previously-unseen availability state must
-// be served by mask filtering — zero calls into the match package's
-// backtracking search — and still equal the plain sequential decision.
+// check for the precomputed pipeline: with a warmed idle-state
+// universe, a Preserve decision on a previously-unseen availability
+// state must be table-served — zero calls into the match package's
+// backtracking search — and still equal the plain search's decision.
 func TestWarmedShapeAllocatesNewStateWithoutSearch(t *testing.T) {
 	top := topology.DGXV100()
-	scorer := score.NewScorer(nil)
 	pattern := appgraph.Ring(3)
-
-	warmed := NewPreserve(scorer)
-	AttachCache(warmed, matchcache.New(top, 0))
 	store := matchcache.NewStore(top, 0)
 	store.Warm(1, pattern)
-	AttachUniverses(warmed, store)
-
 	vanilla := NewPreserve(score.NewScorer(nil))
 
 	for _, busy := range [][]int{{0, 5}, {1, 6}, {2, 3, 7}} {
-		avail := top.Graph.Without(busy)
+		warmed := NewPreserve(score.NewScorer(nil))
+		views, avail := served(warmed, store, top, busy)
 		req := Request{Pattern: pattern, Sensitive: true}
 
 		before := match.Searches()
@@ -46,102 +53,38 @@ func TestWarmedShapeAllocatesNewStateWithoutSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if after := match.Searches(); after != before {
-			t.Fatalf("busy=%v: unseen availability state ran %d searches, want 0 (filter-served)", busy, after-before)
+			t.Fatalf("busy=%v: unseen availability state ran %d searches, want 0 (table-served)", busy, after-before)
+		}
+		if vs := views.Stats(); vs.TableServed != 1 || vs.Rejected != 0 {
+			t.Fatalf("busy=%v: view stats %+v, want the decision table-served", busy, vs)
 		}
 		want, err := vanilla.Allocate(avail, top, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if allocString(got) != allocString(want) {
-			t.Fatalf("busy=%v: filtered decision diverged:\n got %s\nwant %s", busy, allocString(got), allocString(want))
+			t.Fatalf("busy=%v: table-served decision diverged:\n got %s\nwant %s", busy, allocString(got), allocString(want))
 		}
 		if !match.IsEmbedding(pattern, avail, got.Match) {
-			t.Fatalf("busy=%v: filtered decision returned an invalid embedding", busy)
+			t.Fatalf("busy=%v: table-served decision returned an invalid embedding", busy)
 		}
 	}
-	if st := store.Stats(); st.FilterServed != 3 {
-		t.Fatalf("want 3 filter-served decisions, store stats %+v", st)
-	}
 }
 
-// TestTruncatedCacheEntryNotServedAcrossBuilds is the regression test
-// for cap-truncated entries under canonical keying: a truncated
-// candidate list is the enumeration-order prefix of the build that
-// filled it, so an isomorphic-but-structurally-different build must
-// not be served it — its own sequential prefix differs. With a binding
-// cap, the cached decision for the second build must still equal that
-// build's plain sequential decision.
-func TestTruncatedCacheEntryNotServedAcrossBuilds(t *testing.T) {
-	top := topology.DGXV100()
-	patA := graph.New()
-	patA.MustAddEdge(0, 1, 1, 0)
-	patA.MustAddEdge(0, 2, 2, 0)
-	patA.MustAddEdge(1, 3, 1, 0)
-	// The same weighted tree relabeled by 2<->3: isomorphic, different
-	// structural fingerprint — and the leaf-ID swap flips the match
-	// order's tie-break, so B's enumeration emits classes in a
-	// genuinely different order than A's.
-	patB := graph.New()
-	patB.MustAddEdge(0, 1, 1, 0)
-	patB.MustAddEdge(0, 3, 2, 0)
-	patB.MustAddEdge(1, 2, 1, 0)
-
-	cached := NewPreserve(score.NewScorer(nil))
-	SetMaxCandidates(cached, 2)
-	AttachCache(cached, matchcache.New(top, 0))
-	// Build A fills the (canonical shape, idle mask) view with its own
-	// truncated prefix…
-	if _, err := cached.Allocate(top.Graph, top, Request{Pattern: patA, Sensitive: true}); err != nil {
-		t.Fatal(err)
-	}
-	// …which must NOT be served to build B.
-	got, err := cached.Allocate(top.Graph, top, Request{Pattern: patB, Sensitive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vanilla := NewPreserve(score.NewScorer(nil))
-	SetMaxCandidates(vanilla, 2)
-	want, err := vanilla.Allocate(top.Graph, top, Request{Pattern: patB, Sensitive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocString(got) != allocString(want) {
-		t.Fatalf("truncated entry leaked across builds:\n got %s\nwant %s", allocString(got), allocString(want))
-	}
-	if !match.IsEmbedding(patB, top.Graph, got.Match) {
-		t.Fatal("cached decision is not a valid embedding of build B")
-	}
-	// Build A must still hit its own truncated entry afterwards.
-	c := CacheOf(cached)
-	before := c.Stats()
-	if _, err := cached.Allocate(top.Graph, top, Request{Pattern: patA, Sensitive: true}); err != nil {
-		t.Fatal(err)
-	}
-	// (A's entry was replaced by B's; A re-fills, then hits again.)
-	if _, err := cached.Allocate(top.Graph, top, Request{Pattern: patA, Sensitive: true}); err != nil {
-		t.Fatal(err)
-	}
-	if after := c.Stats(); after.Hits == before.Hits {
-		t.Fatalf("same-build truncated entries must still hit: before %+v after %+v", before, after)
-	}
-}
-
-// TestStoreOnlyPathMatchesSequential exercises allocateFiltered (a
-// universe store without a tier-2 cache): every decision is a cold
-// miss served by filtering, and must equal the sequential decision.
+// TestStoreOnlyPathMatchesSequential: a cold store (nothing warmed, the
+// universe and table built by the first decision) on the 16-GPU torus
+// must decide like the search on every state.
 func TestStoreOnlyPathMatchesSequential(t *testing.T) {
 	top := topology.Torus2D()
-	scorer := score.NewScorer(nil)
 	pattern := appgraph.Ring(4)
-
-	filtered := NewGreedy(scorer)
-	AttachUniverses(filtered, matchcache.NewStore(top, 0))
+	store := matchcache.NewStore(top, 0)
 	vanilla := NewGreedy(score.NewScorer(nil))
 
 	for _, busy := range [][]int{nil, {0, 1}, {3, 7, 11, 15}, {2, 5, 8}} {
-		avail := top.Graph.Without(busy)
+		viewed := NewGreedy(score.NewScorer(nil))
+		_, avail := served(viewed, store, top, busy)
 		req := Request{Pattern: pattern, Sensitive: false}
-		got, err := filtered.Allocate(avail, top, req)
+		got, err := viewed.Allocate(avail, top, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,18 +93,17 @@ func TestStoreOnlyPathMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if allocString(got) != allocString(want) {
-			t.Fatalf("busy=%v: store-only decision diverged:\n got %s\nwant %s", busy, allocString(got), allocString(want))
+			t.Fatalf("busy=%v: store-backed decision diverged:\n got %s\nwant %s", busy, allocString(got), allocString(want))
 		}
 	}
 }
 
 // TestIsomorphicRequestSharesPipeline: a structurally different build
-// of the same ring must reuse the first build's universe and cached
-// views, and still produce the same decision as its own sequential
-// enumeration, with a valid embedding in its own vertex IDs.
+// of the same ring must reuse the first build's universe, table and
+// live view, and still produce the same decision as its own search,
+// with a valid embedding in its own vertex IDs.
 func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 	top := topology.DGXV100()
-	scorer := score.NewScorer(nil)
 	ringA := appgraph.Ring(4) // 0-1-2-3-0
 	ringB := graph.New()      // 0-2-1-3-0
 	ringB.MustAddEdge(0, 2, 1, 0)
@@ -169,19 +111,14 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 	ringB.MustAddEdge(1, 3, 1, 0)
 	ringB.MustAddEdge(3, 0, 1, 0)
 
-	p := NewPreserve(scorer)
-	cache := matchcache.New(top, 0)
-	AttachCache(p, cache)
+	p := NewPreserve(score.NewScorer(nil))
 	store := matchcache.NewStore(top, 0)
 	store.Warm(1, ringA)
-	AttachUniverses(p, store)
+	views, avail := served(p, store, top, []int{1})
 
-	avail := top.Graph.Without([]int{1})
-	// First build fills the (canonical shape, mask) view…
 	if _, err := p.Allocate(avail, top, Request{Pattern: ringA, Sensitive: true}); err != nil {
 		t.Fatal(err)
 	}
-	// …and the isomorphic build must hit it: no search, one tier-2 hit.
 	before := match.Searches()
 	got, err := p.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
@@ -190,8 +127,8 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 	if match.Searches() != before {
 		t.Fatal("isomorphic request ran a search despite the shared pipeline")
 	}
-	if st := cache.Stats(); st.Hits == 0 || st.Shards != 1 {
-		t.Fatalf("isomorphic request must hit the shared shard, cache stats %+v", st)
+	if vs, st := views.Stats(), store.Stats(); vs.Views != 1 || vs.TableServed != 2 || st.Universes != 1 {
+		t.Fatalf("isomorphic request must share the first build's view: views %+v store %+v", vs, st)
 	}
 	vanilla := NewPreserve(score.NewScorer(nil))
 	want, err := vanilla.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
@@ -203,5 +140,95 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 	}
 	if !match.IsEmbedding(ringB, avail, got.Match) {
 		t.Fatal("isomorphic decision returned an embedding not valid for the requester's pattern")
+	}
+}
+
+// TestSearchFallbackByDeclineReason reaches allocateSearch through each
+// reason the view layer declines for: the decision must equal the bare
+// policy's (nothing attached), the decline must be counted, and exactly
+// one search must run (sequential leg; the parallel leg runs one per
+// root). A table-served control decision on the same kind of store runs
+// none.
+func TestSearchFallbackByDeclineReason(t *testing.T) {
+	top := topology.DGXV100()
+	ring := appgraph.Ring(3)
+	// A weighted tree and its 2<->3 relabeling: isomorphic, different
+	// structural fingerprint — and the leaf-ID swap flips the match
+	// order's tie-break, so B's enumeration emits classes in a genuinely
+	// different order than A's. Under a binding cap A's truncated prefix
+	// is not B's.
+	patA := graph.New()
+	patA.MustAddEdge(0, 1, 1, 0)
+	patA.MustAddEdge(0, 2, 2, 0)
+	patA.MustAddEdge(1, 3, 1, 0)
+	patB := graph.New()
+	patB.MustAddEdge(0, 1, 1, 0)
+	patB.MustAddEdge(0, 3, 2, 0)
+	patB.MustAddEdge(1, 2, 1, 0)
+
+	cases := []struct {
+		name     string
+		capacity int          // store capacity
+		warm     *graph.Graph // shape resident before the decision
+		pattern  *graph.Graph // shape requested
+		cap      int          // SetMaxCandidates; 0 keeps the default
+		busy     []int        // GPUs out of avail
+		behind   []int        // of those, the deltas the stream never saw
+		wantView bool         // table-served control
+	}{
+		{name: "universe overflowed the store capacity", capacity: 8, warm: ring, pattern: ring, busy: []int{1, 6}},
+		{name: "foreign build under a binding cap", warm: patA, pattern: patB, cap: 2, busy: []int{1, 6}},
+		{name: "stream one delta behind", warm: ring, pattern: ring, busy: []int{1, 6}, behind: []int{6}},
+		{name: "control: in sync, complete, own build", warm: patA, pattern: patA, cap: 2, busy: []int{1, 6}, wantView: true},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				store := matchcache.NewStore(top, tc.capacity)
+				store.Warm(1, tc.warm) // the build's own searches happen here
+				mk := func() Allocator {
+					p := NewPreserve(score.NewScorer(nil))
+					SetParallelism(p, workers)
+					if tc.cap > 0 {
+						SetMaxCandidates(p, tc.cap)
+					}
+					return p
+				}
+				p := mk()
+				views, avail := served(p, store, top, tc.busy)
+				views.Release(tc.behind)
+				req := Request{Pattern: tc.pattern, Sensitive: true}
+
+				before := match.Searches()
+				got, err := p.Allocate(avail, top, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran := match.Searches() - before
+				vs := views.Stats()
+				if tc.wantView {
+					if ran != 0 || vs.TableServed != 1 || vs.Rejected != 0 {
+						t.Fatalf("control ran %d searches with view stats %+v, want table-served", ran, vs)
+					}
+				} else {
+					if vs.TableServed != 0 || vs.Rejected != 1 {
+						t.Fatalf("view stats %+v, want one counted decline", vs)
+					}
+					if ran == 0 || (workers == 1 && ran != 1) {
+						t.Fatalf("declined decision ran %d searches, want exactly one sequential search", ran)
+					}
+				}
+				want, err := mk().Allocate(avail, top, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fullAllocString(got) != fullAllocString(want) {
+					t.Fatalf("decision diverged from the bare policy's:\n got %s\nwant %s", fullAllocString(got), fullAllocString(want))
+				}
+				if !match.IsEmbedding(tc.pattern, avail, got.Match) {
+					t.Fatal("decision is not an embedding of the requested build")
+				}
+			})
+		}
 	}
 }

@@ -9,48 +9,47 @@ import (
 	"mapa/internal/topology"
 )
 
-// faultRun executes one engine run with the given fault plan and
-// pipeline configuration, returning the records and view stats.
-func faultRun(t *testing.T, plan *FaultPlan, disableViews bool) ([]Record, matchcache.ViewStats) {
+// faultRun executes one engine run with the given fault plan, through
+// the table-served pipeline or (searchOnly) the bare policy's fresh
+// search, returning the records and view stats.
+func faultRun(t *testing.T, plan *FaultPlan, searchOnly bool) ([]Record, matchcache.ViewStats) {
 	t.Helper()
 	top := topology.DGXV100()
 	p := policy.NewPreserve(nil)
 	e := NewEngine(top, p)
 	e.Faults = plan
-	e.DisableLiveViews = disableViews
+	if searchOnly {
+		e.Universes = nil
+	}
 	res, err := e.Run(smallMix(60, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vs matchcache.ViewStats
-	if e.Views != nil {
-		vs = e.Views.Stats()
-	}
-	return res.Records, vs
+	return res.Records, e.Views.Stats()
 }
 
 // TestFaultChurnParityAcrossPipeline: a fault plan injects the same
 // failure/recovery churn whether decisions are served from the
-// delta-maintained live views or by per-miss universe filtering, and
-// every allocation decision must be byte-identical across the two —
-// health events are topology deltas, not behavior changes.
+// delta-maintained live views or searched afresh on the availability
+// graph, and every allocation decision must be byte-identical across
+// the two — health events are topology deltas, not behavior changes.
 func TestFaultChurnParityAcrossPipeline(t *testing.T) {
 	plan := &FaultPlan{Seed: 7, FailProb: 0.35, Down: 400}
 	fast, vs := faultRun(t, plan, false)
 	slow, _ := faultRun(t, plan, true)
 	if len(fast) != len(slow) {
-		t.Fatalf("views-on completed %d jobs, views-off %d", len(fast), len(slow))
+		t.Fatalf("table-served run completed %d jobs, search run %d", len(fast), len(slow))
 	}
 	for i := range fast {
 		a, b := fast[i], slow[i]
 		if fmt.Sprint(a.GPUs) != fmt.Sprint(b.GPUs) || a.Start != b.Start || a.End != b.End ||
 			a.PredictedEffBW != b.PredictedEffBW || a.AggBW != b.AggBW || a.PreservedBW != b.PreservedBW {
-			t.Fatalf("job %d diverged under fault churn:\n  views-on  %v [%g,%g] eff=%g agg=%g pres=%g\n  views-off %v [%g,%g] eff=%g agg=%g pres=%g",
+			t.Fatalf("job %d diverged under fault churn:\n  table-served %v [%g,%g] eff=%g agg=%g pres=%g\n  searched     %v [%g,%g] eff=%g agg=%g pres=%g",
 				a.Job.ID, a.GPUs, a.Start, a.End, a.PredictedEffBW, a.AggBW, a.PreservedBW,
 				b.GPUs, b.Start, b.End, b.PredictedEffBW, b.AggBW, b.PreservedBW)
 		}
 	}
-	if vs.Served == 0 {
+	if vs.TableServed == 0 {
 		t.Fatal("fault churn run never served a decision from the live views")
 	}
 	if vs.Rejected != 0 {

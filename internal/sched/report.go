@@ -50,24 +50,12 @@ type CompareConfig struct {
 	// the critical path on large machines. Unset, builds use Workers.
 	// Built universes are byte-identical at any worker count.
 	BuildWorkers int
-	// DisableCache turns off the per-engine tier-2 filtered-view
-	// cache, forcing a fresh candidate derivation for every decision.
-	DisableCache bool
-	// DisableUniverses turns off the tier-1 idle-state universe store,
-	// so cache misses fall back to full subgraph-isomorphism searches
-	// (the pre-universe behavior).
+	// DisableUniverses runs every engine without a universe store:
+	// each MAPA decision is a fresh subgraph-isomorphism search on the
+	// availability graph — the paper's per-decision pipeline, and the
+	// reference the table-served path is tested against. Decisions are
+	// byte-identical either way.
 	DisableUniverses bool
-	// DisableLiveViews turns off the tier-0 delta-maintained live
-	// views, so misses are answered by mask-filtering the universe per
-	// decision instead of from incrementally maintained candidate
-	// lists. Table-served selection rides on the views, so this
-	// disables it too.
-	DisableLiveViews bool
-	// DisableScoreTables turns off score-table precomputation on the
-	// shared store: warmed decisions materialize candidate entries and
-	// score them dynamically instead of running the table-served
-	// streaming argmax. Decisions are byte-identical either way.
-	DisableScoreTables bool
 	// WarmPatterns are job shapes whose idle-state universes are
 	// precomputed before any engine runs — the init-time enumeration
 	// paid once for the whole comparison instead of on first use.
@@ -79,7 +67,7 @@ type CompareConfig struct {
 }
 
 // ComparePoliciesConfig is ComparePoliciesMode with explicit matcher
-// parallelism and match-pipeline configuration. All engines share one
+// parallelism and universe-store configuration. All engines share one
 // idle-state universe store bound to the topology, so each canonical
 // job shape is enumerated once for the whole comparison no matter how
 // many policies run.
@@ -89,18 +77,15 @@ func ComparePoliciesConfig(top *topology.Topology, policyNames []string, jobList
 }
 
 // PipelineStats bundles one engine's per-policy match-pipeline
-// counters: the tier-2 filtered-view cache, the tier-0 live views
-// (disabled tiers report zeros), and the per-shape universe build
-// timings of the tier-1 store as of this policy's run completing.
-// Builds accumulate in the store shared across the comparison, so a
-// later policy's snapshot includes shapes first built by an earlier
-// one; BuildTime is their summed wall time.
+// counters: the run's live views (zeros without a store) and the
+// per-shape universe build timings of the shared store as of this
+// policy's run completing. Builds accumulate in the store shared
+// across the comparison, so a later policy's snapshot includes shapes
+// first built by an earlier one; BuildTime is their summed wall time.
 type PipelineStats struct {
-	Cache matchcache.Stats
 	Views matchcache.ViewStats
 	// Builds/BuildTime mirror the shared store's universe enumerations;
-	// Tables/TableTime its score-table precomputations (zero with
-	// tables disabled).
+	// Tables/TableTime its score-table precomputations.
 	Builds    []matchcache.ShapeBuild
 	BuildTime time.Duration
 	Tables    int
@@ -108,9 +93,9 @@ type PipelineStats struct {
 }
 
 // ComparePoliciesInstrumented is ComparePoliciesConfig returning the
-// match-pipeline counters alongside the results: the per-policy tier-2
-// cache and tier-0 view stats, and the stats of the shared tier-1
-// universe store (nil when universes are disabled).
+// match-pipeline counters alongside the results: the per-policy view
+// stats, and the stats of the shared universe store (nil when
+// universes are disabled).
 func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, jobList []jobs.Job, cfg CompareConfig) (map[string]RunResult, map[string]PipelineStats, *matchcache.StoreStats, error) {
 	scorer := score.NewScorer(effbw.TrainedFor(top))
 	var store *matchcache.Store
@@ -118,11 +103,6 @@ func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, j
 		store = matchcache.NewStore(top, matchcache.DefaultUniverseCapacity)
 		if cfg.BuildWorkers > 1 {
 			store.SetBuildWorkers(cfg.BuildWorkers)
-		}
-		if cfg.DisableScoreTables || cfg.DisableLiveViews {
-			// Tables are served only through the live views, so with
-			// views disabled warming them would be dead weight.
-			store.SetScoreTables(false)
 		}
 		if len(cfg.WarmPatterns) > 0 {
 			warmWorkers := cfg.Workers
@@ -145,21 +125,13 @@ func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, j
 		e := NewEngine(top, p)
 		e.Mode = cfg.Mode
 		e.Universes = store
-		e.DisableLiveViews = cfg.DisableLiveViews
 		e.Faults = cfg.Faults
-		if cfg.DisableCache {
-			e.Cache = nil
-		}
 		res, err := e.Run(jobList)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("sched: policy %s: %w", name, err)
 		}
 		out[name] = res
-		var ps PipelineStats
-		if e.Cache != nil {
-			ps.Cache = e.Cache.Stats()
-		}
-		ps.Views = e.Views.Stats()
+		ps := PipelineStats{Views: e.Views.Stats()}
 		if store != nil {
 			ss := store.Stats()
 			ps.Builds = ss.Builds

@@ -69,33 +69,21 @@ type Engine struct {
 	// Queue selects the job-queue discipline; the zero value is the
 	// paper's FIFO.
 	Queue Discipline
-	// Cache is the tier-2 filtered-view cache attached to MAPA policies
-	// for the engine's topology, so steady-state scheduling reuses
-	// prior candidate lists: every allocate/free rotates the free-GPU
-	// bitmask in the cache key, and recurring availability states hit.
-	// NewEngine populates it; nil disables caching.
-	Cache *matchcache.Cache
-	// Universes is the tier-1 idle-state universe store: one complete
-	// deduplicated enumeration per canonical job shape on the full
-	// machine, built once (or prewarmed), from which any availability
-	// state's candidate list is derived by bitmask filtering — cache
-	// misses stop paying for subgraph-isomorphism searches. NewEngine
-	// populates a private store; engines comparing policies on one
-	// topology should share a store (ComparePoliciesConfig does). nil
-	// disables universe filtering.
+	// Universes is the idle-state universe store behind the run's
+	// table-served decisions: one complete deduplicated enumeration and
+	// score table per canonical job shape on the full machine, built
+	// once (or prewarmed). NewEngine populates a private store; engines
+	// comparing policies on one topology should share a store
+	// (ComparePoliciesConfig does). nil runs the bare policy — a fresh
+	// search per decision, the paper's pipeline and the reference the
+	// parity tests compare against.
 	Universes *matchcache.Store
-	// Views is tier 0: per-shape live candidate views maintained
-	// incrementally from the run's allocate/release deltas, serving
-	// miss decisions without scanning the universe. Run creates a fresh
-	// view set over Universes for each simulation (views track one
+	// Views is the run's live-view set: per-shape candidate views over
+	// Universes, fed the run's allocate/release/health deltas. Run
+	// creates a fresh set for each simulation (views track one
 	// availability stream, so they are per-run even when the store is
-	// shared) and leaves it here for inspection; set DisableLiveViews
-	// to fall back to per-miss universe filtering.
+	// shared) and leaves it here for inspection; nil when Universes is.
 	Views *matchcache.Views
-	// DisableLiveViews turns tier 0 off: misses are answered by
-	// mask-filtering the universe (the PR 2 behavior) instead of from
-	// delta-maintained views.
-	DisableLiveViews bool
 	// Faults injects reproducible failure/recovery churn into the run;
 	// nil runs fault-free (the paper's configuration).
 	Faults *FaultPlan
@@ -145,15 +133,13 @@ const (
 const FixedReferenceBW = 25
 
 // NewEngine returns an engine in real-run mode with an Eq. 2 model
-// trained for the topology, an embedding cache, and an idle-state
-// universe store for it.
+// trained for the topology and an idle-state universe store for it.
 func NewEngine(top *topology.Topology, alloc policy.Allocator) *Engine {
 	return &Engine{
 		Top:       top,
 		Alloc:     alloc,
 		Model:     effbw.TrainedFor(top),
 		Mode:      ModeRealRun,
-		Cache:     matchcache.New(top, matchcache.DefaultShardCapacity),
 		Universes: matchcache.NewStore(top, matchcache.DefaultUniverseCapacity),
 	}
 }
@@ -190,27 +176,19 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		}
 	}
 
-	// Attach (or detach) the embedding cache and universe store so the
-	// run's match-pipeline behavior follows the engine configuration
-	// even when the allocator was used elsewhere before. A cache or
-	// store bound to a different topology is never attached.
-	if e.Cache.Bound(e.Top) {
-		policy.AttachCache(e.Alloc, e.Cache)
-	} else {
-		policy.AttachCache(e.Alloc, nil)
-	}
-	if e.Universes.Bound(e.Top) {
-		policy.AttachUniverses(e.Alloc, e.Universes)
-	} else {
-		policy.AttachUniverses(e.Alloc, nil)
-	}
-	// Live views track one availability stream, so every run gets a
-	// fresh set over the (possibly shared) universe store, fed below
-	// with exactly the deltas applied to avail.
+	// Attach (or detach) the universe store and a fresh view set so the
+	// run follows the engine configuration even when the allocator was
+	// used elsewhere before. Live views track one availability stream,
+	// so every run gets its own set over the (possibly shared) store,
+	// fed below with exactly the deltas applied to avail. A store bound
+	// to a different topology is never attached.
+	var store *matchcache.Store
 	e.Views = nil
-	if !e.DisableLiveViews && e.Universes.Bound(e.Top) {
-		e.Views = e.Universes.NewViews()
+	if e.Universes.Bound(e.Top) {
+		store = e.Universes
+		e.Views = store.NewViews()
 	}
+	policy.AttachUniverses(e.Alloc, store)
 	policy.AttachViews(e.Alloc, e.Views)
 
 	avail := e.Top.Graph.Clone()

@@ -128,7 +128,6 @@ type System struct {
 	alloc     policy.Allocator
 	scorer    *score.Scorer
 	avail     *graph.Graph
-	cache     *matchcache.Cache
 	store     *matchcache.Store
 	views     *matchcache.Views
 	leases    map[int][]int
@@ -155,8 +154,8 @@ type System struct {
 	// tenants are the live per-tenant serving handles (see NewTenant);
 	// every state delta fans out to each tenant's view stream. Guarded
 	// by mu, like the Tenant fields themselves. closedViewStats keeps
-	// the tier-0 counters of tenants closed since, so CacheStats'
-	// totals never run backwards.
+	// the view counters of tenants closed since, so CacheStats' totals
+	// never run backwards.
 	tenants         map[int]*Tenant
 	nextTenantID    int
 	closedViewStats matchcache.ViewStats
@@ -182,16 +181,13 @@ type System struct {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	workers            int
-	buildWorkers       int
-	warmMaxGPUs        int
-	backgroundWarm     bool
-	disableCache       bool
-	disableUniverses   bool
-	disableLiveViews   bool
-	disableScoreTables bool
-	journalDir         string
-	journalOpts        journal.Options
+	workers        int
+	buildWorkers   int
+	warmMaxGPUs    int
+	backgroundWarm bool
+	searchOnly     bool
+	journalDir     string
+	journalOpts    journal.Options
 }
 
 // WithWorkers makes MAPA policies enumerate and score candidate
@@ -223,47 +219,21 @@ func WithBackgroundWarming() SystemOption {
 }
 
 // WithWarmShapes precomputes the idle-state match universes for every
-// built-in communication shape (see Shapes) at sizes 2..maxGPUs during
-// NewSystem, so even the first decision for those shapes — and every
-// later decision on a never-seen availability state — is served by
-// mask filtering instead of a subgraph-isomorphism search. Warming is
-// the init-time cost MAPA pays once per machine instead of per
-// scheduling step.
+// built-in communication shape (see Shapes) at sizes 2..maxGPUs, and
+// their score tables, during NewSystem, so even the first decision for
+// those shapes is table-served instead of paying the shape's idle
+// enumeration. Warming is the init-time cost MAPA pays once per machine
+// instead of per scheduling step.
 func WithWarmShapes(maxGPUs int) SystemOption {
 	return func(c *systemConfig) { c.warmMaxGPUs = maxGPUs }
 }
 
-// WithoutCache disables the tier-2 filtered-view cache (recurring
-// availability states stop hitting).
-func WithoutCache() SystemOption {
-	return func(c *systemConfig) { c.disableCache = true }
-}
-
-// WithoutUniverses disables the tier-1 idle-state universe store
-// (cache misses fall back to full searches). Live views depend on the
-// store, so this disables them too.
-func WithoutUniverses() SystemOption {
-	return func(c *systemConfig) { c.disableUniverses = true }
-}
-
-// WithoutLiveViews disables the tier-0 delta-maintained live views:
-// miss decisions fall back to mask-filtering the idle-state universe
-// per decision instead of reading an incrementally maintained
-// candidate list. Table-served selection rides on the live views, so
-// this disables it too.
-func WithoutLiveViews() SystemOption {
-	return func(c *systemConfig) { c.disableLiveViews = true }
-}
-
-// WithoutScoreTables disables score-table precomputation: warmed-shape
-// decisions fall back to materializing a candidate entry and scoring it
-// dynamically (the pre-table behavior) instead of running the streaming
-// argmax over precomputed static metrics plus O(k) delta-maintained
-// Eq. 3 arithmetic. Decisions are byte-identical either way; the knob
-// exists for memory-constrained deployments and for benchmarking the
-// table path against dynamic scoring.
-func WithoutScoreTables() SystemOption {
-	return func(c *systemConfig) { c.disableScoreTables = true }
+// searchOnly builds the System without a universe store, so every
+// decision is the policy's fresh search on the availability graph.
+// Tests use such a System as the reference a default one must agree
+// with; it is not an exported option because no deployment wants it.
+func searchOnly() SystemOption {
+	return func(c *systemConfig) { c.searchOnly = true }
 }
 
 // warmPatterns builds the canonical warm set, clamped to the machine
@@ -276,11 +246,10 @@ func warmPatterns(maxGPUs, machineGPUs int) []*graph.Graph {
 }
 
 // NewSystem builds a System for a named topology and policy, with an
-// effective-bandwidth model trained for that topology. By default the
-// two-tier match pipeline is active: recurring availability states hit
-// the filtered-view cache, and new states are derived by bitmask-
-// filtering per-shape idle-state universes (built on first use, or at
-// construction with WithWarmShapes).
+// effective-bandwidth model trained for that topology. Decisions are
+// table-served from per-shape idle-state universes and score tables
+// (built on first use, or at construction with WithWarmShapes) over a
+// live view of the free GPUs.
 func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, error) {
 	top, err := topology.ByName(topologyName)
 	if err != nil {
@@ -326,32 +295,18 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 }
 
 // buildPipeline (re)constructs the match pipeline for the System's
-// current topology per its construction options, attaching each tier
-// to the policy (nil detaches): the tier-2 filtered-view cache —
-// recurring availability states reuse prior candidate lists, keyed by
-// the free-GPU bitmask that Allocate and Release rotate — the tier-1
-// idle-state universe store, and the tier-0 delta-maintained live
-// views that let steady-state misses read a maintained candidate list
-// instead of scanning a universe. Background warming is honored only
+// current topology per its construction options and attaches it to the
+// policy (nil detaches): the idle-state universe store and the System's
+// own live-view stream over it. Background warming is honored only
 // when allowBackground; Repartition rebuilds synchronously so the
 // swapped-in pipeline is deterministic.
 func (s *System) buildPipeline(allowBackground bool) {
 	cfg := s.cfg
-	s.cache, s.store, s.views = nil, nil, nil
-	if !cfg.disableCache {
-		s.cache = matchcache.New(s.top, matchcache.DefaultShardCapacity)
-	}
-	policy.AttachCache(s.alloc, s.cache)
-	if !cfg.disableUniverses {
+	s.store, s.views = nil, nil
+	if !cfg.searchOnly {
 		s.store = matchcache.NewStore(s.top, matchcache.DefaultUniverseCapacity)
 		if cfg.buildWorkers > 1 {
 			s.store.SetBuildWorkers(cfg.buildWorkers)
-		}
-		if cfg.disableScoreTables || cfg.disableLiveViews {
-			// Score tables are served only through the live views'
-			// SelectLive path, so with views off they would be warmed
-			// dead weight.
-			s.store.SetScoreTables(false)
 		}
 		if cfg.warmMaxGPUs > 1 {
 			warmWorkers := cfg.workers
@@ -370,9 +325,7 @@ func (s *System) buildPipeline(allowBackground bool) {
 				s.store.Warm(warmWorkers, shapes...)
 			}
 		}
-		if !cfg.disableLiveViews {
-			s.views = s.store.NewViews()
-		}
+		s.views = s.store.NewViews()
 	}
 	policy.AttachUniverses(s.alloc, s.store)
 	policy.AttachViews(s.alloc, s.views)
@@ -389,17 +342,14 @@ func (s *System) WaitWarm() {
 	}
 }
 
-// CacheStats reports the match-pipeline counters of a System: the
-// tier-2 filtered-view cache (hits/misses/evictions) and the tier-1
-// idle-state universe store (universes built, miss decisions served by
-// mask filtering).
+// CacheStats reports the match-pipeline counters of a System: what the
+// universe store has built and repaired, and how each decision was
+// made.
 type CacheStats struct {
-	// Tier 2: filtered-view cache.
-	Hits, Misses, Evictions uint64
-	Entries, Shards         int
-	// Tier 1: idle-state universe store.
+	// Universes counts complete idle-state universes built;
+	// UniversesIncomplete shapes whose enumeration overflowed the store
+	// capacity (never table-served).
 	Universes, UniversesIncomplete int
-	FilterServed, FilterRejected   uint64
 	// UniverseBuildTime is the summed wall time of every idle-state
 	// universe enumeration the store has run (warmed or on demand).
 	UniverseBuildTime time.Duration
@@ -415,35 +365,32 @@ type CacheStats struct {
 	Repairs            int
 	RepairedCandidates int
 	RepairTime         time.Duration
-	// Tier 0: delta-maintained live views.
-	LiveViews                int
-	ViewServed, ViewRejected uint64
-	// TableServed is the subset of ViewServed decisions answered by the
-	// table-served selection path: precomputed static metrics plus O(k)
-	// delta-maintained Eq. 3 arithmetic, zero dynamic score
-	// evaluations.
-	TableServed uint64
+	// LiveViews counts per-shape live views materialized across the
+	// System's own stream and every tenant's.
+	LiveViews int
+	// TableServed counts decisions answered from a live view and the
+	// shape's score table: precomputed static metrics plus O(k)
+	// delta-maintained Eq. 3 arithmetic, zero searches and zero dynamic
+	// score evaluations. ViewRejected counts decisions the view layer
+	// declined (stream out of sync, incomplete universe, or a candidate
+	// cap truncating the list for a structurally different build of the
+	// shape); each of those was answered by a fresh search instead.
+	TableServed, ViewRejected uint64
 }
 
 // CacheStats returns a snapshot of the system's match-pipeline
-// counters. Disabled tiers report zeros.
+// counters; a System without a pipeline reports zeros.
 func (s *System) CacheStats() CacheStats {
 	var out CacheStats
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		out.Hits, out.Misses, out.Evictions = cs.Hits, cs.Misses, cs.Evictions
-		out.Entries, out.Shards = cs.Entries, cs.Shards
-	}
 	if s.store != nil {
 		ss := s.store.Stats()
 		out.Universes, out.UniversesIncomplete = ss.Universes, ss.Incomplete
-		out.FilterServed, out.FilterRejected = ss.FilterServed, ss.FilterRejected
 		out.UniverseBuildTime = ss.BuildTime
 		out.ScoreTables, out.TableBuildTime = ss.Tables, ss.TableTime
 		out.Repairs, out.RepairedCandidates = ss.Repairs, ss.RepairedCandidates
 		out.RepairTime = ss.RepairTime
 	}
-	// A decision is counted on the stream that served it, so the tier-0
+	// A decision is counted on the stream that served it, so the view
 	// counters are summed over the System's own stream, every bound
 	// tenant's, and the tenants closed so far.
 	s.mu.Lock()
@@ -453,16 +400,14 @@ func (s *System) CacheStats() CacheStats {
 	}
 	s.mu.Unlock()
 	out.LiveViews = vs.Views
-	out.ViewServed, out.ViewRejected = vs.Served, vs.Rejected
-	out.TableServed = vs.TableServed
+	out.TableServed, out.ViewRejected = vs.TableServed, vs.Rejected
 	return out
 }
 
 func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
 	a.Views += b.Views
-	a.Served += b.Served
-	a.Rejected += b.Rejected
 	a.TableServed += b.TableServed
+	a.Rejected += b.Rejected
 	return a
 }
 
@@ -980,9 +925,8 @@ func (s *System) UnhealthyGPUs() []int {
 // built score tables re-derive exactly the candidates containing both
 // endpoints (the ring-channel decomposition prices a physical link
 // only when the allocation holds both ends, so the affected set is
-// exact), the topology's link-mix memo is invalidated, the live views'
-// bandwidth accounting absorbs the weight delta in O(degree), and the
-// tier-2 cache — which stores scores, not structure — is dropped.
+// exact), the topology's link-mix memo is invalidated, and the live
+// views' bandwidth accounting absorbs the weight delta in O(degree).
 //
 // bw must be finite and non-negative. Integral bandwidths are
 // recommended (matching the built-in link catalog); they keep repaired
@@ -1033,9 +977,6 @@ func (s *System) degradeLinkLocked(u, v int, bw float64) error {
 		s.avail.MustAddEdge(u, v, bw, e.Label)
 	}
 	score.InvalidateMixes(s.top)
-	if s.cache != nil {
-		s.cache.Clear()
-	}
 	if s.store != nil {
 		s.store.RepairEdge(u, v)
 	}

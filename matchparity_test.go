@@ -16,14 +16,13 @@ import (
 	"mapa/internal/topology"
 )
 
-// traceConfig selects one match-pipeline configuration for a parity
-// run.
+// traceConfig selects how a parity run decides: through the
+// table-served pipeline (optionally prewarmed) or, searchOnly, by the
+// bare policy's fresh search — with the given worker count either way.
 type traceConfig struct {
-	workers   int
-	cached    bool // tier-2 filtered-view cache
-	universes bool // tier-1 idle-state universe store
-	noviews   bool // disable the tier-0 live views layered on the store
-	warm      bool // prewarm universes for the job-mix shapes
+	workers    int
+	searchOnly bool
+	warm       bool // prewarm universes for the job-mix shapes
 }
 
 // allocationTrace runs the job list through a freshly configured
@@ -41,11 +40,7 @@ func allocationTrace(t *testing.T, top *topology.Topology, policyName string, jo
 		policy.SetParallelism(p, cfg.workers)
 	}
 	e := sched.NewEngine(top, p)
-	e.DisableLiveViews = cfg.noviews
-	if !cfg.cached {
-		e.Cache = nil
-	}
-	if !cfg.universes {
+	if cfg.searchOnly {
 		e.Universes = nil
 	} else if cfg.warm {
 		e.Universes.Warm(cfg.workers, appgraph.AllShapes(5)...)
@@ -63,11 +58,10 @@ func allocationTrace(t *testing.T, top *topology.Topology, policyName string, jo
 }
 
 // TestCachedAndParallelMatchSequentialAllocations is the acceptance
-// check for the match-pipeline rework: on the integration-test
-// workloads, every fast path — the tier-2 cached path, the worker-pool
-// parallel path, the universe-filtered path (with and without tier-0
-// live views), and the warmed pipeline — must produce byte-identical
-// allocation sequences to the plain sequential matcher.
+// check for the match pipeline: on the integration-test workloads, the
+// table-served pipeline — cold or prewarmed, built sequentially or with
+// four workers — and the parallel search must each produce
+// byte-identical allocation sequences to the plain sequential search.
 func TestCachedAndParallelMatchSequentialAllocations(t *testing.T) {
 	cases := []struct {
 		topo   string
@@ -87,7 +81,7 @@ func TestCachedAndParallelMatchSequentialAllocations(t *testing.T) {
 			}
 			jobList := jobs.PaperMix(1)[:tc.njobs]
 
-			sequential, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 1})
+			sequential, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 1, searchOnly: true})
 			compare := func(name string, got []string) {
 				t.Helper()
 				if len(got) != len(sequential) {
@@ -101,55 +95,36 @@ func TestCachedAndParallelMatchSequentialAllocations(t *testing.T) {
 				}
 			}
 
-			cachedTrace, cachedEng := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 1, cached: true})
-			compare("cached", cachedTrace)
-			parallel, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 4})
-			compare("parallel", parallel)
-			both, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 4, cached: true})
-			compare("cached+parallel", both)
-			viewed, viewEng := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 1, universes: true})
-			compare("live views (store only)", viewed)
-			filtered, filterEng := allocationTrace(t, top, tc.policy, jobList,
-				traceConfig{workers: 1, universes: true, noviews: true})
-			compare("filtered (store only, no views)", filtered)
-			warmed, warmEng := allocationTrace(t, top, tc.policy, jobList,
-				traceConfig{workers: 1, cached: true, universes: true, warm: true})
-			compare("warmed pipeline", warmed)
-			warmedPar, _ := allocationTrace(t, top, tc.policy, jobList,
-				traceConfig{workers: 4, cached: true, universes: true, warm: true})
-			compare("warmed pipeline parallel", warmedPar)
-
-			// The cache must actually be doing the work: steady-state
-			// scheduling revisits availability states.
-			if st := cachedEng.Cache.Stats(); st.Hits == 0 {
-				t.Fatalf("embedding cache saw no hits over %d jobs: %+v", tc.njobs, st)
-			}
-			// Live views must be serving every miss on the store-only
-			// run (tier 0 sits in front of the filter path)…
-			if vs := viewEng.Views.Stats(); vs.Served == 0 {
-				t.Fatalf("live views served no decisions over %d jobs: %+v", tc.njobs, vs)
-			}
-			if st := viewEng.Universes.Stats(); st.FilterServed != 0 {
-				t.Fatalf("live-view run fell back to %d universe scans: %+v", st.FilterServed, st)
-			}
-			// …and with views disabled the universes must be filtering:
-			// cold misses (store-only: every decision) are filter-served.
-			if st := filterEng.Universes.Stats(); st.FilterServed == 0 {
-				t.Fatalf("universe store served no filters over %d jobs: %+v", tc.njobs, st)
-			}
-			if st, vs := warmEng.Universes.Stats(), warmEng.Views.Stats(); st.Universes == 0 || vs.Served == 0 {
-				t.Fatalf("warmed pipeline did not serve the run: store %+v views %+v", st, vs)
+			parallel, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 4, searchOnly: true})
+			compare("parallel search", parallel)
+			for _, cfg := range []traceConfig{{workers: 1}, {workers: 4}, {workers: 1, warm: true}, {workers: 4, warm: true}} {
+				name := fmt.Sprintf("table-served %+v", cfg)
+				searches := match.Searches()
+				trace, eng := allocationTrace(t, top, tc.policy, jobList, cfg)
+				compare(name, trace)
+				// Every decision must have come off a live view, and the
+				// only searches of the whole run are the universe builds
+				// (one per root and worker session at most — far fewer
+				// than one per decision).
+				vs, st := eng.Views.Stats(), eng.Universes.Stats()
+				if vs.TableServed != uint64(len(jobList)) || vs.Rejected != 0 || st.Universes == 0 {
+					t.Fatalf("%s did not serve the run: store %+v views %+v", name, st, vs)
+				}
+				if cfg.workers == 1 {
+					if d := match.Searches() - searches; d != uint64(len(st.Builds)) {
+						t.Fatalf("%s ran %d searches for %d universe builds", name, d, len(st.Builds))
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestSystemSteadyStateUsesCache verifies the live-allocator wiring of
-// the two steady-state fast paths: by default, allocate/release cycling
-// is served entirely by the table path (precomputed score tables over
-// the live views — zero dynamic score evaluations); with score tables
-// disabled, a cycle returning to a previously seen availability state
-// hits the tier-2 cache instead. Decisions are identical either way.
+// the steady-state fast path: allocate/release cycling is served
+// entirely by the table path (precomputed score tables over the live
+// views — zero searches after the shape's one build) and decides
+// exactly like a System that searches afresh every time.
 func TestSystemSteadyStateUsesCache(t *testing.T) {
 	cycle := func(t *testing.T, s *System) *Lease {
 		t.Helper()
@@ -177,76 +152,65 @@ func TestSystemSteadyStateUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := cycle(t, tabled)
-	if st := tabled.CacheStats(); st.TableServed == 0 || st.ScoreTables == 0 {
+	if st := tabled.CacheStats(); st.TableServed != 5 || st.ViewRejected != 0 || st.ScoreTables != 1 || st.Universes != 1 {
 		t.Fatalf("steady-state cycling was not table-served: %+v", st)
 	}
 
-	cached, err := NewSystem("dgx-v100", "preserve", WithoutScoreTables())
+	searched, err := NewSystem("dgx-v100", "preserve", searchOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc := cycle(t, cached)
-	if st := cached.CacheStats(); st.Hits == 0 {
-		t.Fatalf("steady-state cycling produced no cache hits: %+v", st)
+	before := match.Searches()
+	ls := cycle(t, searched)
+	if d := match.Searches() - before; d != 5 {
+		t.Fatalf("search-only system ran %d searches for 5 decisions", d)
 	}
-	if st := cached.CacheStats(); st.TableServed != 0 || st.ScoreTables != 0 {
-		t.Fatalf("WithoutScoreTables still built or served tables: %+v", st)
+	if st := searched.CacheStats(); st != (CacheStats{}) {
+		t.Fatalf("search-only system built or served from a pipeline: %+v", st)
 	}
-	if fmt.Sprint(lt.GPUs) != fmt.Sprint(lc.GPUs) ||
-		lt.EffBW != lc.EffBW || lt.AggBW != lc.AggBW || lt.PreservedBW != lc.PreservedBW {
-		t.Fatalf("table-served and cache-served decisions diverged:\n table: %+v\n cache: %+v", lt, lc)
+	if fmt.Sprint(lt.GPUs) != fmt.Sprint(ls.GPUs) ||
+		lt.EffBW != ls.EffBW || lt.AggBW != ls.AggBW || lt.PreservedBW != ls.PreservedBW {
+		t.Fatalf("table-served and searched decisions diverged:\n table:  %+v\n search: %+v", lt, ls)
 	}
 }
 
 // TestSystemWarmedServesFirstDecisionByFilter verifies the public
 // warming option end to end: a warmed System answers its very first
-// request for a warmed shape from the universe — via the tier-0 live
-// view by default, by mask filtering under WithoutLiveViews — never
-// from a search.
+// request for a warmed shape off the resident universe and score table
+// — never from a search — and agrees with an unwarmed System and with
+// one that searches.
 func TestSystemWarmedServesFirstDecisionByFilter(t *testing.T) {
 	s, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Universes == 0 {
-		t.Fatalf("WithWarmShapes built no universes: %+v", st)
+	if st := s.CacheStats(); st.Universes == 0 || st.ScoreTables != st.Universes {
+		t.Fatalf("WithWarmShapes built no universes or tables: %+v", st)
 	}
-	if _, err := s.Allocate(JobRequest{NumGPUs: 4, Shape: "Ring", Sensitive: true}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.CacheStats()
-	if st.ViewServed == 0 {
-		t.Fatalf("first decision was not view-served: %+v", st)
-	}
-	noViews, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithoutLiveViews())
+	req := JobRequest{NumGPUs: 4, Shape: "Ring", Sensitive: true}
+	searches, universes := match.Searches(), s.CacheStats().Universes
+	lw, err := s.Allocate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := noViews.Allocate(JobRequest{NumGPUs: 4, Shape: "Ring", Sensitive: true}); err != nil {
-		t.Fatal(err)
+	if d := match.Searches() - searches; d != 0 {
+		t.Fatalf("warmed first decision ran %d searches", d)
 	}
-	if st := noViews.CacheStats(); st.FilterServed == 0 || st.ViewServed != 0 {
-		t.Fatalf("WithoutLiveViews first decision was not filter-served: %+v", st)
+	if st := s.CacheStats(); st.TableServed != 1 || st.Universes != universes {
+		t.Fatalf("first decision was not served from the warmed universe: %+v", st)
 	}
-	// The warmed System must agree with an unwarmed one.
-	plain, err := NewSystem("dgx-v100", "preserve", WithoutCache(), WithoutUniverses())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw, err := plain.Allocate(JobRequest{NumGPUs: 4, Shape: "Ring", Sensitive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := s2.Allocate(JobRequest{NumGPUs: 4, Shape: "Ring", Sensitive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(l2.GPUs) != fmt.Sprint(lw.GPUs) {
-		t.Fatalf("warmed system allocated %v, plain %v", l2.GPUs, lw.GPUs)
+	for name, opts := range map[string][]SystemOption{"unwarmed": nil, "search-only": {searchOnly()}} {
+		other, err := NewSystem("dgx-v100", "preserve", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, err := other.Allocate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(lo.GPUs) != fmt.Sprint(lw.GPUs) {
+			t.Fatalf("warmed system allocated %v, %s %v", lw.GPUs, name, lo.GPUs)
+		}
 	}
 }
 

@@ -152,8 +152,8 @@ func TestCacheStatsCoversTenantStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) || st.ViewServed != uint64(len(decide)) {
-		t.Fatalf("served counters = table %d, view %d; want %d decisions", st.TableServed, st.ViewServed, len(decide))
+	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) || st.ViewRejected != 0 {
+		t.Fatalf("served counters = table %d, rejected %d; want %d table-served decisions", st.TableServed, st.ViewRejected, len(decide))
 	}
 	a.Close()
 	a.Close()

