@@ -70,7 +70,7 @@ func BenchmarkExtParallelScoring(b *testing.B) {
 			policy.SetParallelism(p, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Allocate(top.Graph, top, req); err != nil {
+				if _, err := p.Allocate(top, top.Graph.VertexBitset(), req); err != nil {
 					b.Fatal(err)
 				}
 			}

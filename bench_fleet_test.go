@@ -58,17 +58,17 @@ func BenchmarkHierarchicalDecision(b *testing.B) {
 		store.Warm(1, pattern)
 		views := store.NewViews()
 		views.Allocate(busy)
-		avail := top.Graph.Without(busy)
+		avail := usableWithout(top, busy)
 		policy.AttachUniverses(p, store)
 		policy.AttachViews(p, views)
 		req := policy.Request{Pattern: pattern}
 		var buf policy.Allocation
-		if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
+		if err := policy.DecideInto(p, &buf, top, avail, req); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
+			if err := policy.DecideInto(p, &buf, top, avail, req); err != nil {
 				b.Fatal(err)
 			}
 		}

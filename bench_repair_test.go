@@ -29,7 +29,7 @@ func BenchmarkTopologyRepair(b *testing.B) {
 	// consult serves each warmed shape once, the way a real decision
 	// would: the first round instantiates the live views, later rounds
 	// make them catch up with the deltas published since.
-	consult := func(avail *graph.Graph) {
+	consult := func(avail graph.Bitset) {
 		for _, shape := range shapes {
 			ok := views.SelectLive(shape, avail, 0, 1, func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {})
 			if !ok {
@@ -37,15 +37,16 @@ func BenchmarkTopologyRepair(b *testing.B) {
 			}
 		}
 	}
-	consult(top.Graph)
+	idle := top.Graph.VertexBitset()
+	consult(idle)
 
 	b.Run("health-event", func(b *testing.B) {
-		degraded := top.Graph.Without([]int{0})
+		degraded := usableWithout(top, []int{0})
 		for i := 0; i < b.N; i++ {
 			views.MarkUnhealthy([]int{0})
 			consult(degraded)
 			views.RestoreHealth([]int{0})
-			consult(top.Graph)
+			consult(idle)
 		}
 	})
 

@@ -567,7 +567,7 @@ func BenchmarkFig19SchedulingOverhead(b *testing.B) {
 				p := policy.NewPreserve(scorers[ti])
 				req := policy.Request{Pattern: appgraph.Ring(k), Sensitive: true}
 				start := testingNow()
-				alloc, err := p.Allocate(top.Graph, top, req)
+				alloc, err := p.Allocate(top, top.Graph.VertexBitset(), req)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -697,11 +697,11 @@ func BenchmarkAllocationDecision(b *testing.B) {
 	top := topology.DGXV100()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
 	p := policy.NewPreserve(scorer)
-	avail := top.Graph.Without([]int{1, 6})
+	avail := usableWithout(top, []int{1, 6})
 	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Allocate(avail, top, req); err != nil {
+		if _, err := p.Allocate(top, avail, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -715,7 +715,7 @@ func BenchmarkAllocationDecision(b *testing.B) {
 func BenchmarkAllocationDecisionParallel(b *testing.B) {
 	top := topology.DGXV100()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
-	avail := top.Graph.Without([]int{1, 6})
+	avail := usableWithout(top, []int{1, 6})
 	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -723,7 +723,7 @@ func BenchmarkAllocationDecisionParallel(b *testing.B) {
 			policy.SetParallelism(p, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Allocate(avail, top, req); err != nil {
+				if _, err := p.Allocate(top, avail, req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -770,12 +770,12 @@ func BenchmarkUniverseBuildCluster(b *testing.B) {
 // coldMissStates returns every 2-busy availability state of the
 // topology, the rotation used by the cold-miss benchmark: each decision
 // sees a different free-GPU mask.
-func coldMissStates(top *topology.Topology) []*graph.Graph {
-	var out []*graph.Graph
+func coldMissStates(top *topology.Topology) []graph.Bitset {
+	var out []graph.Bitset
 	gpus := top.GPUs()
 	for i := 0; i < len(gpus); i++ {
 		for j := i + 1; j < len(gpus); j++ {
-			out = append(out, top.Graph.Without([]int{gpus[i], gpus[j]}))
+			out = append(out, usableWithout(top, []int{gpus[i], gpus[j]}))
 		}
 	}
 	return out
@@ -794,7 +794,7 @@ func BenchmarkAllocationDecisionColdMissSearch(b *testing.B) {
 	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Allocate(states[i%len(states)], top, req); err != nil {
+		if _, err := p.Allocate(top, states[i%len(states)], req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -817,7 +817,7 @@ func BenchmarkAllocationDecisionScored(b *testing.B) {
 	pattern := appgraph.Ring(3)
 	scorer := score.NewScorer(effbw.TrainedFor(top))
 	busy := []int{1, 6}
-	avail := top.Graph.Without(busy)
+	avail := usableWithout(top, busy)
 	variants := []struct {
 		name      string
 		mk        func() policy.Allocator
@@ -844,14 +844,14 @@ func BenchmarkAllocationDecisionScored(b *testing.B) {
 			// (AllocateInto) keeps the table-served loop at 0
 			// allocs/op — the discipline mapad's serving loop uses.
 			var buf policy.Allocation
-			if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
+			if err := policy.DecideInto(p, &buf, top, avail, req); err != nil {
 				b.Fatal(err)
 			}
 			evals := score.Evaluations()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := policy.AllocateInto(p, &buf, avail, top, req); err != nil {
+				if err := policy.DecideInto(p, &buf, top, avail, req); err != nil {
 					b.Fatal(err)
 				}
 			}

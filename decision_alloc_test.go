@@ -10,6 +10,7 @@ import (
 
 	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
+	"mapa/internal/graph"
 	"mapa/internal/matchcache"
 	"mapa/internal/policy"
 	"mapa/internal/score"
@@ -36,10 +37,20 @@ func allocPolicies(scorer *score.Scorer) []struct {
 	}
 }
 
+// usableWithout returns top's availability mask with the busy GPUs
+// cleared.
+func usableWithout(top *topology.Topology, busy []int) graph.Bitset {
+	usable := top.Graph.VertexBitset()
+	for _, g := range busy {
+		usable.Unset(g)
+	}
+	return usable
+}
+
 // TestTableServedDecisionZeroAllocs pins the post-warm table-served
 // decision at exactly 0 allocs/op for all four policies on both the
 // single-node DGX-A100 and the 72-GPU cluster. The decision runs
-// through AllocateInto with a reused result buffer — the serving-loop
+// through DecideInto with a reused result buffer — the serving-loop
 // discipline — so any regression (an escaping closure, a method value,
 // a fresh slice on the hot path) fails here, not in a benchmark graph.
 func TestTableServedDecisionZeroAllocs(t *testing.T) {
@@ -59,7 +70,7 @@ func TestTableServedDecisionZeroAllocs(t *testing.T) {
 			store.Warm(1, pattern)
 			views := store.NewViews()
 			views.Allocate(tc.busy)
-			avail := tc.top.Graph.Without(tc.busy)
+			avail := usableWithout(tc.top, tc.busy)
 			for _, v := range allocPolicies(scorer) {
 				t.Run(v.name, func(t *testing.T) {
 					policy.AttachUniverses(v.p, store)
@@ -71,14 +82,14 @@ func TestTableServedDecisionZeroAllocs(t *testing.T) {
 					// a decision that fell through to an entry tier would
 					// trivially allocate and mask a fast-path regression.
 					evals := score.Evaluations()
-					if err := policy.AllocateInto(v.p, &buf, avail, tc.top, req); err != nil {
+					if err := policy.DecideInto(v.p, &buf, tc.top, avail, req); err != nil {
 						t.Fatal(err)
 					}
 					if d := score.Evaluations() - evals; d != 0 {
 						t.Fatalf("decision ran %d dynamic score evaluations, want 0 (not table-served)", d)
 					}
 					got := testing.AllocsPerRun(100, func() {
-						if err := policy.AllocateInto(v.p, &buf, avail, tc.top, req); err != nil {
+						if err := policy.DecideInto(v.p, &buf, tc.top, avail, req); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -110,7 +121,7 @@ func TestLiveViewDeltaAllocBudget(t *testing.T) {
 	// One decision materializes the view slot so deltas do real work.
 	req := policy.Request{Pattern: pattern, Sensitive: false}
 	var buf policy.Allocation
-	if err := policy.AllocateInto(p, &buf, top.Graph, top, req); err != nil {
+	if err := policy.DecideInto(p, &buf, top, top.Graph.VertexBitset(), req); err != nil {
 		t.Fatal(err)
 	}
 	gpus := []int{3, 10, 40}
@@ -147,11 +158,11 @@ func TestAllocateIntoMatchesAllocate(t *testing.T) {
 			policy.AttachUniverses(pb, store)
 			policy.AttachViews(pb, viewsB)
 			req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
-			avail := top.Graph.Clone()
+			avail := top.Graph.VertexBitset()
 			var buf policy.Allocation
 			for step := 0; step < 8; step++ {
-				want, errA := pa.Allocate(avail, top, req)
-				errB := policy.AllocateInto(pb, &buf, avail, top, req)
+				want, errA := pa.Allocate(top, avail, req)
+				errB := policy.DecideInto(pb, &buf, top, avail, req)
 				if (errA != nil) != (errB != nil) {
 					t.Fatalf("step %d: Allocate err=%v, AllocateInto err=%v", step, errA, errB)
 				}
@@ -167,9 +178,37 @@ func TestAllocateIntoMatchesAllocate(t *testing.T) {
 				viewsA.Allocate(want.GPUs)
 				viewsB.Allocate(want.GPUs)
 				for _, g := range want.GPUs {
-					avail.RemoveVertex(g)
+					avail.Unset(g)
 				}
 			}
 		})
+	}
+}
+
+// TestSystemCycleAllocations gates a warmed System allocate+release
+// cycle on cluster-a100 at its measured cost, 26 allocations: the
+// request's pattern graph and its fingerprint, the decision's result,
+// the lease record and the Lease. None of it scales with the free set —
+// with an availability graph, a release re-inserted k × |free| edges
+// and the cycle cost 32.
+func TestSystemCycleAllocations(t *testing.T) {
+	s, err := NewSystem("cluster-a100", "preserve", WithWarmShapes(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sensitive := range []bool{true, false} {
+		req := JobRequest{NumGPUs: 3, Shape: "Ring", Sensitive: sensitive}
+		got := testing.AllocsPerRun(100, func() {
+			l, err := s.Allocate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Release(l); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 26 {
+			t.Errorf("sensitive=%v: %v allocations per allocate+release cycle, want <= 26", sensitive, got)
+		}
 	}
 }

@@ -166,12 +166,12 @@ func (s *System) applyRecoveredAllocate(rec *journal.Record) error {
 		return fmt.Errorf("lease %d has no GPUs", rec.ID)
 	}
 	for _, g := range rec.GPUs {
-		if !s.avail.HasVertex(g) {
+		if !s.usable.Has(g) {
 			return fmt.Errorf("GPU %d not free for lease %d", g, rec.ID)
 		}
 	}
 	for _, g := range rec.GPUs {
-		s.avail.RemoveVertex(g)
+		s.usable.Unset(g)
 	}
 	s.publishAllocate(rec.GPUs)
 	s.nextID = rec.ID
@@ -231,9 +231,9 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 		for v, f := range vt.Fraction {
 			s.fractions[v] = f
 		}
-		s.avail = s.top.Graph.Clone()
+		s.usable = s.top.Graph.VertexBitset()
 	}
-	if err := applyLinks(snap.Links, s.top.Graph, s.avail); err != nil {
+	if err := applyLinks(snap.Links, s.top.Graph); err != nil {
 		return err
 	}
 	if err := applyLinks(snap.PhysLinks, s.top.Physical); err != nil {
@@ -255,12 +255,12 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 			return fmt.Errorf("mapa: journal snapshot: lease %d has no GPUs", ls.ID)
 		}
 		for _, g := range ls.GPUs {
-			if !s.avail.HasVertex(g) {
+			if !s.usable.Has(g) {
 				return fmt.Errorf("mapa: journal snapshot: GPU %d not free for lease %d", g, ls.ID)
 			}
 		}
 		for _, g := range ls.GPUs {
-			s.avail.RemoveVertex(g)
+			s.usable.Unset(g)
 		}
 		gpus := append([]int(nil), ls.GPUs...)
 		s.leases[ls.ID] = gpus
@@ -283,28 +283,22 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 		}
 		s.unhealthy[g] = true
 		if _, leased := s.leasedBy[g]; !leased {
-			s.avail.RemoveVertex(g)
+			s.usable.Unset(g)
 		}
 	}
 	return nil
 }
 
-// applyLinks installs recorded link weights onto each graph that has
-// the edge (the availability graph drops edges as GPUs lease out, so
-// it is checked per edge). Structure never changes — a snapshot link
-// that does not exist in the rebuilt topology is corruption.
-func applyLinks(links []journal.Link, graphs ...*graph.Graph) error {
-	for gi, g := range graphs {
-		for _, l := range links {
-			e, ok := g.EdgeBetween(l.U, l.V)
-			if !ok {
-				if gi > 0 {
-					continue // availability graph: endpoint already leased out
-				}
-				return fmt.Errorf("mapa: journal snapshot: no link (%d,%d) in topology", l.U, l.V)
-			}
-			g.MustAddEdge(l.U, l.V, l.BW, e.Label)
+// applyLinks installs recorded link weights onto g. Structure never
+// changes — a snapshot link that does not exist in the rebuilt topology
+// is corruption.
+func applyLinks(links []journal.Link, g *graph.Graph) error {
+	for _, l := range links {
+		e, ok := g.EdgeBetween(l.U, l.V)
+		if !ok {
+			return fmt.Errorf("mapa: journal snapshot: no link (%d,%d) in topology", l.U, l.V)
 		}
+		g.MustAddEdge(l.U, l.V, l.BW, e.Label)
 	}
 	return nil
 }
@@ -331,13 +325,16 @@ func (s *System) Snapshot() error {
 
 // Close writes a final snapshot (when journaling) and closes the
 // journal; the SIGTERM drain path calls it after in-flight requests
-// finish. Journaled mutations fail after Close.
+// finish. Journaled mutations fail after Close: the closed journal
+// stays attached and refuses their appends, so nothing can commit
+// unjournaled. A second Close is a no-op.
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jw == nil {
+	if s.jw == nil || s.closed {
 		return nil
 	}
+	s.closed = true
 	snap, err := s.captureSnapshotLocked()
 	if err == nil {
 		snap.LSN = s.jw.LastSeq()
@@ -346,7 +343,6 @@ func (s *System) Close() error {
 	if cerr := s.jw.Close(); err == nil {
 		err = cerr
 	}
-	s.jw = nil
 	return err
 }
 
@@ -470,8 +466,8 @@ func (s *System) renewLocked(id int, deadline int64) error {
 // now, journaling each expiration as a release marked Expired — a
 // tenant that died mid-lease stops leaking its GPUs once its TTL
 // lapses. Returns the reaped lease IDs in ascending order. An error
-// (a failed journal append, or a lease straddling corrupted topology)
-// stops the sweep; already-reaped IDs are still returned.
+// (a failed journal append) stops the sweep; already-reaped IDs are
+// still returned.
 func (s *System) ReapExpired(now time.Time) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -168,7 +168,7 @@ func sortedEdges(g *graph.Graph) []graph.Edge {
 }
 
 // assertSystemsEqual is the field-exact bar of the crashpoint sweep:
-// leases (IDs, GPU sets, owners, TTL deadlines), the free set, the
+// leases (IDs, GPU sets, owners, TTL deadlines), the usable mask, the
 // unhealthy set, the repartition map, every link weight of the serving
 // and physical graphs, and the ID counters.
 func assertSystemsEqual(t *testing.T, label string, got, want *System) {
@@ -188,7 +188,7 @@ func assertSystemsEqual(t *testing.T, label string, got, want *System) {
 	check("owners", got.owners, want.owners)
 	check("expiry", got.expiry, want.expiry)
 	check("unhealthy", got.unhealthy, want.unhealthy)
-	check("free set", got.avail.Vertices(), want.avail.Vertices())
+	check("usable", got.usable, want.usable)
 	check("nextID", got.nextID, want.nextID)
 	check("instances", got.instances, want.instances)
 	check("physOf", got.physOf, want.physOf)
@@ -196,7 +196,6 @@ func assertSystemsEqual(t *testing.T, label string, got, want *System) {
 	check("nextVID", got.nextVID, want.nextVID)
 	check("graph edges", sortedEdges(got.top.Graph), sortedEdges(want.top.Graph))
 	check("physical edges", sortedEdges(got.top.Physical), sortedEdges(want.top.Physical))
-	check("avail edges", sortedEdges(got.avail), sortedEdges(want.avail))
 }
 
 // recoverAt builds a System from a journal directory and returns it

@@ -78,10 +78,10 @@ type FleetSystem struct {
 
 	// Flat fallback pipeline for node-spanning patterns; nil fields on
 	// fleets above FleetFlattenLimit.
-	avail *graph.Graph
 	store *matchcache.Store
 	views *matchcache.Views
 
+	usable    graph.Bitset // GPUs neither leased nor unhealthy, by global ID
 	leases    map[int][]int
 	leasedBy  map[int]int
 	unhealthy map[int]bool
@@ -139,11 +139,13 @@ func NewFleetSystemFor(f *topology.Fleet, policyName string, opts ...SystemOptio
 		flat:      flat,
 		alloc:     alloc,
 		scorer:    scorer,
+		usable:    graph.NewBitset(f.NumGPUs()),
 		leases:    make(map[int][]int),
 		leasedBy:  make(map[int]int),
 		unhealthy: make(map[int]bool),
 		cfg:       cfg,
 	}
+	s.usable.Fill(f.NumGPUs())
 	s.fstore = matchcache.NewFleetStore(f, matchcache.DefaultUniverseCapacity)
 	if cfg.buildWorkers > 1 {
 		s.fstore.SetBuildWorkers(cfg.buildWorkers)
@@ -158,7 +160,6 @@ func NewFleetSystemFor(f *topology.Fleet, policyName string, opts ...SystemOptio
 	s.fviews = s.fstore.NewFleetViews()
 	policy.AttachFleet(alloc, s.fviews)
 	if flat != nil {
-		s.avail = flat.Graph.Clone()
 		s.store = matchcache.NewStore(flat, matchcache.DefaultUniverseCapacity)
 		if cfg.buildWorkers > 1 {
 			s.store.SetBuildWorkers(cfg.buildWorkers)
@@ -192,23 +193,11 @@ func (s *FleetSystem) ActiveLeases() int {
 	return len(s.leases)
 }
 
-// FreeGPUs returns the currently allocatable GPU IDs, ascending. It is
-// derived from the lease and health tables, so it works at any fleet
-// size — no flattened graph required.
+// FreeGPUs returns the currently allocatable GPU IDs, ascending.
 func (s *FleetSystem) FreeGPUs() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]int, 0, s.fleet.NumGPUs()-len(s.leasedBy)-len(s.unhealthy))
-	for g := 0; g < s.fleet.NumGPUs(); g++ {
-		if _, leased := s.leasedBy[g]; leased {
-			continue
-		}
-		if s.unhealthy[g] {
-			continue
-		}
-		out = append(out, g)
-	}
-	return out
+	return s.usable.Members()
 }
 
 // UnhealthyGPUs returns the GPUs currently marked unhealthy,
@@ -266,7 +255,7 @@ func (s *FleetSystem) Allocate(req JobRequest) (*Lease, error) {
 		return nil, fmt.Errorf("mapa: pattern of %d GPUs spans nodes (max node size %d) and fleet %s is above the flatten limit (%d GPUs): %w",
 			req.NumGPUs, s.fleet.MaxNodeGPUs(), s.fleet.Name, FleetFlattenLimit, policy.ErrNoAllocation)
 	}
-	a, err := s.alloc.Allocate(s.avail, s.flat, preq)
+	a, err := s.alloc.Allocate(s.flat, s.usable, preq)
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs on %s: %w", req.NumGPUs, s.fleet.Name, err)
 	}
@@ -279,10 +268,8 @@ func (s *FleetSystem) Allocate(req JobRequest) (*Lease, error) {
 // fallback pipeline. gpus may alias a reused decision buffer, so the
 // lease record and the returned Lease each take their own copy.
 func (s *FleetSystem) commitLocked(gpus []int, sc score.Scores) *Lease {
-	if s.avail != nil {
-		for _, g := range gpus {
-			s.avail.RemoveVertex(g)
-		}
+	for _, g := range gpus {
+		s.usable.Unset(g)
 	}
 	s.fviews.Allocate(gpus)
 	s.views.Allocate(gpus)
@@ -303,10 +290,7 @@ func (s *FleetSystem) commitLocked(gpus []int, sc score.Scores) *Lease {
 }
 
 // Release returns a lease's GPUs to the free pool. GPUs marked
-// unhealthy while leased stay out until Restore. Fleet topologies are
-// immutable (no DegradeLink), so unlike System.Release no edge
-// validation is needed: the complete-by-construction graph always has
-// every rejoin edge.
+// unhealthy while leased stay out until Restore.
 func (s *FleetSystem) Release(l *Lease) error {
 	if l == nil {
 		return fmt.Errorf("mapa: nil lease")
@@ -317,28 +301,11 @@ func (s *FleetSystem) Release(l *Lease) error {
 	if !ok {
 		return fmt.Errorf("mapa: lease %d not active", l.ID)
 	}
-	var rejoin []int
-	for _, g := range gpus {
-		if !s.unhealthy[g] {
-			rejoin = append(rejoin, g)
-		}
-	}
 	delete(s.leases, l.ID)
 	for _, g := range gpus {
 		delete(s.leasedBy, g)
-	}
-	if s.avail != nil {
-		free := s.avail.Vertices()
-		for i, g := range rejoin {
-			s.avail.AddVertex(g)
-			for _, v := range free {
-				e, _ := s.flat.Graph.EdgeBetween(g, v)
-				s.avail.MustAddEdge(g, v, e.Weight, e.Label)
-			}
-			for _, h := range rejoin[:i] {
-				e, _ := s.flat.Graph.EdgeBetween(g, h)
-				s.avail.MustAddEdge(g, h, e.Weight, e.Label)
-			}
+		if !s.unhealthy[g] {
+			s.usable.Set(g)
 		}
 	}
 	// The views track free and health masks independently: unhealthy
@@ -375,10 +342,8 @@ func (s *FleetSystem) MarkUnhealthy(gpus ...int) error {
 	}
 	for _, g := range gpus {
 		s.unhealthy[g] = true
-		if s.avail != nil {
-			if _, leased := s.leasedBy[g]; !leased {
-				s.avail.RemoveVertex(g)
-			}
+		if _, leased := s.leasedBy[g]; !leased {
+			s.usable.Unset(g)
 		}
 	}
 	s.fviews.MarkUnhealthy(gpus)
@@ -406,25 +371,8 @@ func (s *FleetSystem) Restore(gpus ...int) error {
 	}
 	for _, g := range gpus {
 		delete(s.unhealthy, g)
-	}
-	if s.avail != nil {
-		free := s.avail.Vertices()
-		var rejoin []int
-		for _, g := range gpus {
-			if _, leased := s.leasedBy[g]; !leased {
-				rejoin = append(rejoin, g)
-			}
-		}
-		for i, g := range rejoin {
-			s.avail.AddVertex(g)
-			for _, v := range free {
-				e, _ := s.flat.Graph.EdgeBetween(g, v)
-				s.avail.MustAddEdge(g, v, e.Weight, e.Label)
-			}
-			for _, h := range rejoin[:i] {
-				e, _ := s.flat.Graph.EdgeBetween(g, h)
-				s.avail.MustAddEdge(g, h, e.Weight, e.Label)
-			}
+		if _, leased := s.leasedBy[g]; !leased {
+			s.usable.Set(g)
 		}
 	}
 	s.fviews.RestoreHealth(gpus)

@@ -30,14 +30,14 @@ import (
 )
 
 // flatRig drives a policy against a flattened machine exactly the way
-// System does — avail graph, view stream, health masks — without the
+// System does — usable mask, view stream, health masks — without the
 // lease plumbing. It is the flat reference for fleets of sizes that
 // have no named topology.
 type flatRig struct {
 	t         *testing.T
 	top       *topology.Topology
 	alloc     policy.Allocator
-	avail     *graph.Graph
+	usable    graph.Bitset
 	views     *matchcache.Views
 	leased    map[int]bool
 	unhealthy map[int]bool
@@ -58,7 +58,7 @@ func newFlatRig(t *testing.T, top *topology.Topology, policyName string) *flatRi
 		t:         t,
 		top:       top,
 		alloc:     alloc,
-		avail:     top.Graph.Clone(),
+		usable:    top.Graph.VertexBitset(),
 		views:     views,
 		leased:    make(map[int]bool),
 		unhealthy: make(map[int]bool),
@@ -70,44 +70,25 @@ func (r *flatRig) allocate(req JobRequest) (policy.Allocation, error) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	a, err := r.alloc.Allocate(r.avail, r.top, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
+	a, err := r.alloc.Allocate(r.top, r.usable, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
 	if err != nil {
 		return policy.Allocation{}, err
 	}
 	for _, g := range a.GPUs {
-		r.avail.RemoveVertex(g)
+		r.usable.Unset(g)
 		r.leased[g] = true
 	}
 	r.views.Allocate(a.GPUs)
 	return a, nil
 }
 
-// rejoinFree re-adds GPUs to the availability graph with their full
-// hardware edges, the way System.Release/Restore does.
-func (r *flatRig) rejoinFree(rejoin []int) {
-	free := r.avail.Vertices()
-	for i, g := range rejoin {
-		r.avail.AddVertex(g)
-		for _, v := range free {
-			e, _ := r.top.Graph.EdgeBetween(g, v)
-			r.avail.MustAddEdge(g, v, e.Weight, e.Label)
-		}
-		for _, h := range rejoin[:i] {
-			e, _ := r.top.Graph.EdgeBetween(g, h)
-			r.avail.MustAddEdge(g, h, e.Weight, e.Label)
-		}
-	}
-}
-
 func (r *flatRig) release(gpus []int) {
-	var rejoin []int
 	for _, g := range gpus {
 		delete(r.leased, g)
 		if !r.unhealthy[g] {
-			rejoin = append(rejoin, g)
+			r.usable.Set(g)
 		}
 	}
-	r.rejoinFree(rejoin)
 	r.views.Release(gpus)
 }
 
@@ -115,21 +96,19 @@ func (r *flatRig) markUnhealthy(gpus []int) {
 	for _, g := range gpus {
 		r.unhealthy[g] = true
 		if !r.leased[g] {
-			r.avail.RemoveVertex(g)
+			r.usable.Unset(g)
 		}
 	}
 	r.views.MarkUnhealthy(gpus)
 }
 
 func (r *flatRig) restore(gpus []int) {
-	var rejoin []int
 	for _, g := range gpus {
 		delete(r.unhealthy, g)
 		if !r.leased[g] {
-			rejoin = append(rejoin, g)
+			r.usable.Set(g)
 		}
 	}
-	r.rejoinFree(rejoin)
 	r.views.RestoreHealth(gpus)
 }
 

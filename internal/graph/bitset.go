@@ -210,19 +210,6 @@ func (g *Graph) VertexBitset() Bitset {
 	return b
 }
 
-// VertexBitsetView returns the same set as VertexBitset but memoized on
-// the graph: repeated calls between mutations return one shared bitset
-// without allocating. The returned bitset is READ-ONLY — callers that
-// need to mutate the set must use VertexBitset (or Clone the view).
-func (g *Graph) VertexBitsetView() Bitset {
-	if p := g.vsetMemo.Load(); p != nil {
-		return *p
-	}
-	b := g.VertexBitset()
-	g.vsetMemo.Store(&b)
-	return b
-}
-
 // fingerprint is the uncached canonical encoding behind Fingerprint.
 func (g *Graph) fingerprint() string {
 	var sb strings.Builder

@@ -48,29 +48,20 @@ func (e Edge) Other(v int) int {
 // Graph is an undirected weighted graph. The zero value is not usable;
 // call New.
 //
-// Graphs memoize derived read-only artifacts (Fingerprint,
-// VertexBitsetView) lazily; every mutator drops the memo, so a graph
-// mutated between decisions recomputes them at most once per state.
-// The memo is maintained with atomics, so concurrent readers are safe;
-// mutation itself is not safe to interleave with readers (unchanged
-// from the map-backed representation).
+// Graphs memoize their Fingerprint lazily; every mutator drops the
+// memo, so a mutated graph recomputes it at most once per state. The
+// memo is maintained with atomics, so concurrent readers are safe;
+// mutation itself is not safe to interleave with readers.
 type Graph struct {
 	adj map[int]map[int]Edge
-	// spare holds the emptied adjacency maps of removed vertices for
-	// AddVertex to reuse. An availability graph loses and regains the
-	// same few vertices for as long as it lives, and a fresh map per
-	// return was most of the garbage a simulated placement made.
-	spare []map[int]Edge
 
-	fpMemo   atomic.Pointer[string]
-	vsetMemo atomic.Pointer[Bitset]
+	fpMemo atomic.Pointer[string]
 }
 
-// invalidate drops the memoized derived artifacts after a structural
+// invalidate drops the memoized fingerprint after a structural
 // mutation.
 func (g *Graph) invalidate() {
 	g.fpMemo.Store(nil)
-	g.vsetMemo.Store(nil)
 }
 
 // New returns an empty graph.
@@ -85,11 +76,7 @@ func (g *Graph) AddVertex(v int) {
 		panic(fmt.Sprintf("graph: negative vertex id %d", v))
 	}
 	if _, ok := g.adj[v]; !ok {
-		if n := len(g.spare); n > 0 {
-			g.adj[v], g.spare = g.spare[n-1], g.spare[:n-1]
-		} else {
-			g.adj[v] = make(map[int]Edge)
-		}
+		g.adj[v] = make(map[int]Edge)
 		g.invalidate()
 	}
 }
@@ -142,8 +129,6 @@ func (g *Graph) RemoveVertex(v int) {
 		delete(g.adj[u], v)
 	}
 	delete(g.adj, v)
-	clear(nbrs)
-	g.spare = append(g.spare, nbrs)
 	g.invalidate()
 }
 
@@ -316,11 +301,10 @@ func (g *Graph) InducedSubgraph(vs []int) *Graph {
 }
 
 // WeightWithout returns the total edge weight of the subgraph obtained
-// by removing the given vertices — Without(vs).TotalWeight() without
-// materializing the copy. All edge weights in this repository are
-// integral link bandwidths (see topology.LinkType.Bandwidth), so the
-// float64 sum is exact and independent of iteration order, making the
-// value bit-identical to the materializing form.
+// by removing the given vertices, without materializing it. All edge
+// weights in this repository are integral link bandwidths (see
+// topology.LinkType.Bandwidth), so the float64 sum is exact and
+// independent of iteration order.
 func (g *Graph) WeightWithout(vs []int) float64 {
 	if len(vs) == 0 {
 		return g.TotalWeight()
@@ -341,17 +325,6 @@ func (g *Graph) WeightWithout(vs []int) float64 {
 		}
 	}
 	return w
-}
-
-// Without returns a copy of g with the given vertices (and their
-// incident edges) removed. It is the remainder graph G \ M used for
-// Preserved Bandwidth (Eq. 3 in the paper).
-func (g *Graph) Without(vs []int) *Graph {
-	c := g.Clone()
-	for _, v := range vs {
-		c.RemoveVertex(v)
-	}
-	return c
 }
 
 // Connected reports whether g is connected. The empty graph is

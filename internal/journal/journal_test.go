@@ -1,8 +1,6 @@
 package journal
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -286,11 +284,7 @@ func TestZeroLengthFrameIsHardError(t *testing.T) {
 // writeFrame appends one raw frame for a record with the given seq.
 func writeFrame(t *testing.T, path string, rec Record) {
 	t.Helper()
-	payload := appendPayload(nil, &rec)
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
+	frame := frameOf(appendPayload(nil, &rec))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

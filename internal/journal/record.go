@@ -188,7 +188,10 @@ func decodePayload(p []byte) (Record, error) {
 		r.V = int(d.uvarint())
 		r.BW = math.Float64frombits(d.u64())
 	case KindRepartition:
-		n := int(d.uvarint())
+		n := d.uvarint()
+		if n > uint64(len(d.buf))/2 { // each slice is at least two bytes
+			d.fail()
+		}
 		if d.err == nil && n > 0 {
 			r.Slices = make([]Slice, n)
 			for i := range r.Slices {

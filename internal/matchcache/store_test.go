@@ -22,9 +22,19 @@ type liveList struct {
 	truncated bool
 }
 
-// selectLive consults v for (pattern, avail) under the given cap.
+// without returns g's induced subgraph after removing vs.
+func without(g *graph.Graph, vs []int) *graph.Graph {
+	c := g.Clone()
+	for _, v := range vs {
+		c.RemoveVertex(v)
+	}
+	return c
+}
+
+// selectLive consults v for (pattern, avail's vertex set) under the
+// given cap.
 func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out liveList, ok bool) {
-	ok = v.SelectLive(pattern, avail, maxCandidates, 1,
+	ok = v.SelectLive(pattern, avail.VertexBitset(), maxCandidates, 1,
 		func(lv *match.LiveView, _ *match.BandwidthAccounting, _ *score.Table, order []int, truncated bool) {
 			idx, _ := lv.Candidates(maxCandidates)
 			for _, i := range idx {
@@ -42,7 +52,7 @@ func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out l
 func candidatesOn(s *Store, pattern *graph.Graph, busy []int, maxCandidates int) (liveList, bool) {
 	v := s.NewViews()
 	v.Allocate(busy)
-	return selectLive(v, pattern, s.top.Graph.Without(busy), maxCandidates)
+	return selectLive(v, pattern, without(s.top.Graph, busy), maxCandidates)
 }
 
 // sameKeys fails unless got lists exactly the wanted canonical keys in
@@ -90,7 +100,7 @@ func TestServedCandidatesMatchSequentialEnumeration(t *testing.T) {
 			if got.order != nil {
 				t.Fatalf("%s: identical shape needs no remap", step)
 			}
-			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, top.Graph.Without(busy), cap)
+			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, without(top.Graph, busy), cap)
 			sameKeys(t, step, got.keys, wantKeys)
 			for i, m := range wantMs {
 				if !reflect.DeepEqual(got.matches[i], m) {
@@ -159,7 +169,7 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 	ringB := ring0213()
 	s.Warm(1, ringA)
 
-	avail := top.Graph.Without([]int{2})
+	avail := without(top.Graph, []int{2})
 	before := match.Searches()
 	got, ok := candidatesOn(s, ringB, []int{2}, 0)
 	if !ok {
@@ -244,7 +254,7 @@ func TestWarmConcurrentShapesMatchSequential(t *testing.T) {
 	}
 	// Every shape must serve the same candidate prefix from both
 	// stores on a common availability state.
-	avail := top.Graph.Without([]int{1, 6})
+	avail := without(top.Graph, []int{1, 6})
 	for _, p := range shapes {
 		if p.NumVertices() > avail.NumVertices() {
 			continue
@@ -271,7 +281,7 @@ func TestWarmRacesWithReaders(t *testing.T) {
 	s := NewStore(top, 0)
 	shapes := appgraph.AllShapes(5)
 	pattern := appgraph.Ring(3)
-	avail := top.Graph.Without([]int{0, 5})
+	avail := without(top.Graph, []int{0, 5})
 	_, wantKeys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
 
 	done := make(chan struct{})

@@ -32,7 +32,7 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 
 	v := s.NewViews()
 	called := false
-	ok := v.SelectLive(ring, top.Graph, 0, 1, func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
 		called = true
 		if bw == nil {
 			t.Error("SelectLive must hand out the stream's bandwidth accounting")
@@ -69,7 +69,7 @@ func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	}
 
 	var none *Views
-	if none.SelectLive(ring, top.Graph, 0, 1, sel) {
+	if none.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, sel) {
 		t.Fatal("SelectLive must decline on a nil view set")
 	}
 	if vs := none.Stats(); vs != (ViewStats{}) {
@@ -81,8 +81,8 @@ func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	v := on.NewViews()
 	// Mask out of sync: the view tracks an idle machine but the request
 	// claims GPU 0 is busy.
-	stale := top.Graph.Without([]int{0})
-	if v.SelectLive(ring, stale, 0, 1, sel) {
+	stale := without(top.Graph, []int{0})
+	if v.SelectLive(ring, stale.VertexBitset(), 0, 1, sel) {
 		t.Fatal("SelectLive must decline an out-of-sync mask")
 	}
 	if vs := v.Stats(); vs.TableServed != 0 || vs.Rejected != 1 {

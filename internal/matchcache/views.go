@@ -48,7 +48,7 @@ type viewSlot struct {
 //
 // A Views is bound to one availability stream (one mapa.System, or one
 // sched.Engine run): the publisher calls Allocate/Release with exactly
-// the GPU-set deltas it applies to its availability graph. A delta
+// the GPU-set deltas it applies to its availability mask. A delta
 // updates only the stream's masks and its shared Eq. 3 accounting; a
 // shape's view catches up when a decision next consults it
 // (match.LiveView.Sync), walking the posting lists of exactly the GPUs
@@ -56,7 +56,7 @@ type viewSlot struct {
 // counters are a pure function of the masks, so this is state-identical
 // to replaying every delta into every view, while a stream nobody
 // consults costs nothing per delta and a decision pays for one shape,
-// not for all of them. SelectLive cross-checks the request's free mask
+// not for all of them. SelectLive cross-checks the request's usable mask
 // against the tracked stream and declines to serve on any mismatch, so
 // a mis-published stream degrades to a fresh search instead of
 // corrupting decisions; a delta that contradicts the tracked masks
@@ -259,26 +259,24 @@ func (v *Views) ensureSlot(ci *canonInfo, pattern *graph.Graph, workers int) (*v
 // (a nil view set declines too, and counts nothing), when it cannot
 // answer soundly and the caller must search instead:
 //
-//   - avail's vertex set differs from the tracked usable set (free AND
-//     healthy — the publisher's availability graph excludes unhealthy
-//     GPUs, so in degraded mode that is exactly what a decision sees);
+//   - usable, the mask the decision is made on, differs from the
+//     tracked usable set (free AND healthy);
 //   - the shape's universe overflowed the store capacity;
 //   - the candidate cap truncates the live set and the request is a
 //     structurally different build of the shape: a truncated list is
 //     the enumeration-order prefix of the build the universe was
 //     enumerated for, not of this one (the same rule as
 //     Universe.Filter).
-func (v *Views) SelectLive(pattern, avail *graph.Graph, maxCandidates, workers int, sel func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool)) bool {
+func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool)) bool {
 	if v == nil {
 		return false
 	}
 	ci := canon.info(pattern)
-	mask := avail.VertexBitsetView()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	// Mutual subset = equal membership; the masks may differ in word
-	// length when the highest-numbered GPUs are busy.
-	if !mask.SubsetOf(v.usable) || !v.usable.SubsetOf(mask) {
+	// Mutual subset = equal membership; a mask cut from an availability
+	// graph is shorter when the highest-numbered GPUs are busy.
+	if !usable.SubsetOf(v.usable) || !v.usable.SubsetOf(usable) {
 		v.stats.Rejected++
 		return false
 	}
@@ -297,6 +295,18 @@ func (v *Views) SelectLive(pattern, avail *graph.Graph, maxCandidates, workers i
 	v.stats.TableServed++
 	sel(sl.lv, v.bw, tbl, order, truncated)
 	return true
+}
+
+// Usable returns a copy of the stream's tracked usable mask — free AND
+// healthy, what SelectLive checks a decision's mask against. A nil view
+// set reports nil.
+func (v *Views) Usable() graph.Bitset {
+	if v == nil {
+		return nil
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.usable.Clone()
 }
 
 // Stats returns a snapshot of the view set's counters. A nil view set

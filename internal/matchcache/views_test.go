@@ -25,7 +25,7 @@ func ringN(k int) *graph.Graph {
 func filtered(t *testing.T, pattern, data, avail *graph.Graph) (keys []string, matches []match.Match) {
 	t.Helper()
 	u := match.BuildUniverse(pattern, data, 0, 1)
-	idx, _ := u.Filter(avail.VertexBitsetView(), 0)
+	idx, _ := u.Filter(avail.VertexBitset(), 0)
 	for _, i := range idx {
 		keys = append(keys, u.Key(i))
 		matches = append(matches, u.Match(i))
@@ -105,7 +105,7 @@ func TestViewsRejectsOutOfSyncStream(t *testing.T) {
 		t.Fatalf("view stats = %+v, want the mismatch rejected", vs)
 	}
 	// The matching state must serve.
-	if _, ok := selectLive(views, pattern, top.Graph.Without([]int{0, 1}), 0); !ok {
+	if _, ok := selectLive(views, pattern, without(top.Graph, []int{0, 1}), 0); !ok {
 		t.Fatal("in-sync avail was rejected")
 	}
 }
@@ -210,7 +210,7 @@ func TestViewsBuildsMidStream(t *testing.T) {
 	views := NewStore(top, 0).NewViews()
 	views.Allocate([]int{2, 6, 7})
 	views.MarkUnhealthy([]int{4})
-	avail := top.Graph.Without([]int{2, 4, 6, 7})
+	avail := without(top.Graph, []int{2, 4, 6, 7})
 	got, ok := selectLive(views, ringN(3), avail, 0)
 	if !ok {
 		t.Fatal("mid-stream first request was rejected")
@@ -281,7 +281,7 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 	views.Allocate([]int{0, 7})
 	views.Allocate([]int{3})
 	views.Release([]int{7})
-	busy := top.Graph.Without([]int{0, 3})
+	busy := without(top.Graph, []int{0, 3})
 	consult(ring3, busy)
 	want := postings(ring3, 0, 3)
 	if want == 0 || views.walked != want {

@@ -22,10 +22,10 @@ func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 	for _, top := range tops {
 		for _, k := range []int{3, 4} {
 			req := Request{Pattern: appgraph.Ring(k), Sensitive: true}
-			avail := top.Graph.Without([]int{1})
+			avail := without(top.Graph, []int{1})
 
 			seq := NewPreserve(nil)
-			ref, err := seq.Allocate(avail, top, req)
+			ref, err := seq.Allocate(top, avail.VertexBitset(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 			} {
 				p := mk()
 				for rep := 0; rep < 3; rep++ {
-					got, err := p.Allocate(avail, top, req)
+					got, err := p.Allocate(top, avail.VertexBitset(), req)
 					if err != nil {
 						t.Fatal(err)
 					}

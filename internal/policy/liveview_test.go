@@ -58,7 +58,7 @@ func TestWarmedShapeChurnServedByLiveViewOnly(t *testing.T) {
 		// The counters are pinned around the live decision alone — the
 		// vanilla comparator below legitimately searches.
 		searches, filters := match.Searches(), match.Filters()
-		got, err := live.Allocate(avail, top, req)
+		got, err := live.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -68,7 +68,7 @@ func TestWarmedShapeChurnServedByLiveViewOnly(t *testing.T) {
 		if d := match.Filters() - filters; d != 0 {
 			t.Fatalf("step %d: live-view decision ran %d full-universe scans, want 0", step, d)
 		}
-		want, err := vanilla.Allocate(avail, top, req)
+		want, err := vanilla.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

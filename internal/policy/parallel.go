@@ -53,11 +53,9 @@ func UniversesOf(a Allocator) *matchcache.Store {
 // the policy allocates on (it is bypassed for any other) and must be
 // fed the exact GPU-set deltas of the availability stream the policy
 // decides over (mapa.System and sched.Engine publish them); a view set
-// whose stream diverges from avail declines to serve and the decision
-// is a fresh search. It relies on the Allocator.Allocate contract that
-// avail is the induced subgraph of top.Graph over the usable GPUs.
-// Baseline and Topo-aware do not enumerate and ignore it. Pass nil to
-// detach.
+// whose stream diverges from the usable mask a decision is handed
+// declines to serve and the decision is a fresh search. Baseline and
+// Topo-aware do not enumerate and ignore it. Pass nil to detach.
 func AttachViews(a Allocator, v *matchcache.Views) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.views = v

@@ -35,11 +35,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 					}
 					SetParallelism(par, 4)
 
-					a, err := seq.Allocate(top.Graph, top, req)
+					a, err := seq.Allocate(top, top.Graph.VertexBitset(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := par.Allocate(top.Graph, top, req)
+					b, err := par.Allocate(top, top.Graph.VertexBitset(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -58,12 +58,12 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	p := NewPreserve(nil)
 	SetParallelism(p, 8)
 	req := ringReq(4, true)
-	first, err := p.Allocate(top.Graph, top, req)
+	first, err := p.Allocate(top, top.Graph.VertexBitset(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := p.Allocate(top.Graph, top, req)
+		again, err := p.Allocate(top, top.Graph.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +77,8 @@ func TestParallelNoAllocation(t *testing.T) {
 	top := topology.DGXV100()
 	p := NewPreserve(nil)
 	SetParallelism(p, 4)
-	avail := top.Graph.Without([]int{0, 1, 2, 3, 4, 5, 6})
-	if _, err := p.Allocate(avail, top, ringReq(3, true)); !errors.Is(err, ErrNoAllocation) {
+	avail := without(top.Graph, []int{0, 1, 2, 3, 4, 5, 6})
+	if _, err := p.Allocate(top, avail.VertexBitset(), ringReq(3, true)); !errors.Is(err, ErrNoAllocation) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -89,10 +89,10 @@ func TestSetParallelismIgnoredByBaselines(t *testing.T) {
 	SetParallelism(b, 8) // must not panic or change behaviour
 	SetParallelism(ta, 8)
 	top := topology.DGXV100()
-	if _, err := b.Allocate(top.Graph, top, ringReq(2, true)); err != nil {
+	if _, err := b.Allocate(top, top.Graph.VertexBitset(), ringReq(2, true)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ta.Allocate(top.Graph, top, ringReq(2, true)); err != nil {
+	if _, err := ta.Allocate(top, top.Graph.VertexBitset(), ringReq(2, true)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,12 +107,12 @@ func TestParallelismBelowTwoIsSequential(t *testing.T) {
 	top := topology.DGXV100()
 	p := NewGreedy(nil)
 	SetParallelism(p, 1)
-	a, err := p.Allocate(top.Graph, top, ringReq(3, true))
+	a, err := p.Allocate(top, top.Graph.VertexBitset(), ringReq(3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetParallelism(p, 0)
-	b, err := p.Allocate(top.Graph, top, ringReq(3, true))
+	b, err := p.Allocate(top, top.Graph.VertexBitset(), ringReq(3, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,19 @@
 //     insensitive jobs get the match preserving the most remaining
 //     bandwidth (Eq. 3) for future sensitive jobs.
 //
-// Policies operate on the *available* hardware graph: the induced
-// subgraph of the machine's complete hardware graph over currently
-// free GPUs. They return the chosen GPU IDs together with the match
-// and scores that justified the choice.
+// Policies decide on a read-only topology and an availability mask —
+// the machine's usable (free and healthy) GPUs as a bitset indexed by
+// GPU ID. They return the chosen GPU IDs together with the match and
+// scores that justified the choice.
 package policy
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mapa/internal/graph"
 	"mapa/internal/match"
@@ -69,9 +71,10 @@ type Allocation struct {
 type Allocator interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Allocate chooses GPUs for the request on the available graph.
-	// avail must be an induced subgraph of top.Graph over free GPUs.
-	Allocate(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error)
+	// Allocate chooses GPUs for the request among top's usable GPUs.
+	// usable must be a subset of top.Graph's vertices; the policy reads
+	// both and mutates neither.
+	Allocate(top *topology.Topology, usable graph.Bitset, req Request) (Allocation, error)
 }
 
 // DefaultMaxCandidates bounds how many deduplicated matches a MAPA
@@ -80,34 +83,65 @@ type Allocator interface {
 // Zero means unlimited.
 const DefaultMaxCandidates = 250000
 
-func validate(avail *graph.Graph, req Request) error {
+func validate(usable graph.Bitset, req Request) error {
 	k := req.NumGPUs()
 	if k < 1 {
 		return fmt.Errorf("policy: request for %d GPUs: %w", k, ErrNoAllocation)
 	}
-	if k > avail.NumVertices() {
+	if k > usable.Count() {
 		return ErrNoAllocation
 	}
 	return nil
 }
 
-// identityMatch embeds the pattern onto the chosen GPUs in sorted-ID
-// order, the way rank-ordered frameworks map devices when no matcher
-// is involved.
-func identityMatch(req Request, gpus []int) match.Match {
-	pv := req.Pattern.Vertices()
-	data := append([]int(nil), gpus...)
-	sort.Ints(data)
-	return match.Match{Pattern: pv, Data: data}
+// lowestInto refills gpus with the k lowest members of usable — of
+// usable ∧ within when within is non-nil — and reports whether there
+// are that many. The masks may differ in word length.
+func lowestInto(gpus []int, usable, within graph.Bitset, k int) ([]int, bool) {
+	gpus = gpus[:0]
+	for wi, w := range usable {
+		if within != nil {
+			if wi >= len(within) {
+				break
+			}
+			w &= within[wi]
+		}
+		for ; w != 0; w &= w - 1 {
+			gpus = append(gpus, wi*64+bits.TrailingZeros64(w))
+			if len(gpus) == k {
+				return gpus, true
+			}
+		}
+	}
+	return gpus, false
 }
 
-// scoreAllocation evaluates the MAPA metrics for a chosen embedding.
-func scoreAllocation(s *score.Scorer, avail *graph.Graph, top *topology.Topology, req Request, m match.Match) Allocation {
-	return Allocation{
-		GPUs:   m.DataVertices(),
-		Match:  m,
-		Scores: s.Score(top, req.Pattern, avail, m),
+// wholeMachine is the partition list of a policy that places anywhere.
+var wholeMachine = []graph.Bitset{nil}
+
+// rankedInto is the decision of the policies that do not pattern-match:
+// the lowest usable GPU IDs of the first partition that has enough of
+// them, the pattern embedded onto those in sorted-ID order — the way
+// rank-ordered frameworks map devices when no matcher is involved — and
+// the MAPA metrics of that embedding for reporting.
+func rankedInto(buf *Allocation, s *score.Scorer, top *topology.Topology, usable graph.Bitset, req Request, parts []graph.Bitset) error {
+	if err := validate(usable, req); err != nil {
+		return err
 	}
+	for _, part := range parts {
+		var ok bool
+		if buf.GPUs, ok = lowestInto(buf.GPUs, usable, part, req.NumGPUs()); !ok {
+			continue
+		}
+		buf.Match.Pattern = req.Pattern.Vertices()
+		buf.Match.Data = append(buf.Match.Data[:0], buf.GPUs...)
+		buf.Scores = s.ScoreRanked(top, req.Pattern, buf.Match.Pattern, buf.GPUs, usable)
+		buf.key = ""
+		return nil
+	}
+	// The partition tree ends with the whole machine, so reaching here
+	// means not enough usable GPUs anywhere.
+	return ErrNoAllocation
 }
 
 // Baseline allocates the lowest free GPU IDs, mirroring default GPU
@@ -124,12 +158,10 @@ func NewBaseline(s *score.Scorer) *Baseline {
 
 func (b *Baseline) Name() string { return "baseline" }
 
-func (b *Baseline) Allocate(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if err := validate(avail, req); err != nil {
-		return Allocation{}, err
-	}
-	gpus := avail.Vertices()[:req.NumGPUs()]
-	return scoreAllocation(b.scorer, avail, top, req, identityMatch(req, gpus)), nil
+func (b *Baseline) Allocate(top *topology.Topology, usable graph.Bitset, req Request) (Allocation, error) {
+	var alloc Allocation
+	err := DecideInto(b, &alloc, top, usable, req)
+	return alloc, err
 }
 
 // TopoAware implements the recursive bi-partitioning scheduler of
@@ -139,6 +171,17 @@ func (b *Baseline) Allocate(avail *graph.Graph, top *topology.Topology, req Requ
 // tree when possible.
 type TopoAware struct {
 	scorer *score.Scorer
+	// parts memoizes the partition tree of the topology last decided
+	// on: the tree depends on the socket layout alone, which no
+	// topology mutation edits in place.
+	parts atomic.Pointer[partitionMasks]
+}
+
+// partitionMasks is a topology's partition tree as GPU masks, in
+// partitions' order.
+type partitionMasks struct {
+	top   *topology.Topology
+	masks []graph.Bitset
 }
 
 // NewTopoAware returns the topology-aware baseline policy.
@@ -178,26 +221,30 @@ func partitions(top *topology.Topology) [][]int {
 	return out
 }
 
-func (t *TopoAware) Allocate(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	if err := validate(avail, req); err != nil {
-		return Allocation{}, err
+// partitionsOf returns top's partition tree as masks, computed on the
+// first decision for the topology. The order is partitions' own — its
+// sort is not stable, so the list is kept, never rebuilt per decision.
+func (t *TopoAware) partitionsOf(top *topology.Topology) []graph.Bitset {
+	if pm := t.parts.Load(); pm != nil && pm.top == top {
+		return pm.masks
 	}
-	k := req.NumGPUs()
+	pm := &partitionMasks{top: top}
+	n := graph.Capacity(top.Graph)
 	for _, part := range partitions(top) {
-		var free []int
+		mask := graph.NewBitset(n)
 		for _, g := range part {
-			if avail.HasVertex(g) {
-				free = append(free, g)
-			}
+			mask.Set(g)
 		}
-		if len(free) >= k {
-			sort.Ints(free)
-			return scoreAllocation(t.scorer, avail, top, req, identityMatch(req, free[:k])), nil
-		}
+		pm.masks = append(pm.masks, mask)
 	}
-	// Partition tree always ends with the whole machine, so reaching
-	// here means not enough free GPUs anywhere.
-	return Allocation{}, ErrNoAllocation
+	t.parts.Store(pm)
+	return pm.masks
+}
+
+func (t *TopoAware) Allocate(top *topology.Topology, usable graph.Bitset, req Request) (Allocation, error) {
+	var alloc Allocation
+	err := DecideInto(t, &alloc, top, usable, req)
+	return alloc, err
 }
 
 // metric identifies one MAPA score dimension inside a policy's
@@ -253,9 +300,9 @@ func (p *mapaPolicy) better(req Request, a, b score.Scores) bool {
 
 func (p *mapaPolicy) Name() string { return p.name }
 
-func (p *mapaPolicy) Allocate(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
+func (p *mapaPolicy) Allocate(top *topology.Topology, usable graph.Bitset, req Request) (Allocation, error) {
 	var alloc Allocation
-	err := p.AllocateInto(&alloc, avail, top, req)
+	err := DecideInto(p, &alloc, top, usable, req)
 	return alloc, err
 }
 
@@ -265,18 +312,19 @@ func (p *mapaPolicy) Allocate(avail *graph.Graph, top *topology.Topology, req Re
 // (buf's slices are truncated and refilled in place, so a caller
 // reusing one buffer pays zero allocations), or — when no view set is
 // attached or it declines (see matchcache.Views.SelectLive) — by a
-// fresh search on avail, whose result replaces buf. On error buf's
-// contents are unspecified.
-func (p *mapaPolicy) AllocateInto(buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) error {
-	if err := validate(avail, req); err != nil {
+// fresh search on the subgraph of top.Graph the usable GPUs induce,
+// materialized for that one search, whose result replaces buf. On error
+// buf's contents are unspecified.
+func (p *mapaPolicy) AllocateInto(buf *Allocation, top *topology.Topology, usable graph.Bitset, req Request) error {
+	if err := validate(usable, req); err != nil {
 		return err
 	}
 	if p.views.Bound(top) {
-		if err, served := p.allocateScoredInto(buf, avail, top, req); served {
+		if err, served := p.allocateScoredInto(buf, usable, req); served {
 			return err
 		}
 	}
-	al, err := p.allocateSearch(avail, top, req)
+	al, err := p.allocateSearch(top.Graph.InducedSubgraph(usable.Members()), top, req)
 	if err != nil {
 		return err
 	}
@@ -284,24 +332,38 @@ func (p *mapaPolicy) AllocateInto(buf *Allocation, avail *graph.Graph, top *topo
 	return nil
 }
 
-// AllocateInto runs a's decision into a caller-supplied buffer when the
-// policy supports buffer reuse (the MAPA policies' table-served path is
-// zero-allocation through it), and falls back to Allocate plus a copy
-// into buf otherwise. On error buf's contents are unspecified.
-func AllocateInto(a Allocator, buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) error {
-	if mp, ok := a.(*mapaPolicy); ok {
-		return mp.AllocateInto(buf, avail, top, req)
+// DecideInto runs a's decision into a caller-supplied buffer: buf's
+// slices are truncated and refilled in place, so a caller reusing one
+// buffer pays no allocation for the built-in policies' result (an
+// Allocator from elsewhere decides through Allocate and buf takes its
+// result). On error buf's contents are unspecified.
+func DecideInto(a Allocator, buf *Allocation, top *topology.Topology, usable graph.Bitset, req Request) error {
+	switch p := a.(type) {
+	case *mapaPolicy:
+		return p.AllocateInto(buf, top, usable, req)
+	case *Baseline:
+		return rankedInto(buf, p.scorer, top, usable, req, wholeMachine)
+	case *TopoAware:
+		return rankedInto(buf, p.scorer, top, usable, req, p.partitionsOf(top))
 	}
-	al, err := a.Allocate(avail, top, req)
+	al, err := a.Allocate(top, usable, req)
 	if err != nil {
 		return err
 	}
 	*buf = al
 	return nil
+}
+
+// AllocateInto is DecideInto for a caller that still keeps its free set
+// as the induced availability graph: avail's vertex set is the mask.
+// bench/ links this signature; it goes when bench/ holds a mask.
+func AllocateInto(a Allocator, buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) error {
+	return DecideInto(a, buf, top, avail.VertexBitset(), req)
 }
 
 // allocateSearch is the paper's per-decision pipeline (Fig. 7 /
-// Algorithm 1) run from scratch on the availability graph: enumerate
+// Algorithm 1) run from scratch on the availability graph — the
+// subgraph of top.Graph induced by the usable GPUs: enumerate
 // the pattern's deduplicated matches (capped at maxCandidates, with
 // p.workers goroutines when more than one is configured — the parallel
 // enumeration materializes the exact sequential candidate prefix),

@@ -43,7 +43,6 @@ import (
 	"mapa/internal/graph"
 	"mapa/internal/match"
 	"mapa/internal/score"
-	"mapa/internal/topology"
 )
 
 // allocateScoredInto serves the decision from the shape's live view and
@@ -52,8 +51,8 @@ import (
 // decisions allocates nothing once the slices have grown to the request
 // size. served is false when the view set declines (see
 // matchcache.Views.SelectLive) and the caller must search.
-func (p *mapaPolicy) allocateScoredInto(buf *Allocation, avail *graph.Graph, top *topology.Topology, req Request) (err error, served bool) {
-	served = p.views.SelectLive(req.Pattern, avail, p.maxCandidates, p.workers,
+func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, req Request) (err error, served bool) {
+	served = p.views.SelectLive(req.Pattern, usable, p.maxCandidates, p.workers,
 		func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
 			best, ok := p.pickScored(lv, bw, tbl, req, truncated)
 			if !ok {

@@ -122,7 +122,7 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 						}
 						req := Request{Pattern: pattern, Sensitive: rng.Intn(2) == 0}
 						evals, searches, filters := score.Evaluations(), match.Searches(), match.Filters()
-						got, err := fast.Allocate(avail, tc.top, req)
+						got, err := fast.Allocate(tc.top, avail.VertexBitset(), req)
 						if err != nil {
 							t.Fatalf("step %d: %v", step, err)
 						}
@@ -135,7 +135,7 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 						if d := match.Filters() - filters; d != 0 {
 							t.Fatalf("step %d: table-served decision ran %d universe scans, want 0", step, d)
 						}
-						want, err := slow.Allocate(avail, tc.top, req)
+						want, err := slow.Allocate(tc.top, avail.VertexBitset(), req)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -196,11 +196,11 @@ func TestScoredTruncationParity(t *testing.T) {
 		views.Allocate(delta)
 		for _, sensitive := range []bool{true, false} {
 			req := Request{Pattern: pattern, Sensitive: sensitive}
-			got, err := fast.Allocate(avail, top, req)
+			got, err := fast.Allocate(top, avail.VertexBitset(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := vanilla.Allocate(avail, top, req)
+			want, err := vanilla.Allocate(top, avail.VertexBitset(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,14 +237,14 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	AttachViews(p, views)
 
 	avail := top.Graph.Clone()
-	got, err := p.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	got, err := p.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vs := views.Stats(); vs.TableServed != 1 {
 		t.Fatalf("isomorphic build was not table-served: %+v", vs)
 	}
-	want, err := NewPreserve(nil).Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	want, err := NewPreserve(nil).Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	AttachUniverses(capped, store)
 	cviews := store.NewViews()
 	AttachViews(capped, cviews)
-	got, err = capped.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	got, err = capped.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	}
 	cv := NewPreserve(nil)
 	SetMaxCandidates(cv, 2)
-	want, err = cv.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	want, err = cv.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestScoredPathExhaustion(t *testing.T) {
 		avail.RemoveVertex(g)
 	}
 	views.Allocate(busy)
-	if _, err := p.Allocate(avail, top, Request{Pattern: pattern, Sensitive: true}); err == nil {
+	if _, err := p.Allocate(top, avail.VertexBitset(), Request{Pattern: pattern, Sensitive: true}); err == nil {
 		t.Fatal("expected ErrNoAllocation with only 2 free GPUs")
 	}
 	if vs := views.Stats(); vs.TableServed != 0 || vs.Rejected != 0 {

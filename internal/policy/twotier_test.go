@@ -27,7 +27,7 @@ func served(p Allocator, store *matchcache.Store, top *topology.Topology, busy [
 	views.Allocate(busy)
 	AttachUniverses(p, store)
 	AttachViews(p, views)
-	return views, top.Graph.Without(busy)
+	return views, without(top.Graph, busy)
 }
 
 // TestWarmedShapeAllocatesNewStateWithoutSearch is the acceptance
@@ -48,7 +48,7 @@ func TestWarmedShapeAllocatesNewStateWithoutSearch(t *testing.T) {
 		req := Request{Pattern: pattern, Sensitive: true}
 
 		before := match.Searches()
-		got, err := warmed.Allocate(avail, top, req)
+		got, err := warmed.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestWarmedShapeAllocatesNewStateWithoutSearch(t *testing.T) {
 		if vs := views.Stats(); vs.TableServed != 1 || vs.Rejected != 0 {
 			t.Fatalf("busy=%v: view stats %+v, want the decision table-served", busy, vs)
 		}
-		want, err := vanilla.Allocate(avail, top, req)
+		want, err := vanilla.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestStoreOnlyPathMatchesSequential(t *testing.T) {
 		viewed := NewGreedy(score.NewScorer(nil))
 		_, avail := served(viewed, store, top, busy)
 		req := Request{Pattern: pattern, Sensitive: false}
-		got, err := viewed.Allocate(avail, top, req)
+		got, err := viewed.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := vanilla.Allocate(avail, top, req)
+		want, err := vanilla.Allocate(top, avail.VertexBitset(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,11 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 	store.Warm(1, ringA)
 	views, avail := served(p, store, top, []int{1})
 
-	if _, err := p.Allocate(avail, top, Request{Pattern: ringA, Sensitive: true}); err != nil {
+	if _, err := p.Allocate(top, avail.VertexBitset(), Request{Pattern: ringA, Sensitive: true}); err != nil {
 		t.Fatal(err)
 	}
 	before := match.Searches()
-	got, err := p.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	got, err := p.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 		t.Fatalf("isomorphic request must share the first build's view: views %+v store %+v", vs, st)
 	}
 	vanilla := NewPreserve(score.NewScorer(nil))
-	want, err := vanilla.Allocate(avail, top, Request{Pattern: ringB, Sensitive: true})
+	want, err := vanilla.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSearchFallbackByDeclineReason(t *testing.T) {
 				req := Request{Pattern: tc.pattern, Sensitive: true}
 
 				before := match.Searches()
-				got, err := p.Allocate(avail, top, req)
+				got, err := p.Allocate(top, avail.VertexBitset(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,7 +218,7 @@ func TestSearchFallbackByDeclineReason(t *testing.T) {
 						t.Fatalf("declined decision ran %d searches, want exactly one sequential search", ran)
 					}
 				}
-				want, err := mk().Allocate(avail, top, req)
+				want, err := mk().Allocate(top, avail.VertexBitset(), req)
 				if err != nil {
 					t.Fatal(err)
 				}

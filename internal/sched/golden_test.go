@@ -18,10 +18,11 @@ import (
 
 // referenceRun is the simulation engine in its naive form, kept as the
 // oracle for Engine.Run: a queue that shifts the job slice on every
-// removal, events re-sorted on every push, the availability graph
-// cloned per placement and rebuilt vertex by vertex per completion,
-// the pattern and the ring decomposition recomputed for every job, and
-// a bare policy with no match pipeline attached.
+// removal, events re-sorted on every push, the availability kept as a
+// graph — the induced subgraph over the free GPUs, rebuilt on every
+// change and handed to the policy through the graph-typed AllocateInto
+// — the pattern and the ring decomposition recomputed for every job,
+// and a bare policy with no match pipeline attached.
 func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, faults *FaultPlan, jobList []jobs.Job) ([]Record, error) {
 	model := effbw.TrainedFor(top)
 	queue := append([]jobs.Job(nil), jobList...)
@@ -52,6 +53,24 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 	}
 
 	avail := top.Graph.Clone()
+	// setFree rebuilds the availability graph with gpus added to (or
+	// removed from) the free set.
+	setFree := func(gpus []int, free bool) {
+		keep := make(map[int]bool)
+		for _, v := range avail.Vertices() {
+			keep[v] = true
+		}
+		for _, g := range gpus {
+			keep[g] = free
+		}
+		var vs []int
+		for v, in := range keep {
+			if in {
+				vs = append(vs, v)
+			}
+		}
+		avail = top.Graph.InducedSubgraph(vs)
+	}
 	var pending []event
 	push := func(ev event) {
 		pending = append(pending, ev)
@@ -68,8 +87,8 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 		if err != nil {
 			return false, err
 		}
-		a, err := alloc.Allocate(avail, top, policy.Request{Pattern: pat, Sensitive: j.Sensitive})
-		if err != nil {
+		var a policy.Allocation
+		if err := policy.AllocateInto(alloc, &a, avail, top, policy.Request{Pattern: pat, Sensitive: j.Sensitive}); err != nil {
 			return false, nil
 		}
 		w, err := workload.ByName(j.Workload)
@@ -85,7 +104,7 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 			AggBW:          a.Scores.AggBW,
 			PreservedBW:    a.Scores.PreservedBW,
 		})
-		avail = avail.Without(a.GPUs)
+		setFree(a.GPUs, false)
 		push(event{at: now + exec, job: j.ID, gpus: a.GPUs})
 		return true, nil
 	}
@@ -113,22 +132,14 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 		ev := pending[0]
 		pending = pending[1:]
 		now = ev.at
-		for _, g := range ev.gpus {
-			avail.AddVertex(g)
-			for _, v := range avail.Vertices() {
-				if v != g {
-					e, _ := top.Graph.EdgeBetween(g, v)
-					avail.MustAddEdge(g, v, e.Weight, e.Label)
-				}
-			}
-		}
+		setFree(ev.gpus, true)
 		if ev.recover {
 			continue
 		}
 		if frng != nil && frng.Float64() < faults.FailProb {
 			if free := avail.Vertices(); len(free) > 0 {
 				victim := free[frng.Intn(len(free))]
-				avail.RemoveVertex(victim)
+				setFree([]int{victim}, false)
 				push(event{at: now + faults.Down, gpus: []int{victim}, recover: true})
 			}
 		}
@@ -138,16 +149,17 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 
 // TestRunMatchesReferenceEngine is the golden-parity test of the
 // engine's bookkeeping: the indexed queue, the sorted-insert event
-// list, the in-place availability graph, the per-run pattern and
-// physics memos and the lazily synced live views must log, field for
-// field, what the naive engine logs — under every discipline, with and
-// without fault churn, on both DGX generations.
+// list, the availability mask, the reused decision buffer, the per-run
+// pattern and physics memos and the lazily synced live views must log,
+// field for field, what the naive engine logs — under every discipline
+// and paper policy, with and without fault churn, on both DGX
+// generations.
 func TestRunMatchesReferenceEngine(t *testing.T) {
 	jobList := smallMix(150, 17)
 	for _, top := range []*topology.Topology{topology.DGXV100(), topology.DGXA100()} {
 		for _, faults := range []*FaultPlan{nil, {Seed: 3, FailProb: .05, Down: 50}} {
 			for _, d := range Disciplines() {
-				for _, name := range []string{"baseline", "preserve"} {
+				for _, name := range PaperPolicies() {
 					label := fmt.Sprintf("%s/%s/%s/faults=%v", top.Name, d, name, faults != nil)
 					subject, err := policy.ByName(name, nil)
 					if err != nil {
@@ -184,12 +196,12 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 // TestRunAllocationsPerPlacement bounds the garbage one simulated
 // placement makes on the paper's configuration (FIFO, dgx-v100,
 // Preserve, warm store), where the decision itself is table-served and
-// allocates only the Allocation it returns — so what is measured is the
-// engine's bookkeeping. Before the indexed queue, the in-place
-// availability graph with recycled adjacency maps and the per-run memos
-// that was 87 mallocs and 9.8 KB per placement (6.6 and 0.6 KB after);
-// a regression is paid in GC time and peak RSS on 20,000-job replays
-// long before it shows in a unit test's wall time.
+// writes into the engine's reused buffer — so what is measured is the
+// engine's bookkeeping. With an availability graph edited per event
+// that was 6.6 mallocs per placement; with a mask, one GPU-set copy per
+// distinct set and the growing event list are what is left. A
+// regression is paid in GC time and peak RSS on 20,000-job replays long
+// before it shows in a unit test's wall time.
 func TestRunAllocationsPerPlacement(t *testing.T) {
 	jobList := smallMix(2000, 1)
 	e := NewEngine(topology.DGXV100(), policy.NewPreserve(nil))
@@ -208,7 +220,7 @@ func TestRunAllocationsPerPlacement(t *testing.T) {
 	mallocs := float64(after.Mallocs-before.Mallocs) / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.1f mallocs, %.0f B per placement", mallocs, bytes)
-	if mallocs > 12 || bytes > 1024 {
-		t.Errorf("%.1f mallocs and %.0f B per placement, want at most 12 and 1024", mallocs, bytes)
+	if mallocs > 4 || bytes > 640 {
+		t.Errorf("%.1f mallocs and %.0f B per placement, want at most 4 and 640", mallocs, bytes)
 	}
 }

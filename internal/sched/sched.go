@@ -180,7 +180,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	// run follows the engine configuration even when the allocator was
 	// used elsewhere before. Live views track one availability stream,
 	// so every run gets its own set over the (possibly shared) store,
-	// fed below with exactly the deltas applied to avail. A store bound
+	// fed below with exactly the deltas applied to usable. A store bound
 	// to a different topology is never attached.
 	var store *matchcache.Store
 	e.Views = nil
@@ -191,8 +191,11 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	policy.AttachUniverses(e.Alloc, store)
 	policy.AttachViews(e.Alloc, e.Views)
 
-	avail := e.Top.Graph.Clone()
-	verts := e.Top.Graph.Vertices()
+	// The hardware state of Sec. 3.6 is one mask over the read-only
+	// topology: a GPU is usable while it is neither running a job nor
+	// faulted.
+	usable := e.Top.Graph.VertexBitset()
+	var buf policy.Allocation
 	// pending holds running jobs and recoveries in descending time
 	// order, so the next event pops off the end; events at equal times
 	// pop in the order they were pushed.
@@ -247,42 +250,43 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 			}
 			patterns[pk] = pat
 		}
-		alloc, err := e.Alloc.Allocate(avail, e.Top, policy.Request{Pattern: pat, Sensitive: j.Sensitive})
-		if err != nil {
+		if err := policy.DecideInto(e.Alloc, &buf, e.Top, usable, policy.Request{Pattern: pat, Sensitive: j.Sensitive}); err != nil {
 			return false, nil // no room right now
 		}
 		w, err := workload.ByName(j.Workload)
 		if err != nil {
 			return false, err
 		}
-		ph := memo.of(alloc.GPUs)
+		// buf is overwritten by the next decision; the memo's copy of
+		// the set is what the record and the completion event keep.
+		ph := memo.of(buf.GPUs)
 		var exec float64
 		switch e.Mode {
 		case ModeRealRun:
-			exec = w.ExecTimeOn(ph.rings, len(alloc.GPUs), j.Iters)
+			exec = w.ExecTimeOn(ph.rings, len(ph.gpus), j.Iters)
 		case ModeProxy:
-			exec = w.ExecTimeAtBandwidth(ph.predicted, len(alloc.GPUs), j.Iters)
+			exec = w.ExecTimeAtBandwidth(ph.predicted, len(ph.gpus), j.Iters)
 		case ModeFixed:
-			exec = w.ExecTimeAtBandwidth(FixedReferenceBW, len(alloc.GPUs), j.Iters)
+			exec = w.ExecTimeAtBandwidth(FixedReferenceBW, len(ph.gpus), j.Iters)
 		default:
 			return false, fmt.Errorf("sched: unknown engine mode %d", e.Mode)
 		}
 		records = append(records, Record{
 			Job:            j,
-			GPUs:           alloc.GPUs,
+			GPUs:           ph.gpus,
 			Start:          now,
 			End:            now + exec,
 			ExecTime:       exec,
 			PredictedEffBW: ph.predicted,
 			MeasuredEffBW:  ph.rings.PeakEffBW,
-			AggBW:          alloc.Scores.AggBW,
-			PreservedBW:    alloc.Scores.PreservedBW,
+			AggBW:          buf.Scores.AggBW,
+			PreservedBW:    buf.Scores.PreservedBW,
 		})
-		for _, g := range alloc.GPUs {
-			avail.RemoveVertex(g)
+		for _, g := range ph.gpus {
+			usable.Unset(g)
 		}
-		e.Views.Allocate(alloc.GPUs)
-		push(event{at: now + exec, job: j.ID, gpus: alloc.GPUs})
+		e.Views.Allocate(ph.gpus)
+		push(event{at: now + exec, job: j.ID, gpus: ph.gpus})
 		return true, nil
 	}
 
@@ -316,7 +320,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		ev := popNext()
 		now = ev.at
 		for _, g := range ev.gpus {
-			restore(avail, e.Top, verts, g)
+			usable.Set(g)
 		}
 		if ev.recover {
 			e.Views.RestoreHealth(ev.gpus)
@@ -324,13 +328,13 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		}
 		e.Views.Release(ev.gpus)
 		// Fault churn: after a completion, a free device may fault —
-		// out of the availability graph, unhealthy in the views, back
-		// after Down seconds. The draw happens on every completion so
+		// out of the usable mask, unhealthy in the views, back after
+		// Down seconds. The draw happens on every completion so
 		// the fault schedule depends only on the completion schedule.
 		if frng != nil && frng.Float64() < e.Faults.FailProb {
-			if free := avail.Vertices(); len(free) > 0 {
+			if free := usable.Members(); len(free) > 0 {
 				victim := free[frng.Intn(len(free))]
-				avail.RemoveVertex(victim)
+				usable.Unset(victim)
 				e.Views.MarkUnhealthy([]int{victim})
 				push(event{at: now + e.Faults.Down, gpus: []int{victim}, recover: true})
 			}
@@ -349,23 +353,6 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	return result, nil
 }
 
-// restore re-adds GPU g to the available graph along with its links to
-// every currently-free GPU, undoing the removal done at allocation.
-// verts lists the topology's vertices.
-func restore(avail *graph.Graph, top *topology.Topology, verts []int, g int) {
-	avail.AddVertex(g)
-	for _, v := range verts {
-		if v == g || !avail.HasVertex(v) {
-			continue
-		}
-		e, ok := top.Graph.EdgeBetween(g, v)
-		if !ok {
-			panic(fmt.Sprintf("sched: topology %s missing edge (%d,%d)", top.Name, g, v))
-		}
-		avail.MustAddEdge(g, v, e.Weight, e.Label)
-	}
-}
-
 // patternKey identifies a job's application graph.
 type patternKey struct {
 	shape appgraph.Shape
@@ -375,8 +362,10 @@ type patternKey struct {
 // physics is what a placement's log entry and duration need from the
 // chosen GPU set: its ring decomposition (which carries the measured
 // EffBW and prices an all-reduce of any size) and the Eq. 2
-// prediction.
+// prediction. gpus is the set itself, ascending — one copy shared by
+// every record and event that places a job on it.
 type physics struct {
+	gpus      []int
 	rings     ncclsim.Result
 	predicted float64
 }
@@ -413,7 +402,11 @@ func (m *physicsMemo) of(gpus []int) *physics {
 		return ph
 	}
 	res := ncclsim.Decompose(m.top, gpus)
-	ph := &physics{rings: res, predicted: m.model.Predict(effbw.MixFromDecomposition(m.top, res))}
+	ph := &physics{
+		gpus:      append([]int(nil), gpus...),
+		rings:     res,
+		predicted: m.model.Predict(effbw.MixFromDecomposition(m.top, res)),
+	}
 	m.seen[string(m.key)] = ph
 	return ph
 }

@@ -38,7 +38,7 @@ func TestMixShardBoundHoldsMemoryFlat(t *testing.T) {
 func TestMixShardEvictionRecomputes(t *testing.T) {
 	top := topology.DGXA100()
 	gpus := []int{0, 1, 2}
-	want := allocationMix(top, gpus)
+	want := mixesOf(top).mix(gpus)
 	// Force the set's shard over its bound with synthetic keys so the
 	// real entry is eventually evicted.
 	_, h := mixSetKey(gpus)
@@ -48,12 +48,12 @@ func TestMixShardEvictionRecomputes(t *testing.T) {
 		sh.put(fmt.Sprintf("churn-%d", i), effbw.LinkCounts{})
 	}
 	sh.mu.Unlock()
-	if got := allocationMix(top, gpus); got != want {
+	if got := mixesOf(top).mix(gpus); got != want {
 		t.Fatalf("recomputed mix %+v differs from original %+v", got, want)
 	}
 }
 
-// TestMixMemoStaysBoundedAcrossShards drives real allocationMix calls
+// TestMixMemoStaysBoundedAcrossShards drives real mix calls
 // with many distinct GPU sets and asserts every shard of the topology's
 // memo respects the per-shard bound.
 func TestMixMemoStaysBoundedAcrossShards(t *testing.T) {
@@ -62,7 +62,7 @@ func TestMixMemoStaysBoundedAcrossShards(t *testing.T) {
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
 			for c := b + 1; c < 8; c++ {
-				allocationMix(top, []int{a, b, c})
+				mixesOf(top).mix([]int{a, b, c})
 				sets++
 			}
 		}

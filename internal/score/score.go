@@ -28,6 +28,8 @@ package score
 import (
 	"container/list"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,9 +73,8 @@ func UsedLinkMix(pattern, hw *graph.Graph, m match.Match) effbw.LinkCounts {
 // PreservedBandwidth computes Eq. 3: the total weight of the subgraph
 // of hw induced by the vertices not in the allocation. allocated may
 // be any vertex set; vertices absent from hw are ignored. The value is
-// computed by a single edge sweep (graph.WeightWithout) instead of
-// materializing hw.Without(allocated) — identical to the materializing
-// form bit for bit, since link bandwidths are integral.
+// computed by a single edge sweep (graph.WeightWithout) without
+// materializing the remainder graph.
 func PreservedBandwidth(hw *graph.Graph, allocated []int) float64 {
 	return hw.WeightWithout(allocated)
 }
@@ -183,10 +184,56 @@ type mixShard struct {
 	m  map[string]effbw.LinkCounts
 }
 
-// topoMixes is one topology instance's sharded mix memo.
+// topoMixes is one topology instance's derived scoring state: the
+// sharded mix memo and the dense pair table, both functions of the
+// instance's link weights and both dropped by InvalidateMixes.
 type topoMixes struct {
 	top    *topology.Topology
 	shards [mixShards]mixShard
+	pairs  atomic.Pointer[pairTable]
+}
+
+// pairTable is a topology's hardware graph as a dense matrix indexed by
+// GPU ID, so Eq. 1 and Eq. 3 of a GPU set chosen off an availability
+// mask are array reads instead of walks over a materialized subgraph.
+type pairTable struct {
+	n   int
+	w   []float64    // w[u*n+v]: weight of link (u,v), 0 when absent
+	has graph.Bitset // bit u*n+v: link (u,v) exists
+}
+
+// pairsOf returns the topology's pair table, building it on first use
+// (and again after InvalidateMixes).
+func (tm *topoMixes) pairsOf() *pairTable {
+	if pt := tm.pairs.Load(); pt != nil {
+		return pt
+	}
+	n := graph.Capacity(tm.top.Graph)
+	pt := &pairTable{n: n, w: make([]float64, n*n), has: graph.NewBitset(n * n)}
+	tm.top.Graph.ForEachEdge(func(e graph.Edge) bool {
+		pt.w[e.U*n+e.V], pt.w[e.V*n+e.U] = e.Weight, e.Weight
+		pt.has.Set(e.U*n + e.V)
+		pt.has.Set(e.V*n + e.U)
+		return true
+	})
+	tm.pairs.Store(pt)
+	return pt
+}
+
+// preserved computes Eq. 3 for allocating gpus out of the usable set:
+// the total weight of the links among the usable GPUs left over. Link
+// weights are integral, so the sum is exact in any order and bit-equal
+// to PreservedBandwidth on the induced subgraph.
+func (pt *pairTable) preserved(usable graph.Bitset, gpus []int) float64 {
+	rest := slices.DeleteFunc(usable.Members(), func(v int) bool { return slices.Contains(gpus, v) })
+	var sum float64
+	for i, u := range rest {
+		row := pt.w[u*pt.n : (u+1)*pt.n]
+		for _, v := range rest[i+1:] {
+			sum += row[v]
+		}
+	}
+	return sum
 }
 
 // maxMixTopologies bounds how many topology instances the process-wide
@@ -234,12 +281,12 @@ func mixesOf(top *topology.Topology) *topoMixes {
 }
 
 // InvalidateMixes drops every memoized link mix of the topology
-// instance. Call it after mutating the instance's graphs in place
-// (link degradation, fault-driven reweighting): the memo is keyed by
-// GPU set only, so stale mixes would otherwise serve the old weights
-// forever. Dropping the whole instance is safe — evicted mixes are
-// merely recomputed — and costs one map reset per shard. A topology
-// the registry has never seen is a no-op.
+// instance, and its pair table. Call it after mutating the instance's
+// graphs in place (link degradation, fault-driven reweighting): the
+// memo is keyed by GPU set only, so stale mixes would otherwise serve
+// the old weights forever. Dropping the whole instance is safe —
+// evicted mixes are merely recomputed — and costs one map reset per
+// shard. A topology the registry has never seen is a no-op.
 func InvalidateMixes(top *topology.Topology) {
 	r := &mixRegistry
 	r.mu.Lock()
@@ -249,6 +296,7 @@ func InvalidateMixes(top *topology.Topology) {
 		return
 	}
 	tm := el.Value.(*topoMixes)
+	tm.pairs.Store(nil)
 	for i := range tm.shards {
 		sh := &tm.shards[i]
 		sh.mu.Lock()
@@ -288,23 +336,23 @@ func mixSetKey(gpus []int) (string, uint64) {
 	return string(buf), h
 }
 
-// allocationMix returns the memoized ring-channel link mix of the GPU
-// set on the topology, decomposing it on first sight. The mix is a
+// mix returns the memoized ring-channel link mix of the GPU set on the
+// topology, decomposing it on first sight. The mix is a
 // pure function of (topology, GPU set) — independent of any scorer,
 // model, or availability state — so the memo is shared by every Scorer
 // and every Table build on a topology instance: a mix decomposed while
 // warming a score table is never decomposed again by a dynamic
 // decision, and vice versa.
-func allocationMix(top *topology.Topology, gpus []int) effbw.LinkCounts {
+func (tm *topoMixes) mix(gpus []int) effbw.LinkCounts {
 	set, h := mixSetKey(gpus)
-	sh := &mixesOf(top).shards[h%mixShards]
+	sh := &tm.shards[h%mixShards]
 	sh.mu.Lock()
 	if mix, ok := sh.m[set]; ok {
 		sh.mu.Unlock()
 		return mix
 	}
 	sh.mu.Unlock()
-	mix := effbw.MixFromDecomposition(top, ncclsim.Decompose(top, gpus))
+	mix := effbw.MixFromDecomposition(tm.top, ncclsim.Decompose(tm.top, gpus))
 	sh.mu.Lock()
 	sh.put(set, mix)
 	sh.mu.Unlock()
@@ -355,7 +403,7 @@ type Scores struct {
 // library's ring channels would traverse on the given allocation,
 // memoized per (topology instance, GPU set) across the whole process.
 func (s *Scorer) AllocationMix(top *topology.Topology, gpus []int) effbw.LinkCounts {
-	return allocationMix(top, gpus)
+	return mixesOf(top).mix(gpus)
 }
 
 // Score evaluates the match of pattern into hw on the given machine.
@@ -391,6 +439,39 @@ func (s *Scorer) score(top *topology.Topology, pattern, hw *graph.Graph, m match
 		AggBW:       AggregatedBandwidth(pattern, hw, m),
 		EffBW:       s.Model.Predict(mix),
 		PreservedBW: preserved,
+		Mix:         mix,
+	}
+}
+
+// ScoreRanked is Score for the rank-ordered embedding a policy that
+// does not pattern-match reports — pv[i] onto gpus[i], both ascending,
+// pv the pattern's vertices — on the machine state whose usable GPUs
+// are exactly the mask. It reads the topology's pair table where Score
+// walks the availability graph, and returns the same values bit for
+// bit: the monotone embedding visits pattern edges in the order
+// Match.UsedEdges sorts their images into.
+func (s *Scorer) ScoreRanked(top *topology.Topology, pattern *graph.Graph, pv, gpus []int, usable graph.Bitset) Scores {
+	evaluations.Add(1)
+	tm := mixesOf(top)
+	pt := tm.pairsOf()
+	var agg float64
+	for i, pu := range pv {
+		for j := i + 1; j < len(pv); j++ {
+			if !pattern.HasEdge(pu, pv[j]) {
+				continue
+			}
+			at := gpus[i]*pt.n + gpus[j]
+			if !pt.has.Has(at) {
+				panic(fmt.Sprintf("score: invalid embedding, data edge (%d,%d) missing", gpus[i], gpus[j]))
+			}
+			agg += pt.w[at]
+		}
+	}
+	mix := tm.mix(gpus)
+	return Scores{
+		AggBW:       agg,
+		EffBW:       s.Model.Predict(mix),
+		PreservedBW: pt.preserved(usable, gpus),
 		Mix:         mix,
 	}
 }

@@ -110,7 +110,7 @@ func (t *Table) fill(i int) {
 	copy(gpus, m.Data)
 	sort.Ints(gpus)
 	t.agg[i] = AggregatedBandwidth(t.pattern, hw, m)
-	t.mix[i] = allocationMix(t.top, gpus)
+	t.mix[i] = mixesOf(t.top).mix(gpus)
 	var internal float64
 	for a, g := range gpus {
 		for _, h := range gpus[a+1:] {

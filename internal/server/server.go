@@ -237,6 +237,27 @@ func (s *Server) writeError(w http.ResponseWriter, route string, code int, err e
 	s.writeJSON(w, route, code, errorResponse{Error: err.Error()})
 }
 
+// maxBodyBytes bounds a request body; real requests are under 200
+// bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v. It answers a
+// malformed body with 400 and one over maxBodyBytes with 413, and
+// reports whether the handler may go on.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, route string, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, route, code, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 // tryAdmit claims an admission slot without blocking; callers that get
 // false must answer 429. Pairs with done.
 func (s *Server) tryAdmit() bool {
@@ -287,8 +308,7 @@ func (s *Server) tenant(name string) (*mapa.Tenant, error) {
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	const route = "allocate"
 	var req AllocateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, route, &req) {
 		return
 	}
 	if req.NumGPUs < 1 {
@@ -410,8 +430,7 @@ func (s *Server) allocateCoalesced(req mapa.JobRequest) (*mapa.Lease, error) {
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	const route = "release"
 	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, route, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -439,8 +458,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	const route = "renew"
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, route, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -494,8 +512,7 @@ func (s *Server) ReapExpired(now time.Time) (int, error) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	const route = "health"
 	var req HealthRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, route, &req) {
 		return
 	}
 	var err error

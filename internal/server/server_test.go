@@ -398,6 +398,36 @@ func TestRenewAndLeases(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyGets413: every route that decodes a JSON body stops
+// reading at maxBodyBytes and answers 413 in the usual error shape,
+// leaving the lease table as it was.
+func TestOversizedBodyGets413(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{Tenant: "a", NumGPUs: 2}, nil); code != 200 {
+		t.Fatalf("allocate: code %d", code)
+	}
+	var before, after LeasesResponse
+	if code := get(t, ts.URL+"/v1/leases", &before); code != 200 || len(before.Leases) != 1 {
+		t.Fatalf("leases: code %d, %+v", code, before)
+	}
+	// Well-formed JSON all the way, so only the size can refuse it.
+	big := `{"tenant":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/allocate", "/v1/release", "/v1/renew", "/v1/health"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(big)))
+		var er errorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&er); err != nil || er.Error == "" {
+			t.Errorf("%s: error body %+v, decode error %v", path, er, err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: code %d, want 413 (%s)", path, rec.Code, er.Error)
+		}
+	}
+	if code := get(t, ts.URL+"/v1/leases", &after); code != 200 || fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("leases after oversized bodies: code %d, %+v, want %+v", code, after, before)
+	}
+}
+
 // TestDrainRefusesMutations: after Drain, serving routes answer 503
 // with Retry-After while probes and lease listing stay available.
 func TestDrainRefusesMutations(t *testing.T) {

@@ -105,8 +105,9 @@ type Lease struct {
 }
 
 // System is a live MAPA allocator for one machine. It owns the
-// hardware-graph state: Allocate removes GPUs, Release restores them
-// (Sec. 3.6 of the paper), and the topology-mutation events —
+// hardware state — a read-only topology graph plus one mask of the
+// usable (free and healthy) GPUs: Allocate clears bits, Release sets
+// them (Sec. 3.6 of the paper), and the topology-mutation events —
 // MarkUnhealthy/Restore (device health), DegradeLink (link
 // degradation), Repartition (MIG re-slicing) — update that state in
 // place, repairing the match pipeline incrementally instead of
@@ -127,7 +128,7 @@ type System struct {
 	top       *topology.Topology
 	alloc     policy.Allocator
 	scorer    *score.Scorer
-	avail     *graph.Graph
+	usable    graph.Bitset // GPUs neither leased nor unhealthy, by ID
 	store     *matchcache.Store
 	views     *matchcache.Views
 	leases    map[int][]int
@@ -146,6 +147,7 @@ type System struct {
 	// catalogName is the topology name the System was built from —
 	// the key snapshots use to rebuild pristine reference state.
 	jw          *journal.Journal
+	closed      bool // Close has run; jw refuses further appends
 	catalogName string
 	recovering  bool // replaying the journal inside NewSystem
 	recovery    RecoveryStats
@@ -229,7 +231,7 @@ func WithWarmShapes(maxGPUs int) SystemOption {
 }
 
 // searchOnly builds the System without a universe store, so every
-// decision is the policy's fresh search on the availability graph.
+// decision is the policy's fresh search on the usable GPUs' subgraph.
 // Tests use such a System as the reference a default one must agree
 // with; it is not an exported option because no deployment wants it.
 func searchOnly() SystemOption {
@@ -271,7 +273,7 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 		top:         top,
 		alloc:       alloc,
 		scorer:      scorer,
-		avail:       top.Graph.Clone(),
+		usable:      top.Graph.VertexBitset(),
 		leases:      make(map[int][]int),
 		leasedBy:    make(map[int]int),
 		owners:      make(map[int]string),
@@ -281,7 +283,7 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 		catalogName: topologyName,
 	}
 	// Recovery runs before the pipeline exists: replayed mutations are
-	// applied directly to the graphs and lease tables (view publishes
+	// applied directly to the mask and lease tables (view publishes
 	// no-op on nil), then the pipeline is built once for the final
 	// recovered topology and seeded with the live state.
 	if cfg.journalDir != "" {
@@ -425,7 +427,7 @@ func (s *System) NumGPUs() int { return s.top.NumGPUs() }
 func (s *System) FreeGPUs() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.avail.Vertices()
+	return s.usable.Members()
 }
 
 // ActiveLeases returns the number of live leases.
@@ -590,7 +592,7 @@ func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest)
 	if t != nil {
 		alloc = t.alloc
 	}
-	a, err := alloc.Allocate(s.avail, s.top, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
+	a, err := alloc.Allocate(s.top, s.usable, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", req.NumGPUs, err)
 	}
@@ -607,7 +609,7 @@ func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest)
 		return nil, err
 	}
 	for _, g := range a.GPUs {
-		s.avail.RemoveVertex(g)
+		s.usable.Unset(g)
 	}
 	s.publishAllocate(a.GPUs)
 	s.nextID = id
@@ -711,12 +713,6 @@ func (s *System) publishUpdateEdge(u, v int, bw float64) {
 // Release returns a lease's GPUs to the free pool. Releasing an
 // unknown or already-released lease is an error. GPUs marked
 // unhealthy while leased do not rejoin the free pool until Restore.
-//
-// Release validates every hardware edge the rejoin will add before
-// mutating anything, so an error (a lease straddling a corrupted
-// topology) leaves the System byte-identical to its pre-call state —
-// no half-released lease, no partial availability graph, no delta
-// published to the live views.
 func (s *System) Release(l *Lease) error {
 	if l == nil {
 		return fmt.Errorf("mapa: nil lease")
@@ -734,54 +730,22 @@ func (s *System) releaseLocked(id int, expired bool) error {
 	if !ok {
 		return fmt.Errorf("mapa: lease %d not active", id)
 	}
-	// Phase 1: validate. The free set is snapshotted once — the
-	// released GPUs join it only in phase 2, so one sorted copy serves
-	// every edge check and insertion.
-	free := s.avail.Vertices()
-	var rejoin []int // released GPUs that rejoin the free pool
-	for _, g := range gpus {
-		if !s.unhealthy[g] {
-			rejoin = append(rejoin, g)
-		}
-	}
-	for i, g := range rejoin {
-		for _, v := range free {
-			if _, ok := s.top.Graph.EdgeBetween(g, v); !ok {
-				return fmt.Errorf("mapa: topology %s missing edge (%d,%d)", s.top.Name, g, v)
-			}
-		}
-		for _, h := range rejoin[:i] {
-			if _, ok := s.top.Graph.EdgeBetween(g, h); !ok {
-				return fmt.Errorf("mapa: topology %s missing edge (%d,%d)", s.top.Name, g, h)
-			}
-		}
-	}
 	if err := s.journalAppend(&journal.Record{
 		Kind: journal.KindRelease, ID: id, Expired: expired, GPUs: gpus,
 	}); err != nil {
 		return err
 	}
-	// Phase 2: mutate. Every edge was validated above, so nothing past
-	// this point can fail.
 	delete(s.leases, id)
 	for _, g := range gpus {
 		delete(s.leasedBy, g)
+		if !s.unhealthy[g] {
+			s.usable.Set(g)
+		}
 	}
 	delete(s.owners, id)
 	delete(s.expiry, id)
 	if expired {
 		s.reaped++
-	}
-	for i, g := range rejoin {
-		s.avail.AddVertex(g)
-		for _, v := range free {
-			e, _ := s.top.Graph.EdgeBetween(g, v)
-			s.avail.MustAddEdge(g, v, e.Weight, e.Label)
-		}
-		for _, h := range rejoin[:i] {
-			e, _ := s.top.Graph.EdgeBetween(g, h)
-			s.avail.MustAddEdge(g, h, e.Weight, e.Label)
-		}
 	}
 	// The views track the free mask and the health mask independently,
 	// so the full lease is published: unhealthy members re-enter the
@@ -829,7 +793,7 @@ func (s *System) markUnhealthyLocked(gpus []int) error {
 	for _, g := range gpus {
 		s.unhealthy[g] = true
 		if _, leased := s.leasedBy[g]; !leased {
-			s.avail.RemoveVertex(g)
+			s.usable.Unset(g)
 		}
 	}
 	s.publishMarkUnhealthy(gpus)
@@ -840,9 +804,7 @@ func (s *System) markUnhealthyLocked(gpus []int) error {
 // Restore returns unhealthy GPUs to service. A restored GPU rejoins
 // the free pool immediately unless a lease still holds it (it was
 // marked while leased), in which case it becomes allocatable on
-// release. Like Release, Restore validates every hardware edge the
-// rejoin will add before mutating anything; an error leaves the
-// System untouched.
+// release. An erroring call mutates nothing.
 func (s *System) Restore(gpus ...int) error {
 	if len(gpus) == 0 {
 		return nil
@@ -863,40 +825,13 @@ func (s *System) restoreLocked(gpus []int) error {
 		}
 		seen[g] = true
 	}
-	free := s.avail.Vertices()
-	var rejoin []int // restored GPUs that rejoin the free pool now
-	for _, g := range gpus {
-		if _, leased := s.leasedBy[g]; !leased {
-			rejoin = append(rejoin, g)
-		}
-	}
-	for i, g := range rejoin {
-		for _, v := range free {
-			if _, ok := s.top.Graph.EdgeBetween(g, v); !ok {
-				return fmt.Errorf("mapa: topology %s missing edge (%d,%d)", s.top.Name, g, v)
-			}
-		}
-		for _, h := range rejoin[:i] {
-			if _, ok := s.top.Graph.EdgeBetween(g, h); !ok {
-				return fmt.Errorf("mapa: topology %s missing edge (%d,%d)", s.top.Name, g, h)
-			}
-		}
-	}
 	if err := s.journalAppend(&journal.Record{Kind: journal.KindRestore, GPUs: gpus}); err != nil {
 		return err
 	}
 	for _, g := range gpus {
 		delete(s.unhealthy, g)
-	}
-	for i, g := range rejoin {
-		s.avail.AddVertex(g)
-		for _, v := range free {
-			e, _ := s.top.Graph.EdgeBetween(g, v)
-			s.avail.MustAddEdge(g, v, e.Weight, e.Label)
-		}
-		for _, h := range rejoin[:i] {
-			e, _ := s.top.Graph.EdgeBetween(g, h)
-			s.avail.MustAddEdge(g, h, e.Weight, e.Label)
+		if _, leased := s.leasedBy[g]; !leased {
+			s.usable.Set(g)
 		}
 	}
 	s.publishRestoreHealth(gpus)
@@ -918,7 +853,7 @@ func (s *System) UnhealthyGPUs() []int {
 }
 
 // DegradeLink sets the bandwidth of an existing machine link (u,v) to
-// bw GB/s — a link-degradation (or recovery) event. The hardware
+// bw GB/s — a link-degradation (or recovery) event. The topology's
 // graphs mutate in place: the link's structure and label survive, only
 // its weight changes, so no universe is re-enumerated and no live-view
 // posting list moves. The derived state is repaired incrementally:
@@ -972,9 +907,6 @@ func (s *System) degradeLinkLocked(u, v int, bw float64) error {
 				}
 			}
 		}
-	}
-	if s.avail.HasVertex(u) && s.avail.HasVertex(v) {
-		s.avail.MustAddEdge(u, v, bw, e.Label)
 	}
 	score.InvalidateMixes(s.top)
 	if s.store != nil {
@@ -1103,12 +1035,12 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	// into the fresh views. Tenant streams are rebound to the new
 	// pipeline the same way, so live tenants keep serving across the
 	// re-cut.
-	s.avail = s.top.Graph.Clone()
+	s.usable = s.top.Graph.VertexBitset()
 	for g := range s.leasedBy {
-		s.avail.RemoveVertex(g)
+		s.usable.Unset(g)
 	}
 	for g := range s.unhealthy {
-		s.avail.RemoveVertex(g)
+		s.usable.Unset(g)
 	}
 	if !s.recovering {
 		s.replayViewsLocked(s.views)
@@ -1264,7 +1196,7 @@ func convertResult(topName string, res sched.RunResult) SimulationResult {
 		out.Jobs = append(out.Jobs, JobResult{
 			Workload:       r.Job.Workload,
 			NumGPUs:        r.Job.NumGPUs,
-			GPUs:           r.GPUs,
+			GPUs:           append([]int(nil), r.GPUs...),
 			Sensitive:      r.Job.Sensitive,
 			Start:          r.Start,
 			End:            r.End,

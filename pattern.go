@@ -103,12 +103,12 @@ func (s *System) AllocatePattern(p *Pattern, sensitive bool) (*Lease, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	alloc, err := s.alloc.Allocate(s.avail, s.top, policy.Request{Pattern: p.g, Sensitive: sensitive})
+	alloc, err := s.alloc.Allocate(s.top, s.usable, policy.Request{Pattern: p.g, Sensitive: sensitive})
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", p.NumGPUs(), err)
 	}
 	for _, g := range alloc.GPUs {
-		s.avail.RemoveVertex(g)
+		s.usable.Unset(g)
 	}
 	s.views.Allocate(alloc.GPUs)
 	s.nextID++

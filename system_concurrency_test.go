@@ -323,8 +323,8 @@ func hammerSystem(t *testing.T, topo string, warm, tenants, goroutines, opsEach,
 	if !reflect.DeepEqual(s.unhealthy, r.unhealthy) {
 		t.Errorf("unhealthy sets diverge: %v vs %v", s.unhealthy, r.unhealthy)
 	}
-	if !reflect.DeepEqual(s.avail.Vertices(), r.avail.Vertices()) {
-		t.Errorf("free sets diverge: %v vs %v", s.avail.Vertices(), r.avail.Vertices())
+	if !s.usable.Equal(r.usable) {
+		t.Errorf("free sets diverge: %v vs %v", s.usable.Members(), r.usable.Members())
 	}
 	if s.nextID != r.nextID {
 		t.Errorf("nextID diverges: %d vs %d", s.nextID, r.nextID)

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"mapa/internal/journal"
 	"mapa/internal/match"
 )
 
@@ -537,57 +539,93 @@ func TestSystemFailedMutationsLeaveStateIdentical(t *testing.T) {
 	same("post-failure drain")
 }
 
-// TestSystemReleaseFailureInjection proves Release's two-phase
-// atomicity directly: with a corrupted topology edge, Release must
-// error without mutating anything — under the old single-pass
-// implementation the first GPUs of the lease had already rejoined the
-// free pool when the error fired.
+// TestSystemReleaseFailureInjection: with availability a mask, a
+// release has no half-way point left to fail at — the one failure a
+// validated mutation can still meet is its journal append. On a
+// journaled System whose journal is closed, Allocate, Release,
+// MarkUnhealthy, Restore and DegradeLink must each error and leave the
+// lease tables, the usable mask, every view stream and the pipeline
+// counters as they were, and reopening the directory must recover
+// exactly that state.
 func TestSystemReleaseFailureInjection(t *testing.T) {
-	s, err := NewSystem("dgx-v100", "preserve", searchOnly())
+	dir := t.TempDir()
+	s, err := NewSystem("dgx-v100", "preserve", WithJournal(dir, journal.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Allocate(JobRequest{NumGPUs: 3, Shape: "Ring", Sensitive: true})
+	tn, err := s.NewTenant()
 	if err != nil {
 		t.Fatal(err)
 	}
-	freeBefore := fmt.Sprint(s.FreeGPUs())
+	held, err := s.Allocate(JobRequest{NumGPUs: 3, Shape: "Ring", Sensitive: true, Owner: "a", TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := tn.Allocate(JobRequest{NumGPUs: 2, Shape: "Chain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The System's own stream serves the tenant's shape once too, so the
+	// refused decisions below find every cache they touch already built.
+	tmp, err := s.Allocate(JobRequest{NumGPUs: 2, Shape: "Chain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(tmp); err != nil {
+		t.Fatal(err)
+	}
+	free := s.FreeGPUs()
+	// One GPU unhealthy while leased, one unhealthy while free, one
+	// link degraded: every kind of state a failed call could damage.
+	if err := s.MarkUnhealthy(other.GPUs[0], free[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DegradeLink(0, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// White-box corruption: remove a topology edge between the LAST
-	// released GPU and a free vertex, so a non-atomic release would
-	// mutate before failing.
-	last := l.GPUs[len(l.GPUs)-1]
-	var freeV int
-	for _, v := range s.FreeGPUs() {
-		freeV = v
+	fingerprint := func() string {
+		// An Allocate decides before it journals, so TableServed counts
+		// the refused decision; every other counter must stand.
+		stats := s.CacheStats()
+		stats.TableServed = 0
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return fmt.Sprint(s.leases, s.leasedBy, s.owners, s.expiry, s.unhealthy, s.nextID,
+			s.usable, s.views.Usable(), tn.views.Usable(), sortedEdges(s.top.Graph), sortedEdges(s.top.Physical), stats)
 	}
-	s.mu.Lock()
-	e, ok := s.top.Graph.EdgeBetween(last, freeV)
-	if !ok {
-		s.mu.Unlock()
-		t.Fatalf("no edge (%d,%d) to corrupt", last, freeV)
+	before := fingerprint()
+	for _, f := range []struct {
+		name string
+		call func() error
+	}{
+		{"allocate", func() error { _, err := s.Allocate(JobRequest{NumGPUs: 2, Shape: "Chain"}); return err }},
+		{"tenant allocate", func() error { _, err := tn.Allocate(JobRequest{NumGPUs: 2, Shape: "Chain"}); return err }},
+		{"release", func() error { return s.Release(held) }},
+		{"release with unhealthy member", func() error { return s.Release(other) }},
+		{"renew", func() error { _, err := s.Renew(held.ID, time.Minute); return err }},
+		{"mark unhealthy", func() error { return s.MarkUnhealthy(free[1]) }},
+		{"restore free", func() error { return s.Restore(free[0]) }},
+		{"restore leased", func() error { return s.Restore(other.GPUs[0]) }},
+		{"degrade link", func() error { return s.DegradeLink(2, 3, 7) }},
+	} {
+		if err := f.call(); err == nil {
+			t.Fatalf("%s: committed without a journal", f.name)
+		}
+		if got := fingerprint(); got != before {
+			t.Fatalf("%s: failed call mutated the System:\n before %s\n after  %s", f.name, before, got)
+		}
+		checkAvailInvariant(t, s, f.name)
 	}
-	s.top.Graph.RemoveEdge(last, freeV)
-	s.mu.Unlock()
 
-	if err := s.Release(l); err == nil {
-		t.Fatal("release over a corrupted topology succeeded")
+	rec, err := NewSystem("dgx-v100", "preserve", WithJournal(dir, journal.Options{}))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
-	if got := fmt.Sprint(s.FreeGPUs()); got != freeBefore {
-		t.Fatalf("failed release mutated the free pool:\n before %s\n after  %s", freeBefore, got)
-	}
-	checkAvailInvariant(t, s, "after failed release")
-
-	// Repair the topology; the lease must still be intact and fully
-	// releasable — no partial lease-table damage either.
-	s.mu.Lock()
-	s.top.Graph.MustAddEdge(last, freeV, e.Weight, e.Label)
-	s.mu.Unlock()
-	if err := s.Release(l); err != nil {
-		t.Fatalf("release after repair: %v", err)
-	}
-	checkAvailInvariant(t, s, "after repaired release")
-	if got := len(s.FreeGPUs()); got != s.NumGPUs() {
-		t.Fatalf("drained system has %d free GPUs, want %d", got, s.NumGPUs())
-	}
+	defer rec.Close()
+	assertSystemsEqual(t, "reopened", rec, s)
+	checkAvailInvariant(t, rec, "reopened")
 }

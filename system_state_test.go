@@ -4,21 +4,40 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"mapa/internal/matchcache"
 )
 
-// checkAvailInvariant asserts the soundness contract the match
-// pipeline's keying depends on (see matchcache.Key): the System's
-// availability graph must be exactly the topology's induced subgraph
-// over the currently free GPUs — edges a pure function of the free
-// vertex set — after any interleaving of allocates and releases.
+// checkAvailInvariant asserts the soundness contract of the System's
+// one hardware-state mask: usable is exactly the topology's vertices
+// minus the leased and the unhealthy GPUs, and every live-view stream
+// bound to the System — its own and each tenant's — tracks that same
+// mask, after any interleaving of operations.
 func checkAvailInvariant(t *testing.T, s *System, step string) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := s.top.Graph.InducedSubgraph(s.avail.Vertices())
-	if !s.avail.Equal(want) {
-		t.Fatalf("%s: avail is not the induced subgraph over free GPUs:\n avail: %v\n want:  %v",
-			step, s.avail, want)
+	want := s.top.Graph.VertexBitset()
+	for _, gpus := range s.leases {
+		for _, g := range gpus {
+			want.Unset(g)
+		}
+	}
+	for g := range s.unhealthy {
+		want.Unset(g)
+	}
+	if !s.usable.Equal(want) {
+		t.Fatalf("%s: usable is not vertices − leased − unhealthy:\n usable: %v\n want:   %v",
+			step, s.usable.Members(), want.Members())
+	}
+	streams := []*matchcache.Views{s.views}
+	for _, tn := range s.tenants {
+		streams = append(streams, tn.views)
+	}
+	for i, v := range streams {
+		if v != nil && !v.Usable().Equal(want) {
+			t.Fatalf("%s: view stream %d tracks %v, usable is %v", step, i, v.Usable().Members(), want.Members())
+		}
 	}
 }
 
