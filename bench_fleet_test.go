@@ -82,15 +82,16 @@ func BenchmarkHierarchicalDecision(b *testing.B) {
 			fstore.Warm(1, pattern)
 			fviews := fstore.NewFleetViews()
 			fviews.Allocate(busy)
+			usable := fleetUsable(fleet, busy)
 			policy.AttachFleet(p, fviews)
 			req := policy.Request{Pattern: pattern}
 			var buf policy.Allocation
-			if served, err := policy.AllocateFleetInto(p, &buf, req); err != nil || !served {
-				b.Fatalf("warm decision: served=%v err=%v", served, err)
+			if err := policy.DecideInto(p, &buf, nil, usable, req); err != nil || fviews.Stats().TableServed != 1 {
+				b.Fatalf("warm decision: fleet stats %+v, err %v", fviews.Stats(), err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := policy.AllocateFleetInto(p, &buf, req); err != nil {
+				if err := policy.DecideInto(p, &buf, nil, usable, req); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,7 +82,7 @@ func main() {
 	flag.Float64Var(&o.coldAt, "coldat", 0.5, "when to fire the cold request, as a fraction of -duration")
 	flag.Int64Var(&o.seed, "seed", 1, "request-mix seed")
 	flag.BoolVar(&o.benchout, "benchout", false, "also print Go benchmark result lines for benchjson")
-	flag.IntVar(&o.fleetNodes, "fleet", 0, "drive an in-process FleetSystem of this many nodes instead of a daemon (closed loop; -addr/-rate/-coldshape ignored)")
+	flag.IntVar(&o.fleetNodes, "fleet", 0, "drive an in-process fleet System of this many nodes instead of a daemon (closed loop; -addr/-rate/-coldshape ignored)")
 	flag.StringVar(&o.fleetTemplate, "fleettemplate", "dgx-a100", "node-template topology for -fleet")
 	flag.StringVar(&o.fleetPolicy, "fleetpolicy", "preserve", "allocation policy for -fleet")
 	flag.IntVar(&o.retries, "retries", 3, "allocate retries on 429/503 before giving up (0 disables)")
@@ -496,7 +496,7 @@ func summarize(samples []sample, total counters, elapsed time.Duration, dropped 
 }
 
 // runFleet is the -fleet mode: instead of talking HTTP to a daemon, it
-// constructs a FleetSystem in-process — node-symmetric templates, the
+// constructs a fleet System in-process — node-symmetric templates, the
 // hierarchical two-level decision path — and churns it with the same
 // closed-loop tenant structure. This measures the fleet decision path
 // itself at sizes no flattened daemon instance could host (the flat
@@ -581,11 +581,11 @@ func runFleet(o options, w io.Writer) error {
 
 	sum := summarize(samples, total, elapsed, 0)
 	report(o, w, sum)
-	st := fs.Stats()
-	fmt.Fprintf(w, "  fleet: %d nodes, %d template universes / %d tables (built in %s); %d hierarchical, %d flat-fallback\n",
-		fs.NumNodes(), st.TemplateUniverses, st.TemplateTables,
-		(st.TemplateBuildTime + st.TemplateTableTime).Round(time.Millisecond),
-		st.HierarchicalServed, st.FlatServed)
+	st := fs.CacheStats()
+	fmt.Fprintf(w, "  fleet: %d nodes, %d universes / %d tables (built in %s); %d hierarchical, %d flat-fallback\n",
+		o.fleetNodes, st.Universes, st.ScoreTables,
+		(st.UniverseBuildTime + st.TableBuildTime).Round(time.Millisecond),
+		st.FleetServed, st.TableServed+st.ViewRejected)
 	return nil
 }
 

@@ -231,7 +231,8 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 		for v, f := range vt.Fraction {
 			s.fractions[v] = f
 		}
-		s.usable = s.top.Graph.VertexBitset()
+		s.gpus = s.top.Graph.VertexBitset()
+		s.usable = s.gpus.Clone()
 	}
 	if err := applyLinks(snap.Links, s.top.Graph); err != nil {
 		return err
@@ -275,7 +276,7 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 		}
 	}
 	for _, g := range snap.Unhealthy {
-		if !s.top.Graph.HasVertex(g) {
+		if !s.gpus.Has(g) {
 			return fmt.Errorf("mapa: journal snapshot: unhealthy GPU %d not in topology", g)
 		}
 		if s.unhealthy[g] {

@@ -10,16 +10,29 @@ import (
 
 	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
+	"mapa/internal/graph"
 	"mapa/internal/matchcache"
 	"mapa/internal/policy"
 	"mapa/internal/score"
 	"mapa/internal/topology"
 )
 
+// fleetUsable returns a fleet's availability mask with the busy GPUs
+// cleared.
+func fleetUsable(f *topology.Fleet, busy []int) graph.Bitset {
+	usable := graph.NewBitset(f.NumGPUs())
+	usable.Fill(f.NumGPUs())
+	for _, g := range busy {
+		usable.Unset(g)
+	}
+	return usable
+}
+
 // TestFleetDecisionZeroAllocs pins the warmed hierarchical decision at
 // 0 allocs/op for all four selection-order variants on a churned
 // 9-node fleet, and proves the path is table-served (zero dynamic
-// score evaluations).
+// score evaluations). The decision runs through DecideInto with no
+// flat topology, as on a fleet too large to flatten.
 func TestFleetDecisionZeroAllocs(t *testing.T) {
 	fleet := topology.NewFleet(topology.DGXA100(), 9)
 	pattern := appgraph.Ring(3)
@@ -28,7 +41,9 @@ func TestFleetDecisionZeroAllocs(t *testing.T) {
 	fviews := fstore.NewFleetViews()
 	// Churn a few nodes so incident sums and usable counts differ
 	// across nodes — the sweep does real comparison work.
-	fviews.Allocate([]int{1, 9, 10, 40})
+	busy := []int{1, 9, 10, 40}
+	fviews.Allocate(busy)
+	usable := fleetUsable(fleet, busy)
 	scorer := score.NewScorer(effbw.PaperModel())
 	for _, v := range allocPolicies(scorer) {
 		t.Run(v.name, func(t *testing.T) {
@@ -38,18 +53,18 @@ func TestFleetDecisionZeroAllocs(t *testing.T) {
 			// Warm the lazy memos (per-model tables, sorted orders, remap
 			// cache, per-node view slots) and prove the fast path serves.
 			evals := score.Evaluations()
-			served, err := policy.AllocateFleetInto(v.p, &buf, req)
-			if err != nil {
+			served := fviews.Stats().TableServed
+			if err := policy.DecideInto(v.p, &buf, nil, usable, req); err != nil {
 				t.Fatal(err)
 			}
-			if !served {
+			if fviews.Stats().TableServed != served+1 {
 				t.Fatal("fleet layer declined a warmed decision")
 			}
 			if d := score.Evaluations() - evals; d != 0 {
 				t.Fatalf("decision ran %d dynamic score evaluations, want 0 (not table-served)", d)
 			}
 			got := testing.AllocsPerRun(100, func() {
-				if _, err := policy.AllocateFleetInto(v.p, &buf, req); err != nil {
+				if err := policy.DecideInto(v.p, &buf, nil, usable, req); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -77,7 +92,7 @@ func TestFleetViewDeltaAllocBudget(t *testing.T) {
 	// One decision materializes the touched nodes' view slots so the
 	// deltas do real posting-list work.
 	var buf policy.Allocation
-	if _, err := policy.AllocateFleetInto(p, &buf, policy.Request{Pattern: pattern}); err != nil {
+	if err := policy.DecideInto(p, &buf, nil, fleetUsable(fleet, nil), policy.Request{Pattern: pattern}); err != nil {
 		t.Fatal(err)
 	}
 	gpus := []int{3, 10, 40}

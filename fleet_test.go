@@ -6,7 +6,7 @@
 //   - Churn parity (greedy): on switch-uniform node classes, an
 //     AggBW-primary winner inside a node strictly dominates every
 //     node-spanning candidate whenever any node can host the pattern,
-//     so FleetSystem decisions — hierarchical path plus flat fallback —
+//     so fleet System decisions — hierarchical path plus flat fallback —
 //     are byte-identical to a flat System's, lease for lease, through
 //     allocate/release/health churn.
 //   - Node-local oracle (all four selection-order variants): the
@@ -19,10 +19,14 @@ package mapa
 import (
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"mapa/internal/effbw"
 	"mapa/internal/graph"
+	"mapa/internal/journal"
 	"mapa/internal/matchcache"
 	"mapa/internal/policy"
 	"mapa/internal/score"
@@ -121,7 +125,7 @@ type churnOp struct {
 	set   []int  // mark/restore: GPU IDs
 }
 
-// TestFleetGreedyChurnParity drives a FleetSystem and a flat reference
+// TestFleetGreedyChurnParity drives a fleet System and a flat reference
 // through the same allocate/release/health script and requires every
 // lease byte-identical: GPUs and all three scores. The scripts force
 // all three serving modes — hierarchical template decisions, the flat
@@ -245,11 +249,11 @@ func TestFleetGreedyChurnParity(t *testing.T) {
 					rig.restore(op.set)
 				}
 			}
-			st := fs.Stats()
-			if st.HierarchicalServed == 0 {
+			st := fs.CacheStats()
+			if st.FleetServed == 0 {
 				t.Fatal("no decision took the hierarchical template path")
 			}
-			if nodes == 2 && st.FlatServed == 0 {
+			if nodes == 2 && st.TableServed+st.ViewRejected == 0 {
 				t.Fatal("2-node script never exercised the flat fallback")
 			}
 		})
@@ -507,23 +511,24 @@ func TestFleetNodeLocalOracle(t *testing.T) {
 					}
 				}
 			}
-			if fs.Stats().HierarchicalServed != 6 {
-				t.Fatalf("hierarchical served %d of 6 decisions", fs.Stats().HierarchicalServed)
+			if st := fs.CacheStats(); st.FleetServed != 6 {
+				t.Fatalf("hierarchical served %d of 6 decisions", st.FleetServed)
 			}
 		})
 	}
 }
 
 // TestFleetSystemLifecycle covers the surround: accessors, release and
-// health error paths, DegradeLink rejection, and the spanning-pattern
-// error on a fleet too large to flatten.
+// health error paths, DegradeLink and Repartition rejection, and a
+// fleet too large to flatten — no flat graph or store, node-local
+// grants, and the spanning-pattern error.
 func TestFleetSystemLifecycle(t *testing.T) {
 	fs, err := NewFleetSystem("dgx-a100", 2, "preserve")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.NumGPUs() != 16 || fs.NumNodes() != 2 {
-		t.Fatalf("size = %d GPUs / %d nodes, want 16/2", fs.NumGPUs(), fs.NumNodes())
+	if fs.NumGPUs() != 16 || fs.fleet.NumNodes() != 2 {
+		t.Fatalf("size = %d GPUs / %d nodes, want 16/2", fs.NumGPUs(), fs.fleet.NumNodes())
 	}
 	if fs.Policy() != "preserve" {
 		t.Fatalf("policy = %q", fs.Policy())
@@ -537,6 +542,12 @@ func TestFleetSystemLifecycle(t *testing.T) {
 	}
 	if err := fs.DegradeLink(0, 1, 10); err == nil {
 		t.Fatal("DegradeLink should be rejected on fleets")
+	}
+	if err := fs.Repartition(map[int]int{0: 2}); err == nil {
+		t.Fatal("Repartition should be rejected on fleets")
+	}
+	if err := fs.MarkUnhealthy(16); err == nil {
+		t.Fatal("marking a GPU outside the fleet should error")
 	}
 	if err := fs.MarkUnhealthy(lease.GPUs[0]); err != nil {
 		t.Fatal(err)
@@ -568,6 +579,9 @@ func TestFleetSystemLifecycle(t *testing.T) {
 	if big.NumGPUs() != 8000 {
 		t.Fatalf("big fleet = %d GPUs", big.NumGPUs())
 	}
+	if big.top != nil || big.store != nil || big.views != nil {
+		t.Fatal("fleet above the flatten limit built a flat topology or pipeline")
+	}
 	// Fitting pattern: hierarchical path serves it without any flat
 	// pipeline.
 	l, err := big.Allocate(JobRequest{NumGPUs: 4})
@@ -580,5 +594,260 @@ func TestFleetSystemLifecycle(t *testing.T) {
 	// Spanning pattern: no flat fallback above the flatten limit.
 	if _, err := big.Allocate(JobRequest{NumGPUs: 9}); !errors.Is(err, policy.ErrNoAllocation) {
 		t.Fatalf("spanning pattern on unflattenable fleet: err=%v, want ErrNoAllocation", err)
+	}
+}
+
+// eachFleetSize runs fn on a fleet small enough to flatten (2 nodes,
+// 16 GPUs) and one far above FleetFlattenLimit (1,000 nodes), handing
+// it a constructor for fresh fleet Systems of that size.
+func eachFleetSize(t *testing.T, policyName string, fn func(t *testing.T, nodes int, build func() *System)) {
+	for _, nodes := range []int{2, 1000} {
+		t.Run(fmt.Sprintf("nodes-%d", nodes), func(t *testing.T) {
+			fn(t, nodes, func() *System {
+				s, err := NewFleetSystem("dgx-a100", nodes, policyName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			})
+		})
+	}
+}
+
+// sameLease reports whether two grants are byte-identical: GPUs and
+// all three scores.
+func sameLease(a, b *Lease) bool {
+	return fmt.Sprint(a.GPUs) == fmt.Sprint(b.GPUs) &&
+		a.AggBW == b.AggBW && a.EffBW == b.EffBW && a.PreservedBW == b.PreservedBW
+}
+
+// TestFleetAllocateBatchMatchesSequential: a fleet System inherits
+// AllocateBatch — one batch of ring-3 requests decides exactly like
+// the same requests made one by one, through the hierarchical path,
+// the flat fallback (2 nodes: the fifth request finds no node with 3
+// free GPUs) and the exhausted machine.
+func TestFleetAllocateBatchMatchesSequential(t *testing.T) {
+	eachFleetSize(t, "preserve", func(t *testing.T, nodes int, build func() *System) {
+		a, b := build(), build()
+		req := JobRequest{NumGPUs: 3, Sensitive: true}
+		batched, errs := a.AllocateBatch(req, 6)
+		for i := range batched {
+			seq, err := b.Allocate(req)
+			if (errs[i] == nil) != (err == nil) {
+				t.Fatalf("slot %d: batch err %v, sequential err %v", i, errs[i], err)
+			}
+			if err != nil {
+				if !errors.Is(err, policy.ErrNoAllocation) || nodes != 2 || i != 5 {
+					t.Fatalf("slot %d: %v", i, err)
+				}
+				continue
+			}
+			if batched[i].ID != seq.ID || !sameLease(batched[i], seq) {
+				t.Fatalf("slot %d: batch %d %v, sequential %d %v", i, batched[i].ID, batched[i].GPUs, seq.ID, seq.GPUs)
+			}
+		}
+		if fmt.Sprint(a.FreeGPUs()) != fmt.Sprint(b.FreeGPUs()) {
+			t.Fatal("free sets diverge")
+		}
+		checkAvailInvariant(t, a, "after batch")
+		if st := a.CacheStats(); nodes == 2 && st.TableServed+st.ViewRejected == 0 {
+			t.Fatalf("batch never reached the flat fallback: %+v", st)
+		}
+	})
+}
+
+// TestFleetLeaseTTL: TTL leases on a fleet System renew, clear and
+// expire exactly as on a flat one.
+func TestFleetLeaseTTL(t *testing.T) {
+	eachFleetSize(t, "preserve", func(t *testing.T, nodes int, build func() *System) {
+		s := build()
+		kept, err := s.Allocate(JobRequest{NumGPUs: 2, TTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doomed, err := s.Allocate(JobRequest{NumGPUs: 4, TTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept.Deadline == 0 || doomed.Deadline == 0 {
+			t.Fatal("TTL leases carry no deadline")
+		}
+		if dl, err := s.Renew(kept.ID, 0); err != nil || dl != 0 {
+			t.Fatalf("clearing the TTL: deadline %d, err %v", dl, err)
+		}
+		if _, err := s.Renew(999, time.Hour); err == nil {
+			t.Fatal("renewing an unknown lease should error")
+		}
+		reaped, err := s.ReapExpired(time.Now().Add(2 * time.Hour))
+		if err != nil || fmt.Sprint(reaped) != fmt.Sprint([]int{doomed.ID}) {
+			t.Fatalf("reaped %v (err %v), want [%d]", reaped, err, doomed.ID)
+		}
+		if s.Reaped() != 1 || s.ActiveLeases() != 1 || len(s.FreeGPUs()) != s.NumGPUs()-2 {
+			t.Fatalf("after reap: %d reaped, %d leases, %d free", s.Reaped(), s.ActiveLeases(), len(s.FreeGPUs()))
+		}
+		checkAvailInvariant(t, s, "after reap")
+		// The reaped GPUs serve again, through the template path.
+		again, err := s.Allocate(JobRequest{NumGPUs: 4})
+		if err != nil || fmt.Sprint(again.GPUs) != fmt.Sprint(doomed.GPUs) {
+			t.Fatalf("reallocation after reap = %v (err %v), want %v", again, err, doomed.GPUs)
+		}
+	})
+}
+
+// TestFleetTenantDecisionsMatchSystem: on a fleet, a tenant's template
+// stream decides exactly as the System's own stream does — twins
+// driven by the same script, one through a tenant handle.
+func TestFleetTenantDecisionsMatchSystem(t *testing.T) {
+	eachFleetSize(t, "preserve", func(t *testing.T, nodes int, build func() *System) {
+		s, twin := build(), build()
+		tn, err := s.NewTenant()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mine, theirs []*Lease
+		for step, op := range []churnOp{
+			{kind: "alloc", gpus: 3},
+			{kind: "alloc", gpus: 2},
+			{kind: "mark", set: []int{9}},
+			{kind: "alloc", gpus: 4},
+			{kind: "release", idx: 0},
+			{kind: "alloc", gpus: 3},
+			{kind: "restore", set: []int{9}},
+			{kind: "alloc", gpus: 2},
+		} {
+			switch op.kind {
+			case "alloc":
+				req := JobRequest{NumGPUs: op.gpus, Sensitive: step%2 == 0}
+				got, err := tn.Allocate(req)
+				if err != nil {
+					t.Fatalf("step %d: tenant: %v", step, err)
+				}
+				want, err := twin.Allocate(req)
+				if err != nil {
+					t.Fatalf("step %d: system: %v", step, err)
+				}
+				if got.ID != want.ID || !sameLease(got, want) {
+					t.Fatalf("step %d: tenant %+v, system %+v", step, got, want)
+				}
+				mine, theirs = append(mine, got), append(theirs, want)
+			case "release":
+				if err := tn.Release(mine[op.idx]); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Release(theirs[op.idx]); err != nil {
+					t.Fatal(err)
+				}
+			case "mark":
+				if err := s.MarkUnhealthy(op.set...); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.MarkUnhealthy(op.set...); err != nil {
+					t.Fatal(err)
+				}
+			case "restore":
+				if err := s.Restore(op.set...); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Restore(op.set...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAvailInvariant(t, s, fmt.Sprintf("step %d", step))
+		}
+		if st := s.CacheStats(); st.FleetServed != 5 || st.FleetRejected != 0 {
+			t.Fatalf("tenant decisions: %d fleet-served, %d rejected; want 5, 0", st.FleetServed, st.FleetRejected)
+		}
+	})
+}
+
+// TestFleetClosedTenantNeverServesStale: a closed tenant's fleet
+// stream stops receiving deltas, so its next decision must decline the
+// template path instead of serving the node state it last saw. On 16
+// GPUs the decision falls to the flat search and equals what the
+// System's own stream decides; on 1,000 nodes there is no flat
+// topology and it fails with ErrNoAllocation. Either way it never
+// grants a leased GPU.
+func TestFleetClosedTenantNeverServesStale(t *testing.T) {
+	eachFleetSize(t, "greedy", func(t *testing.T, nodes int, build func() *System) {
+		s, twin := build(), build()
+		both := func(do func(*System) error) {
+			t.Helper()
+			if err := do(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := do(twin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := s.NewTenant()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A serves once, so its node views exist, then leaves.
+		l, err := a.Allocate(JobRequest{NumGPUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(l); err != nil {
+			t.Fatal(err)
+		}
+		both(func(x *System) error {
+			if x == s {
+				return nil
+			}
+			l, err := x.Allocate(JobRequest{NumGPUs: 4})
+			if err != nil {
+				return err
+			}
+			return x.Release(l)
+		})
+		a.Close()
+		// Churn A never sees: node 0 fills, node 1 takes a ring-4, and a
+		// leased GPU fails.
+		for _, k := range []int{4, 3, 4} {
+			both(func(x *System) error { _, err := x.Allocate(JobRequest{NumGPUs: k}); return err })
+		}
+		both(func(x *System) error { return x.MarkUnhealthy(9) })
+
+		free := s.FreeGPUs()
+		// A closed tenant's counters left CacheStats with it; read its
+		// stream directly.
+		rejected := a.fviews.Stats().Rejected
+		got, err := a.Allocate(JobRequest{NumGPUs: 4})
+		want, werr := twin.Allocate(JobRequest{NumGPUs: 4})
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		if n := a.fviews.Stats().Rejected - rejected; n != 1 {
+			t.Fatalf("closed tenant's fleet stream rejected %d decisions, want 1", n)
+		}
+		if got != nil {
+			for _, g := range got.GPUs {
+				if !slices.Contains(free, g) {
+					t.Fatalf("closed tenant granted GPU %d, which was not free (%v)", g, got.GPUs)
+				}
+			}
+		}
+		if nodes == 2 {
+			if err != nil || !sameLease(got, want) {
+				t.Fatalf("closed tenant decided %+v (err %v), System stream %+v", got, err, want)
+			}
+		} else if !errors.Is(err, policy.ErrNoAllocation) {
+			t.Fatalf("closed tenant on an unflattenable fleet: %+v, err %v; want ErrNoAllocation", got, err)
+		}
+		checkAvailInvariant(t, s, "after stale decision")
+	})
+}
+
+// TestFleetRejectsJournal: journaled fleets have no snapshot form yet
+// (snapshots rebuild catalog topologies), so WithJournal on a fleet is
+// a construction error, not a silently unrecoverable journal.
+func TestFleetRejectsJournal(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewFleetSystem("dgx-a100", 2, "preserve", WithJournal(dir, journal.Options{})); err == nil {
+		t.Fatal("WithJournal on a fleet should fail construction")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused fleet touched the journal directory: %v (err %v)", entries, err)
 	}
 }

@@ -77,14 +77,6 @@ func NewFleetStore(f *topology.Fleet, capacity int) *FleetStore {
 	return fs
 }
 
-// Fleet returns the fleet the store was built for.
-func (fs *FleetStore) Fleet() *topology.Fleet { return fs.fleet }
-
-// Bound reports whether the store serves exactly this fleet value.
-func (fs *FleetStore) Bound(f *topology.Fleet) bool {
-	return fs != nil && fs.fleet == f
-}
-
 // SetBuildWorkers sets the build-worker floor on every class store.
 func (fs *FleetStore) SetBuildWorkers(n int) {
 	for _, s := range fs.stores {
@@ -145,19 +137,6 @@ func (fs *FleetStore) Stats() StoreStats {
 	return out
 }
 
-// FleetViewStats is a snapshot of a fleet view set's counters.
-type FleetViewStats struct {
-	// Nodes is the fleet's node count; NodeViews counts per-node live
-	// views actually materialized (lazy: only nodes that served a shape
-	// pay one).
-	Nodes, NodeViews int
-	// Served counts decisions answered hierarchically (template path);
-	// every one of them is table-served by construction. Rejected
-	// counts decisions the fleet layer declined (incomplete universe or
-	// a binding candidate cap) and handed to the caller's fallback.
-	Served, Rejected uint64
-}
-
 // fleetSlot is one (node, canonical shape) live view over the shared
 // class universe, plus the class score table resolved at ensure time.
 type fleetSlot struct {
@@ -174,8 +153,7 @@ type fleetNode struct {
 	size      int
 	free      graph.Bitset
 	unhealthy graph.Bitset
-	usable    graph.Bitset
-	usableCnt int
+	usableCnt int // the node's members of FleetViews.usable
 	bw        *match.BandwidthAccounting
 	slots     map[string]*fleetSlot
 }
@@ -184,13 +162,18 @@ type fleetNode struct {
 // state over one availability-state stream, fed the same global-ID
 // GPU-set deltas a flat Views receives and split internally into
 // node-local deltas. It is bound to one stream, like Views, and is
-// safe for concurrent use.
+// safe for concurrent use. Like Views, it also tracks the stream's
+// fleet-wide usable mask, and SelectNodes declines a decision made on
+// any other mask — a stream that stopped receiving deltas (a closed
+// tenant's) never serves from stale node state.
 type FleetViews struct {
 	mu      sync.Mutex
 	fs      *FleetStore
 	nodes   []*fleetNode
-	offsets []int // ascending node offsets, for locate
-	stats   FleetViewStats
+	offsets []int        // ascending node offsets, for locate
+	usable  graph.Bitset // tracked usable set (free AND healthy), global IDs
+	maxNode int          // largest node size: bigger patterns span nodes
+	stats   ViewStats
 
 	one          [1]int       // reusable single-GPU delta buffer
 	scratchNodes []int        // reusable eligible-node index buffer
@@ -198,14 +181,21 @@ type FleetViews struct {
 }
 
 // NewFleetViews returns a fleet view set tracking a fresh availability
-// stream that starts with every node fully free and healthy.
+// stream that starts with every node fully free and healthy. A nil
+// store returns a nil view set, which ignores deltas and serves
+// nothing.
 func (fs *FleetStore) NewFleetViews() *FleetViews {
+	if fs == nil {
+		return nil
+	}
 	fv := &FleetViews{
 		fs:      fs,
 		nodes:   make([]*fleetNode, fs.fleet.NumNodes()),
 		offsets: fs.fleet.Offsets,
+		usable:  graph.NewBitset(fs.fleet.NumGPUs()),
+		maxNode: fs.fleet.MaxNodeGPUs(),
 	}
-	fv.stats.Nodes = fs.fleet.NumNodes()
+	fv.usable.Fill(fs.fleet.NumGPUs())
 	for j := range fv.nodes {
 		c := fs.fleet.Class(j)
 		cap := graph.Capacity(c.Graph)
@@ -216,18 +206,12 @@ func (fs *FleetStore) NewFleetViews() *FleetViews {
 			size:      c.NumGPUs(),
 			free:      free,
 			unhealthy: graph.NewBitset(cap),
-			usable:    free.Clone(),
 			usableCnt: c.NumGPUs(),
 			bw:        match.NewBandwidthAccounting(c.Graph, free, cap),
 			slots:     make(map[string]*fleetSlot),
 		}
 	}
 	return fv
-}
-
-// Bound reports whether the view set serves exactly this fleet value.
-func (fv *FleetViews) Bound(f *topology.Fleet) bool {
-	return fv != nil && fv.fs.Bound(f)
 }
 
 // locate resolves a global GPU ID to its node and node-local ID.
@@ -266,8 +250,8 @@ func (fv *FleetViews) Allocate(gpus []int) {
 			continue
 		}
 		nd.free.Unset(local)
-		if nd.usable.Has(local) {
-			nd.usable.Unset(local)
+		if fv.usable.Has(g) {
+			fv.usable.Unset(g)
 			nd.usableCnt--
 		}
 		fv.one[0] = local
@@ -292,8 +276,8 @@ func (fv *FleetViews) Release(gpus []int) {
 			continue
 		}
 		nd.free.Set(local)
-		if !nd.unhealthy.Has(local) && !nd.usable.Has(local) {
-			nd.usable.Set(local)
+		if !nd.unhealthy.Has(local) && !fv.usable.Has(g) {
+			fv.usable.Set(g)
 			nd.usableCnt++
 		}
 		fv.one[0] = local
@@ -305,7 +289,7 @@ func (fv *FleetViews) Release(gpus []int) {
 }
 
 // MarkUnhealthy publishes a health delta in global GPU IDs: the GPUs
-// keep their free/allocated state but leave their node's usable set.
+// keep their free/allocated state but leave the usable set.
 // Nil view sets ignore the call.
 func (fv *FleetViews) MarkUnhealthy(gpus []int) {
 	if fv == nil {
@@ -319,8 +303,8 @@ func (fv *FleetViews) MarkUnhealthy(gpus []int) {
 			continue
 		}
 		nd.unhealthy.Set(local)
-		if nd.usable.Has(local) {
-			nd.usable.Unset(local)
+		if fv.usable.Has(g) {
+			fv.usable.Unset(g)
 			nd.usableCnt--
 		}
 		fv.one[0] = local
@@ -345,8 +329,8 @@ func (fv *FleetViews) RestoreHealth(gpus []int) {
 			continue
 		}
 		nd.unhealthy.Unset(local)
-		if nd.free.Has(local) && !nd.usable.Has(local) {
-			nd.usable.Set(local)
+		if nd.free.Has(local) && !fv.usable.Has(g) {
+			fv.usable.Set(g)
 			nd.usableCnt++
 		}
 		fv.one[0] = local
@@ -384,22 +368,35 @@ type NodeDecision struct {
 // lexicographic GPU-set tie-break). The caller compares node winners
 // on exact global scores and resolves ties to the first node seen.
 //
-// SelectNodes returns false — without counting a decision — when the
-// fleet layer cannot answer soundly: a class universe overflowed the
-// store capacity, or a candidate cap would truncate some node's live
-// list (class universes are tiny, so a binding cap means a
-// misconfigured caller; declining keeps the same soundness rule as the
-// flat path). On true the decision counts as
-// Served even when no node could host the pattern (sel ran zero
-// times): the hierarchy answered "no feasible single-node placement".
-func (fv *FleetViews) SelectNodes(pattern *graph.Graph, maxCandidates, workers int, sel func(nd *NodeDecision)) bool {
-	if fv == nil {
+// SelectNodes returns false without invoking sel when the fleet layer
+// cannot answer and the caller must decide on its flat path instead.
+// Without counting anything it declines a pattern larger than every
+// node (it spans nodes; a nil view set declines too). It counts a
+// Rejected when it cannot answer soundly:
+//
+//   - usable, the mask the decision is made on, differs from the
+//     tracked usable set — the stream missed deltas (the rule
+//     Views.SelectLive applies);
+//   - a class universe overflowed the store capacity;
+//   - a candidate cap would truncate some node's live list (class
+//     universes are tiny, so a binding cap means a misconfigured
+//     caller; declining keeps the flat path's soundness rule).
+//
+// On true the decision counts as TableServed even when no node could
+// host the pattern (sel ran zero times): the hierarchy answered "no
+// feasible single-node placement".
+func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(nd *NodeDecision)) bool {
+	k := pattern.NumVertices()
+	if fv == nil || k > fv.maxNode {
 		return false
 	}
 	ci := canon.info(pattern)
-	k := pattern.NumVertices()
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
+	if !usable.SubsetOf(fv.usable) || !fv.usable.SubsetOf(usable) {
+		fv.stats.Rejected++
+		return false
+	}
 	// Pass 1: inter-node pruning on the quotient-level aggregates, slot
 	// and table residency for the surviving nodes, and the fleet-wide
 	// Eq. 3 terms. All sums are over integral link bandwidths, so every
@@ -413,7 +410,7 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, maxCandidates, workers i
 		F += f
 		sumFW += nd.bw.FreeWeight()
 		sumPairs += float64(f * (f - 1) / 2)
-		if f < k || k > nd.size {
+		if f < k {
 			continue
 		}
 		sl, ok := fv.ensureSlot(nd, ci, pattern, workers)
@@ -454,7 +451,7 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, maxCandidates, workers i
 		}
 		sel(&fv.nd)
 	}
-	fv.stats.Served++
+	fv.stats.TableServed++
 	return true
 }
 
@@ -481,15 +478,31 @@ func (fv *FleetViews) ensureSlot(nd *fleetNode, ci *canonInfo, pattern *graph.Gr
 	}
 	sl = &fleetSlot{lv: lv, patternFP: usl.patternFP, usl: usl, tbl: tbl}
 	nd.slots[ci.canon] = sl
-	fv.stats.NodeViews++
+	fv.stats.Views++
 	return sl, true
 }
 
-// Stats returns a snapshot of the fleet view set's counters. A nil
-// view set reports zeros.
-func (fv *FleetViews) Stats() FleetViewStats {
+// Usable returns a copy of the stream's tracked usable mask — what
+// SelectNodes checks a decision's mask against. A nil view set reports
+// nil.
+func (fv *FleetViews) Usable() graph.Bitset {
 	if fv == nil {
-		return FleetViewStats{}
+		return nil
+	}
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	return fv.usable.Clone()
+}
+
+// Stats returns a snapshot of the fleet view set's counters, in the
+// flat view set's terms: Views counts the per-node live views
+// materialized (lazily: only nodes that served a shape pay one),
+// TableServed the decisions SelectNodes answered — every one
+// table-served by construction — and Rejected those it declined. A nil
+// view set reports zeros.
+func (fv *FleetViews) Stats() ViewStats {
+	if fv == nil {
+		return ViewStats{}
 	}
 	fv.mu.Lock()
 	defer fv.mu.Unlock()

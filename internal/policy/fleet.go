@@ -38,39 +38,18 @@
 package policy
 
 import (
+	"mapa/internal/graph"
 	"mapa/internal/matchcache"
 	"mapa/internal/score"
 )
 
-// AttachFleet binds a fleet view set to the policy (nil detaches).
-// Policies that do not pattern-match ignore the call.
+// AttachFleet binds a fleet view set to the policy (nil detaches):
+// AllocateInto then tries the hierarchical decision first. Policies
+// that do not pattern-match ignore the call.
 func AttachFleet(a Allocator, fv *matchcache.FleetViews) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.fleet = fv
 	}
-}
-
-// FleetOf returns the policy's attached fleet view set, nil when none.
-func FleetOf(a Allocator) *matchcache.FleetViews {
-	if mp, ok := a.(*mapaPolicy); ok {
-		return mp.fleet
-	}
-	return nil
-}
-
-// AllocateFleetInto runs the hierarchical two-level fleet decision
-// into a caller-supplied buffer. served is false when a's policy does
-// not support the fleet path or the fleet layer declined (incomplete
-// class universe, binding candidate cap) — the caller falls back to its
-// flat path. With served true, err is either nil (buf holds the winner)
-// or ErrNoAllocation (no node can host the pattern; a flat fallback may
-// still find a node-spanning placement).
-func AllocateFleetInto(a Allocator, buf *Allocation, req Request) (served bool, err error) {
-	mp, ok := a.(*mapaPolicy)
-	if !ok {
-		return false, nil
-	}
-	return mp.allocateFleetInto(buf, req)
 }
 
 // fleetMetric is scoredMetric translated to fleet-global values: the
@@ -83,21 +62,20 @@ func fleetMetric(nd *matchcache.NodeDecision, mt *score.ModelTable, m metric, i 
 	return scoredMetric(nd.BW, nd.Tbl, mt, m, i)
 }
 
-// allocateFleetInto sweeps the hosting nodes in ascending order,
-// running the intra-node table-served selection per node and keeping
-// the best node winner under the policy's total order on exact global
-// metric values. buf is refilled in place on every improvement, so the
-// warmed path allocates nothing.
-func (p *mapaPolicy) allocateFleetInto(buf *Allocation, req Request) (served bool, err error) {
-	if p.fleet == nil {
-		return false, nil
-	}
-	if req.NumGPUs() < 1 {
-		return false, nil
-	}
+// allocateFleetInto runs the hierarchical two-level decision on the
+// attached fleet view set: it sweeps the hosting nodes in ascending
+// order, running the intra-node table-served selection per node and
+// keeping the best node winner under the policy's total order on exact
+// global metric values. buf is refilled in place on every improvement,
+// so the warmed path allocates nothing. served is false when the fleet
+// layer declined (see matchcache.FleetViews.SelectNodes); with served
+// true, err is nil (buf holds the winner) or ErrNoAllocation (no node
+// can host the pattern; a flat path may still find a node-spanning
+// placement).
+func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req Request) (served bool, err error) {
 	found := false
 	var bestP, bestS float64
-	served = p.fleet.SelectNodes(req.Pattern, p.maxCandidates, p.workers,
+	served = p.fleet.SelectNodes(req.Pattern, usable, p.maxCandidates, p.workers,
 		func(nd *matchcache.NodeDecision) {
 			best, ok := p.pickScored(nd.LV, nd.BW, nd.Tbl, req, false)
 			if !ok {

@@ -28,22 +28,12 @@ func SetParallelism(a Allocator, n int) {
 
 // AttachUniverses records the idle-state universe store a MAPA
 // policy's view set was created from. Decisions reach the store only
-// through the attached views (AttachViews); the attachment is what
-// UniversesOf reports. Baseline and Topo-aware ignore it. Pass nil to
-// detach.
+// through the attached views (AttachViews), so nothing reads the
+// attachment. Baseline and Topo-aware ignore it. Pass nil to detach.
 func AttachUniverses(a Allocator, s *matchcache.Store) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.store = s
 	}
-}
-
-// UniversesOf returns the universe store attached to a MAPA policy, or
-// nil.
-func UniversesOf(a Allocator) *matchcache.Store {
-	if mp, ok := a.(*mapaPolicy); ok {
-		return mp.store
-	}
-	return nil
 }
 
 // AttachViews wires a live-view set into a MAPA policy: decisions are
@@ -60,14 +50,6 @@ func AttachViews(a Allocator, v *matchcache.Views) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.views = v
 	}
-}
-
-// ViewsOf returns the live-view set attached to a MAPA policy, or nil.
-func ViewsOf(a Allocator) *matchcache.Views {
-	if mp, ok := a.(*mapaPolicy); ok {
-		return mp.views
-	}
-	return nil
 }
 
 // SetScorer swaps the policy's scoring model. Every built-in policy

@@ -73,7 +73,9 @@ type Allocator interface {
 	Name() string
 	// Allocate chooses GPUs for the request among top's usable GPUs.
 	// usable must be a subset of top.Graph's vertices; the policy reads
-	// both and mutates neither.
+	// both and mutates neither. top is nil only for a fleet too large to
+	// flatten, where a MAPA policy decides on its attached fleet view
+	// set alone (AttachFleet).
 	Allocate(top *topology.Topology, usable graph.Bitset, req Request) (Allocation, error)
 }
 
@@ -315,9 +317,25 @@ func (p *mapaPolicy) Allocate(top *topology.Topology, usable graph.Bitset, req R
 // fresh search on the subgraph of top.Graph the usable GPUs induce,
 // materialized for that one search, whose result replaces buf. On error
 // buf's contents are unspecified.
+//
+// With a fleet view set attached (AttachFleet) the hierarchical
+// template decision goes first, also in place. It is final when it
+// places the pattern inside one node; when it declines or no node can
+// host the pattern, the flat path above decides on top — the flattened
+// fleet — and with top nil (a fleet too large to flatten) the request
+// fails with ErrNoAllocation.
 func (p *mapaPolicy) AllocateInto(buf *Allocation, top *topology.Topology, usable graph.Bitset, req Request) error {
 	if err := validate(usable, req); err != nil {
 		return err
+	}
+	if p.fleet != nil {
+		if served, err := p.allocateFleetInto(buf, usable, req); served && !errors.Is(err, ErrNoAllocation) {
+			return err
+		}
+		if top == nil {
+			return fmt.Errorf("policy: no single node can host %d GPUs and the fleet is above the flatten limit, so no node-spanning placement is searched: %w",
+				req.NumGPUs(), ErrNoAllocation)
+		}
 	}
 	if p.views.Bound(top) {
 		if err, served := p.allocateScoredInto(buf, usable, req); served {
@@ -336,11 +354,18 @@ func (p *mapaPolicy) AllocateInto(buf *Allocation, top *topology.Topology, usabl
 // slices are truncated and refilled in place, so a caller reusing one
 // buffer pays no allocation for the built-in policies' result (an
 // Allocator from elsewhere decides through Allocate and buf takes its
-// result). On error buf's contents are unspecified.
+// result). On error buf's contents are unspecified. With top nil only
+// a MAPA policy with a fleet view set attached can place anything.
 func DecideInto(a Allocator, buf *Allocation, top *topology.Topology, usable graph.Bitset, req Request) error {
-	switch p := a.(type) {
-	case *mapaPolicy:
+	if p, ok := a.(*mapaPolicy); ok {
 		return p.AllocateInto(buf, top, usable, req)
+	}
+	if top == nil {
+		// Only the MAPA policies decide on fleet templates; a policy that
+		// ranks GPUs needs the flat machine.
+		return fmt.Errorf("policy: %s needs a flat topology: %w", a.Name(), ErrNoAllocation)
+	}
+	switch p := a.(type) {
 	case *Baseline:
 		return rankedInto(buf, p.scorer, top, usable, req, wholeMachine)
 	case *TopoAware:

@@ -17,6 +17,14 @@
 //	GET  /healthz      readiness: 200 once serving, reports warm state
 //	GET  /metrics      Prometheus text exposition
 //
+// Statuses: 200 on success; 400 for a malformed or invalid request (bad
+// JSON, num_gpus < 1, an unknown shape or health action, a health event
+// the System refuses); 403 for another tenant's lease; 404 for an
+// unknown lease; 409 when an allocation cannot be placed now; 413 for
+// a body over 1 MiB; 429 when the admission queue is full; 503 while
+// draining. A 500 means a server-side fault, such as a failed journal
+// append. Every non-2xx answer leaves the System's state unchanged.
+//
 // During shutdown the daemon calls Drain: every serving route answers
 // 503 with Retry-After while /healthz reports "draining" and /metrics
 // stays scrapeable, so load balancers move on while in-flight requests
@@ -34,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,6 +324,10 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("num_gpus must be >= 1, got %d", req.NumGPUs))
 		return
 	}
+	if !knownShape(req.Shape) {
+		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("unknown shape %q (want one of %v)", req.Shape, shapes))
+		return
+	}
 	if !s.tryAdmit() {
 		s.metrics.reject()
 		s.writeError(w, route, http.StatusTooManyRequests, errors.New("admission queue full"))
@@ -364,6 +377,23 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		PreservedBW: lease.PreservedBW,
 		Deadline:    lease.Deadline,
 	})
+}
+
+// shapes are the communication shapes /v1/allocate accepts.
+var shapes = mapa.Shapes()
+
+// knownShape reports whether name selects a shape — case-insensitively,
+// like mapa.JobRequest.Shape; empty selects Ring.
+func knownShape(name string) bool {
+	if name == "" {
+		return true
+	}
+	for _, s := range shapes {
+		if strings.EqualFold(s, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // coalKey identifies one coalescable request class. Owner and TTL are

@@ -127,6 +127,16 @@ func TestHealthActions(t *testing.T) {
 	if code := post(t, ts.URL+"/v1/health", HealthRequest{Action: "degrade", U: 0, V: 1, BW: 10}, nil); code != 200 {
 		t.Fatalf("degrade: code %d", code)
 	}
+	// A fractional bandwidth would break Eq. 3's exact accounting: 400,
+	// and the lease table stands.
+	var before, after LeasesResponse
+	get(t, ts.URL+"/v1/leases", &before)
+	if code := post(t, ts.URL+"/v1/health", HealthRequest{Action: "degrade", U: 0, V: 1, BW: 12.5}, nil); code != 400 {
+		t.Fatalf("fractional degrade: code %d, want 400", code)
+	}
+	if get(t, ts.URL+"/v1/leases", &after); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("leases after refused degrade: %+v, want %+v", after, before)
+	}
 	if code := post(t, ts.URL+"/v1/health", HealthRequest{Action: "explode"}, nil); code != 400 {
 		t.Fatalf("unknown action: want 400")
 	}

@@ -16,14 +16,16 @@
 //
 // The package offers two entry points:
 //
-//   - System: a live allocator for one machine. Allocate leases GPUs
-//     for jobs and Release returns them, with the hardware-graph state
+//   - System: a live allocator for one machine (NewSystem) or for a
+//     fleet of identical nodes (NewFleetSystem). Allocate leases GPUs
+//     for jobs and Release returns them, with the hardware state
 //     managed internally.
 //   - Simulate / CompareAllPolicies: the multi-tenant scheduling
 //     simulator used to reproduce the paper's evaluation.
 package mapa
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -128,6 +130,7 @@ type System struct {
 	top       *topology.Topology
 	alloc     policy.Allocator
 	scorer    *score.Scorer
+	gpus      graph.Bitset // every GPU ID of the machine
 	usable    graph.Bitset // GPUs neither leased nor unhealthy, by ID
 	store     *matchcache.Store
 	views     *matchcache.Views
@@ -153,14 +156,24 @@ type System struct {
 	recovery    RecoveryStats
 	reaped      uint64 // leases released by TTL expiry
 
+	// Fleet machines (NewFleetSystem) also decide from node-class
+	// templates: fleet is the symbolic machine, fstore its template
+	// store, fviews the System's own fleet view stream. top is then the
+	// flattened fleet, or nil above FleetFlattenLimit. All nil on a flat
+	// System.
+	fleet  *topology.Fleet
+	fstore *matchcache.FleetStore
+	fviews *matchcache.FleetViews
+
 	// tenants are the live per-tenant serving handles (see NewTenant);
-	// every state delta fans out to each tenant's view stream. Guarded
-	// by mu, like the Tenant fields themselves. closedViewStats keeps
-	// the view counters of tenants closed since, so CacheStats' totals
-	// never run backwards.
-	tenants         map[int]*Tenant
-	nextTenantID    int
-	closedViewStats matchcache.ViewStats
+	// every state delta fans out to each tenant's view streams. Guarded
+	// by mu, like the Tenant fields themselves. closedViewStats and
+	// closedFleetStats keep the view counters of tenants closed since,
+	// so CacheStats' totals never run backwards.
+	tenants          map[int]*Tenant
+	nextTenantID     int
+	closedViewStats  matchcache.ViewStats
+	closedFleetStats matchcache.ViewStats
 
 	// Test hooks. prewarmGate runs during Allocate's unlocked prewarm
 	// phase (keyed by request size) so tests can hold a cold build in
@@ -257,7 +270,31 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 	if err != nil {
 		return nil, err
 	}
-	scorer := score.NewScorer(effbw.TrainedFor(top))
+	s, err := newSystem(top, top.Graph.VertexBitset(), effbw.TrainedFor(top), policyName, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.catalogName = topologyName
+	// Recovery runs before the pipeline exists: replayed mutations are
+	// applied directly to the mask and lease tables (view publishes
+	// no-op on nil), then the pipeline is built once for the final
+	// recovered topology and seeded with the live state.
+	if s.cfg.journalDir != "" {
+		if err := s.recoverFromJournal(s.cfg.journalDir, s.cfg.journalOpts); err != nil {
+			return nil, err
+		}
+	}
+	s.buildPipeline(true)
+	s.replayViewsLocked(s.views)
+	return s, nil
+}
+
+// newSystem builds the state core every machine kind shares: the named
+// policy over a scorer for model, the options, and empty lease and
+// health tables with every GPU of gpus usable. top may be nil (a fleet
+// too large to flatten); the caller builds the match pipeline.
+func newSystem(top *topology.Topology, gpus graph.Bitset, model *effbw.Model, policyName string, opts []SystemOption) (*System, error) {
+	scorer := score.NewScorer(model)
 	alloc, err := policy.ByName(policyName, scorer)
 	if err != nil {
 		return nil, err
@@ -269,31 +306,19 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 	if cfg.workers > 1 {
 		policy.SetParallelism(alloc, cfg.workers)
 	}
-	s := &System{
-		top:         top,
-		alloc:       alloc,
-		scorer:      scorer,
-		usable:      top.Graph.VertexBitset(),
-		leases:      make(map[int][]int),
-		leasedBy:    make(map[int]int),
-		owners:      make(map[int]string),
-		expiry:      make(map[int]int64),
-		unhealthy:   make(map[int]bool),
-		cfg:         cfg,
-		catalogName: topologyName,
-	}
-	// Recovery runs before the pipeline exists: replayed mutations are
-	// applied directly to the mask and lease tables (view publishes
-	// no-op on nil), then the pipeline is built once for the final
-	// recovered topology and seeded with the live state.
-	if cfg.journalDir != "" {
-		if err := s.recoverFromJournal(cfg.journalDir, cfg.journalOpts); err != nil {
-			return nil, err
-		}
-	}
-	s.buildPipeline(true)
-	s.replayViewsLocked(s.views)
-	return s, nil
+	return &System{
+		top:       top,
+		alloc:     alloc,
+		scorer:    scorer,
+		gpus:      gpus,
+		usable:    gpus.Clone(),
+		leases:    make(map[int][]int),
+		leasedBy:  make(map[int]int),
+		owners:    make(map[int]string),
+		expiry:    make(map[int]int64),
+		unhealthy: make(map[int]bool),
+		cfg:       cfg,
+	}, nil
 }
 
 // buildPipeline (re)constructs the match pipeline for the System's
@@ -303,34 +328,44 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 // when allowBackground; Repartition rebuilds synchronously so the
 // swapped-in pipeline is deterministic.
 func (s *System) buildPipeline(allowBackground bool) {
-	cfg := s.cfg
 	s.store, s.views = nil, nil
-	if !cfg.searchOnly {
+	if !s.cfg.searchOnly && s.top != nil {
 		s.store = matchcache.NewStore(s.top, matchcache.DefaultUniverseCapacity)
-		if cfg.buildWorkers > 1 {
-			s.store.SetBuildWorkers(cfg.buildWorkers)
+		if s.cfg.buildWorkers > 1 {
+			s.store.SetBuildWorkers(s.cfg.buildWorkers)
 		}
-		if cfg.warmMaxGPUs > 1 {
-			warmWorkers := cfg.workers
-			if cfg.buildWorkers > warmWorkers {
-				warmWorkers = cfg.buildWorkers
-			}
-			shapes := warmPatterns(cfg.warmMaxGPUs, s.top.NumGPUs())
-			if cfg.backgroundWarm && allowBackground {
-				store := s.store
-				s.warmDone = make(chan struct{})
-				go func(done chan struct{}) {
-					defer close(done)
-					store.Warm(warmWorkers, shapes...)
-				}(s.warmDone)
-			} else {
-				s.store.Warm(warmWorkers, shapes...)
-			}
+		if s.fleet == nil {
+			// A fleet warms its class templates instead: its flat store
+			// only serves node-spanning patterns, built on demand.
+			s.warm(s.store.Warm, s.top.NumGPUs(), allowBackground)
 		}
 		s.views = s.store.NewViews()
 	}
 	policy.AttachUniverses(s.alloc, s.store)
 	policy.AttachViews(s.alloc, s.views)
+}
+
+// warm runs the WithWarmShapes precomputation through warmFn — a
+// store's Warm — for a machine whose largest placeable pattern has
+// machineGPUs vertices: in a background goroutine when the System was
+// built WithBackgroundWarming and allowBackground, synchronously
+// otherwise.
+func (s *System) warm(warmFn func(workers int, patterns ...*graph.Graph) int, machineGPUs int, allowBackground bool) {
+	cfg := s.cfg
+	if cfg.warmMaxGPUs <= 1 {
+		return
+	}
+	workers := max(cfg.workers, cfg.buildWorkers)
+	shapes := warmPatterns(cfg.warmMaxGPUs, machineGPUs)
+	if cfg.backgroundWarm && allowBackground {
+		s.warmDone = make(chan struct{})
+		go func(done chan struct{}) {
+			defer close(done)
+			warmFn(workers, shapes...)
+		}(s.warmDone)
+		return
+	}
+	warmFn(workers, shapes...)
 }
 
 // WaitWarm blocks until the WithBackgroundWarming precomputation has
@@ -368,7 +403,8 @@ type CacheStats struct {
 	RepairedCandidates int
 	RepairTime         time.Duration
 	// LiveViews counts per-shape live views materialized across the
-	// System's own stream and every tenant's.
+	// System's own stream and every tenant's (per node and shape on a
+	// fleet's template streams).
 	LiveViews int
 	// TableServed counts decisions answered from a live view and the
 	// shape's score table: precomputed static metrics plus O(k)
@@ -378,32 +414,51 @@ type CacheStats struct {
 	// cap truncating the list for a structurally different build of the
 	// shape); each of those was answered by a fresh search instead.
 	TableServed, ViewRejected uint64
+	// FleetServed counts a fleet System's decisions answered by the
+	// hierarchical template path — table-served by construction — and
+	// FleetRejected those its fleet layer declined to the flat path
+	// (stream out of sync, incomplete class universe, binding candidate
+	// cap). Patterns no node can hold go to the flat path uncounted here.
+	FleetServed, FleetRejected uint64
 }
 
 // CacheStats returns a snapshot of the system's match-pipeline
-// counters; a System without a pipeline reports zeros.
+// counters; a System without a pipeline reports zeros. On a fleet the
+// store counters sum the flat store and the class templates.
 func (s *System) CacheStats() CacheStats {
 	var out CacheStats
 	if s.store != nil {
-		ss := s.store.Stats()
-		out.Universes, out.UniversesIncomplete = ss.Universes, ss.Incomplete
-		out.UniverseBuildTime = ss.BuildTime
-		out.ScoreTables, out.TableBuildTime = ss.Tables, ss.TableTime
-		out.Repairs, out.RepairedCandidates = ss.Repairs, ss.RepairedCandidates
-		out.RepairTime = ss.RepairTime
+		out.addStore(s.store.Stats())
+	}
+	if s.fstore != nil {
+		out.addStore(s.fstore.Stats())
 	}
 	// A decision is counted on the stream that served it, so the view
-	// counters are summed over the System's own stream, every bound
+	// counters are summed over the System's own streams, every bound
 	// tenant's, and the tenants closed so far.
 	s.mu.Lock()
 	vs := addViewStats(s.closedViewStats, s.views.Stats())
+	fs := addViewStats(s.closedFleetStats, s.fviews.Stats())
 	for _, t := range s.tenants {
 		vs = addViewStats(vs, t.views.Stats())
+		fs = addViewStats(fs, t.fviews.Stats())
 	}
 	s.mu.Unlock()
-	out.LiveViews = vs.Views
+	out.LiveViews = vs.Views + fs.Views
 	out.TableServed, out.ViewRejected = vs.TableServed, vs.Rejected
+	out.FleetServed, out.FleetRejected = fs.TableServed, fs.Rejected
 	return out
+}
+
+func (c *CacheStats) addStore(ss matchcache.StoreStats) {
+	c.Universes += ss.Universes
+	c.UniversesIncomplete += ss.Incomplete
+	c.UniverseBuildTime += ss.BuildTime
+	c.ScoreTables += ss.Tables
+	c.TableBuildTime += ss.TableTime
+	c.Repairs += ss.Repairs
+	c.RepairedCandidates += ss.RepairedCandidates
+	c.RepairTime += ss.RepairTime
 }
 
 func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
@@ -413,14 +468,24 @@ func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
 	return a
 }
 
-// Topology returns the system's topology name.
-func (s *System) Topology() string { return s.top.Name }
+// Topology returns the system's topology name (the fleet's name on a
+// fleet).
+func (s *System) Topology() string {
+	if s.fleet != nil {
+		return s.fleet.Name
+	}
+	return s.top.Name
+}
 
 // Policy returns the system's policy name.
 func (s *System) Policy() string { return s.alloc.Name() }
 
 // NumGPUs returns the machine size.
-func (s *System) NumGPUs() int { return s.top.NumGPUs() }
+func (s *System) NumGPUs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gpus.Count()
+}
 
 // FreeGPUs returns the currently unallocated GPU IDs in ascending
 // order.
@@ -523,23 +588,38 @@ func (s *System) journalAppend(rec *journal.Record) error {
 	return nil
 }
 
-// prewarm builds the shape's match universe and score table (if
-// missing) with the state lock released, so a cold shape's
-// enumeration runs concurrently with every other System call. It
-// returns the store it built against, for the double-check in
-// lockWithPipeline.
-func (s *System) prewarm(pattern *graph.Graph) *matchcache.Store {
+// prewarm resolves req's communication pattern — pattern itself when
+// non-nil — and builds its match universe and score table (if missing)
+// with the state lock released, so a cold shape's enumeration runs
+// concurrently with every other System call. A request for more GPUs
+// than the machine has is refused before its pattern is built: it can
+// never be placed, and its pattern graph (an AllToAll is quadratic in
+// the GPU count) could be arbitrarily large. On a fleet a pattern one
+// node can hold builds the class templates only — never a flat
+// universe over the whole fleet. prewarm also returns the store the
+// flat build would use, for the double-check in lockWithPipeline.
+func (s *System) prewarm(req JobRequest, pattern *graph.Graph) (*graph.Graph, *matchcache.Store, error) {
 	s.mu.Lock()
-	st := s.store
-	gate := s.prewarmGate
+	st, gate, n := s.store, s.prewarmGate, s.gpus.Count()
 	s.mu.Unlock()
+	if req.NumGPUs > n {
+		return nil, nil, fmt.Errorf("mapa: allocating %d GPUs on a %d-GPU machine: %w", req.NumGPUs, n, policy.ErrNoAllocation)
+	}
+	if pattern == nil {
+		var err error
+		if pattern, err = buildPattern(req); err != nil {
+			return nil, nil, err
+		}
+	}
 	if gate != nil {
 		gate(pattern.NumVertices())
 	}
-	if st != nil {
+	if s.fleet != nil && pattern.NumVertices() <= s.fleet.MaxNodeGPUs() {
+		s.fstore.Ensure(pattern, s.cfg.workers)
+	} else if st != nil {
 		st.Ensure(pattern, s.cfg.workers)
 	}
-	return st
+	return pattern, st, nil
 }
 
 // lockWithPipeline acquires the state lock for a decision on pattern,
@@ -567,17 +647,17 @@ func (s *System) lockWithPipeline(pattern *graph.Graph, st *matchcache.Store) {
 // before entering the decision critical section, so concurrent
 // Allocate, Release, and health calls proceed while the build runs.
 func (s *System) Allocate(req JobRequest) (*Lease, error) {
-	return s.allocate(nil, req)
+	return s.allocate(nil, req, nil)
 }
 
 // allocate is the shared Allocate body: nil t decides with the
-// System's own allocator and view stream, non-nil t with the tenant's.
-func (s *System) allocate(t *Tenant, req JobRequest) (*Lease, error) {
-	pattern, err := buildPattern(req)
+// System's own allocator and view streams, non-nil t with the tenant's;
+// a nil pattern is built from req's shape.
+func (s *System) allocate(t *Tenant, req JobRequest, pattern *graph.Graph) (*Lease, error) {
+	pattern, st, err := s.prewarm(req, pattern)
 	if err != nil {
 		return nil, err
 	}
-	st := s.prewarm(pattern)
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
 	return s.allocateLocked(t, pattern, req)
@@ -653,14 +733,13 @@ func (s *System) AllocateBatch(req JobRequest, n int) ([]*Lease, []error) {
 	if n <= 0 {
 		return leases, errs
 	}
-	pattern, err := buildPattern(req)
+	pattern, st, err := s.prewarm(req, nil)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 		return leases, errs
 	}
-	st := s.prewarm(pattern)
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
 	for i := range leases {
@@ -670,39 +749,49 @@ func (s *System) AllocateBatch(req JobRequest, n int) ([]*Lease, []error) {
 }
 
 // publishAllocate fans an allocation delta out to every live-view
-// stream bound to this System — its own and each tenant's.
+// stream bound to this System — its own and each tenant's, flat and
+// (on a fleet) template streams alike; nil streams ignore deltas.
 func (s *System) publishAllocate(gpus []int) {
 	s.views.Allocate(gpus)
+	s.fviews.Allocate(gpus)
 	for _, t := range s.tenants {
 		t.views.Allocate(gpus)
+		t.fviews.Allocate(gpus)
 	}
 }
 
 // publishRelease fans a release delta out to every view stream.
 func (s *System) publishRelease(gpus []int) {
 	s.views.Release(gpus)
+	s.fviews.Release(gpus)
 	for _, t := range s.tenants {
 		t.views.Release(gpus)
+		t.fviews.Release(gpus)
 	}
 }
 
 // publishMarkUnhealthy fans a health delta out to every view stream.
 func (s *System) publishMarkUnhealthy(gpus []int) {
 	s.views.MarkUnhealthy(gpus)
+	s.fviews.MarkUnhealthy(gpus)
 	for _, t := range s.tenants {
 		t.views.MarkUnhealthy(gpus)
+		t.fviews.MarkUnhealthy(gpus)
 	}
 }
 
 // publishRestoreHealth fans a recovery delta out to every view stream.
 func (s *System) publishRestoreHealth(gpus []int) {
 	s.views.RestoreHealth(gpus)
+	s.fviews.RestoreHealth(gpus)
 	for _, t := range s.tenants {
 		t.views.RestoreHealth(gpus)
+		t.fviews.RestoreHealth(gpus)
 	}
 }
 
-// publishUpdateEdge fans a link-weight delta out to every view stream.
+// publishUpdateEdge fans a link-weight delta out to every flat view
+// stream (fleets reject link degradation).
 func (s *System) publishUpdateEdge(u, v int, bw float64) {
 	s.views.UpdateEdge(u, v, bw)
 	for _, t := range s.tenants {
@@ -776,8 +865,8 @@ func (s *System) MarkUnhealthy(gpus ...int) error {
 func (s *System) markUnhealthyLocked(gpus []int) error {
 	seen := make(map[int]bool, len(gpus))
 	for _, g := range gpus {
-		if !s.top.Graph.HasVertex(g) {
-			return fmt.Errorf("mapa: GPU %d not in topology %s", g, s.top.Name)
+		if !s.gpus.Has(g) {
+			return fmt.Errorf("mapa: GPU %d not in topology %s", g, s.Topology())
 		}
 		if s.unhealthy[g] {
 			return fmt.Errorf("mapa: GPU %d already unhealthy", g)
@@ -852,6 +941,10 @@ func (s *System) UnhealthyGPUs() []int {
 	return out
 }
 
+// ErrFractionalBandwidth is returned (wrapped) by DegradeLink for a
+// bandwidth that is not a whole number of GB/s.
+var ErrFractionalBandwidth = errors.New("link bandwidth must be a whole number of GB/s")
+
 // DegradeLink sets the bandwidth of an existing machine link (u,v) to
 // bw GB/s — a link-degradation (or recovery) event. The topology's
 // graphs mutate in place: the link's structure and label survive, only
@@ -863,9 +956,13 @@ func (s *System) UnhealthyGPUs() []int {
 // exact), the topology's link-mix memo is invalidated, and the live
 // views' bandwidth accounting absorbs the weight delta in O(degree).
 //
-// bw must be finite and non-negative. Integral bandwidths are
-// recommended (matching the built-in link catalog); they keep repaired
-// scores bit-identical to a from-scratch rebuild. For MIG machines,
+// bw must be a finite, non-negative whole number of GB/s, like every
+// link of the built-in catalog: Eq. 3's delta accounting, table repair
+// and the fleet PreservedShift are exact only for integral weights, so
+// a fractional bandwidth is rejected rather than left to break the
+// rule that every decision path agrees. Fleets reject DegradeLink: a
+// degraded node would need its own node class; model the event as
+// MarkUnhealthy on the node's GPUs instead. For MIG machines,
 // degrading a physical NVLink port edge writes through to the base
 // machine and survives repartitioning; degraded on-die and PCIe
 // fallback paths are re-derived at catalog bandwidth for GPUs that are
@@ -877,8 +974,14 @@ func (s *System) DegradeLink(u, v int, bw float64) error {
 }
 
 func (s *System) degradeLinkLocked(u, v int, bw float64) error {
+	if s.fleet != nil {
+		return s.errFleetUnsupported("DegradeLink")
+	}
 	if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
 		return fmt.Errorf("mapa: link bandwidth %v is not a finite non-negative number", bw)
+	}
+	if bw != math.Trunc(bw) {
+		return fmt.Errorf("mapa: link bandwidth %v: %w", bw, ErrFractionalBandwidth)
 	}
 	e, ok := s.top.Graph.EdgeBetween(u, v)
 	if !ok {
@@ -940,6 +1043,9 @@ func (s *System) Repartition(slices map[int]int) error {
 }
 
 func (s *System) repartitionLocked(slices map[int]int) error {
+	if s.fleet != nil {
+		return s.errFleetUnsupported("Repartition")
+	}
 	if s.baseTop == nil {
 		s.baseTop = s.top
 		s.instances = make(map[int][]int)
@@ -1035,7 +1141,8 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	// into the fresh views. Tenant streams are rebound to the new
 	// pipeline the same way, so live tenants keep serving across the
 	// re-cut.
-	s.usable = s.top.Graph.VertexBitset()
+	s.gpus = s.top.Graph.VertexBitset()
+	s.usable = s.gpus.Clone()
 	for g := range s.leasedBy {
 		s.usable.Unset(g)
 	}
@@ -1052,26 +1159,35 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	return nil
 }
 
+// viewStream is a live-view set the System publishes deltas to: a flat
+// matchcache.Views or a fleet's matchcache.FleetViews.
+type viewStream interface {
+	Allocate(gpus []int)
+	MarkUnhealthy(gpus []int)
+}
+
 // replayViewsLocked replays the current allocation and health state
-// into a fresh view set. View streams start from the whole machine
+// into fresh view sets. View streams start from the whole machine
 // free, so a set created (or recreated) mid-stream must inherit the
 // live state before it can serve.
-func (s *System) replayViewsLocked(v *matchcache.Views) {
-	if len(s.leasedBy) > 0 {
-		leased := make([]int, 0, len(s.leasedBy))
-		for g := range s.leasedBy {
-			leased = append(leased, g)
-		}
-		sort.Ints(leased)
-		v.Allocate(leased)
+func (s *System) replayViewsLocked(streams ...viewStream) {
+	leased := make([]int, 0, len(s.leasedBy))
+	for g := range s.leasedBy {
+		leased = append(leased, g)
 	}
-	if len(s.unhealthy) > 0 {
-		un := make([]int, 0, len(s.unhealthy))
-		for g := range s.unhealthy {
-			un = append(un, g)
+	sort.Ints(leased)
+	un := make([]int, 0, len(s.unhealthy))
+	for g := range s.unhealthy {
+		un = append(un, g)
+	}
+	sort.Ints(un)
+	for _, v := range streams {
+		if len(leased) > 0 {
+			v.Allocate(leased)
 		}
-		sort.Ints(un)
-		v.MarkUnhealthy(un)
+		if len(un) > 0 {
+			v.MarkUnhealthy(un)
+		}
 	}
 }
 
@@ -1082,7 +1198,7 @@ func (s *System) Instances(physical int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.instances == nil {
-		if !s.top.Graph.HasVertex(physical) {
+		if !s.gpus.Has(physical) {
 			return nil
 		}
 		return []int{physical}
@@ -1096,7 +1212,7 @@ func (s *System) InstanceFraction(v int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fractions == nil {
-		if s.top.Graph.HasVertex(v) {
+		if s.gpus.Has(v) {
 			return 1
 		}
 		return 0
@@ -1104,8 +1220,14 @@ func (s *System) InstanceFraction(v int) float64 {
 	return s.fractions[v]
 }
 
-// Matrix renders the machine's nvidia-smi-style link matrix.
-func (s *System) Matrix() string { return s.top.Matrix() }
+// Matrix renders the machine's nvidia-smi-style link matrix; empty
+// for a fleet above FleetFlattenLimit, which has no flat machine.
+func (s *System) Matrix() string {
+	if s.top == nil {
+		return ""
+	}
+	return s.top.Matrix()
+}
 
 // Job is one simulated job. Workload must name a built-in workload
 // model; zero Iters uses the workload default.

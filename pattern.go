@@ -6,7 +6,6 @@ import (
 
 	"mapa/internal/appgraph"
 	"mapa/internal/graph"
-	"mapa/internal/policy"
 	"mapa/internal/trace"
 )
 
@@ -96,29 +95,12 @@ func (p *Pattern) NumEdges() int { return p.g.NumEdges() }
 func (p *Pattern) DOT() string { return p.g.DOT("pattern") }
 
 // AllocatePattern leases GPUs for an explicit communication pattern,
-// e.g. one extracted from a trace. It behaves like Allocate otherwise.
+// e.g. one extracted from a trace. It behaves like Allocate otherwise:
+// the lease is journaled, published to every view stream and released
+// with Release.
 func (s *System) AllocatePattern(p *Pattern, sensitive bool) (*Lease, error) {
 	if p == nil || p.g.NumVertices() == 0 {
 		return nil, fmt.Errorf("mapa: empty pattern")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	alloc, err := s.alloc.Allocate(s.top, s.usable, policy.Request{Pattern: p.g, Sensitive: sensitive})
-	if err != nil {
-		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", p.NumGPUs(), err)
-	}
-	for _, g := range alloc.GPUs {
-		s.usable.Unset(g)
-	}
-	s.views.Allocate(alloc.GPUs)
-	s.nextID++
-	lease := &Lease{
-		ID:          s.nextID,
-		GPUs:        alloc.GPUs,
-		EffBW:       alloc.Scores.EffBW,
-		AggBW:       alloc.Scores.AggBW,
-		PreservedBW: alloc.Scores.PreservedBW,
-	}
-	s.leases[lease.ID] = alloc.GPUs
-	return lease, nil
+	return s.allocate(nil, JobRequest{NumGPUs: p.NumGPUs(), Sensitive: sensitive}, p.g)
 }

@@ -200,13 +200,14 @@ func TestLeaseGPUsDoNotAliasInternalRecord(t *testing.T) {
 
 // hammerSystem runs goroutines×opsEach of mixed Allocate / Release /
 // MarkUnhealthy / Restore traffic — some through per-tenant handles —
-// against a System under the race detector, records the observed
-// linearization via the onCommit hook, then replays that linearization
-// into a fresh System and asserts every decision reproduces
-// byte-identically and the final states match field-exactly.
-func hammerSystem(t *testing.T, topo string, warm, tenants, goroutines, opsEach, maxSize int) {
+// against a System from build under the race detector, records the
+// observed linearization via the onCommit hook, then replays that
+// linearization into a fresh System from build and asserts every
+// decision reproduces byte-identically and the final states match
+// field-exactly. It returns the hammered System.
+func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutines, opsEach, maxSize int) *System {
 	t.Helper()
-	s, err := NewSystem(topo, "preserve", WithWarmShapes(warm))
+	s, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func hammerSystem(t *testing.T, topo string, warm, tenants, goroutines, opsEach,
 	// Replay the observed linearization into a fresh System. Decisions
 	// are deterministic functions of state, so the replay must
 	// reproduce every committed allocation byte-identically...
-	r, err := NewSystem(topo, "preserve", WithWarmShapes(warm))
+	r, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +332,13 @@ func hammerSystem(t *testing.T, topo string, warm, tenants, goroutines, opsEach,
 	}
 	r.mu.Unlock()
 	s.mu.Unlock()
+	checkAvailInvariant(t, s, "hammered")
+	checkAvailInvariant(t, r, "replayed")
 
 	if t.Failed() {
 		t.Logf("linearization had %d committed ops", len(log))
 	}
+	return s
 }
 
 // TestConcurrentHammerDGXA100 is the single-server hammer: heavy mixed
@@ -345,7 +349,9 @@ func TestConcurrentHammerDGXA100(t *testing.T) {
 	if testing.Short() {
 		ops = 15
 	}
-	hammerSystem(t, "dgx-a100", 4, 3, 8, ops, 4)
+	hammerSystem(t, func() (*System, error) {
+		return NewSystem("dgx-a100", "preserve", WithWarmShapes(4))
+	}, 3, 8, ops, 4)
 }
 
 // TestConcurrentHammerClusterA100 runs the same oracle on the 72-GPU
@@ -355,7 +361,31 @@ func TestConcurrentHammerClusterA100(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	hammerSystem(t, "cluster-a100", 3, 2, 6, 12, 3)
+	hammerSystem(t, func() (*System, error) {
+		return NewSystem("cluster-a100", "preserve", WithWarmShapes(3))
+	}, 2, 6, 12, 3)
+}
+
+// TestConcurrentHammerFleet runs the same oracle on a 2-node DGX-A100
+// fleet System: hierarchical template decisions on the System's and
+// the tenants' fleet streams, the flat fallback when no node can host
+// a request (up to 5 GPUs on 8-GPU nodes), and health churn — one
+// lease table, replayed byte-identically.
+func TestConcurrentHammerFleet(t *testing.T) {
+	ops := 40
+	if testing.Short() {
+		ops = 12
+	}
+	for _, pol := range []string{"greedy", "preserve"} {
+		t.Run(pol, func(t *testing.T) {
+			s := hammerSystem(t, func() (*System, error) {
+				return NewFleetSystem("dgx-a100", 2, pol, WithWarmShapes(4))
+			}, 2, 6, ops, 5)
+			if st := s.CacheStats(); st.FleetServed == 0 {
+				t.Fatalf("no hammered decision took the template path: %+v", st)
+			}
+		})
+	}
 }
 
 // TestAllocateBatchMatchesSequential pins the coalescing primitive's

@@ -1,6 +1,7 @@
 package mapa
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -512,6 +513,14 @@ func TestSystemFailedMutationsLeaveStateIdentical(t *testing.T) {
 		{"degrade NaN bw", func() error { return subject.DegradeLink(0, 1, math.NaN()) }},
 		{"degrade +Inf bw", func() error { return subject.DegradeLink(0, 1, math.Inf(1)) }},
 		{"degrade -Inf bw", func() error { return subject.DegradeLink(0, 1, math.Inf(-1)) }},
+		{"degrade fractional bw", func() error {
+			err := subject.DegradeLink(0, 1, 12.5)
+			if !errors.Is(err, ErrFractionalBandwidth) {
+				t.Errorf("DegradeLink(12.5) = %v, want ErrFractionalBandwidth", err)
+			}
+			return err
+		}},
+		{"degrade tiny fractional bw", func() error { return subject.DegradeLink(0, 1, 1e-9) }},
 		{"repartition unknown GPU", func() error { return subject.Repartition(map[int]int{42: 2}) }},
 		{"repartition out of range", func() error { return subject.Repartition(map[int]int{0: 9}) }},
 		{"repartition leased GPU", func() error {

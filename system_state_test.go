@@ -5,19 +5,26 @@ import (
 	"math/rand"
 	"testing"
 
+	"mapa/internal/graph"
 	"mapa/internal/matchcache"
 )
 
 // checkAvailInvariant asserts the soundness contract of the System's
-// one hardware-state mask: usable is exactly the topology's vertices
-// minus the leased and the unhealthy GPUs, and every live-view stream
-// bound to the System — its own and each tenant's — tracks that same
-// mask, after any interleaving of operations.
+// one hardware-state mask: usable is exactly the machine's GPUs minus
+// the leased and the unhealthy ones, and every live-view stream bound
+// to the System — its own and each tenant's, flat and fleet — tracks
+// that same mask, after any interleaving of operations.
 func checkAvailInvariant(t *testing.T, s *System, step string) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := s.top.Graph.VertexBitset()
+	if s.top != nil && !s.gpus.Equal(s.top.Graph.VertexBitset()) {
+		t.Fatalf("%s: GPU mask %v is not the topology's vertices", step, s.gpus.Members())
+	}
+	if s.fleet != nil && s.gpus.Count() != s.fleet.NumGPUs() {
+		t.Fatalf("%s: GPU mask holds %d GPUs, fleet has %d", step, s.gpus.Count(), s.fleet.NumGPUs())
+	}
+	want := s.gpus.Clone()
 	for _, gpus := range s.leases {
 		for _, g := range gpus {
 			want.Unset(g)
@@ -31,15 +38,26 @@ func checkAvailInvariant(t *testing.T, s *System, step string) {
 			step, s.usable.Members(), want.Members())
 	}
 	streams := []*matchcache.Views{s.views}
+	fleetStreams := []*matchcache.FleetViews{s.fviews}
 	for _, tn := range s.tenants {
 		streams = append(streams, tn.views)
+		fleetStreams = append(fleetStreams, tn.fviews)
 	}
 	for i, v := range streams {
-		if v != nil && !v.Usable().Equal(want) {
+		if v != nil && !sameMembers(v.Usable(), want) {
 			t.Fatalf("%s: view stream %d tracks %v, usable is %v", step, i, v.Usable().Members(), want.Members())
 		}
 	}
+	for i, v := range fleetStreams {
+		if v != nil && !v.Usable().Equal(want) {
+			t.Fatalf("%s: fleet view stream %d tracks %v, usable is %v", step, i, v.Usable().Members(), want.Members())
+		}
+	}
 }
+
+// sameMembers reports whether two masks hold the same GPUs, whatever
+// their word lengths.
+func sameMembers(a, b graph.Bitset) bool { return a.SubsetOf(b) && b.SubsetOf(a) }
 
 // TestSystemAllocateReleaseInterleavingKeepsInducedSubgraph drives a
 // System through out-of-order allocate/release interleavings and

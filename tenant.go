@@ -10,11 +10,13 @@ import (
 // Tenant is one client's serving handle on a shared System — the unit
 // of multi-tenant isolation the mapad daemon hands out. Every tenant
 // decides with its own allocator instance bound to its own live-view
-// stream (matchcache.Views) over the System's one shared universe
-// store: universes and score tables — the expensive, state-independent
-// precomputation — are built once per machine, while the per-stream
-// candidate views and Eq. 3 bandwidth accounting are maintained per
-// tenant from the deltas the System fans out on every state change.
+// stream (matchcache.Views, plus a matchcache.FleetViews on a fleet)
+// over the System's one shared universe store: universes and score
+// tables — the expensive, state-independent precomputation — are built
+// once per machine (once per node class on a fleet), while the
+// per-stream candidate views and Eq. 3 bandwidth accounting are
+// maintained per tenant from the deltas the System fans out on every
+// state change.
 //
 // Decisions are byte-identical whichever handle makes them — a
 // tenant's allocator is configured exactly like the System's — so
@@ -30,10 +32,11 @@ type Tenant struct {
 	s  *System
 	id int
 
-	// alloc and views are guarded by s.mu: Repartition rebinds them to
-	// the post-re-cut pipeline while holding it.
-	alloc policy.Allocator
-	views *matchcache.Views
+	// alloc and the view streams are guarded by s.mu: Repartition
+	// rebinds them to the post-re-cut pipeline while holding it.
+	alloc  policy.Allocator
+	views  *matchcache.Views
+	fviews *matchcache.FleetViews // nil on a flat System
 }
 
 // NewTenant registers a new tenant stream on the System. The tenant's
@@ -63,18 +66,20 @@ func (s *System) NewTenant() (*Tenant, error) {
 }
 
 // bindTenantLocked (re)wires a tenant to the System's current match
-// pipeline: shared scorer and universe store, plus a fresh per-tenant
-// view stream replayed to the live state. Called at
-// registration and again by Repartition, which swaps the pipeline.
+// pipeline: shared scorer and universe stores, plus fresh per-tenant
+// view streams replayed to the live state. Called at registration and
+// again by Repartition, which swaps the pipeline.
 func (s *System) bindTenantLocked(t *Tenant) {
 	policy.SetScorer(t.alloc, s.scorer)
 	policy.AttachUniverses(t.alloc, s.store)
 	t.views = nil
 	if s.store != nil {
 		t.views = s.store.NewViews()
-		s.replayViewsLocked(t.views)
 	}
+	t.fviews = s.fstore.NewFleetViews()
+	s.replayViewsLocked(t.views, t.fviews)
 	policy.AttachViews(t.alloc, t.views)
+	policy.AttachFleet(t.alloc, t.fviews)
 }
 
 // ID returns the tenant's System-unique registration number.
@@ -85,7 +90,7 @@ func (t *Tenant) ID() int { return t.id }
 // cold-shape builds run outside the decision lock, and the returned
 // lease is valid with any handle on the System.
 func (t *Tenant) Allocate(req JobRequest) (*Lease, error) {
-	return t.s.allocate(t, req)
+	return t.s.allocate(t, req, nil)
 }
 
 // Release returns a lease's GPUs to the free pool (System.Release).
@@ -99,16 +104,19 @@ func (t *Tenant) Renew(id int, ttl time.Duration) (int64, error) { return t.s.Re
 // Close unregisters the tenant: its view stream stops receiving
 // deltas and becomes collectable. Releasing the tenant's leases is the
 // caller's responsibility; they remain valid via the System. Allocate
-// on a closed tenant still decides correctly: Views.SelectLive
-// cross-checks the request against the stream it tracked, so a stream
-// that stopped receiving deltas declines and the decision is a fresh
-// search, never one over stale candidates.
+// on a closed tenant still decides correctly: Views.SelectLive and
+// FleetViews.SelectNodes cross-check the request's mask against the
+// stream they tracked, so a stream that stopped receiving deltas
+// declines and the decision falls to a fresh search (or, on a fleet too
+// large to flatten, to ErrNoAllocation), never one over stale
+// candidates.
 func (t *Tenant) Close() {
 	s := t.s
 	s.mu.Lock()
 	if _, bound := s.tenants[t.id]; bound {
 		delete(s.tenants, t.id)
 		s.closedViewStats = addViewStats(s.closedViewStats, t.views.Stats())
+		s.closedFleetStats = addViewStats(s.closedFleetStats, t.fviews.Stats())
 	}
 	s.mu.Unlock()
 }
