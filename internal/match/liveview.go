@@ -12,16 +12,19 @@ import (
 // availability state, updated incrementally as GPUs are allocated and
 // released instead of rescanned per decision.
 //
-// The structure inverts the universe: for every data vertex it holds a
-// posting list of the embedding indices whose vertex set contains it,
-// and for every embedding a counter of how many of its vertices are
-// currently unusable. Allocating k GPUs walks exactly k posting
-// lists incrementing counters (and vice versa for a release), so the
-// maintenance cost scales with the allocate/release delta — the sum of
-// the touched posting lists — not with |universe| the way
-// Universe.Filter does. An embedding is live exactly when its blocked
-// counter is zero; live indices are additionally mirrored in a bitset
-// so Candidates serves the list with a word-wise scan.
+// The structure inverts the universe over its distinct vertex sets
+// (Universe.SetOf): an embedding is live exactly when its set lies in
+// the usable set, so liveness is tracked once per set, however many
+// embeddings share it. For every data vertex the view holds a posting
+// list of the set indices containing it, and for every set a counter of
+// how many of its vertices are currently unusable. Allocating k GPUs
+// walks exactly k posting lists incrementing counters (and vice versa
+// for a release), so the maintenance cost scales with the
+// allocate/release delta — the sum of the touched posting lists — not
+// with |universe| the way Universe.Filter does. A set is live exactly
+// when its blocked counter is zero; live set indices are mirrored in a
+// bitset (LiveSets) that selection walks directly, and an embedding is
+// live exactly when its set is (Live).
 //
 // Health is a second mask layered on the same machinery: a GPU marked
 // unhealthy (MarkUnhealthy) stays visible in the view but becomes
@@ -34,23 +37,22 @@ import (
 // the counters: the two masks commute and every interleaving of
 // allocation and health events lands in the same state.
 //
-// Order is preserved by construction: posting-list maintenance never
-// reorders anything, and the live bitset iterates in ascending
-// embedding index — the universe's enumeration order. Candidates is
-// therefore byte-identical to Universe.Filter on the equivalent mask,
-// which is itself byte-identical to a fresh sequential search on the
-// induced subgraph.
+// Order is preserved by construction: Candidates walks the embeddings
+// in ascending index — the universe's enumeration order — keeping those
+// whose set is live, so it is byte-identical to Universe.Filter on the
+// equivalent mask, which is itself byte-identical to a fresh sequential
+// search on the induced subgraph.
 //
 // A LiveView tracks one availability-state stream and is not safe for
 // concurrent use; callers (matchcache.Views) serialize access.
 type LiveView struct {
 	u        *Universe
-	postings [][]int32    // data vertex ID -> ascending embedding indices containing it
-	blocked  []int32      // embedding index -> count of its vertices currently unusable
+	postings [][]int32    // data vertex ID -> ascending set indices containing it
+	blocked  []int32      // set index -> count of its vertices currently unusable
 	avail    graph.Bitset // free set (allocation state)
 	healthy  graph.Bitset // health mask (topology state); usable = avail AND healthy
-	live     graph.Bitset // embedding indices with blocked == 0
-	liveLen  int
+	live     graph.Bitset // set indices with blocked == 0
+	liveLen  int          // live embeddings: the summed SetLen of the live sets
 }
 
 // wedge is one weighted adjacency entry of the bandwidth accounting.
@@ -315,11 +317,11 @@ func (a *BandwidthAccounting) PreservedBW(internal float64, gpus []int) float64 
 // NewLiveView builds the live view of u on an initial availability
 // state: free holds the currently available data vertices (vertices
 // beyond the universe's capacity are irrelevant — no embedding can
-// contain them). Building costs one pass over the universe's vertex
-// sets; afterwards maintenance is delta-proportional. The universe
-// must be complete — an incomplete universe cannot soundly answer any
-// availability state — and NewLiveView panics otherwise, mirroring
-// Filter.
+// contain them). Building costs one pass over the universe's distinct
+// vertex sets; afterwards maintenance is delta-proportional. The
+// universe must be complete — an incomplete universe cannot soundly
+// answer any availability state — and NewLiveView panics otherwise,
+// mirroring Filter.
 func NewLiveView(u *Universe, free graph.Bitset) *LiveView {
 	if !u.Complete() {
 		panic("match: LiveView over an incomplete universe")
@@ -327,10 +329,10 @@ func NewLiveView(u *Universe, free graph.Bitset) *LiveView {
 	lv := &LiveView{
 		u:        u,
 		postings: make([][]int32, u.Capacity()),
-		blocked:  make([]int32, u.Len()),
+		blocked:  make([]int32, u.Sets()),
 		avail:    graph.NewBitset(u.Capacity()),
 		healthy:  graph.NewBitset(u.Capacity()),
-		live:     graph.NewBitset(u.Len()),
+		live:     graph.NewBitset(u.Sets()),
 	}
 	lv.healthy.Fill(u.Capacity())
 	for v := 0; v < u.Capacity(); v++ {
@@ -338,17 +340,17 @@ func NewLiveView(u *Universe, free graph.Bitset) *LiveView {
 			lv.avail.Set(v)
 		}
 	}
-	for i := 0; i < u.Len(); i++ {
-		u.Set(i).ForEach(func(v int) bool {
-			lv.postings[v] = append(lv.postings[v], int32(i))
+	for s := 0; s < u.Sets(); s++ {
+		u.Set(u.SetFirst(s)).ForEach(func(v int) bool {
+			lv.postings[v] = append(lv.postings[v], int32(s))
 			if !lv.avail.Has(v) {
-				lv.blocked[i]++
+				lv.blocked[s]++
 			}
 			return true
 		})
-		if lv.blocked[i] == 0 {
-			lv.live.Set(i)
-			lv.liveLen++
+		if lv.blocked[s] == 0 {
+			lv.live.Set(s)
+			lv.liveLen += u.SetLen(s)
 		}
 	}
 	return lv
@@ -374,7 +376,7 @@ func (lv *LiveView) Healthy(v int) bool {
 }
 
 // Allocate marks the given data vertices unavailable, deactivating
-// exactly the embeddings on their posting lists. Vertices outside the
+// exactly the sets on their posting lists. Vertices outside the
 // universe's capacity are ignored (no embedding contains them).
 // Allocating an already-unavailable vertex panics: it means the
 // publisher's availability stream has diverged from the view's, which
@@ -395,9 +397,9 @@ func (lv *LiveView) Allocate(gpus []int) {
 }
 
 // Release marks the given data vertices available again, reactivating
-// every embedding whose last blocker they were. Releasing an
+// every set whose last blocker they were. Releasing an
 // already-available vertex panics, like Allocate. An unhealthy vertex
-// rejoins only the free mask — its embeddings stay blocked until
+// rejoins only the free mask — its sets stay blocked until
 // RestoreHealth.
 func (lv *LiveView) Release(gpus []int) {
 	for _, g := range gpus {
@@ -415,9 +417,9 @@ func (lv *LiveView) Release(gpus []int) {
 }
 
 // MarkUnhealthy marks the given data vertices unhealthy — a topology
-// delta, deactivating exactly the embeddings on their posting lists
-// when the vertex was free (an allocated vertex's embeddings are
-// already blocked). Vertices outside the universe's capacity are
+// delta, deactivating exactly the sets on their posting lists when
+// the vertex was free (an allocated vertex's sets are already
+// blocked). Vertices outside the universe's capacity are
 // ignored; marking an already-unhealthy vertex panics, mirroring
 // Allocate's stream-divergence check.
 func (lv *LiveView) MarkUnhealthy(gpus []int) {
@@ -456,10 +458,11 @@ func (lv *LiveView) RestoreHealth(gpus []int) {
 // Sync moves the view to the availability state given as two masks —
 // free (allocation state) and unhealthy (set bit = unhealthy), both
 // indexed by data vertex ID — and returns the number of posting-list
-// entries it walked. The blocked counters are a pure function of the
-// usable set (free AND healthy), so the view lands in exactly the
-// state replaying the intervening Allocate/Release/MarkUnhealthy/
-// RestoreHealth deltas one by one would have produced, while walking
+// entries (set indices) it walked. The blocked counters are a pure
+// function of the usable set (free AND healthy), so the view lands in
+// exactly the state replaying the intervening Allocate/Release/
+// MarkUnhealthy/RestoreHealth deltas one by one would have produced,
+// while walking
 // posting lists only for vertices whose usability differs from the
 // view's: deltas that cancelled since the last Sync (an allocation
 // released again, a lease released on a failed GPU) cost nothing.
@@ -496,22 +499,22 @@ func (lv *LiveView) Sync(free, unhealthy graph.Bitset) (walked int) {
 
 // block walks g's posting list for a usable→unusable transition.
 func (lv *LiveView) block(g int) {
-	for _, i := range lv.postings[g] {
-		lv.blocked[i]++
-		if lv.blocked[i] == 1 {
-			lv.live.Unset(int(i))
-			lv.liveLen--
+	for _, s := range lv.postings[g] {
+		lv.blocked[s]++
+		if lv.blocked[s] == 1 {
+			lv.live.Unset(int(s))
+			lv.liveLen -= int(lv.u.setLen[s])
 		}
 	}
 }
 
 // unblock walks g's posting list for an unusable→usable transition.
 func (lv *LiveView) unblock(g int) {
-	for _, i := range lv.postings[g] {
-		lv.blocked[i]--
-		if lv.blocked[i] == 0 {
-			lv.live.Set(int(i))
-			lv.liveLen++
+	for _, s := range lv.postings[g] {
+		lv.blocked[s]--
+		if lv.blocked[s] == 0 {
+			lv.live.Set(int(s))
+			lv.liveLen += int(lv.u.setLen[s])
 		}
 	}
 }
@@ -520,8 +523,8 @@ func (lv *LiveView) unblock(g int) {
 // truncated to the first max (max <= 0: unlimited); truncated reports
 // whether further live embeddings exist beyond the cap. The result is
 // byte-identical to Universe.Filter with the tracked availability
-// mask — same indices, same order, same truncation behavior — without
-// the O(|universe|) subset scan.
+// mask — same indices, same order, same truncation behavior — with one
+// bit probe per embedding instead of a subset test.
 func (lv *LiveView) Candidates(max int) (idx []int, truncated bool) {
 	n := lv.liveLen
 	if max > 0 && n > max {
@@ -531,23 +534,19 @@ func (lv *LiveView) Candidates(max int) (idx []int, truncated bool) {
 		return nil, truncated
 	}
 	idx = make([]int, 0, n)
-	lv.live.ForEach(func(i int) bool {
-		idx = append(idx, i)
-		return len(idx) < n
-	})
+	for i := 0; len(idx) < n; i++ {
+		if lv.Live(i) {
+			idx = append(idx, i)
+		}
+	}
 	return idx, truncated
 }
 
-// ForEachLive invokes fn for every live embedding index in enumeration
-// order. Return false from fn to stop early.
-func (lv *LiveView) ForEachLive(fn func(i int) bool) {
-	lv.live.ForEach(fn)
-}
-
-// LiveSet returns the bitset of live embedding indices. READ-ONLY, and
-// only valid until the next delta; callers iterate it directly to walk
-// live candidates without closure dispatch.
-func (lv *LiveView) LiveSet() graph.Bitset { return lv.live }
+// LiveSets returns the bitset of live vertex-set indices (see
+// Universe.SetOf). READ-ONLY, and only valid until the next delta;
+// selection iterates it directly to walk the live sets without closure
+// dispatch.
+func (lv *LiveView) LiveSets() graph.Bitset { return lv.live }
 
 // Live reports whether embedding index i is currently live.
-func (lv *LiveView) Live(i int) bool { return lv.live.Has(i) }
+func (lv *LiveView) Live(i int) bool { return lv.live.Has(lv.u.SetOf(i)) }

@@ -45,7 +45,8 @@ func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *gr
 		}
 	}
 	// Every live candidate's Eq. 3 must equal the remainder weight.
-	lv.ForEachLive(func(i int) bool {
+	live, _ := lv.Candidates(0)
+	for _, i := range live {
 		gpus := lv.Universe().Match(i).DataVertices()
 		var internal float64
 		for a, g := range gpus {
@@ -56,8 +57,7 @@ func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *gr
 		if got, want := bw.PreservedBW(internal, gpus), avail.WeightWithout(gpus); got != want {
 			t.Fatalf("%s: PreservedBW(%v) = %g, want %g", step, gpus, got, want)
 		}
-		return true
-	})
+	}
 }
 
 // TestWeightedLiveViewChurnOracle churns a live view and the bandwidth

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,15 +9,15 @@ import (
 )
 
 // sameViewState asserts two views over one universe hold identical
-// state: masks, per-embedding blocked counters, live set and count.
+// state: masks, per-set blocked counters, live sets and count.
 func sameViewState(t *testing.T, step string, got, want *LiveView) {
 	t.Helper()
 	if !got.avail.Equal(want.avail) || !got.healthy.Equal(want.healthy) {
 		t.Fatalf("%s: masks differ: avail %v/%v healthy %v/%v", step, got.avail, want.avail, got.healthy, want.healthy)
 	}
-	for i := range want.blocked {
-		if got.blocked[i] != want.blocked[i] {
-			t.Fatalf("%s: embedding %d blocked %d times, want %d", step, i, got.blocked[i], want.blocked[i])
+	for s := range want.blocked {
+		if got.blocked[s] != want.blocked[s] {
+			t.Fatalf("%s: set %d blocked %d times, want %d", step, s, got.blocked[s], want.blocked[s])
 		}
 	}
 	if !got.live.Equal(want.live) || got.Len() != want.Len() {
@@ -24,13 +25,49 @@ func sameViewState(t *testing.T, step string, got, want *LiveView) {
 	}
 }
 
+// setPostings derives from the embeddings alone what a change of each
+// data vertex's usability must cost a view: the number of distinct
+// vertex sets among the embeddings containing it.
+func setPostings(u *Universe) []int {
+	sets := make([]map[string]bool, u.Capacity())
+	for i := 0; i < u.Len(); i++ {
+		members := u.Set(i).Members()
+		key := fmt.Sprint(members)
+		for _, v := range members {
+			if sets[v] == nil {
+				sets[v] = make(map[string]bool)
+			}
+			sets[v][key] = true
+		}
+	}
+	out := make([]int, u.Capacity())
+	for v, s := range sets {
+		out[v] = len(s)
+	}
+	return out
+}
+
+// changedPostings is the Sync cost of moving from usable mask was to
+// is: the set postings of every vertex whose usability differs.
+func changedPostings(perVertex []int, was, is graph.Bitset) int {
+	n := 0
+	for g, p := range perVertex {
+		if was.Has(g) != is.Has(g) {
+			n += p
+		}
+	}
+	return n
+}
+
 // TestLiveViewSyncMatchesEagerReplay is the Sync oracle: random
 // interleavings of allocate, release, mark-unhealthy and restore are
 // replayed delta by delta into one view and only accumulated as masks
 // for another, which syncs at random intervals. After every sync the
 // two — and a view rebuilt from scratch on the masks — must be
-// state-identical, and Sync must have walked exactly the posting lists
-// of the vertices whose usability changed since its previous call.
+// state-identical, and Sync must have walked exactly the set postings
+// of the vertices whose usability changed since its previous call. The
+// pattern is Ring(4), three embeddings per vertex set, so a walk over
+// embeddings instead of sets would be caught.
 func TestLiveViewSyncMatchesEagerReplay(t *testing.T) {
 	// Sparse IDs spanning two mask words.
 	const n, stride = 10, 9
@@ -41,7 +78,8 @@ func TestLiveViewSyncMatchesEagerReplay(t *testing.T) {
 		}
 	}
 	data.RemoveEdge(0, 4*stride)
-	u := BuildUniverse(ringPattern(3), data, 0, 1)
+	u := BuildUniverse(ringPattern(4), data, 0, 1)
+	perVertex := setPostings(u)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		free := data.VertexBitset()
@@ -73,12 +111,7 @@ func TestLiveViewSyncMatchesEagerReplay(t *testing.T) {
 			}
 			usable := free.Clone()
 			usable.AndNot(unhealthy)
-			wantWalked := 0
-			for g := 0; g < u.Capacity(); g++ {
-				if usable.Has(g) != usableAtSync.Has(g) {
-					wantWalked += len(synced.postings[g])
-				}
-			}
+			wantWalked := changedPostings(perVertex, usableAtSync, usable)
 			usableAtSync = usable
 			if walked := synced.Sync(free, unhealthy); walked != wantWalked {
 				t.Fatalf("seed %d step %d: Sync walked %d postings, the changed vertices hold %d", seed, step, walked, wantWalked)

@@ -183,12 +183,16 @@ func TestLiveViewSparseVertexIDs(t *testing.T) {
 // incrementally maintained candidate list must equal both, unlimited
 // and capped. A third view sees none of the deltas and catches up by
 // Sync at input-chosen points; whenever it does it must equal the
-// delta-maintained view.
+// delta-maintained view, having walked exactly the set postings of the
+// vertices whose usability changed since its previous Sync.
 func FuzzLiveViewDelta(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(8), uint8(200), uint8(1), []byte{0, 3, 5, 0, 3})
 	f.Add(int64(2), uint8(4), uint8(9), uint8(255), uint8(2), []byte{1, 1, 2, 2, 7, 7})
 	f.Add(int64(3), uint8(2), uint8(6), uint8(128), uint8(1), []byte{5, 4, 3, 2, 1, 0})
 	f.Add(int64(4), uint8(5), uint8(10), uint8(230), uint8(3), []byte{9, 9, 8, 0, 8, 9})
+	// Ring(4) on K5 (seed 149 draws a 4-cycle): three embeddings share
+	// each of the five vertex sets.
+	f.Add(int64(149), uint8(2), uint8(1), uint8(255), uint8(0), []byte{0, 11, 1, 2, 13, 0, 1, 12, 2, 4})
 	f.Fuzz(func(t *testing.T, seed int64, pn, dn, dp, stride uint8, ops []byte) {
 		patternN := 2 + int(pn)%4 // 2..5
 		dataN := 4 + int(dn)%8    // 4..11
@@ -205,9 +209,11 @@ func FuzzLiveViewDelta(f *testing.F) {
 			}
 		}
 		u := BuildUniverse(pattern, data, 0, 1)
+		perVertex := setPostings(u)
 		free := data.VertexBitset()
 		lv := NewLiveView(u, free)
 		synced := NewLiveView(u, free)
+		freeAtSync := free.Clone()
 		unhealthy := graph.NewBitset(u.Capacity())
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -222,7 +228,11 @@ func FuzzLiveViewDelta(f *testing.F) {
 				lv.Release([]int{v})
 			}
 			if (int(op)/dataN)%2 == 0 {
-				synced.Sync(free, unhealthy)
+				want := changedPostings(perVertex, freeAtSync, free)
+				if walked := synced.Sync(free, unhealthy); walked != want {
+					t.Fatalf("Sync walked %d postings, the changed vertices hold %d", walked, want)
+				}
+				freeAtSync = free.Clone()
 				sameViewState(t, "sync leg", synced, lv)
 			}
 			oracle := NewLiveView(u, free)

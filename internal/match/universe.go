@@ -1,6 +1,7 @@
 package match
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"mapa/internal/graph"
@@ -45,6 +46,14 @@ func Filters() uint64 { return filters.Load() }
 // object count is O(1) instead of O(candidates) — for the 59,640-class
 // cluster universe this removes ~120k small objects from GC scan work
 // — and Match/Set return subslices of the arenas without allocating.
+//
+// Embeddings are also grouped by vertex set — in MAPA, by GPU set:
+// several embeddings of one pattern can occupy the same vertex set (a
+// Ring(4) has three on any four GPUs of a complete machine), and
+// whether an embedding survives on an availability state depends on
+// its set alone. Sets are numbered in
+// first-occurrence order; SetOf, SetFirst and SetLen relate the two
+// index spaces, and LiveView maintains liveness per set.
 type Universe struct {
 	order    []int    // match order: the Pattern slice shared by all matches
 	keys     []string // per-match canonical keys
@@ -55,6 +64,10 @@ type Universe struct {
 	wp       int      // words per bitset: (capacity+63)/64
 	capacity int      // bitset capacity: max data-vertex ID + 1
 	complete bool
+
+	setOf    []int32 // match -> index of its vertex set
+	setFirst []int32 // vertex set -> its first match in enumeration order
+	setLen   []int32 // vertex set -> number of matches occupying it
 }
 
 // BuildUniverse enumerates every deduplicated embedding of pattern
@@ -107,12 +120,29 @@ func assembleUniverse(data *graph.Graph, ms []Match, keys []string, max int) *Un
 	}
 	u.data = make([]int, u.n*u.k)
 	u.setWords = make([]uint64, u.n*u.wp)
+	u.setOf = make([]int32, u.n)
+	// Sets are grouped by their bitset words, serialized into one reused
+	// key buffer (a lookup through string(key) does not allocate).
+	sets := make(map[string]int32)
+	key := make([]byte, 8*u.wp)
 	for i, m := range ms {
 		copy(u.data[i*u.k:(i+1)*u.k], m.Data)
 		b := graph.Bitset(u.setWords[i*u.wp : (i+1)*u.wp])
 		for _, v := range m.Data {
 			b.Set(v)
 		}
+		for w, x := range b {
+			binary.LittleEndian.PutUint64(key[8*w:], x)
+		}
+		s, ok := sets[string(key)]
+		if !ok {
+			s = int32(len(u.setFirst))
+			sets[string(key)] = s
+			u.setFirst = append(u.setFirst, int32(i))
+			u.setLen = append(u.setLen, 0)
+		}
+		u.setOf[i] = s
+		u.setLen[s]++
 	}
 	return u
 }
@@ -149,6 +179,21 @@ func (u *Universe) Key(i int) string { return u.keys[i] }
 func (u *Universe) Set(i int) graph.Bitset {
 	return graph.Bitset(u.setWords[i*u.wp : (i+1)*u.wp : (i+1)*u.wp])
 }
+
+// Sets returns the number of distinct vertex sets the representatives
+// occupy.
+func (u *Universe) Sets() int { return len(u.setFirst) }
+
+// SetOf returns the index of representative i's vertex set. Sets are
+// numbered in order of first occurrence in the enumeration.
+func (u *Universe) SetOf(i int) int { return int(u.setOf[i]) }
+
+// SetFirst returns the first representative, in enumeration order,
+// occupying vertex set s.
+func (u *Universe) SetFirst(s int) int { return int(u.setFirst[s]) }
+
+// SetLen returns how many representatives occupy vertex set s.
+func (u *Universe) SetLen(s int) int { return int(u.setLen[s]) }
 
 // Filter returns the indices of the representatives whose data
 // vertices all lie in mask, in enumeration order, truncated to the

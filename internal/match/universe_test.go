@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"testing"
 
 	"mapa/internal/graph"
@@ -228,5 +229,60 @@ func TestFiltersCounterAdvancesOnFullScansOnly(t *testing.T) {
 	lv.Candidates(0)
 	if Filters() != mid {
 		t.Fatal("live-view maintenance and candidate serving must not scan the universe")
+	}
+}
+
+// TestUniverseGroupsEmbeddingsBySet pins the set index behind the live
+// views and score tables: every embedding maps to the set with its
+// exact vertex bitset, distinct sets have distinct bitsets, sets are
+// numbered in first-occurrence order, and the per-set counts add up —
+// on Ring(4) over K6 (three embeddings per set) and on a sparse
+// two-word graph.
+func TestUniverseGroupsEmbeddingsBySet(t *testing.T) {
+	sparse := graph.New()
+	ids := []int{3, 40, 63, 64, 70, 130}
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			sparse.MustAddEdge(ids[i], ids[j], 1, 0)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		u       *Universe
+		perSet  int
+		setsNum int
+	}{
+		{"ring4/K6", BuildUniverse(ringPattern(4), completeData(6), 0, 1), 3, 15},
+		{"ring3/sparse", BuildUniverse(ringPattern(3), sparse, 0, 2), 1, 20},
+	} {
+		u := tc.u
+		if u.Sets() != tc.setsNum || u.Len() != tc.setsNum*tc.perSet {
+			t.Fatalf("%s: %d embeddings on %d sets, want %d on %d", tc.name, u.Len(), u.Sets(), tc.setsNum*tc.perSet, tc.setsNum)
+		}
+		bySet := make(map[string]int)
+		total := 0
+		for s := 0; s < u.Sets(); s++ {
+			first := u.SetFirst(s)
+			if s > 0 && first <= u.SetFirst(s-1) {
+				t.Fatalf("%s: set %d first occurs at %d, before set %d's %d", tc.name, s, first, s-1, u.SetFirst(s-1))
+			}
+			key := fmt.Sprint(u.Set(first).Members())
+			if _, dup := bySet[key]; dup {
+				t.Fatalf("%s: sets %d and %d share vertices %s", tc.name, bySet[key], s, key)
+			}
+			bySet[key] = s
+			if u.SetLen(s) != tc.perSet {
+				t.Fatalf("%s: set %d holds %d embeddings, want %d", tc.name, s, u.SetLen(s), tc.perSet)
+			}
+			total += u.SetLen(s)
+		}
+		if total != u.Len() {
+			t.Fatalf("%s: set counts add to %d, universe holds %d", tc.name, total, u.Len())
+		}
+		for i := 0; i < u.Len(); i++ {
+			if s := bySet[fmt.Sprint(u.Set(i).Members())]; u.SetOf(i) != s || i < u.SetFirst(s) {
+				t.Fatalf("%s: embedding %d maps to set %d, its vertices are set %d's", tc.name, i, u.SetOf(i), s)
+			}
+		}
 	}
 }

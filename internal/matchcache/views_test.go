@@ -1,6 +1,7 @@
 package matchcache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -224,7 +225,12 @@ func TestViewsBuildsMidStream(t *testing.T) {
 // shapes are materialized; a consult walks the postings of the GPUs
 // whose usability changed since that shape's previous consult — for
 // that shape only; and an allocation released again before the next
-// consult costs nothing.
+// consult costs nothing. Posting lists hold GPU sets, not embeddings:
+// a GPU's change costs one entry per distinct set containing it, so the
+// Ring(4) view — three embeddings on every 4-GPU set — walks a third of
+// its embeddings (on the fully connected DGX-V: 21 + 35 entries per
+// GPU for Ring(3) and Ring(4), 112 for GPUs 0 and 3, where per-embedding
+// postings would walk 252).
 func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 	top := topology.DGXV100()
 	views := NewStore(top, 0).NewViews()
@@ -235,15 +241,18 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 			t.Fatal("in-sync consult was rejected")
 		}
 	}
-	// postings is what one GPU's usability change costs a shape's view.
+	// postings is what the GPUs' usability changes cost a shape's view:
+	// per GPU, the distinct GPU sets of the embeddings containing it.
 	postings := func(pattern *graph.Graph, gpus ...int) (n uint64) {
-		lv := views.slots[canon.info(pattern).canon].lv
-		for i := 0; i < lv.Universe().Len(); i++ {
-			for _, g := range gpus {
-				if lv.Universe().Set(i).Has(g) {
-					n++
+		u := views.slots[canon.info(pattern).canon].lv.Universe()
+		for _, g := range gpus {
+			sets := make(map[string]bool)
+			for i := 0; i < u.Len(); i++ {
+				if u.Set(i).Has(g) {
+					sets[fmt.Sprint(u.Set(i).Members())] = true
 				}
 			}
+			n += uint64(len(sets))
 		}
 		return n
 	}
@@ -292,8 +301,8 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 		t.Fatalf("a second consult on an unchanged stream walked %d more postings", views.walked-want)
 	}
 	consult(ring4, busy)
-	if want += postings(ring4, 0, 3); views.walked != want {
-		t.Fatalf("after the ring-4 consult %d postings walked, want %d", views.walked, want)
+	if want += postings(ring4, 0, 3); views.walked != want || want != 112 {
+		t.Fatalf("after the ring-4 consult %d postings walked, want %d (112)", views.walked, want)
 	}
 }
 

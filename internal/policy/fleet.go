@@ -52,14 +52,15 @@ func AttachFleet(a Allocator, fv *matchcache.FleetViews) {
 	}
 }
 
-// fleetMetric is scoredMetric translated to fleet-global values: the
+// fleetMetric is candidateMetric translated to fleet-global values: the
 // state-independent metrics are already global; PreservedBW gains the
 // node's exact translation constant.
 func fleetMetric(nd *matchcache.NodeDecision, mt *score.ModelTable, m metric, i int) float64 {
+	v := candidateMetric(nd.BW, nd.Tbl, mt, m, i)
 	if m == metricPreservedBW {
-		return nd.BW.PreservedBW(nd.Tbl.Internal(i), nd.Tbl.GPUs(i)) + nd.PreservedShift
+		v += nd.PreservedShift
 	}
-	return scoredMetric(nd.BW, nd.Tbl, mt, m, i)
+	return v
 }
 
 // allocateFleetInto runs the hierarchical two-level decision on the

@@ -4,31 +4,43 @@
 // decision never enumerates candidates and never calls score.Scorer
 // dynamically. Eq. 1 (AggBW) and Eq. 2 (EffBW) are state-independent —
 // pure table lookups — and Eq. 3 decomposes into the view's
-// delta-maintained state terms plus the candidate's static
-// internal-edge constant, O(k) arithmetic:
+// delta-maintained state terms plus the GPU set's static internal-edge
+// constant, O(k) arithmetic:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
 //
-// Selection exploits how much of each policy's total order is static:
+// Selection is an argmax over live GPU sets; the embedding is a static
+// per-set choice. Every selection order is lexicographic — primary
+// metric, secondary metric, GPU set, canonical key — and the embeddings
+// of one set tie on EffBW, PreservedBW and the GPU set, differing only
+// in AggBW and the key. So within a set the order's winner is static:
+// the set's AggBW representative (maximum AggBW, then minimum key) when
+// the order ranks AggBW, its key representative (minimum key)
+// otherwise. The overall winner is the best representative of a live
+// set, and since distinct sets differ in their GPU sets, comparing sets
+// never reaches the key. The walk therefore visits each live set once,
+// however many embeddings share it.
 //
-//   - Greedy's entire order (AggBW, EffBW, GPU set, key) is
-//     state-independent, so its winner is the first LIVE candidate in
-//     the precomputed sorted order — no arithmetic at all.
+// Selection also exploits how much of each policy's order is static:
+//
+//   - Greedy's entire order (AggBW, EffBW, GPU set) is
+//     state-independent, so its winner is the representative of the
+//     first LIVE set in the precomputed sorted order — no arithmetic.
 //   - EffBW- and AggBW-primary orders (sensitive Preserve and the
-//     ablations) have a static primary: the first live candidate in the
+//     ablations) have a static primary: the first live set in the
 //     primary-sorted order pins the winning score group — whose extent
 //     is precomputed alongside the order (score.ModelTable.AggGroups/
-//     EffGroups) — and only that group's live members pay the O(k)
-//     Eq. 3 tie-break, with no per-group temporary slices.
+//     EffGroups) — and only that group's live sets pay the O(k) Eq. 3
+//     tie-break, with no per-group temporary slices.
 //   - PreservedBW-primary orders (insensitive Preserve) stream an
-//     argmax over the live bitset with O(k) arithmetic per candidate,
-//     resolving the selection order once per decision and computing the
-//     secondary metric only on primary ties.
+//     argmax over the live-set bitset with O(k) arithmetic per set,
+//     computing the secondary metric only on primary ties.
 //
-// Every strategy applies the same total order as the dynamic comparator
-// (beats) — primary, secondary, lexicographic GPU set, canonical key —
-// so decisions are byte-identical to allocateSearch's (all link
+// Decisions are byte-identical to allocateSearch's (all link
 // bandwidths are integral, making the delta-maintained sums exact).
+// Only a binding candidate cap needs individual embeddings: the capped
+// prefix is a prefix of the enumeration, so that one path streams
+// candidates in enumeration order.
 //
 // The whole path allocates nothing: candidates are table lookups,
 // comparisons are plain float/slice reads, and the winner lands in a
@@ -72,40 +84,47 @@ func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccountin
 		return 0, false
 	}
 	mt := tbl.ForModel(p.scorer.Model)
+	r := p.rank(req)
 	if truncated {
 		// A binding cap admits only the first maxCandidates live
 		// candidates in enumeration order — the exact prefix a capped
 		// search would materialize — so the static orders (which ignore
 		// enumeration order) do not apply; stream the capped prefix.
-		return p.scoredArgmax(lv, bw, tbl, mt, req, p.maxCandidates), true
+		return scoredArgmaxCapped(lv, bw, tbl, mt, r, p.maxCandidates), true
 	}
-	r := p.rank(req)
+	var s int
 	switch r[0] {
 	case metricAggBW:
-		if r[1] == metricEffBW {
-			// Greedy: AggOrder embodies the full total order, so the
-			// first live candidate is the winner outright.
-			return firstLive(lv, mt.AggOrder()), true
-		}
 		ord, ends := mt.AggGroups()
-		return p.scoredGroupArgmax(lv, bw, tbl, mt, req, ord, ends), true
+		if r[1] == metricEffBW {
+			// Greedy: the order embodies the full total order, so the
+			// first live set holds the winner outright.
+			s = firstLive(lv, ord)
+		} else {
+			s = scoredGroupArgmax(lv, bw, tbl, mt, r[1], ord, ends)
+		}
 	case metricEffBW:
 		ord, ends := mt.EffGroups()
-		return p.scoredGroupArgmax(lv, bw, tbl, mt, req, ord, ends), true
+		s = scoredGroupArgmax(lv, bw, tbl, mt, r[1], ord, ends)
 	default:
-		return p.scoredArgmax(lv, bw, tbl, mt, req, 0), true
+		s = scoredArgmaxPreserved(lv, bw, tbl, mt, r[1])
 	}
+	if r[0] == metricAggBW || r[1] == metricAggBW {
+		return tbl.AggRep(s), true
+	}
+	return tbl.KeyRep(s), true
 }
 
-// firstLive returns the first live candidate in the given order. The
-// caller guarantees at least one candidate is live.
+// firstLive returns the first live set in the given order. The caller
+// guarantees at least one set is live.
 func firstLive(lv *match.LiveView, ord []int32) int {
-	for _, i := range ord {
-		if lv.Live(int(i)) {
-			return int(i)
+	live := lv.LiveSets()
+	for _, s := range ord {
+		if live.Has(int(s)) {
+			return int(s)
 		}
 	}
-	panic("policy: no live candidate despite non-empty live view")
+	panic("policy: no live set despite non-empty live view")
 }
 
 // scoredScores assembles the full score bundle of candidate i from the
@@ -119,26 +138,70 @@ func scoredScores(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.Mod
 	}
 }
 
-// scoredMetric evaluates one selection-order dimension of candidate i —
-// a table lookup for the static metrics, Eq. 3 delta arithmetic for
-// PreservedBW. Direct dispatch on the metric tag keeps the comparison
-// loops free of method values and closures (both of which allocate).
-func scoredMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int) float64 {
+// setMetric evaluates one selection-order dimension of GPU set s — a
+// table lookup for the static metrics (AggBW: the set's AggBW
+// representative's), Eq. 3 delta arithmetic for PreservedBW. Direct
+// dispatch on the metric tag keeps the comparison loops free of method
+// values and closures (both of which allocate).
+func setMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, s int) float64 {
 	switch m {
 	case metricAggBW:
-		return tbl.AggBW(i)
+		return tbl.SetAggBW(s)
 	case metricEffBW:
-		return mt.EffBW(i)
+		return mt.SetEffBW(s)
 	default:
-		return bw.PreservedBW(tbl.Internal(i), tbl.GPUs(i))
+		return bw.PreservedBW(tbl.SetInternal(s), tbl.SetGPUs(s))
 	}
 }
 
-// scoredTieBreak reports whether candidate i strictly precedes the
+// candidateMetric is setMetric for one embedding: only AggBW differs
+// from its set's value.
+func candidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int) float64 {
+	if m == metricAggBW {
+		return tbl.AggBW(i)
+	}
+	return setMetric(bw, tbl, mt, m, tbl.Universe().SetOf(i))
+}
+
+// scoredArgmaxCapped streams the first max live candidates in
+// enumeration order — a capped search's prefix — and returns the
+// argmax under the total order r: primary, secondary, GPU set, key.
+// The secondary metric is computed only on primary ties (lazily for the
+// incumbent, memoized while it stands).
+func scoredArgmaxCapped(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, r [2]metric, max int) int {
+	best := -1
+	var bestP, bestS float64
+	hasBestS := false
+	for i, n := 0, 0; n < max && i < tbl.Len(); i++ {
+		if !lv.Live(i) {
+			continue
+		}
+		n++
+		pi := candidateMetric(bw, tbl, mt, r[0], i)
+		if best < 0 || pi > bestP {
+			best, bestP, hasBestS = i, pi, false
+			continue
+		}
+		if pi < bestP {
+			continue
+		}
+		if !hasBestS {
+			bestS = candidateMetric(bw, tbl, mt, r[1], best)
+			hasBestS = true
+		}
+		si := candidateMetric(bw, tbl, mt, r[1], i)
+		if si > bestS || (si == bestS && candidateTieBreak(tbl, i, best)) {
+			best, bestS = i, si
+		}
+	}
+	return best
+}
+
+// candidateTieBreak reports whether candidate i strictly precedes the
 // current best under the order's static tail: lexicographic GPU set,
 // then canonical key. The caller has already established equal primary
 // and secondary metrics.
-func scoredTieBreak(tbl *score.Table, i, best int) bool {
+func candidateTieBreak(tbl *score.Table, i, best int) bool {
 	gi, gb := tbl.GPUs(i), tbl.GPUs(best)
 	if lexLess(gi, gb) {
 		return true
@@ -150,94 +213,41 @@ func scoredTieBreak(tbl *score.Table, i, best int) bool {
 	return u.Key(i) < u.Key(best)
 }
 
-// scoredArgmax streams the live candidates in enumeration order —
-// truncated to the first max when max > 0, matching a capped search's
-// prefix — and returns the argmax under the policy's total
-// order. The selection order is resolved once, the live bitset is
-// walked word-wise, and each candidate pays one primary-metric
-// evaluation; the secondary metric is computed only on primary ties
-// (lazily for the incumbent, memoized while it stands). This is the
-// profile-guided fix for the insensitive-Preserve outlier: the former
-// per-candidate full score assembly and per-comparison rank resolution
-// dominated the 2.98 ms group-scan decision.
-func (p *mapaPolicy) scoredArgmax(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, req Request, max int) int {
-	r := p.rank(req)
-	if r[0] == metricPreservedBW {
-		return p.scoredArgmaxPreserved(lv, bw, tbl, mt, r[1], max)
-	}
-	best := -1
-	var bestP, bestS float64
-	hasBestS := false
-	n := 0
-	for wi, w := range lv.LiveSet() {
-		base := wi * 64
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if best < 0 {
-				best = i
-				bestP = scoredMetric(bw, tbl, mt, r[0], i)
-			} else if pi := scoredMetric(bw, tbl, mt, r[0], i); pi > bestP {
-				best, bestP, hasBestS = i, pi, false
-			} else if pi == bestP {
-				if !hasBestS {
-					bestS = scoredMetric(bw, tbl, mt, r[1], best)
-					hasBestS = true
-				}
-				si := scoredMetric(bw, tbl, mt, r[1], i)
-				if si > bestS || (si == bestS && scoredTieBreak(tbl, i, best)) {
-					best, bestS = i, si
-				}
-			}
-			n++
-			if max > 0 && n == max {
-				return best
-			}
-		}
-	}
-	return best
-}
-
-// scoredArgmaxPreserved is scoredArgmax specialized for a PreservedBW
-// primary — the insensitive-Preserve hot loop over the full ~57k-strong
-// live set. Eq. 3 is evaluated inline against the accounting's incident
-// view with the exact operand order of BandwidthAccounting.PreservedBW
-// (all weights integral, so the sums are exact and the values bit-equal),
-// eliminating the per-candidate dispatch and method-call chain the
-// generic loop pays. The secondary metric is a static table lookup
-// computed only on primary ties.
-func (p *mapaPolicy) scoredArgmaxPreserved(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, max int) int {
+// scoredArgmaxPreserved is the argmax over live sets for a PreservedBW
+// primary — the insensitive-Preserve hot loop. Eq. 3 is evaluated
+// inline against the accounting's incident view with the exact operand
+// order of BandwidthAccounting.PreservedBW (all weights integral, so
+// the sums are exact and the values bit-equal), reading the set-indexed
+// columns directly. The secondary metric is a static table lookup
+// computed only on primary ties, and equal sets are told apart by their
+// GPU lists.
+func scoredArgmaxPreserved(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric) int {
 	inc := bw.IncidentView()
 	tot := bw.FreeWeight()
 	best := -1
 	var bestP, bestS float64
 	hasBestS := false
-	n := 0
-	for wi, w := range lv.LiveSet() {
+	for wi, w := range lv.LiveSets() {
 		base := wi * 64
 		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
+			s := base + bits.TrailingZeros64(w)
 			w &= w - 1
 			var drop float64
-			for _, g := range tbl.GPUs(i) {
+			for _, g := range tbl.SetGPUs(s) {
 				drop += inc[g]
 			}
-			pi := tot - drop + tbl.Internal(i)
-			if pi > bestP || best < 0 {
-				best, bestP, hasBestS = i, pi, false
-			} else if pi == bestP {
+			ps := tot - drop + tbl.SetInternal(s)
+			if ps > bestP || best < 0 {
+				best, bestP, hasBestS = s, ps, false
+			} else if ps == bestP {
 				if !hasBestS {
-					bestS = scoredMetric(bw, tbl, mt, sec, best)
+					bestS = setMetric(bw, tbl, mt, sec, best)
 					hasBestS = true
 				}
-				si := scoredMetric(bw, tbl, mt, sec, i)
-				if si > bestS || (si == bestS && scoredTieBreak(tbl, i, best)) {
-					best, bestS = i, si
+				ss := setMetric(bw, tbl, mt, sec, s)
+				if ss > bestS || (ss == bestS && lexLess(tbl.SetGPUs(s), tbl.SetGPUs(best))) {
+					best, bestS = s, ss
 				}
-			}
-			n++
-			if max > 0 && n == max {
-				return best
 			}
 		}
 	}
@@ -247,32 +257,33 @@ func (p *mapaPolicy) scoredArgmaxPreserved(lv *match.LiveView, bw *match.Bandwid
 // scoredGroupArgmax serves a static-primary order: ord is sorted by the
 // primary metric descending with ends its precomputed group-boundary
 // index (ends[j] = exclusive end of position j's equal-primary run), so
-// the first live candidate pins the winning group and the winner is the
-// argmax — under the full total order — among the group's live members.
-// Primary values inside the group are exactly equal by construction, so
-// only the secondary metric's O(k) arithmetic and the static tie-breaks
-// run, over one precomputed index range with no temporary slices.
-func (p *mapaPolicy) scoredGroupArgmax(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, req Request, ord, ends []int32) int {
+// the first live set pins the winning group and the winner is the
+// argmax — under the secondary metric, then the GPU set — among the
+// group's live sets. Primary values inside the group are exactly equal
+// by construction, so only the secondary metric's O(k) arithmetic and
+// the static tie-break run, over one precomputed index range with no
+// temporary slices.
+func scoredGroupArgmax(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, ord, ends []int32) int {
+	live := lv.LiveSets()
 	j0 := 0
 	for ; j0 < len(ord); j0++ {
-		if lv.Live(int(ord[j0])) {
+		if live.Has(int(ord[j0])) {
 			break
 		}
 	}
 	if j0 == len(ord) {
-		panic("policy: no live candidate despite non-empty live view")
+		panic("policy: no live set despite non-empty live view")
 	}
-	r := p.rank(req)
 	best := int(ord[j0])
-	bestS := scoredMetric(bw, tbl, mt, r[1], best)
+	bestS := setMetric(bw, tbl, mt, sec, best)
 	for j := j0 + 1; j < int(ends[j0]); j++ {
-		i := int(ord[j])
-		if !lv.Live(i) {
+		s := int(ord[j])
+		if !live.Has(s) {
 			continue
 		}
-		si := scoredMetric(bw, tbl, mt, r[1], i)
-		if si > bestS || (si == bestS && scoredTieBreak(tbl, i, best)) {
-			best, bestS = i, si
+		ss := setMetric(bw, tbl, mt, sec, s)
+		if ss > bestS || (ss == bestS && lexLess(tbl.SetGPUs(s), tbl.SetGPUs(best))) {
+			best, bestS = s, ss
 		}
 	}
 	return best

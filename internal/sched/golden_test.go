@@ -33,10 +33,11 @@ func referenceRun(top *topology.Topology, alloc policy.Allocator, d Discipline, 
 		case d == SJF:
 			best, bestEst := 0, 0.0
 			for i, j := range queue {
-				est, err := estimateDuration(j)
+				w, err := workload.ByName(j.Workload)
 				if err != nil {
 					panic(err)
 				}
+				est := estimateDuration(&w, j)
 				if i == 0 || est < bestEst {
 					best, bestEst = i, est
 				}

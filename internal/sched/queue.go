@@ -57,14 +57,11 @@ func ParseDiscipline(s string) (Discipline, error) {
 func Disciplines() []Discipline { return []Discipline{FIFO, SJF, Backfill} }
 
 // estimateDuration returns the queue's duration estimate for ordering
-// purposes: the workload model at the reference bandwidth. Estimation
-// never sees the eventual allocation (that would be clairvoyant).
-func estimateDuration(j jobs.Job) (float64, error) {
-	w, err := workload.ByName(j.Workload)
-	if err != nil {
-		return 0, err
-	}
-	return w.ExecTimeAtBandwidth(FixedReferenceBW, j.NumGPUs, j.Iters), nil
+// purposes: the job's workload model at the reference bandwidth.
+// Estimation never sees the eventual allocation (that would be
+// clairvoyant).
+func estimateDuration(w *workload.Workload, j jobs.Job) float64 {
+	return w.ExecTimeAtBandwidth(FixedReferenceBW, j.NumGPUs, j.Iters)
 }
 
 // queue holds pending jobs under one discipline. It indexes the
@@ -87,18 +84,16 @@ type queue struct {
 	heap      []int
 }
 
-func newQueue(d Discipline, jobList []jobs.Job) (*queue, error) {
+// newQueue queues jobList under discipline d; wls holds each job's
+// workload model (resolveWorkloads).
+func newQueue(d Discipline, jobList []jobs.Job, wls []*workload.Workload) *queue {
 	q := &queue{discipline: d, jobs: jobList, n: len(jobList)}
 	switch d {
 	case SJF:
 		q.estimates = make([]float64, len(jobList))
 		q.heap = make([]int, len(jobList))
 		for i, j := range jobList {
-			est, err := estimateDuration(j)
-			if err != nil {
-				return nil, err
-			}
-			q.estimates[i] = est
+			q.estimates[i] = estimateDuration(wls[i], j)
 			q.heap[i] = i
 		}
 		for i := len(q.heap)/2 - 1; i >= 0; i-- {
@@ -111,7 +106,7 @@ func newQueue(d Discipline, jobList []jobs.Job) (*queue, error) {
 			q.next[i], q.prev[i] = i+1, i-1
 		}
 	}
-	return q, nil
+	return q
 }
 
 func (q *queue) empty() bool { return q.n == 0 }

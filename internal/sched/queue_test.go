@@ -24,6 +24,16 @@ func TestDisciplineNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// testQueue queues jl under d with its workloads resolved as Run does.
+func testQueue(t *testing.T, d Discipline, jl []jobs.Job) *queue {
+	t.Helper()
+	wls, err := resolveWorkloads(jl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newQueue(d, jl, wls)
+}
+
 // candidateOrder lists what the engine would try in one admission
 // round: first, then after until the discipline allows no more.
 func candidateOrder(q *queue) []int {
@@ -36,10 +46,7 @@ func candidateOrder(q *queue) []int {
 
 func TestQueueCandidatesFIFO(t *testing.T) {
 	jl := smallMix(5, 1)
-	q, err := newQueue(FIFO, jl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := testQueue(t, FIFO, jl)
 	for want := 0; want < len(jl); want++ {
 		if got := candidateOrder(q); len(got) != 1 || got[0] != want {
 			t.Fatalf("FIFO candidates = %v, want [%d]", got, want)
@@ -65,10 +72,7 @@ func TestQueueCandidatesSJF(t *testing.T) {
 	for i := range jl {
 		jl[i].ID = i + 1
 	}
-	q, err := newQueue(SJF, jl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := testQueue(t, SJF, jl)
 	for _, want := range []int{2, 1, 3, 4} {
 		got := candidateOrder(q)
 		if len(got) != 1 || jl[got[0]].ID != want {
@@ -82,10 +86,7 @@ func TestQueueCandidatesSJF(t *testing.T) {
 }
 
 func TestQueueCandidatesBackfill(t *testing.T) {
-	q, err := newQueue(Backfill, smallMix(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := testQueue(t, Backfill, smallMix(5, 1))
 	// Jobs leave from the middle, the tail and the head; what remains
 	// is always offered head first, in submission order.
 	for _, step := range []struct {
@@ -119,10 +120,7 @@ func TestQueueCandidatesBackfill(t *testing.T) {
 
 func TestQueueEmpty(t *testing.T) {
 	for _, d := range Disciplines() {
-		q, err := newQueue(d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := testQueue(t, d, nil)
 		if !q.empty() || q.first() != -1 {
 			t.Fatalf("%s: empty queue misbehaves", d)
 		}

@@ -175,6 +175,10 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 				j.ID, j.NumGPUs, e.Top.Name, e.Top.NumGPUs())
 		}
 	}
+	wls, err := resolveWorkloads(jobList)
+	if err != nil {
+		return RunResult{}, err
+	}
 
 	// Attach (or detach) the universe store and a fresh view set so the
 	// run follows the engine configuration even when the allocator was
@@ -202,10 +206,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	var pending []event
 	records := make([]Record, 0, len(jobList))
 	now := 0.0
-	q, err := newQueue(e.Queue, jobList)
-	if err != nil {
-		return RunResult{}, err
-	}
+	q := newQueue(e.Queue, jobList, wls)
 	var frng *rand.Rand
 	if e.Faults != nil {
 		if e.Faults.FailProb < 0 || e.Faults.FailProb > 1 || e.Faults.Down < 0 {
@@ -238,9 +239,10 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	patterns := make(map[patternKey]*graph.Graph)
 	memo := newPhysicsMemo(e.Top, model)
 
-	// place tries to allocate and start job j now; it reports whether
-	// placement succeeded, or a hard error.
-	place := func(j jobs.Job) (bool, error) {
+	// place tries to allocate and start the job at index idx now; it
+	// reports whether placement succeeded, or a hard error.
+	place := func(idx int) (bool, error) {
+		j := jobList[idx]
 		pk := patternKey{j.Shape, j.NumGPUs}
 		pat, ok := patterns[pk]
 		if !ok {
@@ -253,10 +255,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		if err := policy.DecideInto(e.Alloc, &buf, e.Top, usable, policy.Request{Pattern: pat, Sensitive: j.Sensitive}); err != nil {
 			return false, nil // no room right now
 		}
-		w, err := workload.ByName(j.Workload)
-		if err != nil {
-			return false, err
-		}
+		w := wls[idx]
 		// buf is overwritten by the next decision; the memo's copy of
 		// the set is what the record and the completion event keep.
 		ph := memo.of(buf.GPUs)
@@ -295,7 +294,7 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		for placed := true; placed && !q.empty(); {
 			placed = false
 			for idx := q.first(); idx >= 0; idx = q.after(idx) {
-				ok, err := place(q.jobs[idx])
+				ok, err := place(idx)
 				if err != nil {
 					return RunResult{}, err
 				}
@@ -351,6 +350,27 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		result.Throughput = float64(len(records)) / result.Makespan * 1000
 	}
 	return result, nil
+}
+
+// resolveWorkloads looks every job's workload model up once, by index
+// into jobList, so neither placement nor the SJF estimate walks the
+// catalog per job: each distinct name costs one catalog lookup.
+func resolveWorkloads(jobList []jobs.Job) ([]*workload.Workload, error) {
+	wls := make([]*workload.Workload, len(jobList))
+	byName := make(map[string]*workload.Workload)
+	for i, j := range jobList {
+		w, ok := byName[j.Workload]
+		if !ok {
+			v, err := workload.ByName(j.Workload)
+			if err != nil {
+				return nil, err
+			}
+			w = &v
+			byName[j.Workload] = w
+		}
+		wls[i] = w
+	}
+	return wls, nil
 }
 
 // patternKey identifies a job's application graph.

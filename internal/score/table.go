@@ -11,13 +11,15 @@ import (
 )
 
 // Table is the precomputed static side of MAPA's selection metrics for
-// one idle-state universe: per candidate, the Eq. 1 Aggregated
-// Bandwidth, the Eq. 2 ring-channel link mix, the candidate's internal
-// hardware-edge weight (the per-candidate constant of the Eq. 3 delta
-// decomposition), and its ascending GPU set. Eq. 1 and Eq. 2 depend
-// only on (topology, embedding); Eq. 3 decomposes into a per-decision
-// state term — maintained by match.LiveView's bandwidth accounting —
-// plus the internal-edge constant stored here:
+// one idle-state universe. Eq. 1 depends on (topology, embedding), so
+// the Eq. 1 Aggregated Bandwidth is stored per candidate. Everything
+// else depends on the candidate's GPU set alone — the Eq. 2 ring-channel
+// link mix, the internal hardware-edge weight (the per-set constant of
+// the Eq. 3 delta decomposition), and the ascending GPU set itself — so
+// those are stored once per distinct set (match.Universe.SetOf). Eq. 3
+// decomposes into a per-decision state term — maintained by
+// match.LiveView's bandwidth accounting — plus the internal-edge
+// constant stored here:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
 //
@@ -25,6 +27,13 @@ import (
 // table lookups and O(k) arithmetic, never calling Scorer.Score (see
 // Evaluations). All weights are integral link bandwidths, making every
 // stored and derived value bit-identical to the dynamic evaluators.
+//
+// Since every selection order ties the embeddings of one set on all
+// metrics but AggBW, each set also carries two static representatives:
+// KeyRep, its minimum-key embedding (the winner within the set of any
+// order without AggBW), and AggRep, its maximum-AggBW embedding with
+// ties to the minimum key (the winner within the set of any order with
+// AggBW). Selection is then an argmax over live sets.
 //
 // A Table is immutable under decision traffic and safe for concurrent
 // use; the one sanctioned mutation is RepairEdge, which absorbs a
@@ -36,14 +45,17 @@ type Table struct {
 	pattern *graph.Graph
 	u       *match.Universe
 
-	agg      []float64
+	agg []float64 // candidate -> Eq. 1 AggBW
+
+	// Set-indexed columns.
 	internal []float64
 	mix      []effbw.LinkCounts
-
-	// gpusArena holds every candidate's ascending GPU set in one
-	// backing array with fixed stride k (the pattern size): candidate
-	// i occupies [i*k, (i+1)*k). Like the universe's arenas, this keeps
-	// the per-table object count O(1) instead of O(candidates).
+	keyRep   []int32
+	aggRep   []int32
+	// gpusArena holds every set's ascending GPU list in one backing
+	// array with fixed stride k (the pattern size): set s occupies
+	// [s*k, (s+1)*k). Like the universe's arenas, this keeps the
+	// per-table object count O(1) instead of O(sets).
 	gpusArena []int
 	k         int
 
@@ -55,14 +67,14 @@ type Table struct {
 // on top's hardware graph, fanning the per-candidate work over up to
 // `workers` goroutines (the values are per-candidate pure functions, so
 // the result is identical at any worker count). Link mixes go through
-// the process-wide memo, so candidates sharing a GPU set — across
-// shapes, stores, and dynamic decisions — decompose once per process.
-// BuildTable panics on an incomplete universe, mirroring Filter.
+// the process-wide memo, so GPU sets shared across shapes, stores, and
+// dynamic decisions decompose once per process. BuildTable panics on an
+// incomplete universe, mirroring Filter.
 func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe, workers int) *Table {
 	if !u.Complete() {
 		panic("score: BuildTable over an incomplete universe")
 	}
-	n := u.Len()
+	n, sets := u.Len(), u.Sets()
 	k := 0
 	if n > 0 {
 		k = len(u.Match(0).Data)
@@ -72,9 +84,11 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 		pattern:   pattern,
 		u:         u,
 		agg:       make([]float64, n),
-		internal:  make([]float64, n),
-		mix:       make([]effbw.LinkCounts, n),
-		gpusArena: make([]int, n*k),
+		internal:  make([]float64, sets),
+		mix:       make([]effbw.LinkCounts, sets),
+		keyRep:    make([]int32, sets),
+		aggRep:    make([]int32, sets),
+		gpusArena: make([]int, sets*k),
 		k:         k,
 		models:    make(map[*effbw.Model]*ModelTable),
 	}
@@ -98,26 +112,53 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 			t.fill(i)
 		}
 	}
+	t.pickReps()
 	return t
 }
 
-// fill (re)derives candidate i's static metrics from the table's
-// current topology graphs.
+// fill (re)derives candidate i's AggBW from the table's current
+// topology graphs, and its set's columns when i is the set's first
+// candidate — each set is filled by exactly one candidate.
 func (t *Table) fill(i int) {
 	hw := t.top.Graph
 	m := t.u.Match(i)
-	gpus := t.gpusArena[i*t.k : (i+1)*t.k : (i+1)*t.k]
+	t.agg[i] = AggregatedBandwidth(t.pattern, hw, m)
+	s := t.u.SetOf(i)
+	if t.u.SetFirst(s) != i {
+		return
+	}
+	gpus := t.gpusArena[s*t.k : (s+1)*t.k : (s+1)*t.k]
 	copy(gpus, m.Data)
 	sort.Ints(gpus)
-	t.agg[i] = AggregatedBandwidth(t.pattern, hw, m)
-	t.mix[i] = mixesOf(t.top).mix(gpus)
+	t.mix[s] = mixesOf(t.top).mix(gpus)
 	var internal float64
 	for a, g := range gpus {
 		for _, h := range gpus[a+1:] {
 			internal += hw.Weight(g, h)
 		}
 	}
-	t.internal[i] = internal
+	t.internal[s] = internal
+}
+
+// pickReps chooses every set's two representatives in one pass over
+// the candidates: KeyRep the minimum key, AggRep the maximum AggBW with
+// ties to the minimum key.
+func (t *Table) pickReps() {
+	for s := range t.keyRep {
+		first := int32(t.u.SetFirst(s))
+		t.keyRep[s], t.aggRep[s] = first, first
+	}
+	for i := 0; i < t.u.Len(); i++ {
+		s := t.u.SetOf(i)
+		key := t.u.Key(i)
+		if key < t.u.Key(int(t.keyRep[s])) {
+			t.keyRep[s] = int32(i)
+		}
+		r := int(t.aggRep[s])
+		if t.agg[i] > t.agg[r] || (t.agg[i] == t.agg[r] && key < t.u.Key(r)) {
+			t.aggRep[s] = int32(i)
+		}
+	}
 }
 
 // RepairEdge re-derives the static metrics of every candidate whose
@@ -128,11 +169,12 @@ func (t *Table) fill(i int) {
 // the ring-channel decomposition behind the link mix keeps a physical
 // link only when both endpoints are inside the allocation (PCIe hops
 // are a global constant), so a candidate holding just one endpoint
-// prices the old and new graph identically. Per-model artifacts
-// (predictions and selection orders) are dropped wholesale and rebuilt
-// lazily on the next decision. The caller must have already mutated
-// the topology's graphs and invalidated its mix memo
-// (InvalidateMixes), and must serialize RepairEdge with readers.
+// prices the old and new graph identically. The AggBW representatives
+// are re-picked, and per-model artifacts (predictions and selection
+// orders) are dropped wholesale and rebuilt lazily on the next
+// decision. The caller must have already mutated the topology's graphs
+// and invalidated its mix memo (InvalidateMixes), and must serialize
+// RepairEdge with readers.
 func (t *Table) RepairEdge(u, v int) int {
 	repaired := 0
 	for i := 0; i < t.Len(); i++ {
@@ -143,6 +185,7 @@ func (t *Table) RepairEdge(u, v int) int {
 		}
 	}
 	if repaired > 0 {
+		t.pickReps()
 		t.mu.Lock()
 		t.models = make(map[*effbw.Model]*ModelTable)
 		t.mu.Unlock()
@@ -161,29 +204,48 @@ func (t *Table) AggBW(i int) float64 { return t.agg[i] }
 
 // Internal returns candidate i's internal hardware-edge weight — the
 // static constant of the Eq. 3 delta decomposition.
-func (t *Table) Internal(i int) float64 { return t.internal[i] }
+func (t *Table) Internal(i int) float64 { return t.internal[t.u.SetOf(i)] }
 
 // Mix returns candidate i's ring-channel link mix.
-func (t *Table) Mix(i int) effbw.LinkCounts { return t.mix[i] }
+func (t *Table) Mix(i int) effbw.LinkCounts { return t.mix[t.u.SetOf(i)] }
 
 // GPUs returns candidate i's ascending GPU set as a view into the
 // table's arena. Read-only.
-func (t *Table) GPUs(i int) []int {
-	return t.gpusArena[i*t.k : (i+1)*t.k : (i+1)*t.k]
+func (t *Table) GPUs(i int) []int { return t.SetGPUs(t.u.SetOf(i)) }
+
+// SetGPUs returns set s's ascending GPU list as a view into the
+// table's arena. Read-only.
+func (t *Table) SetGPUs(s int) []int {
+	return t.gpusArena[s*t.k : (s+1)*t.k : (s+1)*t.k]
 }
+
+// SetInternal returns set s's internal hardware-edge weight.
+func (t *Table) SetInternal(s int) float64 { return t.internal[s] }
+
+// SetAggBW returns the highest Eq. 1 Aggregated Bandwidth among set s's
+// candidates — its AggRep's.
+func (t *Table) SetAggBW(s int) float64 { return t.agg[t.aggRep[s]] }
+
+// KeyRep returns set s's minimum-key candidate: the set's winner under
+// any selection order that does not rank AggBW.
+func (t *Table) KeyRep(s int) int { return int(t.keyRep[s]) }
+
+// AggRep returns set s's maximum-AggBW candidate, ties to the minimum
+// key: the set's winner under any selection order that ranks AggBW.
+func (t *Table) AggRep(s int) int { return int(t.aggRep[s]) }
 
 // ForModel returns the table's per-model artifacts — Eq. 2 predictions
 // and lazily sorted selection orders — computing them on first use for
-// each model. Keying by model identity mirrors Entry.Scores: swapping a
-// policy's bandwidth model never serves another model's predictions.
+// each model. Keying by model identity means swapping a policy's
+// bandwidth model never serves another model's predictions.
 func (t *Table) ForModel(m *effbw.Model) *ModelTable {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	mt, ok := t.models[m]
 	if !ok {
-		eff := make([]float64, t.Len())
-		for i, mix := range t.mix {
-			eff[i] = m.Predict(mix)
+		eff := make([]float64, len(t.mix))
+		for s, mix := range t.mix {
+			eff[s] = m.Predict(mix)
 		}
 		mt = &ModelTable{t: t, eff: eff}
 		t.models[m] = mt
@@ -192,10 +254,11 @@ func (t *Table) ForModel(m *effbw.Model) *ModelTable {
 }
 
 // ModelTable is one model's view of a Table: the Eq. 2 prediction per
-// candidate plus precomputed selection orders. Safe for concurrent use.
+// GPU set plus precomputed selection orders over the sets. Safe for
+// concurrent use.
 type ModelTable struct {
 	t   *Table
-	eff []float64
+	eff []float64 // set -> Eq. 2 prediction
 
 	aggOnce  sync.Once
 	aggOrder []int32
@@ -206,70 +269,58 @@ type ModelTable struct {
 }
 
 // EffBW returns candidate i's Eq. 2 prediction under this model.
-func (mt *ModelTable) EffBW(i int) float64 { return mt.eff[i] }
+func (mt *ModelTable) EffBW(i int) float64 { return mt.eff[mt.t.u.SetOf(i)] }
 
-// AggOrder returns the candidates sorted under the Greedy total order —
-// Aggregated Bandwidth descending, Effective Bandwidth descending, GPU
-// set lexicographic ascending, canonical key ascending. Distinct
-// candidates always differ in their keys, so the order is total: the
-// first live candidate in it IS the Greedy winner, and the contiguous
-// equal-AggBW runs serve as the candidate groups of any
-// AggBW-primary comparator. Computed on first use; read-only.
-func (mt *ModelTable) AggOrder() []int32 {
+// SetEffBW returns set s's Eq. 2 prediction under this model.
+func (mt *ModelTable) SetEffBW(s int) float64 { return mt.eff[s] }
+
+// AggGroups returns the sets sorted under the Greedy total order of
+// their AggBW representatives — SetAggBW descending, EffBW descending,
+// GPU set lexicographic ascending (distinct sets differ in their GPUs,
+// so the order is total) — together with its group-boundary index:
+// ends[j] is the exclusive end of the contiguous equal-SetAggBW run
+// containing position j. The AggRep of the first live set IS the Greedy
+// winner, and any AggBW-primary comparator's winner is the AggRep of a
+// set in the order's first live group — positions [j0, ends[j0]) for
+// the first live j0 — so a selection scans one group with no per-group
+// temporary slices. Computed on first use; read-only.
+func (mt *ModelTable) AggGroups() (ord, ends []int32) {
 	mt.aggOnce.Do(func() {
 		t := mt.t
-		mt.aggOrder = newOrder(t.Len())
+		agg := make([]float64, len(t.aggRep))
+		for s := range agg {
+			agg[s] = t.SetAggBW(s)
+		}
+		mt.aggOrder = newOrder(len(agg))
 		sort.Slice(mt.aggOrder, func(a, b int) bool {
-			i, j := int(mt.aggOrder[a]), int(mt.aggOrder[b])
-			if t.agg[i] != t.agg[j] {
-				return t.agg[i] > t.agg[j]
+			s, r := int(mt.aggOrder[a]), int(mt.aggOrder[b])
+			if agg[s] != agg[r] {
+				return agg[s] > agg[r]
 			}
-			if mt.eff[i] != mt.eff[j] {
-				return mt.eff[i] > mt.eff[j]
+			if mt.eff[s] != mt.eff[r] {
+				return mt.eff[s] > mt.eff[r]
 			}
-			if c := compareInts(t.GPUs(i), t.GPUs(j)); c != 0 {
-				return c < 0
-			}
-			return t.u.Key(i) < t.u.Key(j)
+			return compareInts(t.SetGPUs(s), t.SetGPUs(r)) < 0
 		})
-		mt.aggEnds = groupEnds(mt.aggOrder, t.agg)
+		mt.aggEnds = groupEnds(mt.aggOrder, agg)
 	})
-	return mt.aggOrder
-}
-
-// AggGroups returns the Greedy-order permutation together with its
-// group-boundary index: ends[j] is the exclusive end of the contiguous
-// equal-AggBW run containing position j. Any AggBW-primary comparator's
-// winner lies in the order's first live group — positions
-// [j0, ends[j0]) for the first live j0 — so a selection scans one group
-// with no per-group temporary slices. Computed on first use; read-only.
-func (mt *ModelTable) AggGroups() (ord, ends []int32) {
-	mt.AggOrder()
 	return mt.aggOrder, mt.aggEnds
 }
 
-// EffOrder returns the candidates sorted by Effective Bandwidth
-// descending (ties by ascending candidate index, keeping the order
-// deterministic): the contiguous equal-EffBW runs are the candidate
-// groups of any EffBW-primary comparator. Computed on first use;
-// read-only.
-func (mt *ModelTable) EffOrder() []int32 {
+// EffGroups returns the sets sorted by Effective Bandwidth descending
+// (ties by ascending set index, keeping the order deterministic)
+// together with its group-boundary index: ends[j] is the exclusive end
+// of the contiguous equal-EffBW run containing position j (see
+// AggGroups). The runs are the set groups of any EffBW-primary
+// comparator. Computed on first use; read-only.
+func (mt *ModelTable) EffGroups() (ord, ends []int32) {
 	mt.effOnce.Do(func() {
-		mt.effOrder = newOrder(mt.t.Len())
+		mt.effOrder = newOrder(len(mt.eff))
 		sort.SliceStable(mt.effOrder, func(a, b int) bool {
 			return mt.eff[mt.effOrder[a]] > mt.eff[mt.effOrder[b]]
 		})
 		mt.effEnds = groupEnds(mt.effOrder, mt.eff)
 	})
-	return mt.effOrder
-}
-
-// EffGroups returns the EffBW-order permutation together with its
-// group-boundary index: ends[j] is the exclusive end of the contiguous
-// equal-EffBW run containing position j (see AggGroups). Computed on
-// first use; read-only.
-func (mt *ModelTable) EffGroups() (ord, ends []int32) {
-	mt.EffOrder()
 	return mt.effOrder, mt.effEnds
 }
 

@@ -56,41 +56,83 @@ func TestTableMatchesDynamicScorer(t *testing.T) {
 	}
 }
 
-// TestTableOrders pins the precomputed selection orders: AggOrder must
-// be sorted under the full Greedy total order (AggBW desc, EffBW desc,
-// GPU set, key — a strict total order), EffOrder by EffBW descending.
+// TestTableOrders pins the precomputed set orders and the per-set
+// representatives, on a Ring(4) universe where every GPU set holds
+// three embeddings of differing AggBW: KeyRep must be the set's
+// minimum-key embedding and AggRep its maximum-AggBW one (ties to the
+// minimum key); AggGroups must sort the sets under the full Greedy
+// order of their AggRep (SetAggBW desc, EffBW desc, GPU set — a strict
+// total order, since sets differ in their GPUs), EffGroups by EffBW
+// descending; and both group-end indexes must delimit exactly the
+// equal-primary runs.
 func TestTableOrders(t *testing.T) {
 	top := topology.DGXV100()
-	pattern := ringPattern(3)
+	pattern := ringPattern(4)
 	u := match.BuildUniverse(pattern, top.Graph, 0, 1)
 	tbl := BuildTable(top, pattern, u, 1)
 	model := effbw.PaperModel()
 	mt := tbl.ForModel(model)
 
-	agg := mt.AggOrder()
-	if len(agg) != tbl.Len() {
-		t.Fatalf("AggOrder has %d entries, want %d", len(agg), tbl.Len())
+	if u.Sets() == u.Len() {
+		t.Fatalf("Ring(4) universe has one embedding per set (%d)", u.Sets())
+	}
+	spread := false
+	for s := 0; s < u.Sets(); s++ {
+		kr, ar := tbl.KeyRep(s), tbl.AggRep(s)
+		for i := 0; i < u.Len(); i++ {
+			if u.SetOf(i) != s {
+				continue
+			}
+			if u.Key(i) < u.Key(kr) {
+				t.Fatalf("set %d: KeyRep %d, but candidate %d has a smaller key", s, kr, i)
+			}
+			if tbl.AggBW(i) > tbl.AggBW(ar) || (tbl.AggBW(i) == tbl.AggBW(ar) && u.Key(i) < u.Key(ar)) {
+				t.Fatalf("set %d: AggRep %d, but candidate %d precedes it", s, ar, i)
+			}
+			spread = spread || tbl.AggBW(i) != tbl.AggBW(ar)
+		}
+		if u.SetOf(kr) != s || u.SetOf(ar) != s || tbl.SetAggBW(s) != tbl.AggBW(ar) {
+			t.Fatalf("set %d: representatives %d/%d lie outside it", s, kr, ar)
+		}
+	}
+	if !spread {
+		t.Fatal("no set's embeddings differ in AggBW: AggRep is untested")
+	}
+
+	agg, aggEnds := mt.AggGroups()
+	if len(agg) != u.Sets() {
+		t.Fatalf("AggGroups has %d entries, want %d sets", len(agg), u.Sets())
 	}
 	for n := 1; n < len(agg); n++ {
 		i, j := int(agg[n-1]), int(agg[n])
 		switch {
-		case tbl.AggBW(i) > tbl.AggBW(j):
-		case tbl.AggBW(i) < tbl.AggBW(j):
-			t.Fatalf("AggOrder[%d..]: AggBW ascends (%g < %g)", n-1, tbl.AggBW(i), tbl.AggBW(j))
-		case mt.EffBW(i) > mt.EffBW(j):
-		case mt.EffBW(i) < mt.EffBW(j):
-			t.Fatalf("AggOrder[%d..]: EffBW tie-break ascends", n-1)
-		case compareInts(tbl.GPUs(i), tbl.GPUs(j)) < 0:
-		case compareInts(tbl.GPUs(i), tbl.GPUs(j)) > 0:
-			t.Fatalf("AggOrder[%d..]: GPU tie-break out of order", n-1)
-		case u.Key(i) >= u.Key(j):
-			t.Fatalf("AggOrder[%d..]: key tie-break out of order (total order violated)", n-1)
+		case tbl.SetAggBW(i) > tbl.SetAggBW(j):
+		case tbl.SetAggBW(i) < tbl.SetAggBW(j):
+			t.Fatalf("AggGroups[%d..]: AggBW ascends (%g < %g)", n-1, tbl.SetAggBW(i), tbl.SetAggBW(j))
+		case mt.SetEffBW(i) > mt.SetEffBW(j):
+		case mt.SetEffBW(i) < mt.SetEffBW(j):
+			t.Fatalf("AggGroups[%d..]: EffBW tie-break ascends", n-1)
+		case compareInts(tbl.SetGPUs(i), tbl.SetGPUs(j)) >= 0:
+			t.Fatalf("AggGroups[%d..]: GPU tie-break out of order (total order violated)", n-1)
 		}
 	}
-	eff := mt.EffOrder()
+	eff, effEnds := mt.EffGroups()
 	for n := 1; n < len(eff); n++ {
-		if mt.EffBW(int(eff[n-1])) < mt.EffBW(int(eff[n])) {
-			t.Fatalf("EffOrder[%d..]: EffBW ascends", n-1)
+		if mt.SetEffBW(int(eff[n-1])) < mt.SetEffBW(int(eff[n])) {
+			t.Fatalf("EffGroups[%d..]: EffBW ascends", n-1)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		ord, ends []int32
+		val       func(s int) float64
+	}{{"AggGroups", agg, aggEnds, tbl.SetAggBW}, {"EffGroups", eff, effEnds, mt.SetEffBW}} {
+		for j := range tc.ord {
+			e := int(tc.ends[j])
+			if e <= j || e > len(tc.ord) || tc.val(int(tc.ord[e-1])) != tc.val(int(tc.ord[j])) ||
+				(e < len(tc.ord) && tc.val(int(tc.ord[e])) == tc.val(int(tc.ord[j]))) {
+				t.Fatalf("%s: ends[%d] = %d does not close the equal-primary run", tc.name, j, e)
+			}
 		}
 	}
 	// Per-model artifacts are memoized by model identity.
