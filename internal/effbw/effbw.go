@@ -56,8 +56,14 @@ const NumFeatures = 14
 // linear (x, y, z), inverse-linear, pairwise, inverse-pairwise,
 // triplet, inverse-triplet.
 func Features(c LinkCounts) []float64 {
+	f := basis(c)
+	return f[:]
+}
+
+// basis is Features by value, so Predict expands a mix on the stack.
+func basis(c LinkCounts) [NumFeatures]float64 {
 	x, y, z := float64(c.X), float64(c.Y), float64(c.Z)
-	return []float64{
+	return [NumFeatures]float64{
 		x, y, z,
 		1 / (x + 1), 1 / (y + 1), 1 / (z + 1),
 		x * y, y * z, z * x,
@@ -81,7 +87,8 @@ type Model struct {
 // the regression basis can dip below zero far outside its training
 // range, and a negative bandwidth is meaningless to the policies.
 func (m *Model) Predict(c LinkCounts) float64 {
-	v := regress.Predict(m.Theta, Features(c))
+	f := basis(c)
+	v := regress.Predict(m.Theta, f[:])
 	if v < 0 {
 		return 0
 	}

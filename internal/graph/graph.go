@@ -48,20 +48,29 @@ func (e Edge) Other(v int) int {
 // Graph is an undirected weighted graph. The zero value is not usable;
 // call New.
 //
-// Graphs memoize their Fingerprint lazily; every mutator drops the
-// memo, so a mutated graph recomputes it at most once per state. The
-// memo is maintained with atomics, so concurrent readers are safe;
+// Graphs memoize their Fingerprint and their sorted layout
+// (SortedVertices, EdgePositions) lazily; every mutator drops the
+// memos, so a mutated graph recomputes each at most once per state. The
+// memos are maintained with atomics, so concurrent readers are safe;
 // mutation itself is not safe to interleave with readers.
 type Graph struct {
 	adj map[int]map[int]Edge
 
-	fpMemo atomic.Pointer[string]
+	fpMemo     atomic.Pointer[string]
+	layoutMemo atomic.Pointer[layout]
 }
 
-// invalidate drops the memoized fingerprint after a structural
-// mutation.
+// layout is the memo behind SortedVertices and EdgePositions.
+type layout struct {
+	verts []int
+	edges [][2]int
+}
+
+// invalidate drops the memoized fingerprint and layout after a
+// structural mutation.
 func (g *Graph) invalidate() {
 	g.fpMemo.Store(nil)
+	g.layoutMemo.Store(nil)
 }
 
 // New returns an empty graph.
@@ -175,6 +184,45 @@ func (g *Graph) Vertices() []int {
 	}
 	sort.Ints(vs)
 	return vs
+}
+
+// SortedVertices is Vertices memoized on the graph: the same ascending
+// list, computed once per graph state and shared by every caller, so a
+// decision path that needs a pattern's vertices allocates nothing.
+// Read-only.
+func (g *Graph) SortedVertices() []int { return g.layout().verts }
+
+// EdgePositions is EdgePositionsIn(SortedVertices()) memoized like
+// SortedVertices: the edges as pairs (i, j) with i < j. Read-only.
+func (g *Graph) EdgePositions() [][2]int { return g.layout().edges }
+
+func (g *Graph) layout() *layout {
+	if l := g.layoutMemo.Load(); l != nil {
+		return l
+	}
+	verts := g.Vertices()
+	l := &layout{verts: verts, edges: g.EdgePositionsIn(verts)}
+	g.layoutMemo.Store(l)
+	return l
+}
+
+// EdgePositionsIn returns the graph's edges in Edges order as pairs of
+// positions in order, which lists every vertex once. An embedding that
+// maps order[i] onto data[i] — a matcher's Match — uses data link
+// (data[p[0]], data[p[1]]) for each pair p, so code that visits many
+// embeddings of one pattern compiles the pairs once and reads no graph
+// per embedding.
+func (g *Graph) EdgePositionsIn(order []int) [][2]int {
+	pos := make(map[int]int, len(order))
+	for i, v := range order {
+		pos[v] = i
+	}
+	es := g.Edges()
+	out := make([][2]int, len(es))
+	for i, e := range es {
+		out[i] = [2]int{pos[e.U], pos[e.V]}
+	}
+	return out
 }
 
 // Edges returns all edges, normalized (U < V) and sorted by (U, V).

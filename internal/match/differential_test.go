@@ -284,8 +284,8 @@ func TestKeyerMatchesMatchKey(t *testing.T) {
 			if ky == nil {
 				ky = NewKeyer(pattern, sr.Order())
 			}
-			if got, want := ky.KeyOf(m), m.Key(pattern, data); got != want {
-				t.Fatalf("Keyer.KeyOf=%q, Match.Key=%q", got, want)
+			if got, want := string(ky.KeyBytes(m)), m.Key(pattern, data); got != want {
+				t.Fatalf("Keyer.KeyBytes=%q, Match.Key=%q", got, want)
 			}
 			return true
 		})

@@ -1,7 +1,8 @@
 package match
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"mapa/internal/graph"
@@ -24,29 +25,25 @@ type Keyer struct {
 // NewKeyer compiles a keyer for matches whose Pattern slice equals
 // order (as produced by Enumerate for this pattern).
 func NewKeyer(pattern *graph.Graph, order []int) *Keyer {
-	pos := make(map[int]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
-	pe := pattern.Edges()
-	epos := make([][2]int, len(pe))
-	for i, e := range pe {
-		epos[i] = [2]int{pos[e.U], pos[e.V]}
-	}
+	epos := pattern.EdgePositionsIn(order)
 	return &Keyer{
 		epos:  epos,
 		verts: make([]int, len(order)),
-		edges: make([][2]int, len(pe)),
-		buf:   make([]byte, 0, 8*(len(order)+2*len(pe))),
+		edges: make([][2]int, len(epos)),
+		buf:   make([]byte, 0, 8*(len(order)+2*len(epos))),
 	}
 }
 
-// KeyOf returns the canonical key of m: its data vertices ascending,
+// KeyBytes returns the canonical key of m: its data vertices ascending,
 // then the normalized data edges its pattern edges map onto, sorted.
-// The string equals m.Key(pattern, data) for valid embeddings.
-func (ky *Keyer) KeyOf(m Match) string {
+// As a string it equals m.Key(pattern, data) for valid embeddings. The
+// bytes live in the keyer's buffer until the next call: a dedup loop
+// tests seen[string(b)] — a lookup that does not allocate — and makes
+// the string only for a class it has not seen, so keying a raw
+// embedding allocates nothing.
+func (ky *Keyer) KeyBytes(m Match) []byte {
 	copy(ky.verts, m.Data)
-	sort.Ints(ky.verts)
+	slices.Sort(ky.verts)
 	for i, p := range ky.epos {
 		u, v := m.Data[p[0]], m.Data[p[1]]
 		if u > v {
@@ -54,11 +51,8 @@ func (ky *Keyer) KeyOf(m Match) string {
 		}
 		ky.edges[i] = [2]int{u, v}
 	}
-	sort.Slice(ky.edges, func(i, j int) bool {
-		if ky.edges[i][0] != ky.edges[j][0] {
-			return ky.edges[i][0] < ky.edges[j][0]
-		}
-		return ky.edges[i][1] < ky.edges[j][1]
+	slices.SortFunc(ky.edges, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	b := ky.buf[:0]
 	for _, v := range ky.verts {
@@ -73,5 +67,5 @@ func (ky *Keyer) KeyOf(m Match) string {
 		b = append(b, ',')
 	}
 	ky.buf = b
-	return string(b)
+	return b
 }

@@ -234,10 +234,11 @@ func dedupedCappedKeys(pg *program, pattern *graph.Graph, max int) ([]Match, []s
 	var out []Match
 	var keys []string
 	pg.newSearch().run(func(m Match) bool {
-		key := ky.KeyOf(m)
-		if seen[key] {
+		b := ky.KeyBytes(m)
+		if seen[string(b)] {
 			return true
 		}
+		key := string(b)
 		seen[key] = true
 		out = append(out, m.Clone())
 		keys = append(keys, key)

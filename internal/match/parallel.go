@@ -343,10 +343,11 @@ func dedupedParallelOn(sr *Searcher, pattern *graph.Graph, workers, max int, wit
 		local := make(map[string]bool)
 		var out []keyed
 		se.Root(root, func(m Match) bool {
-			key := ky.KeyOf(m)
-			if local[key] {
+			b := ky.KeyBytes(m)
+			if local[string(b)] {
 				return true
 			}
+			key := string(b)
 			local[key] = true
 			out = append(out, keyed{m: m.Clone(), key: key})
 			return true

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"mapa/internal/appgraph"
 	"mapa/internal/graph"
+	"mapa/internal/topology"
 )
 
 // ringPattern builds a k-cycle pattern 0-1-...-k-1-0.
@@ -25,6 +27,31 @@ func completeData(n int) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// TestUniverseBuildAllocationsPerClass pins the cost class of a
+// universe build: the dedup keys every raw embedding in a reused buffer
+// and makes a key string and a clone only for a class it has not seen,
+// so allocations follow the classes. AllToAll(5) on a DGX-V has 56
+// classes behind 6,720 raw embeddings (|Aut| = 5! each); keying each
+// raw embedding into a string costs more than 6,720 allocations. The
+// parallel build dedups per root first, and a class appears under at
+// most k = 5 roots, so its bound is k times the sequential one.
+func TestUniverseBuildAllocationsPerClass(t *testing.T) {
+	pattern, data := appgraph.AllToAll(5), topology.DGXV100().Graph
+	raw := CountEmbeddings(pattern, data)
+	for _, tc := range []struct{ workers, perClass int }{{1, 10}, {2, 10 * 5}} {
+		var u *Universe
+		allocs := testing.AllocsPerRun(5, func() { u = BuildUniverse(pattern, data, 0, tc.workers) })
+		if u.Len() != 56 || raw != 56*120 {
+			t.Fatalf("AllToAll(5) on dgx-v100: %d classes of %d raw embeddings, want 56 of 6720", u.Len(), raw)
+		}
+		t.Logf("workers=%d: %.0f allocations for %d classes", tc.workers, allocs, u.Len())
+		if allocs > float64(tc.perClass*u.Len()) {
+			t.Errorf("workers=%d: %.0f allocations for %d classes (%d raw embeddings), want at most %d per class",
+				tc.workers, allocs, u.Len(), raw, tc.perClass)
+		}
+	}
 }
 
 func TestUniverseFullMaskEqualsSequential(t *testing.T) {

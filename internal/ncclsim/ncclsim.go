@@ -76,12 +76,10 @@ type capacityState struct {
 }
 
 func newCapacityState(top *topology.Topology, gpus []int) *capacityState {
-	in := make(map[int]bool, len(gpus))
 	for _, g := range gpus {
 		if !top.Graph.HasVertex(g) {
 			panic(fmt.Sprintf("ncclsim: GPU %d not in topology %s", g, top.Name))
 		}
-		in[g] = true
 	}
 	st := &capacityState{
 		nvlink: make(map[edgeKey]float64),
@@ -90,11 +88,15 @@ func newCapacityState(top *topology.Topology, gpus []int) *capacityState {
 	}
 	st.vertices = append(st.vertices, gpus...)
 	sort.Ints(st.vertices)
-	for _, e := range top.Physical.Edges() {
-		if in[e.U] && in[e.V] && topology.LinkType(e.Label) != topology.LinkPCIe {
-			k := key(e.U, e.V)
-			st.nvlink[k] = e.Weight
-			st.nvType[k] = topology.LinkType(e.Label)
+	// The links among the allocation: k² lookups, not a sweep of every
+	// link of a machine that may hold many more GPUs than the job.
+	for i, u := range st.vertices {
+		for _, v := range st.vertices[i+1:] {
+			if e, ok := top.Physical.EdgeBetween(u, v); ok && topology.LinkType(e.Label) != topology.LinkPCIe {
+				k := key(u, v)
+				st.nvlink[k] = e.Weight
+				st.nvType[k] = topology.LinkType(e.Label)
+			}
 		}
 	}
 	return st

@@ -135,9 +135,9 @@ func rankedInto(buf *Allocation, s *score.Scorer, top *topology.Topology, usable
 		if buf.GPUs, ok = lowestInto(buf.GPUs, usable, part, req.NumGPUs()); !ok {
 			continue
 		}
-		buf.Match.Pattern = req.Pattern.Vertices()
+		buf.Match.Pattern = append(buf.Match.Pattern[:0], req.Pattern.SortedVertices()...)
 		buf.Match.Data = append(buf.Match.Data[:0], buf.GPUs...)
-		buf.Scores = s.ScoreRanked(top, req.Pattern, buf.Match.Pattern, buf.GPUs, usable)
+		buf.Scores = s.ScoreRanked(top, req.Pattern, buf.GPUs, usable)
 		buf.key = ""
 		return nil
 	}

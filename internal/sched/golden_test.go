@@ -195,33 +195,35 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 }
 
 // TestRunAllocationsPerPlacement bounds the garbage one simulated
-// placement makes on the paper's configuration (FIFO, dgx-v100,
-// Preserve, warm store), where the decision itself is table-served and
-// writes into the engine's reused buffer — so what is measured is the
-// engine's bookkeeping. With an availability graph edited per event
-// that was 6.6 mallocs per placement; with a mask, one GPU-set copy per
-// distinct set and the growing event list are what is left. A
-// regression is paid in GC time and peak RSS on 20,000-job replays long
-// before it shows in a unit test's wall time.
+// placement makes on the paper's configuration (FIFO, dgx-v100, warm
+// store), where the decision writes into the engine's reused buffer —
+// table-served for Preserve, ranked off the pair table for Baseline —
+// so what is measured is the engine's bookkeeping. With an availability
+// graph edited per event that was 6.6 mallocs per placement; with a
+// mask, one GPU-set copy per distinct set and the growing event list
+// are what is left. A regression is paid in GC time and peak RSS on
+// 20,000-job replays long before it shows in a unit test's wall time.
 func TestRunAllocationsPerPlacement(t *testing.T) {
 	jobList := smallMix(2000, 1)
-	e := NewEngine(topology.DGXV100(), policy.NewPreserve(nil))
-	run := func() {
-		res, err := e.Run(jobList)
-		if err != nil || len(res.Records) != len(jobList) {
-			t.Fatalf("%d records, err %v", len(res.Records), err)
+	for _, a := range []policy.Allocator{policy.NewPreserve(nil), policy.NewBaseline(nil)} {
+		e := NewEngine(topology.DGXV100(), a)
+		run := func() {
+			res, err := e.Run(jobList)
+			if err != nil || len(res.Records) != len(jobList) {
+				t.Fatalf("%s: %d records, err %v", a.Name(), len(res.Records), err)
+			}
 		}
-	}
-	run() // builds the universes and score tables the engine keeps
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	n := float64(len(jobList))
-	mallocs := float64(after.Mallocs-before.Mallocs) / n
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.1f mallocs, %.0f B per placement", mallocs, bytes)
-	if mallocs > 4 || bytes > 640 {
-		t.Errorf("%.1f mallocs and %.0f B per placement, want at most 4 and 640", mallocs, bytes)
+		run() // builds the universes and score tables the engine keeps
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		n := float64(len(jobList))
+		mallocs := float64(after.Mallocs-before.Mallocs) / n
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.1f mallocs, %.0f B per placement", a.Name(), mallocs, bytes)
+		if mallocs > 4 || bytes > 640 {
+			t.Errorf("%s: %.1f mallocs and %.0f B per placement, want at most 4 and 640", a.Name(), mallocs, bytes)
+		}
 	}
 }

@@ -166,9 +166,18 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 	if model == nil {
 		model = effbw.PaperModel()
 	}
+	// The catalog checks in Validate depend only on (workload, shape), so
+	// each distinct pair is looked up once; a job whose pair already passed
+	// is re-validated only when its counts are out of range, which yields
+	// the same error Validate always gave.
+	checked := make(map[jobKind]bool)
 	for _, j := range jobList {
-		if err := j.Validate(); err != nil {
-			return RunResult{}, err
+		kind := jobKind{j.Workload, j.Shape}
+		if !checked[kind] || j.NumGPUs < 1 || j.Iters < 1 {
+			if err := j.Validate(); err != nil {
+				return RunResult{}, err
+			}
+			checked[kind] = true
 		}
 		if j.NumGPUs > e.Top.NumGPUs() {
 			return RunResult{}, fmt.Errorf("sched: job %d needs %d GPUs but %s has %d",
@@ -371,6 +380,12 @@ func resolveWorkloads(jobList []jobs.Job) ([]*workload.Workload, error) {
 		wls[i] = w
 	}
 	return wls, nil
+}
+
+// jobKind is the part of a job Validate checks against the catalogs.
+type jobKind struct {
+	workload string
+	shape    appgraph.Shape
 }
 
 // patternKey identifies a job's application graph.

@@ -143,6 +143,20 @@ func TestRunRejectsInvalidJob(t *testing.T) {
 	if _, err := NewEngine(top, policy.NewBaseline(nil)).Run(bad); err == nil {
 		t.Fatal("invalid workload should fail")
 	}
+	// A job whose (workload, shape) an earlier job already validated still
+	// fails on its own counts, with exactly Validate's error.
+	ok := jobs.Job{ID: 1, Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 100}
+	for _, j := range []jobs.Job{
+		{ID: 2, Workload: "vgg-16", NumGPUs: 0, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 100},
+		{ID: 2, Workload: "vgg-16", NumGPUs: 2, Shape: appgraph.ShapeRing, Sensitive: true, Iters: 0},
+		{ID: 2, Workload: "VGG-16", NumGPUs: 2, Shape: "bogus", Sensitive: true, Iters: 100},
+	} {
+		_, err := NewEngine(top, policy.NewBaseline(nil)).Run([]jobs.Job{ok, j})
+		want := j.Validate()
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("Run(%+v) = %v, want %v", j, err, want)
+		}
+	}
 }
 
 func TestRunEmptyJobList(t *testing.T) {

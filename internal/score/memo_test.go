@@ -41,7 +41,7 @@ func TestMixShardEvictionRecomputes(t *testing.T) {
 	want := mixesOf(top).mix(gpus)
 	// Force the set's shard over its bound with synthetic keys so the
 	// real entry is eventually evicted.
-	_, h := mixSetKey(gpus)
+	_, h := mixSetKey(nil, gpus)
 	sh := &mixesOf(top).shards[h%mixShards]
 	sh.mu.Lock()
 	for i := 0; i < maxMixEntriesPerShard+1; i++ {

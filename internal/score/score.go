@@ -27,8 +27,8 @@ package score
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -220,17 +220,65 @@ func (tm *topoMixes) pairsOf() *pairTable {
 	return pt
 }
 
+// aggBW computes Eq. 1 for the embedding that maps pattern position i
+// onto data[i], the pattern's edges compiled to position pairs (see
+// graph.EdgePositionsIn): the summed weights of the links the edges map
+// onto. Link weights are integral, so the sum is exact in any order and
+// bit-equal to AggregatedBandwidth.
+func (pt *pairTable) aggBW(epos [][2]int, data []int) float64 {
+	var agg float64
+	for _, p := range epos {
+		u, v := data[p[0]], data[p[1]]
+		at := u*pt.n + v
+		if !pt.has.Has(at) {
+			panic(fmt.Sprintf("score: invalid embedding, data edge (%d,%d) missing", u, v))
+		}
+		agg += pt.w[at]
+	}
+	return agg
+}
+
+// internal is the summed weight of the links among an ascending GPU
+// set: the per-set constant of the Eq. 3 delta decomposition.
+func (pt *pairTable) internal(gpus []int) float64 {
+	var sum float64
+	for a, g := range gpus {
+		row := pt.w[g*pt.n : (g+1)*pt.n]
+		for _, h := range gpus[a+1:] {
+			sum += row[h]
+		}
+	}
+	return sum
+}
+
 // preserved computes Eq. 3 for allocating gpus out of the usable set:
-// the total weight of the links among the usable GPUs left over. Link
+// the total weight of the links among the usable GPUs left over, read
+// off the usable mask's words with the chosen GPUs cleared. Link
 // weights are integral, so the sum is exact in any order and bit-equal
 // to PreservedBandwidth on the induced subgraph.
 func (pt *pairTable) preserved(usable graph.Bitset, gpus []int) float64 {
-	rest := slices.DeleteFunc(usable.Members(), func(v int) bool { return slices.Contains(gpus, v) })
+	var words [4]uint64 // 256 GPUs on the stack; a larger machine grows onto the heap
+	rest := append(words[:0], usable...)
+	for _, g := range gpus {
+		if g/64 < len(rest) {
+			rest[g/64] &^= 1 << (uint(g) % 64)
+		}
+	}
 	var sum float64
-	for i, u := range rest {
-		row := pt.w[u*pt.n : (u+1)*pt.n]
-		for _, v := range rest[i+1:] {
-			sum += row[v]
+	for wi, w := range rest {
+		for ; w != 0; w &= w - 1 {
+			u := wi*64 + bits.TrailingZeros64(w)
+			row := pt.w[u*pt.n : (u+1)*pt.n]
+			// The left-over GPUs above u: the rest of u's word, then the
+			// later words.
+			for wj, x := wi, w&(w-1); ; x = rest[wj] {
+				for ; x != 0; x &= x - 1 {
+					sum += row[wj*64+bits.TrailingZeros64(x)]
+				}
+				if wj++; wj == len(rest) {
+					break
+				}
+			}
 		}
 	}
 	return sum
@@ -305,35 +353,33 @@ func InvalidateMixes(top *topology.Topology) {
 	}
 }
 
-// mixSetKey renders a GPU set as a compact byte-string key and returns
-// it with its FNV-1a hash for shard selection.
-func mixSetKey(gpus []int) (string, uint64) {
+// mixSetKey appends a GPU set's compact key to dst — the set's bitset
+// words, little-endian, so bit g is bit g%8 of byte g/8 — and returns it
+// with the key's FNV-1a hash for shard selection.
+func mixSetKey(dst []byte, gpus []int) ([]byte, uint64) {
 	maxID := 0
 	for _, g := range gpus {
-		if g > maxID {
-			maxID = g
-		}
+		maxID = max(maxID, g)
 	}
-	words := make([]uint64, maxID/64+1)
+	start, n := len(dst), 8*(maxID/64+1)
+	dst = slices.Grow(dst, n)[:start+n]
+	key := dst[start:]
+	clear(key)
 	for _, g := range gpus {
 		if g >= 0 {
-			words[g/64] |= 1 << (uint(g) % 64)
+			key[g/8] |= 1 << (uint(g) % 8)
 		}
-	}
-	buf := make([]byte, 0, 8*len(words))
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	h := uint64(fnvOffset)
-	for _, b := range buf {
+	for _, b := range key {
 		h ^= uint64(b)
 		h *= fnvPrime
 	}
-	return string(buf), h
+	return dst, h
 }
 
 // mix returns the memoized ring-channel link mix of the GPU set on the
@@ -342,19 +388,21 @@ func mixSetKey(gpus []int) (string, uint64) {
 // model, or availability state — so the memo is shared by every Scorer
 // and every Table build on a topology instance: a mix decomposed while
 // warming a score table is never decomposed again by a dynamic
-// decision, and vice versa.
+// decision, and vice versa. The key is built on the stack, and a hit
+// allocates nothing: only an insert makes the key string.
 func (tm *topoMixes) mix(gpus []int) effbw.LinkCounts {
-	set, h := mixSetKey(gpus)
+	var buf [32]byte
+	set, h := mixSetKey(buf[:0], gpus)
 	sh := &tm.shards[h%mixShards]
 	sh.mu.Lock()
-	if mix, ok := sh.m[set]; ok {
+	if mix, ok := sh.m[string(set)]; ok {
 		sh.mu.Unlock()
 		return mix
 	}
 	sh.mu.Unlock()
 	mix := effbw.MixFromDecomposition(tm.top, ncclsim.Decompose(tm.top, gpus))
 	sh.mu.Lock()
-	sh.put(set, mix)
+	sh.put(string(set), mix)
 	sh.mu.Unlock()
 	return mix
 }
@@ -444,32 +492,19 @@ func (s *Scorer) score(top *topology.Topology, pattern, hw *graph.Graph, m match
 }
 
 // ScoreRanked is Score for the rank-ordered embedding a policy that
-// does not pattern-match reports — pv[i] onto gpus[i], both ascending,
-// pv the pattern's vertices — on the machine state whose usable GPUs
-// are exactly the mask. It reads the topology's pair table where Score
-// walks the availability graph, and returns the same values bit for
-// bit: the monotone embedding visits pattern edges in the order
-// Match.UsedEdges sorts their images into.
-func (s *Scorer) ScoreRanked(top *topology.Topology, pattern *graph.Graph, pv, gpus []int, usable graph.Bitset) Scores {
+// does not pattern-match reports — the pattern's ascending vertices
+// (SortedVertices) onto the ascending gpus, i onto i — on the machine
+// state whose usable GPUs are exactly the mask. It reads the topology's
+// pair table where Score walks the availability graph, returns the same
+// values bit for bit, and allocates nothing once the pattern's layout
+// and the set's mix are memoized.
+func (s *Scorer) ScoreRanked(top *topology.Topology, pattern *graph.Graph, gpus []int, usable graph.Bitset) Scores {
 	evaluations.Add(1)
 	tm := mixesOf(top)
 	pt := tm.pairsOf()
-	var agg float64
-	for i, pu := range pv {
-		for j := i + 1; j < len(pv); j++ {
-			if !pattern.HasEdge(pu, pv[j]) {
-				continue
-			}
-			at := gpus[i]*pt.n + gpus[j]
-			if !pt.has.Has(at) {
-				panic(fmt.Sprintf("score: invalid embedding, data edge (%d,%d) missing", gpus[i], gpus[j]))
-			}
-			agg += pt.w[at]
-		}
-	}
 	mix := tm.mix(gpus)
 	return Scores{
-		AggBW:       agg,
+		AggBW:       pt.aggBW(pattern.EdgePositions(), gpus),
 		EffBW:       s.Model.Predict(mix),
 		PreservedBW: pt.preserved(usable, gpus),
 		Mix:         mix,

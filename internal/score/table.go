@@ -1,6 +1,7 @@
 package score
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -41,9 +42,9 @@ import (
 // caller. Per-model artifacts (Eq. 2 predictions and the precomputed
 // selection orders) hang off ForModel.
 type Table struct {
-	top     *topology.Topology
-	pattern *graph.Graph
-	u       *match.Universe
+	top  *topology.Topology
+	u    *match.Universe
+	epos [][2]int // the pattern's edges as positions in the universe's match order
 
 	agg []float64 // candidate -> Eq. 1 AggBW
 
@@ -81,8 +82,8 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 	}
 	t := &Table{
 		top:       top,
-		pattern:   pattern,
 		u:         u,
+		epos:      pattern.EdgePositionsIn(u.Order()),
 		agg:       make([]float64, n),
 		internal:  make([]float64, sets),
 		mix:       make([]effbw.LinkCounts, sets),
@@ -95,6 +96,7 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 	if workers > n {
 		workers = n
 	}
+	tm := mixesOf(top)
 	if workers > 1 {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -102,42 +104,36 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 			go func(start int) {
 				defer wg.Done()
 				for i := start; i < n; i += workers {
-					t.fill(i)
+					t.fill(tm, i)
 				}
 			}(w)
 		}
 		wg.Wait()
 	} else {
 		for i := 0; i < n; i++ {
-			t.fill(i)
+			t.fill(tm, i)
 		}
 	}
 	t.pickReps()
 	return t
 }
 
-// fill (re)derives candidate i's AggBW from the table's current
-// topology graphs, and its set's columns when i is the set's first
-// candidate — each set is filled by exactly one candidate.
-func (t *Table) fill(i int) {
-	hw := t.top.Graph
+// fill (re)derives candidate i's AggBW from the topology's current pair
+// table, and its set's columns when i is the set's first candidate —
+// each set is filled by exactly one candidate.
+func (t *Table) fill(tm *topoMixes, i int) {
+	pt := tm.pairsOf()
 	m := t.u.Match(i)
-	t.agg[i] = AggregatedBandwidth(t.pattern, hw, m)
+	t.agg[i] = pt.aggBW(t.epos, m.Data)
 	s := t.u.SetOf(i)
 	if t.u.SetFirst(s) != i {
 		return
 	}
 	gpus := t.gpusArena[s*t.k : (s+1)*t.k : (s+1)*t.k]
 	copy(gpus, m.Data)
-	sort.Ints(gpus)
-	t.mix[s] = mixesOf(t.top).mix(gpus)
-	var internal float64
-	for a, g := range gpus {
-		for _, h := range gpus[a+1:] {
-			internal += hw.Weight(g, h)
-		}
-	}
-	t.internal[s] = internal
+	slices.Sort(gpus)
+	t.mix[s] = tm.mix(gpus)
+	t.internal[s] = pt.internal(gpus)
 }
 
 // pickReps chooses every set's two representatives in one pass over
@@ -173,14 +169,15 @@ func (t *Table) pickReps() {
 // are re-picked, and per-model artifacts (predictions and selection
 // orders) are dropped wholesale and rebuilt lazily on the next
 // decision. The caller must have already mutated the topology's graphs
-// and invalidated its mix memo (InvalidateMixes), and must serialize
-// RepairEdge with readers.
+// and invalidated its mix memo and pair table (InvalidateMixes) — the
+// refill reads both — and must serialize RepairEdge with readers.
 func (t *Table) RepairEdge(u, v int) int {
 	repaired := 0
+	tm := mixesOf(t.top)
 	for i := 0; i < t.Len(); i++ {
 		s := t.u.Set(i)
 		if s.Has(u) && s.Has(v) {
-			t.fill(i)
+			t.fill(tm, i)
 			repaired++
 		}
 	}

@@ -1,57 +1,178 @@
 package score
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
 	"mapa/internal/graph"
 	"mapa/internal/match"
 	"mapa/internal/topology"
 )
 
-// TestTableMatchesDynamicScorer pins the table's static columns against
-// the dynamic evaluators, candidate by candidate, on the idle machine:
+// TestTableMatchesDynamicScorer pins the table's static columns, read
+// off the topology's pair table, against the dynamic evaluators, which
+// walk the hardware graph, candidate by candidate on the idle machine:
 // AggBW, the ring-channel mix, the Eq. 2 prediction, and the Eq. 3
-// decomposition (idle total − incident sum + internal == the dynamic
-// PreservedBandwidth) must agree exactly.
+// decomposition (idle total − incident sum + internal == the full-graph
+// PreservedBandwidth sweep, which the ledger must also match) must agree
+// exactly. It covers every shape of sizes 2–5 on
+// four machines plus the 72-GPU cluster's Chain(3), whose GPU IDs span
+// two bitset words. A degraded leg then halves a link, drops the
+// topology's mixes and pair table (InvalidateMixes), repairs every table
+// (RepairEdge) and compares again: a stale pair table fails it.
 func TestTableMatchesDynamicScorer(t *testing.T) {
-	top := topology.DGXV100()
-	pattern := ringPattern(3)
-	u := match.BuildUniverse(pattern, top.Graph, 0, 1)
-	if !u.Complete() {
-		t.Fatal("universe must be complete")
+	type leg struct {
+		top      string
+		patterns []*graph.Graph
 	}
-	for _, workers := range []int{1, 4} {
-		tbl := BuildTable(top, pattern, u, workers)
-		if tbl.Len() != u.Len() {
-			t.Fatalf("table holds %d rows, universe %d", tbl.Len(), u.Len())
+	legs := []leg{{"cluster-a100", []*graph.Graph{appgraph.Chain(3)}}}
+	for _, name := range []string{"dgx-v100", "dgx-a100", "torus-2d", "cubemesh-16"} {
+		legs = append(legs, leg{name, appgraph.AllShapes(5)})
+	}
+	s := NewScorer(nil)
+	sweeps := make(map[string]map[string]eq3Sweep)
+	for _, l := range legs {
+		t.Run(l.top, func(t *testing.T) {
+			for _, pattern := range l.patterns {
+				// A fresh machine per pattern: the degraded leg mutates it.
+				top, err := topology.ByName(l.top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u := match.BuildUniverse(pattern, top.Graph, 0, 1)
+				if !u.Complete() {
+					t.Fatal("universe must be complete")
+				}
+				seq, par := BuildTable(top, pattern, u, 1), BuildTable(top, pattern, u, 4)
+				checkTable(t, "idle", s, top, pattern, seq, par, sweeps)
+				e := top.Graph.Edges()[0]
+				top.Graph.MustAddEdge(e.U, e.V, math.Floor(e.Weight/2), e.Label)
+				if pe, ok := top.Physical.EdgeBetween(e.U, e.V); ok {
+					top.Physical.MustAddEdge(e.U, e.V, math.Floor(e.Weight/2), pe.Label)
+				}
+				InvalidateMixes(top)
+				if seq.RepairEdge(e.U, e.V) == 0 || par.RepairEdge(e.U, e.V) == 0 {
+					if pattern.NumVertices() < 4 {
+						continue // no small pattern need cross the halved link
+					}
+					t.Fatalf("%v: no candidate holds link (%d,%d): the degraded leg is vacuous", pattern.Edges(), e.U, e.V)
+				}
+				checkTable(t, "degraded", s, top, pattern, seq, par, sweeps)
+			}
+		})
+	}
+}
+
+// eq3Sweep is the full-graph Eq. 3 reference for one GPU set on one
+// machine state: PreservedBandwidth's sweep and the set's incident
+// weight, summed over IncidentEdges.
+type eq3Sweep struct{ ref, incident float64 }
+
+// checkTable compares every candidate of tbl with the dynamic scorer on
+// top's idle machine, and par — the same table built in parallel —
+// with tbl column by column. sweeps memoizes the Eq. 3 reference by the
+// machine's fingerprint and the GPU set, since it depends on nothing else.
+func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pattern *graph.Graph, tbl, par *Table, sweeps map[string]map[string]eq3Sweep) {
+	t.Helper()
+	u := tbl.Universe()
+	if tbl.Len() != u.Len() || par.Len() != u.Len() {
+		t.Fatalf("%s: tables hold %d and %d rows, universe %d", leg, tbl.Len(), par.Len(), u.Len())
+	}
+	for s := 0; s < u.Sets(); s++ {
+		if tbl.KeyRep(s) != par.KeyRep(s) || tbl.AggRep(s) != par.AggRep(s) {
+			t.Fatalf("%s set %d: representatives %d/%d, parallel build %d/%d",
+				leg, s, tbl.KeyRep(s), tbl.AggRep(s), par.KeyRep(s), par.AggRep(s))
 		}
-		s := NewScorer(nil)
-		mt := tbl.ForModel(s.Model)
-		idle := top.Graph.TotalWeight()
-		for i := 0; i < u.Len(); i++ {
-			m := u.Match(i)
-			want := s.Score(top, pattern, top.Graph, m)
-			if tbl.AggBW(i) != want.AggBW {
-				t.Fatalf("candidate %d: AggBW %g, dynamic %g", i, tbl.AggBW(i), want.AggBW)
-			}
-			if tbl.Mix(i) != want.Mix {
-				t.Fatalf("candidate %d: mix %+v, dynamic %+v", i, tbl.Mix(i), want.Mix)
-			}
-			if mt.EffBW(i) != want.EffBW {
-				t.Fatalf("candidate %d: EffBW %g, dynamic %g", i, mt.EffBW(i), want.EffBW)
-			}
-			// Eq. 3 decomposition on the idle machine: the state terms
-			// are the full graph's totals.
-			var incident float64
-			for _, g := range tbl.GPUs(i) {
+	}
+	mt := tbl.ForModel(s.Model)
+	led := NewLedger(top.Graph)
+	idle := top.Graph.TotalWeight()
+	state := sweeps[top.Graph.Fingerprint()]
+	if state == nil {
+		state = make(map[string]eq3Sweep)
+		sweeps[top.Graph.Fingerprint()] = state
+	}
+	for i := 0; i < u.Len(); i++ {
+		if par.AggBW(i) != tbl.AggBW(i) || par.Mix(i) != tbl.Mix(i) || par.Internal(i) != tbl.Internal(i) {
+			t.Fatalf("%s candidate %d: parallel build differs", leg, i)
+		}
+		m := u.Match(i)
+		want := s.ScoreLedger(top, pattern, top.Graph, m, led)
+		if tbl.AggBW(i) != want.AggBW {
+			t.Fatalf("%s %v candidate %d: AggBW %g, dynamic %g", leg, m.Data, i, tbl.AggBW(i), want.AggBW)
+		}
+		if tbl.Mix(i) != want.Mix {
+			t.Fatalf("%s %v candidate %d: mix %+v, dynamic %+v", leg, m.Data, i, tbl.Mix(i), want.Mix)
+		}
+		if mt.EffBW(i) != want.EffBW {
+			t.Fatalf("%s %v candidate %d: EffBW %g, dynamic %g", leg, m.Data, i, mt.EffBW(i), want.EffBW)
+		}
+		// Eq. 3 decomposition against the full-graph sweep: the state
+		// terms are the whole machine's totals, walked edge by edge rather
+		// than read off the ledger.
+		gpus := tbl.GPUs(i)
+		key := fmt.Sprint(gpus)
+		sw, ok := state[key]
+		if !ok {
+			sw.ref = PreservedBandwidth(top.Graph, gpus)
+			for _, g := range gpus {
 				for _, e := range top.Graph.IncidentEdges(g) {
-					incident += e.Weight
+					sw.incident += e.Weight
 				}
 			}
-			if got := idle - incident + tbl.Internal(i); got != want.PreservedBW {
-				t.Fatalf("candidate %d: delta-decomposed PreservedBW %g, dynamic %g", i, got, want.PreservedBW)
+			state[key] = sw
+		}
+		if got := idle - sw.incident + tbl.Internal(i); got != sw.ref {
+			t.Fatalf("%s %v candidate %d: delta-decomposed PreservedBW %g, full-graph sweep %g", leg, m.Data, i, got, sw.ref)
+		}
+		if want.PreservedBW != sw.ref {
+			t.Fatalf("%s %v candidate %d: ledger PreservedBW %g, full-graph sweep %g", leg, m.Data, i, want.PreservedBW, sw.ref)
+		}
+	}
+}
+
+// TestPairTablePreservedMatchesInducedSubgraph pins the pair table's
+// Eq. 3, read off the usable mask's words, against PreservedBandwidth
+// on the induced availability graph, on random masks of the 72-GPU
+// cluster with chosen GPUs in both words — the second word's masking is
+// what a single-word machine never exercises.
+func TestPairTablePreservedMatchesInducedSubgraph(t *testing.T) {
+	top, err := topology.ByName("cluster-a100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := mixesOf(top).pairsOf()
+	n := top.NumGPUs()
+	if n <= 64 {
+		t.Fatalf("%d GPUs fit one word", n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		usable := graph.NewBitset(n)
+		for g := 0; g < n; g++ {
+			if rng.Intn(3) > 0 {
+				usable.Set(g)
 			}
+		}
+		members := usable.Members()
+		var gpus []int
+		for _, g := range rng.Perm(len(members)) {
+			if g := members[g]; g >= 64 || rng.Intn(4) == 0 {
+				gpus = append(gpus, g)
+			}
+			if len(gpus) == 1+trial%5 {
+				break
+			}
+		}
+		slices.Sort(gpus)
+		want := PreservedBandwidth(top.Graph.InducedSubgraph(members), gpus)
+		if got := pt.preserved(usable, gpus); got != want {
+			t.Fatalf("trial %d: preserved(%v) = %g, induced subgraph %g", trial, gpus, got, want)
 		}
 	}
 }
