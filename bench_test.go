@@ -734,35 +734,22 @@ func BenchmarkAllocationDecisionParallel(b *testing.B) {
 // BenchmarkUniverseBuildCluster measures the one-time idle-state
 // universe build — the cold-start enumeration on the serving path of
 // every large machine — for Ring(3) on the 72-GPU cluster-a100
-// (~426K raw embeddings, 59,640 classes) at 1/2/4/8 workers under the
-// cost-estimated work-stealing partitioner. Per-run metrics:
-//
-//	classes         built universe size (must equal C(72,3))
-//	plan-imbalance  max/min per-worker claimed estimated cost of the
-//	                chunk plan under idealized claiming (1 = the dense-
-//	                root straggler is gone)
-//	slice-imbalance the same metric for the retired one-contiguous-
-//	                slice-per-worker partitioner, for comparison
+// (~426K raw embeddings, 59,640 classes) at 1/2/4/8 workers; it also
+// reports the built universe size (classes, must equal C(72,3)).
 func BenchmarkUniverseBuildCluster(b *testing.B) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
 	const wantClasses = 72 * 71 * 70 / 6
-	costs := match.NewSearcher(pattern, top.Graph).RootCosts()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var u *match.Universe
-			var bs *match.BuildStats
 			for i := 0; i < b.N; i++ {
-				u, bs = match.BuildUniverseStats(pattern, top.Graph, 0, workers)
+				u = match.BuildUniverse(pattern, top.Graph, 0, workers)
 			}
 			if u.Len() != wantClasses {
 				b.Fatalf("universe holds %d classes, want %d", u.Len(), wantClasses)
 			}
 			b.ReportMetric(float64(u.Len()), "classes")
-			if workers > 1 {
-				b.ReportMetric(bs.Plan, "plan-imbalance")
-				b.ReportMetric(match.SliceImbalance(costs, workers), "slice-imbalance")
-			}
 		})
 	}
 }

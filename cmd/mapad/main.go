@@ -43,16 +43,15 @@ import (
 
 // options bundles the daemon's CLI configuration.
 type options struct {
-	addr         string
-	topoName     string
-	policyName   string
-	warmMaxGPUs  int
-	syncWarm     bool
-	workers      int
-	buildWorkers int
-	queueDepth   int
-	coalesce     time.Duration
-	maxTenants   int
+	addr        string
+	topoName    string
+	policyName  string
+	warmMaxGPUs int
+	syncWarm    bool
+	workers     int
+	queueDepth  int
+	coalesce    time.Duration
+	maxTenants  int
 
 	journalDir    string
 	fsyncMode     string
@@ -69,8 +68,7 @@ func main() {
 	flag.StringVar(&o.policyName, "policy", "preserve", "allocation policy")
 	flag.IntVar(&o.warmMaxGPUs, "warm", 5, "prewarm universes + score tables for every shape up to this size (0 disables)")
 	flag.BoolVar(&o.syncWarm, "sync-warm", false, "block startup until warming completes instead of overlapping it with traffic")
-	flag.IntVar(&o.workers, "workers", 0, "parallel matcher/scoring workers (<2 sequential)")
-	flag.IntVar(&o.buildWorkers, "buildworkers", 0, "workers for universe builds (0 uses -workers)")
+	flag.IntVar(&o.workers, "workers", 0, "parallel matcher/scoring and universe-build workers (<2 sequential)")
 	flag.IntVar(&o.queueDepth, "queue", server.DefaultQueueDepth, "bounded admission depth; allocates beyond it get 429")
 	flag.DurationVar(&o.coalesce, "coalesce", 0, "coalescing window for identical (shape,size) allocate bursts (0 disables)")
 	flag.IntVar(&o.maxTenants, "max-tenants", server.DefaultMaxTenants, "max distinct tenant streams; overflow serves via the default stream")
@@ -103,9 +101,6 @@ func newServer(o options) (*server.Server, *mapa.System, error) {
 	}
 	if o.workers > 1 {
 		opts = append(opts, mapa.WithWorkers(o.workers))
-	}
-	if o.buildWorkers > 1 {
-		opts = append(opts, mapa.WithBuildWorkers(o.buildWorkers))
 	}
 	if o.journalDir != "" {
 		mode, err := journal.ParseFsyncMode(o.fsyncMode)

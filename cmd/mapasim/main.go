@@ -31,37 +31,39 @@ import (
 
 // options bundles the CLI configuration of one simulator run.
 type options struct {
-	topoName     string
-	fleetNodes   int
-	policyName   string
-	jobFile      string
-	n            int
-	seed         int64
-	maxGPUs      int
-	workers      int
-	buildWorkers int
-	universes    bool
-	warm         bool
-	cacheStats   bool
-	verbose      bool
-	faultProb    float64
-	faultDown    float64
-	faultSeed    int64
-	cpuProfile   string
-	memProfile   string
+	topoName   string
+	fleetNodes int
+	policyName string
+	jobFile    string
+	n          int
+	seed       int64
+	maxGPUs    int
+	workers    int
+	universes  bool
+	warm       bool
+	cacheStats bool
+	verbose    bool
+	faultProb  float64
+	faultDown  float64
+	faultSeed  int64
+	cpuProfile string
+	memProfile string
 }
+
+// topologyNames lists every -topology value topology.ByName accepts:
+// the single servers plus the 72-GPU cluster.
+func topologyNames() []string { return append(topology.Names(), "cluster-a100") }
 
 func main() {
 	var o options
-	flag.StringVar(&o.topoName, "topology", "dgx-v100", "hardware topology: "+strings.Join(topology.Names(), ", "))
+	flag.StringVar(&o.topoName, "topology", "dgx-v100", "hardware topology: "+strings.Join(topologyNames(), ", "))
 	flag.IntVar(&o.fleetNodes, "fleet", 0, "treat -topology as a node template and simulate a fleet of this many nodes (flattened machine)")
 	flag.StringVar(&o.policyName, "policy", "preserve", "allocation policy, or 'all' for the paper's four")
 	flag.StringVar(&o.jobFile, "jobs", "", "job file path (empty generates a random mix)")
 	flag.IntVar(&o.n, "n", 300, "generated job count when -jobs is empty")
 	flag.Int64Var(&o.seed, "seed", 1, "generation seed when -jobs is empty")
 	flag.IntVar(&o.maxGPUs, "max-gpus", 5, "max GPUs per generated job")
-	flag.IntVar(&o.workers, "workers", 1, "parallel matcher/scoring workers for MAPA policies (<2 sequential)")
-	flag.IntVar(&o.buildWorkers, "buildworkers", 0, "workers for idle-state universe builds (cost-partitioned work stealing; 0 uses -workers)")
+	flag.IntVar(&o.workers, "workers", 1, "parallel matcher/scoring and universe-build workers for MAPA policies (<2 sequential)")
 	flag.BoolVar(&o.universes, "universes", true, "serve decisions from precomputed per-shape universes and score tables; false runs the paper's fresh search per decision (the reference path)")
 	flag.BoolVar(&o.warm, "warm", false, "prewarm idle-state universes for every shape up to -max-gpus before scheduling")
 	flag.BoolVar(&o.cacheStats, "cachestats", false, "print table-served/declined decision counters per policy and the store's universe builds")
@@ -157,7 +159,6 @@ func run(o options) error {
 	cfg := sched.CompareConfig{
 		Mode:             sched.ModeRealRun,
 		Workers:          o.workers,
-		BuildWorkers:     o.buildWorkers,
 		DisableUniverses: !o.universes,
 	}
 	if o.warm && o.universes {
@@ -218,12 +219,8 @@ func run(o options) error {
 				if !bld.Complete {
 					state = "incomplete"
 				}
-				plan := "static"
-				if bld.Calibrated {
-					plan = "calibrated"
-				}
-				fmt.Printf("  shape %dv/%de: %d classes (%s) in %v, workers=%d, %s plan imbalance %.2f, claimed %.2f\n",
-					bld.Vertices, bld.Edges, bld.Classes, state, bld.Duration, bld.Workers, plan, bld.PlanImbalance, bld.CostImbalance)
+				fmt.Printf("  shape %dv/%de: %d classes (%s) in %v, workers=%d\n",
+					bld.Vertices, bld.Edges, bld.Classes, state, bld.Duration, bld.Workers)
 			}
 		}
 	}

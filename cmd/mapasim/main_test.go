@@ -3,7 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"mapa/internal/topology"
 )
 
 // opts returns a baseline options value for tests; decisions are
@@ -62,15 +65,29 @@ func TestRunWarmedWithCacheStats(t *testing.T) {
 	}
 }
 
-func TestRunBuildWorkersWarmed(t *testing.T) {
+func TestRunParallelWarmed(t *testing.T) {
 	o := opts()
 	o.n = 15
 	o.maxGPUs = 4
-	o.buildWorkers = 4
+	o.workers = 4
 	o.warm = true
 	o.cacheStats = true
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTopologyHelpNamesResolve: every machine the -topology help lists
+// resolves, and the list names the cluster ByName accepts.
+func TestTopologyHelpNamesResolve(t *testing.T) {
+	names := topologyNames()
+	if !slices.Contains(names, "cluster-a100") {
+		t.Fatalf("-topology help omits cluster-a100: %v", names)
+	}
+	for _, name := range names {
+		if _, err := topology.ByName(name); err != nil {
+			t.Errorf("-topology help lists %q: %v", name, err)
+		}
 	}
 }
 

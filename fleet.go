@@ -99,9 +99,6 @@ func NewFleetSystemFor(f *topology.Fleet, policyName string, opts ...SystemOptio
 	}
 	s.fleet = f
 	s.fstore = matchcache.NewFleetStore(f, matchcache.DefaultUniverseCapacity)
-	if s.cfg.buildWorkers > 1 {
-		s.fstore.SetBuildWorkers(s.cfg.buildWorkers)
-	}
 	s.warm(s.fstore.Warm, f.MaxNodeGPUs(), true)
 	s.fviews = s.fstore.NewFleetViews()
 	policy.AttachFleet(s.alloc, s.fviews)

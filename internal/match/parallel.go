@@ -5,17 +5,18 @@
 // results are stitched back together in root order — byte-identical to
 // the sequential enumeration, just faster.
 //
-// Dispatch is cost-estimated work stealing (see cost.go): roots are
-// packed into cost-descending chunks and claimed from a shared queue,
-// so a dense root starts first instead of serializing the tail of the
-// build. Claim order never affects output — the stitch walks roots in
-// ascending order regardless of who enumerated them when.
+// Dispatch is one atomic counter handing out roots in ascending order.
+// Every hardware graph is complete (topology.Validate rejects any other)
+// and every search runs on an induced subgraph of one, which is complete
+// too: all roots are symmetric and span equally sized subtrees, so there
+// is no dense root to schedule first. Claim order never affects output —
+// the stitch walks roots in ascending order regardless of who enumerated
+// them when.
 package match
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mapa/internal/graph"
 )
@@ -27,27 +28,6 @@ import (
 type Searcher struct {
 	pg    *program
 	roots []int
-	costs []float64 // optional plan-cost override (SetCosts); nil = static estimate
-}
-
-// SetCosts overrides the static per-root cost estimate the
-// work-stealing planner chunks by — the hook the EWMA calibration uses
-// to feed measured enumeration times back into the plan. costs must be
-// aligned with Roots(); a mismatched length is ignored. Only the chunk
-// plan changes: enumeration output is byte-identical under any costs.
-func (sr *Searcher) SetCosts(costs []float64) {
-	if len(costs) == len(sr.roots) {
-		sr.costs = costs
-	}
-}
-
-// planCosts returns the per-root costs the dispatcher plans with: the
-// SetCosts override when present, the static estimate otherwise.
-func (sr *Searcher) planCosts() []float64 {
-	if sr.costs != nil {
-		return sr.costs
-	}
-	return sr.rootCosts()
 }
 
 // NewSearcher compiles pattern against data. The result is never nil;
@@ -135,10 +115,9 @@ func (sr *Searcher) EnumerateRoot(root int, fn func(Match) bool) {
 }
 
 // capTracker decides when a capped parallel enumeration may stop
-// dispatching roots. With cost-ordered claiming, completed roots no
-// longer form a contiguous prefix of enumeration order, so the PR 1
-// "dispatched prefix holds k*max classes" argument is replaced by an
-// explicit one: the tracker records per-root class counts as roots
+// dispatching roots. Roots are claimed in ascending order but finish in
+// any order, so completed roots need not form a contiguous prefix of
+// enumeration order: the tracker records per-root class counts as roots
 // finish and advances the boundary of the *contiguous completed
 // prefix* in root order. A class's raw embeddings map the first
 // match-order vertex to at most k distinct data vertices, so it
@@ -185,71 +164,34 @@ func (t *capTracker) complete(i, classes int) {
 
 // forEachRoot runs fn(session, rootIndex, root) over all roots with up
 // to `workers` goroutines — the single dispatch loop every parallel
-// entry point shares. Roots are claimed as cost-descending chunks from
-// a shared queue (see cost.go), each worker owning one Session for all
-// its roots. fn returns the root's class count for cap accounting. A
-// non-nil tracker is polled before each root; once it stops, no
-// further roots start (in-flight roots finish and are recorded). A
-// non-nil stats receives the dispatch accounting.
-func (sr *Searcher) forEachRoot(workers int, tr *capTracker, stats *BuildStats, fn func(se *Session, i int, root int) int) {
-	costs := sr.planCosts()
-	chunks := planChunks(costs, workers)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if stats != nil {
-		stats.Workers = workers
-		stats.Roots = len(sr.roots)
-		stats.Chunks = len(chunks)
-		for _, c := range costs {
-			stats.TotalCost += c
-		}
-		stats.Plan = PlanImbalance(costs, chunks, workers)
-		stats.WorkerCost = make([]float64, workers)
-		stats.WorkerRoots = make([]int, workers)
-		stats.RootSeconds = make([]float64, len(sr.roots))
-		stats.Calibrated = sr.costs != nil
-	}
+// entry point shares. Each worker owns one Session and claims the next
+// root index from a shared atomic counter. fn returns the root's class
+// count for cap accounting. A non-nil tracker is polled before each
+// root; once it stops, no further roots start (in-flight roots finish
+// and are recorded).
+func (sr *Searcher) forEachRoot(workers int, tr *capTracker, fn func(se *Session, i int, root int) int) {
+	workers = min(workers, len(sr.roots))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			se := sr.Session()
 			for {
 				if tr != nil && tr.stop() {
 					return
 				}
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
+				i := int(next.Add(1)) - 1
+				if i >= len(sr.roots) {
 					return
 				}
-				for _, i := range chunks[c] {
-					if tr != nil && tr.stop() {
-						return
-					}
-					var start time.Time
-					if stats != nil {
-						start = time.Now()
-					}
-					n := fn(se, i, sr.roots[i])
-					if stats != nil {
-						// Per-root wall time feeds the EWMA cost
-						// calibration; each RootSeconds slot is written
-						// by exactly one worker.
-						stats.RootSeconds[i] = time.Since(start).Seconds()
-					}
-					if tr != nil {
-						tr.complete(i, n)
-					}
-					if stats != nil {
-						stats.WorkerCost[w] += costs[i]
-						stats.WorkerRoots[w]++
-					}
+				n := fn(se, i, sr.roots[i])
+				if tr != nil {
+					tr.complete(i, n)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -270,7 +212,7 @@ func FindAllParallel(pattern, data *graph.Graph, workers int) []Match {
 		return out
 	}
 	perRoot := make([][]Match, len(sr.roots))
-	sr.forEachRoot(workers, nil, nil, func(se *Session, i, root int) int {
+	sr.forEachRoot(workers, nil, func(se *Session, i, root int) int {
 		var out []Match
 		se.Root(root, func(m Match) bool {
 			out = append(out, m.Clone())
@@ -302,33 +244,16 @@ func FindAllDedupedParallel(pattern, data *graph.Graph, workers int) []Match {
 // walks roots in order, so the output is identical to the sequential
 // capped enumeration.
 func FindAllDedupedParallelKeys(pattern, data *graph.Graph, workers, max int) ([]Match, []string) {
-	ms, keys, _ := FindAllDedupedParallelKeysStats(pattern, data, workers, max, false)
-	return ms, keys
-}
-
-// FindAllDedupedParallelKeysStats is FindAllDedupedParallelKeys that
-// additionally returns the dispatch accounting of the work-stealing
-// partitioner when withStats is set (nil on the sequential fallback or
-// when withStats is false) — the instrumentation behind the
-// universe-build benchmarks and Store build timings.
-func FindAllDedupedParallelKeysStats(pattern, data *graph.Graph, workers, max int, withStats bool) ([]Match, []string, *BuildStats) {
-	return dedupedParallelOn(NewSearcher(pattern, data), pattern, workers, max, withStats)
-}
-
-// dedupedParallelOn is the FindAllDedupedParallelKeysStats body over an
-// already-compiled (and possibly cost-calibrated) Searcher.
-func dedupedParallelOn(sr *Searcher, pattern *graph.Graph, workers, max int, withStats bool) ([]Match, []string, *BuildStats) {
-	if workers < 2 || len(sr.roots) < 2 {
-		ms, keys := dedupedCappedKeys(sr.pg, pattern, max)
-		return ms, keys, nil
+	if workers < 2 {
+		return FindAllDedupedCappedKeys(pattern, data, max)
+	}
+	sr := NewSearcher(pattern, data)
+	if len(sr.roots) < 2 {
+		return dedupedCappedKeys(sr.pg, pattern, max)
 	}
 	type keyed struct {
 		m   Match
 		key string
-	}
-	var stats *BuildStats
-	if withStats {
-		stats = &BuildStats{}
 	}
 	perRoot := make([][]keyed, len(sr.roots))
 	// A capped enumeration may stop dispatching once the contiguous
@@ -338,7 +263,7 @@ func dedupedParallelOn(sr *Searcher, pattern *graph.Graph, workers, max int, wit
 	if max > 0 {
 		tr = newCapTracker(len(sr.roots), int64(max)*int64(pattern.NumVertices()))
 	}
-	sr.forEachRoot(workers, tr, stats, func(se *Session, i, root int) int {
+	sr.forEachRoot(workers, tr, func(se *Session, i, root int) int {
 		ky := se.keyer(pattern)
 		local := make(map[string]bool)
 		var out []keyed
@@ -367,11 +292,11 @@ func dedupedParallelOn(sr *Searcher, pattern *graph.Graph, workers, max int, wit
 			all = append(all, km.m)
 			keys = append(keys, km.key)
 			if max > 0 && len(all) == max {
-				return all, keys, stats
+				return all, keys
 			}
 		}
 	}
-	return all, keys, stats
+	return all, keys
 }
 
 // CountEmbeddingsParallel is CountEmbeddings over the worker pool.
@@ -386,7 +311,7 @@ func CountEmbeddingsParallel(pattern, data *graph.Graph, workers int) int {
 		return n
 	}
 	var total atomic.Int64
-	sr.forEachRoot(workers, nil, nil, func(se *Session, _, root int) int {
+	sr.forEachRoot(workers, nil, func(se *Session, _, root int) int {
 		n := 0
 		se.Root(root, func(Match) bool {
 			n++

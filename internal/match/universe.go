@@ -77,32 +77,11 @@ type Universe struct {
 // an incomplete universe cannot soundly answer mask filters, so
 // callers must fall back to searching. max <= 0 means unlimited.
 func BuildUniverse(pattern, data *graph.Graph, max, workers int) *Universe {
-	u, _ := BuildUniverseStats(pattern, data, max, workers)
-	return u
-}
-
-// BuildUniverseStats is BuildUniverse returning the parallel build's
-// work-stealing dispatch accounting alongside the universe (nil when
-// the build ran sequentially).
-func BuildUniverseStats(pattern, data *graph.Graph, max, workers int) (*Universe, *BuildStats) {
 	probe := 0
 	if max > 0 {
 		probe = max + 1 // one extra to detect truncation
 	}
-	var ms []Match
-	var keys []string
-	var bs *BuildStats
-	if workers > 1 {
-		ms, keys, bs = FindAllDedupedParallelKeysStats(pattern, data, workers, probe, true)
-	} else {
-		ms, keys = FindAllDedupedCappedKeys(pattern, data, probe)
-	}
-	return assembleUniverse(data, ms, keys, max), bs
-}
-
-// assembleUniverse packages an enumeration (probed one past max) into a
-// Universe, marking it incomplete when the cap overflowed.
-func assembleUniverse(data *graph.Graph, ms []Match, keys []string, max int) *Universe {
+	ms, keys := FindAllDedupedParallelKeys(pattern, data, workers, probe)
 	capacity := graph.Capacity(data)
 	if max > 0 && len(ms) > max {
 		return &Universe{capacity: capacity, complete: false}

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mapa/internal/appgraph"
@@ -199,23 +200,63 @@ func TestUniverseFilterTruncationBoundary(t *testing.T) {
 	}
 }
 
+// TestUniverseParallelBuildIdentical pins universe parity across worker
+// counts: BuildUniverse at 2, 3 and 4 workers must reproduce the
+// sequential build's keys, order, embeddings and set index exactly, on
+// every catalog machine at shapes up to 5 GPUs, on the 72-GPU cluster
+// (two bitset words) up to 3, and on a flattened two-node fleet.
 func TestUniverseParallelBuildIdentical(t *testing.T) {
-	pattern := ringPattern(4)
-	data := completeData(9)
-	data.RemoveEdge(1, 6)
-	seq := BuildUniverse(pattern, data, 0, 1)
-	par := BuildUniverse(pattern, data, 0, 4)
-	if seq.Len() != par.Len() {
-		t.Fatalf("parallel build found %d classes, sequential %d", par.Len(), seq.Len())
+	type machine struct {
+		top      *topology.Topology
+		maxShape int
 	}
-	for i := 0; i < seq.Len(); i++ {
-		if seq.Key(i) != par.Key(i) {
-			t.Fatalf("class %d: parallel key %q, sequential %q", i, par.Key(i), seq.Key(i))
+	var machines []machine
+	for _, name := range topology.Names() {
+		top, err := topology.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !seq.Set(i).Equal(par.Set(i)) {
-			t.Fatalf("class %d: vertex bitsets differ", i)
+		machines = append(machines, machine{top, 5})
+	}
+	machines = append(machines,
+		machine{topology.ClusterA100(9), 3},
+		machine{topology.NewFleet(topology.DGXA100(), 2).Flatten(), 5})
+	for _, m := range machines {
+		for _, pattern := range appgraph.AllShapes(min(m.maxShape, m.top.NumGPUs())) {
+			name := fmt.Sprintf("%s/%dv%de", m.top.Name, pattern.NumVertices(), pattern.NumEdges())
+			seq := BuildUniverse(pattern, m.top.Graph, 0, 1)
+			for _, workers := range []int{2, 3, 4} {
+				if err := sameUniverse(BuildUniverse(pattern, m.top.Graph, 0, workers), seq); err != nil {
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
+				}
+			}
 		}
 	}
+}
+
+// sameUniverse reports the first difference between two universes'
+// classes (key, embedding, vertex set) or set index.
+func sameUniverse(got, want *Universe) error {
+	if got.Len() != want.Len() || got.Sets() != want.Sets() || !slices.Equal(got.Order(), want.Order()) {
+		return fmt.Errorf("%d classes on %d sets, want %d on %d", got.Len(), got.Sets(), want.Len(), want.Sets())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.Key(i) != want.Key(i) {
+			return fmt.Errorf("class %d: key %q, want %q", i, got.Key(i), want.Key(i))
+		}
+		if !slices.Equal(got.Match(i).Data, want.Match(i).Data) || !got.Set(i).Equal(want.Set(i)) {
+			return fmt.Errorf("class %d: embedding differs", i)
+		}
+		if got.SetOf(i) != want.SetOf(i) {
+			return fmt.Errorf("class %d: set %d, want %d", i, got.SetOf(i), want.SetOf(i))
+		}
+	}
+	for s := 0; s < want.Sets(); s++ {
+		if got.SetFirst(s) != want.SetFirst(s) || got.SetLen(s) != want.SetLen(s) {
+			return fmt.Errorf("set %d: first %d len %d, want %d len %d", s, got.SetFirst(s), got.SetLen(s), want.SetFirst(s), want.SetLen(s))
+		}
+	}
+	return nil
 }
 
 func TestSearchesCounterAdvancesOnEnumerationOnly(t *testing.T) {

@@ -77,13 +77,6 @@ func NewFleetStore(f *topology.Fleet, capacity int) *FleetStore {
 	return fs
 }
 
-// SetBuildWorkers sets the build-worker floor on every class store.
-func (fs *FleetStore) SetBuildWorkers(n int) {
-	for _, s := range fs.stores {
-		s.SetBuildWorkers(n)
-	}
-}
-
 // Warm precomputes each class template's universes (and score tables)
 // for the given patterns, skipping patterns larger than a class. The
 // cost is per class, not per node: warming a 1,000-node single-class

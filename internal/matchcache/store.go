@@ -1,7 +1,6 @@
 package matchcache
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -19,12 +18,11 @@ import (
 const DefaultUniverseCapacity = 200000
 
 // ShapeBuild records one universe build: the shape's size, the
-// resulting class count, which worker count built it, how long the
-// enumeration took, and the work-stealing partitioner's claimed-cost
-// imbalance (1 for sequential builds). Build timings sit on the
-// serving path of every cold start — a topology-aware allocator must
-// come up on daemon start before it can place anything — so the store
-// keeps them as first-class stats.
+// resulting class count, which worker count built it and how long the
+// enumeration took. Build timings sit on the serving path of every
+// cold start — a topology-aware allocator must come up on daemon start
+// before it can place anything — so the store keeps them as
+// first-class stats.
 type ShapeBuild struct {
 	// Vertices and Edges describe the canonical pattern built.
 	Vertices, Edges int
@@ -36,20 +34,6 @@ type ShapeBuild struct {
 	// wall time of the enumeration.
 	Workers  int
 	Duration time.Duration
-	// CostImbalance is max/min of the per-worker claimed estimated
-	// cost (see match.BuildStats); 1 for sequential builds. On hosts
-	// with fewer cores than workers one goroutine can drain the queue
-	// (+Inf); PlanImbalance is the host-independent plan metric.
-	CostImbalance float64
-	// PlanImbalance is the chunk plan's idealized claimed-cost
-	// imbalance (match.PlanImbalance); 1 for sequential builds.
-	PlanImbalance float64
-	// Calibrated reports whether the build's chunk plan came from
-	// measured per-root timings of an earlier build of this (topology,
-	// shape) pair (the process-wide EWMA calibration) rather than the
-	// static degree-product estimate. Always false for sequential
-	// builds.
-	Calibrated bool
 }
 
 // StoreStats is a snapshot of the universe store's counters.
@@ -99,14 +83,12 @@ type universeSlot struct {
 // bound to the topology. It is safe for concurrent use and is designed
 // to be shared across engines comparing policies on the same machine.
 type Store struct {
-	mu           sync.Mutex
-	top          *topology.Topology
-	graphFP      string // structural fingerprint of top.Graph, for calibration keys
-	capacity     int
-	buildWorkers int
-	universes    map[string]*universeSlot // canonical fingerprint -> slot
-	builtTables  []*universeSlot          // slots whose score table is built, for RepairEdge
-	stats        StoreStats
+	mu          sync.Mutex
+	top         *topology.Topology
+	capacity    int
+	universes   map[string]*universeSlot // canonical fingerprint -> slot
+	builtTables []*universeSlot          // slots whose score table is built, for RepairEdge
+	stats       StoreStats
 }
 
 // NewStore returns a universe store for the topology. capacity bounds
@@ -116,12 +98,7 @@ func NewStore(top *topology.Topology, capacity int) *Store {
 		capacity = DefaultUniverseCapacity
 	}
 	return &Store{
-		top: top,
-		// Measured root costs are a function of the data graph's
-		// structure, so the calibration keys by graph content — not by
-		// topology name, which distinct graphs can share (e.g.
-		// different MIG splits of one machine).
-		graphFP:   top.Graph.Fingerprint(),
+		top:       top,
 		capacity:  capacity,
 		universes: make(map[string]*universeSlot),
 	}
@@ -132,29 +109,6 @@ func NewStore(top *topology.Topology, capacity int) *Store {
 // machine never serves another machine's embeddings.
 func (s *Store) Bound(top *topology.Topology) bool {
 	return s != nil && s.top == top
-}
-
-// SetBuildWorkers sets a floor on the worker count of every universe
-// build this store runs, whichever layer triggers it: an on-demand
-// build from a sequential decision path still enumerates with n
-// workers. n < 2 restores caller-supplied worker counts only. Safe to
-// call concurrently with builds; it affects builds that start after
-// the call.
-func (s *Store) SetBuildWorkers(n int) {
-	s.mu.Lock()
-	s.buildWorkers = n
-	s.mu.Unlock()
-}
-
-// effectiveWorkers resolves a caller-supplied worker count against the
-// store's build-worker floor.
-func (s *Store) effectiveWorkers(workers int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buildWorkers > workers {
-		return s.buildWorkers
-	}
-	return workers
 }
 
 // ensureTable returns the slot's score table, building it on first use
@@ -227,43 +181,23 @@ func (s *Store) slot(ci *canonInfo, pattern *graph.Graph) *universeSlot {
 }
 
 // universe returns the built universe for the canonical shape,
-// building it on first use with the given worker count subject to the
-// store's build-worker floor. Decision paths (Views.SelectLive) and
-// Ensure come through here; Warm resolves the floor once for its whole
-// budget and uses universeWith directly.
+// building it on first use with the given worker count and recording
+// the build's timing. Decision paths (Views.SelectLive), Ensure and
+// Warm all come through here. Concurrent callers for the same shape
+// converge on one build via the slot's once; callers for distinct
+// shapes build independently.
 func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *universeSlot {
-	return s.universeWith(ci, pattern, s.effectiveWorkers(workers))
-}
-
-// universeWith builds the canonical shape's universe on first use with
-// exactly the given worker count, recording the build's timing and
-// partitioner balance. Parallel builds plan their chunks from the
-// process-wide EWMA cost calibration — measured per-root timings of any
-// earlier build of this (topology, shape) pair — and feed their own
-// timings back, so repeated builds tighten the work-stealing plan.
-// Concurrent callers for the same shape converge on one build via the
-// slot's once; callers for distinct shapes build independently — the
-// concurrency Warm exploits.
-func (s *Store) universeWith(ci *canonInfo, pattern *graph.Graph, workers int) *universeSlot {
 	sl := s.slot(ci, pattern)
 	sl.once.Do(func() {
 		start := time.Now()
-		calKey := s.graphFP + "|" + ci.canon
-		u, bs := match.BuildUniverseCalibrated(sl.pattern, s.top.Graph, s.capacity, workers,
-			match.DefaultCostCalibration(), calKey)
+		u := match.BuildUniverse(sl.pattern, s.top.Graph, s.capacity, workers)
 		build := ShapeBuild{
-			Vertices:      sl.pattern.NumVertices(),
-			Edges:         sl.pattern.NumEdges(),
-			Classes:       u.Len(),
-			Complete:      u.Complete(),
-			Workers:       workers,
-			Duration:      time.Since(start),
-			CostImbalance: bs.CostImbalance(), // nil-safe: 1 for sequential builds
-			PlanImbalance: 1,
-		}
-		if bs != nil {
-			build.PlanImbalance = bs.Plan
-			build.Calibrated = bs.Calibrated
+			Vertices: sl.pattern.NumVertices(),
+			Edges:    sl.pattern.NumEdges(),
+			Classes:  u.Len(),
+			Complete: u.Complete(),
+			Workers:  workers,
+			Duration: time.Since(start),
 		}
 		sl.u = u
 		s.mu.Lock()
@@ -281,104 +215,22 @@ func (s *Store) universeWith(ci *canonInfo, pattern *graph.Graph, workers int) *
 
 // Warm precomputes idle-state universes for the given patterns — the
 // init-time enumeration MAPA pays once per shape instead of on the
-// first decision. It returns how many complete universes the store now
-// holds for the requested shapes (already-warm shapes count).
+// first decision — and the score tables of the complete ones. It
+// returns how many complete universes the store now holds for the
+// requested shapes (already-warm shapes count).
 //
-// With workers > 1 (after applying the SetBuildWorkers floor) distinct
-// shapes build concurrently under one bounded worker budget: up to
-// `workers` enumeration goroutines in total, split statically between
-// concurrent shape builds and each build's internal work-stealing
-// pool. Shapes are queued in descending estimated build cost (the same
-// root cost model the partitioner plans with, summed — no enumeration
-// needed), so the dominant shape starts at t=0 instead of landing on
-// the tail after the budget has drained to a single sequential worker.
-// The store stays fully usable while warming runs — a concurrent
-// Ensure or Views.SelectLive for a shape being warmed blocks only on
-// that shape's build (sync.Once), and any other shape is unaffected —
-// so callers may serve decisions before Warm returns.
+// Shapes build one after another, each with the full worker count;
+// isomorphic requests (Ring(3) and AllToAll(3) are the same canonical
+// triangle) share one build. The store stays fully usable while
+// warming runs — a concurrent Ensure or Views.SelectLive for a shape
+// being warmed blocks only on that shape's build (sync.Once), and any
+// other shape is unaffected — so callers may serve decisions before
+// Warm returns.
 func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
-	workers = s.effectiveWorkers(workers)
-	// The budget splits over *distinct* universes, so collapse the
-	// request to one representative per canonical shape first — warm
-	// sets routinely carry isomorphic duplicates (Ring(3) and
-	// AllToAll(3) are the same canonical triangle), and counting them
-	// as separate builds would starve every real build's pool.
-	infos := make([]*canonInfo, len(patterns))
-	var uniq []int
-	seen := make(map[string]bool, len(patterns))
-	for i, p := range patterns {
-		infos[i] = canon.info(p)
-		if !seen[infos[i].canon] {
-			seen[infos[i].canon] = true
-			uniq = append(uniq, i)
-		}
-	}
-	if workers < 2 || len(uniq) < 2 {
-		for _, i := range uniq {
-			s.universeWith(infos[i], patterns[i], workers)
-		}
-	} else {
-		// Order the queue by estimated build cost, most expensive
-		// first.
-		type costed struct {
-			idx  int
-			cost float64
-		}
-		queue := make([]costed, len(uniq))
-		for j, i := range uniq {
-			queue[j] = costed{idx: i, cost: match.EstimateBuildCost(patterns[i], s.top.Graph)}
-		}
-		sort.SliceStable(queue, func(a, b int) bool { return queue[a].cost > queue[b].cost })
-		uniq = uniq[:0]
-		for _, q := range queue {
-			uniq = append(uniq, q.idx)
-		}
-		// Split the worker budget: `builds` shapes in flight, each
-		// enumerating with workers/builds goroutines — the first
-		// workers%builds warm workers take one extra, so the whole
-		// requested budget is in use (universeWith applies no further
-		// floor).
-		builds := workers
-		if builds > len(uniq) {
-			builds = len(uniq)
-		}
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < builds; w++ {
-			inner := workers / builds
-			if w < workers%builds {
-				inner++
-			}
-			wg.Add(1)
-			go func(inner int) {
-				defer wg.Done()
-				for i := range next {
-					s.universeWith(infos[i], patterns[i], inner)
-				}
-			}(inner)
-		}
-		for _, i := range uniq {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	// Warm the score tables of the complete universes just built, under
-	// the same worker budget: tables are per-candidate pure functions,
-	// so one shape at a time with the full budget utilizes it best, and
-	// link mixes shared across shapes (same GPU sets) are decomposed
-	// once via the process-wide memo.
-	for _, i := range uniq {
-		if sl := s.universeWith(infos[i], patterns[i], 1); sl.u.Complete() {
-			s.ensureTable(sl, workers)
-		}
-	}
-	// Count per requested pattern (duplicates included), preserving the
-	// sequential Warm's return semantics; every universe is already
-	// built, so these lookups only read slots.
 	n := 0
-	for i, p := range patterns {
-		if sl := s.universeWith(infos[i], p, 1); sl.u.Complete() {
+	for _, p := range patterns {
+		if sl := s.universe(canon.info(p), p, workers); sl.u.Complete() {
+			s.ensureTable(sl, workers)
 			n++
 		}
 	}
@@ -387,9 +239,9 @@ func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 
 // Ensure builds the pattern's idle-state universe — and, when the
 // universe is complete, its score table — if either is missing, with up
-// to `workers` goroutines (subject to the SetBuildWorkers floor).
-// Already-built shapes return immediately after a memoized fingerprint
-// lookup, so Ensure is cheap enough to call per request: it is the
+// to `workers` goroutines. Already-built shapes return immediately
+// after a memoized fingerprint lookup, so Ensure is cheap enough to
+// call per request: it is the
 // prewarm hook mapa.System runs *outside* its state lock, so a cold
 // shape's enumeration never stalls concurrent decisions, releases, or
 // health events. Concurrent Ensure calls for one shape converge on a

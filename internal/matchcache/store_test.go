@@ -232,10 +232,10 @@ func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	}
 }
 
-// TestWarmConcurrentShapesMatchSequential pins the concurrent Warm
-// semantics: building distinct shapes in parallel under one worker
-// budget must produce exactly the universes a sequential warm builds,
-// count included.
+// TestWarmConcurrentShapesMatchSequential pins parallel Warm
+// semantics: building every shape with a 4-worker enumeration must
+// produce exactly the universes a sequential warm builds, count
+// included.
 func TestWarmConcurrentShapesMatchSequential(t *testing.T) {
 	top := topology.DGXV100()
 	shapes := appgraph.AllShapes(5)
@@ -243,14 +243,14 @@ func TestWarmConcurrentShapesMatchSequential(t *testing.T) {
 	wantN := seq.Warm(1, shapes...)
 	con := NewStore(top, 0)
 	if gotN := con.Warm(4, shapes...); gotN != wantN {
-		t.Fatalf("concurrent Warm built %d complete universes, sequential %d", gotN, wantN)
+		t.Fatalf("parallel Warm built %d complete universes, sequential %d", gotN, wantN)
 	}
 	seqStats, conStats := seq.Stats(), con.Stats()
 	if conStats.Universes != seqStats.Universes || conStats.Incomplete != seqStats.Incomplete {
-		t.Fatalf("concurrent stats %+v, sequential %+v", conStats, seqStats)
+		t.Fatalf("parallel stats %+v, sequential %+v", conStats, seqStats)
 	}
 	if len(conStats.Builds) != len(seqStats.Builds) {
-		t.Fatalf("concurrent ran %d builds, sequential %d", len(conStats.Builds), len(seqStats.Builds))
+		t.Fatalf("parallel ran %d builds, sequential %d", len(conStats.Builds), len(seqStats.Builds))
 	}
 	// Every shape must serve the same candidate prefix from both
 	// stores on a common availability state.
@@ -315,37 +315,6 @@ func TestWarmRacesWithReaders(t *testing.T) {
 	}
 	got, _ := candidatesOn(s, pattern, []int{0, 5}, 0)
 	sameKeys(t, "after warm", got.keys, wantKeys)
-}
-
-// TestSetBuildWorkersFloorsOnDemandBuilds: a store with a build-worker
-// floor must run even sequential-caller builds with the parallel
-// work-stealing enumeration — and record so in the build stats.
-func TestSetBuildWorkersFloorsOnDemandBuilds(t *testing.T) {
-	top := topology.DGXV100()
-	s := NewStore(top, 0)
-	s.SetBuildWorkers(4)
-	pattern := appgraph.Ring(3)
-	// workers=1 caller (a sequential decision path) triggers the build.
-	got, ok := candidatesOn(s, pattern, nil, 0)
-	if !ok {
-		t.Fatal("view declined")
-	}
-	st := s.Stats()
-	if len(st.Builds) != 1 {
-		t.Fatalf("builds = %d, want 1", len(st.Builds))
-	}
-	if st.Builds[0].Workers != 4 {
-		t.Fatalf("build ran with %d workers, want floor of 4", st.Builds[0].Workers)
-	}
-	if st.BuildTime <= 0 {
-		t.Fatal("build time not recorded")
-	}
-	if st.Builds[0].PlanImbalance < 1 {
-		t.Fatalf("plan imbalance %.3f < 1", st.Builds[0].PlanImbalance)
-	}
-	// The floored build must stay byte-identical to sequential.
-	_, wantKeys := match.FindAllDedupedCappedKeys(pattern, top.Graph, 0)
-	sameKeys(t, "floored build", got.keys, wantKeys)
 }
 
 func TestStoreBound(t *testing.T) {

@@ -89,28 +89,3 @@ func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 		t.Fatalf("declined SelectLive must count one rejection: %+v", vs)
 	}
 }
-
-// TestStoreBuildCalibration: a parallel store build feeds the
-// process-wide EWMA calibration, so a later store's build of the same
-// (topology, shape) pair plans from measured costs and reports
-// Calibrated.
-func TestStoreBuildCalibration(t *testing.T) {
-	top := topology.DGXA100()
-	shape := tableRing(3)
-
-	first := NewStore(top, 0)
-	first.SetBuildWorkers(4)
-	first.Warm(4, shape)
-	// Seeded: at least one parallel build observed. A fresh store of the
-	// same topology must now plan the same shape from the calibration.
-	second := NewStore(top, 0)
-	second.SetBuildWorkers(4)
-	second.Warm(4, shape)
-	st := second.Stats()
-	if len(st.Builds) != 1 {
-		t.Fatalf("second store ran %d builds, want 1", len(st.Builds))
-	}
-	if !st.Builds[0].Calibrated {
-		t.Fatalf("second build of a measured shape must be calibrated: %+v", st.Builds[0])
-	}
-}

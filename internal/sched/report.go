@@ -43,13 +43,6 @@ type CompareConfig struct {
 	// search partitioning of match.FindAllParallel); < 2 keeps the
 	// sequential matcher. Decisions are identical either way.
 	Workers int
-	// BuildWorkers floors the worker count of every idle-state
-	// universe build the shared store runs (warmed or on demand),
-	// independent of decision parallelism: the cost-estimated
-	// work-stealing build is what keeps one-time cold enumerations off
-	// the critical path on large machines. Unset, builds use Workers.
-	// Built universes are byte-identical at any worker count.
-	BuildWorkers int
 	// DisableUniverses runs every engine without a universe store:
 	// each MAPA decision is a fresh subgraph-isomorphism search on the
 	// availability graph — the paper's per-decision pipeline, and the
@@ -101,15 +94,8 @@ func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, j
 	var store *matchcache.Store
 	if !cfg.DisableUniverses {
 		store = matchcache.NewStore(top, matchcache.DefaultUniverseCapacity)
-		if cfg.BuildWorkers > 1 {
-			store.SetBuildWorkers(cfg.BuildWorkers)
-		}
 		if len(cfg.WarmPatterns) > 0 {
-			warmWorkers := cfg.Workers
-			if cfg.BuildWorkers > warmWorkers {
-				warmWorkers = cfg.BuildWorkers
-			}
-			store.Warm(warmWorkers, cfg.WarmPatterns...)
+			store.Warm(cfg.Workers, cfg.WarmPatterns...)
 		}
 	}
 	out := make(map[string]RunResult, len(policyNames))

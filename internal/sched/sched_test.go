@@ -241,12 +241,13 @@ func TestPreserveBeatsBaselineAtTail(t *testing.T) {
 
 // TestPipelineStatsSurfaceBuildTimings: a warmed comparison must
 // surface the shared store's per-shape universe build records through
-// every policy's PipelineStats, with the BuildWorkers floor applied.
+// every policy's PipelineStats, each warmed build run with the
+// comparison's worker count.
 func TestPipelineStatsSurfaceBuildTimings(t *testing.T) {
 	top := topology.DGXV100()
 	cfg := CompareConfig{
 		Mode:         ModeFixed,
-		BuildWorkers: 4,
+		Workers:      4,
 		WarmPatterns: appgraph.AllShapes(4),
 	}
 	_, pipeStats, storeStats, err := ComparePoliciesInstrumented(top, []string{"baseline", "preserve"}, smallMix(20, 1), cfg)
@@ -257,11 +258,8 @@ func TestPipelineStatsSurfaceBuildTimings(t *testing.T) {
 		t.Fatalf("store stats carry no builds: %+v", storeStats)
 	}
 	for _, b := range storeStats.Builds {
-		// Warm splits the 4-worker budget between concurrent shape
-		// builds and each build's pool; every build records its actual
-		// (positive, within-budget) worker count.
-		if b.Workers < 1 || b.Workers > 4 {
-			t.Fatalf("build recorded %d workers, want within the 4-worker budget: %+v", b.Workers, b)
+		if b.Workers != 4 {
+			t.Fatalf("build recorded %d workers, want 4: %+v", b.Workers, b)
 		}
 		if b.Duration <= 0 {
 			t.Fatalf("build without a duration: %+v", b)

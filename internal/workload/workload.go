@@ -17,7 +17,7 @@
 // ResNet-50, and Inception-v3 are communication-bound at sizes where
 // link choice changes bandwidth several-fold.
 //
-// Calibration targets taken from the paper: VGG-16 gains roughly 3x
+// The profiles are fitted to the paper: VGG-16 gains roughly 3x
 // from double NVLink over PCIe at 2 GPUs and GoogleNet is nearly flat
 // (Fig. 2b); baseline job execution times land in the hundreds of
 // seconds (Fig. 13).

@@ -197,7 +197,6 @@ type SystemOption func(*systemConfig)
 
 type systemConfig struct {
 	workers        int
-	buildWorkers   int
 	warmMaxGPUs    int
 	backgroundWarm bool
 	searchOnly     bool
@@ -210,17 +209,6 @@ type systemConfig struct {
 // the sequential matcher's.
 func WithWorkers(n int) SystemOption {
 	return func(c *systemConfig) { c.workers = n }
-}
-
-// WithBuildWorkers makes every idle-state universe build — warmed at
-// construction or triggered on demand by a first decision for a shape —
-// run the work-stealing parallel enumeration with n goroutines, even
-// when decisions themselves stay sequential. Universe builds are the
-// one-time cold-start cost on the serving path of large machines, so
-// they get their own knob; unset, builds use the WithWorkers count.
-// Built universes are byte-identical at any worker count.
-func WithBuildWorkers(n int) SystemOption {
-	return func(c *systemConfig) { c.buildWorkers = n }
 }
 
 // WithBackgroundWarming makes the WithWarmShapes precomputation run in
@@ -331,9 +319,6 @@ func (s *System) buildPipeline(allowBackground bool) {
 	s.store, s.views = nil, nil
 	if !s.cfg.searchOnly && s.top != nil {
 		s.store = matchcache.NewStore(s.top, matchcache.DefaultUniverseCapacity)
-		if s.cfg.buildWorkers > 1 {
-			s.store.SetBuildWorkers(s.cfg.buildWorkers)
-		}
 		if s.fleet == nil {
 			// A fleet warms its class templates instead: its flat store
 			// only serves node-spanning patterns, built on demand.
@@ -355,17 +340,16 @@ func (s *System) warm(warmFn func(workers int, patterns ...*graph.Graph) int, ma
 	if cfg.warmMaxGPUs <= 1 {
 		return
 	}
-	workers := max(cfg.workers, cfg.buildWorkers)
 	shapes := warmPatterns(cfg.warmMaxGPUs, machineGPUs)
 	if cfg.backgroundWarm && allowBackground {
 		s.warmDone = make(chan struct{})
 		go func(done chan struct{}) {
 			defer close(done)
-			warmFn(workers, shapes...)
+			warmFn(cfg.workers, shapes...)
 		}(s.warmDone)
 		return
 	}
-	warmFn(workers, shapes...)
+	warmFn(cfg.workers, shapes...)
 }
 
 // WaitWarm blocks until the WithBackgroundWarming precomputation has

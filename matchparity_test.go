@@ -220,11 +220,11 @@ func TestSystemWarmedServesFirstDecisionByFilter(t *testing.T) {
 // WaitWarm parks until the warm set is resident, and every decision is
 // byte-identical to a synchronously warmed System's.
 func TestSystemBackgroundWarmingParity(t *testing.T) {
-	sync1, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithBuildWorkers(4))
+	sync1, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithBuildWorkers(4), WithBackgroundWarming())
+	bg, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithWorkers(4), WithBackgroundWarming())
 	if err != nil {
 		t.Fatal(err)
 	}
