@@ -13,7 +13,10 @@
 // /v1/leases, GET /healthz, GET /metrics (Prometheus text format).
 // Overload answers 429 once the bounded admission queue fills;
 // -coalesce merges identical (shape, size) allocate bursts into single
-// decision-lock round trips. See cmd/mapaload for a load generator.
+// decision-lock round trips. Each request is served on its connection's
+// goroutine under fixed connection deadlines (header 10 s, read 30 s,
+// write 60 s, idle 2 min); there is no per-request handler deadline.
+// See cmd/mapaload for a load generator.
 //
 // With -journal, every committed mutation is written ahead to an
 // append-only checksummed journal and the daemon recovers its full
@@ -58,7 +61,6 @@ type options struct {
 	fsyncInterval time.Duration
 	snapshotEvery time.Duration
 	reapEvery     time.Duration
-	requestMax    time.Duration
 }
 
 func main() {
@@ -77,7 +79,6 @@ func main() {
 	flag.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync=interval")
 	flag.DurationVar(&o.snapshotEvery, "snapshot-every", time.Minute, "snapshot + journal-truncation cadence (0 disables periodic snapshots)")
 	flag.DurationVar(&o.reapEvery, "reap-every", time.Second, "TTL-expiry reaper cadence (0 disables the reaper)")
-	flag.DurationVar(&o.requestMax, "request-timeout", 30*time.Second, "per-request handler deadline")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -124,6 +125,30 @@ func newServer(o options) (*server.Server, *mapa.System, error) {
 	return srv, sys, nil
 }
 
+// Connection deadlines of the daemon's http.Server. There is no
+// per-request handler deadline: each request runs on its connection's
+// goroutine, whose stack is already grown and is reused across
+// keep-alive requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is the http.Server the daemon serves srv through — split
+// from run so tests serve through exactly the same handler.
+func httpServer(o options, srv *server.Server) *http.Server {
+	return &http.Server{
+		Addr:              o.addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(o options) error {
 	srv, sys, err := newServer(o)
 	if err != nil {
@@ -138,21 +163,7 @@ func run(o options) error {
 			rs.ReplayTime.Nanoseconds(), rs.Records, rs.Leases)
 	}
 
-	// The handler chain enforces a per-request wall deadline on top of
-	// the socket-level timeouts: a stuck handler answers 503 instead of
-	// pinning its connection forever.
-	var handler http.Handler = srv
-	if o.requestMax > 0 {
-		handler = http.TimeoutHandler(srv, o.requestMax, `{"error":"request deadline exceeded"}`)
-	}
-	hs := &http.Server{
-		Addr:              o.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      o.requestMax + 30*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	hs := httpServer(o, srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("mapad: serving %s (%d GPUs) policy=%s on %s (warm=%v journal=%q)\n",

@@ -449,7 +449,7 @@ func (s *System) Renew(id int, ttl time.Duration) (int64, error) {
 
 func (s *System) renewLocked(id int, deadline int64) error {
 	if _, ok := s.leases[id]; !ok {
-		return fmt.Errorf("mapa: lease %d not active", id)
+		return fmt.Errorf("mapa: lease %d: %w", id, ErrLeaseNotActive)
 	}
 	if err := s.journalAppend(&journal.Record{Kind: journal.KindRenew, ID: id, Deadline: deadline}); err != nil {
 		return err

@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
 	"mapa/internal/graph"
 	"mapa/internal/journal"
@@ -70,7 +71,11 @@ func newFlatRig(t *testing.T, top *topology.Topology, policyName string) *flatRi
 }
 
 func (r *flatRig) allocate(req JobRequest) (policy.Allocation, error) {
-	pattern, err := buildPattern(req)
+	key, err := patternKeyOf(req)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	pattern, err := appgraph.Build(key.shape, key.n)
 	if err != nil {
 		r.t.Fatal(err)
 	}

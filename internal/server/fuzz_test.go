@@ -38,6 +38,13 @@ func FuzzServeRequest(f *testing.F) {
 		f.Add(uint8(i), []byte(body))
 	}
 	f.Add(uint8(0), []byte(`{"tenant":"`+strings.Repeat("a", maxBodyBytes)+`"}`))
+	for _, body := range []string{
+		`{"num_gpus":2}{"num_gpus":3}`,
+		`{"num_gpus":2} x`,
+		"{\"num_gpus\":2} \n\t\r\n",
+	} {
+		f.Add(uint8(0), []byte(body))
+	}
 	for _, bw := range []string{"NaN", "-1", "12.5"} {
 		f.Add(uint8(3), []byte(`{"action":"degrade","u":0,"v":1,"bw":`+bw+`}`))
 	}

@@ -49,9 +49,11 @@ func (h *histogram) observe(v float64) {
 	}
 }
 
-// reqKey labels one requests_total series.
+// reqKey labels one requests_total series; the status code is
+// formatted only when the series is rendered.
 type reqKey struct {
-	route, code string
+	route string
+	code  int
 }
 
 // metrics holds the daemon's own counters; the match-pipeline and
@@ -72,7 +74,7 @@ func newMetrics() *metrics {
 	}
 }
 
-func (m *metrics) request(route, code string) {
+func (m *metrics) request(route string, code int) {
 	m.mu.Lock()
 	m.requests[reqKey{route, code}]++
 	m.mu.Unlock()
@@ -117,7 +119,7 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	fmt.Fprintln(w, "# HELP mapad_requests_total HTTP requests served, by route and status code.")
 	fmt.Fprintln(w, "# TYPE mapad_requests_total counter")
 	for _, k := range keys {
-		fmt.Fprintf(w, "mapad_requests_total{route=%q,code=%q} %d\n", k.route, k.code, m.requests[k])
+		fmt.Fprintf(w, "mapad_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
 	}
 	fmt.Fprintln(w, "# HELP mapad_allocate_latency_seconds Wall time of allocate requests, admission to response.")
 	fmt.Fprintln(w, "# TYPE mapad_allocate_latency_seconds histogram")

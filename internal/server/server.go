@@ -18,12 +18,13 @@
 //	GET  /metrics      Prometheus text exposition
 //
 // Statuses: 200 on success; 400 for a malformed or invalid request (bad
-// JSON, num_gpus < 1, an unknown shape or health action, a health event
-// the System refuses); 403 for another tenant's lease; 404 for an
-// unknown lease; 409 when an allocation cannot be placed now; 413 for
-// a body over 1 MiB; 429 when the admission queue is full; 503 while
-// draining. A 500 means a server-side fault, such as a failed journal
-// append. Every non-2xx answer leaves the System's state unchanged.
+// JSON or data after it, num_gpus < 1, an unknown shape or health
+// action, a health event the System refuses); 403 for another tenant's
+// lease; 404 for an unknown lease; 409 when an allocation cannot be
+// placed now; 413 for a body over 1 MiB; 429 when the admission queue
+// is full; 503 while draining. A 500 means a server-side fault, such as
+// a failed journal append (mapa.ErrJournal). Every non-2xx answer
+// leaves the System's state unchanged.
 //
 // During shutdown the daemon calls Drain: every serving route answers
 // 503 with Retry-After while /healthz reports "draining" and /metrics
@@ -41,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -236,7 +238,7 @@ type errorResponse struct {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, route string, code int, body interface{}) {
-	s.metrics.request(route, fmt.Sprintf("%d", code))
+	s.metrics.request(route, code)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(body)
@@ -250,13 +252,21 @@ func (s *Server) writeError(w http.ResponseWriter, route string, code int, err e
 // bytes.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the JSON request body into v. It answers a
-// malformed body with 400 and one over maxBodyBytes with 413, and
-// reports whether the handler may go on.
+// decodeBody decodes the JSON request body — exactly one JSON value,
+// optionally followed by whitespace — into v. It answers a malformed
+// body or one with trailing data with 400 and one over maxBodyBytes
+// with 413, and reports whether the handler may go on.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, route string, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		_, err = dec.Token()
+		if err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
@@ -476,7 +486,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.sys.Release(&mapa.Lease{ID: req.LeaseID}); err != nil {
-		s.writeError(w, route, http.StatusNotFound, err)
+		s.writeError(w, route, leaseErrorCode(err), err)
 		return
 	}
 	s.mu.Lock()
@@ -505,10 +515,21 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline, err := s.sys.Renew(req.LeaseID, time.Duration(req.TTLMillis)*time.Millisecond)
 	if err != nil {
-		s.writeError(w, route, http.StatusNotFound, err)
+		s.writeError(w, route, leaseErrorCode(err), err)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, RenewResponse{LeaseID: req.LeaseID, Deadline: deadline})
+}
+
+// leaseErrorCode maps a System error on a lease the server knows: 404
+// when the System no longer holds it (a concurrent release or reap),
+// 500 for a server-side fault such as a failed journal append — the
+// lease is then still held, and must not be reported gone.
+func leaseErrorCode(err error) int {
+	if errors.Is(err, mapa.ErrLeaseNotActive) {
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
 }
 
 // handleLeases lists live leases from the System itself — after a
@@ -559,7 +580,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		s.writeError(w, route, http.StatusBadRequest, err)
+		code := http.StatusBadRequest // the System refused the event
+		if errors.Is(err, mapa.ErrJournal) {
+			code = http.StatusInternalServerError
+		}
+		s.writeError(w, route, code, err)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, struct{}{})
@@ -579,7 +604,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.request("metrics", "200")
+	s.metrics.request("metrics", http.StatusOK)
 	s.mu.Lock()
 	tenants := len(s.tenants)
 	s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mapa"
+	"mapa/internal/journal"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -482,4 +483,87 @@ func get(t *testing.T, url string, out interface{}) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// serve sends one request straight to the handler.
+func serve(srv *Server, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestTrailingBodyDataRefused: a body is exactly one JSON value,
+// optionally followed by whitespace. Anything after the value is a 400
+// that changes nothing — it is not a second request.
+func TestTrailingBodyDataRefused(t *testing.T) {
+	for _, tc := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/v1/allocate", `{"num_gpus":2}{"num_gpus":3}`, 400},
+		{"/v1/allocate", `{"num_gpus":2} x`, 400},
+		{"/v1/allocate", `{"num_gpus":2}}`, 400},
+		{"/v1/allocate", `{"num_gpus":2} 3`, 400},
+		{"/v1/release", `{"tenant":"a","lease_id":1} x`, 400},
+		{"/v1/health", `{"action":"mark","gpus":[5]}[]`, 400},
+		{"/v1/allocate", "{\"num_gpus\":2} \n\t\r\n", 200},
+		{"/v1/release", "{\"tenant\":\"a\",\"lease_id\":1}\n", 200},
+	} {
+		srv, _ := newTestServer(t, Options{})
+		if rec := serve(srv, http.MethodPost, "/v1/allocate", `{"tenant":"a","num_gpus":2}`); rec.Code != 200 {
+			t.Fatalf("setup allocate: %d %s", rec.Code, rec.Body)
+		}
+		before := fmt.Sprint(srv.sys.Leases(), srv.sys.UnhealthyGPUs())
+		rec := serve(srv, http.MethodPost, tc.path, tc.body)
+		if rec.Code != tc.code {
+			t.Errorf("POST %s %q: code %d, want %d (%s)", tc.path, tc.body, rec.Code, tc.code, rec.Body)
+			continue
+		}
+		if after := fmt.Sprint(srv.sys.Leases(), srv.sys.UnhealthyGPUs()); tc.code != 200 && after != before {
+			t.Errorf("POST %s %q: refused but changed the state:\n before %s\n after  %s", tc.path, tc.body, before, after)
+		}
+	}
+}
+
+// TestJournalFailureIsServerFault: a mutation the journal refuses is a
+// 500, never "unknown lease" or a bad request — the daemon still holds
+// the lease. After Close the journal refuses every append; release,
+// renew and mark answer 500 and the lease stays listed, while a health
+// event the System refuses on its own merits still answers 400.
+func TestJournalFailureIsServerFault(t *testing.T) {
+	sys, err := mapa.NewSystem("dgx-a100", "preserve",
+		mapa.WithJournal(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval, Interval: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sys, Options{})
+	rec := serve(srv, http.MethodPost, "/v1/allocate", `{"tenant":"a","num_gpus":2}`)
+	var ar AllocateResponse
+	if err := json.NewDecoder(rec.Body).Decode(&ar); err != nil || rec.Code != 200 {
+		t.Fatalf("allocate: %d %v", rec.Code, err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/v1/release", fmt.Sprintf(`{"tenant":"a","lease_id":%d}`, ar.LeaseID), 500},
+		{"/v1/renew", fmt.Sprintf(`{"tenant":"a","lease_id":%d,"ttl_ms":1000}`, ar.LeaseID), 500},
+		{"/v1/health", `{"action":"mark","gpus":[5]}`, 500},
+		{"/v1/health", `{"action":"mark","gpus":[99]}`, 400},
+		{"/v1/release", `{"tenant":"a","lease_id":99}`, 404},
+	} {
+		if rec := serve(srv, http.MethodPost, tc.path, tc.body); rec.Code != tc.code {
+			t.Errorf("POST %s %s after Close: code %d, want %d (%s)", tc.path, tc.body, rec.Code, tc.code, rec.Body)
+		}
+	}
+	var lr LeasesResponse
+	if err := json.NewDecoder(serve(srv, http.MethodGet, "/v1/leases", "").Body).Decode(&lr); err != nil {
+		t.Fatal(err)
+	}
+	if len(lr.Leases) != 1 || lr.Leases[0].LeaseID != ar.LeaseID {
+		t.Fatalf("leases after refused mutations = %+v, want lease %d", lr.Leases, ar.LeaseID)
+	}
 }

@@ -156,6 +156,12 @@ type System struct {
 	recovery    RecoveryStats
 	reaped      uint64 // leases released by TTL expiry
 
+	// patterns memoizes request pattern graphs by parsed (shape, size),
+	// holding only those whose universe and table the current pipeline
+	// already keeps (see prewarm), so a warm request neither builds nor
+	// fingerprints a graph. buildPipeline drops it with the store.
+	patterns map[patternKey]*graph.Graph
+
 	// Fleet machines (NewFleetSystem) also decide from node-class
 	// templates: fleet is the symbolic machine, fstore its template
 	// store, fviews the System's own fleet view stream. top is then the
@@ -316,7 +322,7 @@ func newSystem(top *topology.Topology, gpus graph.Bitset, model *effbw.Model, po
 // when allowBackground; Repartition rebuilds synchronously so the
 // swapped-in pipeline is deterministic.
 func (s *System) buildPipeline(allowBackground bool) {
-	s.store, s.views = nil, nil
+	s.store, s.views, s.patterns = nil, nil, nil
 	if !s.cfg.searchOnly && s.top != nil {
 		s.store = matchcache.NewStore(s.top, matchcache.DefaultUniverseCapacity)
 		if s.fleet == nil {
@@ -506,17 +512,20 @@ func (s *System) Warmed() bool {
 	}
 }
 
-// buildPattern resolves a request's communication pattern graph.
-func buildPattern(req JobRequest) (*graph.Graph, error) {
-	shapeName := req.Shape
-	if shapeName == "" {
-		shapeName = string(appgraph.ShapeRing)
+// patternKey identifies a request's communication pattern: its parsed
+// shape and size.
+type patternKey struct {
+	shape appgraph.Shape
+	n     int
+}
+
+// patternKeyOf parses a request's shape; empty selects Ring.
+func patternKeyOf(req JobRequest) (patternKey, error) {
+	if req.Shape == "" {
+		return patternKey{appgraph.ShapeRing, req.NumGPUs}, nil
 	}
-	shape, err := appgraph.ParseShape(shapeName)
-	if err != nil {
-		return nil, err
-	}
-	return appgraph.Build(shape, req.NumGPUs)
+	shape, err := appgraph.ParseShape(req.Shape)
+	return patternKey{shape, req.NumGPUs}, err
 }
 
 // commitOp records one committed state transition, handed to the
@@ -567,10 +576,20 @@ func (s *System) journalAppend(rec *journal.Record) error {
 		return nil
 	}
 	if err := s.jw.Append(rec); err != nil {
-		return fmt.Errorf("mapa: %w", err)
+		return fmt.Errorf("mapa: %w: %w", ErrJournal, err)
 	}
 	return nil
 }
+
+// ErrJournal is returned (wrapped) by a mutation the write-ahead journal
+// refused — a failed append, or any mutation after Close. The mutation
+// was not applied: the request was valid, the server could not commit
+// it.
+var ErrJournal = errors.New("journal append failed")
+
+// ErrLeaseNotActive is returned (wrapped) by Release and Renew for a
+// lease the System does not hold: never granted, released, or expired.
+var ErrLeaseNotActive = errors.New("lease not active")
 
 // prewarm resolves req's communication pattern — pattern itself when
 // non-nil — and builds its match universe and score table (if missing)
@@ -582,26 +601,64 @@ func (s *System) journalAppend(rec *journal.Record) error {
 // node can hold builds the class templates only — never a flat
 // universe over the whole fleet. prewarm also returns the store the
 // flat build would use, for the double-check in lockWithPipeline.
+//
+// A request pattern is memoized once a store keeps its universe and
+// table, and a memoized pattern skips the build and Ensure outright. A
+// pattern no store keeps — a fleet's node-spanning pattern with no flat
+// store — is built afresh each time and pinned nowhere.
 func (s *System) prewarm(req JobRequest, pattern *graph.Graph) (*graph.Graph, *matchcache.Store, error) {
+	var key patternKey
+	var keyErr error
+	if pattern == nil {
+		key, keyErr = patternKeyOf(req)
+	}
+	var memo *graph.Graph
 	s.mu.Lock()
 	st, gate, n := s.store, s.prewarmGate, s.gpus.Count()
+	if pattern == nil {
+		memo = s.patterns[key]
+	}
 	s.mu.Unlock()
 	if req.NumGPUs > n {
 		return nil, nil, fmt.Errorf("mapa: allocating %d GPUs on a %d-GPU machine: %w", req.NumGPUs, n, policy.ErrNoAllocation)
 	}
+	fresh := false
 	if pattern == nil {
-		var err error
-		if pattern, err = buildPattern(req); err != nil {
-			return nil, nil, err
+		if keyErr != nil {
+			return nil, nil, keyErr
+		}
+		if pattern = memo; pattern == nil {
+			var err error
+			if pattern, err = appgraph.Build(key.shape, key.n); err != nil {
+				return nil, nil, err
+			}
+			fresh = true
 		}
 	}
 	if gate != nil {
 		gate(pattern.NumVertices())
 	}
+	if memo != nil {
+		return pattern, st, nil
+	}
 	if s.fleet != nil && pattern.NumVertices() <= s.fleet.MaxNodeGPUs() {
 		s.fstore.Ensure(pattern, s.cfg.workers)
 	} else if st != nil {
 		st.Ensure(pattern, s.cfg.workers)
+	} else {
+		return pattern, st, nil
+	}
+	if fresh {
+		s.mu.Lock()
+		// Only for the store Ensure just filled: a pipeline swapped in
+		// meanwhile starts with an empty memo.
+		if s.store == st {
+			if s.patterns == nil {
+				s.patterns = make(map[patternKey]*graph.Graph)
+			}
+			s.patterns[key] = pattern
+		}
+		s.mu.Unlock()
 	}
 	return pattern, st, nil
 }
@@ -801,7 +858,7 @@ func (s *System) Release(l *Lease) error {
 func (s *System) releaseLocked(id int, expired bool) error {
 	gpus, ok := s.leases[id]
 	if !ok {
-		return fmt.Errorf("mapa: lease %d not active", id)
+		return fmt.Errorf("mapa: lease %d: %w", id, ErrLeaseNotActive)
 	}
 	if err := s.journalAppend(&journal.Record{
 		Kind: journal.KindRelease, ID: id, Expired: expired, GPUs: gpus,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mapa/internal/appgraph"
 	"mapa/internal/policy"
 )
 
@@ -198,14 +199,23 @@ func TestLeaseGPUsDoNotAliasInternalRecord(t *testing.T) {
 	}
 }
 
+// randomRequests draws allocate requests of 2..maxSize GPUs in the
+// default shape, half of them bandwidth-sensitive.
+func randomRequests(maxSize int) func(*rand.Rand) JobRequest {
+	return func(rng *rand.Rand) JobRequest {
+		return JobRequest{NumGPUs: 2 + rng.Intn(maxSize-1), Sensitive: rng.Intn(2) == 0}
+	}
+}
+
 // hammerSystem runs goroutines×opsEach of mixed Allocate / Release /
-// MarkUnhealthy / Restore traffic — some through per-tenant handles —
-// against a System from build under the race detector, records the
-// observed linearization via the onCommit hook, then replays that
-// linearization into a fresh System from build and asserts every
-// decision reproduces byte-identically and the final states match
-// field-exactly. It returns the hammered System.
-func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutines, opsEach, maxSize int) *System {
+// MarkUnhealthy / Restore traffic — some through per-tenant handles,
+// allocate requests drawn by request — against a System from build
+// under the race detector, records the observed linearization via the
+// onCommit hook, then replays that linearization into a fresh System
+// from build and asserts every decision reproduces byte-identically and
+// the final states match field-exactly. All workers start together. It
+// returns the hammered System.
+func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutines, opsEach int, request func(*rand.Rand) JobRequest) *System {
 	t.Helper()
 	s, err := build()
 	if err != nil {
@@ -222,12 +232,14 @@ func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutin
 	}
 
 	numGPUs := s.NumGPUs()
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			<-start
 			var held []*Lease
 			release := func(i int) {
 				l := held[i]
@@ -239,10 +251,7 @@ func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutin
 			for i := 0; i < opsEach; i++ {
 				switch op := rng.Intn(10); {
 				case op < 5: // allocate, sometimes via a tenant handle
-					req := JobRequest{
-						NumGPUs:   2 + rng.Intn(maxSize-1),
-						Sensitive: rng.Intn(2) == 0,
-					}
+					req := request(rng)
 					var l *Lease
 					var err error
 					if tenants > 0 && rng.Intn(2) == 0 {
@@ -275,6 +284,7 @@ func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutin
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 
 	// Replay the observed linearization into a fresh System. Decisions
@@ -351,7 +361,7 @@ func TestConcurrentHammerDGXA100(t *testing.T) {
 	}
 	hammerSystem(t, func() (*System, error) {
 		return NewSystem("dgx-a100", "preserve", WithWarmShapes(4))
-	}, 3, 8, ops, 4)
+	}, 3, 8, ops, randomRequests(4))
 }
 
 // TestConcurrentHammerClusterA100 runs the same oracle on the 72-GPU
@@ -363,7 +373,7 @@ func TestConcurrentHammerClusterA100(t *testing.T) {
 	}
 	hammerSystem(t, func() (*System, error) {
 		return NewSystem("cluster-a100", "preserve", WithWarmShapes(3))
-	}, 2, 6, 12, 3)
+	}, 2, 6, 12, randomRequests(3))
 }
 
 // TestConcurrentHammerFleet runs the same oracle on a 2-node DGX-A100
@@ -380,9 +390,41 @@ func TestConcurrentHammerFleet(t *testing.T) {
 		t.Run(pol, func(t *testing.T) {
 			s := hammerSystem(t, func() (*System, error) {
 				return NewFleetSystem("dgx-a100", 2, pol, WithWarmShapes(4))
-			}, 2, 6, ops, 5)
+			}, 2, 6, ops, randomRequests(5))
 			if st := s.CacheStats(); st.FleetServed == 0 {
 				t.Fatalf("no hammered decision took the template path: %+v", st)
+			}
+		})
+	}
+}
+
+// TestConcurrentHammerSameShape has every worker — through the System
+// and through tenant handles — request the same (shape, size) at once,
+// from a System whose pattern memo starts empty: the first requests
+// race to build and memoize the one pattern graph every later decision
+// shares. On the fleet the pattern fits a node, so it is memoized for
+// the class templates. The serialized-replay oracle checks the result.
+func TestConcurrentHammerSameShape(t *testing.T) {
+	ops := 40
+	if testing.Short() {
+		ops = 12
+	}
+	sameShape := func(rng *rand.Rand) JobRequest {
+		return JobRequest{NumGPUs: 3, Shape: "AllToAll", Sensitive: rng.Intn(2) == 0}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*System, error)
+	}{
+		{"flat", func() (*System, error) { return NewSystem("dgx-a100", "preserve", WithWarmShapes(3)) }},
+		{"fleet", func() (*System, error) { return NewFleetSystem("dgx-a100", 2, "preserve", WithWarmShapes(3)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := hammerSystem(t, tc.build, 3, 8, ops, sameShape)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if len(s.patterns) != 1 || s.patterns[patternKey{appgraph.ShapeAllToAll, 3}] == nil {
+				t.Fatalf("pattern memo = %v, want the one AllToAll(3) graph", s.patterns)
 			}
 		})
 	}
