@@ -9,10 +9,12 @@
 // relabeling: a node's candidates are the template's candidates with
 // the node's offset added. FleetStore holds those templates (memory
 // and build time O(distinct node classes × shapes), not
-// O(nodes × shapes)); FleetViews layers per-node live state on top —
-// free/health masks, a node-local Eq. 3 bandwidth accounting, and
-// lazy per-shape live views over the *shared* class universe — all
-// maintained from the same deltas the flat pipeline publishes.
+// O(nodes × shapes)); FleetViews layers one ordinary Views per node on
+// top, over the node's class store in node-local IDs. A delta updates
+// only the touched nodes' masks and Eq. 3 bandwidth accounting; a
+// node's shape views over the *shared* class universe catch up when a
+// decision consults that node (match.LiveView.Sync), exactly as a flat
+// stream's do.
 //
 // The decision path is hierarchical: the inter-node level works on the
 // quotient graph of node classes using cheap per-node aggregates (the
@@ -48,6 +50,7 @@
 package matchcache
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -130,43 +133,25 @@ func (fs *FleetStore) Stats() StoreStats {
 	return out
 }
 
-// fleetSlot is one (node, canonical shape) live view over the shared
-// class universe, plus the class score table resolved at ensure time.
-type fleetSlot struct {
-	lv        *match.LiveView
-	patternFP string
-	usl       *universeSlot
-	tbl       *score.Table
-}
-
-// fleetNode is one node's live state, all in node-local vertex IDs.
-type fleetNode struct {
-	class     int
-	off       int
-	size      int
-	free      graph.Bitset
-	unhealthy graph.Bitset
-	usableCnt int // the node's members of FleetViews.usable
-	bw        *match.BandwidthAccounting
-	slots     map[string]*fleetSlot
-}
-
-// FleetViews is the live layer of the fleet pipeline: per-node live
-// state over one availability-state stream, fed the same global-ID
-// GPU-set deltas a flat Views receives and split internally into
-// node-local deltas. It is bound to one stream, like Views, and is
-// safe for concurrent use. Like Views, it also tracks the stream's
+// FleetViews is the live layer of the fleet pipeline: one Views per
+// node over one availability-state stream, fed the same global-ID
+// GPU-set deltas a flat Views receives and forwarding each GPU, in
+// node-local IDs, to its node's Views. It is bound to one stream, like
+// Views, and is safe for concurrent use; the node Views are reached
+// only under its lock. Like Views, it also tracks the stream's
 // fleet-wide usable mask, and SelectNodes declines a decision made on
 // any other mask — a stream that stopped receiving deltas (a closed
-// tenant's) never serves from stale node state.
+// tenant's) never serves from stale node state. A delta that
+// contradicts a node's tracked masks, or names a GPU outside the
+// fleet, panics, as on a flat Views.
 type FleetViews struct {
-	mu      sync.Mutex
-	fs      *FleetStore
-	nodes   []*fleetNode
-	offsets []int        // ascending node offsets, for locate
-	usable  graph.Bitset // tracked usable set (free AND healthy), global IDs
-	maxNode int          // largest node size: bigger patterns span nodes
-	stats   ViewStats
+	mu        sync.Mutex
+	fleet     *topology.Fleet
+	nodes     []*Views     // one per fleet node, in node-local GPU IDs
+	usable    graph.Bitset // tracked usable set (free AND healthy), global IDs
+	usableCnt []int        // per node: its members of usable
+	maxNode   int          // largest node size: bigger patterns span nodes
+	stats     ViewStats    // TableServed and Rejected; Stats adds the nodes' Views
 
 	one          [1]int       // reusable single-GPU delta buffer
 	scratchNodes []int        // reusable eligible-node index buffer
@@ -181,158 +166,76 @@ func (fs *FleetStore) NewFleetViews() *FleetViews {
 	if fs == nil {
 		return nil
 	}
+	f := fs.fleet
 	fv := &FleetViews{
-		fs:      fs,
-		nodes:   make([]*fleetNode, fs.fleet.NumNodes()),
-		offsets: fs.fleet.Offsets,
-		usable:  graph.NewBitset(fs.fleet.NumGPUs()),
-		maxNode: fs.fleet.MaxNodeGPUs(),
+		fleet:     f,
+		nodes:     make([]*Views, f.NumNodes()),
+		usable:    graph.NewBitset(f.NumGPUs()),
+		usableCnt: make([]int, f.NumNodes()),
+		maxNode:   f.MaxNodeGPUs(),
 	}
-	fv.usable.Fill(fs.fleet.NumGPUs())
+	fv.usable.Fill(f.NumGPUs())
 	for j := range fv.nodes {
-		c := fs.fleet.Class(j)
-		cap := graph.Capacity(c.Graph)
-		free := c.Graph.VertexBitset()
-		fv.nodes[j] = &fleetNode{
-			class:     fs.fleet.NodeClass[j],
-			off:       fs.fleet.Offset(j),
-			size:      c.NumGPUs(),
-			free:      free,
-			unhealthy: graph.NewBitset(cap),
-			usableCnt: c.NumGPUs(),
-			bw:        match.NewBandwidthAccounting(c.Graph, free, cap),
-			slots:     make(map[string]*fleetSlot),
-		}
+		fv.nodes[j] = fs.stores[f.NodeClass[j]].NewViews()
+		fv.usableCnt[j] = f.Class(j).NumGPUs()
 	}
 	return fv
 }
 
-// locate resolves a global GPU ID to its node and node-local ID.
-// Offsets ascend, so this is one binary search; out-of-range IDs
-// return a nil node (ignored, mirroring the flat layers' tolerance of
-// out-of-capacity vertices).
-func (fv *FleetViews) locate(g int) (*fleetNode, int) {
-	if g < 0 {
-		return nil, 0
+// locate resolves a global GPU ID to its node index and node-local ID.
+// Node ID ranges are contiguous with ascending offsets, so this is one
+// binary search; an ID outside the fleet panics.
+func (fv *FleetViews) locate(g int) (node, local int) {
+	if g < 0 || g >= fv.fleet.NumGPUs() {
+		panic(fmt.Sprintf("matchcache: FleetViews delta names GPU %d outside the fleet", g))
 	}
-	j := sort.SearchInts(fv.offsets, g+1) - 1
-	if j < 0 {
-		return nil, 0
-	}
-	nd := fv.nodes[j]
-	local := g - nd.off
-	if local >= nd.size {
-		return nil, 0
-	}
-	return nd, local
+	node = sort.SearchInts(fv.fleet.Offsets, g+1) - 1
+	return node, g - fv.fleet.Offsets[node]
 }
 
-// Allocate publishes an allocation delta in global GPU IDs: each GPU
-// leaves its node's free set, and the node's bandwidth accounting and
-// live views absorb the node-local delta. Nil view sets ignore the
+// forward publishes a global-ID delta GPU by GPU to the owning node's
+// Views through op, then folds the GPU's resulting usability into the
+// fleet-wide mask and the node's usable count. Nil view sets ignore the
 // call.
-func (fv *FleetViews) Allocate(gpus []int) {
+func (fv *FleetViews) forward(gpus []int, op func(*Views, []int)) {
 	if fv == nil {
 		return
 	}
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
 	for _, g := range gpus {
-		nd, local := fv.locate(g)
-		if nd == nil {
-			continue
-		}
-		nd.free.Unset(local)
-		if fv.usable.Has(g) {
-			fv.usable.Unset(g)
-			nd.usableCnt--
-		}
+		j, local := fv.locate(g)
+		nv := fv.nodes[j]
 		fv.one[0] = local
-		nd.bw.Allocate(fv.one[:])
-		for _, sl := range nd.slots {
-			sl.lv.Allocate(fv.one[:])
+		op(nv, fv.one[:])
+		if u := nv.usable.Has(local); u != fv.usable.Has(g) {
+			if u {
+				fv.usable.Set(g)
+				fv.usableCnt[j]++
+			} else {
+				fv.usable.Unset(g)
+				fv.usableCnt[j]--
+			}
 		}
 	}
 }
+
+// Allocate publishes an allocation delta in global GPU IDs. Nil view
+// sets ignore the call.
+func (fv *FleetViews) Allocate(gpus []int) { fv.forward(gpus, (*Views).Allocate) }
 
 // Release publishes a release delta in global GPU IDs. Nil view sets
 // ignore the call.
-func (fv *FleetViews) Release(gpus []int) {
-	if fv == nil {
-		return
-	}
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	for _, g := range gpus {
-		nd, local := fv.locate(g)
-		if nd == nil {
-			continue
-		}
-		nd.free.Set(local)
-		if !nd.unhealthy.Has(local) && !fv.usable.Has(g) {
-			fv.usable.Set(g)
-			nd.usableCnt++
-		}
-		fv.one[0] = local
-		nd.bw.Release(fv.one[:])
-		for _, sl := range nd.slots {
-			sl.lv.Release(fv.one[:])
-		}
-	}
-}
+func (fv *FleetViews) Release(gpus []int) { fv.forward(gpus, (*Views).Release) }
 
 // MarkUnhealthy publishes a health delta in global GPU IDs: the GPUs
-// keep their free/allocated state but leave the usable set.
-// Nil view sets ignore the call.
-func (fv *FleetViews) MarkUnhealthy(gpus []int) {
-	if fv == nil {
-		return
-	}
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	for _, g := range gpus {
-		nd, local := fv.locate(g)
-		if nd == nil {
-			continue
-		}
-		nd.unhealthy.Set(local)
-		if fv.usable.Has(g) {
-			fv.usable.Unset(g)
-			nd.usableCnt--
-		}
-		fv.one[0] = local
-		nd.bw.MarkUnhealthy(fv.one[:])
-		for _, sl := range nd.slots {
-			sl.lv.MarkUnhealthy(fv.one[:])
-		}
-	}
-}
+// keep their free/allocated state but leave the usable set. Nil view
+// sets ignore the call.
+func (fv *FleetViews) MarkUnhealthy(gpus []int) { fv.forward(gpus, (*Views).MarkUnhealthy) }
 
 // RestoreHealth publishes a recovery delta in global GPU IDs. Nil view
 // sets ignore the call.
-func (fv *FleetViews) RestoreHealth(gpus []int) {
-	if fv == nil {
-		return
-	}
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	for _, g := range gpus {
-		nd, local := fv.locate(g)
-		if nd == nil {
-			continue
-		}
-		nd.unhealthy.Unset(local)
-		if nd.free.Has(local) && !fv.usable.Has(g) {
-			fv.usable.Set(g)
-			nd.usableCnt++
-		}
-		fv.one[0] = local
-		nd.bw.RestoreHealth(fv.one[:])
-		for _, sl := range nd.slots {
-			sl.lv.RestoreHealth(fv.one[:])
-		}
-	}
-}
+func (fv *FleetViews) RestoreHealth(gpus []int) { fv.forward(gpus, (*Views).RestoreHealth) }
 
 // NodeDecision hands one node's intra-node selection context to a
 // SelectNodes callback: the node's live view and Eq. 3 accounting
@@ -360,6 +263,8 @@ type NodeDecision struct {
 // GPU IDs make ascending node order coincide with the flat
 // lexicographic GPU-set tie-break). The caller compares node winners
 // on exact global scores and resolves ties to the first node seen.
+// Only the nodes that can host the pattern consult their shape view,
+// so only theirs catch up with the deltas since their last consult.
 //
 // SelectNodes returns false without invoking sel when the fleet layer
 // cannot answer and the caller must decide on its flat path instead.
@@ -390,29 +295,24 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 		fv.stats.Rejected++
 		return false
 	}
-	// Pass 1: inter-node pruning on the quotient-level aggregates, slot
-	// and table residency for the surviving nodes, and the fleet-wide
-	// Eq. 3 terms. All sums are over integral link bandwidths, so every
-	// float value below is exact.
+	// Pass 1: inter-node pruning on the quotient-level aggregates, the
+	// surviving nodes' shape views synced, and the fleet-wide Eq. 3
+	// terms. All sums are over integral link bandwidths, so every float
+	// value below is exact.
 	eligible := fv.scratchNodes[:0]
 	F := 0
 	sumFW := 0.0
 	sumPairs := 0.0
-	for j, nd := range fv.nodes {
-		f := nd.usableCnt
+	for j, nv := range fv.nodes {
+		f := fv.usableCnt[j]
 		F += f
-		sumFW += nd.bw.FreeWeight()
+		sumFW += nv.bw.FreeWeight()
 		sumPairs += float64(f * (f - 1) / 2)
 		if f < k {
 			continue
 		}
-		sl, ok := fv.ensureSlot(nd, ci, pattern, workers)
-		if !ok {
-			fv.scratchNodes = eligible
-			fv.stats.Rejected++
-			return false
-		}
-		if maxCandidates > 0 && sl.lv.Len() > maxCandidates {
+		sl, ok := nv.ensureSlot(ci, pattern, workers)
+		if !ok || (maxCandidates > 0 && sl.lv.Len() > maxCandidates) {
 			fv.scratchNodes = eligible
 			fv.stats.Rejected++
 			return false
@@ -427,52 +327,25 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 	// into sel, and a stack home would cost one heap allocation per
 	// decision.
 	for _, j := range eligible {
-		n := fv.nodes[j]
-		sl := n.slots[ci.canon]
+		nv := fv.nodes[j]
+		sl := nv.slots[ci.canon]
 		if sl.lv.Len() == 0 {
 			continue
 		}
 		fv.nd = NodeDecision{
 			Node:   j,
-			Offset: n.off,
+			Offset: fv.fleet.Offsets[j],
 			LV:     sl.lv,
-			BW:     n.bw,
-			Tbl:    sl.tbl,
+			BW:     nv.bw,
+			Tbl:    nv.store.ensureTable(sl.usl, workers),
 			Order:  canon.remap(sl.patternFP, ci, sl.lv.Universe().Order()),
-			PreservedShift: totalFree - n.bw.FreeWeight() -
-				float64(k)*pcie*float64(F-n.usableCnt),
+			PreservedShift: totalFree - nv.bw.FreeWeight() -
+				float64(k)*pcie*float64(F-fv.usableCnt[j]),
 		}
 		sel(&fv.nd)
 	}
 	fv.stats.TableServed++
 	return true
-}
-
-// ensureSlot returns the node's live-view slot for the canonical
-// shape, creating it — and, on first sight fleet-wide, building the
-// class universe and score table — under the view lock. ok is false
-// when the universe is incomplete. A slot
-// created mid-stream initializes from the node's current free mask and
-// inherits its health state, like Views.ensureSlot.
-func (fv *FleetViews) ensureSlot(nd *fleetNode, ci *canonInfo, pattern *graph.Graph, workers int) (*fleetSlot, bool) {
-	sl, seen := nd.slots[ci.canon]
-	if seen {
-		return sl, true
-	}
-	st := fv.fs.stores[nd.class]
-	usl := st.universe(ci, pattern, workers)
-	if !usl.u.Complete() {
-		return nil, false
-	}
-	tbl := st.ensureTable(usl, workers)
-	lv := match.NewLiveView(usl.u, nd.free)
-	if nd.unhealthy.Any() {
-		lv.MarkUnhealthy(nd.unhealthy.Members())
-	}
-	sl = &fleetSlot{lv: lv, patternFP: usl.patternFP, usl: usl, tbl: tbl}
-	nd.slots[ci.canon] = sl
-	fv.stats.Views++
-	return sl, true
 }
 
 // Usable returns a copy of the stream's tracked usable mask — what
@@ -499,5 +372,9 @@ func (fv *FleetViews) Stats() ViewStats {
 	}
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	return fv.stats
+	out := fv.stats
+	for _, nv := range fv.nodes {
+		out.Views += nv.stats.Views
+	}
+	return out
 }

@@ -31,5 +31,6 @@
 //
 // A Store and its Views are bound to one topology; rebinding or
 // reconfiguring hardware requires fresh instances. FleetStore and
-// FleetViews are the per-node-class counterparts for fleets.
+// FleetViews are the fleet counterparts: one Store per node class, and
+// one ordinary Views per node over its class's Store.
 package matchcache

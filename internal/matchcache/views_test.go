@@ -220,6 +220,21 @@ func TestViewsBuildsMidStream(t *testing.T) {
 	sameKeys(t, "mid-stream build", got.keys, wantKeys)
 }
 
+// setPostings is what the GPUs' usability changes cost a view over u:
+// per GPU, the distinct GPU sets of the embeddings containing it.
+func setPostings(u *match.Universe, gpus ...int) (n uint64) {
+	for _, g := range gpus {
+		sets := make(map[string]bool)
+		for i := 0; i < u.Len(); i++ {
+			if u.Set(i).Has(g) {
+				sets[fmt.Sprint(u.Set(i).Members())] = true
+			}
+		}
+		n += uint64(len(sets))
+	}
+	return n
+}
+
 // TestViewsWalkPostingsOnlyOnConsult pins the cost model of the lazy
 // views by count: deltas alone walk no posting list, however many
 // shapes are materialized; a consult walks the postings of the GPUs
@@ -241,20 +256,8 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 			t.Fatal("in-sync consult was rejected")
 		}
 	}
-	// postings is what the GPUs' usability changes cost a shape's view:
-	// per GPU, the distinct GPU sets of the embeddings containing it.
-	postings := func(pattern *graph.Graph, gpus ...int) (n uint64) {
-		u := views.slots[canon.info(pattern).canon].lv.Universe()
-		for _, g := range gpus {
-			sets := make(map[string]bool)
-			for i := 0; i < u.Len(); i++ {
-				if u.Set(i).Has(g) {
-					sets[fmt.Sprint(u.Set(i).Members())] = true
-				}
-			}
-			n += uint64(len(sets))
-		}
-		return n
+	postings := func(pattern *graph.Graph, gpus ...int) uint64 {
+		return setPostings(views.slots[canon.info(pattern).canon].lv.Universe(), gpus...)
 	}
 
 	// A stream nobody consults walks nothing, with or without views.
@@ -306,35 +309,54 @@ func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
 	}
 }
 
+// deltaStream is the publisher-facing delta API that Views and
+// FleetViews share.
+type deltaStream interface {
+	Allocate(gpus []int)
+	Release(gpus []int)
+	MarkUnhealthy(gpus []int)
+	RestoreHealth(gpus []int)
+}
+
 // TestViewsInconsistentDeltaPanics pins the stream-divergence guard at
 // the Views level, where it must live now that deltas no longer reach
 // the per-shape views: a delta contradicting the tracked masks fails
-// loudly.
+// loudly — on a flat machine and on a fleet, whose deltas land in its
+// nodes' Views.
 func TestViewsInconsistentDeltaPanics(t *testing.T) {
 	store := NewStore(topology.DGXV100(), 0)
-	for _, tc := range []struct {
-		name string
-		do   func(v *Views)
+	fleet := NewFleetStore(topology.NewFleet(topology.DGXA100(), 2), 0)
+	for _, s := range []struct {
+		kind string
+		new  func() deltaStream
 	}{
-		{"allocate a busy GPU", func(v *Views) { v.Allocate([]int{2}); v.Allocate([]int{1, 2}) }},
-		{"release a free GPU", func(v *Views) { v.Release([]int{4}) }},
-		{"mark an unhealthy GPU", func(v *Views) { v.MarkUnhealthy([]int{6}); v.MarkUnhealthy([]int{6}) }},
-		{"restore a healthy GPU", func(v *Views) { v.RestoreHealth([]int{6}) }},
-		{"allocate an unknown GPU", func(v *Views) { v.Allocate([]int{64}) }},
+		{"flat", func() deltaStream { return store.NewViews() }},
+		{"fleet", func() deltaStream { return fleet.NewFleetViews() }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s must panic", tc.name)
-				}
+		for _, tc := range []struct {
+			name string
+			do   func(v deltaStream)
+		}{
+			{"allocate a busy GPU", func(v deltaStream) { v.Allocate([]int{2}); v.Allocate([]int{1, 2}) }},
+			{"release a free GPU", func(v deltaStream) { v.Release([]int{4}) }},
+			{"mark an unhealthy GPU", func(v deltaStream) { v.MarkUnhealthy([]int{6}); v.MarkUnhealthy([]int{6}) }},
+			{"restore a healthy GPU", func(v deltaStream) { v.RestoreHealth([]int{6}) }},
+			{"allocate an unknown GPU", func(v deltaStream) { v.Allocate([]int{64}) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s must panic", s.kind, tc.name)
+					}
+				}()
+				tc.do(s.new())
 			}()
-			tc.do(store.NewViews())
-		}()
+		}
+		// The legal orders of the same events do not.
+		v := s.new()
+		v.Allocate([]int{1, 2})
+		v.MarkUnhealthy([]int{2, 6})
+		v.Release([]int{1, 2})
+		v.RestoreHealth([]int{2, 6})
 	}
-	// The legal orders of the same events do not.
-	v := store.NewViews()
-	v.Allocate([]int{1, 2})
-	v.MarkUnhealthy([]int{2, 6})
-	v.Release([]int{1, 2})
-	v.RestoreHealth([]int{2, 6})
 }

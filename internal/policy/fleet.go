@@ -40,7 +40,6 @@ package policy
 import (
 	"mapa/internal/graph"
 	"mapa/internal/matchcache"
-	"mapa/internal/score"
 )
 
 // AttachFleet binds a fleet view set to the policy (nil detaches):
@@ -50,17 +49,6 @@ func AttachFleet(a Allocator, fv *matchcache.FleetViews) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		mp.fleet = fv
 	}
-}
-
-// fleetMetric is candidateMetric translated to fleet-global values: the
-// state-independent metrics are already global; PreservedBW gains the
-// node's exact translation constant.
-func fleetMetric(nd *matchcache.NodeDecision, mt *score.ModelTable, m metric, i int) float64 {
-	v := candidateMetric(nd.BW, nd.Tbl, mt, m, i)
-	if m == metricPreservedBW {
-		v += nd.PreservedShift
-	}
-	return v
 }
 
 // allocateFleetInto runs the hierarchical two-level decision on the
@@ -84,18 +72,18 @@ func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req
 			}
 			mt := nd.Tbl.ForModel(p.scorer.Model)
 			r := p.rank(req)
-			prim := fleetMetric(nd, mt, r[0], best)
+			prim := candidateMetric(nd.BW, nd.Tbl, mt, r[0], best, nd.PreservedShift)
 			if found && prim < bestP {
 				return
 			}
-			sec := fleetMetric(nd, mt, r[1], best)
+			sec := candidateMetric(nd.BW, nd.Tbl, mt, r[1], best, nd.PreservedShift)
 			if found && prim == bestP && sec <= bestS {
 				// Equal scores resolve to the earliest node: node-major
 				// IDs make that the flat lexicographic GPU-set winner.
 				return
 			}
 			found, bestP, bestS = true, prim, sec
-			p.fleetAllocationInto(buf, nd, mt, best)
+			p.scoredAllocationInto(buf, nd.BW, nd.Tbl, nd.Order, best, nd.Offset, nd.PreservedShift)
 		})
 	if !served {
 		return false, nil
@@ -104,34 +92,4 @@ func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req
 		return true, ErrNoAllocation
 	}
 	return true, nil
-}
-
-// fleetAllocationInto packages a node winner into buf, translating
-// node-local GPU IDs through the node's offset. The GPU set, match
-// data, and scores are exactly what the flat table-served packaging
-// would produce for the same embedding on the flattened machine; the
-// match key stays in template-local IDs (it never leaves the policy).
-func (p *mapaPolicy) fleetAllocationInto(buf *Allocation, nd *matchcache.NodeDecision, mt *score.ModelTable, best int) {
-	u := nd.Tbl.Universe()
-	m := u.Match(best)
-	pat := m.Pattern
-	if nd.Order != nil {
-		pat = nd.Order
-	}
-	buf.GPUs = buf.GPUs[:0]
-	for _, g := range nd.Tbl.GPUs(best) {
-		buf.GPUs = append(buf.GPUs, g+nd.Offset)
-	}
-	buf.Match.Pattern = append(buf.Match.Pattern[:0], pat...)
-	buf.Match.Data = buf.Match.Data[:0]
-	for _, g := range m.Data {
-		buf.Match.Data = append(buf.Match.Data, g+nd.Offset)
-	}
-	buf.Scores = score.Scores{
-		AggBW:       nd.Tbl.AggBW(best),
-		EffBW:       mt.EffBW(best),
-		PreservedBW: nd.BW.PreservedBW(nd.Tbl.Internal(best), nd.Tbl.GPUs(best)) + nd.PreservedShift,
-		Mix:         nd.Tbl.Mix(best),
-	}
-	buf.key = u.Key(best)
 }

@@ -71,7 +71,7 @@ func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, re
 				err = ErrNoAllocation
 				return
 			}
-			p.scoredAllocationInto(buf, bw, tbl, order, best)
+			p.scoredAllocationInto(buf, bw, tbl, order, best, 0, 0)
 		})
 	return err, served
 }
@@ -127,17 +127,6 @@ func firstLive(lv *match.LiveView, ord []int32) int {
 	panic("policy: no live set despite non-empty live view")
 }
 
-// scoredScores assembles the full score bundle of candidate i from the
-// table and the stream's bandwidth accounting.
-func scoredScores(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, i int) score.Scores {
-	return score.Scores{
-		AggBW:       tbl.AggBW(i),
-		EffBW:       mt.EffBW(i),
-		PreservedBW: bw.PreservedBW(tbl.Internal(i), tbl.GPUs(i)),
-		Mix:         tbl.Mix(i),
-	}
-}
-
 // setMetric evaluates one selection-order dimension of GPU set s — a
 // table lookup for the static metrics (AggBW: the set's AggBW
 // representative's), Eq. 3 delta arithmetic for PreservedBW. Direct
@@ -155,12 +144,18 @@ func setMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelT
 }
 
 // candidateMetric is setMetric for one embedding: only AggBW differs
-// from its set's value.
-func candidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int) float64 {
+// from its set's value. shift is added to PreservedBW — a fleet node's
+// constant translating the node-local Eq. 3 value to the fleet-global
+// one, 0 on a flat machine.
+func candidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int, shift float64) float64 {
 	if m == metricAggBW {
 		return tbl.AggBW(i)
 	}
-	return setMetric(bw, tbl, mt, m, tbl.Universe().SetOf(i))
+	v := setMetric(bw, tbl, mt, m, tbl.Universe().SetOf(i))
+	if m == metricPreservedBW {
+		v += shift
+	}
+	return v
 }
 
 // scoredArgmaxCapped streams the first max live candidates in
@@ -177,7 +172,7 @@ func scoredArgmaxCapped(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *
 			continue
 		}
 		n++
-		pi := candidateMetric(bw, tbl, mt, r[0], i)
+		pi := candidateMetric(bw, tbl, mt, r[0], i, 0)
 		if best < 0 || pi > bestP {
 			best, bestP, hasBestS = i, pi, false
 			continue
@@ -186,10 +181,10 @@ func scoredArgmaxCapped(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *
 			continue
 		}
 		if !hasBestS {
-			bestS = candidateMetric(bw, tbl, mt, r[1], best)
+			bestS = candidateMetric(bw, tbl, mt, r[1], best, 0)
 			hasBestS = true
 		}
-		si := candidateMetric(bw, tbl, mt, r[1], i)
+		si := candidateMetric(bw, tbl, mt, r[1], i, 0)
 		if si > bestS || (si == bestS && candidateTieBreak(tbl, i, best)) {
 			best, bestS = i, si
 		}
@@ -293,9 +288,13 @@ func scoredGroupArgmax(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *s
 // truncate-and-append: GPU set, match pattern (re-expressed through the
 // isomorphic order remap when present), and match data land in buf's
 // reused backing arrays, scores are assembled from the table and the
-// view's bandwidth accounting. The values written are identical to
-// what allocateSearch returns for the same candidate.
-func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAccounting, tbl *score.Table, order []int, best int) {
+// view's bandwidth accounting. off and shift place a fleet node's
+// winner in fleet-global terms — off is added to every GPU ID, shift to
+// PreservedBW — and are 0 on a flat machine. The values written are
+// identical to what allocateSearch returns for the same candidate (on
+// the flattened machine, for a fleet node); the match key stays in
+// template-local IDs, as it never leaves the policy.
+func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAccounting, tbl *score.Table, order []int, best, off int, shift float64) {
 	u := tbl.Universe()
 	m := u.Match(best)
 	pat := m.Pattern
@@ -306,6 +305,17 @@ func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAc
 	buf.GPUs = append(buf.GPUs[:0], tbl.GPUs(best)...)
 	buf.Match.Pattern = append(buf.Match.Pattern[:0], pat...)
 	buf.Match.Data = append(buf.Match.Data[:0], m.Data...)
-	buf.Scores = scoredScores(bw, tbl, mt, best)
+	for i := range buf.GPUs {
+		buf.GPUs[i] += off
+	}
+	for i := range buf.Match.Data {
+		buf.Match.Data[i] += off
+	}
+	buf.Scores = score.Scores{
+		AggBW:       tbl.AggBW(best),
+		EffBW:       mt.EffBW(best),
+		PreservedBW: bw.PreservedBW(tbl.Internal(best), tbl.GPUs(best)) + shift,
+		Mix:         tbl.Mix(best),
+	}
 	buf.key = u.Key(best)
 }

@@ -245,8 +245,8 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 							}
 							want := refPick(p, live, bw, tbl, mt, req, agg, aggEnds, eff, effEnds)
 							var ga, wa Allocation
-							p.scoredAllocationInto(&ga, bw, tbl, nil, got)
-							p.scoredAllocationInto(&wa, bw, tbl, nil, want)
+							p.scoredAllocationInto(&ga, bw, tbl, nil, got, 0, 0)
+							p.scoredAllocationInto(&wa, bw, tbl, nil, want, 0, 0)
 							if !sameDecision(ga, wa) || ga.key != wa.key {
 								t.Fatalf("%s: set-level selection diverged:\n got %d %+v key %q\nwant %d %+v key %q",
 									label, got, ga, ga.key, want, wa, wa.key)

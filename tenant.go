@@ -44,7 +44,8 @@ type Tenant struct {
 // tenant joining mid-traffic serves correctly from its first decision.
 // Close the tenant when its client disconnects for good, or its view
 // stream keeps absorbing every delta (two mask updates and the Eq. 3
-// accounting each; its shape views only catch up when it decides).
+// accounting each; its shape views only catch up when it decides — on
+// a fleet too, where each delta reaches only its nodes' views).
 func (s *System) NewTenant() (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
