@@ -1,13 +1,13 @@
 package mapa
 
 // Durability: the System's write-ahead journaling, snapshot/recovery,
-// and lease-TTL layer. The mutators in mapa.go append one journal
-// record per committed mutation under the state lock, after validation
-// and before any in-memory change (see journalAppend); this file holds
-// the construction-time recovery that replays snapshot + journal back
-// into a fresh System, the snapshot capture that lets the journal
-// compact, and the TTL APIs (Renew, ReapExpired) whose expirations are
-// journaled as releases.
+// and lease-TTL layer. Every committed transition is appended to the
+// journal by commit (transition.go) after check and before apply, under
+// the state lock; this file holds the construction-time recovery —
+// snapshot install, then the same check + apply for each journaled
+// record — the snapshot capture that lets the journal compact, and the
+// TTL APIs (Renew, ReapExpired) whose expirations are journaled as
+// releases.
 
 import (
 	"fmt"
@@ -74,11 +74,11 @@ func (s *System) JournalStats() (_ journal.Stats, ok bool) {
 }
 
 // recoverFromJournal opens the journal, installs its snapshot, and
-// replays the live records through the real mutators — then, and only
-// then, attaches the journal to the System, so replay itself never
-// re-journals. Called from NewSystem before the match pipeline exists:
-// view publishes no-op on nil, and the pipeline is built afterwards
-// for the final recovered topology.
+// commits each live record through check + apply — the transition every
+// live mutation runs — then, and only then, attaches the journal to the
+// System, so recovery itself never re-journals. Called from NewSystem
+// before the match pipeline exists: view publishes no-op on nil, and
+// the pipeline is built afterwards for the final recovered topology.
 func (s *System) recoverFromJournal(dir string, opts journal.Options) (err error) {
 	jw, jerr := journal.Open(dir, opts)
 	if jerr != nil {
@@ -98,7 +98,7 @@ func (s *System) recoverFromJournal(dir string, opts journal.Options) (err error
 		}
 	}
 	for i := range recs {
-		if err := s.applyRecord(&recs[i]); err != nil {
+		if err := s.commit(recs[i]); err != nil {
 			return fmt.Errorf("mapa: journal replay: record %d (seq %d, %s): %w",
 				i, recs[i].Seq, recs[i].Kind, err)
 		}
@@ -125,75 +125,12 @@ func (s *System) recoverFromJournal(dir string, opts journal.Options) (err error
 	return nil
 }
 
-// applyRecord replays one journal record through the System's real
-// mutators. Allocate records are the exception: the journaled GPU set
-// is installed directly — recovery must reproduce the committed
-// decision, not re-run the policy against a pipeline that no longer
-// sees the same state.
-func (s *System) applyRecord(rec *journal.Record) error {
-	switch rec.Kind {
-	case journal.KindAllocate:
-		return s.applyRecoveredAllocate(rec)
-	case journal.KindRelease:
-		return s.releaseLocked(rec.ID, rec.Expired)
-	case journal.KindMark:
-		return s.markUnhealthyLocked(rec.GPUs)
-	case journal.KindRestore:
-		return s.restoreLocked(rec.GPUs)
-	case journal.KindDegrade:
-		return s.degradeLinkLocked(rec.U, rec.V, rec.BW)
-	case journal.KindRepartition:
-		slices := make(map[int]int, len(rec.Slices))
-		for _, sl := range rec.Slices {
-			slices[sl.GPU] = sl.Instances
-		}
-		return s.repartitionLocked(slices)
-	case journal.KindRenew:
-		return s.renewLocked(rec.ID, rec.Deadline)
-	}
-	return fmt.Errorf("unknown record kind %d", uint8(rec.Kind))
-}
-
-// applyRecoveredAllocate installs a journaled allocation. The ID must
-// be exactly the next one — a repeat or a skip means the journal holds
-// a duplicated or missing record, which contiguity checking upstream
-// should have caught, so it is treated as corruption.
-func (s *System) applyRecoveredAllocate(rec *journal.Record) error {
-	if rec.ID != s.nextID+1 {
-		return fmt.Errorf("lease ID %d out of order (next is %d): duplicate or missing record", rec.ID, s.nextID+1)
-	}
-	if len(rec.GPUs) == 0 {
-		return fmt.Errorf("lease %d has no GPUs", rec.ID)
-	}
-	for _, g := range rec.GPUs {
-		if !s.usable.Has(g) {
-			return fmt.Errorf("GPU %d not free for lease %d", g, rec.ID)
-		}
-	}
-	for _, g := range rec.GPUs {
-		s.usable.Unset(g)
-	}
-	s.publishAllocate(rec.GPUs)
-	s.nextID = rec.ID
-	gpus := append([]int(nil), rec.GPUs...)
-	s.leases[rec.ID] = gpus
-	for _, g := range gpus {
-		s.leasedBy[g] = rec.ID
-	}
-	if rec.Owner != "" {
-		s.owners[rec.ID] = rec.Owner
-	}
-	if rec.Deadline != 0 {
-		s.expiry[rec.ID] = rec.Deadline
-	}
-	return nil
-}
-
-// installSnapshot loads a snapshot's state directly into a fresh
-// System: base-machine link degradations, the recomposed virtual
-// machine (when repartitioned), post-compose link degradations, then
-// leases and health marks. Everything is validated against the built
-// topology; a snapshot that does not fit the machine is corruption.
+// installSnapshot loads a snapshot into a fresh System: base-machine
+// link degradations, the recomposed virtual machine (when
+// repartitioned) and post-compose link degradations are restored
+// directly; leases and health marks are committed through the same
+// check + apply as live allocations and health events. A snapshot that
+// does not fit the machine is corruption.
 func (s *System) installSnapshot(snap *journal.Snapshot) error {
 	if snap.Topology != s.catalogName {
 		return fmt.Errorf("mapa: journal snapshot is for topology %q, System built for %q", snap.Topology, s.catalogName)
@@ -206,33 +143,22 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 		// link weights against canonical labels, so degraded links — on
 		// the base or the virtual machine — are reapplied as weight
 		// diffs after composition, never fed through it.
-		s.baseTop = s.top
-		s.instances = make(map[int][]int, len(snap.Instances))
+		rc := &recut{base: s.top, instances: make(map[int][]int, len(snap.Instances)), nextVID: snap.NextVID}
 		for _, is := range snap.Instances {
-			s.instances[is.GPU] = append([]int(nil), is.VIDs...)
+			rc.instances[is.GPU] = is.VIDs
 		}
-		s.nextVID = snap.NextVID
-		vt, err := mig.Compose(s.baseTop, s.instances)
+		vt, err := mig.Compose(rc.base, rc.instances)
 		if err != nil {
 			return fmt.Errorf("mapa: journal snapshot: recomposing instances: %w", err)
 		}
-		if err := applyLinks(snap.BaseLinks, s.baseTop.Graph); err != nil {
+		rc.vt = vt
+		if err := applyLinks(snap.BaseLinks, rc.base.Graph); err != nil {
 			return err
 		}
-		if err := applyLinks(snap.BasePhysLinks, s.baseTop.Physical); err != nil {
+		if err := applyLinks(snap.BasePhysLinks, rc.base.Physical); err != nil {
 			return err
 		}
-		s.top = vt.Topology
-		s.physOf = make(map[int]int, len(vt.PhysicalOf))
-		for v, p := range vt.PhysicalOf {
-			s.physOf[v] = p
-		}
-		s.fractions = make(map[int]float64, len(vt.Fraction))
-		for v, f := range vt.Fraction {
-			s.fractions[v] = f
-		}
-		s.gpus = s.top.Graph.VertexBitset()
-		s.usable = s.gpus.Clone()
+		s.installRecut(rc)
 	}
 	if err := applyLinks(snap.Links, s.top.Graph); err != nil {
 		return err
@@ -244,47 +170,25 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 	if snap.NextID < 0 {
 		return fmt.Errorf("mapa: journal snapshot: negative next_id %d", snap.NextID)
 	}
-	s.nextID = snap.NextID
+	// Leases keep their IDs, ascending within 1..NextID: each commits as
+	// the allocation that would have been granted next.
+	prev := 0
 	for _, ls := range snap.Leases {
-		if ls.ID <= 0 || ls.ID > snap.NextID {
-			return fmt.Errorf("mapa: journal snapshot: lease ID %d outside 1..%d", ls.ID, snap.NextID)
+		if ls.ID <= prev || ls.ID > snap.NextID {
+			return fmt.Errorf("mapa: journal snapshot: lease ID %d repeated, out of order or outside 1..%d", ls.ID, snap.NextID)
 		}
-		if _, dup := s.leases[ls.ID]; dup {
-			return fmt.Errorf("mapa: journal snapshot: lease %d listed twice", ls.ID)
-		}
-		if len(ls.GPUs) == 0 {
-			return fmt.Errorf("mapa: journal snapshot: lease %d has no GPUs", ls.ID)
-		}
-		for _, g := range ls.GPUs {
-			if !s.usable.Has(g) {
-				return fmt.Errorf("mapa: journal snapshot: GPU %d not free for lease %d", g, ls.ID)
-			}
-		}
-		for _, g := range ls.GPUs {
-			s.usable.Unset(g)
-		}
-		gpus := append([]int(nil), ls.GPUs...)
-		s.leases[ls.ID] = gpus
-		for _, g := range gpus {
-			s.leasedBy[g] = ls.ID
-		}
-		if ls.Owner != "" {
-			s.owners[ls.ID] = ls.Owner
-		}
-		if ls.Deadline != 0 {
-			s.expiry[ls.ID] = ls.Deadline
+		prev, s.nextID = ls.ID, ls.ID-1
+		if err := s.commit(journal.Record{
+			Kind: journal.KindAllocate, ID: ls.ID, NumGPUs: len(ls.GPUs),
+			Owner: ls.Owner, Deadline: ls.Deadline, GPUs: ls.GPUs,
+		}); err != nil {
+			return fmt.Errorf("mapa: journal snapshot: %w", err)
 		}
 	}
-	for _, g := range snap.Unhealthy {
-		if !s.gpus.Has(g) {
-			return fmt.Errorf("mapa: journal snapshot: unhealthy GPU %d not in topology", g)
-		}
-		if s.unhealthy[g] {
-			return fmt.Errorf("mapa: journal snapshot: GPU %d marked unhealthy twice", g)
-		}
-		s.unhealthy[g] = true
-		if _, leased := s.leasedBy[g]; !leased {
-			s.usable.Unset(g)
+	s.nextID = snap.NextID
+	if len(snap.Unhealthy) > 0 {
+		if err := s.commit(journal.Record{Kind: journal.KindMark, GPUs: snap.Unhealthy}); err != nil {
+			return fmt.Errorf("mapa: journal snapshot: %w", err)
 		}
 	}
 	return nil
@@ -295,11 +199,9 @@ func (s *System) installSnapshot(snap *journal.Snapshot) error {
 // is corruption.
 func applyLinks(links []journal.Link, g *graph.Graph) error {
 	for _, l := range links {
-		e, ok := g.EdgeBetween(l.U, l.V)
-		if !ok {
+		if !setWeight(g, l.U, l.V, l.BW) {
 			return fmt.Errorf("mapa: journal snapshot: no link (%d,%d) in topology", l.U, l.V)
 		}
-		g.MustAddEdge(l.U, l.V, l.BW, e.Label)
 	}
 	return nil
 }
@@ -437,30 +339,11 @@ func diffLinks(cur, ref *graph.Graph) []journal.Link {
 func (s *System) Renew(id int, ttl time.Duration) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var deadline int64
-	if ttl > 0 {
-		deadline = time.Now().Add(ttl).UnixNano()
-	}
-	if err := s.renewLocked(id, deadline); err != nil {
+	dl := deadline(ttl)
+	if err := s.commit(journal.Record{Kind: journal.KindRenew, ID: id, Deadline: dl}); err != nil {
 		return 0, err
 	}
-	return deadline, nil
-}
-
-func (s *System) renewLocked(id int, deadline int64) error {
-	if _, ok := s.leases[id]; !ok {
-		return fmt.Errorf("mapa: lease %d: %w", id, ErrLeaseNotActive)
-	}
-	if err := s.journalAppend(&journal.Record{Kind: journal.KindRenew, ID: id, Deadline: deadline}); err != nil {
-		return err
-	}
-	if deadline == 0 {
-		delete(s.expiry, id)
-	} else {
-		s.expiry[id] = deadline
-	}
-	s.commit(commitOp{kind: opRenew, id: id, deadline: deadline})
-	return nil
+	return dl, nil
 }
 
 // ReapExpired releases every lease whose TTL deadline is at or before

@@ -2,6 +2,7 @@ package mapa
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -92,66 +93,67 @@ func runScriptedWorkload(t *testing.T, s *System, mid func()) {
 	}
 }
 
-// applyCommitOps advances a journal-less oracle System through a
-// prefix of the observed linearization. Allocations re-run the real
-// policy decision and must reproduce the committed lease exactly; the
+// applyRecords advances a journal-less oracle System through a prefix
+// of the observed linearization. Allocations re-run the real policy
+// decision and must reproduce the committed lease exactly; the
 // wall-clock TTL deadline is installed from the recorded op, matching
 // what recovery installs from the journal.
-func applyCommitOps(t *testing.T, r *System, ops []commitOp) {
+func applyRecords(t *testing.T, r *System, recs []journal.Record) {
 	t.Helper()
-	for i, op := range ops {
-		switch op.kind {
-		case opAllocate:
-			l, err := r.Allocate(op.req)
+	for i, rec := range recs {
+		switch rec.Kind {
+		case journal.KindAllocate:
+			req := JobRequest{NumGPUs: rec.NumGPUs, Shape: rec.Shape, Sensitive: rec.Sensitive, Owner: rec.Owner}
+			l, err := r.Allocate(req)
 			if err != nil {
-				t.Fatalf("oracle op %d: allocate %+v: %v", i, op.req, err)
+				t.Fatalf("oracle op %d: allocate %+v: %v", i, req, err)
 			}
-			if l.ID != op.id || !reflect.DeepEqual(l.GPUs, op.gpus) {
-				t.Fatalf("oracle op %d: got lease %d %v, observed %d %v", i, l.ID, l.GPUs, op.id, op.gpus)
+			if l.ID != rec.ID || !reflect.DeepEqual(l.GPUs, rec.GPUs) {
+				t.Fatalf("oracle op %d: got lease %d %v, observed %d %v", i, l.ID, l.GPUs, rec.ID, rec.GPUs)
 			}
 			r.mu.Lock()
-			if op.deadline != 0 {
-				r.expiry[l.ID] = op.deadline
+			if rec.Deadline != 0 {
+				r.expiry[l.ID] = rec.Deadline
 			} else {
 				delete(r.expiry, l.ID)
 			}
 			r.mu.Unlock()
-		case opRelease:
+		case journal.KindRelease:
 			r.mu.Lock()
-			err := r.releaseLocked(op.id, op.expired)
+			err := r.releaseLocked(rec.ID, rec.Expired)
 			r.mu.Unlock()
 			if err != nil {
-				t.Fatalf("oracle op %d: release %d: %v", i, op.id, err)
+				t.Fatalf("oracle op %d: release %d: %v", i, rec.ID, err)
 			}
-		case opMark:
-			if err := r.MarkUnhealthy(op.gpus...); err != nil {
-				t.Fatalf("oracle op %d: mark %v: %v", i, op.gpus, err)
+		case journal.KindMark:
+			if err := r.MarkUnhealthy(rec.GPUs...); err != nil {
+				t.Fatalf("oracle op %d: mark %v: %v", i, rec.GPUs, err)
 			}
-		case opRestore:
-			if err := r.Restore(op.gpus...); err != nil {
-				t.Fatalf("oracle op %d: restore %v: %v", i, op.gpus, err)
+		case journal.KindRestore:
+			if err := r.Restore(rec.GPUs...); err != nil {
+				t.Fatalf("oracle op %d: restore %v: %v", i, rec.GPUs, err)
 			}
-		case opDegrade:
-			if err := r.DegradeLink(op.u, op.v, op.bw); err != nil {
-				t.Fatalf("oracle op %d: degrade (%d,%d): %v", i, op.u, op.v, err)
+		case journal.KindDegrade:
+			if err := r.DegradeLink(rec.U, rec.V, rec.BW); err != nil {
+				t.Fatalf("oracle op %d: degrade (%d,%d): %v", i, rec.U, rec.V, err)
 			}
-		case opRepartition:
-			m := make(map[int]int, len(op.slices))
-			for _, sl := range op.slices {
+		case journal.KindRepartition:
+			m := make(map[int]int, len(rec.Slices))
+			for _, sl := range rec.Slices {
 				m[sl.GPU] = sl.Instances
 			}
 			if err := r.Repartition(m); err != nil {
 				t.Fatalf("oracle op %d: repartition %v: %v", i, m, err)
 			}
-		case opRenew:
+		case journal.KindRenew:
 			r.mu.Lock()
-			err := r.renewLocked(op.id, op.deadline)
+			err := r.commit(journal.Record{Kind: journal.KindRenew, ID: rec.ID, Deadline: rec.Deadline})
 			r.mu.Unlock()
 			if err != nil {
-				t.Fatalf("oracle op %d: renew %d: %v", i, op.id, err)
+				t.Fatalf("oracle op %d: renew %d: %v", i, rec.ID, err)
 			}
 		default:
-			t.Fatalf("oracle op %d: unknown kind %q", i, op.kind)
+			t.Fatalf("oracle op %d: unknown kind %v", i, rec.Kind)
 		}
 	}
 }
@@ -224,8 +226,8 @@ func TestCrashpointSweepJournalPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []commitOp
-	s.onCommit = func(op commitOp) { log = append(log, op) }
+	var log []journal.Record
+	s.onCommit = func(rec *journal.Record) { log = append(log, *rec) }
 	runScriptedWorkload(t, s, nil)
 
 	walPath := filepath.Join(dir, "wal")
@@ -259,7 +261,7 @@ func TestCrashpointSweepJournalPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyCommitOps(t, oracle, log[:cut])
+		applyRecords(t, oracle, log[:cut])
 		assertSystemsEqual(t, label, rec, oracle)
 		if t.Failed() {
 			t.FailNow()
@@ -283,7 +285,7 @@ func TestCrashpointSweepJournalPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyCommitOps(t, oracle, log[:k+1])
+		applyRecords(t, oracle, log[:k+1])
 		assertSystemsEqual(t, label, rec, oracle)
 	}
 }
@@ -297,9 +299,9 @@ func TestCrashpointSweepWithSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []commitOp
+	var log []journal.Record
 	snapCount := -1
-	s.onCommit = func(op commitOp) { log = append(log, op) }
+	s.onCommit = func(rec *journal.Record) { log = append(log, *rec) }
 	runScriptedWorkload(t, s, func() {
 		if err := s.Snapshot(); err != nil {
 			t.Fatalf("mid-run snapshot: %v", err)
@@ -348,7 +350,7 @@ func TestCrashpointSweepWithSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyCommitOps(t, oracle, log[:snapCount+j])
+		applyRecords(t, oracle, log[:snapCount+j])
 		assertSystemsEqual(t, label, rec, oracle)
 		if t.Failed() {
 			t.FailNow()
@@ -495,6 +497,187 @@ func TestReplayRejectsConflictingAllocate(t *testing.T) {
 	}
 }
 
+// recoverJournal writes snap (when non-nil), then recs, into a fresh
+// journal directory and returns the error of recovering a System from
+// it.
+func recoverJournal(t *testing.T, snap *journal.Snapshot, recs ...journal.Record) error {
+	t.Helper()
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap != nil {
+		if err := j.WriteSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range recs {
+		if err := j.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	s, err := NewSystem("dgx-a100", "preserve", WithJournal(dir, journal.Options{}))
+	if err == nil {
+		s.Close()
+	}
+	return err
+}
+
+// TestReplayRejectsMismatchedRecords: a release must name exactly the
+// GPUs its lease holds, and an allocation must hold as many GPUs as it
+// requested — the live path writes nothing else, so anything else is
+// corruption.
+func TestReplayRejectsMismatchedRecords(t *testing.T) {
+	alloc01 := journal.Record{Kind: journal.KindAllocate, ID: 1, NumGPUs: 2, GPUs: []int{0, 1}}
+	for _, tc := range []struct {
+		name string
+		recs []journal.Record
+		want string
+	}{
+		{"release names other GPUs", []journal.Record{alloc01,
+			{Kind: journal.KindRelease, ID: 1, GPUs: []int{5, 6, 7}}}, "the lease holds"},
+		{"allocate holds fewer GPUs than requested", []journal.Record{
+			{Kind: journal.KindAllocate, ID: 1, NumGPUs: 3, GPUs: []int{4}}}, "requests 3 GPUs"},
+	} {
+		if err := recoverJournal(t, nil, tc.recs...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewSystem = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReplayRejectsRepeatedGPU: a lease listing one GPU twice, in a
+// journaled allocation or in a snapshot, fails recovery instead of
+// recovering a lease whose release would corrupt the views.
+func TestReplayRejectsRepeatedGPU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		snap *journal.Snapshot
+		recs []journal.Record
+	}{
+		{"wal", nil, []journal.Record{{Kind: journal.KindAllocate, ID: 1, NumGPUs: 2, GPUs: []int{0, 0}}}},
+		{"snapshot", &journal.Snapshot{Topology: "dgx-a100", Policy: "preserve", NextID: 1,
+			Leases: []journal.LeaseState{{ID: 1, GPUs: []int{2, 2}}}}, nil},
+	} {
+		if err := recoverJournal(t, tc.snap, tc.recs...); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("%s: NewSystem = %v, want a repeated-GPU error", tc.name, err)
+		}
+	}
+}
+
+// fuzzRecords turns fuzz bytes into up to 16 well-formed journal records
+// of every kind. Each field is drawn from a small table that mixes valid
+// values with hostile ones: repeated, negative and out-of-machine GPUs,
+// NaN, infinite, negative and fractional bandwidths, unknown lease IDs
+// and out-of-range slice counts. Missing bytes read as zero.
+func fuzzRecords(data []byte) []journal.Record {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	gpu := func() int {
+		switch b := next() % 18; b {
+		case 16:
+			return -1
+		case 17:
+			return 1 << 40
+		default:
+			return b // 0..15: the 8 GPUs, fresh virtual IDs, or none
+		}
+	}
+	list := func() []int {
+		var out []int
+		for n := next() % 5; n > 0; n-- {
+			out = append(out, gpu())
+		}
+		return out
+	}
+	bws := []float64{0, 25, 50, 100, 300, 12.5, math.NaN(), math.Inf(1), math.Inf(-1), -3}
+	counts := []int{0, 1, 2, 3, 7, 8, -1}
+	var recs []journal.Record
+	for len(data) > 0 && len(recs) < 16 {
+		rec := journal.Record{Kind: journal.Kind(next()%7 + 1)}
+		switch rec.Kind {
+		case journal.KindAllocate:
+			rec.ID, rec.NumGPUs, rec.GPUs = next()%5, next()%6, list()
+			rec.Deadline = int64(next())
+			if next()%2 == 1 {
+				rec.Owner = "tenant"
+			}
+		case journal.KindRelease:
+			rec.ID, rec.Expired, rec.GPUs = next()%5, next()%2 == 1, list()
+		case journal.KindMark, journal.KindRestore:
+			rec.GPUs = list()
+		case journal.KindDegrade:
+			rec.U, rec.V, rec.BW = gpu(), gpu(), bws[next()%len(bws)]
+		case journal.KindRepartition:
+			for n := next() % 3; n > 0; n-- {
+				rec.Slices = append(rec.Slices, journal.Slice{GPU: gpu(), Instances: counts[next()%len(counts)]})
+			}
+		case journal.KindRenew:
+			rec.ID, rec.Deadline = next()%5, int64(next())
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// FuzzReplayRecords recovers a dgx-a100 System from fuzz-chosen record
+// sequences (see fuzzRecords). Recovery must either fail or yield a
+// System whose availability invariant holds, whose every lease releases
+// and whose every unhealthy GPU restores — after which the machine is
+// whole again.
+func FuzzReplayRecords(f *testing.F) {
+	// Record layouts, one byte per field (see fuzzRecords): allocate =
+	// 0 id num len gpus... deadline owner; release = 1 id expired len
+	// gpus...; mark = 2 len gpus...; restore = 3 len gpus...; degrade =
+	// 4 u v bw; repartition = 5 n (gpu count)...; renew = 6 id deadline.
+	f.Add([]byte{0, 1, 2, 2, 0, 0, 0, 0})                                                                       // a lease listing GPU 0 twice
+	f.Add([]byte{0, 1, 2, 2, 2, 2, 0, 0})                                                                       // a lease listing GPU 2 twice
+	f.Add([]byte{0, 1, 2, 2, 0, 1, 0, 0, 1, 1, 0, 3, 5, 6, 7})                                                  // a release naming GPUs its lease does not hold
+	f.Add([]byte{0, 1, 3, 1, 4, 0, 0})                                                                          // an allocation holding fewer GPUs than requested
+	f.Add([]byte{0, 1, 2, 2, 0, 1, 9, 1, 2, 1, 5, 5, 1, 6, 2, 4, 2, 3, 1, 6, 1, 50, 1, 1, 0, 2, 0, 1, 3, 1, 5}) // every kind, valid
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		j, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := fuzzRecords(data)
+		for i := range recs {
+			if err := j.Append(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		s, err := NewSystem("dgx-a100", "preserve", WithJournal(dir, journal.Options{}))
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		checkAvailInvariant(t, s, "recovered")
+		for _, l := range s.Leases() {
+			if err := s.Release(&Lease{ID: l.ID}); err != nil {
+				t.Fatalf("releasing recovered lease %d %v: %v", l.ID, l.GPUs, err)
+			}
+		}
+		if un := s.UnhealthyGPUs(); len(un) > 0 {
+			if err := s.Restore(un...); err != nil {
+				t.Fatalf("restoring recovered unhealthy GPUs %v: %v", un, err)
+			}
+		}
+		checkAvailInvariant(t, s, "drained")
+		if free, all := len(s.FreeGPUs()), s.NumGPUs(); free != all {
+			t.Fatalf("drained machine has %d of %d GPUs free", free, all)
+		}
+	})
+}
+
 // TestJournaledHammerMatchesOracle folds journaling into the PR 8
 // concurrent hammer: after racy mixed traffic on a journaled System, a
 // crash-recovery lands field-identical to the serialized-replay oracle
@@ -506,8 +689,8 @@ func TestJournaledHammerMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []commitOp
-	s.onCommit = func(op commitOp) { log = append(log, op) }
+	var log []journal.Record
+	s.onCommit = func(rec *journal.Record) { log = append(log, *rec) }
 
 	done := make(chan struct{})
 	for w := 0; w < 6; w++ {
@@ -552,6 +735,6 @@ func TestJournaledHammerMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyCommitOps(t, oracle, log)
+	applyRecords(t, oracle, log)
 	assertSystemsEqual(t, "hammer recovery", rec, oracle)
 }

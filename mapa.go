@@ -27,7 +27,6 @@ package mapa
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -38,7 +37,6 @@ import (
 	"mapa/internal/jobs"
 	"mapa/internal/journal"
 	"mapa/internal/matchcache"
-	"mapa/internal/mig"
 	"mapa/internal/policy"
 	"mapa/internal/sched"
 	"mapa/internal/score"
@@ -181,12 +179,16 @@ type System struct {
 	closedViewStats  matchcache.ViewStats
 	closedFleetStats matchcache.ViewStats
 
+	// rec is the record storage every transition is filled into and
+	// committed from (see commit), reused so a commit allocates nothing.
+	rec journal.Record
+
 	// Test hooks. prewarmGate runs during Allocate's unlocked prewarm
 	// phase (keyed by request size) so tests can hold a cold build in
-	// flight; onCommit observes every committed mutation under mu — the
-	// exact linearization — for replay-oracle suites.
+	// flight; onCommit observes a private copy of every applied record
+	// under mu — the exact linearization — for replay-oracle suites.
 	prewarmGate func(numGPUs int)
-	onCommit    func(op commitOp)
+	onCommit    func(rec *journal.Record)
 
 	// MIG repartitioning state, initialized lazily by the first
 	// Repartition call. baseTop is the physical machine the System was
@@ -528,59 +530,6 @@ func patternKeyOf(req JobRequest) (patternKey, error) {
 	return patternKey{shape, req.NumGPUs}, err
 }
 
-// commitOp records one committed state transition, handed to the
-// onCommit test hook under the state lock — the hook's call order is
-// the System's linearization.
-type commitOp struct {
-	kind     string
-	req      JobRequest // allocate only
-	id       int        // allocate (assigned ID), release, renew
-	gpus     []int      // allocate result; mark/restore arguments
-	deadline int64      // allocate, renew: lease expiry (Unix nanos, 0 = none)
-	expired  bool       // release: produced by the TTL reaper
-	u, v     int        // degrade-link endpoints
-	bw       float64    // degrade-link new bandwidth
-	slices   []journal.Slice
-}
-
-const (
-	opAllocate    = "allocate"
-	opRelease     = "release"
-	opMark        = "mark-unhealthy"
-	opRestore     = "restore"
-	opDegrade     = "degrade-link"
-	opRepartition = "repartition"
-	opRenew       = "renew"
-)
-
-// commit invokes the linearization test hook with a private copy of
-// the op's GPU set, so later mutations cannot rewrite the record.
-func (s *System) commit(op commitOp) {
-	if s.onCommit == nil {
-		return
-	}
-	op.gpus = append([]int(nil), op.gpus...)
-	op.slices = append([]journal.Slice(nil), op.slices...)
-	s.onCommit(op)
-}
-
-// journalAppend writes one record to the write-ahead journal, called
-// under mu by every mutator after validation and before any in-memory
-// mutation: a failed append aborts the operation with the state
-// untouched, so nothing unjournaled can ever be observed. No-op when
-// journaling is off — and during recovery replay, where jw is attached
-// only after the replayed records are applied, so replay never
-// re-journals.
-func (s *System) journalAppend(rec *journal.Record) error {
-	if s.jw == nil {
-		return nil
-	}
-	if err := s.jw.Append(rec); err != nil {
-		return fmt.Errorf("mapa: %w: %w", ErrJournal, err)
-	}
-	return nil
-}
-
 // ErrJournal is returned (wrapped) by a mutation the write-ahead journal
 // refused — a failed append, or any mutation after Close. The mutation
 // was not applied: the request was valid, the server could not commit
@@ -717,34 +666,15 @@ func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest)
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", req.NumGPUs, err)
 	}
-	id := s.nextID + 1
-	var deadline int64
-	if req.TTL > 0 {
-		deadline = time.Now().Add(req.TTL).UnixNano()
-	}
-	if err := s.journalAppend(&journal.Record{
+	id, dl := s.nextID+1, deadline(req.TTL)
+	if err := s.commit(journal.Record{
 		Kind: journal.KindAllocate, ID: id, NumGPUs: req.NumGPUs,
 		Shape: req.Shape, Sensitive: req.Sensitive, Owner: req.Owner,
-		Deadline: deadline, GPUs: a.GPUs,
+		Deadline: dl, GPUs: a.GPUs,
 	}); err != nil {
 		return nil, err
 	}
-	for _, g := range a.GPUs {
-		s.usable.Unset(g)
-	}
-	s.publishAllocate(a.GPUs)
-	s.nextID = id
-	s.leases[id] = a.GPUs
-	for _, g := range a.GPUs {
-		s.leasedBy[g] = id
-	}
-	if req.Owner != "" {
-		s.owners[id] = req.Owner
-	}
-	if deadline != 0 {
-		s.expiry[id] = deadline
-	}
-	lease := &Lease{
+	return &Lease{
 		ID: id,
 		// A copy, not a.GPUs itself: the internal lease record must
 		// never share a backing array with the slice handed to the
@@ -754,10 +684,8 @@ func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest)
 		EffBW:       a.Scores.EffBW,
 		AggBW:       a.Scores.AggBW,
 		PreservedBW: a.Scores.PreservedBW,
-		Deadline:    deadline,
-	}
-	s.commit(commitOp{kind: opAllocate, req: req, id: id, gpus: a.GPUs, deadline: deadline})
-	return lease, nil
+		Deadline:    dl,
+	}, nil
 }
 
 // AllocateBatch serves n identical requests in one acquisition of the
@@ -789,57 +717,6 @@ func (s *System) AllocateBatch(req JobRequest, n int) ([]*Lease, []error) {
 	return leases, errs
 }
 
-// publishAllocate fans an allocation delta out to every live-view
-// stream bound to this System — its own and each tenant's, flat and
-// (on a fleet) template streams alike; nil streams ignore deltas.
-func (s *System) publishAllocate(gpus []int) {
-	s.views.Allocate(gpus)
-	s.fviews.Allocate(gpus)
-	for _, t := range s.tenants {
-		t.views.Allocate(gpus)
-		t.fviews.Allocate(gpus)
-	}
-}
-
-// publishRelease fans a release delta out to every view stream.
-func (s *System) publishRelease(gpus []int) {
-	s.views.Release(gpus)
-	s.fviews.Release(gpus)
-	for _, t := range s.tenants {
-		t.views.Release(gpus)
-		t.fviews.Release(gpus)
-	}
-}
-
-// publishMarkUnhealthy fans a health delta out to every view stream.
-func (s *System) publishMarkUnhealthy(gpus []int) {
-	s.views.MarkUnhealthy(gpus)
-	s.fviews.MarkUnhealthy(gpus)
-	for _, t := range s.tenants {
-		t.views.MarkUnhealthy(gpus)
-		t.fviews.MarkUnhealthy(gpus)
-	}
-}
-
-// publishRestoreHealth fans a recovery delta out to every view stream.
-func (s *System) publishRestoreHealth(gpus []int) {
-	s.views.RestoreHealth(gpus)
-	s.fviews.RestoreHealth(gpus)
-	for _, t := range s.tenants {
-		t.views.RestoreHealth(gpus)
-		t.fviews.RestoreHealth(gpus)
-	}
-}
-
-// publishUpdateEdge fans a link-weight delta out to every flat view
-// stream (fleets reject link degradation).
-func (s *System) publishUpdateEdge(u, v int, bw float64) {
-	s.views.UpdateEdge(u, v, bw)
-	for _, t := range s.tenants {
-		t.views.UpdateEdge(u, v, bw)
-	}
-}
-
 // Release returns a lease's GPUs to the free pool. Releasing an
 // unknown or already-released lease is an error. GPUs marked
 // unhealthy while leased do not rejoin the free pool until Restore.
@@ -856,33 +733,7 @@ func (s *System) Release(l *Lease) error {
 // with expired=false via Release, the TTL reaper journals expirations
 // as releases with expired=true via ReapExpired.
 func (s *System) releaseLocked(id int, expired bool) error {
-	gpus, ok := s.leases[id]
-	if !ok {
-		return fmt.Errorf("mapa: lease %d: %w", id, ErrLeaseNotActive)
-	}
-	if err := s.journalAppend(&journal.Record{
-		Kind: journal.KindRelease, ID: id, Expired: expired, GPUs: gpus,
-	}); err != nil {
-		return err
-	}
-	delete(s.leases, id)
-	for _, g := range gpus {
-		delete(s.leasedBy, g)
-		if !s.unhealthy[g] {
-			s.usable.Set(g)
-		}
-	}
-	delete(s.owners, id)
-	delete(s.expiry, id)
-	if expired {
-		s.reaped++
-	}
-	// The views track the free mask and the health mask independently,
-	// so the full lease is published: unhealthy members re-enter the
-	// free mask but stay blocked by the health mask.
-	s.publishRelease(gpus)
-	s.commit(commitOp{kind: opRelease, id: id, gpus: gpus, expired: expired})
-	return nil
+	return s.commit(journal.Record{Kind: journal.KindRelease, ID: id, Expired: expired, GPUs: s.leases[id]})
 }
 
 // MarkUnhealthy marks GPUs unhealthy: they stay visible in the
@@ -900,35 +751,7 @@ func (s *System) MarkUnhealthy(gpus ...int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.markUnhealthyLocked(gpus)
-}
-
-func (s *System) markUnhealthyLocked(gpus []int) error {
-	seen := make(map[int]bool, len(gpus))
-	for _, g := range gpus {
-		if !s.gpus.Has(g) {
-			return fmt.Errorf("mapa: GPU %d not in topology %s", g, s.Topology())
-		}
-		if s.unhealthy[g] {
-			return fmt.Errorf("mapa: GPU %d already unhealthy", g)
-		}
-		if seen[g] {
-			return fmt.Errorf("mapa: GPU %d listed twice", g)
-		}
-		seen[g] = true
-	}
-	if err := s.journalAppend(&journal.Record{Kind: journal.KindMark, GPUs: gpus}); err != nil {
-		return err
-	}
-	for _, g := range gpus {
-		s.unhealthy[g] = true
-		if _, leased := s.leasedBy[g]; !leased {
-			s.usable.Unset(g)
-		}
-	}
-	s.publishMarkUnhealthy(gpus)
-	s.commit(commitOp{kind: opMark, gpus: gpus})
-	return nil
+	return s.commit(journal.Record{Kind: journal.KindMark, GPUs: gpus})
 }
 
 // Restore returns unhealthy GPUs to service. A restored GPU rejoins
@@ -941,32 +764,7 @@ func (s *System) Restore(gpus ...int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.restoreLocked(gpus)
-}
-
-func (s *System) restoreLocked(gpus []int) error {
-	seen := make(map[int]bool, len(gpus))
-	for _, g := range gpus {
-		if !s.unhealthy[g] {
-			return fmt.Errorf("mapa: GPU %d is not unhealthy", g)
-		}
-		if seen[g] {
-			return fmt.Errorf("mapa: GPU %d listed twice", g)
-		}
-		seen[g] = true
-	}
-	if err := s.journalAppend(&journal.Record{Kind: journal.KindRestore, GPUs: gpus}); err != nil {
-		return err
-	}
-	for _, g := range gpus {
-		delete(s.unhealthy, g)
-		if _, leased := s.leasedBy[g]; !leased {
-			s.usable.Set(g)
-		}
-	}
-	s.publishRestoreHealth(gpus)
-	s.commit(commitOp{kind: opRestore, gpus: gpus})
-	return nil
+	return s.commit(journal.Record{Kind: journal.KindRestore, GPUs: gpus})
 }
 
 // UnhealthyGPUs returns the GPUs currently marked unhealthy, in
@@ -1011,54 +809,12 @@ var ErrFractionalBandwidth = errors.New("link bandwidth must be a whole number o
 func (s *System) DegradeLink(u, v int, bw float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.degradeLinkLocked(u, v, bw)
-}
-
-func (s *System) degradeLinkLocked(u, v int, bw float64) error {
-	if s.fleet != nil {
-		return s.errFleetUnsupported("DegradeLink")
-	}
-	if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
-		return fmt.Errorf("mapa: link bandwidth %v is not a finite non-negative number", bw)
-	}
-	if bw != math.Trunc(bw) {
-		return fmt.Errorf("mapa: link bandwidth %v: %w", bw, ErrFractionalBandwidth)
-	}
-	e, ok := s.top.Graph.EdgeBetween(u, v)
-	if !ok {
-		return fmt.Errorf("mapa: no link (%d,%d) in topology %s", u, v, s.top.Name)
-	}
-	if e.Weight == bw {
-		return nil
-	}
-	if err := s.journalAppend(&journal.Record{Kind: journal.KindDegrade, U: u, V: v, BW: bw}); err != nil {
-		return err
-	}
-	s.top.Graph.MustAddEdge(u, v, bw, e.Label)
-	if pe, ok := s.top.Physical.EdgeBetween(u, v); ok {
-		s.top.Physical.MustAddEdge(u, v, bw, pe.Label)
-		// Write through to the base machine when running repartitioned:
-		// a degraded NVLink port belongs to the physical device, not to
-		// the instance currently fronting it.
-		if s.baseTop != nil && s.top != s.baseTop {
-			pu, pv := s.physOf[u], s.physOf[v]
-			if pu != pv {
-				if be, ok := s.baseTop.Physical.EdgeBetween(pu, pv); ok {
-					s.baseTop.Physical.MustAddEdge(pu, pv, bw, be.Label)
-				}
-				if be, ok := s.baseTop.Graph.EdgeBetween(pu, pv); ok {
-					s.baseTop.Graph.MustAddEdge(pu, pv, bw, be.Label)
-				}
-			}
+	if s.fleet == nil {
+		if e, ok := s.top.Graph.EdgeBetween(u, v); ok && e.Weight == bw {
+			return nil // already at bw: nothing to commit
 		}
 	}
-	score.InvalidateMixes(s.top)
-	if s.store != nil {
-		s.store.RepairEdge(u, v)
-	}
-	s.publishUpdateEdge(u, v, bw)
-	s.commit(commitOp{kind: opDegrade, u: u, v: v, bw: bw})
-	return nil
+	return s.commit(journal.Record{Kind: journal.KindDegrade, U: u, V: v, BW: bw})
 }
 
 // Repartition re-slices physical GPUs into MIG instances on the live
@@ -1080,124 +836,19 @@ func (s *System) degradeLinkLocked(u, v int, bw float64) error {
 func (s *System) Repartition(slices map[int]int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repartitionLocked(slices)
-}
-
-func (s *System) repartitionLocked(slices map[int]int) error {
-	if s.fleet != nil {
-		return s.errFleetUnsupported("Repartition")
-	}
-	if s.baseTop == nil {
-		s.baseTop = s.top
-		s.instances = make(map[int][]int)
-		s.physOf = make(map[int]int)
-		s.fractions = make(map[int]float64)
-		for _, g := range s.top.GPUs() {
-			s.instances[g] = []int{g}
-			s.physOf[g] = g
-			s.fractions[g] = 1
-		}
-		s.nextVID = graph.Capacity(s.top.Graph)
-	}
-	var changed []int
+	// The record lists the GPUs whose slicing changes, ascending; an
+	// unknown GPU is listed too, for check to refuse.
+	var changed []journal.Slice
 	for g, n := range slices {
-		if _, ok := s.instances[g]; !ok {
-			return fmt.Errorf("mapa: physical GPU %d not in topology %s", g, s.baseTop.Name)
-		}
-		if n < 1 || n > mig.MaxInstances {
-			return fmt.Errorf("mapa: GPU %d split into %d instances; MIG supports 1..%d", g, n, mig.MaxInstances)
-		}
-		if n != len(s.instances[g]) {
-			changed = append(changed, g)
+		if cur := s.instancesLocked(g); cur == nil || n != len(cur) {
+			changed = append(changed, journal.Slice{GPU: g, Instances: n})
 		}
 	}
 	if len(changed) == 0 {
 		return nil
 	}
-	sort.Ints(changed)
-	for _, g := range changed {
-		for _, vid := range s.instances[g] {
-			if lid, leased := s.leasedBy[vid]; leased {
-				return fmt.Errorf("mapa: cannot repartition GPU %d: instance %d held by lease %d", g, vid, lid)
-			}
-			if s.unhealthy[vid] {
-				return fmt.Errorf("mapa: cannot repartition GPU %d: instance %d is unhealthy", g, vid)
-			}
-		}
-	}
-	newInstances := make(map[int][]int, len(s.instances))
-	for g, vs := range s.instances {
-		newInstances[g] = vs
-	}
-	nextVID := s.nextVID
-	for _, g := range changed {
-		vs := make([]int, slices[g])
-		for i := range vs {
-			vs[i] = nextVID
-			nextVID++
-		}
-		newInstances[g] = vs
-	}
-	vt, err := mig.Compose(s.baseTop, newInstances)
-	if err != nil {
-		return err
-	}
-	// The journal records only the changed (GPU, instance count) pairs:
-	// replay reaches this point with identical instances and nextVID, so
-	// the fresh-ID assignment above is reproduced exactly.
-	recSlices := make([]journal.Slice, len(changed))
-	for i, g := range changed {
-		recSlices[i] = journal.Slice{GPU: g, Instances: slices[g]}
-	}
-	if err := s.journalAppend(&journal.Record{Kind: journal.KindRepartition, Slices: recSlices}); err != nil {
-		return err
-	}
-	// Point of no return: everything below is infallible. Wait out any
-	// in-flight background warm of the old store before swapping it.
-	if s.warmDone != nil {
-		<-s.warmDone
-		s.warmDone = nil
-	}
-	s.nextVID = nextVID
-	s.top = vt.Topology
-	s.instances = newInstances
-	s.physOf = make(map[int]int, len(vt.PhysicalOf))
-	for v, p := range vt.PhysicalOf {
-		s.physOf[v] = p
-	}
-	s.fractions = make(map[int]float64, len(vt.Fraction))
-	for v, f := range vt.Fraction {
-		s.fractions[v] = f
-	}
-	// During recovery replay there is no pipeline yet and no tenants:
-	// NewSystem retrains the scorer and builds the pipeline once, for
-	// the final recovered topology, after the last record is applied.
-	if !s.recovering {
-		s.scorer = score.NewScorer(effbw.TrainedFor(s.top))
-		policy.SetScorer(s.alloc, s.scorer)
-		s.buildPipeline(false)
-	}
-	// Rebuild availability — every instance not leased and not
-	// unhealthy — and replay the surviving allocation and health state
-	// into the fresh views. Tenant streams are rebound to the new
-	// pipeline the same way, so live tenants keep serving across the
-	// re-cut.
-	s.gpus = s.top.Graph.VertexBitset()
-	s.usable = s.gpus.Clone()
-	for g := range s.leasedBy {
-		s.usable.Unset(g)
-	}
-	for g := range s.unhealthy {
-		s.usable.Unset(g)
-	}
-	if !s.recovering {
-		s.replayViewsLocked(s.views)
-		for _, t := range s.tenants {
-			s.bindTenantLocked(t)
-		}
-	}
-	s.commit(commitOp{kind: opRepartition, slices: recSlices})
-	return nil
+	sort.Slice(changed, func(i, j int) bool { return changed[i].GPU < changed[j].GPU })
+	return s.commit(journal.Record{Kind: journal.KindRepartition, Slices: changed})
 }
 
 // viewStream is a live-view set the System publishes deltas to: a flat
@@ -1238,13 +889,7 @@ func (s *System) replayViewsLocked(streams ...viewStream) {
 func (s *System) Instances(physical int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.instances == nil {
-		if !s.gpus.Has(physical) {
-			return nil
-		}
-		return []int{physical}
-	}
-	return append([]int(nil), s.instances[physical]...)
+	return append([]int(nil), s.instancesLocked(physical)...)
 }
 
 // InstanceFraction returns the share of its physical device's compute

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mapa/internal/appgraph"
+	"mapa/internal/journal"
 	"mapa/internal/policy"
 )
 
@@ -221,8 +222,8 @@ func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutin
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []commitOp
-	s.onCommit = func(op commitOp) { log = append(log, op) } // called under s.mu
+	var log []journal.Record
+	s.onCommit = func(rec *journal.Record) { log = append(log, *rec) } // called under s.mu
 
 	handles := make([]*Tenant, tenants)
 	for i := range handles {
@@ -294,30 +295,31 @@ func hammerSystem(t *testing.T, build func() (*System, error), tenants, goroutin
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, op := range log {
-		switch op.kind {
-		case opAllocate:
-			l, err := r.Allocate(op.req)
+	for i, rec := range log {
+		switch rec.Kind {
+		case journal.KindAllocate:
+			req := JobRequest{NumGPUs: rec.NumGPUs, Shape: rec.Shape, Sensitive: rec.Sensitive, Owner: rec.Owner}
+			l, err := r.Allocate(req)
 			if err != nil {
-				t.Fatalf("replay op %d: allocate %+v: %v", i, op.req, err)
+				t.Fatalf("replay op %d: allocate %+v: %v", i, req, err)
 			}
-			if l.ID != op.id || !reflect.DeepEqual(l.GPUs, op.gpus) {
-				t.Fatalf("replay op %d: got lease %d %v, observed %d %v", i, l.ID, l.GPUs, op.id, op.gpus)
+			if l.ID != rec.ID || !reflect.DeepEqual(l.GPUs, rec.GPUs) {
+				t.Fatalf("replay op %d: got lease %d %v, observed %d %v", i, l.ID, l.GPUs, rec.ID, rec.GPUs)
 			}
-		case opRelease:
-			if err := r.Release(&Lease{ID: op.id}); err != nil {
-				t.Fatalf("replay op %d: release %d: %v", i, op.id, err)
+		case journal.KindRelease:
+			if err := r.Release(&Lease{ID: rec.ID}); err != nil {
+				t.Fatalf("replay op %d: release %d: %v", i, rec.ID, err)
 			}
-		case opMark:
-			if err := r.MarkUnhealthy(op.gpus...); err != nil {
-				t.Fatalf("replay op %d: mark %v: %v", i, op.gpus, err)
+		case journal.KindMark:
+			if err := r.MarkUnhealthy(rec.GPUs...); err != nil {
+				t.Fatalf("replay op %d: mark %v: %v", i, rec.GPUs, err)
 			}
-		case opRestore:
-			if err := r.Restore(op.gpus...); err != nil {
-				t.Fatalf("replay op %d: restore %v: %v", i, op.gpus, err)
+		case journal.KindRestore:
+			if err := r.Restore(rec.GPUs...); err != nil {
+				t.Fatalf("replay op %d: restore %v: %v", i, rec.GPUs, err)
 			}
 		default:
-			t.Fatalf("replay op %d: unknown kind %q", i, op.kind)
+			t.Fatalf("replay op %d: unknown kind %v", i, rec.Kind)
 		}
 	}
 
