@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -89,7 +90,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	err := run(o)
+	err := run(os.Stdout, o)
 
 	if o.memProfile != "" {
 		// Collect the live heap after a GC so the profile shows what
@@ -123,7 +124,7 @@ func warmPatterns(top *topology.Topology, maxGPUs int) []*graph.Graph {
 	return appgraph.AllShapes(maxGPUs)
 }
 
-func run(o options) error {
+func run(w io.Writer, o options) error {
 	top, err := topology.ByName(o.topoName)
 	if err != nil {
 		return err
@@ -180,19 +181,19 @@ func run(o options) error {
 
 	for _, name := range names {
 		res := results[name]
-		fmt.Printf("== %s on %s: %d jobs, makespan %.0f s, throughput %.3f jobs/ks\n",
+		fmt.Fprintf(w, "== %s on %s: %d jobs, makespan %.0f s, throughput %.3f jobs/ks\n",
 			name, top.Name, len(res.Records), res.Makespan, res.Throughput)
 		if o.cacheStats {
 			if ps, ok := pipeStats[name]; ok {
 				vs := ps.Views
-				fmt.Printf("  live views: %d views, %d decisions table-served, %d declined to a search\n",
+				fmt.Fprintf(w, "  live views: %d views, %d decisions table-served, %d declined to a search\n",
 					vs.Views, vs.TableServed, vs.Rejected)
 			}
 		}
 		if o.verbose {
-			fmt.Println("  id  workload      gpus             start      end   effBW(pred)")
+			fmt.Fprintln(w, "  id  workload      gpus             start      end   effBW(pred)")
 			for _, r := range res.Records {
-				fmt.Printf("  %-3d %-12s %-16v %8.0f %8.0f %8.2f\n",
+				fmt.Fprintf(w, "  %-3d %-12s %-16v %8.0f %8.0f %8.2f\n",
 					r.Job.ID, r.Job.Workload, r.GPUs, r.Start, r.End, r.PredictedEffBW)
 			}
 		}
@@ -201,25 +202,25 @@ func run(o options) error {
 			if len(recs) == 0 {
 				continue
 			}
-			fmt.Printf("  %s exec time:  %s\n", sched.SensitivityLabel(sensitive),
+			fmt.Fprintf(w, "  %s exec time:  %s\n", sched.SensitivityLabel(sensitive),
 				stats.Summarize(sched.ExecTimes(recs)))
-			fmt.Printf("  %s eff BW:     %s\n", sched.SensitivityLabel(sensitive),
+			fmt.Fprintf(w, "  %s eff BW:     %s\n", sched.SensitivityLabel(sensitive),
 				stats.Summarize(sched.PredictedEffBWs(recs)))
 		}
 	}
 
 	if o.cacheStats && storeStats != nil {
-		fmt.Printf("universe store (shared): %d universes (%d incomplete)\n",
+		fmt.Fprintf(w, "universe store (shared): %d universes (%d incomplete)\n",
 			storeStats.Universes, storeStats.Incomplete)
 		if len(storeStats.Builds) > 0 {
-			fmt.Printf("universe builds: %d shapes in %v total; %d score tables in %v\n",
+			fmt.Fprintf(w, "universe builds: %d shapes in %v total; %d score tables in %v\n",
 				len(storeStats.Builds), storeStats.BuildTime, storeStats.Tables, storeStats.TableTime)
 			for _, bld := range storeStats.Builds {
 				state := "complete"
 				if !bld.Complete {
 					state = "incomplete"
 				}
-				fmt.Printf("  shape %dv/%de: %d classes (%s) in %v, workers=%d\n",
+				fmt.Fprintf(w, "  shape %dv/%de: %d classes (%s) in %v, workers=%d\n",
 					bld.Vertices, bld.Edges, bld.Classes, state, bld.Duration, bld.Workers)
 			}
 		}
@@ -230,8 +231,8 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("\nTable 3 — execution-time speedup over baseline (sensitive multi-GPU jobs):")
-		fmt.Print(sched.FormatTable3(rows))
+		fmt.Fprintln(w, "\nTable 3 — execution-time speedup over baseline (sensitive multi-GPU jobs):")
+		fmt.Fprint(w, sched.FormatTable3(rows))
 	}
 	return nil
 }

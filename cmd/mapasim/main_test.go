@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,7 +25,7 @@ func opts() options {
 }
 
 func TestRunGeneratedMix(t *testing.T) {
-	if err := run(opts()); err != nil {
+	if err := run(io.Discard, opts()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,7 +38,7 @@ func TestRunAllPoliciesVerbose(t *testing.T) {
 	o.seed = 2
 	o.maxGPUs = 4
 	o.verbose = true
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +50,7 @@ func TestRunParallelUncached(t *testing.T) {
 	o.maxGPUs = 4
 	o.workers = 4
 	o.universes = false
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,7 +61,7 @@ func TestRunWarmedWithCacheStats(t *testing.T) {
 	o.maxGPUs = 4
 	o.warm = true
 	o.cacheStats = true
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +73,7 @@ func TestRunParallelWarmed(t *testing.T) {
 	o.workers = 4
 	o.warm = true
 	o.cacheStats = true
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,7 +104,7 @@ func TestRunJobFile(t *testing.T) {
 	o.n = 0
 	o.seed = 0
 	o.maxGPUs = 0
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,22 +112,22 @@ func TestRunJobFile(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	o := opts()
 	o.topoName = "warpcore"
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("unknown topology should error")
 	}
 	o = opts()
 	o.policyName = "warp-policy"
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("unknown policy should error")
 	}
 	o = opts()
 	o.jobFile = "/no/such/file"
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("missing job file should error")
 	}
 	o = opts()
 	o.n = 0
-	if err := run(o); err == nil {
+	if err := run(io.Discard, o); err == nil {
 		t.Error("zero jobs should error")
 	}
 }

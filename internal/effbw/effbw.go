@@ -127,16 +127,16 @@ type Sample struct {
 // the communication uses, not every pairwise link of the allocation.
 func MixFromDecomposition(top *topology.Topology, res ncclsim.Result) LinkCounts {
 	var c LinkCounts
-	for lt, n := range ncclsim.UsedLinks(top, res) {
+	ncclsim.ForEachHop(top, res, func(lt topology.LinkType) {
 		switch lt {
 		case topology.LinkNVLink2x2, topology.LinkNVSwitch, topology.LinkIntraGPU:
-			c.X += n
+			c.X++
 		case topology.LinkNVLink1, topology.LinkNVLink2:
-			c.Y += n
+			c.Y++
 		default:
-			c.Z += n
+			c.Z++
 		}
-	}
+	})
 	return c
 }
 

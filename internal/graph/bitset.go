@@ -101,6 +101,15 @@ func (b Bitset) Reset() {
 	}
 }
 
+// UnsetBelow removes every member below i.
+func (b Bitset) UnsetBelow(i int) {
+	w := min(i/wordBits, len(b))
+	clear(b[:w])
+	if w < len(b) {
+		b[w] &^= 1<<(uint(i)%wordBits) - 1
+	}
+}
+
 // Fill sets exactly the members [0, n).
 func (b Bitset) Fill(n int) {
 	b.Reset()

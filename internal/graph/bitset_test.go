@@ -110,6 +110,20 @@ func TestBitsetFill(t *testing.T) {
 	}
 }
 
+func TestBitsetUnsetBelow(t *testing.T) {
+	for _, i := range []int{0, 1, 63, 64, 65, 129, 130, 200} {
+		b := NewBitset(130)
+		b.Fill(130)
+		b.UnsetBelow(i)
+		if got, want := b.Count(), max(130-i, 0); got != want {
+			t.Fatalf("UnsetBelow(%d): Count=%d, want %d", i, got, want)
+		}
+		if i > 0 && i <= 130 && b.Has(i-1) || i < 130 && !b.Has(i) {
+			t.Fatalf("UnsetBelow(%d): wrong boundary bits", i)
+		}
+	}
+}
+
 func TestBitsetStringCanonical(t *testing.T) {
 	a, b := NewBitset(70), NewBitset(70)
 	a.Set(1)

@@ -105,3 +105,36 @@ func intsRange(lo, hi int) []int {
 	}
 	return out
 }
+
+// TestSymmetryBreakingVisitsOneTuplePerClass pins the work the
+// symmetry-broken search saves: a deduplicated enumeration reaches one
+// full tuple per class instead of |Aut(P)| — Ring(3) on the 72-GPU
+// cluster visits 59,640 tuples instead of 357,840, Chain(3) half of
+// its raw tuples, and AllToAll(5) on a DGX-V 1/120th — and the orbit
+// computation behind the table runs no search.
+func TestSymmetryBreakingVisitsOneTuplePerClass(t *testing.T) {
+	cluster, dgxv := topology.ClusterA100(9).Graph, topology.DGXV100().Graph
+	for _, tc := range []struct {
+		name          string
+		pattern, data *graph.Graph
+		raw, classes  int
+	}{
+		{"Ring(3)/cluster", appgraph.Ring(3), cluster, 357840, 59640},
+		{"Chain(3)/cluster", appgraph.Chain(3), cluster, 357840, 178920},
+		{"AllToAll(5)/dgx-v100", appgraph.AllToAll(5), dgxv, 6720, 56},
+	} {
+		before := Searches()
+		pg := compileDeduped(tc.pattern, tc.data)
+		if Searches() != before {
+			t.Fatalf("%s: compiling the symmetry-breaking table counted a search", tc.name)
+		}
+		visited := 0
+		pg.newSearch().run(func(Match) bool {
+			visited++
+			return true
+		})
+		if raw := CountEmbeddings(tc.pattern, tc.data); raw != tc.raw || visited != tc.classes {
+			t.Fatalf("%s: %d tuples visited of %d raw, want %d of %d", tc.name, visited, raw, tc.classes, tc.raw)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mapa/internal/graph"
@@ -10,8 +11,10 @@ import (
 // FuzzEnumerate drives the enumerator over randomized pattern/data
 // graph pairs derived from the fuzz input and asserts the matcher
 // invariants: every emitted match is a valid embedding, raw counts
-// match the brute-force oracle, and the parallel enumeration is
-// byte-identical to the sequential one.
+// match the brute-force oracle, the parallel enumeration is
+// byte-identical to the sequential one, and the symmetry-broken
+// deduplicated enumeration returns the keyed-dedup oracle's
+// representatives and keys, sequential and parallel, capped or not.
 func FuzzEnumerate(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(6), uint8(128), uint8(128))
 	f.Add(int64(2), uint8(2), uint8(5), uint8(255), uint8(64))
@@ -49,6 +52,20 @@ func FuzzEnumerate(f *testing.F) {
 		for _, m := range FindAllDeduped(pattern, data) {
 			if !IsEmbedding(pattern, data, m) {
 				t.Fatalf("FindAllDeduped emitted invalid embedding %+v", m)
+			}
+		}
+		ref, refKeys := refDedupedKeys(pattern, data, 0)
+		for _, max := range []int{0, 1 + len(ref)/2} {
+			n := len(ref)
+			if max > 0 {
+				n = min(n, max)
+			}
+			for _, workers := range []int{1, 4} {
+				got, keys := FindAllDedupedParallelKeys(pattern, data, workers, max)
+				if !sameMatches(got, ref[:n]) || !slices.Equal(keys, refKeys[:n]) {
+					t.Fatalf("workers=%d max=%d: symmetry-broken dedup diverged from keyed dedup (pattern=%v data=%v)",
+						workers, max, pattern, data)
+				}
 			}
 		}
 	})

@@ -9,10 +9,12 @@ import (
 )
 
 // Keyer computes Match.Key-identical canonical keys for the stream of
-// matches emitted by one enumeration. All matches of one enumeration
-// share the same Pattern order, so the pattern's edges can be compiled
-// once into order positions; each key is then built from the match's
-// Data slice alone — no maps, no graph lookups, one reused buffer.
+// matches emitted by one enumeration — in the deduplicated
+// enumerations, the one kept representative per class. All matches of
+// one enumeration share the same Pattern order, so the pattern's edges
+// can be compiled once into order positions; each key is then built
+// from the match's Data slice alone — no maps, no graph lookups, one
+// reused buffer.
 //
 // A Keyer is not safe for concurrent use; give each worker its own.
 type Keyer struct {
@@ -37,10 +39,8 @@ func NewKeyer(pattern *graph.Graph, order []int) *Keyer {
 // KeyBytes returns the canonical key of m: its data vertices ascending,
 // then the normalized data edges its pattern edges map onto, sorted.
 // As a string it equals m.Key(pattern, data) for valid embeddings. The
-// bytes live in the keyer's buffer until the next call: a dedup loop
-// tests seen[string(b)] — a lookup that does not allocate — and makes
-// the string only for a class it has not seen, so keying a raw
-// embedding allocates nothing.
+// bytes live in the keyer's buffer until the next call, so keying
+// allocates only the string a caller makes of them.
 func (ky *Keyer) KeyBytes(m Match) []byte {
 	copy(ky.verts, m.Data)
 	slices.Sort(ky.verts)

@@ -28,7 +28,13 @@ func EnumerateLabeled(pattern, data *graph.Graph, ok Compatible, fn func(Match) 
 }
 
 // FindAllLabeledDeduped returns one representative per match
-// equivalence class among label-compatible embeddings.
+// equivalence class among label-compatible embeddings: the first
+// compatible member of each class in Enumerate's order. Unlike
+// FindAllDeduped it enumerates every raw embedding and keeps the first
+// of each key — symmetry breaking would be unsound here, because a
+// label predicate need not commute with the pattern's automorphisms
+// (the class's first member may be incompatible while a later one is
+// not).
 func FindAllLabeledDeduped(pattern, data *graph.Graph, ok Compatible) []Match {
 	seen := make(map[string]bool)
 	var out []Match

@@ -10,8 +10,12 @@
 // graph) to the images of every already-matched pattern neighbor.
 //
 // Because MAPA scores matches by the *links they use*, two embeddings
-// that use the same set of data edges are equivalent; Deduped collapses
-// them (this is exactly "matches up to pattern automorphism").
+// that use the same set of data edges are equivalent: they differ by a
+// pattern automorphism. The deduplicated enumerations (FindAllDeduped*,
+// BuildUniverse) break the pattern's symmetries instead of filtering
+// copies: a per-pattern table (see breakSymmetry) bounds each search
+// position from below, so the search visits exactly one embedding per
+// class — the one the raw enumeration emits first.
 package match
 
 import (
@@ -202,7 +206,9 @@ func FindAll(pattern, data *graph.Graph) []Match {
 // embeddings, where two embeddings are equivalent when they use the
 // same data vertices and the same data edges (i.e. they differ by a
 // pattern automorphism). These classes are exactly the distinct
-// "matching patterns" MAPA scores.
+// "matching patterns" MAPA scores. Each representative is the first
+// member of its class in Enumerate's order, and representatives come
+// in that order.
 func FindAllDeduped(pattern, data *graph.Graph) []Match {
 	return FindAllDedupedCapped(pattern, data, 0)
 }
@@ -219,32 +225,51 @@ func FindAllDedupedCapped(pattern, data *graph.Graph, max int) []Match {
 // representative's canonical key (its equivalence-class identity)
 // alongside it.
 func FindAllDedupedCappedKeys(pattern, data *graph.Graph, max int) ([]Match, []string) {
-	return dedupedCappedKeys(compile(pattern, data, nil), pattern, max)
+	return FindAllDedupedParallelKeys(pattern, data, 1, max)
 }
 
-// dedupedCappedKeys is the sequential dedup body over an
-// already-compiled program, so callers holding one (the parallel
-// fallbacks) do not pay compilation twice.
-func dedupedCappedKeys(pg *program, pattern *graph.Graph, max int) ([]Match, []string) {
-	if pg == nil {
-		return nil, nil
+// classes holds the representatives of a deduplicated enumeration in
+// emission order: their data vertices back to back, len(order) per
+// representative, and their canonical keys.
+type classes struct {
+	order []int
+	data  []int
+	keys  []string
+}
+
+func (cs *classes) add(m Match, ky *Keyer) {
+	cs.data = append(cs.data, m.Data...)
+	cs.keys = append(cs.keys, string(ky.KeyBytes(m)))
+}
+
+// matches returns the representatives as Matches sharing the arena.
+func (cs *classes) matches() []Match {
+	if len(cs.keys) == 0 {
+		return nil
 	}
+	k := len(cs.order)
+	ms := make([]Match, len(cs.keys))
+	for i := range ms {
+		ms[i] = Match{Pattern: cs.order, Data: cs.data[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return ms
+}
+
+// dedupedCapped is the sequential deduplicated enumeration over a
+// program compiled by compileDeduped (nil: none), truncated to the
+// first max classes (max <= 0: all). The program's symmetry breaking
+// emits one embedding per class, so every emitted embedding is kept.
+func dedupedCapped(pg *program, pattern *graph.Graph, max int) classes {
+	if pg == nil {
+		return classes{}
+	}
+	cs := classes{order: pg.order}
 	ky := NewKeyer(pattern, pg.order)
-	seen := make(map[string]bool)
-	var out []Match
-	var keys []string
 	pg.newSearch().run(func(m Match) bool {
-		b := ky.KeyBytes(m)
-		if seen[string(b)] {
-			return true
-		}
-		key := string(b)
-		seen[key] = true
-		out = append(out, m.Clone())
-		keys = append(keys, key)
-		return max <= 0 || len(out) < max
+		cs.add(m, ky)
+		return max <= 0 || len(cs.keys) < max
 	})
-	return out, keys
+	return cs
 }
 
 // CountEmbeddings returns the number of raw embeddings of pattern into

@@ -8,8 +8,10 @@
 // Dispatch is one atomic counter handing out roots in ascending order.
 // Every hardware graph is complete (topology.Validate rejects any other)
 // and every search runs on an induced subgraph of one, which is complete
-// too: all roots are symmetric and span equally sized subtrees, so there
-// is no dense root to schedule first. Claim order never affects output —
+// too: all roots are symmetric and span equally sized raw subtrees. A
+// symmetry-broken subtree is largest at the lowest roots (positions in
+// the first vertex's orbit must map above the root), so ascending claims
+// hand out the heaviest first. Claim order never affects output —
 // the stitch walks roots in ascending order regardless of who enumerated
 // them when.
 package match
@@ -33,13 +35,17 @@ type Searcher struct {
 // NewSearcher compiles pattern against data. The result is never nil;
 // if no embedding can exist for size reasons, Roots is empty.
 func NewSearcher(pattern, data *graph.Graph) *Searcher {
-	sr := &Searcher{pg: compile(pattern, data, nil)}
-	if sr.pg == nil {
+	return newSearcher(compile(pattern, data, nil))
+}
+
+func newSearcher(pg *program) *Searcher {
+	sr := &Searcher{pg: pg}
+	if pg == nil {
 		return sr
 	}
-	for p := 0; p < sr.pg.ix.Len(); p++ {
-		if sr.pg.ix.Degree(p) >= sr.pg.pdeg[0] {
-			sr.roots = append(sr.roots, sr.pg.ix.Vertex(p))
+	for p := 0; p < pg.ix.Len(); p++ {
+		if pg.ix.Degree(p) >= pg.pdeg[0] {
+			sr.roots = append(sr.roots, pg.ix.Vertex(p))
 		}
 	}
 	return sr
@@ -119,13 +125,11 @@ func (sr *Searcher) EnumerateRoot(root int, fn func(Match) bool) {
 // any order, so completed roots need not form a contiguous prefix of
 // enumeration order: the tracker records per-root class counts as roots
 // finish and advances the boundary of the *contiguous completed
-// prefix* in root order. A class's raw embeddings map the first
-// match-order vertex to at most k distinct data vertices, so it
-// appears under at most k roots; once the contiguous prefix holds at
-// least k*max per-root classes it must contain the first max global
-// classes, and the in-order stitch is guaranteed to reach the cap
-// before any undispatched hole — the truncated output stays the exact
-// deterministic sequential prefix.
+// prefix* in root order. A symmetry-broken search emits each class
+// under exactly one root, so once the contiguous prefix holds max
+// classes it holds the first max global classes, and the in-order
+// stitch reaches the cap before any undispatched hole — the truncated
+// output stays the exact deterministic sequential prefix.
 type capTracker struct {
 	mu       sync.Mutex
 	stopAt   int64
@@ -228,10 +232,8 @@ func FindAllParallel(pattern, data *graph.Graph, workers int) []Match {
 	return all
 }
 
-// FindAllDedupedParallel is FindAllParallel followed by the
-// FindAllDeduped equivalence-class collapse. Workers compute canonical
-// keys for their subtrees; the dedup merge walks roots in order, so the
-// representatives (and their order) are identical to FindAllDeduped.
+// FindAllDedupedParallel is FindAllDeduped over the worker pool; the
+// representatives and their order are identical to FindAllDeduped.
 func FindAllDedupedParallel(pattern, data *graph.Graph, workers int) []Match {
 	ms, _ := FindAllDedupedParallelKeys(pattern, data, workers, 0)
 	return ms
@@ -239,64 +241,50 @@ func FindAllDedupedParallel(pattern, data *graph.Graph, workers int) []Match {
 
 // FindAllDedupedParallelKeys is the parallel FindAllDedupedCappedKeys:
 // it returns the first max (<= 0: all) deduplicated representatives in
-// sequential enumeration order with their canonical keys. Workers
-// deduplicate within each root subtree before cloning, and the merge
-// walks roots in order, so the output is identical to the sequential
-// capped enumeration.
+// sequential enumeration order with their canonical keys.
 func FindAllDedupedParallelKeys(pattern, data *graph.Graph, workers, max int) ([]Match, []string) {
-	if workers < 2 {
-		return FindAllDedupedCappedKeys(pattern, data, max)
+	cs := dedupedClasses(pattern, data, workers, max)
+	return cs.matches(), cs.keys
+}
+
+// dedupedClasses runs the symmetry-broken enumeration with up to
+// `workers` goroutines and returns its first max (<= 0: all) classes.
+// Each class appears under exactly one root, so every root's output is
+// final and the stitch is their concatenation in root order.
+func dedupedClasses(pattern, data *graph.Graph, workers, max int) classes {
+	pg := compileDeduped(pattern, data)
+	sr := newSearcher(pg)
+	if workers < 2 || len(sr.roots) < 2 {
+		return dedupedCapped(pg, pattern, max)
 	}
-	sr := NewSearcher(pattern, data)
-	if len(sr.roots) < 2 {
-		return dedupedCappedKeys(sr.pg, pattern, max)
-	}
-	type keyed struct {
-		m   Match
-		key string
-	}
-	perRoot := make([][]keyed, len(sr.roots))
-	// A capped enumeration may stop dispatching once the contiguous
-	// completed prefix of roots holds k*max per-root classes — see
-	// capTracker for why that pins the exact sequential prefix.
+	perRoot := make([]classes, len(sr.roots))
 	var tr *capTracker
 	if max > 0 {
-		tr = newCapTracker(len(sr.roots), int64(max)*int64(pattern.NumVertices()))
+		tr = newCapTracker(len(sr.roots), int64(max))
 	}
 	sr.forEachRoot(workers, tr, func(se *Session, i, root int) int {
 		ky := se.keyer(pattern)
-		local := make(map[string]bool)
-		var out []keyed
+		cs := &perRoot[i]
 		se.Root(root, func(m Match) bool {
-			b := ky.KeyBytes(m)
-			if local[string(b)] {
-				return true
-			}
-			key := string(b)
-			local[key] = true
-			out = append(out, keyed{m: m.Clone(), key: key})
-			return true
+			cs.add(m, ky)
+			return max <= 0 || len(cs.keys) < max
 		})
-		perRoot[i] = out
-		return len(out)
+		return len(cs.keys)
 	})
-	seen := make(map[string]bool)
-	var all []Match
-	var keys []string
-	for _, ms := range perRoot {
-		for _, km := range ms {
-			if seen[km.key] {
-				continue
-			}
-			seen[km.key] = true
-			all = append(all, km.m)
-			keys = append(keys, km.key)
-			if max > 0 && len(all) == max {
-				return all, keys
-			}
-		}
+	n := 0
+	for _, cs := range perRoot {
+		n += len(cs.keys)
 	}
-	return all, keys
+	if max > 0 {
+		n = min(n, max)
+	}
+	all := classes{order: pg.order, data: make([]int, 0, n*pg.k), keys: make([]string, 0, n)}
+	for _, cs := range perRoot {
+		take := min(len(cs.keys), n-len(all.keys))
+		all.data = append(all.data, cs.data[:take*pg.k]...)
+		all.keys = append(all.keys, cs.keys[:take]...)
+	}
+	return all
 }
 
 // CountEmbeddingsParallel is CountEmbeddings over the worker pool.

@@ -32,6 +32,7 @@ type search struct {
 	k       int
 	order   []int   // pattern vertices in match order
 	earlier [][]int // earlier[i]: indices j < i with pattern edge order[j]~order[i]
+	above   [][]int // symmetry-breaking table (see breakSymmetry); all empty: every embedding
 	pdeg    []int   // pattern degree per order position
 	ix      *graph.Index
 	cand    []graph.Bitset // per-depth candidate scratch
@@ -51,6 +52,7 @@ type program struct {
 	k       int
 	order   []int
 	earlier [][]int
+	above   [][]int
 	pdeg    []int
 	ix      *graph.Index
 }
@@ -81,7 +83,49 @@ func compile(pattern, data *graph.Graph, ix *graph.Index) *program {
 			}
 		}
 	}
-	return &program{k: k, order: order, earlier: earlier, pdeg: pdeg, ix: ix}
+	return &program{k: k, order: order, earlier: earlier, above: make([][]int, k), pdeg: pdeg, ix: ix}
+}
+
+// compileDeduped is compile for a deduplicated enumeration: the
+// program carries the pattern's symmetry-breaking table, so its
+// searches emit exactly one embedding per equivalence class.
+func compileDeduped(pattern, data *graph.Graph) *program {
+	pg := compile(pattern, data, nil)
+	if pg != nil {
+		pg.above = breakSymmetry(pattern, pg.order)
+	}
+	return pg
+}
+
+// breakSymmetry returns the symmetry-breaking table of a pattern in
+// match order: above[j] lists the positions i < j for which order[j]
+// lies in the orbit of order[i] under the automorphisms of the pattern
+// that fix order[0..i-1]. A search that maps order[j] only above the
+// image of every i in above[j] emits, of the |Aut(P)| embeddings that
+// use one vertex set and one edge set, exactly the first in emission
+// order (the README's matcher section has the proof).
+//
+// Orbits are decided by P→P existence searches with the first i+1
+// positions pinned — one per pair i < j — never by enumerating Aut(P),
+// which has 16! members for AllToAll(16). They do not count as
+// Searches: they run on the pattern, not on the data graph.
+func breakSymmetry(pattern *graph.Graph, order []int) [][]int {
+	self := compile(pattern, pattern, nil).newSearch()
+	pos := make([]int, len(order)) // self-index position of order[i]
+	for i, v := range order {
+		pos[i], _ = self.ix.PosOf(v)
+	}
+	above := make([][]int, len(order))
+	pins := make([]int, 0, len(order))
+	for i := range order {
+		for j := i + 1; j < len(order); j++ {
+			if self.extends(append(pins, pos[j])) {
+				above[j] = append(above[j], i)
+			}
+		}
+		pins = append(pins, pos[i])
+	}
+	return above
 }
 
 // newSearch allocates the mutable scratch state for one enumeration
@@ -91,6 +135,7 @@ func (pg *program) newSearch() *search {
 		k:       pg.k,
 		order:   pg.order,
 		earlier: pg.earlier,
+		above:   pg.above,
 		pdeg:    pg.pdeg,
 		ix:      pg.ix,
 		cand:    make([]graph.Bitset, pg.k),
@@ -139,6 +184,33 @@ func (s *search) runRoot(root int, fn func(Match) bool) bool {
 	return s.root(root)
 }
 
+// extends reports whether the partial assignment pinning depth d to
+// position pins[d] is consistent and completes to a full embedding. It
+// leaves the search's scratch state clean and counts no search.
+func (s *search) extends(pins []int) bool {
+	defer s.used.Reset()
+	for d, p := range pins {
+		if s.used.Has(p) || s.ix.Degree(p) < s.pdeg[d] {
+			return false
+		}
+		for _, e := range s.earlier[d] {
+			if !s.ix.Adj(s.posAt[e]).Has(p) {
+				return false
+			}
+		}
+		s.posAt[d] = p
+		s.data[d] = s.ix.Vertex(p)
+		s.used.Set(p)
+	}
+	found := false
+	s.fn = func(Match) bool {
+		found = true
+		return false
+	}
+	s.rec(len(pins))
+	return found
+}
+
 func (s *search) root(p int) bool {
 	if s.ix.Degree(p) < s.pdeg[0] {
 		return true
@@ -172,6 +244,13 @@ func (s *search) rec(depth int) bool {
 		c.CopyFrom(s.ix.All())
 	}
 	c.AndNot(s.used)
+	if a := s.above[depth]; len(a) > 0 {
+		lo := 0
+		for _, i := range a {
+			lo = max(lo, s.posAt[i]+1)
+		}
+		c.UnsetBelow(lo)
+	}
 	ok := true
 	c.ForEach(func(p int) bool {
 		if s.ix.Degree(p) < s.pdeg[depth] {

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"mapa/internal/graph"
@@ -81,45 +80,55 @@ func BuildUniverse(pattern, data *graph.Graph, max, workers int) *Universe {
 	if max > 0 {
 		probe = max + 1 // one extra to detect truncation
 	}
-	ms, keys := FindAllDedupedParallelKeys(pattern, data, workers, probe)
+	cs := dedupedClasses(pattern, data, workers, probe)
 	capacity := graph.Capacity(data)
-	if max > 0 && len(ms) > max {
+	if max > 0 && len(cs.keys) > max {
 		return &Universe{capacity: capacity, complete: false}
 	}
 	u := &Universe{
-		keys:     keys,
-		n:        len(ms),
+		order:    cs.order,
+		keys:     cs.keys,
+		data:     cs.data,
+		n:        len(cs.keys),
+		k:        len(cs.order),
 		wp:       (capacity + 63) / 64,
 		capacity: capacity,
 		complete: true,
 	}
-	if len(ms) > 0 {
-		u.order = ms[0].Pattern
-		u.k = len(ms[0].Data)
-	}
-	u.data = make([]int, u.n*u.k)
 	u.setWords = make([]uint64, u.n*u.wp)
 	u.setOf = make([]int32, u.n)
-	// Sets are grouped by their bitset words, serialized into one reused
-	// key buffer (a lookup through string(key) does not allocate).
-	sets := make(map[string]int32)
-	key := make([]byte, 8*u.wp)
-	for i, m := range ms {
-		copy(u.data[i*u.k:(i+1)*u.k], m.Data)
-		b := graph.Bitset(u.setWords[i*u.wp : (i+1)*u.wp])
-		for _, v := range m.Data {
+	// Sets are grouped by their bitset words in an open-addressing table
+	// of set indices (-1: empty) at most half full: a probe compares the
+	// words against the set's first member's in place, so grouping
+	// allocates nothing per set.
+	size := 2
+	for size < 2*u.n {
+		size <<= 1
+	}
+	slots := make([]int32, size)
+	for j := range slots {
+		slots[j] = -1
+	}
+	mask := uint64(len(slots) - 1)
+	for i := 0; i < u.n; i++ {
+		b := u.Set(i)
+		h := uint64(0)
+		for _, v := range u.Match(i).Data {
 			b.Set(v)
 		}
-		for w, x := range b {
-			binary.LittleEndian.PutUint64(key[8*w:], x)
+		for _, x := range b {
+			h = (h ^ x) * 0x9e3779b97f4a7c15
 		}
-		s, ok := sets[string(key)]
-		if !ok {
-			s = int32(len(u.setFirst))
-			sets[string(key)] = s
+		j := (h ^ h>>29) & mask
+		for slots[j] >= 0 && !u.Set(int(u.setFirst[slots[j]])).Equal(b) {
+			j = (j + 1) & mask
+		}
+		if slots[j] < 0 {
+			slots[j] = int32(len(u.setFirst))
 			u.setFirst = append(u.setFirst, int32(i))
 			u.setLen = append(u.setLen, 0)
 		}
+		s := slots[j]
 		u.setOf[i] = s
 		u.setLen[s]++
 	}

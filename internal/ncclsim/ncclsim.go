@@ -56,58 +56,63 @@ type Result struct {
 	PeakEffBW float64
 }
 
-// edgeKey identifies an undirected GPU pair.
-type edgeKey struct{ u, v int }
-
-func key(u, v int) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
 // capacityState tracks remaining NVLink capacity per pair plus the
-// shared PCIe pool.
+// shared PCIe pool. Pairs are indexed by the GPUs' positions in the
+// sorted vertex list, so the pair table is a dense k×k slice instead
+// of a map: pair (i, j) with i < j lives at i*k+j.
 type capacityState struct {
-	nvlink   map[edgeKey]float64
-	nvType   map[edgeKey]topology.LinkType
+	pairs    []pairLink
 	pcie     float64
 	vertices []int
 }
 
-func newCapacityState(top *topology.Topology, gpus []int) *capacityState {
+// pairLink is one GPU pair's NVLink-class link, if it has one: its
+// type and remaining capacity.
+type pairLink struct {
+	nv  bool
+	typ topology.LinkType
+	cap float64
+}
+
+// pair returns the table index of the pair at positions i and j.
+func (st *capacityState) pair(i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	return i*len(st.vertices) + j
+}
+
+func newCapacityState(top *topology.Topology, gpus []int) capacityState {
 	for _, g := range gpus {
 		if !top.Graph.HasVertex(g) {
 			panic(fmt.Sprintf("ncclsim: GPU %d not in topology %s", g, top.Name))
 		}
 	}
-	st := &capacityState{
-		nvlink: make(map[edgeKey]float64),
-		nvType: make(map[edgeKey]topology.LinkType),
-		pcie:   topology.LinkPCIe.Bandwidth(),
+	k := len(gpus)
+	st := capacityState{
+		pairs:    make([]pairLink, k*k),
+		pcie:     topology.LinkPCIe.Bandwidth(),
+		vertices: append([]int(nil), gpus...),
 	}
-	st.vertices = append(st.vertices, gpus...)
 	sort.Ints(st.vertices)
 	// The links among the allocation: k² lookups, not a sweep of every
 	// link of a machine that may hold many more GPUs than the job.
 	for i, u := range st.vertices {
-		for _, v := range st.vertices[i+1:] {
-			if e, ok := top.Physical.EdgeBetween(u, v); ok && topology.LinkType(e.Label) != topology.LinkPCIe {
-				k := key(u, v)
-				st.nvlink[k] = e.Weight
-				st.nvType[k] = topology.LinkType(e.Label)
+		for j := i + 1; j < k; j++ {
+			if e, ok := top.Physical.EdgeBetween(u, st.vertices[j]); ok && topology.LinkType(e.Label) != topology.LinkPCIe {
+				st.pairs[st.pair(i, j)] = pairLink{nv: true, typ: topology.LinkType(e.Label), cap: e.Weight}
 			}
 		}
 	}
 	return st
 }
 
-// capacity returns the usable bandwidth between u and v and the link
-// type providing it. allowPCIe enables the shared host path fallback.
-func (st *capacityState) capacity(u, v int, allowPCIe bool) (float64, topology.LinkType, bool) {
-	k := key(u, v)
-	if c, ok := st.nvlink[k]; ok && c >= minBottleneck {
-		return c, st.nvType[k], true
+// capacity returns the usable bandwidth between the GPUs at positions
+// i and j and the link type providing it. allowPCIe enables the shared
+// host path fallback.
+func (st *capacityState) capacity(i, j int, allowPCIe bool) (float64, topology.LinkType, bool) {
+	if pl := st.pairs[st.pair(i, j)]; pl.nv && pl.cap >= minBottleneck {
+		return pl.cap, pl.typ, true
 	}
 	if allowPCIe && st.pcie >= minBottleneck {
 		return st.pcie, topology.LinkPCIe, true
@@ -125,7 +130,7 @@ func (st *capacityState) bestRing(allowPCIe bool) (Ring, bool) {
 		return Ring{}, false
 	}
 	if n == 2 {
-		c, lt, ok := st.capacity(vs[0], vs[1], allowPCIe)
+		c, lt, ok := st.capacity(0, 1, allowPCIe)
 		if !ok {
 			return Ring{}, false
 		}
@@ -139,9 +144,9 @@ func (st *capacityState) bestRing(allowPCIe bool) (Ring, bool) {
 
 	best := Ring{}
 	bestBottleneck := 0.0
-	order := make([]int, n)
+	order := make([]int, n) // positions in vs
 	used := make([]bool, n)
-	order[0] = vs[0]
+	order[0] = 0
 	used[0] = true
 
 	var rec func(depth int, minCap float64, minType topology.LinkType, pcieUsed bool)
@@ -158,8 +163,12 @@ func (st *capacityState) bestRing(allowPCIe bool) (Ring, bool) {
 			pu = pu || lt == topology.LinkPCIe
 			if b > bestBottleneck {
 				bestBottleneck = b
+				ring := make([]int, n)
+				for d, i := range order {
+					ring[d] = vs[i]
+				}
 				best = Ring{
-					Order:          append([]int(nil), order...),
+					Order:          ring,
 					Bottleneck:     b,
 					BottleneckLink: bt,
 					UsesPCIe:       pu,
@@ -171,7 +180,7 @@ func (st *capacityState) bestRing(allowPCIe bool) (Ring, bool) {
 			if used[i] {
 				continue
 			}
-			c, lt, ok := st.capacity(order[depth-1], vs[i], allowPCIe)
+			c, lt, ok := st.capacity(order[depth-1], i, allowPCIe)
 			if !ok {
 				continue
 			}
@@ -183,7 +192,7 @@ func (st *capacityState) bestRing(allowPCIe bool) (Ring, bool) {
 				continue
 			}
 			used[i] = true
-			order[depth] = vs[i]
+			order[depth] = i
 			rec(depth+1, b, bt, pcieUsed || lt == topology.LinkPCIe)
 			used[i] = false
 		}
@@ -205,10 +214,9 @@ func (st *capacityState) consume(r Ring) {
 		hops = 1
 	}
 	for i := 0; i < hops; i++ {
-		u, v := r.Order[i], r.Order[(i+1)%n]
-		k := key(u, v)
-		if c, ok := st.nvlink[k]; ok && c >= r.Bottleneck {
-			st.nvlink[k] = c - r.Bottleneck
+		p := st.pair(sort.SearchInts(st.vertices, r.Order[i]), sort.SearchInts(st.vertices, r.Order[(i+1)%n]))
+		if pl := &st.pairs[p]; pl.nv && pl.cap >= r.Bottleneck {
+			pl.cap -= r.Bottleneck
 		} else {
 			st.pcie -= r.Bottleneck
 		}
@@ -304,9 +312,13 @@ func AllReduceTime(top *topology.Topology, gpus []int, msgBytes float64) float64
 // debugging and test aid.
 func EdgeCapacities(top *topology.Topology, gpus []int) map[[2]int]float64 {
 	st := newCapacityState(top, gpus)
-	out := make(map[[2]int]float64, len(st.nvlink))
-	for k, c := range st.nvlink {
-		out[[2]int{k.u, k.v}] = c
+	out := make(map[[2]int]float64)
+	for i, u := range st.vertices {
+		for j := i + 1; j < len(st.vertices); j++ {
+			if pl := st.pairs[st.pair(i, j)]; pl.nv {
+				out[[2]int{u, st.vertices[j]}] = pl.cap
+			}
+		}
 	}
 	return out
 }
@@ -315,6 +327,15 @@ func EdgeCapacities(top *topology.Topology, gpus []int) map[[2]int]float64 {
 // link type, useful for cross-checking against score.LinkMix.
 func UsedLinks(top *topology.Topology, res Result) map[topology.LinkType]int {
 	counts := make(map[topology.LinkType]int)
+	ForEachHop(top, res, func(lt topology.LinkType) { counts[lt]++ })
+	return counts
+}
+
+// ForEachHop calls fn with the link type of every hop of the
+// decomposition's rings — the physical link between the hop's GPUs, or
+// PCIe where there is none — so a caller can count hops without
+// building UsedLinks' map.
+func ForEachHop(top *topology.Topology, res Result, fn func(topology.LinkType)) {
 	for _, r := range res.Rings {
 		n := len(r.Order)
 		hops := n
@@ -322,14 +343,11 @@ func UsedLinks(top *topology.Topology, res Result) map[topology.LinkType]int {
 			hops = 1
 		}
 		for i := 0; i < hops; i++ {
-			u, v := r.Order[i], r.Order[(i+1)%n]
-			e, ok := top.Physical.EdgeBetween(u, v)
-			if ok {
-				counts[topology.LinkType(e.Label)]++
+			if e, ok := top.Physical.EdgeBetween(r.Order[i], r.Order[(i+1)%n]); ok {
+				fn(topology.LinkType(e.Label))
 			} else {
-				counts[topology.LinkPCIe]++
+				fn(topology.LinkPCIe)
 			}
 		}
 	}
-	return counts
 }

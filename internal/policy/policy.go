@@ -434,6 +434,9 @@ func (p *mapaPolicy) allocateSearch(avail *graph.Graph, top *topology.Topology, 
 			best = cand
 		}
 	}
+	// The candidates' Data share one arena: copy the winner's so a
+	// retained allocation does not pin the whole candidate list.
+	best.Match = best.Match.Clone()
 	return best, nil
 }
 

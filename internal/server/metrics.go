@@ -170,6 +170,9 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	fmt.Fprintf(w, "# HELP mapad_universe_build_seconds_total Summed wall time of idle-state universe enumerations.\n")
 	fmt.Fprintf(w, "# TYPE mapad_universe_build_seconds_total counter\n")
 	fmt.Fprintf(w, "mapad_universe_build_seconds_total %g\n", cs.UniverseBuildTime.Seconds())
+	fmt.Fprintf(w, "# HELP mapad_table_build_seconds_total Summed wall time of score-table builds over those universes.\n")
+	fmt.Fprintf(w, "# TYPE mapad_table_build_seconds_total counter\n")
+	fmt.Fprintf(w, "mapad_table_build_seconds_total %g\n", cs.TableBuildTime.Seconds())
 	counter("mapad_topology_repairs_total", "Link-degradation events absorbed by incremental score-table repair.", cs.Repairs)
 
 	// Durability series: present only when the daemon runs journaled.

@@ -266,6 +266,17 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// The warm built universes and their score tables, and the two
+	// halves of that start-up cost are exported side by side.
+	for _, name := range []string{"mapad_universe_build_seconds_total", "mapad_table_build_seconds_total"} {
+		i := strings.Index(body, "\n"+name+" ")
+		var secs float64
+		if i < 0 {
+			t.Errorf("metrics missing %s", name)
+		} else if _, err := fmt.Sscanf(body[i+1:], name+" %g\n", &secs); err != nil || secs <= 0 {
+			t.Errorf("%s = %g (%v), want a positive build time", name, secs, err)
+		}
+	}
 	// Histogram bucket counts must be cumulative and end at count.
 	if strings.Count(body, "_bucket{le=") != len(latencyBuckets)+1 {
 		t.Errorf("want %d histogram buckets", len(latencyBuckets)+1)
