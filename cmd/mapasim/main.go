@@ -186,8 +186,8 @@ func run(w io.Writer, o options) error {
 		if o.cacheStats {
 			if ps, ok := pipeStats[name]; ok {
 				vs := ps.Views
-				fmt.Fprintf(w, "  live views: %d views, %d decisions table-served, %d declined to a search\n",
-					vs.Views, vs.TableServed, vs.Rejected)
+				fmt.Fprintf(w, "  view set: %d decisions table-served, %d declined to a search\n",
+					vs.TableServed, vs.Rejected)
 			}
 		}
 		if o.verbose {

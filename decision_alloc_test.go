@@ -104,8 +104,7 @@ func TestTableServedDecisionZeroAllocs(t *testing.T) {
 
 // TestLiveViewDeltaAllocBudget pins the view delta path at 0 allocs:
 // publishing an allocate/release GPU-set delta to a warmed view set
-// updates its masks and Eq. 3 accounting in place, and the shape views
-// catch up only when consulted.
+// updates its usable mask and Eq. 3 accounting in place.
 func TestLiveViewDeltaAllocBudget(t *testing.T) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
@@ -116,8 +115,7 @@ func TestLiveViewDeltaAllocBudget(t *testing.T) {
 	p := policy.NewPreserve(scorer)
 	policy.AttachUniverses(p, store)
 	policy.AttachViews(p, views)
-	// One decision materializes the view slot, so the deltas leave a
-	// materialized view behind.
+	// One decision resolves the shape's slot first.
 	req := policy.Request{Pattern: pattern, Sensitive: false}
 	var buf policy.Allocation
 	if err := policy.DecideInto(p, &buf, top, top.Graph.VertexBitset(), req); err != nil {

@@ -16,14 +16,14 @@ func ringPatternBW(k int) *graph.Graph {
 	return g
 }
 
-// checkBWOracle asserts the delta-maintained accounting kept beside a
-// live view (as matchcache.Views keeps one per stream) against a
-// from-scratch recomputation on the induced free subgraph:
+// checkBWOracle asserts a stream's delta-maintained accounting (as
+// matchcache.Views keeps one per stream) against a from-scratch
+// recomputation on the induced free subgraph:
 // FreeWeight must equal the induced subgraph's total weight, every
 // vertex's FreeIncidentWeight its summed edges into the free set, and
 // PreservedBW the exact remainder weight after removing a candidate.
 // All weights are integral, so every comparison is exact equality.
-func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *graph.Graph, free []int, step string) {
+func checkBWOracle(t *testing.T, u *Universe, bw *BandwidthAccounting, data *graph.Graph, free []int, step string) {
 	t.Helper()
 	avail := data.InducedSubgraph(free)
 	if got, want := bw.FreeWeight(), avail.TotalWeight(); got != want {
@@ -45,9 +45,9 @@ func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *gr
 		}
 	}
 	// Every live candidate's Eq. 3 must equal the remainder weight.
-	live, _ := lv.Candidates(0)
+	live, _ := maskLive(u, bw, 0)
 	for _, i := range live {
-		gpus := lv.Universe().Match(i).DataVertices()
+		gpus := u.Match(i).DataVertices()
 		var internal float64
 		for a, g := range gpus {
 			for _, h := range gpus[a+1:] {
@@ -60,9 +60,9 @@ func checkBWOracle(t *testing.T, lv *LiveView, bw *BandwidthAccounting, data *gr
 	}
 }
 
-// TestWeightedLiveViewChurnOracle churns a live view and the bandwidth
-// accounting beside it through seeded allocate/release interleavings
-// and cross-checks the accounting against the from-scratch oracle after every step,
+// TestWeightedLiveViewChurnOracle churns a stream's bandwidth
+// accounting through seeded allocate/release interleavings and
+// cross-checks it against the from-scratch oracle after every step,
 // finishing with a drain that must restore the idle sums bit for bit.
 func TestWeightedLiveViewChurnOracle(t *testing.T) {
 	data := graph.New()
@@ -76,7 +76,6 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 	data.MustAddEdge(3, 8, 20, 0)
 	pattern := ringPatternBW(3)
 	u := BuildUniverse(pattern, data, 0, 1)
-	lv := NewLiveView(u, data.VertexBitset())
 	bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
 
 	idleTotal := bw.FreeWeight()
@@ -97,21 +96,18 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 				free = free[:len(free)-1]
 			}
 			deltas = append(deltas, d)
-			lv.Allocate(d)
 			bw.Allocate(d)
 		} else if len(deltas) > 0 {
 			i := rng.Intn(len(deltas))
 			d := deltas[i]
 			deltas[i] = deltas[len(deltas)-1]
 			deltas = deltas[:len(deltas)-1]
-			lv.Release(d)
 			bw.Release(d)
 			free = append(free, d...)
 		}
-		checkBWOracle(t, lv, bw, data, free, "churn step")
+		checkBWOracle(t, u, bw, data, free, "churn step")
 	}
 	for _, d := range deltas {
-		lv.Release(d)
 		bw.Release(d)
 		free = append(free, d...)
 	}
@@ -119,7 +115,7 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 		t.Fatalf("drained FreeWeight = %g, want idle %g (delta accounting must invert exactly)",
 			bw.FreeWeight(), idleTotal)
 	}
-	checkBWOracle(t, lv, bw, data, free, "after drain")
+	checkBWOracle(t, u, bw, data, free, "after drain")
 }
 
 // FuzzLiveViewBandwidth fuzzes the freeIncidentWeight delta accounting
@@ -148,7 +144,6 @@ func FuzzLiveViewBandwidth(f *testing.F) {
 		}
 		k := int(kRaw%3) + 2
 		u := BuildUniverse(ringPatternBW(k), data, 0, 1)
-		lv := NewLiveView(u, data.VertexBitset())
 		bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
 
 		verts := data.Vertices()
@@ -168,14 +163,12 @@ func FuzzLiveViewBandwidth(f *testing.F) {
 		for _, op := range ops {
 			v := []int{verts[int(op)%len(verts)]}
 			if freeSet[v[0]] {
-				lv.Allocate(v)
 				bw.Allocate(v)
 			} else {
-				lv.Release(v)
 				bw.Release(v)
 			}
 			freeSet[v[0]] = !freeSet[v[0]]
-			checkBWOracle(t, lv, bw, data, freeList(), "after op")
+			checkBWOracle(t, u, bw, data, freeList(), "after op")
 		}
 	})
 }

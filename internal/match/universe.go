@@ -13,9 +13,9 @@ var filters atomic.Uint64
 // Filters returns the cumulative number of full-universe mask scans
 // (Universe.Filter calls) this process has run. Together with
 // Searches it lets tests prove a decision path's cost class: a
-// live-view-served decision advances neither counter, a Filter call
-// (the reference the live views are tested against) advances only
-// Filters, and a search advances Searches.
+// table-served decision advances neither counter, a Filter call (the
+// reference mask liveness is tested against) advances only Filters,
+// and a search advances Searches.
 func Filters() uint64 { return filters.Load() }
 
 // Universe is the complete deduplicated enumeration of one pattern on
@@ -50,9 +50,13 @@ func Filters() uint64 { return filters.Load() }
 // several embeddings of one pattern can occupy the same vertex set (a
 // Ring(4) has three on any four GPUs of a complete machine), and
 // whether an embedding survives on an availability state depends on
-// its set alone. Sets are numbered in
-// first-occurrence order; SetOf, SetFirst and SetLen relate the two
-// index spaces, and LiveView maintains liveness per set.
+// its set alone: the set is live exactly when its vertices are all in
+// the stream's usable mask (BandwidthAccounting.Usable). Sets are
+// numbered in first-occurrence order; SetOf, SetFirst and SetLen
+// relate the two index spaces. On a complete data graph — every
+// machine graph — first-occurrence order is the lexicographic order of
+// the sets' sorted vertex positions, so a set's index is a closed form
+// of its vertices (score.Table.Rank).
 type Universe struct {
 	order    []int    // match order: the Pattern slice shared by all matches
 	keys     []string // per-match canonical keys
@@ -144,7 +148,7 @@ func (u *Universe) Len() int { return u.n }
 
 // Capacity returns the bitset capacity the universe's per-match vertex
 // sets were built with: the data graph's maximum vertex ID plus one
-// (see graph.Capacity). LiveView sizes its posting lists with it.
+// (see graph.Capacity), the bound of every vertex ID it stores.
 func (u *Universe) Capacity() int { return u.capacity }
 
 // Order returns the pattern's match order — the Pattern slice shared

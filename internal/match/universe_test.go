@@ -280,8 +280,8 @@ func TestSearchesCounterAdvancesOnEnumerationOnly(t *testing.T) {
 }
 
 // TestFiltersCounterAdvancesOnFullScansOnly pins the Filters telemetry
-// the live-view tests build on: Universe.Filter is a full-universe
-// scan and counts; serving a live view's candidate list does not.
+// the decision-path tests build on: Universe.Filter is a full-universe
+// scan and counts; maintaining a stream's accounting does not.
 func TestFiltersCounterAdvancesOnFullScansOnly(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(6)
@@ -292,11 +292,11 @@ func TestFiltersCounterAdvancesOnFullScansOnly(t *testing.T) {
 	if mid == before {
 		t.Fatal("a mask filter must advance the Filters counter")
 	}
-	lv := NewLiveView(u, data.VertexBitset())
-	lv.Allocate([]int{1})
-	lv.Candidates(0)
+	a := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
+	a.Allocate([]int{1})
+	a.ByIncident()
 	if Filters() != mid {
-		t.Fatal("live-view maintenance and candidate serving must not scan the universe")
+		t.Fatal("stream maintenance must not scan the universe")
 	}
 }
 

@@ -11,10 +11,8 @@
 // and build time O(distinct node classes × shapes), not
 // O(nodes × shapes)); FleetViews layers one ordinary Views per node on
 // top, over the node's class store in node-local IDs. A delta updates
-// only the touched nodes' masks and Eq. 3 bandwidth accounting; a
-// node's shape views over the *shared* class universe catch up when a
-// decision consults that node (match.LiveView.Sync), exactly as a flat
-// stream's do.
+// only the touched nodes' usable masks and Eq. 3 bandwidth accounting;
+// a node's liveness is its usable mask, exactly as on a flat stream.
 //
 // The decision path is hierarchical: the inter-node level works on the
 // quotient graph of node classes using cheap per-node aggregates (the
@@ -145,13 +143,12 @@ func (fs *FleetStore) Stats() StoreStats {
 // contradicts a node's tracked masks, or names a GPU outside the
 // fleet, panics, as on a flat Views.
 type FleetViews struct {
-	mu        sync.Mutex
-	fleet     *topology.Fleet
-	nodes     []*Views     // one per fleet node, in node-local GPU IDs
-	usable    graph.Bitset // tracked usable set (free AND healthy), global IDs
-	usableCnt []int        // per node: its members of usable
-	maxNode   int          // largest node size: bigger patterns span nodes
-	stats     ViewStats    // TableServed and Rejected; Stats adds the nodes' Views
+	mu      sync.Mutex
+	fleet   *topology.Fleet
+	nodes   []*Views     // one per fleet node, in node-local GPU IDs
+	usable  graph.Bitset // tracked usable set (free AND healthy), global IDs
+	maxNode int          // largest node size: bigger patterns span nodes
+	stats   ViewStats
 
 	one          [1]int       // reusable single-GPU delta buffer
 	scratchNodes []int        // reusable eligible-node index buffer
@@ -168,16 +165,14 @@ func (fs *FleetStore) NewFleetViews() *FleetViews {
 	}
 	f := fs.fleet
 	fv := &FleetViews{
-		fleet:     f,
-		nodes:     make([]*Views, f.NumNodes()),
-		usable:    graph.NewBitset(f.NumGPUs()),
-		usableCnt: make([]int, f.NumNodes()),
-		maxNode:   f.MaxNodeGPUs(),
+		fleet:   f,
+		nodes:   make([]*Views, f.NumNodes()),
+		usable:  graph.NewBitset(f.NumGPUs()),
+		maxNode: f.MaxNodeGPUs(),
 	}
 	fv.usable.Fill(f.NumGPUs())
 	for j := range fv.nodes {
 		fv.nodes[j] = fs.stores[f.NodeClass[j]].NewViews()
-		fv.usableCnt[j] = f.Class(j).NumGPUs()
 	}
 	return fv
 }
@@ -195,8 +190,7 @@ func (fv *FleetViews) locate(g int) (node, local int) {
 
 // forward publishes a global-ID delta GPU by GPU to the owning node's
 // Views through op, then folds the GPU's resulting usability into the
-// fleet-wide mask and the node's usable count. Nil view sets ignore the
-// call.
+// fleet-wide mask. Nil view sets ignore the call.
 func (fv *FleetViews) forward(gpus []int, op func(*Views, []int)) {
 	if fv == nil {
 		return
@@ -208,14 +202,10 @@ func (fv *FleetViews) forward(gpus []int, op func(*Views, []int)) {
 		nv := fv.nodes[j]
 		fv.one[0] = local
 		op(nv, fv.one[:])
-		if u := nv.usable.Has(local); u != fv.usable.Has(g) {
-			if u {
-				fv.usable.Set(g)
-				fv.usableCnt[j]++
-			} else {
-				fv.usable.Unset(g)
-				fv.usableCnt[j]--
-			}
+		if nv.bw.Usable().Has(local) {
+			fv.usable.Set(g)
+		} else {
+			fv.usable.Unset(g)
 		}
 	}
 }
@@ -238,15 +228,15 @@ func (fv *FleetViews) MarkUnhealthy(gpus []int) { fv.forward(gpus, (*Views).Mark
 func (fv *FleetViews) RestoreHealth(gpus []int) { fv.forward(gpus, (*Views).RestoreHealth) }
 
 // NodeDecision hands one node's intra-node selection context to a
-// SelectNodes callback: the node's live view and Eq. 3 accounting
-// (node-local IDs), the shared class score table, the order remap
+// SelectNodes callback: the node's accounting — its usable mask and
+// Eq. 3 sums, in node-local IDs — the shared class score table, the
+// order remap
 // into the request pattern's vertex IDs (nil when structurally
 // identical to the template build), and the exact constant translating
 // node-local PreservedBW to the fleet-global value. Offset translates
 // node-local GPU IDs to global ones.
 type NodeDecision struct {
 	Node, Offset   int
-	LV             *match.LiveView
 	BW             *match.BandwidthAccounting
 	Tbl            *score.Table
 	Order          []int
@@ -258,13 +248,13 @@ type NodeDecision struct {
 // aggregate (f_j < k cannot host the pattern) and computes the Eq. 3
 // translation constants from the per-node free-weight aggregates; the
 // intra-node level is the caller's — sel runs under the view lock once
-// per node that holds at least one live candidate, in ascending node
-// order (the documented deterministic node-ordering rule: node-major
-// GPU IDs make ascending node order coincide with the flat
-// lexicographic GPU-set tie-break). The caller compares node winners
-// on exact global scores and resolves ties to the first node seen.
-// Only the nodes that can host the pattern consult their shape view,
-// so only theirs catch up with the deltas since their last consult.
+// per node that can host the pattern — machine graphs being complete,
+// every node with at least k usable GPUs holds a live set — in
+// ascending node order (the documented deterministic node-ordering
+// rule: node-major GPU IDs make ascending node order coincide with the
+// flat lexicographic GPU-set tie-break). The caller compares node
+// winners on exact global scores and resolves ties to the first node
+// seen.
 //
 // SelectNodes returns false without invoking sel when the fleet layer
 // cannot answer and the caller must decide on its flat path instead.
@@ -296,23 +286,23 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 		return false
 	}
 	// Pass 1: inter-node pruning on the quotient-level aggregates, the
-	// surviving nodes' shape views synced, and the fleet-wide Eq. 3
-	// terms. All sums are over integral link bandwidths, so every float
-	// value below is exact.
+	// surviving nodes' class universes resolved, and the fleet-wide
+	// Eq. 3 terms. All sums are over integral link bandwidths, so every
+	// float value below is exact.
 	eligible := fv.scratchNodes[:0]
 	F := 0
 	sumFW := 0.0
 	sumPairs := 0.0
 	for j, nv := range fv.nodes {
-		f := fv.usableCnt[j]
+		f := nv.bw.UsableCount()
 		F += f
 		sumFW += nv.bw.FreeWeight()
 		sumPairs += float64(f * (f - 1) / 2)
 		if f < k {
 			continue
 		}
-		sl, ok := nv.ensureSlot(ci, pattern, workers)
-		if !ok || (maxCandidates > 0 && sl.lv.Len() > maxCandidates) {
+		usl, ok := nv.slot(ci, pattern, workers)
+		if !ok || capped(usl.u, nv.bw.Usable(), maxCandidates) {
 			fv.scratchNodes = eligible
 			fv.stats.Rejected++
 			return false
@@ -328,19 +318,15 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 	// decision.
 	for _, j := range eligible {
 		nv := fv.nodes[j]
-		sl := nv.slots[ci.canon]
-		if sl.lv.Len() == 0 {
-			continue
-		}
+		usl := nv.slots[ci.canon]
 		fv.nd = NodeDecision{
 			Node:   j,
 			Offset: fv.fleet.Offsets[j],
-			LV:     sl.lv,
 			BW:     nv.bw,
-			Tbl:    nv.store.ensureTable(sl.usl, workers),
-			Order:  canon.remap(sl.patternFP, ci, sl.lv.Universe().Order()),
+			Tbl:    nv.store.ensureTable(usl, workers),
+			Order:  canon.remap(usl.patternFP, ci, usl.u.Order()),
 			PreservedShift: totalFree - nv.bw.FreeWeight() -
-				float64(k)*pcie*float64(F-fv.usableCnt[j]),
+				float64(k)*pcie*float64(F-nv.bw.UsableCount()),
 		}
 		sel(&fv.nd)
 	}
@@ -361,20 +347,14 @@ func (fv *FleetViews) Usable() graph.Bitset {
 }
 
 // Stats returns a snapshot of the fleet view set's counters, in the
-// flat view set's terms: Views counts the per-node live views
-// materialized (lazily: only nodes that served a shape pay one),
-// TableServed the decisions SelectNodes answered — every one
-// table-served by construction — and Rejected those it declined. A nil
-// view set reports zeros.
+// flat view set's terms: TableServed counts the decisions SelectNodes
+// answered — every one table-served by construction — and Rejected
+// those it declined. A nil view set reports zeros.
 func (fv *FleetViews) Stats() ViewStats {
 	if fv == nil {
 		return ViewStats{}
 	}
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	out := fv.stats
-	for _, nv := range fv.nodes {
-		out.Views += nv.stats.Views
-	}
-	return out
+	return fv.stats
 }

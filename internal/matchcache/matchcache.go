@@ -11,21 +11,22 @@
 // pair scores at init — and shared by every engine bound to the
 // topology.
 //
-// A Views tracks one availability-state stream over a Store: the free
-// and health masks, one shared Eq. 3 bandwidth accounting, and per
-// shape a live candidate view (match.LiveView) that catches up to the
-// masks when a decision consults it. SelectLive hands a policy the
-// live view, the accounting and the score table, so the decision is
-// table lookups plus O(k) arithmetic; when it declines — the stream is
-// out of sync, the universe overflowed the store capacity, or a
-// candidate cap truncates the list for a structurally different build
-// of the shape — the policy runs a fresh search on the availability
-// graph instead.
+// A Views tracks one availability-state stream over a Store in one
+// match.BandwidthAccounting: the usable mask (free AND healthy) and the
+// Eq. 3 sums, updated per delta in O(n) arithmetic. Machine graphs are
+// complete, so the mask alone decides liveness — a shape's GPU set is
+// live exactly when its GPUs are all usable — and no per-shape
+// candidate index exists to maintain. SelectLive hands a policy the
+// accounting and the score table, so the decision is table lookups plus
+// O(k) arithmetic; when it declines — the stream is out of sync, the
+// universe overflowed the store capacity, or a candidate cap truncates
+// the live embeddings for a structurally different build of the shape
+// — the policy runs a fresh search on the availability graph instead.
 //
 // Patterns are keyed canonically (up to isomorphism, via
 // graph.CanonicalForm), so structurally different builds of the same
 // shape — a Ring(4) assembled 0-1-2-3-0 by one frontend and 0-2-1-3-0
-// by another — share universes, tables and views; embeddings are
+// by another — share universes and tables; embeddings are
 // re-expressed in each requester's own vertex IDs through the composed
 // canonical labelings.
 //

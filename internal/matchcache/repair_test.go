@@ -30,7 +30,7 @@ func degrade(t *testing.T, top *topology.Topology, u, v int, w float64) {
 func tableOf(t *testing.T, s *Store, pattern *graph.Graph, top *topology.Topology) *score.Table {
 	t.Helper()
 	var out *score.Table
-	ok := s.NewViews().SelectLive(pattern, top.Graph.VertexBitset(), 0, 1, func(_ *match.LiveView, _ *match.BandwidthAccounting, tbl *score.Table, _ []int, _ bool) {
+	ok := s.NewViews().SelectLive(pattern, top.Graph.VertexBitset(), 0, 1, func(_ *match.BandwidthAccounting, tbl *score.Table, _ []int, _ bool) {
 		out = tbl
 	})
 	if !ok || out == nil {
@@ -128,7 +128,7 @@ func TestViewsUpdateEdgePreservedBW(t *testing.T) {
 	free.Unset(2)
 	free.Unset(6)
 	fresh := match.NewBandwidthAccounting(top.Graph, free, graph.Capacity(top.Graph))
-	served := v.SelectLive(ring, free, 0, 1, func(_ *match.LiveView, bw *match.BandwidthAccounting, _ *score.Table, _ []int, _ bool) {
+	served := v.SelectLive(ring, free, 0, 1, func(bw *match.BandwidthAccounting, _ *score.Table, _ []int, _ bool) {
 		if bw.FreeWeight() != fresh.FreeWeight() {
 			t.Errorf("FreeWeight %v after UpdateEdge, rebuilt %v", bw.FreeWeight(), fresh.FreeWeight())
 		}

@@ -13,8 +13,9 @@ import (
 )
 
 // liveList is what SelectLive hands a policy for one decision, copied
-// out from under the view lock: the live candidates in enumeration
-// order, capped like a policy's maxCandidates, and the order remap.
+// out from under the view lock: the candidates live on the stream's
+// usable mask in enumeration order, capped like a policy's
+// maxCandidates, and the order remap.
 type liveList struct {
 	keys      []string
 	matches   []match.Match
@@ -35,11 +36,13 @@ func without(g *graph.Graph, vs []int) *graph.Graph {
 // given cap.
 func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out liveList, ok bool) {
 	ok = v.SelectLive(pattern, avail.VertexBitset(), maxCandidates, 1,
-		func(lv *match.LiveView, _ *match.BandwidthAccounting, _ *score.Table, order []int, truncated bool) {
-			idx, _ := lv.Candidates(maxCandidates)
-			for _, i := range idx {
-				out.keys = append(out.keys, lv.Universe().Key(i))
-				out.matches = append(out.matches, lv.Universe().Match(i))
+		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+			u := tbl.Universe()
+			for i := 0; i < u.Len() && (maxCandidates <= 0 || len(out.keys) < maxCandidates); i++ {
+				if u.Set(i).SubsetOf(bw.Usable()) {
+					out.keys = append(out.keys, u.Key(i))
+					out.matches = append(out.matches, u.Match(i))
+				}
 			}
 			out.order, out.truncated = order, truncated
 		})

@@ -32,14 +32,14 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 
 	v := s.NewViews()
 	called := false
-	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
 		called = true
 		if bw == nil {
 			t.Error("SelectLive must hand out the stream's bandwidth accounting")
 		} else if bw.FreeWeight() != top.Graph.TotalWeight() {
 			t.Errorf("idle FreeWeight = %g, want %g", bw.FreeWeight(), top.Graph.TotalWeight())
 		}
-		if tbl == nil || tbl.Len() != lv.Universe().Len() {
+		if tbl == nil || tbl.Len() != s.universe(canon.info(ring), ring, 1).u.Len() {
 			t.Errorf("table misaligned with universe")
 		}
 		if order != nil {
@@ -64,7 +64,7 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	top := topology.DGXV100()
 	ring := tableRing(3)
-	sel := func(*match.LiveView, *match.BandwidthAccounting, *score.Table, []int, bool) {
+	sel := func(*match.BandwidthAccounting, *score.Table, []int, bool) {
 		t.Error("a declined SelectLive must not run the selection")
 	}
 

@@ -1,7 +1,6 @@
 package matchcache
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -84,8 +83,8 @@ func TestViewsMatchFilterUnderChurn(t *testing.T) {
 	views.Release([]int{3})
 	free = append(free, 3)
 	check("release {3}")
-	if vs := views.Stats(); vs.Views != 1 || vs.TableServed != 4 || vs.Rejected != 0 {
-		t.Fatalf("view stats = %+v, want 1 view, 4 served, 0 rejected", vs)
+	if vs := views.Stats(); vs.TableServed != 4 || vs.Rejected != 0 {
+		t.Fatalf("view stats = %+v, want 4 served, 0 rejected", vs)
 	}
 }
 
@@ -120,8 +119,8 @@ func TestViewsRejectsIncompleteUniverse(t *testing.T) {
 	if _, ok := selectLive(views, ringN(3), top.Graph, 0); ok {
 		t.Fatal("incomplete universe was served from a live view")
 	}
-	if vs := views.Stats(); vs.Views != 0 || vs.Rejected != 1 {
-		t.Fatalf("view stats = %+v, want no view built and 1 rejection", vs)
+	if vs := views.Stats(); len(views.slots) != 0 || vs.Rejected != 1 {
+		t.Fatalf("view stats = %+v, want no slot kept and 1 rejection", vs)
 	}
 }
 
@@ -181,8 +180,8 @@ func TestCanonicalKeysShareEntriesAcrossIsomorphicBuilds(t *testing.T) {
 			}
 		}
 	}
-	if vs, st := views.Stats(), store.Stats(); vs.Views != 1 || st.Universes != 1 || st.Tables != 1 {
-		t.Fatalf("isomorphic builds must share one slot, universe and table: views %+v store %+v", vs, st)
+	if st := store.Stats(); len(views.slots) != 1 || st.Universes != 1 || st.Tables != 1 {
+		t.Fatalf("isomorphic builds must share one slot, universe and table: %d slots, store %+v", len(views.slots), st)
 	}
 }
 
@@ -218,95 +217,6 @@ func TestViewsBuildsMidStream(t *testing.T) {
 	}
 	wantKeys, _ := filtered(t, ringN(3), top.Graph, avail)
 	sameKeys(t, "mid-stream build", got.keys, wantKeys)
-}
-
-// setPostings is what the GPUs' usability changes cost a view over u:
-// per GPU, the distinct GPU sets of the embeddings containing it.
-func setPostings(u *match.Universe, gpus ...int) (n uint64) {
-	for _, g := range gpus {
-		sets := make(map[string]bool)
-		for i := 0; i < u.Len(); i++ {
-			if u.Set(i).Has(g) {
-				sets[fmt.Sprint(u.Set(i).Members())] = true
-			}
-		}
-		n += uint64(len(sets))
-	}
-	return n
-}
-
-// TestViewsWalkPostingsOnlyOnConsult pins the cost model of the lazy
-// views by count: deltas alone walk no posting list, however many
-// shapes are materialized; a consult walks the postings of the GPUs
-// whose usability changed since that shape's previous consult — for
-// that shape only; and an allocation released again before the next
-// consult costs nothing. Posting lists hold GPU sets, not embeddings:
-// a GPU's change costs one entry per distinct set containing it, so the
-// Ring(4) view — three embeddings on every 4-GPU set — walks a third of
-// its embeddings (on the fully connected DGX-V: 21 + 35 entries per
-// GPU for Ring(3) and Ring(4), 112 for GPUs 0 and 3, where per-embedding
-// postings would walk 252).
-func TestViewsWalkPostingsOnlyOnConsult(t *testing.T) {
-	top := topology.DGXV100()
-	views := NewStore(top, 0).NewViews()
-	ring3, ring4 := ringN(3), ringN(4)
-	consult := func(pattern, avail *graph.Graph) {
-		t.Helper()
-		if _, ok := selectLive(views, pattern, avail, 0); !ok {
-			t.Fatal("in-sync consult was rejected")
-		}
-	}
-	postings := func(pattern *graph.Graph, gpus ...int) uint64 {
-		return setPostings(views.slots[canon.info(pattern).canon].lv.Universe(), gpus...)
-	}
-
-	// A stream nobody consults walks nothing, with or without views.
-	views.Allocate([]int{0, 1})
-	views.MarkUnhealthy([]int{5})
-	views.Release([]int{0, 1})
-	views.RestoreHealth([]int{5})
-	if views.walked != 0 {
-		t.Fatalf("unconsulted stream walked %d postings", views.walked)
-	}
-	consult(ring3, top.Graph)
-	consult(ring4, top.Graph)
-	if views.walked != 0 {
-		t.Fatalf("consulting idle views walked %d postings", views.walked)
-	}
-	for i := 0; i < 50; i++ {
-		views.Allocate([]int{2, 3, 4})
-		views.MarkUnhealthy([]int{6})
-		views.RestoreHealth([]int{6})
-		views.Release([]int{2, 3, 4})
-	}
-	if views.walked != 0 {
-		t.Fatalf("200 deltas over two materialized views walked %d postings", views.walked)
-	}
-	// ...and neither does a consult after deltas that cancelled.
-	consult(ring3, top.Graph)
-	consult(ring4, top.Graph)
-	if views.walked != 0 {
-		t.Fatalf("consults after cancelled deltas walked %d postings", views.walked)
-	}
-
-	// A consult pays for its own shape's net change, once.
-	views.Allocate([]int{0, 7})
-	views.Allocate([]int{3})
-	views.Release([]int{7})
-	busy := without(top.Graph, []int{0, 3})
-	consult(ring3, busy)
-	want := postings(ring3, 0, 3)
-	if want == 0 || views.walked != want {
-		t.Fatalf("ring-3 consult walked %d postings, GPUs 0 and 3 hold %d", views.walked, want)
-	}
-	consult(ring3, busy)
-	if views.walked != want {
-		t.Fatalf("a second consult on an unchanged stream walked %d more postings", views.walked-want)
-	}
-	consult(ring4, busy)
-	if want += postings(ring4, 0, 3); views.walked != want || want != 112 {
-		t.Fatalf("after the ring-4 consult %d postings walked, want %d (112)", views.walked, want)
-	}
 }
 
 // deltaStream is the publisher-facing delta API that Views and

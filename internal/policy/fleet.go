@@ -66,7 +66,7 @@ func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req
 	var bestP, bestS float64
 	served = p.fleet.SelectNodes(req.Pattern, usable, p.maxCandidates, p.workers,
 		func(nd *matchcache.NodeDecision) {
-			best, ok := p.pickScored(nd.LV, nd.BW, nd.Tbl, req, false)
+			best, ok := p.pickScored(nd.BW, nd.Tbl, req, false)
 			if !ok {
 				return
 			}

@@ -12,12 +12,12 @@ import (
 )
 
 // TestWarmedShapeChurnServedByLiveViewOnly is the acceptance check for
-// the live views: with a warmed idle-state universe and a view set fed
+// the view set: with a warmed idle-state universe and a view set fed
 // the allocate/release deltas, *every* Preserve decision under
-// sustained churn must be served from the delta-maintained candidate
-// list — zero backtracking searches (match.Searches) AND zero
-// full-universe mask scans (match.Filters) — while remaining
-// byte-identical to the plain sequential search trace.
+// sustained churn must be served from the stream's delta-maintained
+// usable mask and accounting — zero backtracking searches
+// (match.Searches) AND zero full-universe mask scans (match.Filters) —
+// while remaining byte-identical to the plain sequential search trace.
 func TestWarmedShapeChurnServedByLiveViewOnly(t *testing.T) {
 	top := topology.DGXA100()
 	pattern := appgraph.Ring(3)

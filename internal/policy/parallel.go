@@ -36,8 +36,8 @@ func AttachUniverses(a Allocator, s *matchcache.Store) {
 	}
 }
 
-// AttachViews wires a live-view set into a MAPA policy: decisions are
-// table-served off delta-maintained per-shape candidate views and the
+// AttachViews wires a view set into a MAPA policy: decisions are
+// table-served off the stream's delta-maintained usable mask and the
 // store's precomputed score tables — no search, no universe scan, no
 // dynamic score evaluation. The view set must be bound to the topology
 // the policy allocates on (it is bypassed for any other) and must be

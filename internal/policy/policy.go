@@ -287,6 +287,7 @@ type mapaPolicy struct {
 	views         *matchcache.Views
 	fleet         *matchcache.FleetViews
 	rank          func(req Request) [2]metric
+	walk          preservedWalk
 }
 
 // better reports whether score bundle b strictly precedes a under the
@@ -310,12 +311,13 @@ func (p *mapaPolicy) Allocate(top *topology.Topology, usable graph.Bitset, req R
 
 // AllocateInto is Allocate writing the decision into a caller-supplied
 // buffer. A decision is made one of two ways, byte-identical by
-// construction and by test: table-served off the shape's live view
-// (buf's slices are truncated and refilled in place, so a caller
-// reusing one buffer pays zero allocations), or — when no view set is
-// attached or it declines (see matchcache.Views.SelectLive) — by a
-// fresh search on the subgraph of top.Graph the usable GPUs induce,
-// materialized for that one search, whose result replaces buf. On error
+// construction and by test: table-served off the stream's usable mask
+// and the shape's score table (buf's slices are truncated and refilled
+// in place, so a caller reusing one buffer pays zero allocations), or
+// — when no view set is attached or it declines (see
+// matchcache.Views.SelectLive) — by a fresh search on the subgraph of
+// top.Graph the usable GPUs induce, materialized for that one search,
+// whose result replaces buf. On error
 // buf's contents are unspecified.
 //
 // With a fleet view set attached (AttachFleet) the hierarchical

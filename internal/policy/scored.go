@@ -1,13 +1,18 @@
 // Table-served selection: the fast path of the MAPA policies.
 //
-// With the shape's live view and precomputed score table in place, a
-// decision never enumerates candidates and never calls score.Scorer
-// dynamically. Eq. 1 (AggBW) and Eq. 2 (EffBW) are state-independent —
-// pure table lookups — and Eq. 3 decomposes into the view's
-// delta-maintained state terms plus the GPU set's static internal-edge
-// constant, O(k) arithmetic:
+// With the shape's precomputed score table and the stream's bandwidth
+// accounting in place, a decision never enumerates candidates and
+// never calls score.Scorer dynamically. Eq. 1 (AggBW) and Eq. 2
+// (EffBW) are state-independent — pure table lookups — and Eq. 3
+// decomposes into the accounting's delta-maintained state terms plus
+// the GPU set's static internal-edge constant, O(k) arithmetic:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
+//
+// Liveness is read off the accounting's usable mask: machine graphs are
+// complete, so a GPU set hosts a live embedding exactly when its GPUs
+// are all usable, and some set is live exactly when at least k GPUs
+// are.
 //
 // Selection is an argmax over live GPU sets; the embedding is a static
 // per-set choice. Every selection order is lexicographic — primary
@@ -18,23 +23,25 @@
 // the order ranks AggBW, its key representative (minimum key)
 // otherwise. The overall winner is the best representative of a live
 // set, and since distinct sets differ in their GPU sets, comparing sets
-// never reaches the key. The walk therefore visits each live set once,
-// however many embeddings share it.
+// never reaches the key.
 //
 // Selection also exploits how much of each policy's order is static:
 //
 //   - Greedy's entire order (AggBW, EffBW, GPU set) is
 //     state-independent, so its winner is the representative of the
-//     first LIVE set in the precomputed sorted order — no arithmetic.
+//     first LIVE set in the precomputed sorted order — k bit tests per
+//     set passed over, no arithmetic.
 //   - EffBW- and AggBW-primary orders (sensitive Preserve and the
 //     ablations) have a static primary: the first live set in the
 //     primary-sorted order pins the winning score group — whose extent
 //     is precomputed alongside the order (score.ModelTable.AggGroups/
 //     EffGroups) — and only that group's live sets pay the O(k) Eq. 3
 //     tie-break, with no per-group temporary slices.
-//   - PreservedBW-primary orders (insensitive Preserve) stream an
-//     argmax over the live-set bitset with O(k) arithmetic per set,
-//     computing the secondary metric only on primary ties.
+//   - PreservedBW-primary orders (insensitive Preserve) run a bounded
+//     walk over the usable GPUs (preservedArgmax) that visits only the
+//     sets that can still tie or beat the best found so far, and reach
+//     the table — the set's rank, the secondary metric — only for the
+//     sets that do.
 //
 // Decisions are byte-identical to allocateSearch's (all link
 // bandwidths are integral, making the delta-maintained sums exact).
@@ -43,30 +50,31 @@
 // candidates in enumeration order.
 //
 // The whole path allocates nothing: candidates are table lookups,
-// comparisons are plain float/slice reads, and the winner lands in a
-// caller-supplied Allocation buffer (AllocateInto) via in-place
-// appends. testing.AllocsPerRun gates in decision_alloc_test.go pin 0
+// comparisons are plain float/slice reads, the walk's scratch is
+// reused across decisions, and the winner lands in a caller-supplied
+// Allocation buffer (AllocateInto) via in-place appends.
+// testing.AllocsPerRun gates in decision_alloc_test.go pin 0
 // allocs/op for all four policies.
 package policy
 
 import (
-	"math/bits"
+	"math"
 
 	"mapa/internal/graph"
 	"mapa/internal/match"
 	"mapa/internal/score"
 )
 
-// allocateScoredInto serves the decision from the shape's live view and
-// score table, writing the winner into buf: its slices are truncated
-// and refilled in place, so a caller reusing one buffer across
-// decisions allocates nothing once the slices have grown to the request
-// size. served is false when the view set declines (see
+// allocateScoredInto serves the decision from the stream's accounting
+// and the shape's score table, writing the winner into buf: its slices
+// are truncated and refilled in place, so a caller reusing one buffer
+// across decisions allocates nothing once the slices have grown to the
+// request size. served is false when the view set declines (see
 // matchcache.Views.SelectLive) and the caller must search.
 func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, req Request) (err error, served bool) {
 	served = p.views.SelectLive(req.Pattern, usable, p.maxCandidates, p.workers,
-		func(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
-			best, ok := p.pickScored(lv, bw, tbl, req, truncated)
+		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+			best, ok := p.pickScored(bw, tbl, req, truncated)
 			if !ok {
 				err = ErrNoAllocation
 				return
@@ -79,10 +87,12 @@ func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, re
 // pickScored selects the winning universe index among the live
 // candidates, dispatching on how static the request's selection order
 // is. ok is false when no candidate is live.
-func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, req Request, truncated bool) (int, bool) {
-	if lv.Len() == 0 {
+func (p *mapaPolicy) pickScored(bw *match.BandwidthAccounting, tbl *score.Table, req Request, truncated bool) (int, bool) {
+	k := req.NumGPUs()
+	if bw.UsableCount() < k {
 		return 0, false
 	}
+	usable := bw.Usable()
 	mt := tbl.ForModel(p.scorer.Model)
 	r := p.rank(req)
 	if truncated {
@@ -90,7 +100,7 @@ func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccountin
 		// candidates in enumeration order — the exact prefix a capped
 		// search would materialize — so the static orders (which ignore
 		// enumeration order) do not apply; stream the capped prefix.
-		return scoredArgmaxCapped(lv, bw, tbl, mt, r, p.maxCandidates), true
+		return scoredArgmaxCapped(usable, bw, tbl, mt, r, p.maxCandidates), true
 	}
 	var s int
 	switch r[0] {
@@ -99,15 +109,15 @@ func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccountin
 		if r[1] == metricEffBW {
 			// Greedy: the order embodies the full total order, so the
 			// first live set holds the winner outright.
-			s = firstLive(lv, ord)
+			s = int(ord[firstLive(usable, tbl, ord)])
 		} else {
-			s = scoredGroupArgmax(lv, bw, tbl, mt, r[1], ord, ends)
+			s = scoredGroupArgmax(usable, bw, tbl, mt, r[1], ord, ends)
 		}
 	case metricEffBW:
 		ord, ends := mt.EffGroups()
-		s = scoredGroupArgmax(lv, bw, tbl, mt, r[1], ord, ends)
+		s = scoredGroupArgmax(usable, bw, tbl, mt, r[1], ord, ends)
 	default:
-		s = scoredArgmaxPreserved(lv, bw, tbl, mt, r[1])
+		s = p.walk.preservedArgmax(bw, tbl, mt, r[1], k)
 	}
 	if r[0] == metricAggBW || r[1] == metricAggBW {
 		return tbl.AggRep(s), true
@@ -115,16 +125,43 @@ func (p *mapaPolicy) pickScored(lv *match.LiveView, bw *match.BandwidthAccountin
 	return tbl.KeyRep(s), true
 }
 
-// firstLive returns the first live set in the given order. The caller
-// guarantees at least one set is live.
-func firstLive(lv *match.LiveView, ord []int32) int {
-	live := lv.LiveSets()
-	for _, s := range ord {
-		if live.Has(int(s)) {
-			return int(s)
+// live reports whether a GPU set lies in the usable mask — on a
+// complete machine graph, whether it hosts a live embedding. The GPUs
+// are the machine's, so their words are in the mask.
+func live(usable graph.Bitset, gpus []int) bool {
+	for _, g := range gpus {
+		if usable[g>>6]&(1<<(uint(g)&63)) == 0 {
+			return false
 		}
 	}
-	panic("policy: no live set despite non-empty live view")
+	return true
+}
+
+// preservedIfLive is live and Eq. 3 for set s in one pass over its
+// GPUs, summing the drop in the operand order of
+// BandwidthAccounting.PreservedBW (the values are bit-equal; all
+// weights are integral): ok is false when s is not live.
+func preservedIfLive(usable graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, s int) (v float64, ok bool) {
+	inc := bw.IncidentView()
+	var drop float64
+	for _, g := range tbl.SetGPUs(s) {
+		if usable[g>>6]&(1<<(uint(g)&63)) == 0 {
+			return 0, false
+		}
+		drop += inc[g]
+	}
+	return bw.FreeWeight() - drop + tbl.SetInternal(s), true
+}
+
+// firstLive returns the position of the first live set in the given
+// order. The caller guarantees at least one set is live.
+func firstLive(usable graph.Bitset, tbl *score.Table, ord []int32) int {
+	for j, s := range ord {
+		if live(usable, tbl.SetGPUs(int(s))) {
+			return j
+		}
+	}
+	panic("policy: no live set despite k usable GPUs")
 }
 
 // setMetric evaluates one selection-order dimension of GPU set s — a
@@ -163,12 +200,12 @@ func candidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.
 // argmax under the total order r: primary, secondary, GPU set, key.
 // The secondary metric is computed only on primary ties (lazily for the
 // incumbent, memoized while it stands).
-func scoredArgmaxCapped(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, r [2]metric, max int) int {
+func scoredArgmaxCapped(usable graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, r [2]metric, max int) int {
 	best := -1
 	var bestP, bestS float64
 	hasBestS := false
 	for i, n := 0, 0; n < max && i < tbl.Len(); i++ {
-		if !lv.Live(i) {
+		if !live(usable, tbl.GPUs(i)) {
 			continue
 		}
 		n++
@@ -208,45 +245,183 @@ func candidateTieBreak(tbl *score.Table, i, best int) bool {
 	return u.Key(i) < u.Key(best)
 }
 
-// scoredArgmaxPreserved is the argmax over live sets for a PreservedBW
-// primary — the insensitive-Preserve hot loop. Eq. 3 is evaluated
-// inline against the accounting's incident view with the exact operand
-// order of BandwidthAccounting.PreservedBW (all weights integral, so
-// the sums are exact and the values bit-equal), reading the set-indexed
-// columns directly. The secondary metric is a static table lookup
-// computed only on primary ties, and equal sets are told apart by their
-// GPU lists.
-func scoredArgmaxPreserved(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric) int {
+// preservedWalk is the scratch of preservedArgmax, grown once and
+// reused by every later decision: the walk's position stack, the
+// running drop per depth, a leaf's GPUs in ascending order, the
+// incumbent's GPUs as a mask, and per position of the incident order
+// whether every GPU from there on that is no larger than the
+// incumbent's largest belongs to the incumbent (lexFloor). A policy
+// decides one request at a time (its callers serialize decisions), so
+// one scratch per policy suffices.
+type preservedWalk struct {
+	pos      []int
+	drop     []float64
+	gpus     []int
+	inBest   graph.Bitset
+	lexFloor []bool
+}
+
+// preservedArgmax is the argmax over live sets for a PreservedBW
+// primary — the insensitive-Preserve decision — as a bounded
+// depth-first walk over k-combinations of the usable GPUs, taken in
+// ascending incident weight (bw.ByIncident: ties by ID, with prefix
+// sums). A partial choice whose drop so far is d, with r GPUs left to
+// pick from position j on, preserves at most
+//
+//	totalFree − (d + Σ incident of the r GPUs at j…j+r−1) + MaxInternal,
+//
+// since those r are the lightest left and no set's internal weight
+// exceeds MaxInternal. A choice whose bound falls strictly below the
+// best PreservedBW found so far is cut, together with every later
+// choice at its depth (their bounds only shrink along the ascending
+// order). A choice whose bound merely equals it is cut only when
+// nothing below it can win the tie: the incumbent already holds the
+// largest secondary value in the table, and every GPU the subtree can
+// draw that is smaller than the incumbent's largest is one of the
+// incumbent's own, so no set below is lexicographically smaller. The
+// result is exactly the full scan's:
+//
+//   - every weight is integral, so every sum and bound is exact;
+//   - a set cut on a strict bound is strictly worse, and a set cut on
+//     an equal bound loses the tie-break;
+//   - the comparator — PreservedBW, the secondary metric, then the GPU
+//     set — is a total order, so the visit order cannot change the
+//     winner.
+//
+// A leaf prices its internal weight from the accounting's pair weights
+// and is dropped when strictly worse; only a leaf that could still win
+// pays the set's rank (score.Table.Rank) and, on a tie, the secondary
+// metric. sec is the order's secondary metric (never PreservedBW); k
+// the pattern size, with at least k GPUs usable.
+func (w *preservedWalk) preservedArgmax(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, k int) int {
+	order, prefix := bw.ByIncident()
 	inc := bw.IncidentView()
-	tot := bw.FreeWeight()
+	tot, maxInt := bw.FreeWeight(), tbl.MaxInternal()
+	maxSec := mt.MaxSetEffBW()
+	if sec == metricAggBW {
+		maxSec = tbl.MaxSetAggBW()
+	}
+	m := len(order)
+	if len(w.pos) < k {
+		w.pos, w.drop, w.gpus = make([]int, k), make([]float64, k+1), make([]int, k)
+	}
+	if len(w.lexFloor) < len(inc)+1 {
+		w.inBest, w.lexFloor = graph.NewBitset(len(inc)), make([]bool, len(inc)+1)
+	}
+	pos, drop, gpus := w.pos[:k], w.drop[:k+1], w.gpus[:k]
 	best := -1
 	var bestP, bestS float64
-	hasBestS := false
-	for wi, w := range lv.LiveSets() {
-		base := wi * 64
-		for w != 0 {
-			s := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			var drop float64
-			for _, g := range tbl.SetGPUs(s) {
-				drop += inc[g]
+	var bestGPUs []int
+	hasBestS, hasFloor := false, false
+	// A choice is cut when its least drop exceeds limit, the drop at
+	// which even MaxInternal only reaches the incumbent.
+	limit := math.Inf(1)
+	d := 0
+	pos[0], drop[0] = 0, 0
+	for d >= 0 {
+		j, r := pos[d], k-d
+		var least float64
+		if j <= m-r {
+			least = drop[d] + prefix[j+r] - prefix[j]
+		}
+		if j > m-r || least > limit {
+			// Out of GPUs, or this and every later choice at depth d is
+			// cut: back up.
+			if d--; d >= 0 {
+				pos[d]++
 			}
-			ps := tot - drop + tbl.SetInternal(s)
-			if ps > bestP || best < 0 {
-				best, bestP, hasBestS = s, ps, false
-			} else if ps == bestP {
-				if !hasBestS {
-					bestS = setMetric(bw, tbl, mt, sec, best)
-					hasBestS = true
-				}
-				ss := setMetric(bw, tbl, mt, sec, s)
-				if ss > bestS || (ss == bestS && lexLess(tbl.SetGPUs(s), tbl.SetGPUs(best))) {
-					best, bestS = s, ss
-				}
+			continue
+		}
+		if least == limit {
+			if !hasBestS {
+				bestS, hasBestS = setMetric(bw, tbl, mt, sec, best), true
+			}
+			if bestS >= maxSec && w.lexSettled(order, pos[:d+1], bestGPUs, &hasFloor) {
+				pos[d]++
+				continue
+			}
+		}
+		drop[d+1] = drop[d] + inc[order[j]]
+		if r > 1 {
+			d++
+			pos[d] = j + 1
+			continue
+		}
+		// A leaf: the set at positions pos[0..k-1].
+		var internal float64
+		for a := 0; a < k; a++ {
+			g := int(order[pos[a]])
+			for b := a + 1; b < k; b++ {
+				internal += bw.Weight(g, int(order[pos[b]]))
+			}
+			// The leaf's GPUs in ascending order, for the rank and the
+			// GPU-set tie-break.
+			b := a
+			for ; b > 0 && gpus[b-1] > g; b-- {
+				gpus[b] = gpus[b-1]
+			}
+			gpus[b] = g
+		}
+		pos[d]++
+		ps := tot - drop[k] + internal
+		s := -1
+		switch {
+		case best < 0 || ps > bestP:
+			s, bestP, hasBestS = tbl.Rank(gpus), ps, false
+			limit = tot + maxInt - ps
+		case ps == bestP:
+			if !hasBestS {
+				bestS, hasBestS = setMetric(bw, tbl, mt, sec, best), true
+			}
+			less := lexLess(gpus, bestGPUs)
+			if !less && bestS >= maxSec {
+				break
+			}
+			r := tbl.Rank(gpus)
+			if ss := setMetric(bw, tbl, mt, sec, r); ss > bestS || (ss == bestS && less) {
+				s, bestS = r, ss
+			}
+		}
+		if s >= 0 {
+			for _, g := range bestGPUs {
+				w.inBest.Unset(g)
+			}
+			best, bestGPUs, hasFloor = s, tbl.SetGPUs(s), false
+			for _, g := range bestGPUs {
+				w.inBest.Set(g)
 			}
 		}
 	}
+	for _, g := range bestGPUs {
+		w.inBest.Unset(g)
+	}
 	return best
+}
+
+// lexSettled reports whether no set extending the chosen positions
+// (the last one being the current choice) with GPUs from later
+// positions is lexicographically smaller than the incumbent: that
+// holds when every such GPU smaller than the incumbent's largest is
+// one of the incumbent's own — then, for any other set S of the same
+// size, the smallest GPU in exactly one of S and the incumbent belongs
+// to the incumbent. lexFloor is rebuilt once per incumbent (hasFloor).
+func (w *preservedWalk) lexSettled(order []int32, chosen []int, bestGPUs []int, hasFloor *bool) bool {
+	top := bestGPUs[len(bestGPUs)-1]
+	if !*hasFloor {
+		m := len(order)
+		w.lexFloor[m] = true
+		for i := m - 1; i >= 0; i-- {
+			g := int(order[i])
+			w.lexFloor[i] = w.lexFloor[i+1] && (g > top || w.inBest.Has(g))
+		}
+		*hasFloor = true
+	}
+	for _, p := range chosen {
+		if g := int(order[p]); g < top && !w.inBest.Has(g) {
+			return false
+		}
+	}
+	return w.lexFloor[chosen[len(chosen)-1]+1]
 }
 
 // scoredGroupArgmax serves a static-primary order: ord is sorted by the
@@ -258,25 +433,24 @@ func scoredArgmaxPreserved(lv *match.LiveView, bw *match.BandwidthAccounting, tb
 // by construction, so only the secondary metric's O(k) arithmetic and
 // the static tie-break run, over one precomputed index range with no
 // temporary slices.
-func scoredGroupArgmax(lv *match.LiveView, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, ord, ends []int32) int {
-	live := lv.LiveSets()
-	j0 := 0
-	for ; j0 < len(ord); j0++ {
-		if live.Has(int(ord[j0])) {
-			break
-		}
-	}
-	if j0 == len(ord) {
-		panic("policy: no live set despite non-empty live view")
-	}
+func scoredGroupArgmax(usable graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, ord, ends []int32) int {
+	j0 := firstLive(usable, tbl, ord)
 	best := int(ord[j0])
 	bestS := setMetric(bw, tbl, mt, sec, best)
 	for j := j0 + 1; j < int(ends[j0]); j++ {
 		s := int(ord[j])
-		if !live.Has(s) {
+		var ss float64
+		if sec == metricPreservedBW {
+			v, ok := preservedIfLive(usable, bw, tbl, s)
+			if !ok {
+				continue
+			}
+			ss = v
+		} else if live(usable, tbl.SetGPUs(s)) {
+			ss = setMetric(bw, tbl, mt, sec, s)
+		} else {
 			continue
 		}
-		ss := setMetric(bw, tbl, mt, sec, s)
 		if ss > bestS || (ss == bestS && lexLess(tbl.SetGPUs(s), tbl.SetGPUs(best))) {
 			best, bestS = s, ss
 		}

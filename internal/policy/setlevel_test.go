@@ -110,9 +110,9 @@ func refScoredGroupArgmax(live graph.Bitset, bw *match.BandwidthAccounting, tbl 
 	return best
 }
 
-// refScoredArgmaxPreserved streams every live embedding for a
+// refCandidateArgmaxPreserved streams every live embedding for a
 // PreservedBW primary.
-func refScoredArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric) int {
+func refCandidateArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric) int {
 	inc := bw.IncidentView()
 	tot := bw.FreeWeight()
 	best := -1
@@ -156,12 +156,12 @@ func refPick(p *mapaPolicy, live graph.Bitset, bw *match.BandwidthAccounting, tb
 	case metricEffBW:
 		return refScoredGroupArgmax(live, bw, tbl, mt, r[1], eff, effEnds)
 	default:
-		return refScoredArgmaxPreserved(live, bw, tbl, mt, r[1])
+		return refCandidateArgmaxPreserved(live, bw, tbl, mt, r[1])
 	}
 }
 
 // TestSetSelectionMatchesCandidateSelection compares the set-level
-// table-served selection (pickScored over a LiveView) with the
+// table-served selection (pickScored on a stream's accounting) with the
 // per-candidate selection above, whose live set comes straight from
 // Universe.Filter: on random availability masks from nearly idle to
 // nearly full, for every policy and sensitivity, the two must choose
@@ -215,8 +215,6 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 				tbl := score.BuildTable(top, shape, u, 2)
 				mt := tbl.ForModel(scorer.Model)
 				agg, aggEnds, eff, effEnds := refCandidateOrders(tbl, mt)
-				lv := match.NewLiveView(u, top.Graph.VertexBitset())
-				none := graph.NewBitset(capacity)
 				for m := 0; m < masks; m++ {
 					density := rng.Float64()
 					usable := graph.NewBitset(capacity)
@@ -225,7 +223,6 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 							usable.Set(g)
 						}
 					}
-					lv.Sync(usable, none)
 					bw := match.NewBandwidthAccounting(top.Graph, usable, capacity)
 					idx, _ := u.Filter(usable, 0)
 					live := graph.NewBitset(u.Len())
@@ -236,7 +233,7 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 						for _, sensitive := range []bool{true, false} {
 							req := Request{Pattern: shape, Sensitive: sensitive}
 							label := fmt.Sprintf("%v mask %d %s sensitive=%v", shape.Edges(), m, p.name, sensitive)
-							got, ok := p.pickScored(lv, bw, tbl, req, false)
+							got, ok := p.pickScored(bw, tbl, req, false)
 							if ok != (len(idx) > 0) {
 								t.Fatalf("%s: served=%v with %d live candidates", label, ok, len(idx))
 							}

@@ -78,8 +78,8 @@ type Engine struct {
 	// search per decision, the paper's pipeline and the reference the
 	// parity tests compare against.
 	Universes *matchcache.Store
-	// Views is the run's live-view set: per-shape candidate views over
-	// Universes, fed the run's allocate/release/health deltas. Run
+	// Views is the run's view set over Universes: the usable mask and
+	// Eq. 3 accounting, fed the run's allocate/release/health deltas. Run
 	// creates a fresh set for each simulation (views track one
 	// availability stream, so they are per-run even when the store is
 	// shared) and leaves it here for inspection; nil when Universes is.

@@ -1,6 +1,8 @@
 package score
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -18,9 +20,9 @@ import (
 // link mix, the internal hardware-edge weight (the per-set constant of
 // the Eq. 3 delta decomposition), and the ascending GPU set itself — so
 // those are stored once per distinct set (match.Universe.SetOf). Eq. 3
-// decomposes into a per-decision state term — maintained by
-// match.LiveView's bandwidth accounting — plus the internal-edge
-// constant stored here:
+// decomposes into a per-decision state term — maintained by the
+// stream's match.BandwidthAccounting — plus the internal-edge constant
+// stored here:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
 //
@@ -28,6 +30,21 @@ import (
 // table lookups and O(k) arithmetic, never calling Scorer.Score (see
 // Evaluations). All weights are integral link bandwidths, making every
 // stored and derived value bit-identical to the dynamic evaluators.
+//
+// MaxInternal, the largest internal(S), turns the decomposition into a
+// bound for the PreservedBW argmax: no set drawn from GPUs whose
+// incident weights sum to at least D preserves more than
+// totalFreeWeight − D + MaxInternal.
+//
+// Sets are addressable by their GPUs without a lookup structure. Every
+// machine graph is complete, so a complete universe's sets are exactly
+// the C(n, k) k-subsets of the n GPUs, numbered in lexicographic order
+// of their ascending positions in the graph's SortedVertices: on a
+// complete graph the sorted tuple of a set is itself an embedding, the
+// lexicographically smallest one over the set, symmetry breaking keeps
+// exactly that one, and the enumeration emits in lexicographic order.
+// Rank is therefore the combinatorial number system over those
+// positions; BuildTable verifies the numbering and panics if it fails.
 //
 // Since every selection order ties the embeddings of one set on all
 // metrics but AggBW, each set also carries two static representatives:
@@ -60,6 +77,16 @@ type Table struct {
 	gpusArena []int
 	k         int
 
+	// The largest internal weight and AggBW over the sets: the bounds a
+	// PreservedBW-primary selection prunes with.
+	maxInternal, maxAgg float64
+	// rankCoef[i*rankStride+g] is GPU g's term when it is the i-th
+	// smallest of a set, rankBase the number of sets minus one (see
+	// Rank).
+	rankCoef   []int
+	rankStride int
+	rankBase   int
+
 	mu     sync.Mutex
 	models map[*effbw.Model]*ModelTable
 }
@@ -70,7 +97,9 @@ type Table struct {
 // the result is identical at any worker count). Link mixes go through
 // the process-wide memo, so GPU sets shared across shapes, stores, and
 // dynamic decisions decompose once per process. BuildTable panics on an
-// incomplete universe, mirroring Filter.
+// incomplete universe, mirroring Filter, and on one whose sets are not
+// the lexicographically numbered k-subsets of the machine (see Rank) —
+// a universe of an incomplete graph.
 func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe, workers int) *Table {
 	if !u.Complete() {
 		panic("score: BuildTable over an incomplete universe")
@@ -115,7 +144,54 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 		}
 	}
 	t.pickReps()
+	t.indexSets(top.Graph)
 	return t
+}
+
+// indexSets derives the rank coefficients of the combinatorial number
+// system over the graph's sorted vertex positions and checks, in
+// O(sets·k), that the universe numbers its sets by it: with n GPUs, the
+// set at positions p_0 < … < p_{k-1} has lexicographic rank
+//
+//	C(n,k) − 1 − Σ_i C(n−1−p_i, k−i).
+func (t *Table) indexSets(g *graph.Graph) {
+	sets := t.u.Sets()
+	if sets == 0 {
+		return
+	}
+	verts := g.SortedVertices()
+	n, k := len(verts), t.k
+	binom := func(m, j int) int {
+		if j < 0 || j > m {
+			return 0
+		}
+		// C(m, j) by the multiplicative formula, saturating: only terms
+		// of valid sets are summed, and each is below the set count.
+		c := 1
+		for i := 1; i <= j; i++ {
+			if c > math.MaxInt/(m-j+i) {
+				return math.MaxInt
+			}
+			c = c * (m - j + i) / i
+		}
+		return c
+	}
+	t.rankStride = graph.Capacity(g)
+	t.rankCoef = make([]int, k*t.rankStride)
+	for i := 0; i < k; i++ {
+		for p, v := range verts {
+			t.rankCoef[i*t.rankStride+v] = binom(n-1-p, k-i)
+		}
+	}
+	if binom(n, k) != sets {
+		panic(fmt.Sprintf("score: universe holds %d GPU sets, not the C(%d,%d) k-subsets of a complete machine", sets, n, k))
+	}
+	t.rankBase = sets - 1
+	for s := 0; s < sets; s++ {
+		if r := t.Rank(t.SetGPUs(s)); r != s {
+			panic(fmt.Sprintf("score: GPU set %v is set %d, not its lexicographic rank %d", t.SetGPUs(s), s, r))
+		}
+	}
 }
 
 // fill (re)derives candidate i's AggBW from the topology's current pair
@@ -137,9 +213,10 @@ func (t *Table) fill(tm *topoMixes, i int) {
 }
 
 // pickReps chooses every set's two representatives in one pass over
-// the candidates: KeyRep the minimum key, AggRep the maximum AggBW with
-// ties to the minimum key.
+// the candidates — KeyRep the minimum key, AggRep the maximum AggBW with
+// ties to the minimum key — and takes the column maxima.
 func (t *Table) pickReps() {
+	t.maxInternal, t.maxAgg = maxOf(t.internal), maxOf(t.agg)
 	for s := range t.keyRep {
 		first := int32(t.u.SetFirst(s))
 		t.keyRep[s], t.aggRep[s] = first, first
@@ -219,6 +296,32 @@ func (t *Table) SetGPUs(s int) []int {
 // SetInternal returns set s's internal hardware-edge weight.
 func (t *Table) SetInternal(s int) float64 { return t.internal[s] }
 
+// MaxInternal returns the largest SetInternal: the internal-edge term
+// of the PreservedBW upper bound.
+func (t *Table) MaxInternal() float64 { return t.maxInternal }
+
+// MaxSetAggBW returns the largest SetAggBW.
+func (t *Table) MaxSetAggBW() float64 { return t.maxAgg }
+
+// Rank returns the index of the set holding exactly the given GPUs,
+// which must be k distinct GPUs of the machine in ascending order —
+// the inverse of SetGPUs, in O(k).
+func (t *Table) Rank(gpus []int) int {
+	r := t.rankBase
+	for i, g := range gpus {
+		r -= t.rankCoef[i*t.rankStride+g]
+	}
+	return r
+}
+
+// maxOf returns the largest entry of xs, 0 for none.
+func maxOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return slices.Max(xs)
+}
+
 // SetAggBW returns the highest Eq. 1 Aggregated Bandwidth among set s's
 // candidates — its AggRep's.
 func (t *Table) SetAggBW(s int) float64 { return t.agg[t.aggRep[s]] }
@@ -244,7 +347,7 @@ func (t *Table) ForModel(m *effbw.Model) *ModelTable {
 		for s, mix := range t.mix {
 			eff[s] = m.Predict(mix)
 		}
-		mt = &ModelTable{t: t, eff: eff}
+		mt = &ModelTable{t: t, eff: eff, maxEff: maxOf(eff)}
 		t.models[m] = mt
 	}
 	return mt
@@ -254,8 +357,9 @@ func (t *Table) ForModel(m *effbw.Model) *ModelTable {
 // GPU set plus precomputed selection orders over the sets. Safe for
 // concurrent use.
 type ModelTable struct {
-	t   *Table
-	eff []float64 // set -> Eq. 2 prediction
+	t      *Table
+	eff    []float64 // set -> Eq. 2 prediction
+	maxEff float64
 
 	aggOnce  sync.Once
 	aggOrder []int32
@@ -270,6 +374,9 @@ func (mt *ModelTable) EffBW(i int) float64 { return mt.eff[mt.t.u.SetOf(i)] }
 
 // SetEffBW returns set s's Eq. 2 prediction under this model.
 func (mt *ModelTable) SetEffBW(s int) float64 { return mt.eff[s] }
+
+// MaxSetEffBW returns the largest SetEffBW.
+func (mt *ModelTable) MaxSetEffBW() float64 { return mt.maxEff }
 
 // AggGroups returns the sets sorted under the Greedy total order of
 // their AggBW representatives — SetAggBW descending, EffBW descending,

@@ -164,7 +164,7 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	}
 	gauge("mapad_warm", "Whether the construction-time warm set is fully resident (1) or still building (0).", warm)
 	counter("mapad_decisions_table_served_total", "Decisions answered by the table-served selection path (precomputed scores + O(k) arithmetic).", cs.TableServed)
-	counter("mapad_decisions_search_served_total", "Decisions the live views declined (stream out of sync, incomplete universe, foreign truncated prefix), answered by a fresh search.", cs.ViewRejected)
+	counter("mapad_decisions_search_served_total", "Decisions the view streams declined (stream out of sync, incomplete universe, foreign truncated prefix), answered by a fresh search.", cs.ViewRejected)
 	gauge("mapad_universes_resident", "Idle-state match universes resident in the shared store.", cs.Universes)
 	gauge("mapad_score_tables_resident", "Precomputed score tables resident in the shared store.", cs.ScoreTables)
 	fmt.Fprintf(w, "# HELP mapad_universe_build_seconds_total Summed wall time of idle-state universe enumerations.\n")

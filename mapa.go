@@ -394,17 +394,14 @@ type CacheStats struct {
 	Repairs            int
 	RepairedCandidates int
 	RepairTime         time.Duration
-	// LiveViews counts per-shape live views materialized across the
-	// System's own stream and every tenant's (per node and shape on a
-	// fleet's template streams).
-	LiveViews int
-	// TableServed counts decisions answered from a live view and the
-	// shape's score table: precomputed static metrics plus O(k)
+	// TableServed counts decisions answered from the stream's usable
+	// mask and the shape's score table: precomputed static metrics plus
 	// delta-maintained Eq. 3 arithmetic, zero searches and zero dynamic
 	// score evaluations. ViewRejected counts decisions the view layer
-	// declined (stream out of sync, incomplete universe, or a candidate
-	// cap truncating the list for a structurally different build of the
-	// shape); each of those was answered by a fresh search instead.
+	// declined, each answered by a fresh search instead: the stream was
+	// out of sync with the decision's mask, the shape's universe was
+	// incomplete, or a binding candidate cap would serve the truncated
+	// prefix of a structurally different build of the shape.
 	TableServed, ViewRejected uint64
 	// FleetServed counts a fleet System's decisions answered by the
 	// hierarchical template path — table-served by construction — and
@@ -436,7 +433,6 @@ func (s *System) CacheStats() CacheStats {
 		fs = addViewStats(fs, t.fviews.Stats())
 	}
 	s.mu.Unlock()
-	out.LiveViews = vs.Views + fs.Views
 	out.TableServed, out.ViewRejected = vs.TableServed, vs.Rejected
 	out.FleetServed, out.FleetRejected = fs.TableServed, fs.Rejected
 	return out
@@ -454,7 +450,6 @@ func (c *CacheStats) addStore(ss matchcache.StoreStats) {
 }
 
 func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
-	a.Views += b.Views
 	a.TableServed += b.TableServed
 	a.Rejected += b.Rejected
 	return a
@@ -740,9 +735,9 @@ func (s *System) releaseLocked(id int, expired bool) error {
 // topology but become unallocatable until Restore (the ROCm health
 // convention — degraded devices are reported, not hidden). Marking a
 // leased GPU is allowed — the lease keeps running, but the GPU will
-// not rejoin the free pool when released. The event is an O(posting
-// list) delta on the live views' health mask; no universe, table, or
-// view is rebuilt. Marking an unknown or already-unhealthy GPU, or
+// not rejoin the free pool when released. The event is an O(n) delta
+// on each view stream's health mask and Eq. 3 accounting; no universe
+// or table is rebuilt. Marking an unknown or already-unhealthy GPU, or
 // listing one twice, is an error, and an erroring call mutates
 // nothing.
 func (s *System) MarkUnhealthy(gpus ...int) error {
@@ -787,8 +782,8 @@ var ErrFractionalBandwidth = errors.New("link bandwidth must be a whole number o
 // DegradeLink sets the bandwidth of an existing machine link (u,v) to
 // bw GB/s — a link-degradation (or recovery) event. The topology's
 // graphs mutate in place: the link's structure and label survive, only
-// its weight changes, so no universe is re-enumerated and no live-view
-// posting list moves. The derived state is repaired incrementally:
+// its weight changes, so no universe is re-enumerated and liveness is
+// untouched. The derived state is repaired incrementally:
 // built score tables re-derive exactly the candidates containing both
 // endpoints (the ring-channel decomposition prices a physical link
 // only when the allocation holds both ends, so the affected set is

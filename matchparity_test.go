@@ -254,22 +254,27 @@ func TestSystemBackgroundWarmingParity(t *testing.T) {
 	sync1.WaitWarm()
 }
 
-// liveViewChurnVerify asserts the three-way byte-identity the live
-// views guarantee: the delta-maintained candidate list, the
-// full-universe mask filter, and a fresh deduplicated search on the
-// induced availability subgraph must agree on indices, keys, and
-// representative assignment sequences.
-func liveViewChurnVerify(t *testing.T, u *match.Universe, lv *match.LiveView, top *topology.Topology, pattern *graph.Graph, free []int, step string) {
+// liveViewChurnVerify asserts the three-way byte-identity the
+// decision path relies on: the candidates live on the stream's
+// delta-maintained usable mask, the full-universe mask filter, and a
+// fresh deduplicated search on the induced availability subgraph must
+// agree on indices, keys, and representative assignment sequences.
+func liveViewChurnVerify(t *testing.T, u *match.Universe, bw *match.BandwidthAccounting, top *topology.Topology, pattern *graph.Graph, free []int, step string) {
 	t.Helper()
 	avail := top.Graph.InducedSubgraph(free)
 	fidx, _ := u.Filter(avail.VertexBitset(), 0)
-	lidx, _ := lv.Candidates(0)
+	var lidx []int
+	for i := 0; i < u.Len(); i++ {
+		if u.Set(i).SubsetOf(bw.Usable()) {
+			lidx = append(lidx, i)
+		}
+	}
 	if len(lidx) != len(fidx) {
-		t.Fatalf("%s: live view kept %d candidates, Filter %d", step, len(lidx), len(fidx))
+		t.Fatalf("%s: usable mask keeps %d candidates, Filter %d", step, len(lidx), len(fidx))
 	}
 	for j := range fidx {
 		if lidx[j] != fidx[j] {
-			t.Fatalf("%s candidate %d: live view index %d, Filter %d", step, j, lidx[j], fidx[j])
+			t.Fatalf("%s candidate %d: usable-mask index %d, Filter %d", step, j, lidx[j], fidx[j])
 		}
 	}
 	ms, keys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
@@ -293,7 +298,7 @@ func liveViewChurnVerify(t *testing.T, u *match.Universe, lv *match.LiveView, to
 // TestLiveViewChurnParityRandomized is the headline churn-parity
 // suite: >=500 seeded, interleaved allocate/release steps on the
 // DGX-A100 and on the 9-node 72-GPU cluster (whose masks span multiple
-// bitset words), with the live view, Universe.Filter, and a fresh
+// bitset words), with the stream's usable mask, Universe.Filter, and a fresh
 // FindAllDedupedCapped search cross-checked byte-for-byte after every
 // single step.
 func TestLiveViewChurnParityRandomized(t *testing.T) {
@@ -317,7 +322,7 @@ func TestLiveViewChurnParityRandomized(t *testing.T) {
 			if !u.Complete() {
 				t.Fatal("idle-state universe must be complete")
 			}
-			lv := match.NewLiveView(u, tc.top.Graph.VertexBitset())
+			bw := match.NewBandwidthAccounting(tc.top.Graph, tc.top.Graph.VertexBitset(), graph.Capacity(tc.top.Graph))
 			rng := rand.New(rand.NewSource(99))
 
 			free := append([]int(nil), tc.top.GPUs()...)
@@ -341,7 +346,7 @@ func TestLiveViewChurnParityRandomized(t *testing.T) {
 				}
 				d := takeFree(k)
 				deltas = append(deltas, d)
-				lv.Allocate(d)
+				bw.Allocate(d)
 			}
 			for step := 0; step < tc.steps; step++ {
 				k := 1 + rng.Intn(3)
@@ -352,23 +357,23 @@ func TestLiveViewChurnParityRandomized(t *testing.T) {
 					d := deltas[i]
 					deltas[i] = deltas[len(deltas)-1]
 					deltas = deltas[:len(deltas)-1]
-					lv.Release(d)
+					bw.Release(d)
 					free = append(free, d...)
 				} else {
 					d := takeFree(k)
 					deltas = append(deltas, d)
-					lv.Allocate(d)
+					bw.Allocate(d)
 				}
-				liveViewChurnVerify(t, u, lv, tc.top, pattern, free, fmt.Sprintf("step %d", step))
+				liveViewChurnVerify(t, u, bw, tc.top, pattern, free, fmt.Sprintf("step %d", step))
 			}
-			// Full drain must restore the idle view exactly.
+			// Full drain must restore the idle state exactly.
 			for _, d := range deltas {
-				lv.Release(d)
+				bw.Release(d)
 				free = append(free, d...)
 			}
-			liveViewChurnVerify(t, u, lv, tc.top, pattern, free, "after drain")
-			if lv.Len() != u.Len() {
-				t.Fatalf("drained view holds %d live classes, universe %d", lv.Len(), u.Len())
+			liveViewChurnVerify(t, u, bw, tc.top, pattern, free, "after drain")
+			if bw.UsableCount() != tc.top.NumGPUs() {
+				t.Fatalf("drained stream holds %d usable GPUs, machine %d", bw.UsableCount(), tc.top.NumGPUs())
 			}
 		})
 	}
