@@ -1,7 +1,8 @@
 // Command mapad is the MAPA allocator daemon: a long-running HTTP
 // service that leases GPUs on one machine's topology to many
-// concurrent tenants, with each tenant bound to its own live-view
-// stream over one shared match-universe store.
+// concurrent tenants. Every decision goes through the System's one
+// allocator and live-view stream; a tenant is the owner label on its
+// leases, and only the owner may release or renew one.
 //
 // Usage:
 //
@@ -54,7 +55,6 @@ type options struct {
 	workers     int
 	queueDepth  int
 	coalesce    time.Duration
-	maxTenants  int
 
 	journalDir    string
 	fsyncMode     string
@@ -73,7 +73,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "parallel matcher/scoring and universe-build workers (<2 sequential)")
 	flag.IntVar(&o.queueDepth, "queue", server.DefaultQueueDepth, "bounded admission depth; allocates beyond it get 429")
 	flag.DurationVar(&o.coalesce, "coalesce", 0, "coalescing window for identical (shape,size) allocate bursts (0 disables)")
-	flag.IntVar(&o.maxTenants, "max-tenants", server.DefaultMaxTenants, "max distinct tenant streams; overflow serves via the default stream")
 	flag.StringVar(&o.journalDir, "journal", "", "directory for the write-ahead journal + snapshots (empty disables durability)")
 	flag.StringVar(&o.fsyncMode, "fsync", "always", "journal fsync policy: always (fsync per append) or interval (background fsync)")
 	flag.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync=interval")
@@ -120,7 +119,6 @@ func newServer(o options) (*server.Server, *mapa.System, error) {
 	srv := server.New(sys, server.Options{
 		QueueDepth:     o.queueDepth,
 		CoalesceWindow: o.coalesce,
-		MaxTenants:     o.maxTenants,
 	})
 	return srv, sys, nil
 }

@@ -22,7 +22,6 @@ func TestNewServerWiring(t *testing.T) {
 		warmMaxGPUs: 4,
 		queueDepth:  8,
 		coalesce:    time.Millisecond,
-		maxTenants:  4,
 	}
 	srv, sys, err := newServer(o)
 	if err != nil {

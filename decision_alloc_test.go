@@ -182,33 +182,69 @@ func TestAllocateIntoMatchesAllocate(t *testing.T) {
 	}
 }
 
+// tenantSink keeps a handle NewTenant returns on the heap, as a real
+// caller's would be, so the allocation pin counts it.
+var tenantSink *Tenant
+
 // TestSystemCycleAllocations gates a warmed System allocate+release
 // cycle on dgx-a100 and cluster-a100 at its measured cost, 5
 // allocations: the decision's result, the lease record and the Lease.
 // The request's pattern graph comes from the System's pattern memo —
 // built and fingerprinted per request, it cost 21 more. None of it
-// scales with the free set.
+// scales with the free set. A cycle through a tenant handle, with 8
+// handles open, costs the same: a tenant is a handle on the System's
+// one allocator and view stream, and NewTenant allocates the handle
+// and nothing else, on a flat cluster and a 1,000-node fleet alike.
 func TestSystemCycleAllocations(t *testing.T) {
 	const pinned = 5
+	newTenant := func(s *System) func() {
+		return func() {
+			var err error
+			if tenantSink, err = s.NewTenant(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, top := range []string{"dgx-a100", "cluster-a100"} {
 		s, err := NewSystem(top, "preserve", WithWarmShapes(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sensitive := range []bool{true, false} {
-			req := JobRequest{NumGPUs: 3, Shape: "Ring", Sensitive: sensitive}
-			got := testing.AllocsPerRun(100, func() {
-				l, err := s.Allocate(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Release(l); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got > pinned {
-				t.Errorf("%s sensitive=%v: %v allocations per allocate+release cycle, want <= %d", top, sensitive, got, pinned)
+		handles := make([]*Tenant, 8)
+		for i := range handles {
+			if handles[i], err = s.NewTenant(); err != nil {
+				t.Fatal(err)
 			}
 		}
+		for _, sensitive := range []bool{true, false} {
+			for _, via := range []struct {
+				name     string
+				allocate func(JobRequest) (*Lease, error)
+			}{{"system", s.Allocate}, {"tenant", handles[len(handles)-1].Allocate}} {
+				req := JobRequest{NumGPUs: 3, Shape: "Ring", Sensitive: sensitive}
+				got := testing.AllocsPerRun(100, func() {
+					l, err := via.allocate(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Release(l); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got > pinned {
+					t.Errorf("%s sensitive=%v via %s: %v allocations per allocate+release cycle, want <= %d", top, sensitive, via.name, got, pinned)
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(100, newTenant(s)); got != 1 {
+			t.Errorf("%s: NewTenant costs %v allocations, want 1", top, got)
+		}
+	}
+	fleet, err := NewFleetSystem("dgx-a100", 1000, "preserve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, newTenant(fleet)); got != 1 {
+		t.Errorf("1,000-node fleet: NewTenant costs %v allocations, want 1", got)
 	}
 }

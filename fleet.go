@@ -13,10 +13,11 @@
 // exactly what warming a 2-node one does.
 //
 // Everything else is the System: one availability mask, one lease
-// table, one health set, one commit path, TTLs, batches and tenants.
-// The fleet adds a delta stream (matchcache.FleetViews) beside the flat
-// one, and the policy decides on it first (policy.AttachFleet): a pattern that
-// fits inside one node takes the hierarchical two-level path — an
+// table, one health set, one commit path, TTLs, batches and tenant
+// handles. The fleet adds one delta stream (matchcache.FleetViews)
+// beside the flat one — every tenant decides through it, since a
+// tenant is only an owner label — and the policy decides on it first
+// (policy.AttachFleet): a pattern that fits inside one node takes the hierarchical two-level path — an
 // inter-node sweep over cheap per-node aggregates, then the ordinary
 // table-served argmax against the shared class template, with
 // node-local scores translated to exact fleet-global values (see
@@ -78,7 +79,7 @@ func NewFleetSystem(templateName string, nodes int, policyName string, opts ...S
 //
 // A fleet System supports the whole lease lifecycle — Allocate,
 // AllocateBatch, Release, TTLs with Renew/ReapExpired, MarkUnhealthy/
-// Restore and tenants — and rejects what would break node-class
+// Restore and tenant handles — and rejects what would break node-class
 // symmetry or has no snapshot form yet: DegradeLink, Repartition and
 // WithJournal.
 func NewFleetSystemFor(f *topology.Fleet, policyName string, opts ...SystemOption) (*System, error) {

@@ -138,10 +138,9 @@ func (fs *FleetStore) Stats() StoreStats {
 // Views, and is safe for concurrent use; the node Views are reached
 // only under its lock. Like Views, it also tracks the stream's
 // fleet-wide usable mask, and SelectNodes declines a decision made on
-// any other mask — a stream that stopped receiving deltas (a closed
-// tenant's) never serves from stale node state. A delta that
-// contradicts a node's tracked masks, or names a GPU outside the
-// fleet, panics, as on a flat Views.
+// any other mask — a mis-published stream never serves from stale node
+// state. A delta that contradicts a node's tracked masks, or names a
+// GPU outside the fleet, panics, as on a flat Views.
 type FleetViews struct {
 	mu      sync.Mutex
 	fleet   *topology.Fleet

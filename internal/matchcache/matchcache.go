@@ -18,10 +18,11 @@
 // live exactly when its GPUs are all usable — and no per-shape
 // candidate index exists to maintain. SelectLive hands a policy the
 // accounting and the score table, so the decision is table lookups plus
-// O(k) arithmetic; when it declines — the stream is out of sync, the
-// universe overflowed the store capacity, or a candidate cap truncates
-// the live embeddings for a structurally different build of the shape
-// — the policy runs a fresh search on the availability graph instead.
+// O(k) arithmetic; when it declines — a mis-published stream is out of
+// sync, the universe overflowed the store capacity, or a candidate cap
+// truncates the live embeddings for a structurally different build of
+// the shape — the policy runs a fresh search on the availability graph
+// instead.
 //
 // Patterns are keyed canonically (up to isomorphism, via
 // graph.CanonicalForm), so structurally different builds of the same

@@ -17,10 +17,11 @@ type ViewStats struct {
 	// searches, zero universe scans, zero dynamic score.Scorer
 	// evaluations.
 	TableServed uint64
-	// Rejected counts decisions SelectLive declined (availability
-	// stream out of sync, incomplete universe, or a candidate cap that
-	// truncates the list for a structurally different build of the
-	// shape); each one cost the policy a fresh search.
+	// Rejected counts decisions SelectLive declined (incomplete
+	// universe, a candidate cap that truncates the list for a
+	// structurally different build of the shape, or an availability
+	// stream out of sync — which only a mis-published delta causes);
+	// each one cost the policy a fresh search.
 	Rejected uint64
 }
 
@@ -35,8 +36,9 @@ type ViewStats struct {
 // delta costs O(n) arithmetic on the accounting however many shapes
 // the stream serves.
 //
-// A Views is bound to one availability stream (one mapa.System, or one
-// sched.Engine run): the publisher calls Allocate/Release with exactly
+// A Views is bound to one availability stream, and there is one stream
+// per mapa.System (whose tenant handles all decide through it) or per
+// sched.Engine run: the publisher calls Allocate/Release with exactly
 // the GPU-set deltas it applies to its availability mask. SelectLive
 // cross-checks the request's usable mask against the tracked stream
 // and declines to serve on any mismatch, so a mis-published stream

@@ -104,7 +104,7 @@ func (m *metrics) coalesce(joiners int) {
 // gauges, and the System's match-pipeline counters (modeled on the
 // ROCm device plugin's monitoring metrics — health and utilization as
 // first-class series).
-func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDepth int) {
+func (m *metrics) render(w io.Writer, sys *mapa.System, queued, queueDepth int) {
 	m.mu.Lock()
 	keys := make([]reqKey, 0, len(m.requests))
 	for k := range m.requests {
@@ -155,7 +155,6 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	gauge("mapad_gpus_free", "GPUs currently free.", free)
 	gauge("mapad_gpus_unhealthy", "GPUs currently marked unhealthy (visible, unallocatable).", unhealthy)
 	gauge("mapad_leases_active", "Live leases.", sys.ActiveLeases())
-	gauge("mapad_tenants", "Registered tenant streams.", tenants)
 	gauge("mapad_admission_queued", "Requests currently admitted (in flight or queued on the decision lock).", queued)
 	gauge("mapad_admission_depth", "Admission queue capacity.", queueDepth)
 	warm := 0
@@ -164,7 +163,7 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	}
 	gauge("mapad_warm", "Whether the construction-time warm set is fully resident (1) or still building (0).", warm)
 	counter("mapad_decisions_table_served_total", "Decisions answered by the table-served selection path (precomputed scores + O(k) arithmetic).", cs.TableServed)
-	counter("mapad_decisions_search_served_total", "Decisions the view streams declined (stream out of sync, incomplete universe, foreign truncated prefix), answered by a fresh search.", cs.ViewRejected)
+	counter("mapad_decisions_search_served_total", "Decisions the view stream declined (incomplete universe, foreign truncated prefix, or a stream out of sync with the state, which only a mis-published delta causes), answered by a fresh search.", cs.ViewRejected)
 	gauge("mapad_universes_resident", "Idle-state match universes resident in the shared store.", cs.Universes)
 	gauge("mapad_score_tables_resident", "Precomputed score tables resident in the shared store.", cs.ScoreTables)
 	fmt.Fprintf(w, "# HELP mapad_universe_build_seconds_total Summed wall time of idle-state universe enumerations.\n")

@@ -31,11 +31,10 @@
 // stays scrapeable, so load balancers move on while in-flight requests
 // finish and the final snapshot is cut.
 //
-// Tenancy: each distinct tenant name is lazily bound to its own
-// mapa.Tenant — a per-tenant allocator and live-view stream over the
-// shared universe store — and a tenant may only release leases it
-// allocated (403 otherwise). An empty tenant name serves through the
-// System's default stream.
+// Tenancy: a tenant is an owner label. Every allocation is decided by
+// the System's one allocator whatever the tenant, and the label is
+// journaled as the lease's owner; a tenant may only release or renew
+// leases it allocated (403 otherwise).
 package server
 
 import (
@@ -53,11 +52,8 @@ import (
 	"mapa/internal/policy"
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultQueueDepth = 256
-	DefaultMaxTenants = 1024
-)
+// DefaultQueueDepth is the admission depth an Options zero value uses.
+const DefaultQueueDepth = 256
 
 // Options configures a Server.
 type Options struct {
@@ -74,11 +70,6 @@ type Options struct {
 	// each member gets its own lease, byte-identical to sequential
 	// execution. Zero disables coalescing.
 	CoalesceWindow time.Duration
-	// MaxTenants bounds the number of distinct tenant streams; further
-	// tenant names are served through the System's default stream
-	// (decisions stay identical — streams shape contention, not
-	// outcomes). <= 0 uses DefaultMaxTenants.
-	MaxTenants int
 }
 
 // Server is the mapad HTTP handler. Create with New; it is safe for
@@ -92,7 +83,6 @@ type Server struct {
 	draining atomic.Bool
 
 	mu      sync.Mutex
-	tenants map[string]*mapa.Tenant
 	owner   map[int]string // lease ID -> owning tenant name
 	batches map[coalKey]*batch
 }
@@ -104,16 +94,12 @@ func New(sys *mapa.System, opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
 	}
-	if opts.MaxTenants <= 0 {
-		opts.MaxTenants = DefaultMaxTenants
-	}
 	s := &Server{
 		sys:     sys,
 		opts:    opts,
 		admit:   make(chan struct{}, opts.QueueDepth),
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(),
-		tenants: make(map[string]*mapa.Tenant),
 		owner:   make(map[int]string),
 		batches: make(map[coalKey]*batch),
 	}
@@ -160,8 +146,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AllocateRequest is the /v1/allocate body.
 type AllocateRequest struct {
-	// Tenant names the requesting tenant's stream; empty uses the
-	// System default stream.
+	// Tenant names the requesting tenant, the lease's owner label;
+	// empty allocates an unowned lease.
 	Tenant string `json:"tenant,omitempty"`
 	// NumGPUs is the accelerator count (required, >= 1).
 	NumGPUs int `json:"num_gpus"`
@@ -290,40 +276,6 @@ func (s *Server) tryAdmit() bool {
 
 func (s *Server) done() { <-s.admit }
 
-// tenant resolves a tenant name to its stream, creating it on first
-// sight up to MaxTenants; past the cap (and for the empty name) the
-// System's default stream serves — identical decisions, shared
-// contention. The returned Tenant may be nil.
-func (s *Server) tenant(name string) (*mapa.Tenant, error) {
-	if name == "" {
-		return nil, nil
-	}
-	s.mu.Lock()
-	t, ok := s.tenants[name]
-	overflow := !ok && len(s.tenants) >= s.opts.MaxTenants
-	s.mu.Unlock()
-	if ok || overflow {
-		return t, nil
-	}
-	nt, err := s.sys.NewTenant()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[name]; ok {
-		// Lost the registration race; keep the winner's stream.
-		nt.Close()
-		return t, nil
-	}
-	if len(s.tenants) >= s.opts.MaxTenants {
-		nt.Close()
-		return nil, nil
-	}
-	s.tenants[name] = nt
-	return nt, nil
-}
-
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	const route = "allocate"
 	var req AllocateRequest
@@ -344,11 +296,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.done()
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, route, http.StatusInternalServerError, err)
-		return
-	}
 	jr := mapa.JobRequest{
 		NumGPUs:   req.NumGPUs,
 		Shape:     req.Shape,
@@ -358,10 +305,9 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	var lease *mapa.Lease
+	var err error
 	if s.opts.CoalesceWindow > 0 {
 		lease, err = s.allocateCoalesced(jr)
-	} else if t != nil {
-		lease, err = t.Allocate(jr)
 	} else {
 		lease, err = s.sys.Allocate(jr)
 	}
@@ -431,9 +377,7 @@ type batch struct {
 // allocateCoalesced joins or leads the request class's batch. The
 // leader holds the batch open for the coalesce window, then executes
 // it as one System.AllocateBatch; joiners park on done and read their
-// slot. Coalesced decisions run on the System's default stream —
-// identical results to any tenant stream, since decisions are a pure
-// function of machine state.
+// slot.
 func (s *Server) allocateCoalesced(req mapa.JobRequest) (*mapa.Lease, error) {
 	shape := req.Shape
 	if shape == "" {
@@ -605,9 +549,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("metrics", http.StatusOK)
-	s.mu.Lock()
-	tenants := len(s.tenants)
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.sys, tenants, len(s.admit), cap(s.admit))
+	s.metrics.render(w, s.sys, len(s.admit), cap(s.admit))
 }

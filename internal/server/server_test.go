@@ -257,7 +257,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"mapad_allocate_latency_seconds_bucket{le=\"+Inf\"} 1",
 		"mapad_leases_active 1",
 		"mapad_gpus_free 5",
-		"mapad_tenants 1",
 		"mapad_warm 1",
 		"mapad_decisions_table_served_total",
 		"mapad_universes_resident",
@@ -284,9 +283,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestMetricsCountTenantDecisions pins that the decision counters on
-// /metrics cover tenant streams and account for every grant: each
-// decision below is made on a named tenant's stream for a warmed shape,
-// so table_served + search_served must equal the number of grants with
+// /metrics account for every grant, whichever tenant asked: each
+// decision below is for a named tenant and a warmed shape, so
+// table_served + search_served must equal the number of grants with
 // all of them table-served.
 func TestMetricsCountTenantDecisions(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -309,11 +308,8 @@ func TestMetricsCountTenantDecisions(t *testing.T) {
 		}
 	}
 	body := scrape(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "mapad_tenants 2\n") {
-		t.Error("metrics missing the tenant gauge")
-	}
 	// Every grant was decided one of the two ways, and for warmed shapes
-	// on in-sync streams that way is the table.
+	// that way is the table.
 	counter := func(name string) (n int) {
 		t.Helper()
 		i := strings.Index(body, "\n"+name+" ")

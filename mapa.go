@@ -169,16 +169,6 @@ type System struct {
 	fstore *matchcache.FleetStore
 	fviews *matchcache.FleetViews
 
-	// tenants are the live per-tenant serving handles (see NewTenant);
-	// every state delta fans out to each tenant's view streams. Guarded
-	// by mu, like the Tenant fields themselves. closedViewStats and
-	// closedFleetStats keep the view counters of tenants closed since,
-	// so CacheStats' totals never run backwards.
-	tenants          map[int]*Tenant
-	nextTenantID     int
-	closedViewStats  matchcache.ViewStats
-	closedFleetStats matchcache.ViewStats
-
 	// rec is the record storage every transition is filled into and
 	// committed from (see commit), reused so a commit allocates nothing.
 	rec journal.Record
@@ -281,7 +271,7 @@ func NewSystem(topologyName, policyName string, opts ...SystemOption) (*System, 
 		}
 	}
 	s.buildPipeline(true)
-	s.replayViewsLocked(s.views)
+	s.replayViewsLocked()
 	return s, nil
 }
 
@@ -398,16 +388,19 @@ type CacheStats struct {
 	// mask and the shape's score table: precomputed static metrics plus
 	// delta-maintained Eq. 3 arithmetic, zero searches and zero dynamic
 	// score evaluations. ViewRejected counts decisions the view layer
-	// declined, each answered by a fresh search instead: the stream was
-	// out of sync with the decision's mask, the shape's universe was
-	// incomplete, or a binding candidate cap would serve the truncated
-	// prefix of a structurally different build of the shape.
+	// declined, each answered by a fresh search instead: the shape's
+	// universe was incomplete, a binding candidate cap would serve the
+	// truncated prefix of a structurally different build of the shape,
+	// or the stream was out of sync with the decision's mask — a guard
+	// against a mis-published delta, since the System's one stream
+	// receives every committed one.
 	TableServed, ViewRejected uint64
 	// FleetServed counts a fleet System's decisions answered by the
 	// hierarchical template path — table-served by construction — and
 	// FleetRejected those its fleet layer declined to the flat path
-	// (stream out of sync, incomplete class universe, binding candidate
-	// cap). Patterns no node can hold go to the flat path uncounted here.
+	// (incomplete class universe, binding candidate cap, or a
+	// mis-published stream out of sync). Patterns no node can hold go
+	// to the flat path uncounted here.
 	FleetServed, FleetRejected uint64
 }
 
@@ -422,16 +415,8 @@ func (s *System) CacheStats() CacheStats {
 	if s.fstore != nil {
 		out.addStore(s.fstore.Stats())
 	}
-	// A decision is counted on the stream that served it, so the view
-	// counters are summed over the System's own streams, every bound
-	// tenant's, and the tenants closed so far.
 	s.mu.Lock()
-	vs := addViewStats(s.closedViewStats, s.views.Stats())
-	fs := addViewStats(s.closedFleetStats, s.fviews.Stats())
-	for _, t := range s.tenants {
-		vs = addViewStats(vs, t.views.Stats())
-		fs = addViewStats(fs, t.fviews.Stats())
-	}
+	vs, fs := s.views.Stats(), s.fviews.Stats()
 	s.mu.Unlock()
 	out.TableServed, out.ViewRejected = vs.TableServed, vs.Rejected
 	out.FleetServed, out.FleetRejected = fs.TableServed, fs.Rejected
@@ -447,12 +432,6 @@ func (c *CacheStats) addStore(ss matchcache.StoreStats) {
 	c.Repairs += ss.Repairs
 	c.RepairedCandidates += ss.RepairedCandidates
 	c.RepairTime += ss.RepairTime
-}
-
-func addViewStats(a, b matchcache.ViewStats) matchcache.ViewStats {
-	a.TableServed += b.TableServed
-	a.Rejected += b.Rejected
-	return a
 }
 
 // Topology returns the system's topology name (the fleet's name on a
@@ -632,32 +611,27 @@ func (s *System) lockWithPipeline(pattern *graph.Graph, st *matchcache.Store) {
 // before entering the decision critical section, so concurrent
 // Allocate, Release, and health calls proceed while the build runs.
 func (s *System) Allocate(req JobRequest) (*Lease, error) {
-	return s.allocate(nil, req, nil)
+	return s.allocate(req, nil)
 }
 
-// allocate is the shared Allocate body: nil t decides with the
-// System's own allocator and view streams, non-nil t with the tenant's;
-// a nil pattern is built from req's shape.
-func (s *System) allocate(t *Tenant, req JobRequest, pattern *graph.Graph) (*Lease, error) {
+// allocate is the shared Allocate body; a nil pattern is built from
+// req's shape.
+func (s *System) allocate(req JobRequest, pattern *graph.Graph) (*Lease, error) {
 	pattern, st, err := s.prewarm(req, pattern)
 	if err != nil {
 		return nil, err
 	}
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
-	return s.allocateLocked(t, pattern, req)
+	return s.allocateLocked(pattern, req)
 }
 
 // allocateLocked runs one decision + commit under the state lock. The
 // pipeline for pattern's shape must already be resident (prewarm), so
 // the decision itself is table lookups plus O(k) arithmetic on warmed
 // shapes.
-func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest) (*Lease, error) {
-	alloc := s.alloc
-	if t != nil {
-		alloc = t.alloc
-	}
-	a, err := alloc.Allocate(s.top, s.usable, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
+func (s *System) allocateLocked(pattern *graph.Graph, req JobRequest) (*Lease, error) {
+	a, err := s.alloc.Allocate(s.top, s.usable, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", req.NumGPUs, err)
 	}
@@ -707,7 +681,7 @@ func (s *System) AllocateBatch(req JobRequest, n int) ([]*Lease, []error) {
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
 	for i := range leases {
-		leases[i], errs[i] = s.allocateLocked(nil, pattern, req)
+		leases[i], errs[i] = s.allocateLocked(pattern, req)
 	}
 	return leases, errs
 }
@@ -846,18 +820,12 @@ func (s *System) Repartition(slices map[int]int) error {
 	return s.commit(journal.Record{Kind: journal.KindRepartition, Slices: changed})
 }
 
-// viewStream is a live-view set the System publishes deltas to: a flat
-// matchcache.Views or a fleet's matchcache.FleetViews.
-type viewStream interface {
-	Allocate(gpus []int)
-	MarkUnhealthy(gpus []int)
-}
-
 // replayViewsLocked replays the current allocation and health state
-// into fresh view sets. View streams start from the whole machine
-// free, so a set created (or recreated) mid-stream must inherit the
-// live state before it can serve.
-func (s *System) replayViewsLocked(streams ...viewStream) {
+// into a freshly built flat view stream. A stream starts from the whole
+// machine free, so one created mid-stream — after journal recovery or a
+// Repartition — must inherit the live state before it can serve.
+// (Fleets build their stream on an idle System and never rebuild it.)
+func (s *System) replayViewsLocked() {
 	leased := make([]int, 0, len(s.leasedBy))
 	for g := range s.leasedBy {
 		leased = append(leased, g)
@@ -868,13 +836,11 @@ func (s *System) replayViewsLocked(streams ...viewStream) {
 		un = append(un, g)
 	}
 	sort.Ints(un)
-	for _, v := range streams {
-		if len(leased) > 0 {
-			v.Allocate(leased)
-		}
-		if len(un) > 0 {
-			v.MarkUnhealthy(un)
-		}
+	if len(leased) > 0 {
+		s.views.Allocate(leased)
+	}
+	if len(un) > 0 {
+		s.views.MarkUnhealthy(un)
 	}
 }
 

@@ -102,5 +102,5 @@ func (s *System) AllocatePattern(p *Pattern, sensitive bool) (*Lease, error) {
 	if p == nil || p.g.NumVertices() == 0 {
 		return nil, fmt.Errorf("mapa: empty pattern")
 	}
-	return s.allocate(nil, JobRequest{NumGPUs: p.NumGPUs(), Sensitive: sensitive}, p.g)
+	return s.allocate(JobRequest{NumGPUs: p.NumGPUs(), Sensitive: sensitive}, p.g)
 }

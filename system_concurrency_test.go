@@ -129,8 +129,8 @@ func TestTableServedDecisionsDuringColdBuild(t *testing.T) {
 }
 
 // TestCacheStatsCoversTenantStreams pins that the served-tier counters
-// count decisions wherever they were made — the System's own stream or
-// a tenant's — and that closing a tenant keeps what it served.
+// count every decision once, whichever handle made it — the System or
+// a tenant.
 func TestCacheStatsCoversTenantStreams(t *testing.T) {
 	s, err := NewSystem("dgx-a100", "preserve", WithWarmShapes(3))
 	if err != nil {
@@ -156,11 +156,6 @@ func TestCacheStatsCoversTenantStreams(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) || st.ViewRejected != 0 {
 		t.Fatalf("served counters = table %d, rejected %d; want %d table-served decisions", st.TableServed, st.ViewRejected, len(decide))
-	}
-	a.Close()
-	a.Close()
-	if st := s.CacheStats(); st.TableServed != uint64(len(decide)) {
-		t.Fatalf("TableServed = %d after closing a tenant, want %d", st.TableServed, len(decide))
 	}
 }
 
@@ -209,7 +204,7 @@ func randomRequests(maxSize int) func(*rand.Rand) JobRequest {
 }
 
 // hammerSystem runs goroutines×opsEach of mixed Allocate / Release /
-// MarkUnhealthy / Restore traffic — some through per-tenant handles,
+// MarkUnhealthy / Restore traffic — some through tenant handles,
 // allocate requests drawn by request — against a System from build
 // under the race detector, records the observed linearization via the
 // onCommit hook, then replays that linearization into a fresh System
@@ -379,10 +374,10 @@ func TestConcurrentHammerClusterA100(t *testing.T) {
 }
 
 // TestConcurrentHammerFleet runs the same oracle on a 2-node DGX-A100
-// fleet System: hierarchical template decisions on the System's and
-// the tenants' fleet streams, the flat fallback when no node can host
-// a request (up to 5 GPUs on 8-GPU nodes), and health churn — one
-// lease table, replayed byte-identically.
+// fleet System: hierarchical template decisions on the System's fleet
+// stream, through the System and tenant handles, the flat fallback when
+// no node can host a request (up to 5 GPUs on 8-GPU nodes), and health
+// churn — one lease table, replayed byte-identically.
 func TestConcurrentHammerFleet(t *testing.T) {
 	ops := 40
 	if testing.Short() {

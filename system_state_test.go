@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"mapa/internal/graph"
-	"mapa/internal/matchcache"
 )
 
 // checkAvailInvariant asserts the soundness contract of the System's
 // one hardware-state mask: usable is exactly the machine's GPUs minus
-// the leased and the unhealthy ones, and every live-view stream bound
-// to the System — its own and each tenant's, flat and fleet — tracks
-// that same mask, after any interleaving of operations.
+// the leased and the unhealthy ones, and the System's live-view
+// streams — flat and fleet — track that same mask, after any
+// interleaving of operations.
 func checkAvailInvariant(t *testing.T, s *System, step string) {
 	t.Helper()
 	s.mu.Lock()
@@ -37,21 +36,11 @@ func checkAvailInvariant(t *testing.T, s *System, step string) {
 		t.Fatalf("%s: usable is not vertices − leased − unhealthy:\n usable: %v\n want:   %v",
 			step, s.usable.Members(), want.Members())
 	}
-	streams := []*matchcache.Views{s.views}
-	fleetStreams := []*matchcache.FleetViews{s.fviews}
-	for _, tn := range s.tenants {
-		streams = append(streams, tn.views)
-		fleetStreams = append(fleetStreams, tn.fviews)
+	if s.views != nil && !sameMembers(s.views.Usable(), want) {
+		t.Fatalf("%s: view stream tracks %v, usable is %v", step, s.views.Usable().Members(), want.Members())
 	}
-	for i, v := range streams {
-		if v != nil && !sameMembers(v.Usable(), want) {
-			t.Fatalf("%s: view stream %d tracks %v, usable is %v", step, i, v.Usable().Members(), want.Members())
-		}
-	}
-	for i, v := range fleetStreams {
-		if v != nil && !v.Usable().Equal(want) {
-			t.Fatalf("%s: fleet view stream %d tracks %v, usable is %v", step, i, v.Usable().Members(), want.Members())
-		}
+	if s.fviews != nil && !s.fviews.Usable().Equal(want) {
+		t.Fatalf("%s: fleet view stream tracks %v, usable is %v", step, s.fviews.Usable().Members(), want.Members())
 	}
 }
 

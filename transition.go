@@ -308,20 +308,16 @@ func (s *System) apply(rec *journal.Record, rc *recut) {
 			s.warmDone = nil
 		}
 		s.installRecut(rc)
-		// During recovery there is no pipeline yet and no tenants:
-		// NewSystem retrains the scorer and builds the pipeline once, for
-		// the final recovered topology, after the last record is applied.
+		// During recovery there is no pipeline yet: NewSystem retrains
+		// the scorer and builds the pipeline once, for the final
+		// recovered topology, after the last record is applied.
 		// Otherwise the fresh pipeline inherits the surviving allocation
-		// and health state, and tenant streams are rebound to it the same
-		// way, so live tenants keep serving across the re-cut.
+		// and health state.
 		if !s.recovering {
 			s.scorer = score.NewScorer(effbw.TrainedFor(s.top))
 			policy.SetScorer(s.alloc, s.scorer)
 			s.buildPipeline(false)
-			s.replayViewsLocked(s.views)
-			for _, t := range s.tenants {
-				s.bindTenantLocked(t)
-			}
+			s.replayViewsLocked()
 		}
 	case journal.KindRenew:
 		if rec.Deadline == 0 {
@@ -367,53 +363,34 @@ func setWeight(g *graph.Graph, u, v int, bw float64) bool {
 	return ok
 }
 
-// publishAllocate fans an allocation delta out to every live-view
-// stream bound to this System — its own and each tenant's, flat and
-// (on a fleet) template streams alike; nil streams ignore deltas.
+// publishAllocate publishes an allocation delta to the System's view
+// streams, flat and (on a fleet) template alike; nil streams ignore
+// deltas.
 func (s *System) publishAllocate(gpus []int) {
 	s.views.Allocate(gpus)
 	s.fviews.Allocate(gpus)
-	for _, t := range s.tenants {
-		t.views.Allocate(gpus)
-		t.fviews.Allocate(gpus)
-	}
 }
 
-// publishRelease fans a release delta out to every view stream.
+// publishRelease publishes a release delta to the view streams.
 func (s *System) publishRelease(gpus []int) {
 	s.views.Release(gpus)
 	s.fviews.Release(gpus)
-	for _, t := range s.tenants {
-		t.views.Release(gpus)
-		t.fviews.Release(gpus)
-	}
 }
 
-// publishMarkUnhealthy fans a health delta out to every view stream.
+// publishMarkUnhealthy publishes a health delta to the view streams.
 func (s *System) publishMarkUnhealthy(gpus []int) {
 	s.views.MarkUnhealthy(gpus)
 	s.fviews.MarkUnhealthy(gpus)
-	for _, t := range s.tenants {
-		t.views.MarkUnhealthy(gpus)
-		t.fviews.MarkUnhealthy(gpus)
-	}
 }
 
-// publishRestoreHealth fans a recovery delta out to every view stream.
+// publishRestoreHealth publishes a recovery delta to the view streams.
 func (s *System) publishRestoreHealth(gpus []int) {
 	s.views.RestoreHealth(gpus)
 	s.fviews.RestoreHealth(gpus)
-	for _, t := range s.tenants {
-		t.views.RestoreHealth(gpus)
-		t.fviews.RestoreHealth(gpus)
-	}
 }
 
-// publishUpdateEdge fans a link-weight delta out to every flat view
+// publishUpdateEdge publishes a link-weight delta to the flat view
 // stream (fleets reject link degradation).
 func (s *System) publishUpdateEdge(u, v int, bw float64) {
 	s.views.UpdateEdge(u, v, bw)
-	for _, t := range s.tenants {
-		t.views.UpdateEdge(u, v, bw)
-	}
 }
