@@ -31,7 +31,7 @@ func BenchmarkTopologyRepair(b *testing.B) {
 	// make them catch up with the deltas published since.
 	consult := func(avail graph.Bitset) {
 		for _, shape := range shapes {
-			ok := views.SelectLive(shape, avail, 0, 1, func(*match.BandwidthAccounting, *score.Table, []int, bool) {})
+			ok := views.SelectLive(shape, avail, 0, 1, func(*match.BandwidthAccounting, *score.Table, []int) {})
 			if !ok {
 				b.Fatalf("warmed %d-GPU shape not view-served", shape.NumVertices())
 			}

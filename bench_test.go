@@ -732,10 +732,11 @@ func BenchmarkAllocationDecisionParallel(b *testing.B) {
 }
 
 // BenchmarkUniverseBuildCluster measures the one-time idle-state
-// universe build — the cold-start enumeration on the serving path of
-// every large machine — for Ring(3) on the 72-GPU cluster-a100
-// (~426K raw embeddings, 59,640 classes) at 1/2/4/8 workers; it also
-// reports the built universe size (classes, must equal C(72,3)).
+// build on the serving path of every large machine — the closed-form
+// universe plus its score table, the table filled at 1/2/4/8 workers —
+// for Ring(3) on the 72-GPU cluster-a100 (~426K raw embeddings, 59,640
+// classes); it also reports the universe size (classes, must equal
+// C(72,3)).
 func BenchmarkUniverseBuildCluster(b *testing.B) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
@@ -744,7 +745,8 @@ func BenchmarkUniverseBuildCluster(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var u *match.Universe
 			for i := 0; i < b.N; i++ {
-				u = match.BuildUniverse(pattern, top.Graph, 0, workers)
+				u = match.BuildUniverse(pattern, top.Graph, 0)
+				score.BuildTable(top, pattern, u, workers)
 			}
 			if u.Len() != wantClasses {
 				b.Fatalf("universe holds %d classes, want %d", u.Len(), wantClasses)

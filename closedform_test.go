@@ -12,14 +12,17 @@ import (
 	"mapa/internal/topology"
 )
 
-// TestUniverseIsClosedForm pins the numbering score.Table.Rank relies
-// on: on every machine a System can run on, a complete universe's GPU
-// sets are exactly the C(n, k) k-subsets of the machine's n GPUs,
-// numbered in lexicographic order of their positions in the sorted
-// vertex list, and Rank inverts SetGPUs. The machines are the catalog
-// (shapes up to 5 GPUs), the 72-GPU cluster (up to 3; larger universes
-// overflow the default capacity), a composed MIG DGX-A100 with sparse
-// virtual IDs, and the machine a System runs on after Repartition.
+// TestUniverseIsClosedForm pins the closed form match.Universe is: on
+// every machine a System can run on, the symmetry-broken search's
+// embeddings occupy exactly the C(n, k) k-subsets of the machine's n
+// GPUs, the table numbers them in lexicographic order of their
+// positions in the sorted vertex list with Rank inverting SetGPUs, and
+// every set's embeddings, in emission order, are its ascending GPUs
+// composed with the universe's permutations, in order. The machines
+// are the catalog (shapes up to 5 GPUs), the 72-GPU cluster (up to 3;
+// larger universes overflow the default capacity), a composed MIG
+// DGX-A100 with sparse virtual IDs, and the machine a System runs on
+// after Repartition.
 func TestUniverseIsClosedForm(t *testing.T) {
 	type machine struct {
 		name string
@@ -60,11 +63,14 @@ func TestUniverseIsClosedForm(t *testing.T) {
 					continue
 				}
 				seen[form] = true
-				u := match.BuildUniverse(pattern, m.top.Graph, 0, 2)
+				u := match.BuildUniverse(pattern, m.top.Graph, 0)
 				if !u.Complete() {
 					t.Fatalf("%v: universe incomplete", pattern.Edges())
 				}
-				checkClosedForm(t, fmt.Sprint(pattern.Edges()), m.top, score.BuildTable(m.top, pattern, u, 2), pattern.NumVertices())
+				label := fmt.Sprint(pattern.Edges())
+				tbl := score.BuildTable(m.top, pattern, u, 2)
+				checkClosedForm(t, label, m.top, tbl, pattern.NumVertices())
+				checkPermutations(t, label, tbl, match.FindAllDedupedParallel(pattern, m.top.Graph, 2))
 			}
 		})
 	}
@@ -112,5 +118,36 @@ func checkClosedForm(t *testing.T, label string, top *topology.Topology, tbl *sc
 	}
 	if s != tbl.Universe().Sets() {
 		t.Fatalf("%s: %d k-subsets, the universe holds %d sets", label, s, tbl.Universe().Sets())
+	}
+}
+
+// checkPermutations groups the search's embeddings by GPU set — sets in
+// lexicographic order, a set's embeddings in emission order — and
+// requires candidate (s, p) of the closed form, set s's GPUs composed
+// with permutation p, to be the p-th embedding of the s-th set.
+func checkPermutations(t *testing.T, label string, tbl *score.Table, ms []match.Match) {
+	t.Helper()
+	u := tbl.Universe()
+	sets := make([][]int, len(ms))
+	for i, m := range ms {
+		sets[i] = m.DataVertices()
+	}
+	idx := make([]int, len(ms))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return slices.Compare(sets[a], sets[b]) })
+	if len(idx) != u.Len() {
+		t.Fatalf("%s: the search finds %d embeddings, the closed form %d sets × %d", label, len(idx), u.Sets(), u.Perms())
+	}
+	data := make([]int, len(u.Order()))
+	for i, j := range idx {
+		s, p := i/u.Perms(), i%u.Perms()
+		for d, q := range u.Perm(p) {
+			data[d] = tbl.SetGPUs(s)[q]
+		}
+		if m := ms[j]; !slices.Equal(m.Pattern, u.Order()) || !slices.Equal(m.Data, data) {
+			t.Fatalf("%s: set %d embedding %d is %v->%v, the search's %v->%v", label, s, p, u.Order(), data, m.Pattern, m.Data)
+		}
 	}
 }

@@ -47,10 +47,11 @@ func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool, workers int)
 }
 
 // TestClusterEndToEndMultiWordParity is the multi-node end-to-end
-// check: on a >64-GPU machine — availability masks, universe bitsets
-// and live sets all spanning multiple uint64 words, every live set
-// truncated by the cap — the table-served pipeline must replay the
-// sequential search's allocation trace byte for byte.
+// check: on a >64-GPU machine — availability masks and live sets
+// spanning multiple uint64 words, most live lists truncated by the cap
+// — the pipeline must replay the sequential search's allocation trace
+// byte for byte. A decision whose cap binds declines to the search;
+// the 1-GPU ones (72 candidates) stay table-served.
 func TestClusterEndToEndMultiWordParity(t *testing.T) {
 	jobList, err := jobs.Generate(jobs.GenerateConfig{N: 10, MaxGPUs: 3, Seed: 11})
 	if err != nil {
@@ -71,8 +72,8 @@ func TestClusterEndToEndMultiWordParity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		viewed, ve := clusterTrace(t, jobList, true, workers)
 		compare(fmt.Sprintf("table-served pipeline (workers %d)", workers), viewed)
-		if vs := ve.Views.Stats(); vs.TableServed == 0 || vs.Rejected != 0 {
-			t.Fatalf("cluster run (workers %d) was not table-served: %+v", workers, vs)
+		if vs := ve.Views.Stats(); vs.TableServed == 0 || vs.Rejected == 0 || vs.TableServed+vs.Rejected != uint64(len(jobList)) {
+			t.Fatalf("cluster run (workers %d): %+v, want the %d decisions split between the table and capped declines", workers, vs, len(jobList))
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestClusterGoldenEmbeddingCounts(t *testing.T) {
 func TestClusterUniverseFiltersAcrossWordBoundary(t *testing.T) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
-	u := BuildUniverse(pattern, top.Graph, 0, 1)
+	u := BuildUniverse(pattern, top.Graph, 0)
 	if !u.Complete() {
 		t.Fatal("triangle universe on the cluster must be complete")
 	}
@@ -91,8 +91,8 @@ func TestClusterUniverseFiltersAcrossWordBoundary(t *testing.T) {
 			t.Fatalf("%s: sequential enumeration found %d classes, filter %d", tc.name, len(wantKeys), len(idx))
 		}
 		for j, i := range idx {
-			if u.Key(i) != wantKeys[j] {
-				t.Fatalf("%s class %d: key %q, want %q", tc.name, j, u.Key(i), wantKeys[j])
+			if u.Key(pattern, i) != wantKeys[j] {
+				t.Fatalf("%s class %d: key %q, want %q", tc.name, j, u.Key(pattern, i), wantKeys[j])
 			}
 		}
 	}

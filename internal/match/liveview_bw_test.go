@@ -75,8 +75,8 @@ func TestWeightedLiveViewChurnOracle(t *testing.T) {
 	data.MustAddEdge(2, 7, 25, 0)
 	data.MustAddEdge(3, 8, 20, 0)
 	pattern := ringPatternBW(3)
-	u := BuildUniverse(pattern, data, 0, 1)
-	bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
+	u := BuildUniverse(pattern, data, 0)
+	bw := NewBandwidthAccounting(data, data.VertexBitset(), graph.Capacity(data))
 
 	idleTotal := bw.FreeWeight()
 	if idleTotal != data.TotalWeight() {
@@ -143,8 +143,8 @@ func FuzzLiveViewBandwidth(f *testing.F) {
 			t.Skip("too sparse")
 		}
 		k := int(kRaw%3) + 2
-		u := BuildUniverse(ringPatternBW(k), data, 0, 1)
-		bw := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
+		u := BuildUniverse(ringPatternBW(k), data, 0)
+		bw := NewBandwidthAccounting(data, data.VertexBitset(), graph.Capacity(data))
 
 		verts := data.Vertices()
 		freeSet := make(map[int]bool, len(verts))

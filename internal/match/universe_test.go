@@ -31,34 +31,42 @@ func completeData(n int) *graph.Graph {
 }
 
 // TestUniverseBuildAllocationsPerClass pins the cost class of a
-// universe build: the symmetry-broken search visits one embedding per
-// class and streams it into the arenas, so allocations follow the
-// classes — one key string each plus arena growth and a fixed compile
-// cost. AllToAll(5) on a DGX-V has 56 classes behind 6,720 raw
-// embeddings (|Aut| = 5! each). The parallel build emits each class
-// under exactly one root, so it shares the sequential bound (measured:
-// 239 and 284 allocations).
+// universe build: a closed form lists the pattern's permutations on
+// K_k and nothing per class, so its allocations are a fixed compile
+// cost that does not grow with the machine. AllToAll(5) holds 56
+// classes on a DGX-V (behind 6,720 raw embeddings) and 13,991,544 on
+// the 72-GPU cluster; both builds must stay within one small budget.
 func TestUniverseBuildAllocationsPerClass(t *testing.T) {
-	pattern, data := appgraph.AllToAll(5), topology.DGXV100().Graph
-	raw := CountEmbeddings(pattern, data)
-	for _, tc := range []struct{ workers, perClass int }{{1, 6}, {2, 6}} {
+	pattern := appgraph.AllToAll(5)
+	if raw := CountEmbeddings(pattern, topology.DGXV100().Graph); raw != 56*120 {
+		t.Fatalf("AllToAll(5) on dgx-v100: %d raw embeddings, want 6720", raw)
+	}
+	const budget = 200
+	var sizes []float64
+	for _, tc := range []struct {
+		data    *graph.Graph
+		classes int
+	}{{topology.DGXV100().Graph, 56}, {topology.ClusterA100(9).Graph, 13991544}} {
 		var u *Universe
-		allocs := testing.AllocsPerRun(5, func() { u = BuildUniverse(pattern, data, 0, tc.workers) })
-		if u.Len() != 56 || raw != 56*120 {
-			t.Fatalf("AllToAll(5) on dgx-v100: %d classes of %d raw embeddings, want 56 of 6720", u.Len(), raw)
+		allocs := testing.AllocsPerRun(5, func() { u = BuildUniverse(pattern, tc.data, 0) })
+		if u.Len() != tc.classes || u.Perms() != 1 {
+			t.Fatalf("AllToAll(5) on %d GPUs: %d classes (%d per set), want %d (1)", tc.data.NumVertices(), u.Len(), u.Perms(), tc.classes)
 		}
-		t.Logf("workers=%d: %.0f allocations for %d classes", tc.workers, allocs, u.Len())
-		if allocs > float64(tc.perClass*u.Len()) {
-			t.Errorf("workers=%d: %.0f allocations for %d classes (%d raw embeddings), want at most %d per class",
-				tc.workers, allocs, u.Len(), raw, tc.perClass)
+		t.Logf("%d GPUs: %.0f allocations for %d classes", tc.data.NumVertices(), allocs, u.Len())
+		if allocs > budget {
+			t.Errorf("%d GPUs: %.0f allocations for %d classes, want at most %d per build", tc.data.NumVertices(), allocs, u.Len(), budget)
 		}
+		sizes = append(sizes, allocs)
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("allocations grow with the machine: %v", sizes)
 	}
 }
 
 func TestUniverseFullMaskEqualsSequential(t *testing.T) {
 	pattern := ringPattern(4)
 	data := completeData(8)
-	u := BuildUniverse(pattern, data, 0, 1)
+	u := BuildUniverse(pattern, data, 0)
 	if !u.Complete() {
 		t.Fatal("uncapped universe must be complete")
 	}
@@ -71,25 +79,27 @@ func TestUniverseFullMaskEqualsSequential(t *testing.T) {
 		t.Fatalf("full-mask filter kept %d matches, sequential found %d", len(idx), len(wantMs))
 	}
 	for j, i := range idx {
-		if u.Key(i) != wantKeys[j] {
-			t.Fatalf("match %d: key %q, want %q", j, u.Key(i), wantKeys[j])
+		if u.Key(pattern, i) != wantKeys[j] {
+			t.Fatalf("match %d: key %q, want %q", j, u.Key(pattern, i), wantKeys[j])
 		}
 	}
 }
 
 // TestUniverseFilterEqualsInducedEnumeration is the order-preservation
-// contract: filtering the idle-state universe by a free-vertex mask
-// must reproduce the sequential deduplicated enumeration on the
-// induced subgraph byte-for-byte — matches, keys, order, and cap
-// behavior included.
+// contract: filtering the idle-state universe by a free-vertex mask in
+// emission order must reproduce the sequential deduplicated
+// enumeration on the induced subgraph byte-for-byte — matches, keys,
+// order, and cap behavior included. A data graph that is not complete
+// has no closed form: its universe is incomplete.
 func TestUniverseFilterEqualsInducedEnumeration(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(9)
-	// Perturb the data graph so it is not vertex-transitive.
-	data.RemoveEdge(0, 5)
-	data.RemoveEdge(2, 7)
-	data.RemoveEdge(3, 4)
-	u := BuildUniverse(pattern, data, 0, 1)
+	perturbed := completeData(9)
+	perturbed.RemoveEdge(0, 5)
+	if BuildUniverse(pattern, perturbed, 0).Complete() {
+		t.Fatal("a universe of an incomplete graph must be incomplete")
+	}
+	u := BuildUniverse(pattern, data, 0)
 
 	frees := [][]int{
 		{0, 1, 2, 3, 4},
@@ -107,8 +117,8 @@ func TestUniverseFilterEqualsInducedEnumeration(t *testing.T) {
 				t.Fatalf("free=%v max=%d: filter kept %d, sequential %d", free, max, len(idx), len(wantMs))
 			}
 			for j, i := range idx {
-				if u.Key(i) != wantKeys[j] {
-					t.Fatalf("free=%v max=%d match %d: key %q, want %q", free, max, j, u.Key(i), wantKeys[j])
+				if u.Key(pattern, i) != wantKeys[j] {
+					t.Fatalf("free=%v max=%d match %d: key %q, want %q", free, max, j, u.Key(pattern, i), wantKeys[j])
 				}
 				got := u.Match(i)
 				want := wantMs[j]
@@ -126,15 +136,15 @@ func TestUniverseFilterEqualsInducedEnumeration(t *testing.T) {
 func TestUniverseIncompleteWhenCapped(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(8)
-	full := BuildUniverse(pattern, data, 0, 1)
-	capped := BuildUniverse(pattern, data, full.Len()-1, 1)
+	full := BuildUniverse(pattern, data, 0)
+	capped := BuildUniverse(pattern, data, full.Len()-1)
 	if capped.Complete() {
 		t.Fatal("capped below the class count must be incomplete")
 	}
 	if capped.Len() != 0 {
 		t.Fatalf("incomplete universe should retain no matches, has %d", capped.Len())
 	}
-	exact := BuildUniverse(pattern, data, full.Len(), 1)
+	exact := BuildUniverse(pattern, data, full.Len())
 	if !exact.Complete() || exact.Len() != full.Len() {
 		t.Fatalf("cap equal to the class count must stay complete: complete=%v len=%d want %d",
 			exact.Complete(), exact.Len(), full.Len())
@@ -148,8 +158,8 @@ func TestUniverseIncompleteWhenCapped(t *testing.T) {
 func TestUniverseFilterIncompletePanics(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(8)
-	full := BuildUniverse(pattern, data, 0, 1)
-	capped := BuildUniverse(pattern, data, full.Len()-1, 1)
+	full := BuildUniverse(pattern, data, 0)
+	capped := BuildUniverse(pattern, data, full.Len()-1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Filter on an incomplete universe must panic")
@@ -166,7 +176,7 @@ func TestUniverseFilterIncompletePanics(t *testing.T) {
 func TestUniverseFilterTruncationBoundary(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(9)
-	u := BuildUniverse(pattern, data, 0, 1)
+	u := BuildUniverse(pattern, data, 0)
 	free := []int{0, 2, 3, 5, 8}
 	mask := data.InducedSubgraph(free).VertexBitset()
 	all, truncated := u.Filter(mask, 0)
@@ -200,11 +210,13 @@ func TestUniverseFilterTruncationBoundary(t *testing.T) {
 	}
 }
 
-// TestUniverseParallelBuildIdentical pins universe parity across worker
-// counts: BuildUniverse at 2, 3 and 4 workers must reproduce the
-// sequential build's keys, order, embeddings and set index exactly, on
-// every catalog machine at shapes up to 5 GPUs, on the 72-GPU cluster
-// (two bitset words) up to 3, and on a flattened two-node fleet.
+// TestUniverseParallelBuildIdentical pins the closed form against the
+// search that used to build universes, at 1 and 4 workers: the
+// symmetry-broken embeddings, grouped by vertex set in lexicographic
+// order with each set's embeddings in emission order, must be the
+// closed form's candidates one for one — on every catalog machine at
+// shapes up to 5 GPUs, on the 72-GPU cluster (two bitset words) up to
+// 3, and on a flattened two-node fleet.
 func TestUniverseParallelBuildIdentical(t *testing.T) {
 	type machine struct {
 		top      *topology.Topology
@@ -224,9 +236,9 @@ func TestUniverseParallelBuildIdentical(t *testing.T) {
 	for _, m := range machines {
 		for _, pattern := range appgraph.AllShapes(min(m.maxShape, m.top.NumGPUs())) {
 			name := fmt.Sprintf("%s/%dv%de", m.top.Name, pattern.NumVertices(), pattern.NumEdges())
-			seq := BuildUniverse(pattern, m.top.Graph, 0, 1)
-			for _, workers := range []int{2, 3, 4} {
-				if err := sameUniverse(BuildUniverse(pattern, m.top.Graph, 0, workers), seq); err != nil {
+			u := BuildUniverse(pattern, m.top.Graph, 0)
+			for _, workers := range []int{1, 4} {
+				if err := sameAsSearch(u, FindAllDedupedParallel(pattern, m.top.Graph, workers)); err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}
 			}
@@ -234,26 +246,17 @@ func TestUniverseParallelBuildIdentical(t *testing.T) {
 	}
 }
 
-// sameUniverse reports the first difference between two universes'
-// classes (key, embedding, vertex set) or set index.
-func sameUniverse(got, want *Universe) error {
-	if got.Len() != want.Len() || got.Sets() != want.Sets() || !slices.Equal(got.Order(), want.Order()) {
-		return fmt.Errorf("%d classes on %d sets, want %d on %d", got.Len(), got.Sets(), want.Len(), want.Sets())
+// sameAsSearch reports the first difference between a closed form and
+// a search's embeddings grouped set-major (see searchUniverse).
+func sameAsSearch(u *Universe, ms []Match) error {
+	want := groupSetMajor(ms)
+	if u.Len() != len(want) {
+		return fmt.Errorf("%d classes, the search finds %d", u.Len(), len(want))
 	}
-	for i := 0; i < want.Len(); i++ {
-		if got.Key(i) != want.Key(i) {
-			return fmt.Errorf("class %d: key %q, want %q", i, got.Key(i), want.Key(i))
-		}
-		if !slices.Equal(got.Match(i).Data, want.Match(i).Data) || !got.Set(i).Equal(want.Set(i)) {
-			return fmt.Errorf("class %d: embedding differs", i)
-		}
-		if got.SetOf(i) != want.SetOf(i) {
-			return fmt.Errorf("class %d: set %d, want %d", i, got.SetOf(i), want.SetOf(i))
-		}
-	}
-	for s := 0; s < want.Sets(); s++ {
-		if got.SetFirst(s) != want.SetFirst(s) || got.SetLen(s) != want.SetLen(s) {
-			return fmt.Errorf("set %d: first %d len %d, want %d len %d", s, got.SetFirst(s), got.SetLen(s), want.SetFirst(s), want.SetLen(s))
+	for i, w := range want {
+		got := u.Match(i)
+		if !slices.Equal(got.Pattern, w.Pattern) || !slices.Equal(got.Data, w.Data) {
+			return fmt.Errorf("class %d: %v->%v, the search's %v->%v", i, got.Pattern, got.Data, w.Pattern, w.Data)
 		}
 	}
 	return nil
@@ -268,10 +271,10 @@ func TestSearchesCounterAdvancesOnEnumerationOnly(t *testing.T) {
 	if mid == before {
 		t.Fatal("an enumeration must advance the Searches counter")
 	}
-	u := BuildUniverse(pattern, data, 0, 1)
+	u := BuildUniverse(pattern, data, 0)
 	after := Searches()
-	if after == mid {
-		t.Fatal("building a universe enumerates and must advance the counter")
+	if after != mid+1 {
+		t.Fatalf("building a universe lists its permutations in one search on K_k; the counter advanced by %d", after-mid)
 	}
 	u.Filter(data.VertexBitset(), 0)
 	if Searches() != after {
@@ -280,19 +283,20 @@ func TestSearchesCounterAdvancesOnEnumerationOnly(t *testing.T) {
 }
 
 // TestFiltersCounterAdvancesOnFullScansOnly pins the Filters telemetry
-// the decision-path tests build on: Universe.Filter is a full-universe
-// scan and counts; maintaining a stream's accounting does not.
+// the decision-path tests build on: the reference Filter is a
+// full-universe scan and counts; maintaining a stream's accounting does
+// not.
 func TestFiltersCounterAdvancesOnFullScansOnly(t *testing.T) {
 	pattern := ringPattern(3)
 	data := completeData(6)
-	u := BuildUniverse(pattern, data, 0, 1)
+	u := BuildUniverse(pattern, data, 0)
 	before := Filters()
 	u.Filter(data.VertexBitset(), 0)
 	mid := Filters()
 	if mid == before {
 		t.Fatal("a mask filter must advance the Filters counter")
 	}
-	a := NewBandwidthAccounting(data, data.VertexBitset(), u.Capacity())
+	a := NewBandwidthAccounting(data, data.VertexBitset(), graph.Capacity(data))
 	a.Allocate([]int{1})
 	a.ByIncident()
 	if Filters() != mid {
@@ -300,12 +304,11 @@ func TestFiltersCounterAdvancesOnFullScansOnly(t *testing.T) {
 	}
 }
 
-// TestUniverseGroupsEmbeddingsBySet pins the set index behind the live
-// views and score tables: every embedding maps to the set with its
-// exact vertex bitset, distinct sets have distinct bitsets, sets are
-// numbered in first-occurrence order, and the per-set counts add up —
-// on Ring(4) over K6 (three embeddings per set) and on a sparse
-// two-word graph.
+// TestUniverseGroupsEmbeddingsBySet pins the set-major numbering the
+// score tables rely on: candidates s·P … s·P+P−1 occupy set s, distinct
+// sets have distinct vertices, and sets ascend lexicographically — on
+// Ring(4) over K6 (three embeddings per set) and on a complete graph
+// with sparse IDs spanning two bitset words.
 func TestUniverseGroupsEmbeddingsBySet(t *testing.T) {
 	sparse := graph.New()
 	ids := []int{3, 40, 63, 64, 70, 130}
@@ -320,37 +323,25 @@ func TestUniverseGroupsEmbeddingsBySet(t *testing.T) {
 		perSet  int
 		setsNum int
 	}{
-		{"ring4/K6", BuildUniverse(ringPattern(4), completeData(6), 0, 1), 3, 15},
-		{"ring3/sparse", BuildUniverse(ringPattern(3), sparse, 0, 2), 1, 20},
+		{"ring4/K6", BuildUniverse(ringPattern(4), completeData(6), 0), 3, 15},
+		{"ring3/sparse", BuildUniverse(ringPattern(3), sparse, 0), 1, 20},
 	} {
 		u := tc.u
-		if u.Sets() != tc.setsNum || u.Len() != tc.setsNum*tc.perSet {
+		if u.Sets() != tc.setsNum || u.Perms() != tc.perSet || u.Len() != tc.setsNum*tc.perSet {
 			t.Fatalf("%s: %d embeddings on %d sets, want %d on %d", tc.name, u.Len(), u.Sets(), tc.setsNum*tc.perSet, tc.setsNum)
 		}
-		bySet := make(map[string]int)
-		total := 0
+		var prev []int
 		for s := 0; s < u.Sets(); s++ {
-			first := u.SetFirst(s)
-			if s > 0 && first <= u.SetFirst(s-1) {
-				t.Fatalf("%s: set %d first occurs at %d, before set %d's %d", tc.name, s, first, s-1, u.SetFirst(s-1))
+			set := u.Match(s * u.Perms()).DataVertices()
+			if prev != nil && slices.Compare(prev, set) >= 0 {
+				t.Fatalf("%s: set %d %v does not follow set %d %v", tc.name, s, set, s-1, prev)
 			}
-			key := fmt.Sprint(u.Set(first).Members())
-			if _, dup := bySet[key]; dup {
-				t.Fatalf("%s: sets %d and %d share vertices %s", tc.name, bySet[key], s, key)
+			for p := 0; p < u.Perms(); p++ {
+				if i := s*u.Perms() + p; !slices.Equal(u.Match(i).DataVertices(), set) || u.SetOf(i) != s {
+					t.Fatalf("%s: candidate %d occupies %v, not set %d's %v", tc.name, i, u.Match(i).DataVertices(), s, set)
+				}
 			}
-			bySet[key] = s
-			if u.SetLen(s) != tc.perSet {
-				t.Fatalf("%s: set %d holds %d embeddings, want %d", tc.name, s, u.SetLen(s), tc.perSet)
-			}
-			total += u.SetLen(s)
-		}
-		if total != u.Len() {
-			t.Fatalf("%s: set counts add to %d, universe holds %d", tc.name, total, u.Len())
-		}
-		for i := 0; i < u.Len(); i++ {
-			if s := bySet[fmt.Sprint(u.Set(i).Members())]; u.SetOf(i) != s || i < u.SetFirst(s) {
-				t.Fatalf("%s: embedding %d maps to set %d, its vertices are set %d's", tc.name, i, u.SetOf(i), s)
-			}
+			prev = set
 		}
 	}
 }

@@ -265,9 +265,8 @@ type NodeDecision struct {
 //     tracked usable set — the stream missed deltas (the rule
 //     Views.SelectLive applies);
 //   - a class universe overflowed the store capacity;
-//   - a candidate cap would truncate some node's live list (class
-//     universes are tiny, so a binding cap means a misconfigured
-//     caller; declining keeps the flat path's soundness rule).
+//   - a candidate cap would truncate some node's live list (the flat
+//     path's rule: a binding cap is decided by the search).
 //
 // On true the decision counts as TableServed even when no node could
 // host the pattern (sel ran zero times): the hierarchy answered "no
@@ -301,7 +300,7 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 			continue
 		}
 		usl, ok := nv.slot(ci, pattern, workers)
-		if !ok || capped(usl.u, nv.bw.Usable(), maxCandidates) {
+		if !ok || capped(usl.u, f, maxCandidates) {
 			fv.scratchNodes = eligible
 			fv.stats.Rejected++
 			return false

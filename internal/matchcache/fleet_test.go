@@ -22,7 +22,7 @@ func TestFleetTemplateGoldenCounts(t *testing.T) {
 		{3, 56},
 		{4, 210},
 	} {
-		u := match.BuildUniverse(appgraph.Ring(tc.k), tmpl.Graph, 0, 1)
+		u := match.BuildUniverse(appgraph.Ring(tc.k), tmpl.Graph, 0)
 		if !u.Complete() {
 			t.Fatalf("ring-%d class universe incomplete", tc.k)
 		}

@@ -4,9 +4,10 @@
 //
 // A Store holds one idle-state universe per (topology, canonical
 // pattern): the complete deduplicated enumeration of the shape on the
-// full machine, each embedding paired with its GPU bitset, plus the
-// shape's score table (the state-independent Eq. 1 / Eq. 2 metrics and
-// the static part of Eq. 3 per embedding). Both are computed once —
+// full machine as its closed form (match.Universe: every k-subset of
+// the GPUs composed with one list of permutations), plus the shape's
+// score table (the state-independent Eq. 1 / Eq. 2 metrics and the
+// static part of Eq. 3 per GPU set). Both are computed once —
 // optionally warmed at construction, like an allocator precomputing
 // pair scores at init — and shared by every engine bound to the
 // topology.
@@ -20,9 +21,8 @@
 // accounting and the score table, so the decision is table lookups plus
 // O(k) arithmetic; when it declines — a mis-published stream is out of
 // sync, the universe overflowed the store capacity, or a candidate cap
-// truncates the live embeddings for a structurally different build of
-// the shape — the policy runs a fresh search on the availability graph
-// instead.
+// truncates the live embeddings — the policy runs a fresh search on the
+// availability graph instead.
 //
 // Patterns are keyed canonically (up to isomorphism, via
 // graph.CanonicalForm), so structurally different builds of the same

@@ -10,28 +10,34 @@ import (
 	"mapa/internal/topology"
 )
 
-// DefaultUniverseCapacity bounds how many equivalence classes an
-// idle-state universe may hold. A shape whose idle enumeration exceeds
-// the bound is marked incomplete and never viewed — decisions for it
-// run a fresh search each time — so the bound caps both the one-time
-// build cost and resident memory on large machines.
+// DefaultUniverseCapacity bounds how many equivalence classes — GPU
+// sets times embeddings per set — an idle-state universe may hold. A
+// shape whose universe exceeds the bound is marked incomplete and never
+// viewed — decisions for it run a fresh search each time. A universe is
+// a closed form, so the bound no longer caps its own memory; it caps
+// the score table (a few dozen bytes per GPU set) and its build, and it
+// keeps the over-capacity requests on the search that decides them
+// today.
 const DefaultUniverseCapacity = 200000
 
 // ShapeBuild records one universe build: the shape's size, the
-// resulting class count, which worker count built it and how long the
-// enumeration took. Build timings sit on the serving path of every
-// cold start — a topology-aware allocator must come up on daemon start
-// before it can place anything — so the store keeps them as
-// first-class stats.
+// resulting class count, the worker count the store was asked to build
+// with, and how long deriving the universe took. Build timings sit on
+// the serving path of every cold start — a topology-aware allocator
+// must come up on daemon start before it can place anything — so the
+// store keeps them as first-class stats.
 type ShapeBuild struct {
 	// Vertices and Edges describe the canonical pattern built.
 	Vertices, Edges int
-	// Classes is the universe's deduplicated class count; Complete is
-	// false when the enumeration overflowed the store capacity.
+	// Classes is the universe's deduplicated class count — GPU sets
+	// times embeddings per set; Complete is false when it overflows the
+	// store capacity (then Classes is 0).
 	Classes  int
 	Complete bool
-	// Workers is the worker count the build ran with; Duration the
-	// wall time of the enumeration.
+	// Workers is the worker count the shape's builds were given (the
+	// score table fans out over it); Duration the wall time of deriving
+	// the universe: its permutation list on K_k, not an enumeration on
+	// the machine.
 	Workers  int
 	Duration time.Duration
 }
@@ -42,7 +48,7 @@ type StoreStats struct {
 	// on demand); Incomplete counts shapes whose enumeration overflowed
 	// the capacity and were marked unusable.
 	Universes, Incomplete int
-	// Builds records every universe enumeration in completion order;
+	// Builds records every universe derivation in completion order;
 	// BuildTime is their summed wall time.
 	Builds    []ShapeBuild
 	BuildTime time.Duration
@@ -52,9 +58,10 @@ type StoreStats struct {
 	Tables    int
 	TableTime time.Duration
 	// Repairs counts RepairEdge calls (one per link-degradation event);
-	// RepairedCandidates the table entries they re-derived — the
-	// embeddings touching the changed edge, not the whole universe —
-	// and RepairTime their summed wall time.
+	// RepairedCandidates the candidates they re-derived — the GPU sets
+	// holding both endpoints of the changed edge times the embeddings
+	// per set, not the whole universe — and RepairTime their summed
+	// wall time.
 	Repairs            int
 	RepairedCandidates int
 	RepairTime         time.Duration
@@ -78,7 +85,7 @@ type universeSlot struct {
 }
 
 // Store is the idle-state universe store: one complete deduplicated
-// enumeration per (topology, canonical pattern), computed once —
+// universe per (topology, canonical pattern), derived once —
 // optionally warmed at construction time — and shared by every policy
 // bound to the topology. It is safe for concurrent use and is designed
 // to be shared across engines comparing policies on the same machine.
@@ -134,15 +141,14 @@ func (s *Store) ensureTable(sl *universeSlot, workers int) *score.Table {
 
 // RepairEdge absorbs a link-degradation event — the weight of machine
 // edge (u,v) changed — into every score table the store has built, and
-// returns how many table entries were re-derived. Hardware graphs are
+// returns how many candidates were re-derived. Hardware graphs are
 // complete, so a weight change never alters which embeddings exist:
-// the universes and their enumeration order stand untouched, and only
-// the precomputed per-candidate metrics of the embeddings that
-// actually price the edge go stale. Those are exactly the candidates
-// whose GPU set contains BOTH endpoints (the ring-channel
+// the universes stand untouched, and only the precomputed per-set
+// metrics of the GPU sets that actually price the edge go stale. Those
+// are exactly the sets that contain BOTH endpoints (the ring-channel
 // decomposition reads only intra-allocation links; see
-// score.Table.RepairEdge), so repair is one bit-probe pass per table
-// plus a refill of the affected entries — no enumeration, no rebuild.
+// score.Table.RepairEdge), so repair unranks those C(n−2, k−2) sets
+// per table and refills them — no enumeration, no rebuild.
 //
 // Tables built after the event need no repair: BuildTable reads the
 // mutated graph. The caller must have already updated the topology's
@@ -181,8 +187,7 @@ func (s *Store) slot(ci *canonInfo, pattern *graph.Graph) *universeSlot {
 }
 
 // universe returns the built universe for the canonical shape,
-// building it on first use with the given worker count and recording
-// the build's timing. Decision paths (Views.SelectLive), Ensure and
+// deriving it on first use and recording the build's timing. Decision paths (Views.SelectLive), Ensure and
 // Warm all come through here. Concurrent callers for the same shape
 // converge on one build via the slot's once; callers for distinct
 // shapes build independently.
@@ -190,7 +195,7 @@ func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *univ
 	sl := s.slot(ci, pattern)
 	sl.once.Do(func() {
 		start := time.Now()
-		u := match.BuildUniverse(sl.pattern, s.top.Graph, s.capacity, workers)
+		u := match.BuildUniverse(sl.pattern, s.top.Graph, s.capacity)
 		build := ShapeBuild{
 			Vertices: sl.pattern.NumVertices(),
 			Edges:    sl.pattern.NumEdges(),
@@ -214,8 +219,8 @@ func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *univ
 }
 
 // Warm precomputes idle-state universes for the given patterns — the
-// init-time enumeration MAPA pays once per shape instead of on the
-// first decision — and the score tables of the complete ones. It
+// init-time work MAPA pays once per shape instead of on the first
+// decision — and the score tables of the complete ones. It
 // returns how many complete universes the store now holds for the
 // requested shapes (already-warm shapes count).
 //
@@ -243,7 +248,7 @@ func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 // after a memoized fingerprint lookup, so Ensure is cheap enough to
 // call per request: it is the
 // prewarm hook mapa.System runs *outside* its state lock, so a cold
-// shape's enumeration never stalls concurrent decisions, releases, or
+// shape's table build never stalls concurrent decisions, releases, or
 // health events. Concurrent Ensure calls for one shape converge on a
 // single build via the slot's once.
 func (s *Store) Ensure(pattern *graph.Graph, workers int) {

@@ -3,6 +3,8 @@ package matchcache
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mapa/internal/appgraph"
@@ -14,13 +16,12 @@ import (
 
 // liveList is what SelectLive hands a policy for one decision, copied
 // out from under the view lock: the candidates live on the stream's
-// usable mask in enumeration order, capped like a policy's
-// maxCandidates, and the order remap.
+// usable mask in the search's emission order, their canonical keys in
+// the requester's pattern, and the order remap.
 type liveList struct {
-	keys      []string
-	matches   []match.Match
-	order     []int
-	truncated bool
+	keys    []string
+	matches []match.Match
+	order   []int
 }
 
 // without returns g's induced subgraph after removing vs.
@@ -33,20 +34,47 @@ func without(g *graph.Graph, vs []int) *graph.Graph {
 }
 
 // selectLive consults v for (pattern, avail's vertex set) under the
-// given cap.
+// given cap and lists the live embeddings: each live set's GPUs
+// composed with every permutation, sorted into emission order
+// (lexicographic in the data tuple).
 func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out liveList, ok bool) {
 	ok = v.SelectLive(pattern, avail.VertexBitset(), maxCandidates, 1,
-		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
 			u := tbl.Universe()
-			for i := 0; i < u.Len() && (maxCandidates <= 0 || len(out.keys) < maxCandidates); i++ {
-				if u.Set(i).SubsetOf(bw.Usable()) {
-					out.keys = append(out.keys, u.Key(i))
-					out.matches = append(out.matches, u.Match(i))
+			for s := 0; s < u.Sets(); s++ {
+				gpus := tbl.SetGPUs(s)
+				if !subsetOf(gpus, bw.Usable()) {
+					continue
+				}
+				for p := 0; p < u.Perms(); p++ {
+					data := make([]int, len(gpus))
+					for j, q := range u.Perm(p) {
+						data[j] = gpus[q]
+					}
+					out.matches = append(out.matches, match.Match{Pattern: u.Order(), Data: data})
 				}
 			}
-			out.order, out.truncated = order, truncated
+			slices.SortFunc(out.matches, func(a, b match.Match) int { return slices.Compare(a.Data, b.Data) })
+			pat := u.Order()
+			if order != nil {
+				pat = order
+			}
+			for _, m := range out.matches {
+				out.keys = append(out.keys, match.Match{Pattern: pat, Data: m.Data}.Key(pattern, avail))
+			}
+			out.order = order
 		})
 	return out, ok
+}
+
+// subsetOf reports whether every GPU lies in mask.
+func subsetOf(gpus []int, mask graph.Bitset) bool {
+	for _, g := range gpus {
+		if !mask.Has(g) {
+			return false
+		}
+	}
+	return true
 }
 
 // candidatesOn reads the store's candidates for pattern on the machine
@@ -87,7 +115,8 @@ func ring0213() *graph.Graph {
 // soundness contract: for any availability state and candidate cap,
 // the candidate list a view over the store serves must be
 // byte-identical to a fresh capped sequential enumeration on the
-// induced subgraph.
+// induced subgraph — and a cap that binds is declined, since the
+// capped prefix is the search's to take.
 func TestServedCandidatesMatchSequentialEnumeration(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
@@ -97,13 +126,16 @@ func TestServedCandidatesMatchSequentialEnumeration(t *testing.T) {
 		for _, cap := range []int{0, 5} {
 			step := fmt.Sprintf("busy=%v cap=%d", busy, cap)
 			got, ok := candidatesOn(s, pattern, busy, cap)
+			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, without(top.Graph, busy), cap)
+			if binds := cap > 0 && len(match.FindAllDeduped(pattern, without(top.Graph, busy))) > cap; ok == binds {
+				t.Fatalf("%s: served=%v, but the cap binds=%v", step, ok, binds)
+			}
 			if !ok {
-				t.Fatalf("%s: view declined a complete universe", step)
+				continue
 			}
 			if got.order != nil {
 				t.Fatalf("%s: identical shape needs no remap", step)
 			}
-			wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, without(top.Graph, busy), cap)
 			sameKeys(t, step, got.keys, wantKeys)
 			for i, m := range wantMs {
 				if !reflect.DeepEqual(got.matches[i], m) {
@@ -145,7 +177,7 @@ func TestWarmedShapeFiltersWithoutSearching(t *testing.T) {
 
 func TestIncompleteUniverseFallsBack(t *testing.T) {
 	top := topology.DGXV100()
-	full := match.BuildUniverse(appgraph.Ring(3), top.Graph, 0, 1)
+	full := match.BuildUniverse(appgraph.Ring(3), top.Graph, 0)
 	s := NewStore(top, full.Len()-1) // capacity below the class count
 	if n := s.Warm(1, appgraph.Ring(3)); n != 0 {
 		t.Fatalf("Warm claimed %d complete universes under an overflowing cap", n)
@@ -209,10 +241,10 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 	}
 }
 
-// TestTruncatedFilterRejectedForRemappedShape: cap truncation is only
-// safe when the request shape is structurally identical to the
-// universe's — a remapped shape enumerates in a different order, so
-// the view must decline and let the policy search.
+// TestTruncatedFilterRejectedForRemappedShape: a binding cap admits
+// only the search's emission-order prefix, which the table does not
+// keep, so the view declines and lets the policy search — for the
+// identical shape and for a remapped one, whose emission order differs.
 func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
@@ -220,16 +252,17 @@ func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	ringB := ring0213()
 	s.Warm(1, ringA)
 
-	// Identical shape: truncation is fine (sequential prefix).
-	if got, ok := candidatesOn(s, ringA, nil, 2); !ok || !got.truncated || len(got.keys) != 2 {
-		t.Fatalf("truncated list for the identical shape must be served (ok=%v, %+v)", ok, got)
+	// A cap that truncates is declined for both builds…
+	if _, ok := candidatesOn(s, ringA, nil, 2); ok {
+		t.Fatal("a truncated list for the identical shape must be declined")
 	}
-	// Isomorphic-but-different shape: must be declined under a cap that
-	// truncates…
 	if _, ok := candidatesOn(s, ringB, nil, 2); ok {
-		t.Fatal("truncated list for a remapped shape must be declined")
+		t.Fatal("a truncated list for a remapped shape must be declined")
 	}
-	// …but served when the cap does not bind.
+	// …and both are served when the cap does not bind.
+	if got, ok := candidatesOn(s, ringA, nil, 210); !ok || len(got.keys) != 210 {
+		t.Fatalf("a cap equal to the candidate count must be served (ok=%v, %d candidates)", ok, len(got.keys))
+	}
 	if _, ok := candidatesOn(s, ringB, nil, 0); !ok {
 		t.Fatal("uncapped list for a remapped shape must be served")
 	}
@@ -332,5 +365,51 @@ func TestStoreBound(t *testing.T) {
 	var nilStore *Store
 	if nilStore.Bound(top) {
 		t.Fatal("nil store reported bound")
+	}
+}
+
+// TestWarmStoreResidentAllocBudget pins what a warmed store keeps
+// resident: universes are closed forms and score tables hold per-set
+// columns only, so a cluster-a100 store warmed on every shape up to 3
+// GPUs — 121,836 GPU sets holding 241,116 embeddings — retains under
+// 160 bytes per GPU set after GC, the process-wide mix memo it fills
+// included (measured: ~125). Storing every embedding with its vertex
+// list, bitset and key string cost ~92 bytes per embedding, ~180 per
+// set, before the tables. It also pins that the over-capacity verdict
+// enumerates nothing on the machine: Ring(6) on dgx-2 overflows the
+// default capacity after at most one search, of the pattern on K_6.
+func TestWarmStoreResidentAllocBudget(t *testing.T) {
+	const budget = 160
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore(topology.ClusterA100(9), 0)
+	s.Warm(1, appgraph.AllShapes(3)...)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	sets, embeddings := 0, 0
+	for _, sl := range s.universes {
+		sets += sl.u.Sets()
+		embeddings += sl.u.Len()
+	}
+	if sets != 121836 || embeddings != 241116 {
+		t.Fatalf("warmed %d sets holding %d embeddings, want 121836 holding 241116", sets, embeddings)
+	}
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("%.1f MB retained: %.0f B per GPU set, %.0f B per embedding", retained/1e6, retained/float64(sets), retained/float64(embeddings))
+	if retained > budget*float64(sets) {
+		t.Errorf("warmed store retains %.0f B per GPU set, want under %d", retained/float64(sets), budget)
+	}
+	runtime.KeepAlive(s)
+
+	dgx2 := NewStore(topology.DGX2(), 0)
+	searches := match.Searches()
+	dgx2.Ensure(appgraph.Ring(6), 2)
+	st := dgx2.Stats()
+	if len(st.Builds) != 1 || st.Builds[0].Complete || st.Builds[0].Classes != 0 || st.Incomplete != 1 {
+		t.Fatalf("Ring(6) on dgx-2: builds %+v, want one incomplete build holding no classes", st.Builds)
+	}
+	if d := match.Searches() - searches; d > 1 {
+		t.Fatalf("the over-capacity verdict ran %d searches, want at most 1", d)
 	}
 }

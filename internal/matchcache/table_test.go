@@ -32,7 +32,7 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 
 	v := s.NewViews()
 	called := false
-	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
+	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
 		called = true
 		if bw == nil {
 			t.Error("SelectLive must hand out the stream's bandwidth accounting")
@@ -44,9 +44,6 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 		}
 		if order != nil {
 			t.Errorf("structurally identical request needs no remap, got %v", order)
-		}
-		if truncated {
-			t.Error("unlimited cap cannot truncate")
 		}
 	})
 	if !ok || !called {
@@ -64,7 +61,7 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	top := topology.DGXV100()
 	ring := tableRing(3)
-	sel := func(*match.BandwidthAccounting, *score.Table, []int, bool) {
+	sel := func(*match.BandwidthAccounting, *score.Table, []int) {
 		t.Error("a declined SelectLive must not run the selection")
 	}
 

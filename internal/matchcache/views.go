@@ -18,10 +18,9 @@ type ViewStats struct {
 	// evaluations.
 	TableServed uint64
 	// Rejected counts decisions SelectLive declined (incomplete
-	// universe, a candidate cap that truncates the list for a
-	// structurally different build of the shape, or an availability
-	// stream out of sync — which only a mis-published delta causes);
-	// each one cost the policy a fresh search.
+	// universe, a binding candidate cap, or an availability stream out
+	// of sync — which only a mis-published delta causes); each one cost
+	// the policy a fresh search.
 	Rejected uint64
 }
 
@@ -48,10 +47,10 @@ type ViewStats struct {
 // shared Store stays stream-agnostic — engines comparing policies on
 // one topology share universes while each keeps its own view set.
 //
-// Incomplete (capacity-overflowed) universes are never served, and
-// cap-truncated candidate lists are served only to the exact pattern
-// build they were enumerated for — the same soundness rules as
-// Universe.Filter.
+// Incomplete (capacity-overflowed) universes are never served, nor is a
+// decision whose candidate cap binds: the capped candidates are a
+// prefix of the search's emission order, which the table does not
+// keep, so the search decides it.
 //
 // Views is safe for concurrent use.
 type Views struct {
@@ -146,19 +145,13 @@ func (v *Views) slot(ci *canonInfo, pattern *graph.Graph, workers int) (*univers
 }
 
 // capped reports whether a candidate cap truncates u's live embeddings
-// on the usable mask. Only a universe larger than the cap is counted,
-// in one pass over its sets.
-func capped(u *match.Universe, usable graph.Bitset, maxCandidates int) bool {
+// on a stream with `usable` usable GPUs: machine graphs are complete,
+// so C(usable, k) sets are live, each holding Perms() embeddings.
+func capped(u *match.Universe, usable, maxCandidates int) bool {
 	if maxCandidates <= 0 || u.Len() <= maxCandidates {
 		return false
 	}
-	n := 0
-	for s := 0; s < u.Sets() && n <= maxCandidates; s++ {
-		if u.Set(u.SetFirst(s)).SubsetOf(usable) {
-			n += u.SetLen(s)
-		}
-	}
-	return n > maxCandidates
+	return match.Binomial(usable, len(u.Order())) > maxCandidates/u.Perms()
 }
 
 // SelectLive serves a decision straight off the stream's state and the
@@ -179,12 +172,10 @@ func capped(u *match.Universe, usable graph.Bitset, maxCandidates int) bool {
 //   - usable, the mask the decision is made on, differs from the
 //     tracked usable set (free AND healthy);
 //   - the shape's universe overflowed the store capacity;
-//   - the candidate cap truncates the live embeddings and the request
-//     is a structurally different build of the shape: a truncated list
-//     is the enumeration-order prefix of the build the universe was
-//     enumerated for, not of this one (the same rule as
-//     Universe.Filter).
-func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool)) bool {
+//   - the candidate cap truncates the live embeddings: the capped
+//     candidates are the search's emission-order prefix, and the
+//     search that streams it decides exactly as a capped table would.
+func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(bw *match.BandwidthAccounting, tbl *score.Table, order []int)) bool {
 	if v == nil {
 		return false
 	}
@@ -198,19 +189,14 @@ func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandida
 		return false
 	}
 	usl, ok := v.slot(ci, pattern, workers)
-	if !ok {
-		v.stats.Rejected++
-		return false
-	}
-	truncated := capped(usl.u, usable, maxCandidates)
-	if truncated && usl.patternFP != ci.exact {
+	if !ok || capped(usl.u, v.bw.UsableCount(), maxCandidates) {
 		v.stats.Rejected++
 		return false
 	}
 	tbl := v.store.ensureTable(usl, workers)
 	order := canon.remap(usl.patternFP, ci, usl.u.Order())
 	v.stats.TableServed++
-	sel(v.bw, tbl, order, truncated)
+	sel(v.bw, tbl, order)
 	return true
 }
 

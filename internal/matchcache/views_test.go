@@ -18,25 +18,10 @@ func ringN(k int) *graph.Graph {
 	return g
 }
 
-// filtered is the reference a served candidate list is compared
-// against: Universe.Filter over the same universe on avail's vertex
-// set, itself pinned byte-identical to a fresh search by the match
-// package's tests.
-func filtered(t *testing.T, pattern, data, avail *graph.Graph) (keys []string, matches []match.Match) {
-	t.Helper()
-	u := match.BuildUniverse(pattern, data, 0, 1)
-	idx, _ := u.Filter(avail.VertexBitset(), 0)
-	for _, i := range idx {
-		keys = append(keys, u.Key(i))
-		matches = append(matches, u.Match(i))
-	}
-	return keys, matches
-}
-
-// TestViewsMatchFilterUnderChurn drives allocate/release
-// deltas through a view set and checks every served candidate list —
-// keys and representative embeddings — against Universe.Filter on the
-// same state.
+// TestViewsMatchFilterUnderChurn drives allocate/release deltas
+// through a view set and checks every served candidate list — keys and
+// representative embeddings, in emission order — against a fresh
+// search on the same state.
 func TestViewsMatchFilterUnderChurn(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := ringN(3)
@@ -68,10 +53,10 @@ func TestViewsMatchFilterUnderChurn(t *testing.T) {
 		if got.order != nil {
 			t.Fatalf("%s: identical shape needs no remap, got %v", step, got.order)
 		}
-		wantKeys, wantMs := filtered(t, pattern, top.Graph, avail)
+		wantMs, wantKeys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
 		sameKeys(t, step, got.keys, wantKeys)
 		if !reflect.DeepEqual(got.matches, wantMs) {
-			t.Fatalf("%s: served representatives differ from Filter's", step)
+			t.Fatalf("%s: served representatives differ from the search's", step)
 		}
 	}
 
@@ -125,24 +110,24 @@ func TestViewsRejectsIncompleteUniverse(t *testing.T) {
 }
 
 // TestViewsTruncatedNotServedToIsomorphicBuild: a cap-truncated
-// candidate list is the enumeration-order prefix of the build it was
-// derived for, so a structurally different isomorphic build must be
-// declined (and counted).
+// candidate list is the emission-order prefix of one build's search,
+// which the table does not keep, so a binding cap is declined (and
+// counted) for the build the universe was derived for and for a
+// structurally different isomorphic build alike.
 func TestViewsTruncatedNotServedToIsomorphicBuild(t *testing.T) {
 	top := topology.DGXV100()
 	ringA := ringN(4) // 0-1-2-3-0
 	ringB := ring0213()
 	views := NewStore(top, 0).NewViews()
 
-	got, ok := selectLive(views, ringA, top.Graph, 2)
-	if !ok || !got.truncated {
-		t.Fatalf("build A must be served its own truncated prefix (ok=%v)", ok)
+	if _, ok := selectLive(views, ringA, top.Graph, 2); ok {
+		t.Fatal("a truncated prefix was served to the universe's own build")
 	}
 	if _, ok := selectLive(views, ringB, top.Graph, 2); ok {
 		t.Fatal("foreign truncated prefix was served to an isomorphic build")
 	}
-	if vs := views.Stats(); vs.Rejected != 1 {
-		t.Fatalf("view stats = %+v, want the foreign prefix counted rejected", vs)
+	if vs := views.Stats(); vs.Rejected != 2 {
+		t.Fatalf("view stats = %+v, want both truncated lists counted rejected", vs)
 	}
 	// Untruncated serves cross builds fine, remapped.
 	gotB, ok := selectLive(views, ringB, top.Graph, 0)
@@ -215,7 +200,7 @@ func TestViewsBuildsMidStream(t *testing.T) {
 	if !ok {
 		t.Fatal("mid-stream first request was rejected")
 	}
-	wantKeys, _ := filtered(t, ringN(3), top.Graph, avail)
+	_, wantKeys := match.FindAllDedupedCappedKeys(ringN(3), avail, 0)
 	sameKeys(t, "mid-stream build", got.keys, wantKeys)
 }
 

@@ -40,6 +40,7 @@ package policy
 import (
 	"mapa/internal/graph"
 	"mapa/internal/matchcache"
+	"mapa/internal/score"
 )
 
 // AttachFleet binds a fleet view set to the policy (nil detaches):
@@ -66,24 +67,24 @@ func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req
 	var bestP, bestS float64
 	served = p.fleet.SelectNodes(req.Pattern, usable, p.maxCandidates, p.workers,
 		func(nd *matchcache.NodeDecision) {
-			best, ok := p.pickScored(nd.BW, nd.Tbl, req, false)
+			s, ok := p.pickScored(nd.BW, nd.Tbl, req)
 			if !ok {
 				return
 			}
 			mt := nd.Tbl.ForModel(p.scorer.Model)
 			r := p.rank(req)
-			prim := candidateMetric(nd.BW, nd.Tbl, mt, r[0], best, nd.PreservedShift)
+			prim := globalMetric(nd, mt, r[0], s)
 			if found && prim < bestP {
 				return
 			}
-			sec := candidateMetric(nd.BW, nd.Tbl, mt, r[1], best, nd.PreservedShift)
+			sec := globalMetric(nd, mt, r[1], s)
 			if found && prim == bestP && sec <= bestS {
 				// Equal scores resolve to the earliest node: node-major
 				// IDs make that the flat lexicographic GPU-set winner.
 				return
 			}
 			found, bestP, bestS = true, prim, sec
-			p.scoredAllocationInto(buf, nd.BW, nd.Tbl, nd.Order, best, nd.Offset, nd.PreservedShift)
+			p.scoredAllocationInto(buf, nd.BW, nd.Tbl, nd.Order, s, p.rep(nd.Tbl, req, s), nd.Offset, nd.PreservedShift)
 		})
 	if !served {
 		return false, nil
@@ -92,4 +93,16 @@ func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req
 		return true, ErrNoAllocation
 	}
 	return true, nil
+}
+
+// globalMetric is setMetric for a node's set s in fleet-global terms:
+// the node's constant shift translates the node-local Eq. 3 value, and
+// the static metrics are node-independent. AggBW is the set's AggBW
+// representative's, the embedding an AggBW-ranking order picks.
+func globalMetric(nd *matchcache.NodeDecision, mt *score.ModelTable, m metric, s int) float64 {
+	v := setMetric(nd.BW, nd.Tbl, mt, m, s)
+	if m == metricPreservedBW {
+		v += nd.PreservedShift
+	}
+	return v
 }

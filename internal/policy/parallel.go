@@ -74,8 +74,9 @@ func SetScorer(a Allocator, s *score.Scorer) {
 // policy scores per decision (DefaultMaxCandidates at construction;
 // <= 0 means unlimited). Large multi-node machines need a tighter
 // bound: candidate sets grow combinatorially with free GPUs while the
-// score separation between good matches does not. Baseline and
-// Topo-aware ignore it.
+// score separation between good matches does not. A decision whose
+// cap binds is made by the search, which streams the capped prefix.
+// Baseline and Topo-aware ignore it.
 func SetMaxCandidates(a Allocator, n int) {
 	if mp, ok := a.(*mapaPolicy); ok {
 		if n < 0 {
@@ -91,10 +92,11 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // beats reports whether candidate b strictly precedes candidate a in
 // the policy's total order: primary metric first, then lexicographic
-// GPU set, then the canonical match key. Distinct deduplicated
-// candidates always differ in their keys, so the order is total and
-// the selected winner is independent of enumeration strategy.
-func (p *mapaPolicy) beats(req Request, a, b Allocation) bool {
+// GPU set, then the canonical match key (vertex set + used edge set;
+// aKey and bKey). Distinct deduplicated candidates always differ in
+// their keys, so the order is total and the selected winner is
+// independent of enumeration strategy.
+func (p *mapaPolicy) beats(req Request, a, b Allocation, aKey, bKey string) bool {
 	if p.better(req, a.Scores, b.Scores) {
 		return true
 	}
@@ -107,5 +109,5 @@ func (p *mapaPolicy) beats(req Request, a, b Allocation) bool {
 	if lexLess(a.GPUs, b.GPUs) {
 		return false
 	}
-	return b.key < a.key
+	return bKey < aKey
 }

@@ -59,12 +59,6 @@ type Allocation struct {
 	Match match.Match
 	// Scores are the MAPA metrics of the chosen match.
 	Scores score.Scores
-
-	// key is the candidate's canonical match key (vertex set + used
-	// edge set). It is the final tie-break of the selection order, so
-	// the table-served selection and the search — sequential or
-	// parallel — resolve equally scored same-GPU candidates identically.
-	key string
 }
 
 // Allocator is an allocation policy.
@@ -138,7 +132,6 @@ func rankedInto(buf *Allocation, s *score.Scorer, top *topology.Topology, usable
 		buf.Match.Pattern = append(buf.Match.Pattern[:0], req.Pattern.SortedVertices()...)
 		buf.Match.Data = append(buf.Match.Data[:0], buf.GPUs...)
 		buf.Scores = s.ScoreRanked(top, req.Pattern, buf.GPUs, usable)
-		buf.key = ""
 		return nil
 	}
 	// The partition tree ends with the whole machine, so reaching here
@@ -430,10 +423,11 @@ func (p *mapaPolicy) allocateSearch(avail *graph.Graph, top *topology.Topology, 
 		scoreFrom(0, 1)
 	}
 	var best Allocation
+	bestKey := ""
 	for i, m := range ms {
-		cand := Allocation{GPUs: m.DataVertices(), Match: m, Scores: scores[i], key: keys[i]}
-		if i == 0 || p.beats(req, best, cand) {
-			best = cand
+		cand := Allocation{GPUs: m.DataVertices(), Match: m, Scores: scores[i]}
+		if i == 0 || p.beats(req, best, cand, bestKey, keys[i]) {
+			best, bestKey = cand, keys[i]
 		}
 	}
 	// The candidates' Data share one arena: copy the winner's so a

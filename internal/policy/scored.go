@@ -44,10 +44,10 @@
 //     sets that do.
 //
 // Decisions are byte-identical to allocateSearch's (all link
-// bandwidths are integral, making the delta-maintained sums exact).
-// Only a binding candidate cap needs individual embeddings: the capped
-// prefix is a prefix of the enumeration, so that one path streams
-// candidates in enumeration order.
+// bandwidths are integral, making the delta-maintained sums exact). A
+// binding candidate cap is the one case the table does not serve: the
+// capped candidates are a prefix of the search's emission order, so the
+// view set declines and the search decides (matchcache.Views.SelectLive).
 //
 // The whole path allocates nothing: candidates are table lookups,
 // comparisons are plain float/slice reads, the walk's scratch is
@@ -73,21 +73,21 @@ import (
 // matchcache.Views.SelectLive) and the caller must search.
 func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, req Request) (err error, served bool) {
 	served = p.views.SelectLive(req.Pattern, usable, p.maxCandidates, p.workers,
-		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int, truncated bool) {
-			best, ok := p.pickScored(bw, tbl, req, truncated)
+		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
+			s, ok := p.pickScored(bw, tbl, req)
 			if !ok {
 				err = ErrNoAllocation
 				return
 			}
-			p.scoredAllocationInto(buf, bw, tbl, order, best, 0, 0)
+			p.scoredAllocationInto(buf, bw, tbl, order, s, p.rep(tbl, req, s), 0, 0)
 		})
 	return err, served
 }
 
-// pickScored selects the winning universe index among the live
-// candidates, dispatching on how static the request's selection order
-// is. ok is false when no candidate is live.
-func (p *mapaPolicy) pickScored(bw *match.BandwidthAccounting, tbl *score.Table, req Request, truncated bool) (int, bool) {
+// pickScored selects the winning GPU set among the live ones,
+// dispatching on how static the request's selection order is. ok is
+// false when no set is live.
+func (p *mapaPolicy) pickScored(bw *match.BandwidthAccounting, tbl *score.Table, req Request) (int, bool) {
 	k := req.NumGPUs()
 	if bw.UsableCount() < k {
 		return 0, false
@@ -95,13 +95,6 @@ func (p *mapaPolicy) pickScored(bw *match.BandwidthAccounting, tbl *score.Table,
 	usable := bw.Usable()
 	mt := tbl.ForModel(p.scorer.Model)
 	r := p.rank(req)
-	if truncated {
-		// A binding cap admits only the first maxCandidates live
-		// candidates in enumeration order — the exact prefix a capped
-		// search would materialize — so the static orders (which ignore
-		// enumeration order) do not apply; stream the capped prefix.
-		return scoredArgmaxCapped(usable, bw, tbl, mt, r, p.maxCandidates), true
-	}
 	var s int
 	switch r[0] {
 	case metricAggBW:
@@ -119,10 +112,17 @@ func (p *mapaPolicy) pickScored(bw *match.BandwidthAccounting, tbl *score.Table,
 	default:
 		s = p.walk.preservedArgmax(bw, tbl, mt, r[1], k)
 	}
-	if r[0] == metricAggBW || r[1] == metricAggBW {
-		return tbl.AggRep(s), true
+	return s, true
+}
+
+// rep returns the permutation index of set s's winning embedding under
+// the request's order: the set's AggBW representative when the order
+// ranks AggBW, its key representative otherwise.
+func (p *mapaPolicy) rep(tbl *score.Table, req Request, s int) int {
+	if r := p.rank(req); r[0] == metricAggBW || r[1] == metricAggBW {
+		return tbl.AggRep(s)
 	}
-	return tbl.KeyRep(s), true
+	return tbl.KeyRep(s)
 }
 
 // live reports whether a GPU set lies in the usable mask — on a
@@ -178,71 +178,6 @@ func setMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelT
 	default:
 		return bw.PreservedBW(tbl.SetInternal(s), tbl.SetGPUs(s))
 	}
-}
-
-// candidateMetric is setMetric for one embedding: only AggBW differs
-// from its set's value. shift is added to PreservedBW — a fleet node's
-// constant translating the node-local Eq. 3 value to the fleet-global
-// one, 0 on a flat machine.
-func candidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int, shift float64) float64 {
-	if m == metricAggBW {
-		return tbl.AggBW(i)
-	}
-	v := setMetric(bw, tbl, mt, m, tbl.Universe().SetOf(i))
-	if m == metricPreservedBW {
-		v += shift
-	}
-	return v
-}
-
-// scoredArgmaxCapped streams the first max live candidates in
-// enumeration order — a capped search's prefix — and returns the
-// argmax under the total order r: primary, secondary, GPU set, key.
-// The secondary metric is computed only on primary ties (lazily for the
-// incumbent, memoized while it stands).
-func scoredArgmaxCapped(usable graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, r [2]metric, max int) int {
-	best := -1
-	var bestP, bestS float64
-	hasBestS := false
-	for i, n := 0, 0; n < max && i < tbl.Len(); i++ {
-		if !live(usable, tbl.GPUs(i)) {
-			continue
-		}
-		n++
-		pi := candidateMetric(bw, tbl, mt, r[0], i, 0)
-		if best < 0 || pi > bestP {
-			best, bestP, hasBestS = i, pi, false
-			continue
-		}
-		if pi < bestP {
-			continue
-		}
-		if !hasBestS {
-			bestS = candidateMetric(bw, tbl, mt, r[1], best, 0)
-			hasBestS = true
-		}
-		si := candidateMetric(bw, tbl, mt, r[1], i, 0)
-		if si > bestS || (si == bestS && candidateTieBreak(tbl, i, best)) {
-			best, bestS = i, si
-		}
-	}
-	return best
-}
-
-// candidateTieBreak reports whether candidate i strictly precedes the
-// current best under the order's static tail: lexicographic GPU set,
-// then canonical key. The caller has already established equal primary
-// and secondary metrics.
-func candidateTieBreak(tbl *score.Table, i, best int) bool {
-	gi, gb := tbl.GPUs(i), tbl.GPUs(best)
-	if lexLess(gi, gb) {
-		return true
-	}
-	if lexLess(gb, gi) {
-		return false
-	}
-	u := tbl.Universe()
-	return u.Key(i) < u.Key(best)
 }
 
 // preservedWalk is the scratch of preservedArgmax, grown once and
@@ -458,38 +393,35 @@ func scoredGroupArgmax(usable graph.Bitset, bw *match.BandwidthAccounting, tbl *
 	return best
 }
 
-// scoredAllocationInto packages the winning candidate into buf by
-// truncate-and-append: GPU set, match pattern (re-expressed through the
-// isomorphic order remap when present), and match data land in buf's
-// reused backing arrays, scores are assembled from the table and the
+// scoredAllocationInto packages embedding (s, perm) into buf by
+// truncate-and-append: the set's GPUs, the match pattern (re-expressed
+// through the isomorphic order remap when present), and the match data
+// — the set's GPUs composed with the permutation, O(k) — land in buf's
+// reused backing arrays; scores are assembled from the table and the
 // view's bandwidth accounting. off and shift place a fleet node's
 // winner in fleet-global terms — off is added to every GPU ID, shift to
 // PreservedBW — and are 0 on a flat machine. The values written are
 // identical to what allocateSearch returns for the same candidate (on
-// the flattened machine, for a fleet node); the match key stays in
-// template-local IDs, as it never leaves the policy.
-func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAccounting, tbl *score.Table, order []int, best, off int, shift float64) {
-	u := tbl.Universe()
-	m := u.Match(best)
-	pat := m.Pattern
+// the flattened machine, for a fleet node).
+func (p *mapaPolicy) scoredAllocationInto(buf *Allocation, bw *match.BandwidthAccounting, tbl *score.Table, order []int, s, perm, off int, shift float64) {
+	pat := tbl.Universe().Order()
 	if order != nil {
 		pat = order
 	}
-	mt := tbl.ForModel(p.scorer.Model)
-	buf.GPUs = append(buf.GPUs[:0], tbl.GPUs(best)...)
+	gpus := tbl.SetGPUs(s)
+	buf.GPUs = append(buf.GPUs[:0], gpus...)
 	buf.Match.Pattern = append(buf.Match.Pattern[:0], pat...)
-	buf.Match.Data = append(buf.Match.Data[:0], m.Data...)
+	buf.Match.Data = append(buf.Match.Data[:0], gpus...)
+	for j, q := range tbl.Universe().Perm(perm) {
+		buf.Match.Data[j] = gpus[q] + off
+	}
 	for i := range buf.GPUs {
 		buf.GPUs[i] += off
 	}
-	for i := range buf.Match.Data {
-		buf.Match.Data[i] += off
-	}
 	buf.Scores = score.Scores{
-		AggBW:       tbl.AggBW(best),
-		EffBW:       mt.EffBW(best),
-		PreservedBW: bw.PreservedBW(tbl.Internal(best), tbl.GPUs(best)) + shift,
-		Mix:         tbl.Mix(best),
+		AggBW:       tbl.AggBW(s, perm),
+		EffBW:       tbl.ForModel(p.scorer.Model).SetEffBW(s),
+		PreservedBW: bw.PreservedBW(tbl.SetInternal(s), gpus) + shift,
+		Mix:         tbl.SetMix(s),
 	}
-	buf.key = u.Key(best)
 }

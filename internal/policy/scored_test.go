@@ -167,10 +167,10 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 }
 
 // TestScoredTruncationParity pins the capped regime: with a binding
-// candidate cap the table path may only consider the first
-// maxCandidates live candidates in enumeration order — the exact prefix
-// a capped search materializes — so the capped streaming argmax must
-// match the plain sequential capped decision.
+// candidate cap only the first maxCandidates live candidates in the
+// search's emission order compete — a prefix the table does not keep —
+// so every capped decision is declined to the search and must match
+// the plain sequential capped decision.
 func TestScoredTruncationParity(t *testing.T) {
 	top := topology.DGXA100()
 	pattern := appgraph.Ring(3)
@@ -211,15 +211,15 @@ func TestScoredTruncationParity(t *testing.T) {
 		}
 		views.Release(delta)
 	}
-	if vs := views.Stats(); vs.TableServed == 0 {
-		t.Fatalf("capped same-shape decisions must still be table-served: %+v", vs)
+	if vs := views.Stats(); vs.TableServed != 0 || vs.Rejected != 8 {
+		t.Fatalf("all 8 capped decisions must decline to the search: %+v", vs)
 	}
 }
 
 // TestScoredIsomorphicBuild: a structurally different build of a warmed
 // ring must be table-served through the canonical order remap — and
-// with a binding cap it must NOT be served a foreign truncated prefix,
-// falling back to a search that enumerates its own order.
+// with a binding cap it must decline to a search that enumerates its
+// own order.
 func TestScoredIsomorphicBuild(t *testing.T) {
 	top := topology.DGXV100()
 	ringA := appgraph.Ring(4) // 0-1-2-3-0
@@ -256,8 +256,7 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 		t.Fatal("table-served embedding not valid in the requester's vertex IDs")
 	}
 
-	// With a binding cap, the truncated live prefix belongs to ringA's
-	// enumeration order: ringB must be declined by the table path and
+	// With a binding cap, ringB must be declined by the table path and
 	// still match its own sequential decision.
 	capped := NewPreserve(nil)
 	SetMaxCandidates(capped, 2)

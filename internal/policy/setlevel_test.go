@@ -20,16 +20,71 @@ import (
 // TestSetSelectionMatchesCandidateSelection pins the set-level
 // selection against it.
 
+// refCandidates lists the table's embeddings set-major, as the
+// universe numbers them: candidate i is embedding (i / P, i % P) with
+// its AggBW and canonical key.
+type refCandidates struct {
+	tbl  *score.Table
+	agg  []float64
+	keys []string
+}
+
+func newRefCandidates(tbl *score.Table, pattern *graph.Graph) *refCandidates {
+	u := tbl.Universe()
+	rc := &refCandidates{tbl: tbl, agg: make([]float64, u.Len()), keys: make([]string, u.Len())}
+	ky := match.NewKeyer(pattern, u.Order())
+	for i := range rc.agg {
+		s, p := rc.split(i)
+		rc.agg[i] = tbl.AggBW(s, p)
+		rc.keys[i] = string(ky.KeyBytes(match.Match{Pattern: u.Order(), Data: embed(tbl, s, p)}))
+	}
+	return rc
+}
+
+// split returns candidate i's set and permutation.
+func (rc *refCandidates) split(i int) (s, p int) {
+	P := rc.tbl.Universe().Perms()
+	return i / P, i % P
+}
+
+func (rc *refCandidates) gpus(i int) []int {
+	s, _ := rc.split(i)
+	return rc.tbl.SetGPUs(s)
+}
+
+// embed returns embedding (s, p): set s's GPUs composed with
+// permutation p.
+func embed(tbl *score.Table, s, p int) []int {
+	var data []int
+	for _, q := range tbl.Universe().Perm(p) {
+		data = append(data, tbl.SetGPUs(s)[q])
+	}
+	return data
+}
+
+// tieBreak reports whether candidate i strictly precedes best under
+// the order's static tail: lexicographic GPU set, then canonical key.
+func (rc *refCandidates) tieBreak(i, best int) bool {
+	gi, gb := rc.gpus(i), rc.gpus(best)
+	if lexLess(gi, gb) {
+		return true
+	}
+	if lexLess(gb, gi) {
+		return false
+	}
+	return rc.keys[i] < rc.keys[best]
+}
+
 // refCandidateOrders sorts the table's embeddings under the Greedy
 // total order (AggBW desc, EffBW desc, GPU set, key) and by EffBW desc
 // (stable), each with its equal-primary group ends.
-func refCandidateOrders(tbl *score.Table, mt *score.ModelTable) (agg, aggEnds, eff, effEnds []int32) {
-	n := tbl.Len()
-	u := tbl.Universe()
-	aggVals, effVals := make([]float64, n), make([]float64, n)
+func refCandidateOrders(rc *refCandidates, mt *score.ModelTable) (agg, aggEnds, eff, effEnds []int32) {
+	n := len(rc.agg)
+	aggVals, effVals := rc.agg, make([]float64, n)
 	agg, eff = make([]int32, n), make([]int32, n)
 	for i := 0; i < n; i++ {
-		aggVals[i], effVals[i] = tbl.AggBW(i), mt.EffBW(i)
+		s, _ := rc.split(i)
+		effVals[i] = mt.SetEffBW(s)
 		agg[i], eff[i] = int32(i), int32(i)
 	}
 	sort.Slice(agg, func(a, b int) bool {
@@ -40,10 +95,7 @@ func refCandidateOrders(tbl *score.Table, mt *score.ModelTable) (agg, aggEnds, e
 		if effVals[i] != effVals[j] {
 			return effVals[i] > effVals[j]
 		}
-		if lexLess(tbl.GPUs(i), tbl.GPUs(j)) || lexLess(tbl.GPUs(j), tbl.GPUs(i)) {
-			return lexLess(tbl.GPUs(i), tbl.GPUs(j))
-		}
-		return u.Key(i) < u.Key(j)
+		return rc.tieBreak(i, j)
 	})
 	sort.SliceStable(eff, func(a, b int) bool { return effVals[eff[a]] > effVals[eff[b]] })
 	ends := func(ord []int32, vals []float64) []int32 {
@@ -65,14 +117,15 @@ func refCandidateOrders(tbl *score.Table, mt *score.ModelTable) (agg, aggEnds, e
 
 // refCandidateMetric evaluates one selection-order dimension of
 // embedding i.
-func refCandidateMetric(bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, m metric, i int) float64 {
+func refCandidateMetric(bw *match.BandwidthAccounting, rc *refCandidates, mt *score.ModelTable, m metric, i int) float64 {
+	s, _ := rc.split(i)
 	switch m {
 	case metricAggBW:
-		return tbl.AggBW(i)
+		return rc.agg[i]
 	case metricEffBW:
-		return mt.EffBW(i)
+		return mt.SetEffBW(s)
 	default:
-		return bw.PreservedBW(tbl.Internal(i), tbl.GPUs(i))
+		return bw.PreservedBW(rc.tbl.SetInternal(s), rc.tbl.SetGPUs(s))
 	}
 }
 
@@ -88,7 +141,7 @@ func refFirstLive(live graph.Bitset, ord []int32) int {
 
 // refScoredGroupArgmax scans the first live equal-primary group of a
 // static-primary embedding order.
-func refScoredGroupArgmax(live graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric, ord, ends []int32) int {
+func refScoredGroupArgmax(live graph.Bitset, bw *match.BandwidthAccounting, rc *refCandidates, mt *score.ModelTable, sec metric, ord, ends []int32) int {
 	j0 := 0
 	for ; j0 < len(ord); j0++ {
 		if live.Has(int(ord[j0])) {
@@ -96,14 +149,14 @@ func refScoredGroupArgmax(live graph.Bitset, bw *match.BandwidthAccounting, tbl 
 		}
 	}
 	best := int(ord[j0])
-	bestS := refCandidateMetric(bw, tbl, mt, sec, best)
+	bestS := refCandidateMetric(bw, rc, mt, sec, best)
 	for j := j0 + 1; j < int(ends[j0]); j++ {
 		i := int(ord[j])
 		if !live.Has(i) {
 			continue
 		}
-		si := refCandidateMetric(bw, tbl, mt, sec, i)
-		if si > bestS || (si == bestS && candidateTieBreak(tbl, i, best)) {
+		si := refCandidateMetric(bw, rc, mt, sec, i)
+		if si > bestS || (si == bestS && rc.tieBreak(i, best)) {
 			best, bestS = i, si
 		}
 	}
@@ -112,7 +165,7 @@ func refScoredGroupArgmax(live graph.Bitset, bw *match.BandwidthAccounting, tbl 
 
 // refCandidateArgmaxPreserved streams every live embedding for a
 // PreservedBW primary.
-func refCandidateArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, sec metric) int {
+func refCandidateArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccounting, rc *refCandidates, mt *score.ModelTable, sec metric) int {
 	inc := bw.IncidentView()
 	tot := bw.FreeWeight()
 	best := -1
@@ -122,19 +175,20 @@ func refCandidateArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccountin
 		for ; w != 0; w &= w - 1 {
 			i := wi*64 + bits.TrailingZeros64(w)
 			var drop float64
-			for _, g := range tbl.GPUs(i) {
+			s, _ := rc.split(i)
+			for _, g := range rc.gpus(i) {
 				drop += inc[g]
 			}
-			pi := tot - drop + tbl.Internal(i)
+			pi := tot - drop + rc.tbl.SetInternal(s)
 			if pi > bestP || best < 0 {
 				best, bestP, hasBestS = i, pi, false
 			} else if pi == bestP {
 				if !hasBestS {
-					bestS = refCandidateMetric(bw, tbl, mt, sec, best)
+					bestS = refCandidateMetric(bw, rc, mt, sec, best)
 					hasBestS = true
 				}
-				si := refCandidateMetric(bw, tbl, mt, sec, i)
-				if si > bestS || (si == bestS && candidateTieBreak(tbl, i, best)) {
+				si := refCandidateMetric(bw, rc, mt, sec, i)
+				if si > bestS || (si == bestS && rc.tieBreak(i, best)) {
 					best, bestS = i, si
 				}
 			}
@@ -145,25 +199,25 @@ func refCandidateArgmaxPreserved(live graph.Bitset, bw *match.BandwidthAccountin
 
 // refPick is the per-candidate dispatch of an uncapped table-served
 // decision.
-func refPick(p *mapaPolicy, live graph.Bitset, bw *match.BandwidthAccounting, tbl *score.Table, mt *score.ModelTable, req Request, agg, aggEnds, eff, effEnds []int32) int {
+func refPick(p *mapaPolicy, live graph.Bitset, bw *match.BandwidthAccounting, rc *refCandidates, mt *score.ModelTable, req Request, agg, aggEnds, eff, effEnds []int32) int {
 	r := p.rank(req)
 	switch r[0] {
 	case metricAggBW:
 		if r[1] == metricEffBW {
 			return refFirstLive(live, agg)
 		}
-		return refScoredGroupArgmax(live, bw, tbl, mt, r[1], agg, aggEnds)
+		return refScoredGroupArgmax(live, bw, rc, mt, r[1], agg, aggEnds)
 	case metricEffBW:
-		return refScoredGroupArgmax(live, bw, tbl, mt, r[1], eff, effEnds)
+		return refScoredGroupArgmax(live, bw, rc, mt, r[1], eff, effEnds)
 	default:
-		return refCandidateArgmaxPreserved(live, bw, tbl, mt, r[1])
+		return refCandidateArgmaxPreserved(live, bw, rc, mt, r[1])
 	}
 }
 
 // TestSetSelectionMatchesCandidateSelection compares the set-level
 // table-served selection (pickScored on a stream's accounting) with the
-// per-candidate selection above, whose live set comes straight from
-// Universe.Filter: on random availability masks from nearly idle to
+// per-candidate selection above, whose live set is every embedding on
+// a usable GPU set: on random availability masks from nearly idle to
 // nearly full, for every policy and sensitivity, the two must choose
 // the same embedding — GPUs, match, every score bit and the key. The
 // machines cover every shape at sizes 2–5 on four single servers, where
@@ -211,10 +265,11 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 				} else {
 					seen[form] = true
 				}
-				u := match.BuildUniverse(shape, top.Graph, 0, 2)
+				u := match.BuildUniverse(shape, top.Graph, 0)
 				tbl := score.BuildTable(top, shape, u, 2)
 				mt := tbl.ForModel(scorer.Model)
-				agg, aggEnds, eff, effEnds := refCandidateOrders(tbl, mt)
+				rc := newRefCandidates(tbl, shape)
+				agg, aggEnds, eff, effEnds := refCandidateOrders(rc, mt)
 				for m := 0; m < masks; m++ {
 					density := rng.Float64()
 					usable := graph.NewBitset(capacity)
@@ -224,29 +279,33 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 						}
 					}
 					bw := match.NewBandwidthAccounting(top.Graph, usable, capacity)
-					idx, _ := u.Filter(usable, 0)
+					var idx []int
 					live := graph.NewBitset(u.Len())
-					for _, i := range idx {
-						live.Set(i)
+					for i := 0; i < u.Len(); i++ {
+						if liveSet(usable, rc.gpus(i)) {
+							idx = append(idx, i)
+							live.Set(i)
+						}
 					}
 					for _, p := range policies {
 						for _, sensitive := range []bool{true, false} {
 							req := Request{Pattern: shape, Sensitive: sensitive}
 							label := fmt.Sprintf("%v mask %d %s sensitive=%v", shape.Edges(), m, p.name, sensitive)
-							got, ok := p.pickScored(bw, tbl, req, false)
+							got, ok := p.pickScored(bw, tbl, req)
 							if ok != (len(idx) > 0) {
 								t.Fatalf("%s: served=%v with %d live candidates", label, ok, len(idx))
 							}
 							if !ok {
 								continue
 							}
-							want := refPick(p, live, bw, tbl, mt, req, agg, aggEnds, eff, effEnds)
+							want := refPick(p, live, bw, rc, mt, req, agg, aggEnds, eff, effEnds)
+							ws, wp := rc.split(want)
 							var ga, wa Allocation
-							p.scoredAllocationInto(&ga, bw, tbl, nil, got, 0, 0)
-							p.scoredAllocationInto(&wa, bw, tbl, nil, want, 0, 0)
-							if !sameDecision(ga, wa) || ga.key != wa.key {
-								t.Fatalf("%s: set-level selection diverged:\n got %d %+v key %q\nwant %d %+v key %q",
-									label, got, ga, ga.key, want, wa, wa.key)
+							p.scoredAllocationInto(&ga, bw, tbl, nil, got, p.rep(tbl, req, got), 0, 0)
+							p.scoredAllocationInto(&wa, bw, tbl, nil, ws, wp, 0, 0)
+							if gk, wk := ga.Match.Key(shape, top.Graph), wa.Match.Key(shape, top.Graph); !sameDecision(ga, wa) || gk != wk {
+								t.Fatalf("%s: set-level selection diverged:\n got set %d %+v key %q\nwant %d %+v key %q",
+									label, got, ga, gk, want, wa, wk)
 							}
 						}
 					}
@@ -254,4 +313,14 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// liveSet reports whether every GPU of a set is usable.
+func liveSet(usable graph.Bitset, gpus []int) bool {
+	for _, g := range gpus {
+		if !usable.Has(g) {
+			return false
+		}
+	}
+	return true
 }

@@ -179,7 +179,8 @@ func TestSearchFallbackByDeclineReason(t *testing.T) {
 		{name: "universe overflowed the store capacity", capacity: 8, warm: ring, pattern: ring, busy: []int{1, 6}},
 		{name: "foreign build under a binding cap", warm: patA, pattern: patB, cap: 2, busy: []int{1, 6}},
 		{name: "stream one delta behind", warm: ring, pattern: ring, busy: []int{1, 6}, behind: []int{6}},
-		{name: "control: in sync, complete, own build", warm: patA, pattern: patA, cap: 2, busy: []int{1, 6}, wantView: true},
+		{name: "own build under a binding cap", warm: patA, pattern: patA, cap: 2, busy: []int{1, 6}},
+		{name: "control: in sync, complete, own build", warm: patA, pattern: patA, busy: []int{1, 6}, wantView: true},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {

@@ -23,7 +23,7 @@ func refScoredArgmaxPreserved(bw *match.BandwidthAccounting, tbl *score.Table, m
 	u := tbl.Universe()
 	live := graph.NewBitset(u.Sets())
 	for s := 0; s < u.Sets(); s++ {
-		if u.Set(u.SetFirst(s)).SubsetOf(bw.Usable()) {
+		if liveSet(bw.Usable(), tbl.SetGPUs(s)) {
 			live.Set(s)
 		}
 	}
@@ -95,7 +95,7 @@ func walkMachineAt(t *testing.T, i, k int) (*walkMachine, *score.Table) {
 		if k > 2 {
 			pattern = appgraph.Ring(k)
 		}
-		tbl = score.BuildTable(m.top, pattern, match.BuildUniverse(pattern, m.top.Graph, 0, 2), 2)
+		tbl = score.BuildTable(m.top, pattern, match.BuildUniverse(pattern, m.top.Graph, 0), 2)
 		m.tables[k] = tbl
 	}
 	return m, tbl

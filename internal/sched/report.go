@@ -50,7 +50,7 @@ type CompareConfig struct {
 	// byte-identical either way.
 	DisableUniverses bool
 	// WarmPatterns are job shapes whose idle-state universes are
-	// precomputed before any engine runs — the init-time enumeration
+	// precomputed before any engine runs — the init-time build
 	// paid once for the whole comparison instead of on first use.
 	WarmPatterns []*graph.Graph
 	// Faults injects reproducible failure/recovery churn into every
@@ -62,7 +62,7 @@ type CompareConfig struct {
 // ComparePoliciesConfig is ComparePoliciesMode with explicit matcher
 // parallelism and universe-store configuration. All engines share one
 // idle-state universe store bound to the topology, so each canonical
-// job shape is enumerated once for the whole comparison no matter how
+// job shape is built once for the whole comparison no matter how
 // many policies run.
 func ComparePoliciesConfig(top *topology.Topology, policyNames []string, jobList []jobs.Job, cfg CompareConfig) (map[string]RunResult, error) {
 	out, _, _, err := ComparePoliciesInstrumented(top, policyNames, jobList, cfg)
@@ -77,7 +77,7 @@ func ComparePoliciesConfig(top *topology.Topology, policyNames []string, jobList
 // first built by an earlier one; BuildTime is their summed wall time.
 type PipelineStats struct {
 	Views matchcache.ViewStats
-	// Builds/BuildTime mirror the shared store's universe enumerations;
+	// Builds/BuildTime mirror the shared store's universe builds;
 	// Tables/TableTime its score-table precomputations.
 	Builds    []matchcache.ShapeBuild
 	BuildTime time.Duration

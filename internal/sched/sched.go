@@ -70,7 +70,7 @@ type Engine struct {
 	// paper's FIFO.
 	Queue Discipline
 	// Universes is the idle-state universe store behind the run's
-	// table-served decisions: one complete deduplicated enumeration and
+	// table-served decisions: one complete deduplicated universe and
 	// score table per canonical job shape on the full machine, built
 	// once (or prewarmed). NewEngine populates a private store; engines
 	// comparing policies on one topology should share a store

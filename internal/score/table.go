@@ -1,8 +1,6 @@
 package score
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -14,15 +12,15 @@ import (
 )
 
 // Table is the precomputed static side of MAPA's selection metrics for
-// one idle-state universe. Eq. 1 depends on (topology, embedding), so
-// the Eq. 1 Aggregated Bandwidth is stored per candidate. Everything
-// else depends on the candidate's GPU set alone — the Eq. 2 ring-channel
-// link mix, the internal hardware-edge weight (the per-set constant of
-// the Eq. 3 delta decomposition), and the ascending GPU set itself — so
-// those are stored once per distinct set (match.Universe.SetOf). Eq. 3
-// decomposes into a per-decision state term — maintained by the
-// stream's match.BandwidthAccounting — plus the internal-edge constant
-// stored here:
+// one idle-state universe, stored per GPU set. A universe is a closed
+// form (match.Universe): candidate (s, p) is set s's ascending GPUs
+// composed with the universe's permutation p. Everything but Eq. 1
+// depends on the GPU set alone — the Eq. 2 ring-channel link mix, the
+// internal hardware-edge weight (the per-set constant of the Eq. 3
+// delta decomposition), and the ascending GPU set itself — so those are
+// stored once per set. Eq. 3 decomposes into a per-decision state term
+// — maintained by the stream's match.BandwidthAccounting — plus the
+// internal-edge constant stored here:
 //
 //	PreservedBW(S) = totalFreeWeight − Σ_{g∈S} freeIncidentWeight(g) + internal(S)
 //
@@ -36,22 +34,20 @@ import (
 // incident weights sum to at least D preserves more than
 // totalFreeWeight − D + MaxInternal.
 //
-// Sets are addressable by their GPUs without a lookup structure. Every
-// machine graph is complete, so a complete universe's sets are exactly
-// the C(n, k) k-subsets of the n GPUs, numbered in lexicographic order
-// of their ascending positions in the graph's SortedVertices: on a
-// complete graph the sorted tuple of a set is itself an embedding, the
-// lexicographically smallest one over the set, symmetry breaking keeps
-// exactly that one, and the enumeration emits in lexicographic order.
-// Rank is therefore the combinatorial number system over those
-// positions; BuildTable verifies the numbering and panics if it fails.
+// Sets are numbered in lexicographic order of their ascending positions
+// in the graph's SortedVertices, the universe's numbering, so Rank —
+// the combinatorial number system over those positions — addresses a
+// set by its GPUs without a lookup structure.
 //
 // Since every selection order ties the embeddings of one set on all
-// metrics but AggBW, each set also carries two static representatives:
-// KeyRep, its minimum-key embedding (the winner within the set of any
-// order without AggBW), and AggRep, its maximum-AggBW embedding with
-// ties to the minimum key (the winner within the set of any order with
-// AggBW). Selection is then an argmax over live sets.
+// metrics but AggBW, each set also carries two static representatives,
+// as permutation indices: KeyRep, its minimum-key embedding (the
+// winner within the set of any order without AggBW), and AggRep, its
+// maximum-AggBW embedding with ties to the minimum key (the winner
+// within the set of any order with AggBW). Keys compare as decimal
+// strings ("10" < "9"), so the key order of a set's embeddings depends
+// on its GPU IDs and is decided per set at build; no key is retained.
+// Selection is then an argmax over live sets.
 //
 // A Table is immutable under decision traffic and safe for concurrent
 // use; the one sanctioned mutation is RepairEdge, which absorbs a
@@ -59,21 +55,21 @@ import (
 // caller. Per-model artifacts (Eq. 2 predictions and the precomputed
 // selection orders) hang off ForModel.
 type Table struct {
-	top  *topology.Topology
-	u    *match.Universe
-	epos [][2]int // the pattern's edges as positions in the universe's match order
-
-	agg []float64 // candidate -> Eq. 1 AggBW
+	top     *topology.Topology
+	tm      *topoMixes // the topology's memo: its pair table prices AggBW
+	u       *match.Universe
+	pattern *graph.Graph
+	epos    [][2]int // the pattern's edges as positions in the universe's match order
 
 	// Set-indexed columns.
 	internal []float64
 	mix      []effbw.LinkCounts
+	setAgg   []float64 // Eq. 1 AggBW of the set's AggRep
 	keyRep   []int32
 	aggRep   []int32
 	// gpusArena holds every set's ascending GPU list in one backing
 	// array with fixed stride k (the pattern size): set s occupies
-	// [s*k, (s+1)*k). Like the universe's arenas, this keeps the
-	// per-table object count O(1) instead of O(sets).
+	// [s*k, (s+1)*k), keeping the per-table object count O(1).
 	gpusArena []int
 	k         int
 
@@ -92,200 +88,220 @@ type Table struct {
 }
 
 // BuildTable computes the score table of a complete universe of pattern
-// on top's hardware graph, fanning the per-candidate work over up to
-// `workers` goroutines (the values are per-candidate pure functions, so
-// the result is identical at any worker count). Link mixes go through
-// the process-wide memo, so GPU sets shared across shapes, stores, and
+// on top's hardware graph, fanning the per-set work over up to
+// `workers` goroutines (the values are per-set pure functions, so the
+// result is identical at any worker count). Link mixes go through the
+// process-wide memo, so GPU sets shared across shapes, stores, and
 // dynamic decisions decompose once per process. BuildTable panics on an
-// incomplete universe, mirroring Filter, and on one whose sets are not
-// the lexicographically numbered k-subsets of the machine (see Rank) —
-// a universe of an incomplete graph.
+// incomplete universe.
 func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe, workers int) *Table {
 	if !u.Complete() {
 		panic("score: BuildTable over an incomplete universe")
 	}
-	n, sets := u.Len(), u.Sets()
-	k := 0
-	if n > 0 {
-		k = len(u.Match(0).Data)
-	}
+	sets, k := u.Sets(), pattern.NumVertices()
 	t := &Table{
 		top:       top,
+		tm:        mixesOf(top),
 		u:         u,
+		pattern:   pattern,
 		epos:      pattern.EdgePositionsIn(u.Order()),
-		agg:       make([]float64, n),
 		internal:  make([]float64, sets),
 		mix:       make([]effbw.LinkCounts, sets),
+		setAgg:    make([]float64, sets),
 		keyRep:    make([]int32, sets),
 		aggRep:    make([]int32, sets),
 		gpusArena: make([]int, sets*k),
 		k:         k,
 		models:    make(map[*effbw.Model]*ModelTable),
 	}
-	if workers > n {
-		workers = n
+	t.indexSets()
+	workers = max(1, min(workers, sets))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(start int) {
+			defer wg.Done()
+			sc := t.newScratch()
+			for s := start; s < sets; s += workers {
+				t.fill(sc, s)
+			}
+		}(w)
 	}
-	tm := mixesOf(top)
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				for i := start; i < n; i += workers {
-					t.fill(tm, i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			t.fill(tm, i)
-		}
-	}
-	t.pickReps()
-	t.indexSets(top.Graph)
+	wg.Wait()
+	t.maxInternal, t.maxAgg = maxOf(t.internal), maxOf(t.setAgg)
 	return t
 }
 
-// indexSets derives the rank coefficients of the combinatorial number
-// system over the graph's sorted vertex positions and checks, in
-// O(sets·k), that the universe numbers its sets by it: with n GPUs, the
-// set at positions p_0 < … < p_{k-1} has lexicographic rank
+// indexSets lays out every set's ascending GPUs in the arena, walking
+// the k-subsets of the graph's sorted vertices in lexicographic order,
+// and derives the rank coefficients of the combinatorial number system
+// over those positions: with n GPUs, the set at positions p_0 < … <
+// p_{k-1} has lexicographic rank
 //
 //	C(n,k) − 1 − Σ_i C(n−1−p_i, k−i).
-func (t *Table) indexSets(g *graph.Graph) {
+func (t *Table) indexSets() {
 	sets := t.u.Sets()
 	if sets == 0 {
 		return
 	}
-	verts := g.SortedVertices()
+	verts := t.u.Vertices()
 	n, k := len(verts), t.k
-	binom := func(m, j int) int {
-		if j < 0 || j > m {
-			return 0
-		}
-		// C(m, j) by the multiplicative formula, saturating: only terms
-		// of valid sets are summed, and each is below the set count.
-		c := 1
-		for i := 1; i <= j; i++ {
-			if c > math.MaxInt/(m-j+i) {
-				return math.MaxInt
-			}
-			c = c * (m - j + i) / i
-		}
-		return c
+	pos := make([]int, k)
+	for i := range pos {
+		pos[i] = i
 	}
-	t.rankStride = graph.Capacity(g)
+	for s := 0; s < sets; s++ {
+		for i, p := range pos {
+			t.gpusArena[s*k+i] = verts[p]
+		}
+		match.NextSubset(pos, n)
+	}
+	t.rankStride = verts[n-1] + 1
 	t.rankCoef = make([]int, k*t.rankStride)
 	for i := 0; i < k; i++ {
 		for p, v := range verts {
-			t.rankCoef[i*t.rankStride+v] = binom(n-1-p, k-i)
+			t.rankCoef[i*t.rankStride+v] = match.Binomial(n-1-p, k-i)
 		}
-	}
-	if binom(n, k) != sets {
-		panic(fmt.Sprintf("score: universe holds %d GPU sets, not the C(%d,%d) k-subsets of a complete machine", sets, n, k))
 	}
 	t.rankBase = sets - 1
-	for s := 0; s < sets; s++ {
-		if r := t.Rank(t.SetGPUs(s)); r != s {
-			panic(fmt.Sprintf("score: GPU set %v is set %d, not its lexicographic rank %d", t.SetGPUs(s), s, r))
-		}
+}
+
+// tableScratch is one filling goroutine's reused buffers: the keyer and
+// an embedding's data for comparing a set's embeddings by key, and the
+// two representatives' key bytes.
+type tableScratch struct {
+	ky             *match.Keyer
+	data           []int
+	keyMin, aggKey []byte
+}
+
+func (t *Table) newScratch() *tableScratch {
+	return &tableScratch{ky: match.NewKeyer(t.pattern, t.u.Order()), data: make([]int, t.k)}
+}
+
+// embed writes embedding (s, p) — set s's GPUs composed with
+// permutation p — into dst, which has length k.
+func (t *Table) embed(dst []int, s, p int) {
+	gpus := t.SetGPUs(s)
+	for j, q := range t.u.Perm(p) {
+		dst[j] = gpus[q]
 	}
 }
 
-// fill (re)derives candidate i's AggBW from the topology's current pair
-// table, and its set's columns when i is the set's first candidate —
-// each set is filled by exactly one candidate.
-func (t *Table) fill(tm *topoMixes, i int) {
-	pt := tm.pairsOf()
-	m := t.u.Match(i)
-	t.agg[i] = pt.aggBW(t.epos, m.Data)
-	s := t.u.SetOf(i)
-	if t.u.SetFirst(s) != i {
-		return
-	}
-	gpus := t.gpusArena[s*t.k : (s+1)*t.k : (s+1)*t.k]
-	copy(gpus, m.Data)
-	slices.Sort(gpus)
-	t.mix[s] = tm.mix(gpus)
+// fill (re)derives set s's columns from the topology's current pair
+// table and mix memo, and picks its representatives in one pass over
+// its embeddings — KeyRep the minimum key, AggRep the maximum AggBW
+// with ties to the minimum key. A set with one embedding keys nothing.
+func (t *Table) fill(sc *tableScratch, s int) {
+	pt := t.tm.pairsOf()
+	gpus := t.SetGPUs(s)
+	t.mix[s] = t.tm.mix(gpus)
 	t.internal[s] = pt.internal(gpus)
+	m := match.Match{Pattern: t.u.Order(), Data: sc.data}
+	var keyRep, aggRep int32
+	var best float64
+	for p := 0; p < t.u.Perms(); p++ {
+		t.embed(sc.data, s, p)
+		agg := pt.aggBW(t.epos, sc.data)
+		if p == 0 {
+			best = agg
+			if t.u.Perms() > 1 {
+				sc.keyMin = append(sc.keyMin[:0], sc.ky.KeyBytes(m)...)
+				sc.aggKey = append(sc.aggKey[:0], sc.keyMin...)
+			}
+			continue
+		}
+		key := sc.ky.KeyBytes(m)
+		if string(key) < string(sc.keyMin) {
+			keyRep, sc.keyMin = int32(p), append(sc.keyMin[:0], key...)
+		}
+		if agg > best || (agg == best && string(key) < string(sc.aggKey)) {
+			aggRep, best, sc.aggKey = int32(p), agg, append(sc.aggKey[:0], key...)
+		}
+	}
+	t.keyRep[s], t.aggRep[s], t.setAgg[s] = keyRep, aggRep, best
 }
 
-// pickReps chooses every set's two representatives in one pass over
-// the candidates — KeyRep the minimum key, AggRep the maximum AggBW with
-// ties to the minimum key — and takes the column maxima.
-func (t *Table) pickReps() {
-	t.maxInternal, t.maxAgg = maxOf(t.internal), maxOf(t.agg)
-	for s := range t.keyRep {
-		first := int32(t.u.SetFirst(s))
-		t.keyRep[s], t.aggRep[s] = first, first
-	}
-	for i := 0; i < t.u.Len(); i++ {
-		s := t.u.SetOf(i)
-		key := t.u.Key(i)
-		if key < t.u.Key(int(t.keyRep[s])) {
-			t.keyRep[s] = int32(i)
-		}
-		r := int(t.aggRep[s])
-		if t.agg[i] > t.agg[r] || (t.agg[i] == t.agg[r] && key < t.u.Key(r)) {
-			t.aggRep[s] = int32(i)
-		}
-	}
-}
-
-// RepairEdge re-derives the static metrics of every candidate whose
-// GPU set contains both endpoints of machine edge (u,v) — called after
-// the edge's weight changed — and returns how many were refreshed. The
-// affected set is exact, not conservative: AggregatedBandwidth and the
-// internal-edge constant read only weights between allocated GPUs, and
-// the ring-channel decomposition behind the link mix keeps a physical
-// link only when both endpoints are inside the allocation (PCIe hops
-// are a global constant), so a candidate holding just one endpoint
-// prices the old and new graph identically. The AggBW representatives
-// are re-picked, and per-model artifacts (predictions and selection
-// orders) are dropped wholesale and rebuilt lazily on the next
-// decision. The caller must have already mutated the topology's graphs
-// and invalidated its mix memo and pair table (InvalidateMixes) — the
-// refill reads both — and must serialize RepairEdge with readers.
+// RepairEdge re-derives the static metrics of every GPU set that
+// contains both endpoints of machine edge (u,v) — called after the
+// edge's weight changed — and returns how many candidates (sets times
+// embeddings per set) were refreshed. The affected sets are exact, not
+// conservative: AggregatedBandwidth and the internal-edge constant read
+// only weights between allocated GPUs, and the ring-channel
+// decomposition behind the link mix keeps a physical link only when
+// both endpoints are inside the allocation (PCIe hops are a global
+// constant), so a set holding just one endpoint prices the old and new
+// graph identically. The C(n−2, k−2) affected sets are unranked
+// directly, the column maxima re-taken, and per-model artifacts
+// (predictions and selection orders) dropped wholesale and rebuilt
+// lazily on the next decision. The caller must have already mutated
+// the topology's graphs and invalidated its mix memo and pair table
+// (InvalidateMixes) — the refill reads both — and must serialize
+// RepairEdge with readers.
 func (t *Table) RepairEdge(u, v int) int {
-	repaired := 0
-	tm := mixesOf(t.top)
-	for i := 0; i < t.Len(); i++ {
-		s := t.u.Set(i)
-		if s.Has(u) && s.Has(v) {
-			t.fill(tm, i)
-			repaired++
+	t.tm = mixesOf(t.top)
+	verts := t.u.Vertices()
+	pu, okU := slices.BinarySearch(verts, min(u, v))
+	pv, okV := slices.BinarySearch(verts, max(u, v))
+	if t.k < 2 || t.u.Sets() == 0 || !okU || !okV || pu == pv {
+		return 0
+	}
+	// The other n−2 positions, and a (k−2)-subset of them in
+	// lexicographic order.
+	others := make([]int, 0, len(verts)-2)
+	for p := range verts {
+		if p != pu && p != pv {
+			others = append(others, p)
 		}
 	}
-	if repaired > 0 {
-		t.pickReps()
-		t.mu.Lock()
-		t.models = make(map[*effbw.Model]*ModelTable)
-		t.mu.Unlock()
+	pick := make([]int, t.k-2)
+	for i := range pick {
+		pick[i] = i
 	}
-	return repaired
+	gpus := make([]int, 0, t.k)
+	sc := t.newScratch()
+	repaired := 0
+	for {
+		gpus = append(gpus[:0], verts[pu], verts[pv])
+		for _, i := range pick {
+			gpus = append(gpus, verts[others[i]])
+		}
+		slices.Sort(gpus)
+		t.fill(sc, t.Rank(gpus))
+		repaired++
+		if !match.NextSubset(pick, len(others)) {
+			break
+		}
+	}
+	t.maxInternal, t.maxAgg = maxOf(t.internal), maxOf(t.setAgg)
+	t.mu.Lock()
+	t.models = make(map[*effbw.Model]*ModelTable)
+	t.mu.Unlock()
+	return repaired * t.u.Perms()
 }
 
 // Universe returns the universe the table annotates.
 func (t *Table) Universe() *match.Universe { return t.u }
 
-// Len returns the candidate count.
-func (t *Table) Len() int { return len(t.agg) }
+// Len returns the candidate count: sets times embeddings per set.
+func (t *Table) Len() int { return t.u.Len() }
 
-// AggBW returns candidate i's Eq. 1 Aggregated Bandwidth.
-func (t *Table) AggBW(i int) float64 { return t.agg[i] }
-
-// Internal returns candidate i's internal hardware-edge weight — the
-// static constant of the Eq. 3 delta decomposition.
-func (t *Table) Internal(i int) float64 { return t.internal[t.u.SetOf(i)] }
-
-// Mix returns candidate i's ring-channel link mix.
-func (t *Table) Mix(i int) effbw.LinkCounts { return t.mix[t.u.SetOf(i)] }
-
-// GPUs returns candidate i's ascending GPU set as a view into the
-// table's arena. Read-only.
-func (t *Table) GPUs(i int) []int { return t.SetGPUs(t.u.SetOf(i)) }
+// AggBW returns the Eq. 1 Aggregated Bandwidth of embedding (s, p):
+// the stored SetAggBW for the set's AggRep, otherwise priced from the
+// topology's pair table in O(|E(P)|).
+func (t *Table) AggBW(s, p int) float64 {
+	if p == int(t.aggRep[s]) {
+		return t.setAgg[s]
+	}
+	var buf [16]int
+	data := buf[:0]
+	if t.k > len(buf) {
+		data = make([]int, 0, t.k)
+	}
+	data = data[:t.k]
+	t.embed(data, s, p)
+	return t.tm.pairsOf().aggBW(t.epos, data)
+}
 
 // SetGPUs returns set s's ascending GPU list as a view into the
 // table's arena. Read-only.
@@ -293,8 +309,12 @@ func (t *Table) SetGPUs(s int) []int {
 	return t.gpusArena[s*t.k : (s+1)*t.k : (s+1)*t.k]
 }
 
-// SetInternal returns set s's internal hardware-edge weight.
+// SetInternal returns set s's internal hardware-edge weight — the
+// static constant of the Eq. 3 delta decomposition.
 func (t *Table) SetInternal(s int) float64 { return t.internal[s] }
+
+// SetMix returns set s's ring-channel link mix.
+func (t *Table) SetMix(s int) effbw.LinkCounts { return t.mix[s] }
 
 // MaxInternal returns the largest SetInternal: the internal-edge term
 // of the PreservedBW upper bound.
@@ -323,15 +343,17 @@ func maxOf(xs []float64) float64 {
 }
 
 // SetAggBW returns the highest Eq. 1 Aggregated Bandwidth among set s's
-// candidates — its AggRep's.
-func (t *Table) SetAggBW(s int) float64 { return t.agg[t.aggRep[s]] }
+// embeddings — its AggRep's.
+func (t *Table) SetAggBW(s int) float64 { return t.setAgg[s] }
 
-// KeyRep returns set s's minimum-key candidate: the set's winner under
-// any selection order that does not rank AggBW.
+// KeyRep returns the permutation index of set s's minimum-key
+// embedding: the set's winner under any selection order that does not
+// rank AggBW.
 func (t *Table) KeyRep(s int) int { return int(t.keyRep[s]) }
 
-// AggRep returns set s's maximum-AggBW candidate, ties to the minimum
-// key: the set's winner under any selection order that ranks AggBW.
+// AggRep returns the permutation index of set s's maximum-AggBW
+// embedding, ties to the minimum key: the set's winner under any
+// selection order that ranks AggBW.
 func (t *Table) AggRep(s int) int { return int(t.aggRep[s]) }
 
 // ForModel returns the table's per-model artifacts — Eq. 2 predictions
@@ -369,9 +391,6 @@ type ModelTable struct {
 	effEnds  []int32
 }
 
-// EffBW returns candidate i's Eq. 2 prediction under this model.
-func (mt *ModelTable) EffBW(i int) float64 { return mt.eff[mt.t.u.SetOf(i)] }
-
 // SetEffBW returns set s's Eq. 2 prediction under this model.
 func (mt *ModelTable) SetEffBW(s int) float64 { return mt.eff[s] }
 
@@ -391,10 +410,7 @@ func (mt *ModelTable) MaxSetEffBW() float64 { return mt.maxEff }
 func (mt *ModelTable) AggGroups() (ord, ends []int32) {
 	mt.aggOnce.Do(func() {
 		t := mt.t
-		agg := make([]float64, len(t.aggRep))
-		for s := range agg {
-			agg[s] = t.SetAggBW(s)
-		}
+		agg := t.setAgg
 		mt.aggOrder = newOrder(len(agg))
 		sort.Slice(mt.aggOrder, func(a, b int) bool {
 			s, r := int(mt.aggOrder[a]), int(mt.aggOrder[b])

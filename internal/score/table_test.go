@@ -44,7 +44,7 @@ func TestTableMatchesDynamicScorer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				u := match.BuildUniverse(pattern, top.Graph, 0, 1)
+				u := match.BuildUniverse(pattern, top.Graph, 0)
 				if !u.Complete() {
 					t.Fatal("universe must be complete")
 				}
@@ -88,6 +88,9 @@ func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pat
 			t.Fatalf("%s set %d: representatives %d/%d, parallel build %d/%d",
 				leg, s, tbl.KeyRep(s), tbl.AggRep(s), par.KeyRep(s), par.AggRep(s))
 		}
+		if par.SetAggBW(s) != tbl.SetAggBW(s) || par.SetMix(s) != tbl.SetMix(s) || par.SetInternal(s) != tbl.SetInternal(s) {
+			t.Fatalf("%s set %d: parallel build differs", leg, s)
+		}
 	}
 	mt := tbl.ForModel(s.Model)
 	led := NewLedger(top.Graph)
@@ -98,24 +101,25 @@ func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pat
 		sweeps[top.Graph.Fingerprint()] = state
 	}
 	for i := 0; i < u.Len(); i++ {
-		if par.AggBW(i) != tbl.AggBW(i) || par.Mix(i) != tbl.Mix(i) || par.Internal(i) != tbl.Internal(i) {
-			t.Fatalf("%s candidate %d: parallel build differs", leg, i)
-		}
-		m := u.Match(i)
+		set, p := i/u.Perms(), i%u.Perms()
+		m := embedding(tbl, set, p)
 		want := s.ScoreLedger(top, pattern, top.Graph, m, led)
-		if tbl.AggBW(i) != want.AggBW {
-			t.Fatalf("%s %v candidate %d: AggBW %g, dynamic %g", leg, m.Data, i, tbl.AggBW(i), want.AggBW)
+		if got := tbl.AggBW(set, p); got != want.AggBW || par.AggBW(set, p) != got {
+			t.Fatalf("%s %v candidate %d: AggBW %g (parallel build %g), dynamic %g", leg, m.Data, i, got, par.AggBW(set, p), want.AggBW)
 		}
-		if tbl.Mix(i) != want.Mix {
-			t.Fatalf("%s %v candidate %d: mix %+v, dynamic %+v", leg, m.Data, i, tbl.Mix(i), want.Mix)
+		if tbl.SetMix(set) != want.Mix {
+			t.Fatalf("%s %v candidate %d: mix %+v, dynamic %+v", leg, m.Data, i, tbl.SetMix(set), want.Mix)
 		}
-		if mt.EffBW(i) != want.EffBW {
-			t.Fatalf("%s %v candidate %d: EffBW %g, dynamic %g", leg, m.Data, i, mt.EffBW(i), want.EffBW)
+		if mt.SetEffBW(set) != want.EffBW {
+			t.Fatalf("%s %v candidate %d: EffBW %g, dynamic %g", leg, m.Data, i, mt.SetEffBW(set), want.EffBW)
 		}
 		// Eq. 3 decomposition against the full-graph sweep: the state
 		// terms are the whole machine's totals, walked edge by edge rather
 		// than read off the ledger.
-		gpus := tbl.GPUs(i)
+		gpus := tbl.SetGPUs(set)
+		if !slices.Equal(gpus, m.DataVertices()) {
+			t.Fatalf("%s candidate %d: set %v, embedding %v", leg, i, gpus, m.Data)
+		}
 		key := fmt.Sprint(gpus)
 		sw, ok := state[key]
 		if !ok {
@@ -127,13 +131,21 @@ func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pat
 			}
 			state[key] = sw
 		}
-		if got := idle - sw.incident + tbl.Internal(i); got != sw.ref {
+		if got := idle - sw.incident + tbl.SetInternal(set); got != sw.ref {
 			t.Fatalf("%s %v candidate %d: delta-decomposed PreservedBW %g, full-graph sweep %g", leg, m.Data, i, got, sw.ref)
 		}
 		if want.PreservedBW != sw.ref {
 			t.Fatalf("%s %v candidate %d: ledger PreservedBW %g, full-graph sweep %g", leg, m.Data, i, want.PreservedBW, sw.ref)
 		}
 	}
+}
+
+// embedding returns candidate (s, p) of the table's universe as a
+// Match: set s's GPUs composed with permutation p.
+func embedding(tbl *Table, s, p int) match.Match {
+	data := make([]int, tbl.k)
+	tbl.embed(data, s, p)
+	return match.Match{Pattern: tbl.Universe().Order(), Data: data}
 }
 
 // TestPairTablePreservedMatchesInducedSubgraph pins the pair table's
@@ -180,8 +192,8 @@ func TestPairTablePreservedMatchesInducedSubgraph(t *testing.T) {
 // TestTableOrders pins the precomputed set orders and the per-set
 // representatives, on a Ring(4) universe where every GPU set holds
 // three embeddings of differing AggBW: KeyRep must be the set's
-// minimum-key embedding and AggRep its maximum-AggBW one (ties to the
-// minimum key); AggGroups must sort the sets under the full Greedy
+// minimum-key permutation and AggRep its maximum-AggBW one (ties to the
+// minimum key), SetAggBW the AggRep's; AggGroups must sort the sets under the full Greedy
 // order of their AggRep (SetAggBW desc, EffBW desc, GPU set — a strict
 // total order, since sets differ in their GPUs), EffGroups by EffBW
 // descending; and both group-end indexes must delimit exactly the
@@ -189,31 +201,30 @@ func TestPairTablePreservedMatchesInducedSubgraph(t *testing.T) {
 func TestTableOrders(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := ringPattern(4)
-	u := match.BuildUniverse(pattern, top.Graph, 0, 1)
+	u := match.BuildUniverse(pattern, top.Graph, 0)
 	tbl := BuildTable(top, pattern, u, 1)
 	model := effbw.PaperModel()
 	mt := tbl.ForModel(model)
 
-	if u.Sets() == u.Len() {
-		t.Fatalf("Ring(4) universe has one embedding per set (%d)", u.Sets())
+	if u.Perms() != 3 {
+		t.Fatalf("Ring(4) universe has %d embeddings per set, want 3", u.Perms())
 	}
+	ky := match.NewKeyer(pattern, u.Order())
+	keyOf := func(s, p int) string { return string(ky.KeyBytes(embedding(tbl, s, p))) }
 	spread := false
 	for s := 0; s < u.Sets(); s++ {
 		kr, ar := tbl.KeyRep(s), tbl.AggRep(s)
-		for i := 0; i < u.Len(); i++ {
-			if u.SetOf(i) != s {
-				continue
+		for p := 0; p < u.Perms(); p++ {
+			if keyOf(s, p) < keyOf(s, kr) {
+				t.Fatalf("set %d: KeyRep %d, but embedding %d has a smaller key", s, kr, p)
 			}
-			if u.Key(i) < u.Key(kr) {
-				t.Fatalf("set %d: KeyRep %d, but candidate %d has a smaller key", s, kr, i)
+			if tbl.AggBW(s, p) > tbl.AggBW(s, ar) || (tbl.AggBW(s, p) == tbl.AggBW(s, ar) && keyOf(s, p) < keyOf(s, ar)) {
+				t.Fatalf("set %d: AggRep %d, but embedding %d precedes it", s, ar, p)
 			}
-			if tbl.AggBW(i) > tbl.AggBW(ar) || (tbl.AggBW(i) == tbl.AggBW(ar) && u.Key(i) < u.Key(ar)) {
-				t.Fatalf("set %d: AggRep %d, but candidate %d precedes it", s, ar, i)
-			}
-			spread = spread || tbl.AggBW(i) != tbl.AggBW(ar)
+			spread = spread || tbl.AggBW(s, p) != tbl.AggBW(s, ar)
 		}
-		if u.SetOf(kr) != s || u.SetOf(ar) != s || tbl.SetAggBW(s) != tbl.AggBW(ar) {
-			t.Fatalf("set %d: representatives %d/%d lie outside it", s, kr, ar)
+		if tbl.SetAggBW(s) != tbl.AggBW(s, ar) {
+			t.Fatalf("set %d: SetAggBW %g, its AggRep's %g", s, tbl.SetAggBW(s), tbl.AggBW(s, ar))
 		}
 	}
 	if !spread {

@@ -163,10 +163,10 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, queued, queueDepth int) 
 	}
 	gauge("mapad_warm", "Whether the construction-time warm set is fully resident (1) or still building (0).", warm)
 	counter("mapad_decisions_table_served_total", "Decisions answered by the table-served selection path (precomputed scores + O(k) arithmetic).", cs.TableServed)
-	counter("mapad_decisions_search_served_total", "Decisions the view stream declined (incomplete universe, foreign truncated prefix, or a stream out of sync with the state, which only a mis-published delta causes), answered by a fresh search.", cs.ViewRejected)
+	counter("mapad_decisions_search_served_total", "Decisions the view stream declined (incomplete universe, a binding candidate cap, or a stream out of sync with the state, which only a mis-published delta causes), answered by a fresh search.", cs.ViewRejected)
 	gauge("mapad_universes_resident", "Idle-state match universes resident in the shared store.", cs.Universes)
 	gauge("mapad_score_tables_resident", "Precomputed score tables resident in the shared store.", cs.ScoreTables)
-	fmt.Fprintf(w, "# HELP mapad_universe_build_seconds_total Summed wall time of idle-state universe enumerations.\n")
+	fmt.Fprintf(w, "# HELP mapad_universe_build_seconds_total Summed wall time of idle-state universe builds.\n")
 	fmt.Fprintf(w, "# TYPE mapad_universe_build_seconds_total counter\n")
 	fmt.Fprintf(w, "mapad_universe_build_seconds_total %g\n", cs.UniverseBuildTime.Seconds())
 	fmt.Fprintf(w, "# HELP mapad_table_build_seconds_total Summed wall time of score-table builds over those universes.\n")

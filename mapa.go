@@ -119,8 +119,8 @@ type Lease struct {
 //
 // The state lock covers decision-critical state only: Allocate builds
 // a cold shape's match universe and score table *before* taking it
-// (see Store.Ensure), so one tenant's cold miss — hundreds of
-// milliseconds of enumeration on a large machine — never stalls
+// (see Store.Ensure), so one tenant's cold miss — a score-table build
+// of up to hundreds of milliseconds on a large machine — never stalls
 // another tenant's table-served decision, Release, or health event.
 // Concurrent cold requests for one shape converge on a single build.
 type System struct {
@@ -222,8 +222,8 @@ func WithBackgroundWarming() SystemOption {
 // WithWarmShapes precomputes the idle-state match universes for every
 // built-in communication shape (see Shapes) at sizes 2..maxGPUs, and
 // their score tables, during NewSystem, so even the first decision for
-// those shapes is table-served instead of paying the shape's idle
-// enumeration. Warming is the init-time cost MAPA pays once per machine
+// those shapes is table-served instead of paying the shape's universe
+// and table build. Warming is the init-time cost MAPA pays once per machine
 // instead of per scheduling step.
 func WithWarmShapes(maxGPUs int) SystemOption {
 	return func(c *systemConfig) { c.warmMaxGPUs = maxGPUs }
@@ -366,11 +366,13 @@ func (s *System) WaitWarm() {
 // made.
 type CacheStats struct {
 	// Universes counts complete idle-state universes built;
-	// UniversesIncomplete shapes whose enumeration overflowed the store
+	// UniversesIncomplete shapes whose universe overflowed the store
 	// capacity (never table-served).
 	Universes, UniversesIncomplete int
 	// UniverseBuildTime is the summed wall time of every idle-state
-	// universe enumeration the store has run (warmed or on demand).
+	// universe the store has derived (warmed or on demand): each is a
+	// closed form, its permutation list on K_k, not an enumeration on
+	// the machine.
 	UniverseBuildTime time.Duration
 	// ScoreTables counts precomputed static score tables built (one per
 	// warmed or table-served shape); TableBuildTime is their summed
@@ -379,8 +381,10 @@ type CacheStats struct {
 	TableBuildTime time.Duration
 	// Repairs counts link-degradation events absorbed by incremental
 	// table repair; RepairedCandidates the candidates re-derived across
-	// them; RepairTime their summed wall time (compare with
-	// UniverseBuildTime+TableBuildTime, the cost a rebuild would pay).
+	// them — the GPU sets holding both endpoints of the degraded link
+	// times the embeddings per set; RepairTime their summed wall time
+	// (compare with UniverseBuildTime+TableBuildTime, the cost a
+	// rebuild would pay).
 	Repairs            int
 	RepairedCandidates int
 	RepairTime         time.Duration
@@ -389,9 +393,8 @@ type CacheStats struct {
 	// delta-maintained Eq. 3 arithmetic, zero searches and zero dynamic
 	// score evaluations. ViewRejected counts decisions the view layer
 	// declined, each answered by a fresh search instead: the shape's
-	// universe was incomplete, a binding candidate cap would serve the
-	// truncated prefix of a structurally different build of the shape,
-	// or the stream was out of sync with the decision's mask — a guard
+	// universe was incomplete, a candidate cap bound (only the search
+	// streams the capped prefix), or the stream was out of sync with the decision's mask — a guard
 	// against a mis-published delta, since the System's one stream
 	// receives every committed one.
 	TableServed, ViewRejected uint64
@@ -516,7 +519,7 @@ var ErrLeaseNotActive = errors.New("lease not active")
 
 // prewarm resolves req's communication pattern — pattern itself when
 // non-nil — and builds its match universe and score table (if missing)
-// with the state lock released, so a cold shape's enumeration runs
+// with the state lock released, so a cold shape's build runs
 // concurrently with every other System call. A request for more GPUs
 // than the machine has is refused before its pattern is built: it can
 // never be placed, and its pattern graph (an AllToAll is quadratic in
@@ -590,7 +593,7 @@ func (s *System) prewarm(req JobRequest, pattern *graph.Graph) (*graph.Graph, *m
 // double-checking the store entry: if a concurrent Repartition swapped
 // the pipeline while the unlocked prewarm ran against the old store,
 // the build is redone against the current one — the decision must
-// never be the call that pays a cold enumeration under the lock.
+// never be the call that pays a cold build under the lock.
 func (s *System) lockWithPipeline(pattern *graph.Graph, st *matchcache.Store) {
 	s.mu.Lock()
 	for s.store != st {
@@ -756,9 +759,9 @@ var ErrFractionalBandwidth = errors.New("link bandwidth must be a whole number o
 // DegradeLink sets the bandwidth of an existing machine link (u,v) to
 // bw GB/s — a link-degradation (or recovery) event. The topology's
 // graphs mutate in place: the link's structure and label survive, only
-// its weight changes, so no universe is re-enumerated and liveness is
+// its weight changes, so no universe changes and liveness is
 // untouched. The derived state is repaired incrementally:
-// built score tables re-derive exactly the candidates containing both
+// built score tables re-derive exactly the GPU sets containing both
 // endpoints (the ring-channel decomposition prices a physical link
 // only when the allocation holds both ends, so the affected set is
 // exact), the topology's link-mix memo is invalidated, and the live

@@ -3,6 +3,7 @@ package mapa
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mapa/internal/appgraph"
@@ -254,53 +255,65 @@ func TestSystemBackgroundWarmingParity(t *testing.T) {
 	sync1.WaitWarm()
 }
 
-// liveViewChurnVerify asserts the three-way byte-identity the
-// decision path relies on: the candidates live on the stream's
-// delta-maintained usable mask, the full-universe mask filter, and a
-// fresh deduplicated search on the induced availability subgraph must
-// agree on indices, keys, and representative assignment sequences.
+// liveViewChurnVerify asserts the byte-identity the decision path
+// relies on: the embeddings live on the stream's delta-maintained
+// usable mask — every closed-form embedding on a set of usable GPUs,
+// in emission order — and a fresh deduplicated search on the induced
+// availability subgraph must agree on keys and representative
+// assignment sequences.
 func liveViewChurnVerify(t *testing.T, u *match.Universe, bw *match.BandwidthAccounting, top *topology.Topology, pattern *graph.Graph, free []int, step string) {
 	t.Helper()
 	avail := top.Graph.InducedSubgraph(free)
-	fidx, _ := u.Filter(avail.VertexBitset(), 0)
-	var lidx []int
-	for i := 0; i < u.Len(); i++ {
-		if u.Set(i).SubsetOf(bw.Usable()) {
-			lidx = append(lidx, i)
-		}
-	}
-	if len(lidx) != len(fidx) {
-		t.Fatalf("%s: usable mask keeps %d candidates, Filter %d", step, len(lidx), len(fidx))
-	}
-	for j := range fidx {
-		if lidx[j] != fidx[j] {
-			t.Fatalf("%s candidate %d: usable-mask index %d, Filter %d", step, j, lidx[j], fidx[j])
-		}
-	}
+	live := closedFormLive(u, bw.Usable())
 	ms, keys := match.FindAllDedupedCappedKeys(pattern, avail, 0)
-	if len(ms) != len(lidx) {
-		t.Fatalf("%s: fresh search found %d classes, live view %d", step, len(ms), len(lidx))
+	if len(ms) != len(live) {
+		t.Fatalf("%s: fresh search found %d classes, live view %d", step, len(ms), len(live))
 	}
-	for j, i := range lidx {
-		if u.Key(i) != keys[j] {
-			t.Fatalf("%s class %d: live-view key %q, search key %q", step, j, u.Key(i), keys[j])
+	for j, got := range live {
+		if key := got.Key(pattern, top.Graph); key != keys[j] {
+			t.Fatalf("%s class %d: live-view key %q, search key %q", step, j, key, keys[j])
 		}
-		got := u.Match(i)
-		for d := range ms[j].Data {
-			if got.Data[d] != ms[j].Data[d] || got.Pattern[d] != ms[j].Pattern[d] {
-				t.Fatalf("%s class %d: representative differs:\n got %v->%v\nwant %v->%v",
-					step, j, got.Pattern, got.Data, ms[j].Pattern, ms[j].Data)
+		if !slices.Equal(got.Data, ms[j].Data) || !slices.Equal(got.Pattern, ms[j].Pattern) {
+			t.Fatalf("%s class %d: representative differs:\n got %v->%v\nwant %v->%v",
+				step, j, got.Pattern, got.Data, ms[j].Pattern, ms[j].Data)
+		}
+	}
+}
+
+// closedFormLive lists a universe's embeddings on the sets whose
+// vertices all lie in usable — each set's ascending vertices composed
+// with every permutation — in the search's emission order,
+// lexicographic in the data tuple.
+func closedFormLive(u *match.Universe, usable graph.Bitset) []match.Match {
+	verts, k := u.Vertices(), len(u.Order())
+	pos := make([]int, k)
+	for i := range pos {
+		pos[i] = i
+	}
+	var out []match.Match
+	for ok := u.Sets() > 0; ok; ok = match.NextSubset(pos, len(verts)) {
+		live := true
+		for _, p := range pos {
+			live = live && usable.Has(verts[p])
+		}
+		for p := 0; live && p < u.Perms(); p++ {
+			data := make([]int, k)
+			for j, q := range u.Perm(p) {
+				data[j] = verts[pos[q]]
 			}
+			out = append(out, match.Match{Pattern: u.Order(), Data: data})
 		}
 	}
+	slices.SortFunc(out, func(a, b match.Match) int { return slices.Compare(a.Data, b.Data) })
+	return out
 }
 
 // TestLiveViewChurnParityRandomized is the headline churn-parity
 // suite: >=500 seeded, interleaved allocate/release steps on the
 // DGX-A100 and on the 9-node 72-GPU cluster (whose masks span multiple
-// bitset words), with the stream's usable mask, Universe.Filter, and a fresh
-// FindAllDedupedCapped search cross-checked byte-for-byte after every
-// single step.
+// bitset words), with the stream's usable mask over the closed-form
+// universe and a fresh FindAllDedupedCapped search cross-checked
+// byte-for-byte after every single step.
 func TestLiveViewChurnParityRandomized(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -318,7 +331,7 @@ func TestLiveViewChurnParityRandomized(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pattern := appgraph.Ring(3)
-			u := match.BuildUniverse(pattern, tc.top.Graph, 0, 1)
+			u := match.BuildUniverse(pattern, tc.top.Graph, 0)
 			if !u.Complete() {
 				t.Fatal("idle-state universe must be complete")
 			}
