@@ -14,7 +14,8 @@ import (
 )
 
 // degrade mutates machine link (u,v) to weight w the way mapa.System
-// does: both topology graphs plus the process-wide mix memo.
+// does: both topology graphs, then the topology's pair table and the
+// signature-keyed mix memo it carries.
 func degrade(t *testing.T, top *topology.Topology, u, v int, w float64) {
 	t.Helper()
 	e, ok := top.Graph.EdgeBetween(u, v)

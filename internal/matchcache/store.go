@@ -152,7 +152,7 @@ func (s *Store) ensureTable(sl *universeSlot, workers int) *score.Table {
 //
 // Tables built after the event need no repair: BuildTable reads the
 // mutated graph. The caller must have already updated the topology's
-// graphs and invalidated the process-wide mix memo
+// graphs and dropped its pair table and signature-keyed mix memo
 // (score.InvalidateMixes), and must serialize RepairEdge with
 // decisions on this store, as mapa.System does under its lock.
 func (s *Store) RepairEdge(u, v int) int {

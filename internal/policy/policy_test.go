@@ -194,9 +194,9 @@ func TestMaskPoliciesMatchGraphReference(t *testing.T) {
 // TestRankedDecisionAllocations pins the cost class of a Baseline or
 // TopoAware decision through a reused buffer: none. The pattern's
 // vertices and edge positions are memoized on the pattern graph, the
-// mix memo is looked up with a key built on the stack, Eq. 2 expands
-// its basis on the stack, and Eq. 1 and Eq. 3 are read off the pair
-// table and the usable mask's words.
+// mix memo is looked up by a link signature built on the stack, Eq. 2
+// expands its basis on the stack, and Eq. 1 and Eq. 3 are read off the
+// pair table and the usable mask's words.
 func TestRankedDecisionAllocations(t *testing.T) {
 	top := topology.DGXV100()
 	usable := top.Graph.VertexBitset()

@@ -15,7 +15,9 @@
 // benchmark run. This matches how the collective library actually uses
 // links and makes the predictor's inputs consistent with its training
 // distribution; scoring by the raw pattern-edge mix is available as
-// UsedLinkMix for the paper-literal ablation.
+// UsedLinkMix for the paper-literal ablation. The mix is memoized per
+// topology instance by the set's link signature (see topoMixes.mix), so
+// a machine's many GPU sets share a handful of decompositions.
 //
 // Beyond the per-match evaluators, the package provides the static side
 // of the warmed fast path: Table precomputes every state-independent
@@ -27,7 +29,9 @@ package score
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -161,45 +165,42 @@ func (l *Ledger) Preserved(gpus []int) float64 {
 	return l.total - drop + internal
 }
 
-// mixShards is the shard count of the process-wide allocation-mix memo.
-// Power of two so the hash folds with a mask.
-const mixShards = 64
+// maxMixSignatures bounds each topology instance's mix memo. The memo
+// is keyed by a GPU set's link signature, so it holds one entry per
+// distinct pattern of links among the sets' GPUs — 6 for every set of
+// up to 3 of cluster-a100's 72 GPUs, 4 for every set of up to 5 of a
+// dgx-a100's 8, 1,233 for cubemesh-16's — not one per set. Past the
+// bound (machines with many distinct link weights, or large sets on an
+// irregular machine), insertion evicts an arbitrary resident entry:
+// memory stays flat under churn, and an evicted mix is merely
+// recomputed.
+const maxMixSignatures = 4096
 
-// maxMixEntriesPerShard bounds each shard of a topology's mix memo, so
-// sustained churn over many distinct GPU sets (long-running daemons,
-// adversarial request mixes) holds memory flat instead of growing
-// without bound. 4096 entries × 64 shards ≈ 262k sets per topology —
-// comfortably above the 59,640-class cluster universe, so steady-state
-// table builds and decisions never evict. Past the bound, insertion
-// evicts an arbitrary resident entry (one map-range step — cheap, and
-// an evicted mix is merely recomputed on next sight).
-const maxMixEntriesPerShard = 4096
-
-// mixShard is one lock-striped slice of a topology's mix memo. Keys
-// pack the GPU set into bitset words (8 raw bytes per uint64) instead
-// of the former per-GPU decimal rendering, and lock striping replaces
-// the former single global mutex.
-type mixShard struct {
-	mu sync.Mutex
-	m  map[string]effbw.LinkCounts
-}
-
-// topoMixes is one topology instance's derived scoring state: the
-// sharded mix memo and the dense pair table, both functions of the
-// instance's link weights and both dropped by InvalidateMixes.
+// topoMixes is one topology instance's derived scoring state: the pair
+// table, which carries the instance's mix memo, built lazily and
+// dropped by InvalidateMixes.
 type topoMixes struct {
-	top    *topology.Topology
-	shards [mixShards]mixShard
-	pairs  atomic.Pointer[pairTable]
+	top   *topology.Topology
+	pairs atomic.Pointer[pairTable]
 }
 
 // pairTable is a topology's hardware graph as a dense matrix indexed by
 // GPU ID, so Eq. 1 and Eq. 3 of a GPU set chosen off an availability
 // mask are array reads instead of walks over a materialized subgraph.
+// It also carries the instance's mix memo, keyed by the physical link
+// classes among a set's GPUs, so the two are dropped together.
 type pairTable struct {
-	n   int
-	w   []float64    // w[u*n+v]: weight of link (u,v), 0 when absent
-	has graph.Bitset // bit u*n+v: link (u,v) exists
+	n    int
+	w    []float64    // w[u*n+v]: weight of link (u,v), 0 when absent
+	has  graph.Bitset // bit u*n+v: link (u,v) exists
+	gpus graph.Bitset // bit g: GPU g is a vertex of the hardware graph
+	// link[u*n+v] is the class of physical link (u,v) — one number per
+	// distinct (label, weight bits) pair, from 1 — or 0 when there is
+	// no physical link.
+	link []uint32
+
+	mu    sync.RWMutex
+	mixes map[string]effbw.LinkCounts // link signature -> ring-channel mix
 }
 
 // pairsOf returns the topology's pair table, building it on first use
@@ -209,11 +210,32 @@ func (tm *topoMixes) pairsOf() *pairTable {
 		return pt
 	}
 	n := graph.Capacity(tm.top.Graph)
-	pt := &pairTable{n: n, w: make([]float64, n*n), has: graph.NewBitset(n * n)}
+	pt := &pairTable{
+		n:     n,
+		w:     make([]float64, n*n),
+		has:   graph.NewBitset(n * n),
+		gpus:  tm.top.Graph.VertexBitset(),
+		link:  make([]uint32, n*n),
+		mixes: make(map[string]effbw.LinkCounts),
+	}
 	tm.top.Graph.ForEachEdge(func(e graph.Edge) bool {
 		pt.w[e.U*n+e.V], pt.w[e.V*n+e.U] = e.Weight, e.Weight
 		pt.has.Set(e.U*n + e.V)
 		pt.has.Set(e.V*n + e.U)
+		return true
+	})
+	classes := make(map[[2]uint64]uint32) // (label, weight bits) -> class
+	tm.top.Physical.ForEachEdge(func(e graph.Edge) bool {
+		if !pt.gpus.Has(e.U) || !pt.gpus.Has(e.V) {
+			return true // no mix names a GPU outside the hardware graph
+		}
+		c := [2]uint64{uint64(e.Label), math.Float64bits(e.Weight)}
+		id, ok := classes[c]
+		if !ok {
+			id = uint32(len(classes)) + 1
+			classes[c] = id
+		}
+		pt.link[e.U*n+e.V], pt.link[e.V*n+e.U] = id, id
 		return true
 	})
 	tm.pairs.Store(pt)
@@ -329,103 +351,79 @@ func mixesOf(top *topology.Topology) *topoMixes {
 }
 
 // InvalidateMixes drops every memoized link mix of the topology
-// instance, and its pair table. Call it after mutating the instance's
-// graphs in place (link degradation, fault-driven reweighting): the
-// memo is keyed by GPU set only, so stale mixes would otherwise serve
-// the old weights forever. Dropping the whole instance is safe —
-// evicted mixes are merely recomputed — and costs one map reset per
-// shard. A topology the registry has never seen is a no-op.
+// instance together with its pair table. Call it after mutating the
+// instance's graphs in place (link degradation, fault-driven
+// reweighting): the memo is keyed by link classes the pair table
+// numbered from the old weights, so it would otherwise serve them
+// forever. Dropping the whole instance is safe — mixes are merely
+// recomputed. A topology the registry has never seen is a no-op.
 func InvalidateMixes(top *topology.Topology) {
 	r := &mixRegistry
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	el, ok := r.m[top]
-	if !ok {
-		return
-	}
-	tm := el.Value.(*topoMixes)
-	tm.pairs.Store(nil)
-	for i := range tm.shards {
-		sh := &tm.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
+	if el, ok := r.m[top]; ok {
+		el.Value.(*topoMixes).pairs.Store(nil)
 	}
 }
 
-// mixSetKey appends a GPU set's compact key to dst — the set's bitset
-// words, little-endian, so bit g is bit g%8 of byte g/8 — and returns it
-// with the key's FNV-1a hash for shard selection.
-func mixSetKey(dst []byte, gpus []int) ([]byte, uint64) {
-	maxID := 0
-	for _, g := range gpus {
-		maxID = max(maxID, g)
+// mix returns the ring-channel link mix of the GPU set on the topology,
+// memoized by the set's link signature: the physical link class of each
+// pair (i < j) of its GPUs in ascending order. That is all that
+// ncclsim.Decompose and effbw.MixFromDecomposition read, and the ring
+// search breaks ties by that position order, so sets with one signature
+// get one mix bit for bit; a signature canonicalized under permutation
+// would not be exact. The memo is shared by every Scorer and Table
+// build on the instance. The key is built on the stack, and a hit
+// allocates nothing. A set naming a GPU outside the hardware graph, or
+// one GPU twice, decomposes directly (which panics on the former).
+func (tm *topoMixes) mix(gpus []int) effbw.LinkCounts {
+	if len(gpus) < 2 {
+		return effbw.LinkCounts{}
 	}
-	start, n := len(dst), 8*(maxID/64+1)
-	dst = slices.Grow(dst, n)[:start+n]
-	key := dst[start:]
-	clear(key)
-	for _, g := range gpus {
-		if g >= 0 {
-			key[g/8] |= 1 << (uint(g) % 8)
+	pt := tm.pairsOf()
+	set := gpus
+	if !slices.IsSorted(set) {
+		var setBuf [16]int
+		set = append(setBuf[:0], gpus...)
+		slices.Sort(set)
+	}
+	var keyBuf [64]byte
+	key := keyBuf[:0]
+	for i, u := range set {
+		// Ascending, so every later v is in the table's range once the
+		// largest GPU is; a gap or a duplicate shows when it is u.
+		if set[len(set)-1] >= pt.n || !pt.gpus.Has(u) || (i > 0 && u == set[i-1]) {
+			return effbw.MixFromDecomposition(tm.top, ncclsim.Decompose(tm.top, gpus))
+		}
+		row := pt.link[u*pt.n : (u+1)*pt.n]
+		for _, v := range set[i+1:] {
+			key = binary.AppendUvarint(key, uint64(row[v]))
 		}
 	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return dst, h
-}
-
-// mix returns the memoized ring-channel link mix of the GPU set on the
-// topology, decomposing it on first sight. The mix is a
-// pure function of (topology, GPU set) — independent of any scorer,
-// model, or availability state — so the memo is shared by every Scorer
-// and every Table build on a topology instance: a mix decomposed while
-// warming a score table is never decomposed again by a dynamic
-// decision, and vice versa. The key is built on the stack, and a hit
-// allocates nothing: only an insert makes the key string.
-func (tm *topoMixes) mix(gpus []int) effbw.LinkCounts {
-	var buf [32]byte
-	set, h := mixSetKey(buf[:0], gpus)
-	sh := &tm.shards[h%mixShards]
-	sh.mu.Lock()
-	if mix, ok := sh.m[string(set)]; ok {
-		sh.mu.Unlock()
+	pt.mu.RLock()
+	mix, ok := pt.mixes[string(key)]
+	pt.mu.RUnlock()
+	if ok {
 		return mix
 	}
-	sh.mu.Unlock()
-	mix := effbw.MixFromDecomposition(tm.top, ncclsim.Decompose(tm.top, gpus))
-	sh.mu.Lock()
-	sh.put(string(set), mix)
-	sh.mu.Unlock()
-	return mix
-}
-
-// put inserts a mix under the shard's size bound, evicting an arbitrary
-// resident entry when full. Caller holds sh.mu.
-func (sh *mixShard) put(set string, mix effbw.LinkCounts) {
-	if sh.m == nil {
-		sh.m = make(map[string]effbw.LinkCounts)
-	}
-	if len(sh.m) >= maxMixEntriesPerShard {
-		for k := range sh.m {
-			delete(sh.m, k)
+	mix = effbw.MixFromDecomposition(tm.top, ncclsim.Decompose(tm.top, gpus))
+	pt.mu.Lock()
+	if len(pt.mixes) >= maxMixSignatures {
+		for k := range pt.mixes {
+			delete(pt.mixes, k)
 			break
 		}
 	}
-	sh.m[set] = mix
+	pt.mixes[string(key)] = mix
+	pt.mu.Unlock()
+	return mix
 }
 
 // Scorer evaluates all three MAPA metrics for candidate matches
 // against one effective-bandwidth model. The per-subset ring-channel
-// analysis — a function of (topology, GPU set) only — is memoized in a
-// process-wide sharded cache. Scorer is safe for concurrent use.
+// analysis — a function of the links among the GPU set only — is
+// memoized per topology instance by the set's link signature. Scorer is
+// safe for concurrent use.
 type Scorer struct {
 	Model *effbw.Model
 }
@@ -449,7 +447,8 @@ type Scores struct {
 
 // AllocationMix returns the (x, y, z) mix of the links the collective
 // library's ring channels would traverse on the given allocation,
-// memoized per (topology instance, GPU set) across the whole process.
+// memoized per topology instance by the allocation's link signature
+// across the whole process.
 func (s *Scorer) AllocationMix(top *topology.Topology, gpus []int) effbw.LinkCounts {
 	return mixesOf(top).mix(gpus)
 }

@@ -91,9 +91,9 @@ type Table struct {
 // on top's hardware graph, fanning the per-set work over up to
 // `workers` goroutines (the values are per-set pure functions, so the
 // result is identical at any worker count). Link mixes go through the
-// process-wide memo, so GPU sets shared across shapes, stores, and
-// dynamic decisions decompose once per process. BuildTable panics on an
-// incomplete universe.
+// process-wide memo, so sets with one link signature — across shapes,
+// stores, and dynamic decisions — decompose once per process.
+// BuildTable panics on an incomplete universe.
 func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe, workers int) *Table {
 	if !u.Complete() {
 		panic("score: BuildTable over an incomplete universe")

@@ -764,8 +764,10 @@ var ErrFractionalBandwidth = errors.New("link bandwidth must be a whole number o
 // built score tables re-derive exactly the GPU sets containing both
 // endpoints (the ring-channel decomposition prices a physical link
 // only when the allocation holds both ends, so the affected set is
-// exact), the topology's link-mix memo is invalidated, and the live
-// views' bandwidth accounting absorbs the weight delta in O(degree).
+// exact), the topology's pair table is dropped with the link-mix memo
+// it carries (the memo's link signatures number the old weights), and
+// the live views' bandwidth accounting absorbs the weight delta in
+// O(degree).
 //
 // bw must be a finite, non-negative whole number of GB/s, like every
 // link of the built-in catalog: Eq. 3's delta accounting, table repair
