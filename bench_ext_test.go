@@ -1,17 +1,14 @@
 // Extension benchmarks: the paper's sketched-but-unevaluated features
 // implemented in this repository — queue reordering (Sec. 4 notes MAPA
-// is scheduler-agnostic), parallel match scoring (the Sec. 5.4
-// overhead mitigation), and MIG many-to-one mapping (Sec. 3.2/3.3).
+// is scheduler-agnostic) — and the simulator's duration semantics.
 package mapa
 
 import (
 	"fmt"
 	"testing"
 
-	"mapa/internal/appgraph"
 	"mapa/internal/effbw"
 	"mapa/internal/jobs"
-	"mapa/internal/mig"
 	"mapa/internal/policy"
 	"mapa/internal/sched"
 	"mapa/internal/score"
@@ -50,67 +47,6 @@ func BenchmarkExtQueueDisciplines(b *testing.B) {
 		for _, r := range rows {
 			fmt.Printf("  %-10s makespan %8.0f s   throughput %.3f jobs/ks\n", r.d, r.makespan, r.throughput)
 		}
-	})
-}
-
-// BenchmarkExtParallelScoring measures the Sec. 5.4 mitigation: one
-// Preserve decision for a 5-GPU ring on the 16-GPU Cube-mesh,
-// sequential vs parallel scoring.
-func BenchmarkExtParallelScoring(b *testing.B) {
-	top := topology.CubeMesh16()
-	scorer := score.NewScorer(effbw.TrainedFor(top))
-	req := policy.Request{Pattern: appgraph.Ring(5), Sensitive: true}
-	report(b, "Extension — parallel match scoring (Sec. 5.4)", func() {
-		fmt.Printf("  GOMAXPROCS = %d; speedup over workers=1 requires multiple cores\n",
-			policy.DefaultParallelism())
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := policy.NewPreserve(scorer)
-			policy.SetParallelism(p, workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Allocate(top, top.Graph.VertexBitset(), req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExtMIGAllocation exercises the many-to-one extension: a
-// DGX-V with two GPUs split into MIG slices, serving a stream of
-// whole-GPU and slice-tolerant jobs.
-func BenchmarkExtMIGAllocation(b *testing.B) {
-	top := topology.DGXV100()
-	vt, err := mig.Split(top, map[int]int{0: 4, 1: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scorer := score.NewScorer(effbw.TrainedFor(top))
-	var whole, sliced mig.Allocation
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		whole, err = vt.Allocate(vt.Graph.Clone(), scorer, mig.Request{
-			Pattern: appgraph.Ring(3), Sensitive: true, MinFraction: 1.0,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sliced, err = vt.Allocate(vt.Graph.Clone(), scorer, mig.Request{
-			Pattern: appgraph.Ring(3), Sensitive: true, MinFraction: 0,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	report(b, "Extension — MIG many-to-one mapping (DGX-V, GPUs 0 and 1 split)", func() {
-		fmt.Printf("  machine: %d virtual accelerators over %d physical GPUs\n", vt.NumGPUs(), top.NumGPUs())
-		fmt.Printf("  whole-GPU 3-ring: virtual %v on physical %v (EffBW %.1f GB/s)\n",
-			whole.GPUs, whole.Physical, whole.Scores.EffBW)
-		fmt.Printf("  slice-tolerant 3-ring: virtual %v on physical %v (EffBW %.1f GB/s)\n",
-			sliced.GPUs, sliced.Physical, sliced.Scores.EffBW)
 	})
 }
 

@@ -28,7 +28,7 @@ func BenchmarkFleetTemplateBuild(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st := matchcache.NewStore(top, 0)
-			st.Warm(4, shapes...)
+			st.Warm(0, shapes...)
 		}
 	})
 	for _, nodes := range []int{9, 100, 1000} {
@@ -37,7 +37,7 @@ func BenchmarkFleetTemplateBuild(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := matchcache.NewFleetStore(fleet, 0)
-				st.Warm(4, shapes...)
+				st.Warm(shapes...)
 			}
 		})
 	}
@@ -55,11 +55,10 @@ func BenchmarkHierarchicalDecision(b *testing.B) {
 		scorer := score.NewScorer(effbw.TrainedFor(top))
 		p := policy.NewPreserve(scorer)
 		store := matchcache.NewStore(top, 0)
-		store.Warm(1, pattern)
+		store.Warm(0, pattern)
 		views := store.NewViews()
 		views.Allocate(busy)
 		avail := usableWithout(top, busy)
-		policy.AttachUniverses(p, store)
 		policy.AttachViews(p, views)
 		req := policy.Request{Pattern: pattern}
 		var buf policy.Allocation
@@ -79,7 +78,7 @@ func BenchmarkHierarchicalDecision(b *testing.B) {
 			scorer := score.NewScorer(effbw.PaperModel())
 			p := policy.NewPreserve(scorer)
 			fstore := matchcache.NewFleetStore(fleet, 0)
-			fstore.Warm(1, pattern)
+			fstore.Warm(pattern)
 			fviews := fstore.NewFleetViews()
 			fviews.Allocate(busy)
 			usable := fleetUsable(fleet, busy)

@@ -24,14 +24,14 @@ func BenchmarkTopologyRepair(b *testing.B) {
 	top := topology.ClusterA100(9)
 	shapes := []*graph.Graph{appgraph.Ring(2), appgraph.Ring(3)}
 	warmed := matchcache.NewStore(top, 0)
-	warmed.Warm(8, shapes...)
+	warmed.Warm(0, shapes...)
 	views := warmed.NewViews()
 	// consult serves each warmed shape once, the way a real decision
 	// would: the first round instantiates the live views, later rounds
 	// make them catch up with the deltas published since.
 	consult := func(avail graph.Bitset) {
 		for _, shape := range shapes {
-			ok := views.SelectLive(shape, avail, 0, 1, func(*match.BandwidthAccounting, *score.Table, []int) {})
+			ok := views.SelectLive(shape, avail, 0, func(*match.BandwidthAccounting, *score.Table, []int) {})
 			if !ok {
 				b.Fatalf("warmed %d-GPU shape not view-served", shape.NumVertices())
 			}
@@ -75,7 +75,7 @@ func BenchmarkTopologyRepair(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fresh := matchcache.NewStore(top, 0)
-			fresh.Warm(8, shapes...)
+			fresh.Warm(0, shapes...)
 		}
 	})
 }

@@ -666,8 +666,7 @@ func BenchmarkAblationModelBasis(b *testing.B) {
 }
 
 // BenchmarkAblationMatchDedup quantifies the cost of match
-// deduplication versus raw enumeration on the DGX-V, and the gain from
-// the worker-pool parallel enumeration.
+// deduplication versus raw enumeration on the DGX-V.
 func BenchmarkAblationMatchDedup(b *testing.B) {
 	top := topology.DGXV100()
 	pattern := appgraph.Ring(5)
@@ -681,18 +680,11 @@ func BenchmarkAblationMatchDedup(b *testing.B) {
 			match.FindAllDeduped(pattern, top.Graph)
 		}
 	})
-	b.Run("deduped-parallel", func(b *testing.B) {
-		w := policy.DefaultParallelism()
-		for i := 0; i < b.N; i++ {
-			match.FindAllDedupedParallel(pattern, top.Graph, w)
-		}
-	})
 }
 
 // BenchmarkAllocationDecision measures one Preserve decision by fresh
 // search on a half-busy DGX-V — what a decision costs when the view
-// layer declines. BenchmarkAllocationDecisionParallel covers the
-// worker-pool matcher.
+// layer declines.
 func BenchmarkAllocationDecision(b *testing.B) {
 	top := topology.DGXV100()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
@@ -704,55 +696,6 @@ func BenchmarkAllocationDecision(b *testing.B) {
 		if _, err := p.Allocate(top, avail, req); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAllocationDecisionParallel sweeps the worker-pool matcher
-// over 1/2/4/8 workers (the multi-core scaling curve; on a single-core
-// host the sub-benchmarks show parity, not speedup). CI pipes this and
-// BenchmarkUniverseBuildCluster through cmd/benchjson into
-// BENCH_matcher.json.
-func BenchmarkAllocationDecisionParallel(b *testing.B) {
-	top := topology.DGXV100()
-	scorer := score.NewScorer(effbw.TrainedFor(top))
-	avail := usableWithout(top, []int{1, 6})
-	req := policy.Request{Pattern: appgraph.Ring(3), Sensitive: true}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := policy.NewPreserve(scorer)
-			policy.SetParallelism(p, workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Allocate(top, avail, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkUniverseBuildCluster measures the one-time idle-state
-// build on the serving path of every large machine — the closed-form
-// universe plus its score table, the table filled at 1/2/4/8 workers —
-// for Ring(3) on the 72-GPU cluster-a100 (~426K raw embeddings, 59,640
-// classes); it also reports the universe size (classes, must equal
-// C(72,3)).
-func BenchmarkUniverseBuildCluster(b *testing.B) {
-	top := topology.ClusterA100(9)
-	pattern := appgraph.Ring(3)
-	const wantClasses = 72 * 71 * 70 / 6
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var u *match.Universe
-			for i := 0; i < b.N; i++ {
-				u = match.BuildUniverse(pattern, top.Graph, 0)
-				score.BuildTable(top, pattern, u, workers)
-			}
-			if u.Len() != wantClasses {
-				b.Fatalf("universe holds %d classes, want %d", u.Len(), wantClasses)
-			}
-			b.ReportMetric(float64(u.Len()), "classes")
-		})
 	}
 }
 
@@ -818,13 +761,12 @@ func BenchmarkAllocationDecisionScored(b *testing.B) {
 		{"preserve-aggbw-sensitive", func() policy.Allocator { return policy.NewPreserveAggBW(scorer) }, true},
 	}
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
+	store.Warm(0, pattern)
 	views := store.NewViews()
 	views.Allocate(busy)
 	for _, v := range variants {
 		b.Run("mode=table/policy="+v.name, func(b *testing.B) {
 			p := v.mk()
-			policy.AttachUniverses(p, store)
 			policy.AttachViews(p, views)
 			req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
 			// Pay the one-time per-(table, model) order sort and

@@ -68,9 +68,9 @@ func TestUniverseIsClosedForm(t *testing.T) {
 					t.Fatalf("%v: universe incomplete", pattern.Edges())
 				}
 				label := fmt.Sprint(pattern.Edges())
-				tbl := score.BuildTable(m.top, pattern, u, 2)
+				tbl := score.BuildTable(m.top, pattern, u)
 				checkClosedForm(t, label, m.top, tbl, pattern.NumVertices())
-				checkPermutations(t, label, tbl, match.FindAllDedupedParallel(pattern, m.top.Graph, 2))
+				checkPermutations(t, label, tbl, match.FindAllDeduped(pattern, m.top.Graph))
 			}
 		})
 	}

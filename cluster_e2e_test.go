@@ -17,7 +17,7 @@ import (
 // search. The candidate cap is tightened because candidate sets on a
 // 72-GPU complete hardware graph are combinatorial while the score
 // separation is not — this is exactly the regime the cap exists for.
-func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool, workers int) ([]string, *sched.Engine) {
+func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool) ([]string, *sched.Engine) {
 	t.Helper()
 	top, err := topology.ByName("cluster-a100")
 	if err != nil {
@@ -29,7 +29,6 @@ func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool, workers int)
 		t.Fatal(err)
 	}
 	policy.SetMaxCandidates(p, 400)
-	policy.SetParallelism(p, workers)
 	e := sched.NewEngine(top, p)
 	e.Mode = sched.ModeFixed
 	if !universes {
@@ -49,7 +48,7 @@ func clusterTrace(t *testing.T, jobList []jobs.Job, universes bool, workers int)
 // TestClusterEndToEndMultiWordParity is the multi-node end-to-end
 // check: on a >64-GPU machine — availability masks and live sets
 // spanning multiple uint64 words, most live lists truncated by the cap
-// — the pipeline must replay the sequential search's allocation trace
+// — the pipeline must replay the search's allocation trace
 // byte for byte. A decision whose cap binds declines to the search;
 // the 1-GPU ones (72 candidates) stay table-served.
 func TestClusterEndToEndMultiWordParity(t *testing.T) {
@@ -57,23 +56,17 @@ func TestClusterEndToEndMultiWordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, _ := clusterTrace(t, jobList, false, 1)
-	compare := func(name string, got []string) {
-		t.Helper()
-		if len(got) != len(sequential) {
-			t.Fatalf("%s run produced %d records, sequential %d", name, len(got), len(sequential))
-		}
-		for i := range sequential {
-			if got[i] != sequential[i] {
-				t.Fatalf("%s diverged at record %d:\n  seq: %s\n  got: %s", name, i, sequential[i], got[i])
-			}
+	search, _ := clusterTrace(t, jobList, false)
+	viewed, ve := clusterTrace(t, jobList, true)
+	if len(viewed) != len(search) {
+		t.Fatalf("table-served run produced %d records, the search %d", len(viewed), len(search))
+	}
+	for i := range search {
+		if viewed[i] != search[i] {
+			t.Fatalf("table-served pipeline diverged at record %d:\n  search: %s\n     got: %s", i, search[i], viewed[i])
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		viewed, ve := clusterTrace(t, jobList, true, workers)
-		compare(fmt.Sprintf("table-served pipeline (workers %d)", workers), viewed)
-		if vs := ve.Views.Stats(); vs.TableServed == 0 || vs.Rejected == 0 || vs.TableServed+vs.Rejected != uint64(len(jobList)) {
-			t.Fatalf("cluster run (workers %d): %+v, want the %d decisions split between the table and capped declines", workers, vs, len(jobList))
-		}
+	if vs := ve.Views.Stats(); vs.TableServed == 0 || vs.Rejected == 0 || vs.TableServed+vs.Rejected != uint64(len(jobList)) {
+		t.Fatalf("cluster run: %+v, want the %d decisions split between the table and capped declines", vs, len(jobList))
 	}
 }

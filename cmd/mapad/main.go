@@ -52,7 +52,6 @@ type options struct {
 	policyName  string
 	warmMaxGPUs int
 	syncWarm    bool
-	workers     int
 	queueDepth  int
 	coalesce    time.Duration
 
@@ -70,7 +69,6 @@ func main() {
 	flag.StringVar(&o.policyName, "policy", "preserve", "allocation policy")
 	flag.IntVar(&o.warmMaxGPUs, "warm", 5, "prewarm universes + score tables for every shape up to this size (0 disables)")
 	flag.BoolVar(&o.syncWarm, "sync-warm", false, "block startup until warming completes instead of overlapping it with traffic")
-	flag.IntVar(&o.workers, "workers", 0, "parallel matcher/scoring and universe-build workers (<2 sequential)")
 	flag.IntVar(&o.queueDepth, "queue", server.DefaultQueueDepth, "bounded admission depth; allocates beyond it get 429")
 	flag.DurationVar(&o.coalesce, "coalesce", 0, "coalescing window for identical (shape,size) allocate bursts (0 disables)")
 	flag.StringVar(&o.journalDir, "journal", "", "directory for the write-ahead journal + snapshots (empty disables durability)")
@@ -98,9 +96,6 @@ func newServer(o options) (*server.Server, *mapa.System, error) {
 			// decision lock.
 			opts = append(opts, mapa.WithBackgroundWarming())
 		}
-	}
-	if o.workers > 1 {
-		opts = append(opts, mapa.WithWorkers(o.workers))
 	}
 	if o.journalDir != "" {
 		mode, err := journal.ParseFsyncMode(o.fsyncMode)

@@ -39,7 +39,6 @@ type options struct {
 	n          int
 	seed       int64
 	maxGPUs    int
-	workers    int
 	universes  bool
 	warm       bool
 	cacheStats bool
@@ -64,7 +63,6 @@ func main() {
 	flag.IntVar(&o.n, "n", 300, "generated job count when -jobs is empty")
 	flag.Int64Var(&o.seed, "seed", 1, "generation seed when -jobs is empty")
 	flag.IntVar(&o.maxGPUs, "max-gpus", 5, "max GPUs per generated job")
-	flag.IntVar(&o.workers, "workers", 1, "parallel matcher/scoring and universe-build workers for MAPA policies (<2 sequential)")
 	flag.BoolVar(&o.universes, "universes", true, "serve decisions from precomputed per-shape universes and score tables; false runs the paper's fresh search per decision (the reference path)")
 	flag.BoolVar(&o.warm, "warm", false, "prewarm idle-state universes for every shape up to -max-gpus before scheduling")
 	flag.BoolVar(&o.cacheStats, "cachestats", false, "print table-served/declined decision counters per policy and the store's universe builds")
@@ -159,7 +157,6 @@ func run(w io.Writer, o options) error {
 	}
 	cfg := sched.CompareConfig{
 		Mode:             sched.ModeRealRun,
-		Workers:          o.workers,
 		DisableUniverses: !o.universes,
 	}
 	if o.warm && o.universes {
@@ -220,8 +217,8 @@ func run(w io.Writer, o options) error {
 				if !bld.Complete {
 					state = "incomplete"
 				}
-				fmt.Fprintf(w, "  shape %dv/%de: %d classes (%s) in %v, workers=%d\n",
-					bld.Vertices, bld.Edges, bld.Classes, state, bld.Duration, bld.Workers)
+				fmt.Fprintf(w, "  shape %dv/%de: %d classes (%s) in %v\n",
+					bld.Vertices, bld.Edges, bld.Classes, state, bld.Duration)
 			}
 		}
 	}

@@ -19,7 +19,6 @@ func opts() options {
 		n:          20,
 		seed:       1,
 		maxGPUs:    5,
-		workers:    1,
 		universes:  true,
 	}
 }
@@ -43,12 +42,11 @@ func TestRunAllPoliciesVerbose(t *testing.T) {
 	}
 }
 
-func TestRunParallelUncached(t *testing.T) {
+func TestRunUncached(t *testing.T) {
 	o := opts()
 	o.n = 15
 	o.seed = 3
 	o.maxGPUs = 4
-	o.workers = 4
 	o.universes = false
 	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
@@ -59,18 +57,6 @@ func TestRunWarmedWithCacheStats(t *testing.T) {
 	o := opts()
 	o.n = 15
 	o.maxGPUs = 4
-	o.warm = true
-	o.cacheStats = true
-	if err := run(io.Discard, o); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunParallelWarmed(t *testing.T) {
-	o := opts()
-	o.n = 15
-	o.maxGPUs = 4
-	o.workers = 4
 	o.warm = true
 	o.cacheStats = true
 	if err := run(io.Discard, o); err != nil {

@@ -67,13 +67,12 @@ func TestTableServedDecisionZeroAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			scorer := score.NewScorer(effbw.TrainedFor(tc.top))
 			store := matchcache.NewStore(tc.top, 0)
-			store.Warm(1, pattern)
+			store.Warm(0, pattern)
 			views := store.NewViews()
 			views.Allocate(tc.busy)
 			avail := usableWithout(tc.top, tc.busy)
 			for _, v := range allocPolicies(scorer) {
 				t.Run(v.name, func(t *testing.T) {
-					policy.AttachUniverses(v.p, store)
 					policy.AttachViews(v.p, views)
 					req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
 					var buf policy.Allocation
@@ -109,11 +108,10 @@ func TestLiveViewDeltaAllocBudget(t *testing.T) {
 	top := topology.ClusterA100(9)
 	pattern := appgraph.Ring(3)
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
+	store.Warm(0, pattern)
 	views := store.NewViews()
 	scorer := score.NewScorer(effbw.TrainedFor(top))
 	p := policy.NewPreserve(scorer)
-	policy.AttachUniverses(p, store)
 	policy.AttachViews(p, views)
 	// One decision resolves the shape's slot first.
 	req := policy.Request{Pattern: pattern, Sensitive: false}
@@ -142,7 +140,7 @@ func TestAllocateIntoMatchesAllocate(t *testing.T) {
 	for _, v := range allocPolicies(scorer) {
 		t.Run(v.name, func(t *testing.T) {
 			store := matchcache.NewStore(top, 0)
-			store.Warm(1, pattern)
+			store.Warm(0, pattern)
 			viewsA := store.NewViews()
 			viewsB := store.NewViews()
 			pa := v.p
@@ -150,9 +148,7 @@ func TestAllocateIntoMatchesAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			policy.AttachUniverses(pa, store)
 			policy.AttachViews(pa, viewsA)
-			policy.AttachUniverses(pb, store)
 			policy.AttachViews(pb, viewsB)
 			req := policy.Request{Pattern: pattern, Sensitive: v.sensitive}
 			avail := top.Graph.VertexBitset()

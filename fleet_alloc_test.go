@@ -37,7 +37,7 @@ func TestFleetDecisionZeroAllocs(t *testing.T) {
 	fleet := topology.NewFleet(topology.DGXA100(), 9)
 	pattern := appgraph.Ring(3)
 	fstore := matchcache.NewFleetStore(fleet, 0)
-	fstore.Warm(1, pattern)
+	fstore.Warm(pattern)
 	fviews := fstore.NewFleetViews()
 	// Churn a few nodes so incident sums and usable counts differ
 	// across nodes — the sweep does real comparison work.
@@ -83,7 +83,7 @@ func TestFleetViewDeltaAllocBudget(t *testing.T) {
 	fleet := topology.NewFleet(topology.DGXA100(), 9)
 	pattern := appgraph.Ring(3)
 	fstore := matchcache.NewFleetStore(fleet, 0)
-	fstore.Warm(1, pattern)
+	fstore.Warm(pattern)
 	fviews := fstore.NewFleetViews()
 	scorer := score.NewScorer(effbw.PaperModel())
 	p := policy.NewPreserve(scorer)

@@ -57,7 +57,6 @@ func newFlatRig(t *testing.T, top *topology.Topology, policyName string) *flatRi
 	}
 	store := matchcache.NewStore(top, 0)
 	views := store.NewViews()
-	policy.AttachUniverses(alloc, store)
 	policy.AttachViews(alloc, views)
 	return &flatRig{
 		t:         t,

@@ -124,12 +124,12 @@ func TestSymmetryBreakingVisitsOneTuplePerClass(t *testing.T) {
 		{"AllToAll(5)/dgx-v100", appgraph.AllToAll(5), dgxv, 6720, 56},
 	} {
 		before := Searches()
-		pg := compileDeduped(tc.pattern, tc.data)
+		s := compileDeduped(tc.pattern, tc.data)
 		if Searches() != before {
 			t.Fatalf("%s: compiling the symmetry-breaking table counted a search", tc.name)
 		}
 		visited := 0
-		pg.newSearch().run(func(Match) bool {
+		s.run(func(Match) bool {
 			visited++
 			return true
 		})

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mapa/internal/graph"
@@ -93,32 +94,30 @@ func keySet(t *testing.T, pattern, data *graph.Graph, ms []Match) map[string]boo
 	return set
 }
 
-// TestDifferentialAgainstBruteForce cross-checks the bitset enumerator,
-// the worker-pool parallel enumerator, and deduplication against the
-// brute-force permutation oracle on a table of seeded random graph
+// TestDifferentialAgainstBruteForce cross-checks the bitset enumerator
+// and deduplication against the brute-force permutation oracle on a table of seeded random graph
 // pairs, including sparse (non-contiguous) vertex IDs.
 func TestDifferentialAgainstBruteForce(t *testing.T) {
 	cases := []struct {
-		name            string
-		seed            int64
-		patternN        int
-		dataN           int
-		patternP        float64
-		dataP           float64
-		sparsePattern   bool
-		sparseData      bool
-		parallelWorkers int
+		name          string
+		seed          int64
+		patternN      int
+		dataN         int
+		patternP      float64
+		dataP         float64
+		sparsePattern bool
+		sparseData    bool
 	}{
-		{name: "tiny-dense", seed: 1, patternN: 2, dataN: 4, patternP: 1.0, dataP: 0.9, parallelWorkers: 2},
-		{name: "triangle-hunt", seed: 2, patternN: 3, dataN: 6, patternP: 1.0, dataP: 0.6, parallelWorkers: 3},
-		{name: "sparse-pattern", seed: 3, patternN: 3, dataN: 7, patternP: 0.5, dataP: 0.5, parallelWorkers: 4},
-		{name: "mid-density", seed: 4, patternN: 4, dataN: 7, patternP: 0.7, dataP: 0.6, parallelWorkers: 2},
-		{name: "dense-4", seed: 5, patternN: 4, dataN: 8, patternP: 0.9, dataP: 0.8, parallelWorkers: 8},
-		{name: "sparse-data", seed: 6, patternN: 3, dataN: 8, patternP: 1.0, dataP: 0.3, parallelWorkers: 3},
-		{name: "sparse-ids", seed: 7, patternN: 4, dataN: 7, patternP: 0.8, dataP: 0.6, sparsePattern: true, sparseData: true, parallelWorkers: 4},
-		{name: "disconnected-pattern", seed: 8, patternN: 4, dataN: 6, patternP: 0.25, dataP: 0.7, parallelWorkers: 2},
-		{name: "no-edges-pattern", seed: 9, patternN: 3, dataN: 5, patternP: 0, dataP: 0.5, parallelWorkers: 2},
-		{name: "equal-size", seed: 10, patternN: 5, dataN: 5, patternP: 0.6, dataP: 0.9, parallelWorkers: 3},
+		{name: "tiny-dense", seed: 1, patternN: 2, dataN: 4, patternP: 1.0, dataP: 0.9},
+		{name: "triangle-hunt", seed: 2, patternN: 3, dataN: 6, patternP: 1.0, dataP: 0.6},
+		{name: "sparse-pattern", seed: 3, patternN: 3, dataN: 7, patternP: 0.5, dataP: 0.5},
+		{name: "mid-density", seed: 4, patternN: 4, dataN: 7, patternP: 0.7, dataP: 0.6},
+		{name: "dense-4", seed: 5, patternN: 4, dataN: 8, patternP: 0.9, dataP: 0.8},
+		{name: "sparse-data", seed: 6, patternN: 3, dataN: 8, patternP: 1.0, dataP: 0.3},
+		{name: "sparse-ids", seed: 7, patternN: 4, dataN: 7, patternP: 0.8, dataP: 0.6, sparsePattern: true, sparseData: true},
+		{name: "disconnected-pattern", seed: 8, patternN: 4, dataN: 6, patternP: 0.25, dataP: 0.7},
+		{name: "no-edges-pattern", seed: 9, patternN: 3, dataN: 5, patternP: 0, dataP: 0.5},
+		{name: "equal-size", seed: 10, patternN: 5, dataN: 5, patternP: 0.6, dataP: 0.9},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,9 +145,6 @@ func TestDifferentialAgainstBruteForce(t *testing.T) {
 			if n := CountEmbeddings(pattern, data); n != len(oracle) {
 				t.Fatalf("CountEmbeddings=%d, oracle %d", n, len(oracle))
 			}
-			if n := CountEmbeddingsParallel(pattern, data, tc.parallelWorkers); n != len(oracle) {
-				t.Fatalf("CountEmbeddingsParallel=%d, oracle %d", n, len(oracle))
-			}
 
 			// The raw embedding sets must agree as sets of keys over
 			// (vertex set, edge set) refined by the exact assignment.
@@ -162,16 +158,7 @@ func TestDifferentialAgainstBruteForce(t *testing.T) {
 				}
 			}
 
-			par := FindAllParallel(pattern, data, tc.parallelWorkers)
-			if !sameMatches(got, par) {
-				t.Fatalf("FindAllParallel differs from FindAll:\n seq=%v\n par=%v", got, par)
-			}
-
 			ded := FindAllDeduped(pattern, data)
-			dedPar := FindAllDedupedParallel(pattern, data, tc.parallelWorkers)
-			if !sameMatches(ded, dedPar) {
-				t.Fatalf("FindAllDedupedParallel differs from FindAllDeduped")
-			}
 			wantKeys := keySet(t, pattern, data, oracle)
 			gotKeys := keySet(t, pattern, data, ded)
 			if len(gotKeys) != len(ded) {
@@ -186,6 +173,39 @@ func TestDifferentialAgainstBruteForce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZeroCandidateRoots covers roots whose candidate frontier is
+// empty: vertices that pass the first-position degree bound but whose
+// neighborhoods cannot extend to a full embedding. They must produce
+// nothing, leaving the deduplicated enumeration equal to the
+// keyed-dedup oracle's one triangle.
+func TestZeroCandidateRoots(t *testing.T) {
+	// Triangle {0,1,2}; vertex 3 bridges to 4 and 5 (degree 2 passes
+	// the triangle's degree bound) but no triangle goes through 3, 4,
+	// or 5.
+	data := graph.New()
+	data.MustAddEdge(0, 1, 1, 0)
+	data.MustAddEdge(1, 2, 1, 0)
+	data.MustAddEdge(0, 2, 1, 0)
+	data.MustAddEdge(3, 4, 1, 0)
+	data.MustAddEdge(3, 5, 1, 0)
+	data.MustAddEdge(4, 0, 1, 0)
+	data.MustAddEdge(5, 1, 1, 0)
+	pattern := ring(3)
+	for _, v := range []int{3, 4, 5} {
+		if data.Degree(v) < 2 {
+			t.Fatalf("vertex %d fails the triangle's degree bound: the case is vacuous", v)
+		}
+	}
+	wantM, wantK := refDedupedKeys(pattern, data, 0)
+	if len(wantM) != 1 {
+		t.Fatalf("graph holds %d triangles, want 1", len(wantM))
+	}
+	gotM, gotK := FindAllDedupedCappedKeys(pattern, data, 0)
+	if !sameMatches(gotM, wantM) || !slices.Equal(gotK, wantK) {
+		t.Fatalf("deduplicated enumeration %v (keys %q), want %v (keys %q)", gotM, gotK, wantM, wantK)
 	}
 }
 
@@ -243,34 +263,6 @@ func sameMatches(a, b []Match) bool {
 	return true
 }
 
-// TestCappedParallelMatchesSequential pins the deterministic
-// early-stop of the capped parallel dedup: for every cap, the
-// parallel enumeration must return exactly the sequential capped
-// prefix, matches and keys alike.
-func TestCappedParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		pattern := randomGraph(rng, seqIDs(4), 0.9)
-		data := randomGraph(rng, seqIDs(8), 0.8)
-		total, _ := FindAllDedupedCappedKeys(pattern, data, 0)
-		for _, max := range []int{0, 1, 2, 5, len(total) - 1, len(total), len(total) + 10} {
-			if max < 0 {
-				continue
-			}
-			seqM, seqK := FindAllDedupedCappedKeys(pattern, data, max)
-			parM, parK := FindAllDedupedParallelKeys(pattern, data, 4, max)
-			if !sameMatches(seqM, parM) {
-				t.Fatalf("seed %d cap %d: capped parallel matches differ (%d vs %d)", seed, max, len(parM), len(seqM))
-			}
-			for i := range seqK {
-				if seqK[i] != parK[i] {
-					t.Fatalf("seed %d cap %d: key %d differs: %q vs %q", seed, max, i, parK[i], seqK[i])
-				}
-			}
-		}
-	}
-}
-
 // TestKeyerMatchesMatchKey pins the fast-path Keyer to the reference
 // Match.Key implementation across random graphs.
 func TestKeyerMatchesMatchKey(t *testing.T) {
@@ -278,11 +270,10 @@ func TestKeyerMatchesMatchKey(t *testing.T) {
 		rng := rand.New(rand.NewSource(100 + seed))
 		pattern := randomGraph(rng, seqIDs(4), 0.8)
 		data := randomGraph(rng, seqIDs(7), 0.7)
-		sr := NewSearcher(pattern, data)
 		var ky *Keyer
 		Enumerate(pattern, data, func(m Match) bool {
 			if ky == nil {
-				ky = NewKeyer(pattern, sr.Order())
+				ky = NewKeyer(pattern, m.Pattern)
 			}
 			if got, want := string(ky.KeyBytes(m)), m.Key(pattern, data); got != want {
 				t.Fatalf("Keyer.KeyBytes=%q, Match.Key=%q", got, want)

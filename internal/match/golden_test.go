@@ -70,12 +70,6 @@ func TestGoldenEmbeddingCounts(t *testing.T) {
 			if got := len(FindAllDeduped(p.g, g.data)); got != g.deduped[i] {
 				t.Errorf("%s %s: deduped=%d, golden %d", g.topo, p.name, got, g.deduped[i])
 			}
-			if got := CountEmbeddingsParallel(p.g, g.data, 4); got != g.raw[i] {
-				t.Errorf("%s %s: CountEmbeddingsParallel=%d, golden %d", g.topo, p.name, got, g.raw[i])
-			}
-			if got := len(FindAllDedupedParallel(p.g, g.data, 4)); got != g.deduped[i] {
-				t.Errorf("%s %s: parallel deduped=%d, golden %d", g.topo, p.name, got, g.deduped[i])
-			}
 		}
 	}
 }

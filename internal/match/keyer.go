@@ -16,7 +16,7 @@ import (
 // from the match's Data slice alone — no maps, no graph lookups, one
 // reused buffer.
 //
-// A Keyer is not safe for concurrent use; give each worker its own.
+// A Keyer is not safe for concurrent use.
 type Keyer struct {
 	epos  [][2]int // pattern edges as (match-order position) pairs
 	verts []int

@@ -178,7 +178,7 @@ func matchOrder(p *graph.Graph) []int {
 // a deterministic order — candidates ascend by data-vertex ID at every
 // depth.
 func Enumerate(pattern, data *graph.Graph, fn func(Match) bool) {
-	if s := newSearch(pattern, data, nil); s != nil {
+	if s := compile(pattern, data); s != nil {
 		s.run(fn)
 	}
 }
@@ -225,7 +225,8 @@ func FindAllDedupedCapped(pattern, data *graph.Graph, max int) []Match {
 // representative's canonical key (its equivalence-class identity)
 // alongside it.
 func FindAllDedupedCappedKeys(pattern, data *graph.Graph, max int) ([]Match, []string) {
-	return FindAllDedupedParallelKeys(pattern, data, 1, max)
+	cs := dedupedCapped(compileDeduped(pattern, data), pattern, max)
+	return cs.matches(), cs.keys
 }
 
 // classes holds the representatives of a deduplicated enumeration in
@@ -255,17 +256,17 @@ func (cs *classes) matches() []Match {
 	return ms
 }
 
-// dedupedCapped is the sequential deduplicated enumeration over a
-// program compiled by compileDeduped (nil: none), truncated to the
-// first max classes (max <= 0: all). The program's symmetry breaking
-// emits one embedding per class, so every emitted embedding is kept.
-func dedupedCapped(pg *program, pattern *graph.Graph, max int) classes {
-	if pg == nil {
+// dedupedCapped is the deduplicated enumeration of a search compiled
+// by compileDeduped (nil: none), truncated to the first max classes
+// (max <= 0: all). The search's symmetry breaking emits one embedding
+// per class, so every emitted embedding is kept.
+func dedupedCapped(s *search, pattern *graph.Graph, max int) classes {
+	if s == nil {
 		return classes{}
 	}
-	cs := classes{order: pg.order}
-	ky := NewKeyer(pattern, pg.order)
-	pg.newSearch().run(func(m Match) bool {
+	cs := classes{order: s.order}
+	ky := NewKeyer(pattern, s.order)
+	s.run(func(m Match) bool {
 		cs.add(m, ky)
 		return max <= 0 || len(cs.keys) < max
 	})

@@ -7,12 +7,14 @@ import "mapa/internal/graph"
 // |Aut(P)| copies of each class) and keep the first of each canonical
 // key, truncated to the first max classes (max <= 0: all).
 func refDedupedKeys(pattern, data *graph.Graph, max int) ([]Match, []string) {
-	sr := NewSearcher(pattern, data)
-	ky := NewKeyer(pattern, sr.Order())
+	var ky *Keyer
 	seen := make(map[string]bool)
 	var out []Match
 	var keys []string
-	sr.Enumerate(func(m Match) bool {
+	Enumerate(pattern, data, func(m Match) bool {
+		if ky == nil {
+			ky = NewKeyer(pattern, m.Pattern)
+		}
 		b := ky.KeyBytes(m)
 		if seen[string(b)] {
 			return true

@@ -6,15 +6,15 @@ import (
 	"mapa/internal/graph"
 )
 
-// searches counts every backtracking enumeration started, full or
-// rooted — the telemetry behind Searches().
+// searches counts every backtracking enumeration started — the
+// telemetry behind Searches().
 var searches atomic.Uint64
 
 // Searches returns the cumulative number of backtracking enumerations
-// this process has started (full runs and per-root subtree runs both
-// count). It exists so tests can prove a code path was served without
-// entering the search at all — e.g. that a warmed idle-state universe
-// answers a new availability state purely by mask filtering.
+// this process has started. It exists so tests can prove a code path
+// was served without entering the search at all — e.g. that a warmed
+// idle-state universe answers a new availability state purely by mask
+// filtering.
 func Searches() uint64 { return searches.Load() }
 
 // search is one backtracking enumeration over a (pattern, data) pair,
@@ -24,10 +24,9 @@ func Searches() uint64 { return searches.Load() }
 // lookups, which is the matcher's hot path.
 //
 // A search owns its scratch buffers, so one search must not be used
-// from multiple goroutines; parallel enumeration gives each worker its
-// own search over a shared read-only index. Embeddings are emitted in
-// the same deterministic order as the original map-based enumerator:
-// depth by depth, candidates in ascending data-vertex order.
+// from multiple goroutines. Embeddings are emitted in the same
+// deterministic order as the original map-based enumerator: depth by
+// depth, candidates in ascending data-vertex order.
 type search struct {
 	k       int
 	order   []int   // pattern vertices in match order
@@ -43,31 +42,16 @@ type search struct {
 	fn      func(Match) bool
 }
 
-// program is the compiled, immutable plan of one (pattern, data)
-// enumeration: match order, per-depth earlier-neighbor lists and
-// degree bounds, and the data graph's adjacency-bitset index. One
-// program can spawn many searches (one per worker) without paying the
-// compilation again.
-type program struct {
-	k       int
-	order   []int
-	earlier [][]int
-	above   [][]int
-	pdeg    []int
-	ix      *graph.Index
-}
-
-// compile builds the enumeration plan, reusing a prebuilt data index
-// when ix is non-nil. It returns nil if no embedding can exist for
-// trivial size reasons.
-func compile(pattern, data *graph.Graph, ix *graph.Index) *program {
+// compile builds the enumeration of pattern on data: match order,
+// per-depth earlier-neighbor lists and degree bounds, the data graph's
+// adjacency-bitset index, and the scratch state. It returns nil if no
+// embedding can exist for trivial size reasons.
+func compile(pattern, data *graph.Graph) *search {
 	k := pattern.NumVertices()
 	if k == 0 || k > data.NumVertices() {
 		return nil
 	}
-	if ix == nil {
-		ix = graph.NewIndex(data)
-	}
+	ix := graph.NewIndex(data)
 	order := matchOrder(pattern)
 	pos := make(map[int]int, k)
 	for i, v := range order {
@@ -83,18 +67,34 @@ func compile(pattern, data *graph.Graph, ix *graph.Index) *program {
 			}
 		}
 	}
-	return &program{k: k, order: order, earlier: earlier, above: make([][]int, k), pdeg: pdeg, ix: ix}
+	s := &search{
+		k:       k,
+		order:   order,
+		earlier: earlier,
+		above:   make([][]int, k),
+		pdeg:    pdeg,
+		ix:      ix,
+		cand:    make([]graph.Bitset, k),
+		used:    ix.NewSet(),
+		posAt:   make([]int, k),
+		data:    make([]int, k),
+	}
+	for i := range s.cand {
+		s.cand[i] = ix.NewSet()
+	}
+	s.m = Match{Pattern: order, Data: s.data}
+	return s
 }
 
-// compileDeduped is compile for a deduplicated enumeration: the
-// program carries the pattern's symmetry-breaking table, so its
-// searches emit exactly one embedding per equivalence class.
-func compileDeduped(pattern, data *graph.Graph) *program {
-	pg := compile(pattern, data, nil)
-	if pg != nil {
-		pg.above = breakSymmetry(pattern, pg.order)
+// compileDeduped is compile for a deduplicated enumeration: the search
+// carries the pattern's symmetry-breaking table, so it emits exactly
+// one embedding per equivalence class.
+func compileDeduped(pattern, data *graph.Graph) *search {
+	s := compile(pattern, data)
+	if s != nil {
+		s.above = breakSymmetry(pattern, s.order)
 	}
-	return pg
+	return s
 }
 
 // breakSymmetry returns the symmetry-breaking table of a pattern in
@@ -110,7 +110,7 @@ func compileDeduped(pattern, data *graph.Graph) *program {
 // which has 16! members for AllToAll(16). They do not count as
 // Searches: they run on the pattern, not on the data graph.
 func breakSymmetry(pattern *graph.Graph, order []int) [][]int {
-	self := compile(pattern, pattern, nil).newSearch()
+	self := compile(pattern, pattern)
 	pos := make([]int, len(order)) // self-index position of order[i]
 	for i, v := range order {
 		pos[i], _ = self.ix.PosOf(v)
@@ -128,39 +128,6 @@ func breakSymmetry(pattern *graph.Graph, order []int) [][]int {
 	return above
 }
 
-// newSearch allocates the mutable scratch state for one enumeration
-// of the program.
-func (pg *program) newSearch() *search {
-	s := &search{
-		k:       pg.k,
-		order:   pg.order,
-		earlier: pg.earlier,
-		above:   pg.above,
-		pdeg:    pg.pdeg,
-		ix:      pg.ix,
-		cand:    make([]graph.Bitset, pg.k),
-		used:    pg.ix.NewSet(),
-		posAt:   make([]int, pg.k),
-		data:    make([]int, pg.k),
-	}
-	for i := range s.cand {
-		s.cand[i] = pg.ix.NewSet()
-	}
-	s.m = Match{Pattern: pg.order, Data: s.data}
-	return s
-}
-
-// newSearch compiles pattern against data and allocates scratch state
-// in one step. It returns nil if no embedding can exist for trivial
-// size reasons.
-func newSearch(pattern, data *graph.Graph, ix *graph.Index) *search {
-	pg := compile(pattern, data, ix)
-	if pg == nil {
-		return nil
-	}
-	return pg.newSearch()
-}
-
 // run enumerates every embedding, invoking fn for each; fn's Match
 // reuses buffers exactly as Enumerate documents. It returns false when
 // fn stopped the search early.
@@ -172,16 +139,6 @@ func (s *search) run(fn func(Match) bool) bool {
 		ok = s.root(p)
 	}
 	return ok
-}
-
-// runRoot enumerates the embeddings whose first match-order vertex is
-// pinned to data position root. The root's degree-pruning check still
-// applies, so running runRoot over every position reproduces run,
-// emission order included.
-func (s *search) runRoot(root int, fn func(Match) bool) bool {
-	searches.Add(1)
-	s.fn = fn
-	return s.root(root)
 }
 
 // extends reports whether the partial assignment pinning depth d to

@@ -86,8 +86,7 @@ func BuildUniverse(pattern, data *graph.Graph, max int) *Universe {
 	if max > 0 {
 		limit = max / u.sets
 	}
-	pg := compileDeduped(pattern, completeGraph(k))
-	pg.newSearch().run(func(m Match) bool {
+	compileDeduped(pattern, completeGraph(k)).run(func(m Match) bool {
 		u.perms = append(u.perms, m.Data...)
 		return limit == 0 || len(u.perms) <= limit*k
 	})

@@ -211,8 +211,7 @@ func TestUniverseFilterTruncationBoundary(t *testing.T) {
 }
 
 // TestUniverseParallelBuildIdentical pins the closed form against the
-// search that used to build universes, at 1 and 4 workers: the
-// symmetry-broken embeddings, grouped by vertex set in lexicographic
+// search that used to build universes: the symmetry-broken embeddings, grouped by vertex set in lexicographic
 // order with each set's embeddings in emission order, must be the
 // closed form's candidates one for one — on every catalog machine at
 // shapes up to 5 GPUs, on the 72-GPU cluster (two bitset words) up to
@@ -237,10 +236,8 @@ func TestUniverseParallelBuildIdentical(t *testing.T) {
 		for _, pattern := range appgraph.AllShapes(min(m.maxShape, m.top.NumGPUs())) {
 			name := fmt.Sprintf("%s/%dv%de", m.top.Name, pattern.NumVertices(), pattern.NumEdges())
 			u := BuildUniverse(pattern, m.top.Graph, 0)
-			for _, workers := range []int{1, 4} {
-				if err := sameAsSearch(u, FindAllDedupedParallel(pattern, m.top.Graph, workers)); err != nil {
-					t.Fatalf("%s workers=%d: %v", name, workers, err)
-				}
+			if err := sameAsSearch(u, FindAllDeduped(pattern, m.top.Graph)); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}

@@ -84,7 +84,7 @@ func NewFleetStore(f *topology.Fleet, capacity int) *FleetStore {
 // fleet builds exactly as much as warming a 2-node one. Returns the
 // number of complete class universes now held for the requested
 // patterns, summed over classes.
-func (fs *FleetStore) Warm(workers int, patterns ...*graph.Graph) int {
+func (fs *FleetStore) Warm(patterns ...*graph.Graph) int {
 	n := 0
 	for i, s := range fs.stores {
 		max := fs.fleet.Classes[i].NumGPUs()
@@ -94,7 +94,7 @@ func (fs *FleetStore) Warm(workers int, patterns ...*graph.Graph) int {
 				fit = append(fit, p)
 			}
 		}
-		n += s.Warm(workers, fit...)
+		n += s.Warm(0, fit...)
 	}
 	return n
 }
@@ -103,10 +103,10 @@ func (fs *FleetStore) Warm(workers int, patterns ...*graph.Graph) int {
 // on every class that can host it, if missing — the unlocked prewarm
 // hook of the fleet decision path, mirroring Store.Ensure. Already-
 // built shapes return after a memoized fingerprint lookup.
-func (fs *FleetStore) Ensure(pattern *graph.Graph, workers int) {
+func (fs *FleetStore) Ensure(pattern *graph.Graph) {
 	for i, s := range fs.stores {
 		if pattern.NumVertices() <= fs.fleet.Classes[i].NumGPUs() {
-			s.Ensure(pattern, workers)
+			s.Ensure(pattern, 0)
 		}
 	}
 }
@@ -271,7 +271,7 @@ type NodeDecision struct {
 // On true the decision counts as TableServed even when no node could
 // host the pattern (sel ran zero times): the hierarchy answered "no
 // feasible single-node placement".
-func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(nd *NodeDecision)) bool {
+func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, maxCandidates int, sel func(nd *NodeDecision)) bool {
 	k := pattern.NumVertices()
 	if fv == nil || k > fv.maxNode {
 		return false
@@ -299,7 +299,7 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 		if f < k {
 			continue
 		}
-		usl, ok := nv.slot(ci, pattern, workers)
+		usl, ok := nv.slot(ci, pattern)
 		if !ok || capped(usl.u, f, maxCandidates) {
 			fv.scratchNodes = eligible
 			fv.stats.Rejected++
@@ -321,7 +321,7 @@ func (fv *FleetViews) SelectNodes(pattern *graph.Graph, usable graph.Bitset, max
 			Node:   j,
 			Offset: fv.fleet.Offsets[j],
 			BW:     nv.bw,
-			Tbl:    nv.store.ensureTable(usl, workers),
+			Tbl:    nv.store.ensureTable(usl),
 			Order:  canon.remap(usl.patternFP, ci, usl.u.Order()),
 			PreservedShift: totalFree - nv.bw.FreeWeight() -
 				float64(k)*pcie*float64(F-nv.bw.UsableCount()),

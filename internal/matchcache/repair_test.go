@@ -34,7 +34,7 @@ func degrade(t *testing.T, top *topology.Topology, u, v int, w float64) {
 func tableOf(t *testing.T, s *Store, pattern *graph.Graph, top *topology.Topology) *score.Table {
 	t.Helper()
 	var out *score.Table
-	ok := s.NewViews().SelectLive(pattern, top.Graph.VertexBitset(), 0, 1, func(_ *match.BandwidthAccounting, tbl *score.Table, _ []int) {
+	ok := s.NewViews().SelectLive(pattern, top.Graph.VertexBitset(), 0, func(_ *match.BandwidthAccounting, tbl *score.Table, _ []int) {
 		out = tbl
 	})
 	if !ok || out == nil {
@@ -88,7 +88,7 @@ func TestStoreRepairEdgeMatchesRebuild(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			top := l.top()
 			s := l.store(top)
-			s.Warm(2, l.shapes...)
+			s.Warm(0, l.shapes...)
 			gpus := top.GPUs()
 			u, v := gpus[1], gpus[len(gpus)-1]
 			e, _ := top.Graph.EdgeBetween(u, v)
@@ -106,7 +106,7 @@ func TestStoreRepairEdgeMatchesRebuild(t *testing.T) {
 				// Isomorphic shapes share one universe, derived for the
 				// build that reached the store first.
 				got, built := tableOf(t, s, shape, top), s.slot(canon.info(shape), shape).pattern
-				sameTable(t, fmt.Sprintf("%v", shape.Edges()), got, score.BuildTable(top, built, got.Universe(), 1), model)
+				sameTable(t, fmt.Sprintf("%v", shape.Edges()), got, score.BuildTable(top, built, got.Universe()), model)
 			}
 		})
 	}
@@ -146,7 +146,7 @@ func TestRepairEdgeAffectedSetIsExact(t *testing.T) {
 	top := topology.DGXV100()
 	ring := tableRing(3)
 	s := NewStore(top, 0)
-	s.Warm(1, ring)
+	s.Warm(0, ring)
 	tbl := tableOf(t, s, ring, top)
 	want := 0
 	for set := 0; set < tbl.Universe().Sets(); set++ {
@@ -169,7 +169,7 @@ func TestViewsUpdateEdgePreservedBW(t *testing.T) {
 	top := topology.DGXV100()
 	ring := tableRing(3)
 	s := NewStore(top, 0)
-	s.Warm(1, ring)
+	s.Warm(0, ring)
 	v := s.NewViews()
 	v.Allocate([]int{2, 6})
 
@@ -180,7 +180,7 @@ func TestViewsUpdateEdgePreservedBW(t *testing.T) {
 	free.Unset(2)
 	free.Unset(6)
 	fresh := match.NewBandwidthAccounting(top.Graph, free, graph.Capacity(top.Graph))
-	served := v.SelectLive(ring, free, 0, 1, func(bw *match.BandwidthAccounting, _ *score.Table, _ []int) {
+	served := v.SelectLive(ring, free, 0, func(bw *match.BandwidthAccounting, _ *score.Table, _ []int) {
 		if bw.FreeWeight() != fresh.FreeWeight() {
 			t.Errorf("FreeWeight %v after UpdateEdge, rebuilt %v", bw.FreeWeight(), fresh.FreeWeight())
 		}

@@ -21,11 +21,10 @@ import (
 const DefaultUniverseCapacity = 200000
 
 // ShapeBuild records one universe build: the shape's size, the
-// resulting class count, the worker count the store was asked to build
-// with, and how long deriving the universe took. Build timings sit on
-// the serving path of every cold start — a topology-aware allocator
-// must come up on daemon start before it can place anything — so the
-// store keeps them as first-class stats.
+// resulting class count, and how long deriving the universe took.
+// Build timings sit on the serving path of every cold start — a
+// topology-aware allocator must come up on daemon start before it can
+// place anything — so the store keeps them as first-class stats.
 type ShapeBuild struct {
 	// Vertices and Edges describe the canonical pattern built.
 	Vertices, Edges int
@@ -34,11 +33,8 @@ type ShapeBuild struct {
 	// store capacity (then Classes is 0).
 	Classes  int
 	Complete bool
-	// Workers is the worker count the shape's builds were given (the
-	// score table fans out over it); Duration the wall time of deriving
-	// the universe: its permutation list on K_k, not an enumeration on
-	// the machine.
-	Workers  int
+	// Duration is the wall time of deriving the universe: its
+	// permutation list on K_k, not an enumeration on the machine.
 	Duration time.Duration
 }
 
@@ -118,17 +114,17 @@ func (s *Store) Bound(top *topology.Topology) bool {
 	return s != nil && s.top == top
 }
 
-// ensureTable returns the slot's score table, building it on first use
-// with up to `workers` goroutines; nil when the slot's universe is
-// incomplete. The build runs outside the store lock; concurrent callers
-// for one shape converge on a single build via the slot's once.
-func (s *Store) ensureTable(sl *universeSlot, workers int) *score.Table {
+// ensureTable returns the slot's score table, building it on first
+// use; nil when the slot's universe is incomplete. The build runs
+// outside the store lock; concurrent callers for one shape converge on
+// a single build via the slot's once.
+func (s *Store) ensureTable(sl *universeSlot) *score.Table {
 	sl.tableOnce.Do(func() {
 		if !sl.u.Complete() {
 			return
 		}
 		start := time.Now()
-		sl.table = score.BuildTable(s.top, sl.pattern, sl.u, workers)
+		sl.table = score.BuildTable(s.top, sl.pattern, sl.u)
 		elapsed := time.Since(start)
 		s.mu.Lock()
 		s.stats.Tables++
@@ -187,11 +183,11 @@ func (s *Store) slot(ci *canonInfo, pattern *graph.Graph) *universeSlot {
 }
 
 // universe returns the built universe for the canonical shape,
-// deriving it on first use and recording the build's timing. Decision paths (Views.SelectLive), Ensure and
-// Warm all come through here. Concurrent callers for the same shape
-// converge on one build via the slot's once; callers for distinct
-// shapes build independently.
-func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *universeSlot {
+// deriving it on first use and recording the build's timing. Decision
+// paths (Views.SelectLive), Ensure and Warm all come through here.
+// Concurrent callers for the same shape converge on one build via the
+// slot's once; callers for distinct shapes build independently.
+func (s *Store) universe(ci *canonInfo, pattern *graph.Graph) *universeSlot {
 	sl := s.slot(ci, pattern)
 	sl.once.Do(func() {
 		start := time.Now()
@@ -201,7 +197,6 @@ func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *univ
 			Edges:    sl.pattern.NumEdges(),
 			Classes:  u.Len(),
 			Complete: u.Complete(),
-			Workers:  workers,
 			Duration: time.Since(start),
 		}
 		sl.u = u
@@ -224,18 +219,20 @@ func (s *Store) universe(ci *canonInfo, pattern *graph.Graph, workers int) *univ
 // returns how many complete universes the store now holds for the
 // requested shapes (already-warm shapes count).
 //
-// Shapes build one after another, each with the full worker count;
-// isomorphic requests (Ring(3) and AllToAll(3) are the same canonical
-// triangle) share one build. The store stays fully usable while
-// warming runs — a concurrent Ensure or Views.SelectLive for a shape
-// being warmed blocks only on that shape's build (sync.Once), and any
-// other shape is unaffected — so callers may serve decisions before
-// Warm returns.
+// Shapes build one after another on the calling goroutine; isomorphic
+// requests (Ring(3) and AllToAll(3) are the same canonical triangle)
+// share one build. The store stays fully usable while warming runs — a
+// concurrent Ensure or Views.SelectLive for a shape being warmed blocks
+// only on that shape's build (sync.Once), and any other shape is
+// unaffected — so callers may serve decisions before Warm returns.
+//
+// workers is ignored. It stays only because bench/ links this
+// signature, and goes when bench/ stops passing it.
 func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 	n := 0
 	for _, p := range patterns {
-		if sl := s.universe(canon.info(p), p, workers); sl.u.Complete() {
-			s.ensureTable(sl, workers)
+		if sl := s.universe(canon.info(p), p); sl.u.Complete() {
+			s.ensureTable(sl)
 			n++
 		}
 	}
@@ -243,19 +240,20 @@ func (s *Store) Warm(workers int, patterns ...*graph.Graph) int {
 }
 
 // Ensure builds the pattern's idle-state universe — and, when the
-// universe is complete, its score table — if either is missing, with up
-// to `workers` goroutines. Already-built shapes return immediately
-// after a memoized fingerprint lookup, so Ensure is cheap enough to
-// call per request: it is the
+// universe is complete, its score table — if either is missing.
+// Already-built shapes return immediately after a memoized fingerprint
+// lookup, so Ensure is cheap enough to call per request: it is the
 // prewarm hook mapa.System runs *outside* its state lock, so a cold
 // shape's table build never stalls concurrent decisions, releases, or
 // health events. Concurrent Ensure calls for one shape converge on a
 // single build via the slot's once.
+//
+// workers is ignored. It stays only because bench/ links this
+// signature, and goes when bench/ stops passing it.
 func (s *Store) Ensure(pattern *graph.Graph, workers int) {
-	ci := canon.info(pattern)
-	sl := s.universe(ci, pattern, workers)
+	sl := s.universe(canon.info(pattern), pattern)
 	if sl.u.Complete() {
-		s.ensureTable(sl, workers)
+		s.ensureTable(sl)
 	}
 }
 

@@ -38,7 +38,7 @@ func without(g *graph.Graph, vs []int) *graph.Graph {
 // composed with every permutation, sorted into emission order
 // (lexicographic in the data tuple).
 func selectLive(v *Views, pattern, avail *graph.Graph, maxCandidates int) (out liveList, ok bool) {
-	ok = v.SelectLive(pattern, avail.VertexBitset(), maxCandidates, 1,
+	ok = v.SelectLive(pattern, avail.VertexBitset(), maxCandidates,
 		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
 			u := tbl.Universe()
 			for s := 0; s < u.Sets(); s++ {
@@ -157,7 +157,7 @@ func TestWarmedShapeFiltersWithoutSearching(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
 	pattern := appgraph.Ring(4)
-	if n := s.Warm(1, pattern); n != 1 {
+	if n := s.Warm(0, pattern); n != 1 {
 		t.Fatalf("Warm built %d universes, want 1", n)
 	}
 	searches, filters := match.Searches(), match.Filters()
@@ -179,7 +179,7 @@ func TestIncompleteUniverseFallsBack(t *testing.T) {
 	top := topology.DGXV100()
 	full := match.BuildUniverse(appgraph.Ring(3), top.Graph, 0)
 	s := NewStore(top, full.Len()-1) // capacity below the class count
-	if n := s.Warm(1, appgraph.Ring(3)); n != 0 {
+	if n := s.Warm(0, appgraph.Ring(3)); n != 0 {
 		t.Fatalf("Warm claimed %d complete universes under an overflowing cap", n)
 	}
 	v := s.NewViews()
@@ -202,7 +202,7 @@ func TestIsomorphicBuildsShareUniverse(t *testing.T) {
 	s := NewStore(top, 0)
 	ringA := appgraph.Ring(4)
 	ringB := ring0213()
-	s.Warm(1, ringA)
+	s.Warm(0, ringA)
 
 	avail := without(top.Graph, []int{2})
 	before := match.Searches()
@@ -250,7 +250,7 @@ func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	s := NewStore(top, 0)
 	ringA := appgraph.Ring(4)
 	ringB := ring0213()
-	s.Warm(1, ringA)
+	s.Warm(0, ringA)
 
 	// A cap that truncates is declined for both builds…
 	if _, ok := candidatesOn(s, ringA, nil, 2); ok {
@@ -265,44 +265,6 @@ func TestTruncatedFilterRejectedForRemappedShape(t *testing.T) {
 	}
 	if _, ok := candidatesOn(s, ringB, nil, 0); !ok {
 		t.Fatal("uncapped list for a remapped shape must be served")
-	}
-}
-
-// TestWarmConcurrentShapesMatchSequential pins parallel Warm
-// semantics: building every shape with a 4-worker enumeration must
-// produce exactly the universes a sequential warm builds, count
-// included.
-func TestWarmConcurrentShapesMatchSequential(t *testing.T) {
-	top := topology.DGXV100()
-	shapes := appgraph.AllShapes(5)
-	seq := NewStore(top, 0)
-	wantN := seq.Warm(1, shapes...)
-	con := NewStore(top, 0)
-	if gotN := con.Warm(4, shapes...); gotN != wantN {
-		t.Fatalf("parallel Warm built %d complete universes, sequential %d", gotN, wantN)
-	}
-	seqStats, conStats := seq.Stats(), con.Stats()
-	if conStats.Universes != seqStats.Universes || conStats.Incomplete != seqStats.Incomplete {
-		t.Fatalf("parallel stats %+v, sequential %+v", conStats, seqStats)
-	}
-	if len(conStats.Builds) != len(seqStats.Builds) {
-		t.Fatalf("parallel ran %d builds, sequential %d", len(conStats.Builds), len(seqStats.Builds))
-	}
-	// Every shape must serve the same candidate prefix from both
-	// stores on a common availability state.
-	avail := without(top.Graph, []int{1, 6})
-	for _, p := range shapes {
-		if p.NumVertices() > avail.NumVertices() {
-			continue
-		}
-		a, okA := candidatesOn(seq, p, []int{1, 6}, 0)
-		b, okB := candidatesOn(con, p, []int{1, 6}, 0)
-		if okA != okB {
-			t.Fatalf("shape %dv: serve disagreement seq=%v con=%v", p.NumVertices(), okA, okB)
-		}
-		if okA {
-			sameKeys(t, fmt.Sprintf("shape %dv", p.NumVertices()), b.keys, a.keys)
-		}
 	}
 }
 
@@ -323,7 +285,7 @@ func TestWarmRacesWithReaders(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.Warm(4, shapes...)
+		s.Warm(0, shapes...)
 	}()
 	for i := 0; i < 20; i++ {
 		got, ok := candidatesOn(s, pattern, []int{0, 5}, 0)
@@ -385,7 +347,7 @@ func TestWarmStoreResidentAllocBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	s := NewStore(topology.ClusterA100(9), 0)
-	s.Warm(1, appgraph.AllShapes(3)...)
+	s.Warm(0, appgraph.AllShapes(3)...)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	sets, embeddings := 0, 0
@@ -405,7 +367,7 @@ func TestWarmStoreResidentAllocBudget(t *testing.T) {
 
 	dgx2 := NewStore(topology.DGX2(), 0)
 	searches := match.Searches()
-	dgx2.Ensure(appgraph.Ring(6), 2)
+	dgx2.Ensure(appgraph.Ring(6), 0)
 	st := dgx2.Stats()
 	if len(st.Builds) != 1 || st.Builds[0].Complete || st.Builds[0].Classes != 0 || st.Incomplete != 1 {
 		t.Fatalf("Ring(6) on dgx-2: builds %+v, want one incomplete build holding no classes", st.Builds)

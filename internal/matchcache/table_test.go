@@ -24,7 +24,7 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 	top := topology.DGXV100()
 	s := NewStore(top, 0)
 	ring := tableRing(3)
-	s.Warm(2, ring, tableRing(4))
+	s.Warm(0, ring, tableRing(4))
 	st := s.Stats()
 	if st.Tables != 2 || st.TableTime <= 0 {
 		t.Fatalf("Warm built %d tables in %v, want 2 in > 0", st.Tables, st.TableTime)
@@ -32,14 +32,14 @@ func TestWarmBuildsScoreTables(t *testing.T) {
 
 	v := s.NewViews()
 	called := false
-	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
+	ok := v.SelectLive(ring, top.Graph.VertexBitset(), 0, func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
 		called = true
 		if bw == nil {
 			t.Error("SelectLive must hand out the stream's bandwidth accounting")
 		} else if bw.FreeWeight() != top.Graph.TotalWeight() {
 			t.Errorf("idle FreeWeight = %g, want %g", bw.FreeWeight(), top.Graph.TotalWeight())
 		}
-		if tbl == nil || tbl.Len() != s.universe(canon.info(ring), ring, 1).u.Len() {
+		if tbl == nil || tbl.Len() != s.universe(canon.info(ring), ring).u.Len() {
 			t.Errorf("table misaligned with universe")
 		}
 		if order != nil {
@@ -66,7 +66,7 @@ func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	}
 
 	var none *Views
-	if none.SelectLive(ring, top.Graph.VertexBitset(), 0, 1, sel) {
+	if none.SelectLive(ring, top.Graph.VertexBitset(), 0, sel) {
 		t.Fatal("SelectLive must decline on a nil view set")
 	}
 	if vs := none.Stats(); vs != (ViewStats{}) {
@@ -74,12 +74,12 @@ func TestSelectLiveDisabledAndOutOfSync(t *testing.T) {
 	}
 
 	on := NewStore(top, 0)
-	on.Warm(1, ring)
+	on.Warm(0, ring)
 	v := on.NewViews()
 	// Mask out of sync: the view tracks an idle machine but the request
 	// claims GPU 0 is busy.
 	stale := without(top.Graph, []int{0})
-	if v.SelectLive(ring, stale.VertexBitset(), 0, 1, sel) {
+	if v.SelectLive(ring, stale.VertexBitset(), 0, sel) {
 		t.Fatal("SelectLive must decline an out-of-sync mask")
 	}
 	if vs := v.Stats(); vs.TableServed != 0 || vs.Rejected != 1 {

@@ -132,10 +132,10 @@ func (v *Views) UpdateEdge(u, g int, w float64) {
 // slot returns the canonical shape's universe slot, building the
 // universe on first sight under the view lock. ok is false when the
 // universe overflowed its capacity.
-func (v *Views) slot(ci *canonInfo, pattern *graph.Graph, workers int) (*universeSlot, bool) {
+func (v *Views) slot(ci *canonInfo, pattern *graph.Graph) (*universeSlot, bool) {
 	usl, seen := v.slots[ci.canon]
 	if !seen {
-		usl = v.store.universe(ci, pattern, workers)
+		usl = v.store.universe(ci, pattern)
 		if !usl.u.Complete() {
 			return nil, false
 		}
@@ -175,7 +175,7 @@ func capped(u *match.Universe, usable, maxCandidates int) bool {
 //   - the candidate cap truncates the live embeddings: the capped
 //     candidates are the search's emission-order prefix, and the
 //     search that streams it decides exactly as a capped table would.
-func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandidates, workers int, sel func(bw *match.BandwidthAccounting, tbl *score.Table, order []int)) bool {
+func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandidates int, sel func(bw *match.BandwidthAccounting, tbl *score.Table, order []int)) bool {
 	if v == nil {
 		return false
 	}
@@ -188,12 +188,12 @@ func (v *Views) SelectLive(pattern *graph.Graph, usable graph.Bitset, maxCandida
 		v.stats.Rejected++
 		return false
 	}
-	usl, ok := v.slot(ci, pattern, workers)
+	usl, ok := v.slot(ci, pattern)
 	if !ok || capped(usl.u, v.bw.UsableCount(), maxCandidates) {
 		v.stats.Rejected++
 		return false
 	}
-	tbl := v.store.ensureTable(usl, workers)
+	tbl := v.store.ensureTable(usl)
 	order := canon.remap(usl.patternFP, ci, usl.u.Order())
 	v.stats.TableServed++
 	sel(v.bw, tbl, order)

@@ -2,10 +2,9 @@
 // paper sketches (Sec. 3.2/3.3): NVIDIA Multi-Instance GPU partitions
 // one physical GPU into up to seven isolated instances, so jobs map
 // many-to-one onto hardware. Following the paper's proposal, virtual
-// GPUs become separate vertices of the hardware graph, vertices are
-// labeled with the fraction of physical resources they carry, and
-// allocation uses label-aware pattern matching (a job may demand a
-// minimum compute fraction per accelerator).
+// GPUs become separate vertices of the hardware graph, each recording
+// the fraction of physical resources it carries, and are allocated as
+// plain vertices by the same pattern matching as whole GPUs.
 //
 // Link model for a split GPU (conservative, interference-aware per the
 // paper's note): sibling instances communicate over the on-die path
@@ -18,10 +17,7 @@ import (
 	"fmt"
 	"sort"
 
-	"mapa/internal/effbw"
 	"mapa/internal/graph"
-	"mapa/internal/match"
-	"mapa/internal/score"
 	"mapa/internal/topology"
 )
 
@@ -187,92 +183,4 @@ func Compose(base *topology.Topology, instances map[int][]int) (*VirtualTopology
 // construction. The slice is read-only; callers must not mutate it.
 func (vt *VirtualTopology) Instances(physical int) []int {
 	return vt.byPhysical[physical]
-}
-
-// Compatible returns the label-aware matching predicate for a job that
-// needs at least minFraction of a physical GPU per requested
-// accelerator.
-func (vt *VirtualTopology) Compatible(minFraction float64) match.Compatible {
-	return func(_, dataVertex int) bool {
-		return vt.Fraction[dataVertex] >= minFraction-1e-12
-	}
-}
-
-// Request is a MIG-aware allocation request.
-type Request struct {
-	// Pattern is the application communication graph.
-	Pattern *graph.Graph
-	// Sensitive is the bandwidth-sensitivity annotation.
-	Sensitive bool
-	// MinFraction is the minimum compute fraction each accelerator
-	// must provide (0 accepts any slice; 1 demands whole GPUs).
-	MinFraction float64
-}
-
-// Allocation is a MIG-aware decision.
-type Allocation struct {
-	// GPUs are virtual IDs.
-	GPUs []int
-	// Physical are the distinct physical devices touched.
-	Physical []int
-	Scores   score.Scores
-}
-
-// Allocate runs the Preserve selection (Algorithm 1) over
-// label-compatible matches on the available virtual graph: sensitive
-// jobs maximize predicted effective bandwidth, insensitive jobs
-// maximize preserved bandwidth. avail must be an induced subgraph of
-// the virtual hardware graph. A nil scorer trains/defaults as
-// score.NewScorer does.
-func (vt *VirtualTopology) Allocate(avail *graph.Graph, s *score.Scorer, req Request) (Allocation, error) {
-	if req.Pattern == nil || req.Pattern.NumVertices() < 1 {
-		return Allocation{}, fmt.Errorf("mig: empty request")
-	}
-	if req.Pattern.NumVertices() > avail.NumVertices() {
-		return Allocation{}, fmt.Errorf("mig: %d accelerators requested, %d available", req.Pattern.NumVertices(), avail.NumVertices())
-	}
-	if s == nil {
-		s = score.NewScorer(effbw.PaperModel())
-	}
-	seen := make(map[string]bool)
-	var best Allocation
-	found := false
-	better := func(a, b score.Scores) bool {
-		if req.Sensitive {
-			if b.EffBW != a.EffBW {
-				return b.EffBW > a.EffBW
-			}
-			return b.PreservedBW > a.PreservedBW
-		}
-		if b.PreservedBW != a.PreservedBW {
-			return b.PreservedBW > a.PreservedBW
-		}
-		return b.EffBW > a.EffBW
-	}
-	match.EnumerateLabeled(req.Pattern, avail, vt.Compatible(req.MinFraction), func(m match.Match) bool {
-		key := m.Key(req.Pattern, avail)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		sc := s.Score(vt.Topology, req.Pattern, avail, m)
-		if !found || better(best.Scores, sc) {
-			physSet := make(map[int]bool)
-			for _, v := range m.DataVertices() {
-				physSet[vt.PhysicalOf[v]] = true
-			}
-			phys := make([]int, 0, len(physSet))
-			for p := range physSet {
-				phys = append(phys, p)
-			}
-			sort.Ints(phys)
-			best = Allocation{GPUs: m.DataVertices(), Physical: phys, Scores: sc}
-			found = true
-		}
-		return true
-	})
-	if !found {
-		return Allocation{}, fmt.Errorf("mig: no allocation satisfies min fraction %.2f", req.MinFraction)
-	}
-	return best, nil
 }

@@ -3,7 +3,6 @@ package mig
 import (
 	"testing"
 
-	"mapa/internal/appgraph"
 	"mapa/internal/topology"
 )
 
@@ -88,108 +87,5 @@ func TestSocketsInherited(t *testing.T) {
 	// Virtual 0 and 1 (physical 0) are in socket 0.
 	if vt.SocketOf(0) != vt.SocketOf(1) {
 		t.Error("siblings must share a socket")
-	}
-}
-
-func TestCompatiblePredicate(t *testing.T) {
-	top := topology.DGXV100()
-	vt, err := Split(top, map[int]int{0: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := vt.Compatible(1.0)
-	quarter := vt.Compatible(0.25)
-	if whole(0, 0) { // virtual 0 is a quarter slice
-		t.Error("quarter slice should not satisfy whole-GPU demand")
-	}
-	if !whole(0, 4) { // virtual 4 is the unsplit GPU 1
-		t.Error("whole GPU should satisfy whole-GPU demand")
-	}
-	if !quarter(0, 0) {
-		t.Error("quarter slice should satisfy quarter demand")
-	}
-}
-
-func TestAllocateWholeGPUsAvoidsSlices(t *testing.T) {
-	top := topology.DGXV100()
-	vt, err := Split(top, map[int]int{0: 2, 1: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := vt.Allocate(vt.Graph.Clone(), nil, Request{
-		Pattern: appgraph.Ring(3), Sensitive: true, MinFraction: 1.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range alloc.GPUs {
-		if vt.Fraction[v] < 1 {
-			t.Fatalf("whole-GPU job landed on slice %d (fraction %g)", v, vt.Fraction[v])
-		}
-	}
-	if len(alloc.Physical) != 3 {
-		t.Fatalf("physical devices = %v", alloc.Physical)
-	}
-}
-
-func TestAllocateSlicesPackOntoOneDevice(t *testing.T) {
-	// A 3-accelerator job content with quarter slices should exploit
-	// the on-die links of a single split device — the many-to-one
-	// mapping the paper describes.
-	top := topology.DGXV100()
-	vt, err := Split(top, map[int]int{0: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := vt.Allocate(vt.Graph.Clone(), nil, Request{
-		Pattern: appgraph.Ring(3), Sensitive: true, MinFraction: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alloc.Physical) != 1 || alloc.Physical[0] != 0 {
-		t.Fatalf("expected the job to pack onto split GPU 0, got physical %v (virtual %v)",
-			alloc.Physical, alloc.GPUs)
-	}
-}
-
-func TestAllocateErrors(t *testing.T) {
-	top := topology.Summit()
-	vt, err := Split(top, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vt.Allocate(vt.Graph.Clone(), nil, Request{}); err == nil {
-		t.Error("empty request should error")
-	}
-	if _, err := vt.Allocate(vt.Graph.Clone(), nil, Request{Pattern: appgraph.Ring(7)}); err == nil {
-		t.Error("oversized request should error")
-	}
-	// Demand whole GPUs on a fully split machine: impossible.
-	vt2, err := Split(top, map[int]int{0: 2, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vt2.Allocate(vt2.Graph.Clone(), nil, Request{
-		Pattern: appgraph.Ring(2), Sensitive: true, MinFraction: 1.0,
-	}); err == nil {
-		t.Error("whole-GPU demand on fully split machine should error")
-	}
-}
-
-func TestInsensitiveAllocatePreserves(t *testing.T) {
-	top := topology.DGXV100()
-	vt, err := Split(top, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := vt.Allocate(vt.Graph.Clone(), nil, Request{
-		Pattern: appgraph.Ring(3), Sensitive: false, MinFraction: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Scores.PreservedBW <= 0 {
-		t.Fatalf("preserved BW = %g", alloc.Scores.PreservedBW)
 	}
 }

@@ -1,40 +1,14 @@
 package policy
 
 import (
-	"runtime"
-
 	"mapa/internal/matchcache"
 	"mapa/internal/score"
 )
 
-// SetParallelism configures a MAPA policy (greedy, preserve, and the
-// ablations) to enumerate and score candidate matches with n worker
-// goroutines when a decision has to search. The paper notes the
-// scoring stage "is a data parallel problem" (Sec. 5.4) whose
-// parallelization reins in the overhead of Fig. 19; this is that
-// optimization. n < 2 restores single-threaded matching. Baseline and
-// Topo-aware do not score candidate sets and ignore the setting.
-//
-// The selected allocation is byte-identical to the sequential one,
-// candidate cap included: workers enumerate and deduplicate disjoint
-// subtrees of the first pattern vertex's candidates, the in-root-order
-// merge reproduces the exact sequential candidate prefix, and the
-// comparator is a strict total order over it.
-func SetParallelism(a Allocator, n int) {
-	if mp, ok := a.(*mapaPolicy); ok {
-		mp.workers = n
-	}
-}
-
-// AttachUniverses records the idle-state universe store a MAPA
-// policy's view set was created from. Decisions reach the store only
-// through the attached views (AttachViews), so nothing reads the
-// attachment. Baseline and Topo-aware ignore it. Pass nil to detach.
-func AttachUniverses(a Allocator, s *matchcache.Store) {
-	if mp, ok := a.(*mapaPolicy); ok {
-		mp.store = s
-	}
-}
+// AttachUniverses does nothing. Decisions reach a universe store only
+// through the attached views (AttachViews); the function stays because
+// bench/ links it, and goes when bench/ stops calling it.
+func AttachUniverses(Allocator, *matchcache.Store) {}
 
 // AttachViews wires a view set into a MAPA policy: decisions are
 // table-served off the stream's delta-maintained usable mask and the
@@ -85,10 +59,6 @@ func SetMaxCandidates(a Allocator, n int) {
 		mp.maxCandidates = n
 	}
 }
-
-// DefaultParallelism is a reasonable worker count for parallel
-// matching and scoring.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // beats reports whether candidate b strictly precedes candidate a in
 // the policy's total order: primary metric first, then lexicographic

@@ -11,12 +11,11 @@ import (
 
 // TestAllocationMatchRepresentativeDeterministic pins the full
 // Allocation — including the Match's exact pattern-to-GPU assignment,
-// which rank-placement consumers read — across the sequential search,
-// the parallel search, and the table-served path (built sequentially
-// and with four workers). Equivalence classes with identical GPU sets
+// which rank-placement consumers read — across the search and the
+// table-served path. Equivalence classes with identical GPU sets
 // and scores differ only in their representative embedding, so this
 // catches any strategy that claims a class at a different raw
-// occurrence than the sequential scan.
+// occurrence than the search.
 func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 	tops := []*topology.Topology{topology.DGXV100(), topology.Torus2D()}
 	for _, top := range tops {
@@ -31,19 +30,8 @@ func TestAllocationMatchRepresentativeDeterministic(t *testing.T) {
 			}
 
 			for name, mk := range map[string]func() Allocator{
-				"parallel": func() Allocator {
-					p := NewPreserve(nil)
-					SetParallelism(p, 4)
-					return p
-				},
 				"table-served": func() Allocator {
 					p := NewPreserve(nil)
-					served(p, matchcache.NewStore(top, 0), top, []int{1})
-					return p
-				},
-				"table-served+parallel": func() Allocator {
-					p := NewPreserve(nil)
-					SetParallelism(p, 4)
 					served(p, matchcache.NewStore(top, 0), top, []int{1})
 					return p
 				},

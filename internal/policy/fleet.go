@@ -65,7 +65,7 @@ func AttachFleet(a Allocator, fv *matchcache.FleetViews) {
 func (p *mapaPolicy) allocateFleetInto(buf *Allocation, usable graph.Bitset, req Request) (served bool, err error) {
 	found := false
 	var bestP, bestS float64
-	served = p.fleet.SelectNodes(req.Pattern, usable, p.maxCandidates, p.workers,
+	served = p.fleet.SelectNodes(req.Pattern, usable, p.maxCandidates,
 		func(nd *matchcache.NodeDecision) {
 			s, ok := p.pickScored(nd.BW, nd.Tbl, req)
 			if !ok {

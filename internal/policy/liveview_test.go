@@ -24,8 +24,7 @@ func TestWarmedShapeChurnServedByLiveViewOnly(t *testing.T) {
 
 	live := NewPreserve(score.NewScorer(nil))
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
-	AttachUniverses(live, store)
+	store.Warm(0, pattern)
 	views := store.NewViews()
 	AttachViews(live, views)
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"mapa/internal/graph"
@@ -275,8 +274,6 @@ type mapaPolicy struct {
 	name          string
 	scorer        *score.Scorer
 	maxCandidates int
-	workers       int
-	store         *matchcache.Store
 	views         *matchcache.Views
 	fleet         *matchcache.FleetViews
 	rank          func(req Request) [2]metric
@@ -383,16 +380,14 @@ func AllocateInto(a Allocator, buf *Allocation, avail *graph.Graph, top *topolog
 
 // allocateSearch is the paper's per-decision pipeline (Fig. 7 /
 // Algorithm 1) run from scratch on the availability graph — the
-// subgraph of top.Graph induced by the usable GPUs: enumerate
-// the pattern's deduplicated matches (capped at maxCandidates, with
-// p.workers goroutines when more than one is configured — the parallel
-// enumeration materializes the exact sequential candidate prefix),
-// score them, select under the policy's total order. It is the only
+// subgraph of top.Graph induced by the usable GPUs: enumerate the
+// pattern's deduplicated matches (capped at maxCandidates), score them,
+// select under the policy's total order. It is the only
 // path below the table-served one, the decision a policy with nothing
 // attached makes, and the reference every parity test compares
 // against; its cost is what Fig. 19 measures.
 func (p *mapaPolicy) allocateSearch(avail *graph.Graph, top *topology.Topology, req Request) (Allocation, error) {
-	ms, keys := match.FindAllDedupedParallelKeys(req.Pattern, avail, p.workers, p.maxCandidates)
+	ms, keys := match.FindAllDedupedCappedKeys(req.Pattern, avail, p.maxCandidates)
 	if len(ms) == 0 {
 		return Allocation{}, ErrNoAllocation
 	}
@@ -401,31 +396,11 @@ func (p *mapaPolicy) allocateSearch(avail *graph.Graph, top *topology.Topology, 
 	// O(k²) arithmetic instead of an O(V+E) graph sweep.
 	led := score.BorrowLedger(avail)
 	defer led.Recycle()
-	scores := make([]score.Scores, len(ms))
-	scoreFrom := func(start, stride int) {
-		for i := start; i < len(ms); i += stride {
-			scores[i] = p.scorer.ScoreLedger(top, req.Pattern, avail, ms[i], led)
-		}
-	}
-	// Scoring "is a data parallel problem" (Sec. 5.4): fan it out over
-	// the same worker count.
-	if workers := min(p.workers, len(ms)); workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scoreFrom(w, workers)
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		scoreFrom(0, 1)
-	}
 	var best Allocation
 	bestKey := ""
 	for i, m := range ms {
-		cand := Allocation{GPUs: m.DataVertices(), Match: m, Scores: scores[i]}
+		sc := p.scorer.ScoreLedger(top, req.Pattern, avail, m, led)
+		cand := Allocation{GPUs: m.DataVertices(), Match: m, Scores: sc}
 		if i == 0 || p.beats(req, best, cand, bestKey, keys[i]) {
 			best, bestKey = cand, keys[i]
 		}

@@ -72,7 +72,7 @@ import (
 // request size. served is false when the view set declines (see
 // matchcache.Views.SelectLive) and the caller must search.
 func (p *mapaPolicy) allocateScoredInto(buf *Allocation, usable graph.Bitset, req Request) (err error, served bool) {
-	served = p.views.SelectLive(req.Pattern, usable, p.maxCandidates, p.workers,
+	served = p.views.SelectLive(req.Pattern, usable, p.maxCandidates,
 		func(bw *match.BandwidthAccounting, tbl *score.Table, order []int) {
 			s, ok := p.pickScored(bw, tbl, req)
 			if !ok {

@@ -63,12 +63,11 @@ func TestTableServedChurnParityAllPolicies(t *testing.T) {
 
 			// One warmed store shared across the four policies.
 			tabledStore := matchcache.NewStore(tc.top, 0)
-			tabledStore.Warm(2, pattern)
+			tabledStore.Warm(0, pattern)
 
 			for name, mk := range fourPolicies(scorer) {
 				t.Run(name, func(t *testing.T) {
 					fast := mk()
-					AttachUniverses(fast, tabledStore)
 					fastViews := tabledStore.NewViews()
 					AttachViews(fast, fastViews)
 
@@ -175,11 +174,10 @@ func TestScoredTruncationParity(t *testing.T) {
 	top := topology.DGXA100()
 	pattern := appgraph.Ring(3)
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
+	store.Warm(0, pattern)
 
 	fast := NewPreserve(nil)
 	SetMaxCandidates(fast, 5)
-	AttachUniverses(fast, store)
 	views := store.NewViews()
 	AttachViews(fast, views)
 
@@ -230,9 +228,8 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	ringB.MustAddEdge(3, 0, 1, 0)
 
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, ringA)
+	store.Warm(0, ringA)
 	p := NewPreserve(nil)
-	AttachUniverses(p, store)
 	views := store.NewViews()
 	AttachViews(p, views)
 
@@ -260,7 +257,6 @@ func TestScoredIsomorphicBuild(t *testing.T) {
 	// still match its own sequential decision.
 	capped := NewPreserve(nil)
 	SetMaxCandidates(capped, 2)
-	AttachUniverses(capped, store)
 	cviews := store.NewViews()
 	AttachViews(capped, cviews)
 	got, err = capped.Allocate(top, avail.VertexBitset(), Request{Pattern: ringB, Sensitive: true})
@@ -292,9 +288,8 @@ func TestScoredPathExhaustion(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := appgraph.Ring(3)
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
+	store.Warm(0, pattern)
 	p := NewPreserve(nil)
-	AttachUniverses(p, store)
 	views := store.NewViews()
 	AttachViews(p, views)
 

@@ -266,7 +266,7 @@ func TestSetSelectionMatchesCandidateSelection(t *testing.T) {
 					seen[form] = true
 				}
 				u := match.BuildUniverse(shape, top.Graph, 0)
-				tbl := score.BuildTable(top, shape, u, 2)
+				tbl := score.BuildTable(top, shape, u)
 				mt := tbl.ForModel(scorer.Model)
 				rc := newRefCandidates(tbl, shape)
 				agg, aggEnds, eff, effEnds := refCandidateOrders(rc, mt)

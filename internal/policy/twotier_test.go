@@ -25,7 +25,6 @@ func allocString(a Allocation) string {
 func served(p Allocator, store *matchcache.Store, top *topology.Topology, busy []int) (*matchcache.Views, *graph.Graph) {
 	views := store.NewViews()
 	views.Allocate(busy)
-	AttachUniverses(p, store)
 	AttachViews(p, views)
 	return views, without(top.Graph, busy)
 }
@@ -39,7 +38,7 @@ func TestWarmedShapeAllocatesNewStateWithoutSearch(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := appgraph.Ring(3)
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, pattern)
+	store.Warm(0, pattern)
 	vanilla := NewPreserve(score.NewScorer(nil))
 
 	for _, busy := range [][]int{{0, 5}, {1, 6}, {2, 3, 7}} {
@@ -113,7 +112,7 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 
 	p := NewPreserve(score.NewScorer(nil))
 	store := matchcache.NewStore(top, 0)
-	store.Warm(1, ringA)
+	store.Warm(0, ringA)
 	views, avail := served(p, store, top, []int{1})
 
 	if _, err := p.Allocate(top, avail.VertexBitset(), Request{Pattern: ringA, Sensitive: true}); err != nil {
@@ -146,9 +145,10 @@ func TestIsomorphicRequestSharesPipeline(t *testing.T) {
 // TestSearchFallbackByDeclineReason reaches allocateSearch through each
 // reason the view layer declines for: the decision must equal the bare
 // policy's (nothing attached), the decline must be counted, and exactly
-// one search must run (sequential leg; the parallel leg runs one per
-// root). A table-served control decision on the same kind of store runs
-// none.
+// one search must run. A table-served control decision on the same kind
+// of store runs none. Each case runs at two worker counts passed to
+// Store.Warm, whose workers argument is kept only for a linked signature
+// and must change neither the build nor the decision.
 func TestSearchFallbackByDeclineReason(t *testing.T) {
 	top := topology.DGXV100()
 	ring := appgraph.Ring(3)
@@ -186,10 +186,9 @@ func TestSearchFallbackByDeclineReason(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				store := matchcache.NewStore(top, tc.capacity)
-				store.Warm(1, tc.warm) // the build's own searches happen here
+				store.Warm(workers, tc.warm) // the build's own searches happen here
 				mk := func() Allocator {
 					p := NewPreserve(score.NewScorer(nil))
-					SetParallelism(p, workers)
 					if tc.cap > 0 {
 						SetMaxCandidates(p, tc.cap)
 					}
@@ -215,8 +214,8 @@ func TestSearchFallbackByDeclineReason(t *testing.T) {
 					if vs.TableServed != 0 || vs.Rejected != 1 {
 						t.Fatalf("view stats %+v, want one counted decline", vs)
 					}
-					if ran == 0 || (workers == 1 && ran != 1) {
-						t.Fatalf("declined decision ran %d searches, want exactly one sequential search", ran)
+					if ran != 1 {
+						t.Fatalf("declined decision ran %d searches, want exactly one", ran)
 					}
 				}
 				want, err := mk().Allocate(top, avail.VertexBitset(), req)

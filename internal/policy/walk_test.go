@@ -95,7 +95,7 @@ func walkMachineAt(t *testing.T, i, k int) (*walkMachine, *score.Table) {
 		if k > 2 {
 			pattern = appgraph.Ring(k)
 		}
-		tbl = score.BuildTable(m.top, pattern, match.BuildUniverse(pattern, m.top.Graph, 0), 2)
+		tbl = score.BuildTable(m.top, pattern, match.BuildUniverse(pattern, m.top.Graph, 0))
 		m.tables[k] = tbl
 	}
 	return m, tbl

@@ -38,11 +38,6 @@ func ComparePoliciesMode(top *topology.Topology, policyNames []string, jobList [
 type CompareConfig struct {
 	// Mode selects the execution-time source.
 	Mode Mode
-	// Workers configures MAPA policies to enumerate and score
-	// candidate matches with this many goroutines (the first-vertex
-	// search partitioning of match.FindAllParallel); < 2 keeps the
-	// sequential matcher. Decisions are identical either way.
-	Workers int
 	// DisableUniverses runs every engine without a universe store:
 	// each MAPA decision is a fresh subgraph-isomorphism search on the
 	// availability graph — the paper's per-decision pipeline, and the
@@ -59,8 +54,8 @@ type CompareConfig struct {
 	Faults *FaultPlan
 }
 
-// ComparePoliciesConfig is ComparePoliciesMode with explicit matcher
-// parallelism and universe-store configuration. All engines share one
+// ComparePoliciesConfig is ComparePoliciesMode with an explicit
+// universe-store and fault configuration. All engines share one
 // idle-state universe store bound to the topology, so each canonical
 // job shape is built once for the whole comparison no matter how
 // many policies run.
@@ -95,7 +90,7 @@ func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, j
 	if !cfg.DisableUniverses {
 		store = matchcache.NewStore(top, matchcache.DefaultUniverseCapacity)
 		if len(cfg.WarmPatterns) > 0 {
-			store.Warm(cfg.Workers, cfg.WarmPatterns...)
+			store.Warm(0, cfg.WarmPatterns...)
 		}
 	}
 	out := make(map[string]RunResult, len(policyNames))
@@ -104,9 +99,6 @@ func ComparePoliciesInstrumented(top *topology.Topology, policyNames []string, j
 		p, err := policy.ByName(name, scorer)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if cfg.Workers > 1 {
-			policy.SetParallelism(p, cfg.Workers)
 		}
 		e := NewEngine(top, p)
 		e.Mode = cfg.Mode

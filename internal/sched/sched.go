@@ -189,19 +189,16 @@ func (e *Engine) Run(jobList []jobs.Job) (RunResult, error) {
 		return RunResult{}, err
 	}
 
-	// Attach (or detach) the universe store and a fresh view set so the
-	// run follows the engine configuration even when the allocator was
-	// used elsewhere before. Live views track one availability stream,
-	// so every run gets its own set over the (possibly shared) store,
-	// fed below with exactly the deltas applied to usable. A store bound
-	// to a different topology is never attached.
-	var store *matchcache.Store
+	// Attach (or detach) a fresh view set over the universe store so
+	// the run follows the engine configuration even when the allocator
+	// was used elsewhere before. Live views track one availability
+	// stream, so every run gets its own set over the (possibly shared)
+	// store, fed below with exactly the deltas applied to usable. A
+	// store bound to a different topology is never viewed.
 	e.Views = nil
 	if e.Universes.Bound(e.Top) {
-		store = e.Universes
-		e.Views = store.NewViews()
+		e.Views = e.Universes.NewViews()
 	}
-	policy.AttachUniverses(e.Alloc, store)
 	policy.AttachViews(e.Alloc, e.Views)
 
 	// The hardware state of Sec. 3.6 is one mask over the read-only

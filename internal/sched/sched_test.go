@@ -241,13 +241,11 @@ func TestPreserveBeatsBaselineAtTail(t *testing.T) {
 
 // TestPipelineStatsSurfaceBuildTimings: a warmed comparison must
 // surface the shared store's per-shape universe build records through
-// every policy's PipelineStats, each warmed build run with the
-// comparison's worker count.
+// every policy's PipelineStats, each with its build duration.
 func TestPipelineStatsSurfaceBuildTimings(t *testing.T) {
 	top := topology.DGXV100()
 	cfg := CompareConfig{
 		Mode:         ModeFixed,
-		Workers:      4,
 		WarmPatterns: appgraph.AllShapes(4),
 	}
 	_, pipeStats, storeStats, err := ComparePoliciesInstrumented(top, []string{"baseline", "preserve"}, smallMix(20, 1), cfg)
@@ -258,9 +256,6 @@ func TestPipelineStatsSurfaceBuildTimings(t *testing.T) {
 		t.Fatalf("store stats carry no builds: %+v", storeStats)
 	}
 	for _, b := range storeStats.Builds {
-		if b.Workers != 4 {
-			t.Fatalf("build recorded %d workers, want 4: %+v", b.Workers, b)
-		}
 		if b.Duration <= 0 {
 			t.Fatalf("build without a duration: %+v", b)
 		}

@@ -54,7 +54,7 @@ func FuzzClosedFormUniverse(f *testing.F) {
 		if !u.Complete() {
 			t.Fatalf("universe of %v on K%d incomplete", pattern.Edges(), n)
 		}
-		tbl := BuildTable(top, pattern, u, 1+rng.Intn(3))
+		tbl := BuildTable(top, pattern, u)
 
 		ms := match.FindAllDeduped(pattern, g)
 		sets := make([][]int, len(ms))

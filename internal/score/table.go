@@ -88,13 +88,11 @@ type Table struct {
 }
 
 // BuildTable computes the score table of a complete universe of pattern
-// on top's hardware graph, fanning the per-set work over up to
-// `workers` goroutines (the values are per-set pure functions, so the
-// result is identical at any worker count). Link mixes go through the
-// process-wide memo, so sets with one link signature — across shapes,
-// stores, and dynamic decisions — decompose once per process.
+// on top's hardware graph, one set after another. Link mixes go through
+// the process-wide memo, so sets with one link signature — across
+// shapes, stores, and dynamic decisions — decompose once per process.
 // BuildTable panics on an incomplete universe.
-func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe, workers int) *Table {
+func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe) *Table {
 	if !u.Complete() {
 		panic("score: BuildTable over an incomplete universe")
 	}
@@ -115,19 +113,10 @@ func BuildTable(top *topology.Topology, pattern *graph.Graph, u *match.Universe,
 		models:    make(map[*effbw.Model]*ModelTable),
 	}
 	t.indexSets()
-	workers = max(1, min(workers, sets))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			sc := t.newScratch()
-			for s := start; s < sets; s += workers {
-				t.fill(sc, s)
-			}
-		}(w)
+	sc := t.newScratch()
+	for s := 0; s < sets; s++ {
+		t.fill(sc, s)
 	}
-	wg.Wait()
 	t.maxInternal, t.maxAgg = maxOf(t.internal), maxOf(t.setAgg)
 	return t
 }
@@ -166,7 +155,7 @@ func (t *Table) indexSets() {
 	t.rankBase = sets - 1
 }
 
-// tableScratch is one filling goroutine's reused buffers: the keyer and
+// tableScratch is a table fill's reused buffers: the keyer and
 // an embedding's data for comparing a set's embeddings by key, and the
 // two representatives' key bytes.
 type tableScratch struct {

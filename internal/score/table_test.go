@@ -48,21 +48,21 @@ func TestTableMatchesDynamicScorer(t *testing.T) {
 				if !u.Complete() {
 					t.Fatal("universe must be complete")
 				}
-				seq, par := BuildTable(top, pattern, u, 1), BuildTable(top, pattern, u, 4)
-				checkTable(t, "idle", s, top, pattern, seq, par, sweeps)
+				tbl := BuildTable(top, pattern, u)
+				checkTable(t, "idle", s, top, pattern, tbl, sweeps)
 				e := top.Graph.Edges()[0]
 				top.Graph.MustAddEdge(e.U, e.V, math.Floor(e.Weight/2), e.Label)
 				if pe, ok := top.Physical.EdgeBetween(e.U, e.V); ok {
 					top.Physical.MustAddEdge(e.U, e.V, math.Floor(e.Weight/2), pe.Label)
 				}
 				InvalidateMixes(top)
-				if seq.RepairEdge(e.U, e.V) == 0 || par.RepairEdge(e.U, e.V) == 0 {
+				if tbl.RepairEdge(e.U, e.V) == 0 {
 					if pattern.NumVertices() < 4 {
 						continue // no small pattern need cross the halved link
 					}
 					t.Fatalf("%v: no candidate holds link (%d,%d): the degraded leg is vacuous", pattern.Edges(), e.U, e.V)
 				}
-				checkTable(t, "degraded", s, top, pattern, seq, par, sweeps)
+				checkTable(t, "degraded", s, top, pattern, tbl, sweeps)
 			}
 		})
 	}
@@ -74,23 +74,13 @@ func TestTableMatchesDynamicScorer(t *testing.T) {
 type eq3Sweep struct{ ref, incident float64 }
 
 // checkTable compares every candidate of tbl with the dynamic scorer on
-// top's idle machine, and par — the same table built in parallel —
-// with tbl column by column. sweeps memoizes the Eq. 3 reference by the
+// top's idle machine. sweeps memoizes the Eq. 3 reference by the
 // machine's fingerprint and the GPU set, since it depends on nothing else.
-func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pattern *graph.Graph, tbl, par *Table, sweeps map[string]map[string]eq3Sweep) {
+func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pattern *graph.Graph, tbl *Table, sweeps map[string]map[string]eq3Sweep) {
 	t.Helper()
 	u := tbl.Universe()
-	if tbl.Len() != u.Len() || par.Len() != u.Len() {
-		t.Fatalf("%s: tables hold %d and %d rows, universe %d", leg, tbl.Len(), par.Len(), u.Len())
-	}
-	for s := 0; s < u.Sets(); s++ {
-		if tbl.KeyRep(s) != par.KeyRep(s) || tbl.AggRep(s) != par.AggRep(s) {
-			t.Fatalf("%s set %d: representatives %d/%d, parallel build %d/%d",
-				leg, s, tbl.KeyRep(s), tbl.AggRep(s), par.KeyRep(s), par.AggRep(s))
-		}
-		if par.SetAggBW(s) != tbl.SetAggBW(s) || par.SetMix(s) != tbl.SetMix(s) || par.SetInternal(s) != tbl.SetInternal(s) {
-			t.Fatalf("%s set %d: parallel build differs", leg, s)
-		}
+	if tbl.Len() != u.Len() {
+		t.Fatalf("%s: table holds %d rows, universe %d", leg, tbl.Len(), u.Len())
 	}
 	mt := tbl.ForModel(s.Model)
 	led := NewLedger(top.Graph)
@@ -104,8 +94,8 @@ func checkTable(t *testing.T, leg string, s *Scorer, top *topology.Topology, pat
 		set, p := i/u.Perms(), i%u.Perms()
 		m := embedding(tbl, set, p)
 		want := s.ScoreLedger(top, pattern, top.Graph, m, led)
-		if got := tbl.AggBW(set, p); got != want.AggBW || par.AggBW(set, p) != got {
-			t.Fatalf("%s %v candidate %d: AggBW %g (parallel build %g), dynamic %g", leg, m.Data, i, got, par.AggBW(set, p), want.AggBW)
+		if got := tbl.AggBW(set, p); got != want.AggBW {
+			t.Fatalf("%s %v candidate %d: AggBW %g, dynamic %g", leg, m.Data, i, got, want.AggBW)
 		}
 		if tbl.SetMix(set) != want.Mix {
 			t.Fatalf("%s %v candidate %d: mix %+v, dynamic %+v", leg, m.Data, i, tbl.SetMix(set), want.Mix)
@@ -202,7 +192,7 @@ func TestTableOrders(t *testing.T) {
 	top := topology.DGXV100()
 	pattern := ringPattern(4)
 	u := match.BuildUniverse(pattern, top.Graph, 0)
-	tbl := BuildTable(top, pattern, u, 1)
+	tbl := BuildTable(top, pattern, u)
 	model := effbw.PaperModel()
 	mt := tbl.ForModel(model)
 

@@ -194,19 +194,11 @@ type System struct {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	workers        int
 	warmMaxGPUs    int
 	backgroundWarm bool
 	searchOnly     bool
 	journalDir     string
 	journalOpts    journal.Options
-}
-
-// WithWorkers makes MAPA policies enumerate and score candidate
-// matches with n worker goroutines. Decisions are byte-identical to
-// the sequential matcher's.
-func WithWorkers(n int) SystemOption {
-	return func(c *systemConfig) { c.workers = n }
 }
 
 // WithBackgroundWarming makes the WithWarmShapes precomputation run in
@@ -289,9 +281,6 @@ func newSystem(top *topology.Topology, gpus graph.Bitset, model *effbw.Model, po
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.workers > 1 {
-		policy.SetParallelism(alloc, cfg.workers)
-	}
 	return &System{
 		top:       top,
 		alloc:     alloc,
@@ -320,11 +309,11 @@ func (s *System) buildPipeline(allowBackground bool) {
 		if s.fleet == nil {
 			// A fleet warms its class templates instead: its flat store
 			// only serves node-spanning patterns, built on demand.
-			s.warm(s.store.Warm, s.top.NumGPUs(), allowBackground)
+			st := s.store
+			s.warm(func(ps ...*graph.Graph) int { return st.Warm(0, ps...) }, s.top.NumGPUs(), allowBackground)
 		}
 		s.views = s.store.NewViews()
 	}
-	policy.AttachUniverses(s.alloc, s.store)
 	policy.AttachViews(s.alloc, s.views)
 }
 
@@ -333,7 +322,7 @@ func (s *System) buildPipeline(allowBackground bool) {
 // machineGPUs vertices: in a background goroutine when the System was
 // built WithBackgroundWarming and allowBackground, synchronously
 // otherwise.
-func (s *System) warm(warmFn func(workers int, patterns ...*graph.Graph) int, machineGPUs int, allowBackground bool) {
+func (s *System) warm(warmFn func(patterns ...*graph.Graph) int, machineGPUs int, allowBackground bool) {
 	cfg := s.cfg
 	if cfg.warmMaxGPUs <= 1 {
 		return
@@ -343,11 +332,11 @@ func (s *System) warm(warmFn func(workers int, patterns ...*graph.Graph) int, ma
 		s.warmDone = make(chan struct{})
 		go func(done chan struct{}) {
 			defer close(done)
-			warmFn(cfg.workers, shapes...)
+			warmFn(shapes...)
 		}(s.warmDone)
 		return
 	}
-	warmFn(cfg.workers, shapes...)
+	warmFn(shapes...)
 }
 
 // WaitWarm blocks until the WithBackgroundWarming precomputation has
@@ -568,9 +557,9 @@ func (s *System) prewarm(req JobRequest, pattern *graph.Graph) (*graph.Graph, *m
 		return pattern, st, nil
 	}
 	if s.fleet != nil && pattern.NumVertices() <= s.fleet.MaxNodeGPUs() {
-		s.fstore.Ensure(pattern, s.cfg.workers)
+		s.fstore.Ensure(pattern)
 	} else if st != nil {
-		st.Ensure(pattern, s.cfg.workers)
+		st.Ensure(pattern, 0)
 	} else {
 		return pattern, st, nil
 	}
@@ -600,7 +589,7 @@ func (s *System) lockWithPipeline(pattern *graph.Graph, st *matchcache.Store) {
 		st = s.store
 		s.mu.Unlock()
 		if st != nil {
-			st.Ensure(pattern, s.cfg.workers)
+			st.Ensure(pattern, 0)
 		}
 		s.mu.Lock()
 	}
@@ -805,8 +794,7 @@ func (s *System) DegradeLink(u, v int, bw float64) error {
 // rebuilds the match pipeline for the new virtual machine (warming
 // synchronously per the System's construction options) and retrains
 // the Eq. 2 model. Allocation afterwards treats instances as plain
-// vertices; fraction-aware matching (mig.Request.MinFraction) remains
-// the mig package's direct API.
+// vertices: a request cannot ask for a minimum compute fraction.
 func (s *System) Repartition(slices map[int]int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -19,9 +19,8 @@ import (
 
 // traceConfig selects how a parity run decides: through the
 // table-served pipeline (optionally prewarmed) or, searchOnly, by the
-// bare policy's fresh search — with the given worker count either way.
+// bare policy's fresh search.
 type traceConfig struct {
-	workers    int
 	searchOnly bool
 	warm       bool // prewarm universes for the job-mix shapes
 }
@@ -37,14 +36,11 @@ func allocationTrace(t *testing.T, top *topology.Topology, policyName string, jo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.workers > 1 {
-		policy.SetParallelism(p, cfg.workers)
-	}
 	e := sched.NewEngine(top, p)
 	if cfg.searchOnly {
 		e.Universes = nil
 	} else if cfg.warm {
-		e.Universes.Warm(cfg.workers, appgraph.AllShapes(5)...)
+		e.Universes.Warm(0, appgraph.AllShapes(5)...)
 	}
 	res, err := e.Run(jobList)
 	if err != nil {
@@ -58,12 +54,11 @@ func allocationTrace(t *testing.T, top *topology.Topology, policyName string, jo
 	return trace, e
 }
 
-// TestCachedAndParallelMatchSequentialAllocations is the acceptance
-// check for the match pipeline: on the integration-test workloads, the
-// table-served pipeline — cold or prewarmed, built sequentially or with
-// four workers — and the parallel search must each produce
-// byte-identical allocation sequences to the plain sequential search.
-func TestCachedAndParallelMatchSequentialAllocations(t *testing.T) {
+// TestTableServedMatchesSearchAllocations is the acceptance check for
+// the match pipeline: on the integration-test workloads, the
+// table-served pipeline — cold or prewarmed — must produce
+// byte-identical allocation sequences to the fresh search.
+func TestTableServedMatchesSearchAllocations(t *testing.T) {
 	cases := []struct {
 		topo   string
 		policy string
@@ -82,39 +77,29 @@ func TestCachedAndParallelMatchSequentialAllocations(t *testing.T) {
 			}
 			jobList := jobs.PaperMix(1)[:tc.njobs]
 
-			sequential, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 1, searchOnly: true})
-			compare := func(name string, got []string) {
-				t.Helper()
-				if len(got) != len(sequential) {
-					t.Fatalf("%s produced %d records, sequential %d", name, len(got), len(sequential))
-				}
-				for i := range sequential {
-					if got[i] != sequential[i] {
-						t.Fatalf("%s diverged from sequential at record %d:\n  seq: %s\n  got: %s",
-							name, i, sequential[i], got[i])
-					}
-				}
-			}
-
-			parallel, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{workers: 4, searchOnly: true})
-			compare("parallel search", parallel)
-			for _, cfg := range []traceConfig{{workers: 1}, {workers: 4}, {workers: 1, warm: true}, {workers: 4, warm: true}} {
+			search, _ := allocationTrace(t, top, tc.policy, jobList, traceConfig{searchOnly: true})
+			for _, cfg := range []traceConfig{{}, {warm: true}} {
 				name := fmt.Sprintf("table-served %+v", cfg)
 				searches := match.Searches()
 				trace, eng := allocationTrace(t, top, tc.policy, jobList, cfg)
-				compare(name, trace)
+				if len(trace) != len(search) {
+					t.Fatalf("%s produced %d records, the search %d", name, len(trace), len(search))
+				}
+				for i := range search {
+					if trace[i] != search[i] {
+						t.Fatalf("%s diverged from the search at record %d:\n  search: %s\n     got: %s",
+							name, i, search[i], trace[i])
+					}
+				}
 				// Every decision must have come off a live view, and the
-				// only searches of the whole run are the universe builds
-				// (one per root and worker session at most — far fewer
-				// than one per decision).
+				// only searches of the whole run are the universe builds,
+				// one each.
 				vs, st := eng.Views.Stats(), eng.Universes.Stats()
 				if vs.TableServed != uint64(len(jobList)) || vs.Rejected != 0 || st.Universes == 0 {
 					t.Fatalf("%s did not serve the run: store %+v views %+v", name, st, vs)
 				}
-				if cfg.workers == 1 {
-					if d := match.Searches() - searches; d != uint64(len(st.Builds)) {
-						t.Fatalf("%s ran %d searches for %d universe builds", name, d, len(st.Builds))
-					}
+				if d := match.Searches() - searches; d != uint64(len(st.Builds)) {
+					t.Fatalf("%s ran %d searches for %d universe builds", name, d, len(st.Builds))
 				}
 			}
 		})
@@ -221,11 +206,11 @@ func TestSystemWarmedServesFirstDecisionByFilter(t *testing.T) {
 // WaitWarm parks until the warm set is resident, and every decision is
 // byte-identical to a synchronously warmed System's.
 func TestSystemBackgroundWarmingParity(t *testing.T) {
-	sync1, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithWorkers(4))
+	sync1, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithWorkers(4), WithBackgroundWarming())
+	bg, err := NewSystem("dgx-v100", "preserve", WithWarmShapes(5), WithBackgroundWarming())
 	if err != nil {
 		t.Fatal(err)
 	}
